@@ -15,6 +15,7 @@ import (
 
 	"kamsta"
 	"kamsta/internal/alltoall"
+	"kamsta/internal/core"
 	"kamsta/internal/gen"
 )
 
@@ -24,25 +25,28 @@ func weakSpec(f gen.Family, p int) kamsta.GraphSpec {
 	return kamsta.GraphSpec{Family: f, N: vppe * uint64(p), M: eppe * uint64(p), Seed: 1}
 }
 
-// paperCfg is the paper's default configuration at bench scale.
-func paperCfg(alg kamsta.Algorithm, p, threads int) kamsta.Config {
-	cfg := kamsta.Config{PEs: p, Threads: threads, Algorithm: alg}
-	cfg.Core.LocalPreprocessing = true
-	cfg.Core.LocalFilter = true
-	cfg.Core.HashDedup = true
-	cfg.Core.DedupParallel = true
-	cfg.Core.BaseCaseCap = 1 << 6
-	return cfg
+// paperOpts is the paper's default configuration at bench scale.
+func paperOpts() core.Options {
+	o := core.DefaultOptions()
+	o.BaseCaseCap = 1 << 6
+	return o
 }
 
-// runSpec executes one configuration per iteration and reports modeled
-// time and modeled throughput alongside the wall time.
-func runSpec(b *testing.B, spec kamsta.GraphSpec, cfg kamsta.Config) {
+// runSpec builds one p-PE machine, executes one job per iteration on it and
+// reports modeled time and modeled throughput alongside the wall time. It
+// returns the last iteration's report.
+func runSpec(b *testing.B, spec kamsta.GraphSpec, p, threads int, alg kamsta.Algorithm, opt core.Options) *kamsta.Report {
 	b.Helper()
+	m, err := kamsta.NewMachine(kamsta.MachineConfig{PEs: p, Threads: threads})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	src := kamsta.FromSpec(spec)
 	var rep *kamsta.Report
-	var err error
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err = kamsta.ComputeMSFSpec(spec, cfg)
+		rep, err = m.Compute(context.Background(), src, kamsta.WithAlgorithm(alg), kamsta.WithCoreOptions(opt))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,6 +55,7 @@ func runSpec(b *testing.B, spec kamsta.GraphSpec, cfg kamsta.Config) {
 	if rep.ModeledSeconds > 0 {
 		b.ReportMetric(rep.EdgesPerSecond/1e6, "medges/s")
 	}
+	return rep
 }
 
 // BenchmarkFig2 — one-level vs two-level all-to-all on the component
@@ -63,10 +68,10 @@ func BenchmarkFig2(b *testing.B) {
 			a2a  alltoall.Strategy
 		}{{"one-level", alltoall.Direct}, {"two-level", alltoall.Grid}} {
 			b.Run(fmt.Sprintf("%s/p=%d", variant.name, p), func(b *testing.B) {
-				cfg := paperCfg(kamsta.AlgBoruvka, p, 1)
-				cfg.Core.LocalPreprocessing = false // GNM: matches the figure's setup
-				cfg.Core.A2A = variant.a2a
-				runSpec(b, weakSpec(gen.GNM, p), cfg)
+				opt := paperOpts()
+				opt.LocalPreprocessing = false // GNM: matches the figure's setup
+				opt.A2A = variant.a2a
+				runSpec(b, weakSpec(gen.GNM, p), p, 1, kamsta.AlgBoruvka, opt)
 			})
 		}
 	}
@@ -90,7 +95,7 @@ func BenchmarkFig3(b *testing.B) {
 		for _, a := range algs {
 			for _, threads := range []int{1, 8} {
 				b.Run(fmt.Sprintf("%s/%s-%dt/p=%d", f, a.name, threads, p), func(b *testing.B) {
-					runSpec(b, weakSpec(f, p), paperCfg(a.alg, p, threads))
+					runSpec(b, weakSpec(f, p), p, threads, a.alg, paperOpts())
 				})
 			}
 		}
@@ -104,12 +109,12 @@ func BenchmarkFig4(b *testing.B) {
 	for _, f := range []gen.Family{gen.Grid2D, gen.RGG2D, gen.RGG3D, gen.RHG} {
 		spec := kamsta.GraphSpec{Family: f, N: 1 << 12, M: 1 << 17, Seed: 1}
 		b.Run(fmt.Sprintf("%s/preprocess=on", f), func(b *testing.B) {
-			runSpec(b, spec, paperCfg(kamsta.AlgBoruvka, p, 8))
+			runSpec(b, spec, p, 8, kamsta.AlgBoruvka, paperOpts())
 		})
 		b.Run(fmt.Sprintf("%s/preprocess=off", f), func(b *testing.B) {
-			cfg := paperCfg(kamsta.AlgBoruvka, p, 8)
-			cfg.Core.LocalPreprocessing = false
-			runSpec(b, spec, cfg)
+			opt := paperOpts()
+			opt.LocalPreprocessing = false
+			runSpec(b, spec, p, 8, kamsta.AlgBoruvka, opt)
 		})
 	}
 }
@@ -124,15 +129,15 @@ func BenchmarkFig5(b *testing.B) {
 		}
 		for _, p := range []int{4, 16, 64} {
 			b.Run(fmt.Sprintf("%s/boruvka-8t/p=%d", name, p), func(b *testing.B) {
-				runSpec(b, spec, paperCfg(kamsta.AlgBoruvka, p, 8))
+				runSpec(b, spec, p, 8, kamsta.AlgBoruvka, paperOpts())
 			})
 		}
 		// Competitors at one machine width for the comparison rows.
 		b.Run(fmt.Sprintf("%s/MND-MST/p=16", name), func(b *testing.B) {
-			runSpec(b, spec, paperCfg(kamsta.AlgMNDMST, 16, 1))
+			runSpec(b, spec, 16, 1, kamsta.AlgMNDMST, paperOpts())
 		})
 		b.Run(fmt.Sprintf("%s/sparseMatrix/p=16", name), func(b *testing.B) {
-			runSpec(b, spec, paperCfg(kamsta.AlgSparseMatrix, 16, 1))
+			runSpec(b, spec, 16, 1, kamsta.AlgSparseMatrix, paperOpts())
 		})
 	}
 }
@@ -151,18 +156,8 @@ func BenchmarkFig6(b *testing.B) {
 			{"f1", kamsta.AlgFilterBoruvka, 1}, {"f8", kamsta.AlgFilterBoruvka, 8},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", f, v.label), func(b *testing.B) {
-				spec := weakSpec(f, p)
-				cfg := paperCfg(v.alg, p, v.threads)
-				var rep *kamsta.Report
-				var err error
-				for i := 0; i < b.N; i++ {
-					rep, err = kamsta.ComputeMSFSpec(spec, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
+				rep := runSpec(b, weakSpec(f, p), p, v.threads, v.alg, paperOpts())
 				total := rep.ModeledSeconds
-				b.ReportMetric(total*1e3, "modeled-ms")
 				if total > 0 {
 					for phase, pt := range rep.Phases {
 						b.ReportMetric(pt.Modeled/total, phase+"-frac")
@@ -182,15 +177,8 @@ func BenchmarkTable1(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep, err := kamsta.ComputeMSFSpec(spec, kamsta.Config{PEs: 8, Algorithm: kamsta.AlgKruskal})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(rep.InputEdges), "edges")
-				}
-			}
+			rep := runSpec(b, spec, 8, 1, kamsta.AlgKruskal, core.Options{})
+			b.ReportMetric(float64(rep.InputEdges), "edges")
 		})
 	}
 }
@@ -203,11 +191,11 @@ func BenchmarkSharedMemory(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("shared-memory-8t", func(b *testing.B) {
-		runSpec(b, spec, paperCfg(kamsta.AlgBoruvka, 1, 8))
+		runSpec(b, spec, 1, 8, kamsta.AlgBoruvka, paperOpts())
 	})
 	for _, p := range []int{8, 32} {
 		b.Run(fmt.Sprintf("distributed-8t/p=%d", p), func(b *testing.B) {
-			runSpec(b, spec, paperCfg(kamsta.AlgBoruvka, p, 8))
+			runSpec(b, spec, p, 8, kamsta.AlgBoruvka, paperOpts())
 		})
 	}
 }
@@ -218,9 +206,9 @@ func BenchmarkAblationDedup(b *testing.B) {
 	spec := weakSpec(gen.GNM, 16)
 	for _, dedup := range []bool{true, false} {
 		b.Run(fmt.Sprintf("dedup=%v", dedup), func(b *testing.B) {
-			cfg := paperCfg(kamsta.AlgBoruvka, 16, 1)
-			cfg.Core.DedupParallel = dedup
-			runSpec(b, spec, cfg)
+			opt := paperOpts()
+			opt.DedupParallel = dedup
+			runSpec(b, spec, 16, 1, kamsta.AlgBoruvka, opt)
 		})
 	}
 }
@@ -231,9 +219,9 @@ func BenchmarkAblationLocalFilter(b *testing.B) {
 	spec := kamsta.GraphSpec{Family: gen.RGG2D, N: 1 << 12, M: 1 << 16, Seed: 1}
 	for _, filter := range []bool{true, false} {
 		b.Run(fmt.Sprintf("localFilter=%v", filter), func(b *testing.B) {
-			cfg := paperCfg(kamsta.AlgBoruvka, 8, 4)
-			cfg.Core.LocalFilter = filter
-			runSpec(b, spec, cfg)
+			opt := paperOpts()
+			opt.LocalFilter = filter
+			runSpec(b, spec, 8, 4, kamsta.AlgBoruvka, opt)
 		})
 	}
 }
@@ -244,9 +232,9 @@ func BenchmarkAblationHashDedup(b *testing.B) {
 	spec := kamsta.GraphSpec{Family: gen.Grid2D, N: 1 << 14, Seed: 1}
 	for _, hash := range []bool{true, false} {
 		b.Run(fmt.Sprintf("hashDedup=%v", hash), func(b *testing.B) {
-			cfg := paperCfg(kamsta.AlgBoruvka, 8, 4)
-			cfg.Core.HashDedup = hash
-			runSpec(b, spec, cfg)
+			opt := paperOpts()
+			opt.HashDedup = hash
+			runSpec(b, spec, 8, 4, kamsta.AlgBoruvka, opt)
 		})
 	}
 }
@@ -256,17 +244,17 @@ func BenchmarkAblationBaseCap(b *testing.B) {
 	spec := weakSpec(gen.GNM, 16)
 	for _, cap := range []int{1, 1 << 6, 1 << 10, 1 << 14} {
 		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
-			cfg := paperCfg(kamsta.AlgBoruvka, 16, 1)
-			cfg.Core.BaseCaseCap = cap
-			runSpec(b, spec, cfg)
+			opt := paperOpts()
+			opt.BaseCaseCap = cap
+			runSpec(b, spec, 16, 1, kamsta.AlgBoruvka, opt)
 		})
 	}
 }
 
 // BenchmarkMachineRepeatedSmallInstances — the service workload the Machine
 // API exists for: many small jobs back to back. The reused Machine keeps
-// its PE goroutines parked between jobs; the one-shot wrapper rebuilds the
-// world (spawns p goroutines, reallocates boards and barrier) per call.
+// its PE goroutines parked between jobs; a fresh Machine per job rebuilds
+// the world (spawns p goroutines, reallocates boards and barrier) each time.
 // The delta is the per-job setup cost a server no longer pays; it grows
 // with the machine width.
 func BenchmarkMachineRepeatedSmallInstances(b *testing.B) {
@@ -289,9 +277,15 @@ func BenchmarkMachineRepeatedSmallInstances(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("one-shot/p=%d", p), func(b *testing.B) {
+		b.Run(fmt.Sprintf("fresh-machine/p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := kamsta.ComputeMSFSource(src, kamsta.Config{PEs: p}); err != nil {
+				m, err := kamsta.NewMachine(kamsta.MachineConfig{PEs: p})
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = m.Compute(context.Background(), src)
+				m.Close()
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -181,32 +181,6 @@ func TestCancelMidJobGoldenClock(t *testing.T) {
 	checkGolden(t, m, gc, "after cancel")
 }
 
-// TestWithRetryTransientFault: a fault that fires once (injection rules are
-// one-shot across retries, like a real transient) is absorbed by WithRetry —
-// the caller sees a successful, bit-exact Report, never the error.
-func TestWithRetryTransientFault(t *testing.T) {
-	m := newTestMachine(t, MachineConfig{PEs: 8})
-	defer m.Close()
-	gc := chaosGolden[0]
-	rule := &faultinject.Rule{
-		Site: faultinject.SiteCollective, Rank: 3, Occurrence: 5,
-		Action: faultinject.ActPanic,
-	}
-	rep, err := m.Compute(context.Background(), FromSpec(gc.spec),
-		WithAlgorithm(gc.alg),
-		WithFaultInjection(faultinject.NewPlan(rule)),
-		WithRetry(2))
-	if err != nil {
-		t.Fatalf("retried job: %v", err)
-	}
-	if !rule.Fired() {
-		t.Fatal("the transient fault never fired — the retry proved nothing")
-	}
-	if got := math.Float64bits(rep.ModeledSeconds); got != gc.bits {
-		t.Fatalf("retried job clock bits %#x, want %#x", got, gc.bits)
-	}
-}
-
 // TestStallRecoveryAndRebuild: an injected straggler outlasting the stall
 // timeout must surface as a FaultStall with Rebuilt set, bump the rebuild
 // counter, and leave a healthy machine producing golden bits.

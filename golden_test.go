@@ -1,6 +1,7 @@
 package kamsta
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestModeledTimeGolden(t *testing.T) {
 	cases := []struct {
 		name        string
 		spec        GraphSpec
-		cfg         Config
+		alg         Algorithm
 		modeledBits uint64
 		weight      uint64
 		msfEdges    int
@@ -27,7 +28,7 @@ func TestModeledTimeGolden(t *testing.T) {
 		{
 			name:        "gnm-boruvka",
 			spec:        GraphSpec{Family: GNM, N: 1 << 10, M: 1 << 13, Seed: 42},
-			cfg:         Config{PEs: 8, Algorithm: AlgBoruvka},
+			alg:         AlgBoruvka,
 			modeledBits: 0x3f453980b2cb7769, // 0.0006477239999999998 s
 			weight:      19837,
 			msfEdges:    1023,
@@ -38,7 +39,7 @@ func TestModeledTimeGolden(t *testing.T) {
 		{
 			name:        "rgg2d-filter",
 			spec:        GraphSpec{Family: RGG2D, N: 1 << 10, M: 1 << 13, Seed: 7},
-			cfg:         Config{PEs: 8, Algorithm: AlgFilterBoruvka},
+			alg:         AlgFilterBoruvka,
 			modeledBits: 0x3f68ca7d4d6ed9eb, // 0.003026242000000003 s
 			weight:      22137,
 			msfEdges:    1023,
@@ -47,9 +48,10 @@ func TestModeledTimeGolden(t *testing.T) {
 			collectives: 472,
 		},
 	}
+	m := newTestMachine(t, MachineConfig{PEs: 8})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := ComputeMSFSpec(tc.spec, tc.cfg)
+			rep, err := m.Compute(context.Background(), FromSpec(tc.spec), WithAlgorithm(tc.alg))
 			if err != nil {
 				t.Fatal(err)
 			}

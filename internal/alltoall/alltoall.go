@@ -5,9 +5,10 @@
 // routes each message through one intermediate PE chosen so that both
 // physical exchanges involve at most √p + 2 participants, reducing the
 // startup term to O(α·√p) at the cost of doubling the communication volume.
-// The hypercube strategy (Johnsson–Ho) is the d = log p limit of the same
-// idea. Auto picks direct or grid by the paper's average-message-size rule
-// (500 bytes on their system).
+// Auto picks direct or grid by the paper's average-message-size rule (500
+// bytes on their system). These are the two schemes the paper evaluates
+// (Fig. 2); its remark that the grid generalizes to d > 2 dimensions is not
+// implemented because no exhibit exercises it.
 package alltoall
 
 import (
@@ -30,9 +31,6 @@ const (
 	Direct
 	// Grid routes through a √p × √p logical grid (two-level, §VI-A).
 	Grid
-	// Hypercube routes along log p hypercube dimensions; requires p to be a
-	// power of two.
-	Hypercube
 )
 
 // String returns the strategy name.
@@ -42,13 +40,8 @@ func (s Strategy) String() string {
 		return "direct"
 	case Grid:
 		return "grid"
-	case Hypercube:
-		return "hypercube"
 	case Auto:
 		return "auto"
-	}
-	if d := multiLevelDims(s); d > 0 {
-		return fmt.Sprintf("multilevel-%dd", d)
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
@@ -80,14 +73,9 @@ func Exchange[T any](c *comm.Comm, s Strategy, send [][]T) [][]T {
 		return comm.Alltoall(c, send)
 	case Grid:
 		return gridExchange(c, send)
-	case Hypercube:
-		return hypercubeExchange(c, send)
 	case Auto:
 		return autoExchange(c, send)
 	default:
-		if d := multiLevelDims(s); d > 0 {
-			return multiLevelExchange(c, d, send)
-		}
 		panic("alltoall: unknown strategy " + s.String())
 	}
 }
@@ -214,53 +202,6 @@ func gridExchange[T any](c *comm.Comm, send [][]T) [][]T {
 		}
 	}
 	c.ChargeComm(g.c+1, max(out2, in2))
-	return result
-}
-
-// hypercubeExchange routes along the log p dimensions of a hypercube: in
-// round d every PE exchanges with rank ^ 2^d all pending messages whose
-// destination differs in bit d. Requires p to be a power of two.
-func hypercubeExchange[T any](c *comm.Comm, send [][]T) [][]T {
-	p, rank := c.P(), c.Rank()
-	if p&(p-1) != 0 {
-		panic(fmt.Sprintf("alltoall: hypercube needs a power-of-two world, got p=%d", p))
-	}
-	elem := elemSize[T]()
-	pending := make([]hop[T], 0, p)
-	for j, b := range send {
-		if len(b) > 0 {
-			pending = append(pending, hop[T]{Src: int32(rank), Dst: int32(j), Items: b})
-		}
-	}
-	for d := 1; d < p; d <<= 1 {
-		partner := rank ^ d
-		keep := pending[:0]
-		var fwd []hop[T]
-		outBytes := 0
-		for _, h := range pending {
-			if (int(h.Dst)^rank)&d != 0 {
-				fwd = append(fwd, h)
-				outBytes += len(h.Items)*elem + hopHeaderBytes
-			} else {
-				keep = append(keep, h)
-			}
-		}
-		got := comm.RawPairExchange(c, partner, fwd)
-		inBytes := 0
-		for _, h := range got {
-			inBytes += len(h.Items)*elem + hopHeaderBytes
-		}
-		pending = append(keep, got...)
-		c.ChargeComm(1, max(outBytes, inBytes))
-	}
-	result := make([][]T, p)
-	for _, h := range pending {
-		if int(h.Dst) != rank {
-			panic("alltoall: hypercube routing failed to converge")
-		}
-		// append into a nil slice copies, so the result is caller-owned.
-		result[h.Src] = append(result[h.Src], h.Items...)
-	}
 	return result
 }
 

@@ -64,12 +64,6 @@ func TestGridDelivery(t *testing.T) {
 	}
 }
 
-func TestHypercubeDelivery(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 8, 16, 32} {
-		checkDelivery(t, p, runExchange(t, p, Hypercube))
-	}
-}
-
 func TestAutoDelivery(t *testing.T) {
 	for _, p := range []int{1, 3, 8, 13} {
 		checkDelivery(t, p, runExchange(t, p, Auto))
@@ -80,36 +74,12 @@ func TestStrategiesAgree(t *testing.T) {
 	for _, p := range []int{4, 8, 16} {
 		d := runExchange(t, p, Direct)
 		g := runExchange(t, p, Grid)
-		h := runExchange(t, p, Hypercube)
 		for rank := 0; rank < p; rank++ {
 			for src := 0; src < p; src++ {
 				if fmt.Sprint(d[rank][src]) != fmt.Sprint(g[rank][src]) {
 					t.Fatalf("p=%d: direct and grid disagree at [%d][%d]", p, rank, src)
 				}
-				if fmt.Sprint(d[rank][src]) != fmt.Sprint(h[rank][src]) {
-					t.Fatalf("p=%d: direct and hypercube disagree at [%d][%d]", p, rank, src)
-				}
 			}
-		}
-	}
-}
-
-func TestHypercubePanicsOnNonPowerOfTwo(t *testing.T) {
-	// The guard fires before any collective call, so recovering inside each
-	// PE cannot deadlock the world.
-	w := comm.NewWorld(3)
-	panicked := make([]bool, 3)
-	w.Run(func(c *comm.Comm) {
-		defer func() {
-			if recover() != nil {
-				panicked[c.Rank()] = true
-			}
-		}()
-		Exchange(c, Hypercube, make([][]int, 3))
-	})
-	for r, ok := range panicked {
-		if !ok {
-			t.Fatalf("rank %d did not reject a 3-PE hypercube", r)
 		}
 	}
 }
@@ -186,6 +156,22 @@ func TestGridBeatsDirectStartupAtScale(t *testing.T) {
 	}
 }
 
+// TestStartupCostOrdering verifies the §VI-A trade-off chain for tiny
+// messages at scale: indirection buys a smaller startup term, and Auto
+// takes it.
+func TestStartupCostOrdering(t *testing.T) {
+	p := 256
+	direct := startupCost(p, Direct)
+	grid := startupCost(p, Grid)
+	auto := startupCost(p, Auto)
+	if grid >= direct {
+		t.Fatalf("grid %.3e should beat direct %.3e", grid, direct)
+	}
+	if auto >= direct {
+		t.Fatalf("auto %.3e should beat direct %.3e on tiny messages", auto, direct)
+	}
+}
+
 func TestDirectBeatsGridForBigMessages(t *testing.T) {
 	// With large messages the doubled volume of the grid should lose.
 	p := 16
@@ -218,16 +204,15 @@ func TestAutoPicksGridForTinyMessages(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	for s, want := range map[Strategy]string{Direct: "direct", Grid: "grid", Hypercube: "hypercube", Auto: "auto"} {
+	for s, want := range map[Strategy]string{Direct: "direct", Grid: "grid", Auto: "auto"} {
 		if s.String() != want {
 			t.Fatalf("String(%d)=%q want %q", int(s), s.String(), want)
 		}
 	}
 }
 
-func BenchmarkDirect64(b *testing.B)    { benchStrategy(b, 64, Direct) }
-func BenchmarkGrid64(b *testing.B)      { benchStrategy(b, 64, Grid) }
-func BenchmarkHypercube64(b *testing.B) { benchStrategy(b, 64, Hypercube) }
+func BenchmarkDirect64(b *testing.B) { benchStrategy(b, 64, Direct) }
+func BenchmarkGrid64(b *testing.B)   { benchStrategy(b, 64, Grid) }
 
 func benchStrategy(b *testing.B, p int, s Strategy) {
 	w := comm.NewWorld(p)

@@ -48,7 +48,7 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options)
 		}
 		send[dest] = append(send[dest], e)
 	}
-	mine := flatten(alltoall.Exchange(c, opt.A2A, send))
+	mine := flatten(alltoall.Exchange(c, a2a, send))
 	radix.Sort(mine, graph.KeyLex, graph.LessLex)
 	c.ChargeCompute(len(mine))
 
@@ -143,8 +143,8 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options)
 			}
 			sendM[leader] = pairs
 		}
-		recvE := alltoall.Exchange(c, opt.A2A, sendE)
-		recvM := alltoall.Exchange(c, opt.A2A, sendM)
+		recvE := alltoall.Exchange(c, a2a, sendE)
+		recvM := alltoall.Exchange(c, a2a, sendM)
 		if active && leader == c.Rank() {
 			work = append(work, flatten(recvE)...)
 			for i := range recvM {

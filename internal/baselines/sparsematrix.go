@@ -42,10 +42,12 @@ type Result struct {
 	Rounds int
 }
 
+// a2a is the baselines' data-movement strategy: the originals use plain
+// MPI_Alltoallv.
+const a2a = alltoall.Direct
+
 // Options configures the baselines.
 type Options struct {
-	// A2A is the all-to-all strategy for data movement.
-	A2A alltoall.Strategy
 	// GroupSize is MND-MST's merge fan-in (default 4).
 	GroupSize int
 	// Threads is the intra-PE thread count for MND-MST's local phases.
@@ -53,9 +55,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.A2A == 0 {
-		o.A2A = alltoall.Direct // the originals use plain MPI_Alltoallv
-	}
 	if o.GroupSize < 2 {
 		o.GroupSize = 4
 	}
@@ -117,7 +116,7 @@ func SparseMatrix(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Op
 			send[blk] = append(send[blk], e)
 		}
 	}
-	mine := flatten(alltoall.Exchange(c, opt.A2A, send))
+	mine := flatten(alltoall.Exchange(c, a2a, send))
 	c.ChargeCompute(len(edges))
 
 	// Replicated parent vector (the AS forest).

@@ -21,6 +21,7 @@ import (
 	"kamsta"
 	"kamsta/internal/alltoall"
 	"kamsta/internal/comm"
+	"kamsta/internal/core"
 	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
@@ -94,23 +95,44 @@ func DefaultScale() Scale {
 	}
 }
 
-// algConfigs maps the paper's series names to configurations.
-func algConfig(name string, threads int, s Scale) kamsta.Config {
-	cfg := kamsta.Config{Threads: threads}
-	cfg.Core.BaseCaseCap = s.baseCap()
+// runCfg is one measured configuration: the machine shape (PEs, Threads,
+// Cost — the pool fills in the sweep-wide Metrics/Transport/Workers) and the
+// per-job algorithm choice.
+type runCfg struct {
+	kamsta.MachineConfig
+	Algorithm kamsta.Algorithm
+	Core      core.Options
+}
+
+// runOptions is cfg's job-scoped half as Compute options.
+func (cfg runCfg) runOptions() []kamsta.RunOption {
+	return []kamsta.RunOption{kamsta.WithAlgorithm(cfg.Algorithm), kamsta.WithCoreOptions(cfg.Core)}
+}
+
+// paperOptions is core.DefaultOptions() — the configuration the paper
+// evaluates — with the sorter seed DefaultOptions already resolved cleared
+// again, so input materialization (which reads Core.Sort before the
+// algorithm's defaulting) samples as it always has and the
+// input_modeled_seconds column of the BENCH_*.json trajectory stays
+// comparable.
+func paperOptions() core.Options {
+	o := core.DefaultOptions()
+	o.Sort.Seed = 0
+	return o
+}
+
+// algConfig maps the paper's series names to configurations: the two
+// headline series run paperOptions, the -nopre ablations keep only
+// parallel-edge removal.
+func algConfig(name string, threads int, s Scale) runCfg {
+	cfg := runCfg{MachineConfig: kamsta.MachineConfig{Threads: threads}}
 	switch name {
 	case "boruvka":
 		cfg.Algorithm = kamsta.AlgBoruvka
-		cfg.Core.LocalPreprocessing = true
-		cfg.Core.LocalFilter = true
-		cfg.Core.HashDedup = true
-		cfg.Core.DedupParallel = true
+		cfg.Core = paperOptions()
 	case "filterBoruvka":
 		cfg.Algorithm = kamsta.AlgFilterBoruvka
-		cfg.Core.LocalPreprocessing = true
-		cfg.Core.LocalFilter = true
-		cfg.Core.HashDedup = true
-		cfg.Core.DedupParallel = true
+		cfg.Core = paperOptions()
 	case "boruvka-nopre":
 		cfg.Algorithm = kamsta.AlgBoruvka
 		cfg.Core.DedupParallel = true
@@ -124,6 +146,7 @@ func algConfig(name string, threads int, s Scale) kamsta.Config {
 	default:
 		panic("bench: unknown algorithm series " + name)
 	}
+	cfg.Core.BaseCaseCap = s.baseCap()
 	return cfg
 }
 
@@ -131,7 +154,7 @@ func algConfig(name string, threads int, s Scale) kamsta.Config {
 // figures' series names (used by the file-backed runner, where the caller
 // picks algorithms with -alg). The paper's algorithms get their default
 // enhancements; baselines run as published.
-func seriesConfig(alg kamsta.Algorithm, threads int, s Scale) kamsta.Config {
+func seriesConfig(alg kamsta.Algorithm, threads int, s Scale) runCfg {
 	switch alg {
 	case kamsta.AlgBoruvka:
 		return algConfig("boruvka", threads, s)
@@ -142,7 +165,7 @@ func seriesConfig(alg kamsta.Algorithm, threads int, s Scale) kamsta.Config {
 	case kamsta.AlgSparseMatrix:
 		return algConfig("sparseMatrix", threads, s)
 	}
-	cfg := kamsta.Config{Threads: threads, Algorithm: alg}
+	cfg := runCfg{MachineConfig: kamsta.MachineConfig{Threads: threads}, Algorithm: alg}
 	cfg.Core.BaseCaseCap = s.baseCap()
 	return cfg
 }
@@ -200,7 +223,7 @@ func newMachinePool(ctx context.Context, s Scale) *machinePool {
 type benchFailure struct{ err error }
 
 // get returns the pooled machine for cfg's shape, creating it on first use.
-func (mp *machinePool) get(cfg kamsta.Config) (*kamsta.Machine, error) {
+func (mp *machinePool) get(cfg runCfg) (*kamsta.Machine, error) {
 	key := machineKey{pes: cfg.PEs, threads: cfg.Threads, cost: cfg.Cost}
 	if key.pes <= 0 {
 		key.pes = 4
@@ -210,11 +233,10 @@ func (mp *machinePool) get(cfg kamsta.Config) (*kamsta.Machine, error) {
 	}
 	m := mp.ms[key]
 	if m == nil {
+		mc := cfg.MachineConfig
+		mc.Metrics, mc.Transport, mc.Workers = mp.metrics, mp.transport, mp.workers
 		var err error
-		m, err = kamsta.NewMachine(kamsta.MachineConfig{
-			PEs: cfg.PEs, Threads: cfg.Threads, Cost: cfg.Cost, Metrics: mp.metrics,
-			Transport: mp.transport, Workers: mp.workers,
-		})
+		m, err = kamsta.NewMachine(mc)
 		if err != nil {
 			return nil, err
 		}
@@ -245,12 +267,12 @@ func (mp *machinePool) compute(m *kamsta.Machine, src kamsta.Source, opts ...kam
 
 // measure runs one configuration, repeating per Scale.Reps and keeping the
 // run with minimum modeled time.
-func (mp *machinePool) measure(spec gen.Spec, cfg kamsta.Config, reps int) *kamsta.Report {
+func (mp *machinePool) measure(spec gen.Spec, cfg runCfg, reps int) *kamsta.Report {
 	return mp.measureSource(kamsta.FromSpec(spec), cfg, reps)
 }
 
 // measureSource is measure for any input source (generated or file-backed).
-func (mp *machinePool) measureSource(src kamsta.Source, cfg kamsta.Config, reps int) *kamsta.Report {
+func (mp *machinePool) measureSource(src kamsta.Source, cfg runCfg, reps int) *kamsta.Report {
 	best, err := mp.measureSourceErr(src, cfg, reps)
 	if err != nil {
 		panic(benchFailure{err})
@@ -263,7 +285,7 @@ func (mp *machinePool) measureSource(src kamsta.Source, cfg kamsta.Config, reps 
 // Recorder attached it also records one machine-readable row per
 // measurement, bracketing the reps with process MemStats for the
 // allocation trajectory.
-func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg kamsta.Config, reps int) (*kamsta.Report, error) {
+func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg runCfg, reps int) (*kamsta.Report, error) {
 	var best *kamsta.Report
 	if reps < 1 {
 		reps = 1
@@ -272,7 +294,7 @@ func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg kamsta.Config, re
 	if err != nil {
 		return nil, err
 	}
-	opts := cfg.RunOptions()
+	opts := cfg.runOptions()
 	if mp.trace != nil {
 		opts = append(opts, kamsta.WithTrace(mp.trace))
 	}

@@ -57,7 +57,7 @@ func RunGolden(ctx context.Context, w io.Writer, s Scale) error {
 	defer mp.Close()
 	var firstErr error
 	for _, gc := range GoldenCases() {
-		cfg := kamsta.Config{PEs: gc.PEs, Algorithm: gc.Alg}
+		cfg := runCfg{MachineConfig: kamsta.MachineConfig{PEs: gc.PEs}, Algorithm: gc.Alg}
 		err := runGoldenCase(mp, gc, cfg)
 		if err == nil {
 			fmt.Fprintf(w, "PASS %-14s modeled bits %#x, weight %d\n", gc.Name, gc.ModeledBits, gc.Weight)
@@ -71,12 +71,12 @@ func RunGolden(ctx context.Context, w io.Writer, s Scale) error {
 	return firstErr
 }
 
-func runGoldenCase(mp *machinePool, gc GoldenCase, cfg kamsta.Config) error {
+func runGoldenCase(mp *machinePool, gc GoldenCase, cfg runCfg) error {
 	m, err := mp.get(cfg)
 	if err != nil {
 		return err
 	}
-	rep, err := mp.compute(m, kamsta.FromSpec(gc.Spec), cfg.RunOptions()...)
+	rep, err := mp.compute(m, kamsta.FromSpec(gc.Spec), cfg.runOptions()...)
 	if err != nil {
 		return err
 	}

@@ -349,22 +349,11 @@ func RawAlltoall[T any](c *Comm, sendTo [][]T) [][]T {
 // PairExchange swaps a payload with a partner PE. All PEs of the world must
 // call it in the same superstep; a PE with partner < 0 or partner == rank
 // participates with no transfer and receives nil. Partnerships must be
-// symmetric. Cost: α + β·max(sent, received) per PE.
+// symmetric. The payload is staged at deposit time and the staged buffer is
+// adopted by the partner, so xs may be mutated after the call and the
+// result is owned. Only the two partners' modeled clocks synchronize.
+// Cost: α + β·max(sent, received) per PE.
 func PairExchange[T any](c *Comm, partner int, xs []T) []T {
-	out := RawPairExchange(c, partner, xs)
-	if partner >= 0 && partner != c.rank {
-		c.ChargeComm(1, sizeof.Of[T]()*max(len(xs), len(out)))
-	}
-	return out
-}
-
-// RawPairExchange is PairExchange without the modeled cost charge, for
-// routing strategies that self-account actual payload bytes (element types
-// containing slices would otherwise be charged header sizes only). The
-// payload is staged at deposit time and the staged buffer is adopted by the
-// partner, so xs may be mutated after the call and the result is owned.
-// Only the two partners' modeled clocks synchronize.
-func RawPairExchange[T any](c *Comm, partner int, xs []T) []T {
 	active := partner >= 0 && partner != c.rank
 	var dep any
 	if active {
@@ -381,6 +370,9 @@ func RawPairExchange[T any](c *Comm, partner int, xs []T) []T {
 		}
 	})
 	c.stats.Collectives++
+	if active {
+		c.ChargeComm(1, sizeof.Of[T]()*max(len(xs), len(out)))
+	}
 	return out
 }
 

@@ -233,9 +233,6 @@ func NewWorld(p int, opts ...Option) *World {
 // P reports the machine width.
 func (w *World) P() int { return w.p }
 
-// Cost reports the configured cost model.
-func (w *World) Cost() CostModel { return w.cost }
-
 // newComm builds rank's PE handle for one job. Only rank 0 carries the
 // job's observer, so every phase/round event fires exactly once.
 func (w *World) newComm(rank int, jb *worldJob) *Comm {
@@ -442,19 +439,10 @@ func (c *Comm) Scratch() *arena.Arena { return c.w.arenas[c.rank] }
 // Clock returns this PE's current modeled time in seconds.
 func (c *Comm) Clock() float64 { return c.clock }
 
-// Cost returns the machine's cost model.
-func (c *Comm) Cost() CostModel { return c.w.cost }
-
 // ChargeCompute adds the modeled cost of ops local operations executed by
 // all threads in parallel.
 func (c *Comm) ChargeCompute(ops int) {
 	c.clock += float64(ops) * c.w.cost.Compute / float64(c.threads)
-}
-
-// ChargeComputeSeq adds the modeled cost of ops local operations executed
-// sequentially (not divided by the thread count).
-func (c *Comm) ChargeComputeSeq(ops int) {
-	c.clock += float64(ops) * c.w.cost.Compute
 }
 
 // ResetLocalMetrics zeroes this PE's modeled clock, phase timers and
@@ -471,7 +459,7 @@ func (c *Comm) ResetLocalMetrics() {
 }
 
 // ChargeComm adds the modeled cost of msgs message startups plus bytes
-// payload bytes. Communication strategies built on RawExchange use this for
+// payload bytes. Communication strategies built on RawAlltoall use this for
 // self-accounting.
 func (c *Comm) ChargeComm(msgs int, bytes int) {
 	c.clock += float64(msgs)*c.w.cost.Alpha + float64(bytes)*c.w.cost.Beta

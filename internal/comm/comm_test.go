@@ -393,7 +393,7 @@ func TestClockBSPSync(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 2 {
-			c.ChargeComputeSeq(1_000_000_000) // 1e9 ops ≈ 2s modeled
+			c.ChargeCompute(1_000_000_000) // 1e9 ops ≈ 2s modeled
 		}
 		Barrier(c)
 		if c.Clock() < 1.0 {
@@ -440,10 +440,10 @@ func TestPhaseTimers(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		c.Phase("alpha", func() {
-			c.ChargeComputeSeq(1000)
+			c.ChargeCompute(1000)
 		})
 		c.Phase("beta", func() {
-			c.ChargeComputeSeq(3000)
+			c.ChargeCompute(3000)
 		})
 	})
 	ph := w.Phases()
@@ -460,9 +460,9 @@ func TestNestedPhasesDisjoint(t *testing.T) {
 	w := NewWorld(1)
 	w.Run(func(c *Comm) {
 		c.Phase("outer", func() {
-			c.ChargeComputeSeq(1000)
+			c.ChargeCompute(1000)
 			c.Phase("inner", func() {
-				c.ChargeComputeSeq(5000)
+				c.ChargeCompute(5000)
 			})
 		})
 	})

@@ -202,9 +202,18 @@ func TestNoStallOnHealthyJob(t *testing.T) {
 	const p = 4
 	w := NewWorld(p)
 	err := w.RunJobCfg(context.Background(), JobConfig{StallTimeout: 100 * time.Millisecond}, func(c *Comm) {
+		// Rank 0's clock decides for everyone, so all ranks issue the same
+		// number of collectives (per-rank clocks would let one rank leave
+		// while another starts one more Allreduce).
 		deadline := time.Now().Add(300 * time.Millisecond)
-		for time.Now().Before(deadline) {
-			Allreduce(c, 1, add)
+		for {
+			more := 0
+			if c.Rank() == 0 && time.Now().Before(deadline) {
+				more = 1
+			}
+			if Allreduce(c, more, add) == 0 {
+				break
+			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	})

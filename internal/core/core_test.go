@@ -275,7 +275,7 @@ func TestFilterRecursionActuallyPartitions(t *testing.T) {
 	// perform several base calls.
 	spec := gen.Spec{Family: gen.GNM, N: 300, M: 4000, Seed: 31}
 	opt := Options{BaseCaseCap: 16, DedupParallel: true,
-		Filter: FilterOptions{MinEdgesPerPE: 64, SparseAvgDegree: 4, MergeBackFraction: 0.01}}
+		Filter: FilterOptions{MinEdgesPerPE: 64, MergeBackFraction: 0.01}}
 	res, shares, all := runDistributed(t, 4, 1, spec, opt, FilterBoruvka)
 	if res.BaseCalls < 2 {
 		t.Fatalf("expected a real recursion, got %d base calls", res.BaseCalls)
@@ -291,7 +291,7 @@ func TestFilterWorkLinearOnDenseGraph(t *testing.T) {
 	spec := gen.Spec{Family: gen.GNM, N: 200, M: 6000, Seed: 37}
 	optB := Options{BaseCaseCap: 1, DedupParallel: false}
 	optF := optB
-	optF.Filter = FilterOptions{MinEdgesPerPE: 64, SparseAvgDegree: 4, MergeBackFraction: 0.01}
+	optF.Filter = FilterOptions{MinEdgesPerPE: 64, MergeBackFraction: 0.01}
 	b, _, _ := runDistributed(t, 4, 1, spec, optB, Boruvka)
 	f, _, _ := runDistributed(t, 4, 1, spec, optF, FilterBoruvka)
 	if f.EdgesTouched >= b.EdgesTouched {

@@ -241,7 +241,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		n := graph.GlobalVertexCount(c, segLayout, seg.edges)
 		res.EdgesTouched += len(seg.edges)
 
-		sparse := m <= int(opt.Filter.SparseAvgDegree*float64(n)) ||
+		sparse := m <= sparseDegree*n ||
 			m < opt.Filter.MinEdgesPerPE*c.P()
 		if sparse {
 			// Distributed Borůvka base (no preprocessing, no per-call MST
@@ -303,15 +303,15 @@ func dedupedLayout(c *comm.Comm, edges []graph.Edge, opt Options) []graph.Edge {
 	return edges
 }
 
-// pivotSelect draws SamplesPerPE random edges per PE, gathers them, and
+// pivotSelect draws pivotSamples random edges per PE, gathers them, and
 // returns the median under the unique weight order (§V: the paper sorts
 // the sample with a distributed sorter and broadcasts the median — a
 // gathered sample yields the identical pivot). ok is false when the
 // segment is globally empty.
 func pivotSelect(c *comm.Comm, edges []graph.Edge, opt Options) (graph.Edge, bool) {
 	r := rng.New(opt.Seed ^ 0xF117).Split(uint64(c.Rank()))
-	samples := make([]graph.Edge, 0, opt.Filter.SamplesPerPE)
-	for i := 0; i < opt.Filter.SamplesPerPE && len(edges) > 0; i++ {
+	samples := make([]graph.Edge, 0, pivotSamples)
+	for i := 0; i < pivotSamples && len(edges) > 0; i++ {
 		samples = append(samples, edges[r.Intn(len(edges))])
 	}
 	all := comm.AllgatherConcat(c, samples)

@@ -21,8 +21,11 @@ import (
 	"kamsta/internal/dsort"
 )
 
-// Options configures the distributed MST algorithms. The zero value gives
-// the paper's defaults scaled to the simulator.
+// Options configures the distributed MST algorithms. Zero numeric fields
+// take the defaults documented per field, but the zero value is NOT the
+// paper's configuration: it leaves the four enhancement booleans
+// (LocalPreprocessing, LocalFilter, HashDedup, DedupParallel) off. Start
+// from DefaultOptions() for the configuration the paper evaluates.
 type Options struct {
 	// A2A is the sparse all-to-all strategy for label exchange and pointer
 	// doubling (default Auto: direct for large, two-level grid for small
@@ -37,10 +40,6 @@ type Options struct {
 	// LocalPreprocessing enables the §IV-A contraction of provably-local
 	// MST edges before the distributed rounds.
 	LocalPreprocessing bool
-	// PreprocessMinLocalFrac skips preprocessing when the global fraction
-	// of local edges is below this threshold (the paper uses 0.10,
-	// skipping when cut edges exceed 90%).
-	PreprocessMinLocalFrac float64
 	// LocalFilter applies the recursive edge-filtering enhancement inside
 	// local preprocessing (§VI-B).
 	LocalFilter bool
@@ -58,39 +57,36 @@ type Options struct {
 
 // FilterOptions tunes the Filter-Borůvka recursion (§V, §VI-C).
 type FilterOptions struct {
-	// SparseAvgDegree stops the recursion when directed edges per vertex
-	// fall to this value or below (paper: 4).
-	SparseAvgDegree float64
 	// MinEdgesPerPE stops partitioning when the graph has fewer than this
 	// many directed edges per PE (paper: 1000).
 	MinEdgesPerPE int
-	// SamplesPerPE is the pivot sample size per PE.
-	SamplesPerPE int
 	// MergeBackFraction: if a filtered segment retains fewer than this
 	// fraction of MinEdgesPerPE·p edges, it is merged into the next
 	// pending segment instead of being processed alone (§VI-C merge-back).
 	MergeBackFraction float64
 }
 
+// Tuning constants the paper fixes rather than sweeps.
+const (
+	// minLocalEdgeFrac: local preprocessing is skipped when the global
+	// fraction of local edges is below it (§VI-B: skipped after a quick
+	// check when cut edges exceed 90%).
+	minLocalEdgeFrac = 0.10
+	// sparseDegree: the Filter-Borůvka recursion stops partitioning when
+	// directed edges per vertex fall to it or below (§VI-C: average degree
+	// 4).
+	sparseDegree = 4
+	// pivotSamples is Filter-Borůvka's pivot sample size per PE.
+	pivotSamples = 16
+)
+
 // withDefaults fills in unset fields.
 func (o Options) withDefaults() Options {
 	if o.BaseCaseCap <= 0 {
 		o.BaseCaseCap = 2048
 	}
-	if o.PreprocessMinLocalFrac == 0 {
-		o.PreprocessMinLocalFrac = 0.10
-	}
-	if o.A2A == 0 {
-		o.A2A = alltoall.Auto
-	}
-	if o.Filter.SparseAvgDegree == 0 {
-		o.Filter.SparseAvgDegree = 4
-	}
 	if o.Filter.MinEdgesPerPE == 0 {
 		o.Filter.MinEdgesPerPE = 1000
-	}
-	if o.Filter.SamplesPerPE == 0 {
-		o.Filter.SamplesPerPE = 16
 	}
 	if o.Filter.MergeBackFraction == 0 {
 		o.Filter.MergeBackFraction = 0.25
@@ -123,11 +119,3 @@ const (
 	PhaseFilter       = "partition+filter"
 	PhaseMisc         = "misc"
 )
-
-// PhaseNames lists the Fig. 6 phases in presentation order.
-func PhaseNames() []string {
-	return []string{
-		PhasePreprocess, PhaseMinEdges, PhaseContract, PhaseLabels,
-		PhaseRedistribute, PhaseBaseCase, PhaseFilter, PhaseMisc,
-	}
-}

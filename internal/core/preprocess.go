@@ -19,9 +19,9 @@ import (
 // case we fall back to the distributed sorter (the paper resorts those
 // short cross-PE subsequences directly — same outcome).
 //
-// When the global fraction of local edges is below
-// opt.PreprocessMinLocalFrac the step is skipped entirely (§VI-B: the paper
-// skips after a quick check when cut edges exceed 90%).
+// When the global fraction of local edges is below minLocalEdgeFrac the
+// step is skipped entirely (§VI-B: the paper skips after a quick check when
+// cut edges exceed 90%).
 func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	pool *par.Pool, opt Options, mst *[]graph.Edge, rec *distArray) ([]graph.Edge, *graph.Layout) {
 
@@ -43,7 +43,7 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 		return frac{a.Local + b.Local, a.Total + b.Total}
 	})
 	c.ChargeCompute(len(edges))
-	if tot.Total == 0 || float64(tot.Local)/float64(tot.Total) < opt.PreprocessMinLocalFrac {
+	if tot.Total == 0 || float64(tot.Local)/float64(tot.Total) < minLocalEdgeFrac {
 		return edges, l
 	}
 

@@ -4,15 +4,14 @@ import (
 	"testing"
 
 	"kamsta/internal/alltoall"
-	"kamsta/internal/comm"
 	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
 )
 
 // TestBoruvkaUnderAllCommunicationStrategies runs the full algorithm with
 // every sparse all-to-all strategy and every sorter, on power-of-two and
-// odd world sizes (the hypercube variants require powers of two; dsort
-// falls back internally, alltoall.Hypercube is only selected on 2^k).
+// odd world sizes (hypercube quicksort requires a power of two; dsort falls
+// back internally).
 func TestBoruvkaUnderAllCommunicationStrategies(t *testing.T) {
 	spec := gen.Spec{Family: gen.RMAT, N: 256, M: 900, Seed: 3}
 	type combo struct {
@@ -25,8 +24,6 @@ func TestBoruvkaUnderAllCommunicationStrategies(t *testing.T) {
 		{"direct/sample/p5", alltoall.Direct, dsort.SampleSort, 5},
 		{"grid/sample/p7", alltoall.Grid, dsort.SampleSort, 7},
 		{"grid/hypercube/p8", alltoall.Grid, dsort.HypercubeQS, 8},
-		{"hypercube/hypercube/p8", alltoall.Hypercube, dsort.HypercubeQS, 8},
-		{"multilevel3/sample/p8", alltoall.MultiLevel(3), dsort.SampleSort, 8},
 		{"auto/auto/p6", alltoall.Auto, dsort.Auto, 6},
 	}
 	var want uint64
@@ -43,34 +40,6 @@ func TestBoruvkaUnderAllCommunicationStrategies(t *testing.T) {
 		} else if res.TotalWeight != want {
 			t.Fatalf("%s: weight %d differs from %d", cb.name, res.TotalWeight, want)
 		}
-	}
-}
-
-// TestMultiLevelLogPMatchesHypercube checks the §VI-A remark that the
-// d-dimensional grid at d = log p "basically" is the hypercube algorithm:
-// both must deliver identically and with comparable modeled startup cost.
-func TestMultiLevelLogPMatchesHypercube(t *testing.T) {
-	p := 16 // log2 = 4
-	cost := func(s alltoall.Strategy) float64 {
-		w := comm.NewWorld(p)
-		w.Run(func(c *comm.Comm) {
-			send := make([][]int, p)
-			for d := range send {
-				send[d] = []int{c.Rank()*100 + d}
-			}
-			got := alltoall.Exchange(c, s, send)
-			for src := 0; src < p; src++ {
-				if len(got[src]) != 1 || got[src][0] != src*100+c.Rank() {
-					t.Errorf("strategy %v misdelivered from %d", s, src)
-				}
-			}
-		})
-		return w.MaxClock()
-	}
-	ml := cost(alltoall.MultiLevel(4))
-	hc := cost(alltoall.Hypercube)
-	if ml > hc*2 || hc > ml*2 {
-		t.Fatalf("MultiLevel(log p) %.3e and hypercube %.3e should have comparable cost", ml, hc)
 	}
 }
 

@@ -55,7 +55,7 @@ type Algorithm int
 
 const (
 	// Auto follows the paper's rule: hypercube quicksort below
-	// SmallThreshold elements per PE on average (if the world is a power of
+	// hypercubeBelow elements per PE on average (if the world is a power of
 	// two), sample sort otherwise.
 	Auto Algorithm = iota
 	// SampleSort forces the two-level sample sort.
@@ -70,27 +70,19 @@ type Options struct {
 	Alg Algorithm
 	// A2A is the all-to-all strategy for the sample-sort data exchange.
 	A2A alltoall.Strategy
-	// Oversample is the number of splitter samples per PE (default 16).
-	Oversample int
-	// SmallThreshold is the average per-PE element count below which Auto
-	// uses hypercube quicksort (default 512, the paper's value).
-	SmallThreshold int
 	// Seed drives sampling and pivot selection.
 	Seed uint64
 }
 
-func (o Options) withDefaults() Options {
-	if o.Oversample <= 0 {
-		o.Oversample = 16
-	}
-	if o.SmallThreshold <= 0 {
-		o.SmallThreshold = 512
-	}
-	if o.A2A == 0 {
-		o.A2A = alltoall.Auto
-	}
-	return o
-}
+// The sorter's fixed tuning constants.
+const (
+	// hypercubeBelow is the average per-PE element count below which Auto
+	// uses hypercube quicksort (§VI-C: "fewer than 512 elements per PE").
+	hypercubeBelow = 512
+	// splitterSamples is the number of splitter samples sample sort draws
+	// per PE.
+	splitterSamples = 16
+)
 
 // Key extracts a uint64 sort key from an element. It must be
 // order-consistent with the Order's comparator: Key(a) < Key(b) implies
@@ -175,7 +167,6 @@ func keysFor[T any]() *typeKeys {
 // valid until the next dsort collective with the same element type on this
 // world (see the package ownership notes); data itself is not mutated.
 func Sort[T any](c *comm.Comm, data []T, ord Order[T], opt Options) []T {
-	opt = opt.withDefaults()
 	p := c.P()
 	ks := keysFor[T]()
 	if p == 1 {
@@ -187,7 +178,7 @@ func Sort[T any](c *comm.Comm, data []T, ord Order[T], opt Options) []T {
 	total := comm.Allreduce(c, len(data), func(a, b int) int { return a + b })
 	alg := opt.Alg
 	if alg == Auto {
-		if total/p < opt.SmallThreshold && p&(p-1) == 0 {
+		if total/p < hypercubeBelow && p&(p-1) == 0 {
 			alg = HypercubeQS
 		} else {
 			alg = SampleSort
@@ -259,9 +250,8 @@ func sampleSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T], opt O
 	// deposited to AllgatherConcat, which reads it only in the pre-release
 	// combine — reusable as soon as the call returns.
 	r := rng.New(opt.Seed).Split(uint64(rank))
-	ns := opt.Oversample
 	samples := arena.GrabAppend[T](a, ks.samples)
-	for i := 0; i < ns && len(local) > 0; i++ {
+	for i := 0; i < splitterSamples && len(local) > 0; i++ {
 		samples = append(samples, local[r.Intn(len(local))])
 	}
 	arena.Keep(a, ks.samples, samples)

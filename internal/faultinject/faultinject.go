@@ -122,9 +122,6 @@ type Plan struct {
 // their fired flags carry across every Injector derived from the plan.
 func NewPlan(rules ...*Rule) *Plan { return &Plan{rules: rules} }
 
-// Rules returns the plan's rules (for diagnostics and test assertions).
-func (p *Plan) Rules() []*Rule { return p.rules }
-
 // Exhausted reports whether every rule of the plan has fired — after which
 // a retried job runs fault-free.
 func (p *Plan) Exhausted() bool {

@@ -173,16 +173,11 @@ type VertexRange struct {
 	Lo, Hi int
 }
 
-// LocalRanges returns the per-source-vertex runs of a lexicographically
-// sorted local edge slice. The ranges are in ascending source order, which
-// makes their V fields a sorted rename table: position in the slice is the
-// dense local index of the vertex.
-func LocalRanges(edges []Edge) []VertexRange {
-	return AppendLocalRanges(nil, edges)
-}
-
-// AppendLocalRanges is LocalRanges appending into dst (arena-friendly: pass
-// a recycled zero-length slice to keep round setup allocation-free).
+// AppendLocalRanges appends to dst the per-source-vertex runs of a
+// lexicographically sorted local edge slice. The ranges are in ascending
+// source order, which makes their V fields a sorted rename table: position
+// in the slice is the dense local index of the vertex. Pass a recycled
+// zero-length dst to keep round setup allocation-free.
 func AppendLocalRanges(dst []VertexRange, edges []Edge) []VertexRange {
 	for lo := 0; lo < len(edges); {
 		hi := lo + 1

@@ -100,7 +100,7 @@ func TestLocalRanges(t *testing.T) {
 	edges := []Edge{
 		{U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 1}, {U: 5, V: 1}, {U: 5, V: 2}, {U: 5, V: 9},
 	}
-	r := LocalRanges(edges)
+	r := AppendLocalRanges(nil, edges)
 	want := []VertexRange{{V: 1, Lo: 0, Hi: 2}, {V: 2, Lo: 2, Hi: 3}, {V: 5, Lo: 3, Hi: 6}}
 	if len(r) != len(want) {
 		t.Fatalf("got %d ranges want %d", len(r), len(want))
@@ -113,7 +113,7 @@ func TestLocalRanges(t *testing.T) {
 }
 
 func TestLocalRangesEmpty(t *testing.T) {
-	if LocalRanges(nil) != nil {
+	if AppendLocalRanges(nil, nil) != nil {
 		t.Fatal("empty input should give no ranges")
 	}
 }

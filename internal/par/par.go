@@ -79,46 +79,6 @@ func (p *Pool) For(n int, f func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Reduce folds the blocks of [0, n) with a per-block function and combines
-// the per-block results with combine. combine must be associative.
-func Reduce[T any](p *Pool, n int, identity T, block func(lo, hi int) T, combine func(a, b T) T) T {
-	t := p.Threads()
-	if n <= 0 {
-		return identity
-	}
-	if t == 1 || n < 2*grainSize {
-		return combine(identity, block(0, n))
-	}
-	if t > n/grainSize {
-		t = n / grainSize
-	}
-	partial := make([]T, t)
-	var wg sync.WaitGroup
-	chunk := (n + t - 1) / t
-	for w := 0; w < t; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			partial[w] = identity
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partial[w] = block(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	acc := identity
-	for _, v := range partial {
-		acc = combine(acc, v)
-	}
-	return acc
-}
-
 // PrefixSum computes the exclusive prefix sum of xs in parallel and returns
 // the total. After the call, out[i] holds the sum of xs[0..i), and out must
 // have len(xs). xs and out may alias.

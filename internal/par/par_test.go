@@ -43,26 +43,6 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	for _, p := range pools() {
-		for _, n := range []int{0, 1, 100, 3 * grainSize} {
-			got := Reduce(p, n, 0,
-				func(lo, hi int) int {
-					s := 0
-					for i := lo; i < hi; i++ {
-						s += i
-					}
-					return s
-				},
-				func(a, b int) int { return a + b })
-			want := n * (n - 1) / 2
-			if got != want {
-				t.Fatalf("threads=%d n=%d: Reduce=%d want %d", p.Threads(), n, got, want)
-			}
-		}
-	}
-}
-
 func TestPrefixSumMatchesSequential(t *testing.T) {
 	for _, p := range pools() {
 		for _, n := range []int{0, 1, 5, grainSize, 5*grainSize + 1} {

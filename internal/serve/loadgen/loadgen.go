@@ -18,6 +18,8 @@ import (
 
 	"kamsta"
 	"kamsta/internal/faultinject"
+	"kamsta/internal/graph"
+	"kamsta/internal/seqmst"
 	"kamsta/internal/serve"
 )
 
@@ -204,7 +206,14 @@ type tenantState struct {
 	mu  sync.Mutex
 	res *TenantResult
 	// refs caches per-job-index Kruskal references when Verify is on.
-	refs sync.Map // int64 → *kamsta.Report
+	refs sync.Map // int64 → reference
+}
+
+// reference is the sequential Kruskal answer one verified job is checked
+// against.
+type reference struct {
+	weight uint64
+	edges  int
 }
 
 // Run executes the plan against target and returns the accounting. It
@@ -473,9 +482,7 @@ func (st *tenantState) resolve(plan Plan, ti int, tl TenantLoad, idx int64, rep 
 	bad := false
 	if err == nil && tl.Template.Verify && tl.Template.EdgeCount > 0 {
 		want := st.referenceFor(plan, ti, tl, idx)
-		if want != nil && (rep.TotalWeight != want.TotalWeight || rep.NumEdges != want.NumEdges) {
-			bad = true
-		}
+		bad = rep.TotalWeight != want.weight || rep.NumEdges != want.edges
 	}
 	st.mu.Lock()
 	st.res.Outcomes[classify(err)]++
@@ -488,15 +495,19 @@ func (st *tenantState) resolve(plan Plan, ti int, tl TenantLoad, idx int64, rep 
 
 // referenceFor computes (and caches) the sequential Kruskal answer for job
 // idx's instance.
-func (st *tenantState) referenceFor(plan Plan, ti int, tl TenantLoad, idx int64) *kamsta.Report {
+func (st *tenantState) referenceFor(plan Plan, ti int, tl TenantLoad, idx int64) reference {
 	if cached, ok := st.refs.Load(idx); ok {
-		return cached.(*kamsta.Report)
+		return cached.(reference)
 	}
-	edges := randomEdges(jobSeed(plan.Seed, ti, idx), tl.Template.EdgeCount, tl.Template.Vertices)
-	want, err := kamsta.ComputeMSF(edges, kamsta.Config{Algorithm: kamsta.AlgKruskal})
-	if err != nil {
-		return nil
+	in := randomEdges(jobSeed(plan.Seed, ti, idx), tl.Template.EdgeCount, tl.Template.Vertices)
+	work := make([]graph.Edge, len(in))
+	maxV := uint64(0)
+	for i, e := range in {
+		work[i] = graph.NewEdge(e.U, e.V, e.W)
+		maxV = max(maxV, e.U, e.V)
 	}
+	r := seqmst.Kruskal(int(maxV), work)
+	want := reference{weight: r.TotalWeight, edges: len(r.Edges)}
 	st.refs.Store(idx, want)
 	return want
 }

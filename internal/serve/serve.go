@@ -242,22 +242,6 @@ func (j *Job) Status() string {
 // for the surviving members and the cancelled one is dropped at the end).
 func (j *Job) Cancel() { j.cancel() }
 
-// finish records the result exactly once.
-func (j *Job) finish(rep *kamsta.Report, err error) bool {
-	first := false
-	j.once.Do(func() {
-		j.rep, j.err = rep, err
-		j.finished.Store(time.Now().UnixNano())
-		close(j.done)
-		j.cancel()
-		if j.unwatch != nil {
-			j.unwatch()
-		}
-		first = true
-	})
-	return first
-}
-
 // poolMachine is one warm machine plus its shape and health state.
 type poolMachine struct {
 	m     *kamsta.Machine
@@ -585,6 +569,13 @@ func (s *Server) dispatch(pm *poolMachine, jobs []*Job) {
 			s.finishJob(j, nil, err)
 			continue
 		}
+		// ctx.Err() learns of expiry from a runtime timer the job can
+		// outrun; the deadline itself cannot be outrun. An expired job
+		// never touches the machine.
+		if dl, ok := j.ctx.Deadline(); ok && !now.Before(dl) {
+			s.finishJob(j, nil, context.DeadlineExceeded)
+			continue
+		}
 		live = append(live, j)
 	}
 	if len(live) == 0 {
@@ -670,15 +661,23 @@ func (s *Server) runOptions(req Request) []kamsta.RunOption {
 	return append(opts, req.Options...)
 }
 
-// finishJob delivers a result exactly once and accounts the outcome.
+// finishJob delivers a result exactly once and accounts the outcome. The
+// counters move before done closes, so a caller that Waits and then reads
+// Stats never sees a job that is done but not counted.
 func (s *Server) finishJob(j *Job, rep *kamsta.Report, err error) {
-	if !j.finish(rep, err) {
-		return
-	}
-	if j.ten != nil {
-		j.ten.completed.Add(1)
-	}
-	s.sm.completed(j.tenant, outcomeOf(err))
+	j.once.Do(func() {
+		j.rep, j.err = rep, err
+		j.finished.Store(time.Now().UnixNano())
+		if j.ten != nil {
+			j.ten.completed.Add(1)
+		}
+		s.sm.completed(j.tenant, outcomeOf(err))
+		close(j.done)
+		j.cancel()
+		if j.unwatch != nil {
+			j.unwatch()
+		}
+	})
 }
 
 // Job returns an admitted job by id (the HTTP poll path).

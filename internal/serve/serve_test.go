@@ -37,7 +37,12 @@ func testEdges(seed int64, n, m int) []kamsta.InputEdge {
 // reference computes the sequential Kruskal answer for an edge list.
 func reference(t *testing.T, edges []kamsta.InputEdge) *kamsta.Report {
 	t.Helper()
-	rep, err := kamsta.ComputeMSF(edges, kamsta.Config{Algorithm: kamsta.AlgKruskal})
+	m, err := kamsta.NewMachine(kamsta.MachineConfig{PEs: 1})
+	if err != nil {
+		t.Fatalf("reference machine: %v", err)
+	}
+	defer m.Close()
+	rep, err := m.Compute(context.Background(), kamsta.FromEdges(edges), kamsta.WithAlgorithm(kamsta.AlgKruskal))
 	if err != nil {
 		t.Fatalf("reference kruskal: %v", err)
 	}

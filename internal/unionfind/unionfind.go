@@ -71,67 +71,3 @@ func (u *UF) Reset() {
 	}
 	u.count = len(u.parent)
 }
-
-// Sparse is a union-find over arbitrary uint64 keys, backed by a map. It is
-// used where vertex labels are sparse global IDs rather than a dense range,
-// e.g. when verifying contracted graphs mid-algorithm.
-type Sparse struct {
-	parent map[uint64]uint64
-	rank   map[uint64]uint8
-	count  int
-}
-
-// NewSparse returns an empty sparse forest. Keys spring into existence as
-// singletons on first touch.
-func NewSparse() *Sparse {
-	return &Sparse{
-		parent: make(map[uint64]uint64),
-		rank:   make(map[uint64]uint8),
-	}
-}
-
-// Count reports the number of disjoint sets among the touched keys.
-func (s *Sparse) Count() int { return s.count }
-
-func (s *Sparse) ensure(x uint64) {
-	if _, ok := s.parent[x]; !ok {
-		s.parent[x] = x
-		s.count++
-	}
-}
-
-// Find returns the representative of x's set.
-func (s *Sparse) Find(x uint64) uint64 {
-	s.ensure(x)
-	root := x
-	for s.parent[root] != root {
-		root = s.parent[root]
-	}
-	for s.parent[x] != root {
-		s.parent[x], x = root, s.parent[x]
-	}
-	return root
-}
-
-// Union merges the sets of a and b and reports whether they were previously
-// distinct.
-func (s *Sparse) Union(a, b uint64) bool {
-	ra, rb := s.Find(a), s.Find(b)
-	if ra == rb {
-		return false
-	}
-	if s.rank[ra] < s.rank[rb] {
-		ra, rb = rb, ra
-	}
-	s.parent[rb] = ra
-	if s.rank[ra] == s.rank[rb] {
-		s.rank[ra]++
-	}
-	s.count--
-	return true
-}
-
-// Same reports whether a and b are in the same set.
-func (s *Sparse) Same(a, b uint64) bool {
-	return s.Find(a) == s.Find(b)
-}

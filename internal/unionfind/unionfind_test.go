@@ -112,54 +112,6 @@ func TestFindIdempotent(t *testing.T) {
 	}
 }
 
-func TestSparseBasics(t *testing.T) {
-	s := NewSparse()
-	if s.Find(1<<40) != 1<<40 {
-		t.Fatal("untouched key should be its own representative")
-	}
-	if !s.Union(1<<40, 7) {
-		t.Fatal("first union should merge")
-	}
-	if !s.Same(7, 1<<40) {
-		t.Fatal("Same wrong after union")
-	}
-	if s.Count() != 1 {
-		t.Fatalf("Count=%d want 1", s.Count())
-	}
-}
-
-func TestSparseMatchesDense(t *testing.T) {
-	f := func(pairs []struct{ A, B uint8 }) bool {
-		d := New(256)
-		s := NewSparse()
-		for _, p := range pairs {
-			if d.Union(int(p.A), int(p.B)) != s.Union(uint64(p.A), uint64(p.B)) {
-				return false
-			}
-		}
-		for i := 0; i < 256; i++ {
-			for j := i + 1; j < 256; j += 37 {
-				if d.Same(i, j) != s.Same(uint64(i), uint64(j)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSparseLargeKeys(t *testing.T) {
-	s := NewSparse()
-	s.Union(1<<62, 1<<61)
-	s.Union(1<<61, 3)
-	if !s.Same(3, 1<<62) {
-		t.Fatal("sparse union-find fails on large keys")
-	}
-}
-
 func BenchmarkUnionFind(b *testing.B) {
 	const n = 1 << 16
 	for i := 0; i < b.N; i++ {

@@ -13,7 +13,7 @@ import (
 // This file holds the SPMD job bodies a Machine runs. Each body is one
 // function executed by every PE of the world — and, on a distributed
 // machine, by every worker process's PEs too, so the bodies are factored
-// here where both Machine.runOnce and ServeWorker's control loop reach
+// here where both Machine.run and ServeWorker's control loop reach
 // them. A body must issue the identical collective sequence on every rank
 // (the substrate audits tags on rank 0); rank-0-only blocks write into
 // fields that simply stay zero on worker processes.
@@ -69,14 +69,14 @@ func (j *msfJob) run(c *comm.Comm) {
 			rep.Rounds, rep.BaseCalls = r.Rounds, r.BaseCalls
 		}
 	case AlgMNDMST:
-		r := baselines.MNDMST(c, edges, layout, rs.baseline)
+		r := baselines.MNDMST(c, edges, layout, baselines.Options{Threads: c.Threads()})
 		j.shares[c.Rank()] = r.MSTEdges
 		if c.Rank() == 0 {
 			rep.TotalWeight, rep.NumEdges = r.TotalWeight, r.NumEdges
 			rep.Rounds = r.Rounds
 		}
 	case AlgSparseMatrix:
-		r := baselines.SparseMatrix(c, edges, layout, rs.baseline)
+		r := baselines.SparseMatrix(c, edges, layout, baselines.Options{Threads: c.Threads()})
 		j.shares[c.Rank()] = r.MSTEdges
 		if c.Rank() == 0 {
 			rep.TotalWeight, rep.NumEdges = r.TotalWeight, r.NumEdges

@@ -28,20 +28,15 @@
 //	rep, err := m.Compute(ctx, kamsta.FromEdges(edges))
 //	rep, err := m.Compute(ctx, kamsta.FromFile("usa-road.gr"))
 //
-// For one-shot computations the ComputeMSF* helpers wrap a transient
-// Machine:
-//
-//	rep, err := kamsta.ComputeMSF(edges, kamsta.Config{PEs: 4})
+// NewMachine, Machine.Compute and the RunOptions are the only way in: a
+// one-off computation builds a Machine, computes once and closes it.
 package kamsta
 
 import (
-	"context"
 	"slices"
 	"time"
 
-	"kamsta/internal/baselines"
 	"kamsta/internal/comm"
-	"kamsta/internal/core"
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
 	"kamsta/internal/radix"
@@ -113,45 +108,6 @@ func sortMSTEdges(es []InputEdge) {
 	slices.SortFunc(es, radix.CmpOf(canonicalEdgeLess))
 }
 
-// Config controls a one-shot computation (the ComputeMSF* helpers). It
-// predates the Machine API and bundles machine-scoped settings (PEs,
-// Threads, Cost — now MachineConfig) with job-scoped ones (Algorithm, Core,
-// Baseline, Seed — now RunOptions). New code should use NewMachine/Compute
-// directly; Config remains for one-shot convenience.
-type Config struct {
-	// PEs is the number of simulated processing elements (default 4).
-	PEs int
-	// Threads is the number of intra-PE threads, the paper's OpenMP
-	// threads per MPI process (default 1).
-	Threads int
-	// Algorithm selects the MST algorithm (default AlgBoruvka).
-	Algorithm Algorithm
-	// Core tunes the paper's algorithms; zero values give the defaults.
-	Core core.Options
-	// Baseline tunes the competitor baselines.
-	Baseline baselines.Options
-	// Cost overrides the α-β machine model (zero value: defaults).
-	Cost comm.CostModel
-	// Seed drives generation and sampling when not set in a GraphSpec.
-	Seed uint64
-}
-
-// MachineConfig splits out a Config's machine-scoped settings — the
-// migration path from the one-shot API to a persistent Machine.
-func (cfg Config) MachineConfig() MachineConfig {
-	return MachineConfig{PEs: cfg.PEs, Threads: cfg.Threads, Cost: cfg.Cost}
-}
-
-// RunOptions splits out a Config's job-scoped settings as Compute options.
-func (cfg Config) RunOptions() []RunOption {
-	return []RunOption{
-		WithAlgorithm(cfg.Algorithm),
-		WithSeed(cfg.Seed),
-		WithCoreOptions(cfg.Core),
-		WithBaselineOptions(cfg.Baseline),
-	}
-}
-
 // Report is the outcome of a computation.
 type Report struct {
 	// TotalWeight is the MSF weight; NumEdges its edge count.
@@ -189,38 +145,6 @@ type Report struct {
 	// Rounds and BaseCalls report algorithm structure when available.
 	Rounds    int
 	BaseCalls int
-}
-
-// ComputeMSF computes the minimum spanning forest of a user-supplied
-// undirected edge list on a simulated machine.
-func ComputeMSF(edges []InputEdge, cfg Config) (*Report, error) {
-	return ComputeMSFSource(FromEdges(edges), cfg)
-}
-
-// ComputeMSFSpec generates one of the paper's graph families inside the
-// simulation and computes its MSF.
-func ComputeMSFSpec(spec GraphSpec, cfg Config) (*Report, error) {
-	return ComputeMSFSource(FromSpec(spec), cfg)
-}
-
-// ComputeMSFFile loads a graph file — every PE ingesting its own byte
-// range in parallel — and computes its MSF. The format is detected from
-// the extension (see FromFile).
-func ComputeMSFFile(path string, cfg Config) (*Report, error) {
-	return ComputeMSFSource(FromFile(path), cfg)
-}
-
-// ComputeMSFSource computes the MSF of any input source — generated,
-// file-backed or user-supplied — on a simulated machine. It is a one-shot
-// wrapper over a transient Machine; callers computing repeatedly should
-// hold a Machine and Compute on it.
-func ComputeMSFSource(src Source, cfg Config) (*Report, error) {
-	m, err := NewMachine(cfg.MachineConfig())
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-	return m.Compute(context.Background(), src, cfg.RunOptions()...)
 }
 
 // sequentialReport runs the Kruskal reference.

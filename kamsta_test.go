@@ -1,19 +1,32 @@
 package kamsta
 
 import (
+	"context"
 	"testing"
 
 	"kamsta/internal/comm"
 )
 
-func TestComputeMSFTinyGraph(t *testing.T) {
+// mustCompute runs one job on m with a background context or fails the
+// test.
+func mustCompute(t *testing.T, m *Machine, src Source, opts ...RunOption) *Report {
+	t.Helper()
+	rep, err := m.Compute(context.Background(), src, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", src.Label(), err)
+	}
+	return rep
+}
+
+func TestComputeTinyGraph(t *testing.T) {
 	edges := []InputEdge{
 		{U: 1, V: 2, W: 4},
 		{U: 2, V: 3, W: 1},
 		{U: 1, V: 3, W: 7},
 	}
+	m := newTestMachine(t, MachineConfig{PEs: 3})
 	for _, alg := range Algorithms() {
-		rep, err := ComputeMSF(edges, Config{PEs: 3, Algorithm: alg})
+		rep, err := m.Compute(context.Background(), FromEdges(edges), WithAlgorithm(alg))
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -34,8 +47,9 @@ func TestComputeMSFTinyGraph(t *testing.T) {
 func TestAllAlgorithmsAgreeOnSpec(t *testing.T) {
 	spec := GraphSpec{Family: GNM, N: 300, M: 1200, Seed: 7}
 	var weights []uint64
+	m := newTestMachine(t, MachineConfig{PEs: 4})
 	for _, alg := range Algorithms() {
-		rep, err := ComputeMSFSpec(spec, Config{PEs: 4, Algorithm: alg})
+		rep, err := m.Compute(context.Background(), FromSpec(spec), WithAlgorithm(alg))
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -53,8 +67,9 @@ func TestAllAlgorithmsAgreeOnSpec(t *testing.T) {
 // one shared (U, V, W) comparator — no per-path sort rules.
 func TestReportOrderingCanonical(t *testing.T) {
 	spec := GraphSpec{Family: RGG2D, N: 500, M: 2500, Seed: 13}
+	m := newTestMachine(t, MachineConfig{PEs: 4})
 	for _, alg := range Algorithms() {
-		rep, err := ComputeMSFSpec(spec, Config{PEs: 4, Algorithm: alg})
+		rep, err := m.Compute(context.Background(), FromSpec(spec), WithAlgorithm(alg))
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -67,27 +82,26 @@ func TestReportOrderingCanonical(t *testing.T) {
 	}
 }
 
-func TestComputeMSFValidation(t *testing.T) {
-	if _, err := ComputeMSF([]InputEdge{{U: 0, V: 1, W: 1}}, Config{}); err == nil {
+func TestComputeValidation(t *testing.T) {
+	m := newTestMachine(t, MachineConfig{})
+	ctx := context.Background()
+	if _, err := m.Compute(ctx, FromEdges([]InputEdge{{U: 0, V: 1, W: 1}})); err == nil {
 		t.Fatal("label 0 should be rejected")
 	}
-	if _, err := ComputeMSF([]InputEdge{{U: 2, V: 2, W: 1}}, Config{}); err == nil {
+	if _, err := m.Compute(ctx, FromEdges([]InputEdge{{U: 2, V: 2, W: 1}})); err == nil {
 		t.Fatal("self-loop should be rejected")
 	}
-	if _, err := ComputeMSF([]InputEdge{{U: 1 << 33, V: 1, W: 1}}, Config{}); err == nil {
+	if _, err := m.Compute(ctx, FromEdges([]InputEdge{{U: 1 << 33, V: 1, W: 1}})); err == nil {
 		t.Fatal("huge label should be rejected")
 	}
-	if _, err := ComputeMSF(nil, Config{Algorithm: "nope"}); err == nil {
+	if _, err := m.Compute(ctx, FromEdges(nil), WithAlgorithm("nope")); err == nil {
 		t.Fatal("unknown algorithm should be rejected")
 	}
 }
 
 func TestReportMetricsPopulated(t *testing.T) {
 	spec := GraphSpec{Family: RGG2D, N: 400, M: 1600, Seed: 9}
-	rep, err := ComputeMSFSpec(spec, Config{PEs: 4, Threads: 2, Algorithm: AlgBoruvka})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustCompute(t, newTestMachine(t, MachineConfig{PEs: 4, Threads: 2}), FromSpec(spec))
 	if rep.ModeledSeconds <= 0 || rep.WallSeconds <= 0 {
 		t.Fatalf("times not measured: %+v", rep)
 	}
@@ -112,10 +126,7 @@ func TestModeledTimeExcludesGeneration(t *testing.T) {
 	// time is far below the time a full re-sort of the input would cost,
 	// which would dominate if generation leaked into the measurement.
 	spec := GraphSpec{Family: Grid2D, N: 900, Seed: 3}
-	rep, err := ComputeMSFSpec(spec, Config{PEs: 4, Algorithm: AlgBoruvka})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustCompute(t, newTestMachine(t, MachineConfig{PEs: 4}), FromSpec(spec))
 	if rep.ModeledSeconds <= 0 {
 		t.Fatal("no modeled time")
 	}
@@ -139,14 +150,9 @@ func TestSequentialMatchesDistributedOnUserEdges(t *testing.T) {
 			edges = append(edges, InputEdge{U: i, V: i + 2, W: uint32(i*5%17 + 1)})
 		}
 	}
-	seq, err := ComputeMSF(edges, Config{Algorithm: AlgKruskal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := ComputeMSF(edges, Config{PEs: 5, Algorithm: AlgFilterBoruvka})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMachine(t, MachineConfig{PEs: 5})
+	seq := mustCompute(t, m, FromEdges(edges), WithAlgorithm(AlgKruskal))
+	dist := mustCompute(t, m, FromEdges(edges), WithAlgorithm(AlgFilterBoruvka))
 	if seq.TotalWeight != dist.TotalWeight || seq.NumEdges != dist.NumEdges {
 		t.Fatalf("sequential (%d,%d) vs distributed (%d,%d)",
 			seq.TotalWeight, seq.NumEdges, dist.TotalWeight, dist.NumEdges)
@@ -155,14 +161,8 @@ func TestSequentialMatchesDistributedOnUserEdges(t *testing.T) {
 
 func TestThreadsSpeedUpModeledTime(t *testing.T) {
 	spec := GraphSpec{Family: RGG2D, N: 2000, M: 10000, Seed: 5}
-	one, err := ComputeMSFSpec(spec, Config{PEs: 2, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eight, err := ComputeMSFSpec(spec, Config{PEs: 2, Threads: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := mustCompute(t, newTestMachine(t, MachineConfig{PEs: 2, Threads: 1}), FromSpec(spec))
+	eight := mustCompute(t, newTestMachine(t, MachineConfig{PEs: 2, Threads: 8}), FromSpec(spec))
 	if eight.ModeledSeconds >= one.ModeledSeconds {
 		t.Fatalf("8 threads (%.3e) not faster than 1 (%.3e) on a local graph",
 			eight.ModeledSeconds, one.ModeledSeconds)
@@ -172,14 +172,8 @@ func TestThreadsSpeedUpModeledTime(t *testing.T) {
 func TestCustomCostModel(t *testing.T) {
 	spec := GraphSpec{Family: GNM, N: 200, M: 800, Seed: 11}
 	slow := comm.CostModel{Alpha: 1e-3, Beta: 1e-7, Compute: 1e-7}
-	a, err := ComputeMSFSpec(spec, Config{PEs: 4, Cost: slow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ComputeMSFSpec(spec, Config{PEs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustCompute(t, newTestMachine(t, MachineConfig{PEs: 4, Cost: slow}), FromSpec(spec))
+	b := mustCompute(t, newTestMachine(t, MachineConfig{PEs: 4}), FromSpec(spec))
 	if a.ModeledSeconds <= b.ModeledSeconds {
 		t.Fatalf("slower machine model (%.3e) should cost more than default (%.3e)",
 			a.ModeledSeconds, b.ModeledSeconds)

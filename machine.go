@@ -145,8 +145,6 @@ var ErrWorldFailed = errors.New("kamsta: distributed world failed; the machine m
 // surfaced as a *JobError, a stalled collective (WithStallTimeout) is
 // detected and aborted, and a world left unusable by a fault is rebuilt
 // transparently before the next job — Healthy reports the current state.
-// The one-shot ComputeMSF* helpers remain as wrappers over a transient
-// Machine.
 type Machine struct {
 	cfg   MachineConfig
 	world atomic.Pointer[comm.World]
@@ -223,9 +221,6 @@ func (m *Machine) PEs() int { return m.cfg.PEs }
 // Threads reports the intra-PE thread count.
 func (m *Machine) Threads() int { return m.cfg.Threads }
 
-// Cost reports the machine's α-β cost model.
-func (m *Machine) Cost() comm.CostModel { return m.cfg.Cost }
-
 // Healthy reports whether the machine is open and its world intact. Because
 // a fault's recovery — clean-world verification or a transparent rebuild —
 // completes before Compute returns the *JobError, Healthy is normally true
@@ -295,13 +290,10 @@ func (m *Machine) Compute(ctx context.Context, src Source, opts ...RunOption) (*
 	if err := src.validate(); err != nil {
 		return nil, err
 	}
-	// Resolve the derived per-job defaults exactly as Config.withDefaults
-	// used to: the core seed follows the job seed, baselines always run
-	// with the machine's threads.
+	// The core seed follows the job seed unless set on its own.
 	if rs.core.Seed == 0 {
 		rs.core.Seed = rs.seed
 	}
-	rs.baseline.Threads = m.cfg.Threads
 
 	if m.mm != nil {
 		m.mm.started.Inc()
@@ -329,6 +321,14 @@ func (m *Machine) Compute(ctx context.Context, src Source, opts ...RunOption) (*
 		return nil, ErrWorldFailed
 	}
 	rep, err := m.run(ctx, src, rs)
+	// Contain job-scoped failures: lift a *comm.JobError coming back from
+	// the simulation to the public *JobError, and restore the world
+	// (verified clean or rebuilt) BEFORE returning, so the machine is
+	// healthy for the next caller.
+	var ce *comm.JobError
+	if errors.As(err, &ce) {
+		rep, err = nil, toJobError(ce, m.restoreWorld())
+	}
 	m.mm.finish(rep, err)
 	return rep, err
 }
@@ -428,30 +428,6 @@ func (s *fifoSem) pending() int {
 	return len(s.waiters)
 }
 
-// run executes one job on the machine's world, containing job-scoped
-// failures: a *comm.JobError coming back from the simulation is lifted to
-// the public *JobError, the world is restored (verified clean or rebuilt)
-// BEFORE returning so the machine is healthy for the next caller, and
-// WithRetry re-runs the job for transient faults. The caller holds the job
-// slot.
-func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report, error) {
-	for attempt := 0; ; attempt++ {
-		rep, err := m.runOnce(ctx, src, rs)
-		var ce *comm.JobError
-		if !errors.As(err, &ce) {
-			return rep, err
-		}
-		je := toJobError(ce, m.restoreWorld())
-		if attempt >= rs.retries || m.dead.Load() {
-			// A condemned distributed world cannot host a retry.
-			return nil, je
-		}
-		if m.mm != nil {
-			m.mm.retries.Inc()
-		}
-	}
-}
-
 // restoreWorld returns the machine to a runnable state after a contained
 // fault and reports whether a rebuild was needed. A world the fault broke
 // (poisoned barrier: stall, lost PE) is always rebuilt; a world that
@@ -518,8 +494,9 @@ func (m *Machine) probeWorld(w *comm.World) bool {
 	return err == nil && job.got == m.cfg.PEs
 }
 
-// runOnce executes one attempt of one job on the machine's current world.
-func (m *Machine) runOnce(ctx context.Context, src Source, rs runSettings) (*Report, error) {
+// run executes one job on the machine's current world. The caller holds the
+// job slot.
+func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report, error) {
 	if rs.alg == AlgKruskal {
 		if es, ok := src.(edgesSource); ok {
 			// No world is involved: the edges are already in memory, so the

@@ -13,20 +13,18 @@ import (
 )
 
 // TestMachineReuseParity: jobs on a reused Machine must produce bit-for-bit
-// the same Report as the one-shot wrapper path — same forest, same modeled
+// the same Report as a fresh machine's first job — same forest, same modeled
 // clock, same traffic. Three consecutive jobs guard against state leaking
 // between jobs (clocks, phases, stats, boards).
 func TestMachineReuseParity(t *testing.T) {
 	spec := GraphSpec{Family: GNM, N: 1 << 10, M: 1 << 13, Seed: 42}
-	cfg := Config{PEs: 8, Algorithm: AlgBoruvka}
-	want, err := ComputeMSFSpec(spec, cfg)
+	want, err := newTestMachine(t, MachineConfig{PEs: 8}).Compute(context.Background(), FromSpec(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newTestMachine(t, cfg.MachineConfig())
-	defer m.Close()
+	m := newTestMachine(t, MachineConfig{PEs: 8})
 	for i := 0; i < 3; i++ {
-		got, err := m.Compute(context.Background(), FromSpec(spec), cfg.RunOptions()...)
+		got, err := m.Compute(context.Background(), FromSpec(spec))
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -62,16 +60,15 @@ func TestMachineConcurrentCompute(t *testing.T) {
 		{Family: RGG2D, N: 400, M: 1600, Seed: 9},
 		{Family: Grid2D, N: 400, Seed: 3},
 	}
+	m := newTestMachine(t, MachineConfig{PEs: 4})
 	want := make([]uint64, len(specs))
 	for i, spec := range specs {
-		rep, err := ComputeMSFSpec(spec, Config{PEs: 4})
+		rep, err := m.Compute(context.Background(), FromSpec(spec))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = rep.TotalWeight
 	}
-	m := newTestMachine(t, MachineConfig{PEs: 4})
-	defer m.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -98,13 +95,15 @@ func TestMachineConcurrentCompute(t *testing.T) {
 	}
 }
 
-// newTestMachine builds a Machine or fails the test.
+// newTestMachine builds a Machine, closed when the test ends, or fails the
+// test.
 func newTestMachine(t *testing.T, cfg MachineConfig) *Machine {
 	t.Helper()
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { m.Close() })
 	return m
 }
 
@@ -128,7 +127,7 @@ func waitForGoroutines(t *testing.T, want int) {
 
 // TestMachineCancellationMidRun cancels a job from its own observer at the
 // first distributed round: Compute must return ctx.Err(), the machine must
-// stay usable (next job bit-identical to the one-shot path), and closing it
+// stay usable (next job bit-identical to a fresh machine's), and closing it
 // must return the goroutine count to baseline — no leaked PEs or watchers.
 func TestMachineCancellationMidRun(t *testing.T) {
 	baseline := runtime.NumGoroutine()
@@ -150,15 +149,17 @@ func TestMachineCancellationMidRun(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("cancelled Compute: rep=%v err=%v, want context.Canceled", rep, err)
 	}
-	// The machine survives cancellation: the next job matches the one-shot
-	// reference exactly. The comparison uses the golden-test instance —
+	// The machine survives cancellation: the next job matches a fresh
+	// machine's exactly. The comparison uses the golden-test instance —
 	// the modeled clock is pinned bit-deterministic there, so any state
 	// leaking out of the aborted job would show up in the bits.
 	golden := GraphSpec{Family: GNM, N: 1 << 10, M: 1 << 13, Seed: 42}
-	want, err := ComputeMSFSpec(golden, Config{PEs: 8})
+	fresh := newTestMachine(t, MachineConfig{PEs: 8})
+	want, err := fresh.Compute(context.Background(), FromSpec(golden))
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh.Close()
 	got, err := m.Compute(context.Background(), FromSpec(golden))
 	if err != nil {
 		t.Fatal(err)

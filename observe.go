@@ -50,7 +50,6 @@ type machineMetrics struct {
 	cancelled *obs.Counter
 	faulted   *obs.Counter
 	failed    *obs.Counter
-	retries   *obs.Counter
 	rebuilds  *obs.Counter
 	queued    *obs.Gauge
 	queueWait *obs.Histogram
@@ -74,8 +73,6 @@ func newMachineMetrics(reg *Metrics) *machineMetrics {
 			"Jobs that failed with a *JobError (contained panic, stall, lost PE)."),
 		failed: reg.Counter("kamsta_jobs_failed_total",
 			"Jobs that failed for any other reason (bad input, closed machine)."),
-		retries: reg.Counter("kamsta_job_retries_total",
-			"Job attempts re-run by WithRetry after a transient fault."),
 		rebuilds: reg.Counter("kamsta_world_rebuilds_total",
 			"Transparent world rebuilds after faults."),
 		queued: reg.Gauge("kamsta_jobs_queued",

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"kamsta/internal/baselines"
 	"kamsta/internal/comm"
 	"kamsta/internal/core"
 	"kamsta/internal/faultinject"
@@ -39,15 +38,13 @@ type Observer = comm.Observer
 // runSettings is the resolved per-job configuration: everything about one
 // computation that is not a property of the Machine itself.
 type runSettings struct {
-	alg      Algorithm
-	seed     uint64
-	core     core.Options
-	baseline baselines.Options
-	obs      Observer
-	trace    *Trace
-	stall    time.Duration
-	retries  int
-	inject   *faultinject.Plan
+	alg    Algorithm
+	seed   uint64
+	core   core.Options
+	obs    Observer
+	trace  *Trace
+	stall  time.Duration
+	inject *faultinject.Plan
 }
 
 // RunOption configures one Compute call on a Machine. Machine-scoped
@@ -71,16 +68,13 @@ func WithSeed(seed uint64) RunOption {
 	return func(rs *runSettings) { rs.seed = seed }
 }
 
-// WithCoreOptions tunes the paper's algorithms for this job; zero values
-// give the defaults.
+// WithCoreOptions tunes the paper's algorithms for this job. Without it a
+// job runs core.Options' zero value: default thresholds, but the paper's
+// four enhancements (local preprocessing, local filter, hash dedup,
+// parallel-edge removal) off. Pass core.DefaultOptions() for the
+// configuration the paper evaluates.
 func WithCoreOptions(o core.Options) RunOption {
 	return func(rs *runSettings) { rs.core = o }
-}
-
-// WithBaselineOptions tunes the competitor baselines for this job. The
-// thread count is always the Machine's.
-func WithBaselineOptions(o baselines.Options) RunOption {
-	return func(rs *runSettings) { rs.baseline = o }
 }
 
 // WithObserver streams the job's phase and round events to obs. The
@@ -101,20 +95,6 @@ func WithStallTimeout(d time.Duration) RunOption {
 	return func(rs *runSettings) {
 		if d > 0 {
 			rs.stall = d
-		}
-	}
-}
-
-// WithRetry re-runs a job up to n extra times when it fails with a
-// *JobError (contained panic, stall, lost PE) — the retrying-wrapper shape
-// production services put around a flaky dependency. Each retry runs on a
-// restored machine (clean-verified or rebuilt world) and re-materializes
-// the source. Other errors — bad input, ctx cancellation — are never
-// retried.
-func WithRetry(n int) RunOption {
-	return func(rs *runSettings) {
-		if n > 0 {
-			rs.retries = n
 		}
 	}
 }

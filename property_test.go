@@ -1,6 +1,7 @@
 package kamsta_test
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -32,11 +33,39 @@ func randomUserGraph(seed uint64, n int, chords int) []kamsta.InputEdge {
 	return edges
 }
 
+// newMachine builds a p-PE Machine, closed when the test ends.
+func newMachine(t *testing.T, p int) *kamsta.Machine {
+	m, err := kamsta.NewMachine(kamsta.MachineConfig{PEs: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// sharedMachines hands out one Machine per PE count, built on first use, so
+// a property's many cases reuse parked worlds.
+func sharedMachines(t *testing.T) func(p int) *kamsta.Machine {
+	byPEs := map[int]*kamsta.Machine{}
+	return func(p int) *kamsta.Machine {
+		if byPEs[p] == nil {
+			byPEs[p] = newMachine(t, p)
+		}
+		return byPEs[p]
+	}
+}
+
+// msf computes the MSF of a user edge list on m.
+func msf(m *kamsta.Machine, edges []kamsta.InputEdge, opts ...kamsta.RunOption) (*kamsta.Report, error) {
+	return m.Compute(context.Background(), kamsta.FromEdges(edges), opts...)
+}
+
 // TestPropertyDistributedMatchesSequential drives the full distributed
 // pipeline with arbitrary small graphs and checks weight and edge count
 // against Kruskal plus the independent verifier. Weights are drawn from a
 // tiny range on purpose: tie-breaking bugs only show up under heavy ties.
 func TestPropertyDistributedMatchesSequential(t *testing.T) {
+	machine := sharedMachines(t)
 	f := func(seedRaw uint16, pRaw, algRaw uint8) bool {
 		seed := uint64(seedRaw) + 1
 		p := int(pRaw)%7 + 1
@@ -44,12 +73,12 @@ func TestPropertyDistributedMatchesSequential(t *testing.T) {
 		alg := algs[int(algRaw)%len(algs)]
 		edges := randomUserGraph(seed, 40, 80)
 
-		want, err := kamsta.ComputeMSF(edges, kamsta.Config{Algorithm: kamsta.AlgKruskal})
+		want, err := msf(machine(p), edges, kamsta.WithAlgorithm(kamsta.AlgKruskal))
 		if err != nil {
 			t.Logf("oracle error: %v", err)
 			return false
 		}
-		got, err := kamsta.ComputeMSF(edges, kamsta.Config{PEs: p, Algorithm: alg})
+		got, err := msf(machine(p), edges, kamsta.WithAlgorithm(alg))
 		if err != nil {
 			t.Logf("%s error: %v", alg, err)
 			return false
@@ -105,16 +134,17 @@ func TestPropertySpecFamiliesAllWorldSizes(t *testing.T) {
 			return kamsta.GraphSpec{Family: kamsta.RMAT, N: 64, M: 300, Seed: s}
 		}},
 	}
+	machine := sharedMachines(t)
 	f := func(seedRaw uint16, famRaw, pRaw uint8) bool {
 		seed := uint64(seedRaw) + 1
 		fam := fams[int(famRaw)%len(fams)]
 		p := int(pRaw)%6 + 1
 		spec := fam.mk(seed)
-		want, err := kamsta.ComputeMSFSpec(spec, kamsta.Config{PEs: 2, Algorithm: kamsta.AlgKruskal})
+		want, err := machine(2).Compute(context.Background(), kamsta.FromSpec(spec), kamsta.WithAlgorithm(kamsta.AlgKruskal))
 		if err != nil {
 			return false
 		}
-		got, err := kamsta.ComputeMSFSpec(spec, kamsta.Config{PEs: p, Algorithm: kamsta.AlgFilterBoruvka})
+		got, err := machine(p).Compute(context.Background(), kamsta.FromSpec(spec), kamsta.WithAlgorithm(kamsta.AlgFilterBoruvka))
 		if err != nil {
 			return false
 		}
@@ -129,10 +159,11 @@ func TestPropertySpecFamiliesAllWorldSizes(t *testing.T) {
 // increases the MSF weight (a classic invariant), exercised through the
 // distributed pipeline.
 func TestPropertyMSTWeightMonotoneUnderEdgeAddition(t *testing.T) {
+	m := newMachine(t, 3)
 	f := func(seedRaw uint16) bool {
 		seed := uint64(seedRaw) + 1
 		edges := randomUserGraph(seed, 30, 25)
-		base, err := kamsta.ComputeMSF(edges, kamsta.Config{PEs: 3})
+		base, err := msf(m, edges)
 		if err != nil {
 			return false
 		}
@@ -143,7 +174,7 @@ func TestPropertyMSTWeightMonotoneUnderEdgeAddition(t *testing.T) {
 			return true
 		}
 		more := append(edges, kamsta.InputEdge{U: u, V: v, W: uint32(r.Intn(7) + 1)})
-		bigger, err := kamsta.ComputeMSF(more, kamsta.Config{PEs: 3})
+		bigger, err := msf(m, more)
 		if err != nil {
 			return false
 		}
@@ -157,10 +188,11 @@ func TestPropertyMSTWeightMonotoneUnderEdgeAddition(t *testing.T) {
 // TestPropertyParallelEdgesKeepLightest: duplicating every edge with a
 // heavier copy never changes the MSF.
 func TestPropertyParallelEdgesKeepLightest(t *testing.T) {
+	m := newMachine(t, 4)
 	f := func(seedRaw uint16) bool {
 		seed := uint64(seedRaw) + 1
 		edges := randomUserGraph(seed, 25, 20)
-		base, err := kamsta.ComputeMSF(edges, kamsta.Config{PEs: 4})
+		base, err := msf(m, edges)
 		if err != nil {
 			return false
 		}
@@ -168,7 +200,7 @@ func TestPropertyParallelEdgesKeepLightest(t *testing.T) {
 		for _, e := range edges {
 			doubled = append(doubled, kamsta.InputEdge{U: e.U, V: e.V, W: e.W + 100})
 		}
-		same, err := kamsta.ComputeMSF(doubled, kamsta.Config{PEs: 4})
+		same, err := msf(m, doubled)
 		if err != nil {
 			return false
 		}

@@ -15,8 +15,8 @@ import (
 // list) — all materialize the same distributed input format inside the
 // world, so callers pick "generate" or "load" uniformly:
 //
-//	rep, err := kamsta.ComputeMSFSource(kamsta.FromFile("usa-road.gr"), cfg)
-//	rep, err := kamsta.ComputeMSFSource(kamsta.FromSpec(spec), cfg)
+//	rep, err := m.Compute(ctx, kamsta.FromFile("usa-road.gr"))
+//	rep, err := m.Compute(ctx, kamsta.FromSpec(spec))
 type Source interface {
 	// Label names the source for reports and error messages.
 	Label() string
@@ -29,7 +29,8 @@ type Source interface {
 }
 
 // FromSpec makes a Source that generates one of the paper's graph families
-// in-simulation (gen.Build). A zero spec seed is derived from Config.Seed.
+// in-simulation (gen.Build). A zero spec seed is derived from the job's
+// WithSeed.
 func FromSpec(spec GraphSpec) Source { return specSource{spec} }
 
 type specSource struct{ spec gen.Spec }
@@ -50,7 +51,7 @@ func (s specSource) provide(c *comm.Comm, rs runSettings) ([]graph.Edge, *graph.
 // reads its own byte range; see internal/graphio). The format is detected
 // from the extension: .kg (kamsta binary), .gr (9th-DIMACS), .metis/.graph
 // (METIS adjacency), anything else a plain "u v [w]" edge list. Unweighted
-// inputs get deterministic weights derived from Config.Seed.
+// inputs get deterministic weights derived from the job's WithSeed.
 func FromFile(path string) Source { return fileSource{path: path} }
 
 // FromFileFormat is FromFile with an explicit format name: "kamsta",

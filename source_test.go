@@ -1,6 +1,7 @@
 package kamsta
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,23 +32,17 @@ func writeSpec(t *testing.T, spec GraphSpec, path string, f graphio.Format) {
 	}
 }
 
-// TestComputeMSFFileMatchesSpec pins the generate/load unification: the
+// TestFileMatchesSpec pins the generate/load unification: the
 // same instance through FromSpec and through a written file produces the
 // same forest, and the Kruskal reference agrees on the file path too.
-func TestComputeMSFFileMatchesSpec(t *testing.T) {
+func TestFileMatchesSpec(t *testing.T) {
 	spec := GraphSpec{Family: RGG2D, N: 300, M: 1500, Seed: 13}
 	path := filepath.Join(t.TempDir(), "g.kg")
 	writeSpec(t, spec, path, graphio.FormatKamsta)
 
-	cfg := Config{PEs: 4, Algorithm: AlgFilterBoruvka}
-	fromSpec, err := ComputeMSFSpec(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := ComputeMSFFile(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMachine(t, MachineConfig{PEs: 4})
+	fromSpec := mustCompute(t, m, FromSpec(spec), WithAlgorithm(AlgFilterBoruvka))
+	fromFile := mustCompute(t, m, FromFile(path), WithAlgorithm(AlgFilterBoruvka))
 	if fromSpec.TotalWeight != fromFile.TotalWeight || fromSpec.NumEdges != fromFile.NumEdges {
 		t.Fatalf("spec (%d,%d) vs file (%d,%d)",
 			fromSpec.TotalWeight, fromSpec.NumEdges, fromFile.TotalWeight, fromFile.NumEdges)
@@ -62,49 +57,46 @@ func TestComputeMSFFileMatchesSpec(t *testing.T) {
 	if fromFile.InputModeledSeconds <= 0 {
 		t.Fatal("file-backed run reports no input time")
 	}
-	kruskal, err := ComputeMSFFile(path, Config{PEs: 2, Algorithm: AlgKruskal})
-	if err != nil {
-		t.Fatal(err)
-	}
+	kruskal := mustCompute(t, newTestMachine(t, MachineConfig{PEs: 2}), FromFile(path), WithAlgorithm(AlgKruskal))
 	if kruskal.TotalWeight != fromFile.TotalWeight || kruskal.NumEdges != fromFile.NumEdges {
 		t.Fatalf("Kruskal on file disagrees: (%d,%d) vs (%d,%d)",
 			kruskal.TotalWeight, kruskal.NumEdges, fromFile.TotalWeight, fromFile.NumEdges)
 	}
 }
 
-// TestComputeMSFSourceUniform runs every source kind through the one entry
+// TestSourcesUniform runs every source kind through the one entry
 // point on the same tiny graph.
-func TestComputeMSFSourceUniform(t *testing.T) {
+func TestSourcesUniform(t *testing.T) {
 	edges := []InputEdge{{U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 1}, {U: 1, V: 3, W: 7}}
 	path := filepath.Join(t.TempDir(), "tiny.el")
 	if err := os.WriteFile(path, []byte("1 2 4\n2 3 1\n1 3 7\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	m := newTestMachine(t, MachineConfig{PEs: 3})
 	for _, src := range []Source{FromEdges(edges), FromFile(path), FromFileFormat(path, "edgelist")} {
-		rep, err := ComputeMSFSource(src, Config{PEs: 3})
-		if err != nil {
-			t.Fatalf("%s: %v", src.Label(), err)
-		}
+		rep := mustCompute(t, m, src)
 		if rep.TotalWeight != 5 || rep.NumEdges != 2 {
 			t.Fatalf("%s: weight=%d edges=%d want 5/2", src.Label(), rep.TotalWeight, rep.NumEdges)
 		}
 	}
 }
 
-// TestComputeMSFFileErrors pins that file problems surface as errors, not
+// TestFileErrors pins that file problems surface as errors, not
 // hangs or panics, through the public API.
-func TestComputeMSFFileErrors(t *testing.T) {
-	if _, err := ComputeMSFFile(filepath.Join(t.TempDir(), "missing.kg"), Config{PEs: 3}); err == nil {
+func TestFileErrors(t *testing.T) {
+	m := newTestMachine(t, MachineConfig{PEs: 3})
+	ctx := context.Background()
+	if _, err := m.Compute(ctx, FromFile(filepath.Join(t.TempDir(), "missing.kg"))); err == nil {
 		t.Fatal("missing file should error")
 	}
-	if _, err := ComputeMSFSource(FromFileFormat("x.el", "tarball"), Config{}); err == nil {
+	if _, err := m.Compute(ctx, FromFileFormat("x.el", "tarball")); err == nil {
 		t.Fatal("bad format name should error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.gr")
 	if err := os.WriteFile(bad, []byte("a 1 2 zebra\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ComputeMSFFile(bad, Config{PEs: 2, Algorithm: AlgKruskal}); err == nil {
+	if _, err := m.Compute(ctx, FromFile(bad), WithAlgorithm(AlgKruskal)); err == nil {
 		t.Fatal("malformed file should error through the Kruskal path too")
 	}
 }

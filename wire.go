@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"kamsta/internal/baselines"
 	"kamsta/internal/comm"
 	"kamsta/internal/core"
 	"kamsta/internal/enc"
@@ -20,7 +19,7 @@ import (
 
 // Job kinds a leader dispatches.
 const (
-	jobMSF     = "msf"     // one MSF computation (Machine.runOnce's SPMD body)
+	jobMSF     = "msf"     // one MSF computation (Machine.run's SPMD body)
 	jobCollect = "collect" // gather canonical edges to rank 0 (sequential path)
 	jobProbe   = "probe"   // post-fault health probe (one tiny Allreduce)
 )
@@ -39,14 +38,13 @@ type wireSource struct {
 
 // wireJobSpec is everything a worker needs to run its ranks of one job:
 // the resolved per-job settings (post Compute defaulting) plus the source.
-// Leader-local concerns — observer, tracer, fault injection, retries — are
+// Leader-local concerns — observer, tracer, fault injection — are
 // deliberately absent.
 type wireJobSpec struct {
-	Kind     string
-	Alg      string
-	Seed     uint64
-	Core     core.Options
-	Baseline baselines.Options
+	Kind string
+	Alg  string
+	Seed uint64
+	Core core.Options
 	// StallMs arms the worker's stall watchdog and sizes both sides' wire
 	// deadlines; 0 leaves the watchdog off (deadlines then take defaults).
 	StallMs int64
@@ -152,12 +150,11 @@ func (ws wireSource) source() (Source, error) {
 // specOf captures a job's worker-relevant settings for the wire.
 func specOf(kind string, src Source, rs runSettings) (wireJobSpec, error) {
 	spec := wireJobSpec{
-		Kind:     kind,
-		Alg:      string(rs.alg),
-		Seed:     rs.seed,
-		Core:     rs.core,
-		Baseline: rs.baseline,
-		StallMs:  rs.stall.Milliseconds(),
+		Kind:    kind,
+		Alg:     string(rs.alg),
+		Seed:    rs.seed,
+		Core:    rs.core,
+		StallMs: rs.stall.Milliseconds(),
 	}
 	if src != nil {
 		ws, ok := wireSourceOf(src)
@@ -172,11 +169,10 @@ func specOf(kind string, src Source, rs runSettings) (wireJobSpec, error) {
 // settings rebuilds the worker-side runSettings.
 func (s wireJobSpec) settings() runSettings {
 	return runSettings{
-		alg:      Algorithm(s.Alg),
-		seed:     s.Seed,
-		core:     s.Core,
-		baseline: s.Baseline,
-		stall:    time.Duration(s.StallMs) * time.Millisecond,
+		alg:   Algorithm(s.Alg),
+		seed:  s.Seed,
+		core:  s.Core,
+		stall: time.Duration(s.StallMs) * time.Millisecond,
 	}
 }
 
