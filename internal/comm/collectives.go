@@ -267,17 +267,18 @@ func AllgatherConcatInto[T any](c *Comm, dst []T, xs []T) []T {
 }
 
 // a2aFrame is one PE's personalized all-to-all deposit: all p outgoing
-// buckets staged back to back in one flat buffer, with off[j]..off[j+1]
+// buckets staged back to back in one flat buffer, with Off[j]..Off[j+1]
 // delimiting the per-pair slot for PE j. The frame struct and its offset
 // array are reusable per-parity staging (deposited as a pointer, so
 // publishing never boxes); the flat data buffer is fresh per call because
 // the receivers ADOPT their slots — the sender never touches it after the
 // barrier, so ownership transfers, and the one allocation serves as both
 // wire and result. Each reader slices out exactly its own range instead of
-// unboxing and scanning a full [][]T board deposit.
+// unboxing and scanning a full [][]T board deposit. The fields are exported
+// only so the enc walker can carry the frame across a process boundary.
 type a2aFrame[T any] struct {
-	data []T
-	off  []int32
+	Data []T
+	Off  []int32
 }
 
 // Alltoall performs a direct (one-level) personalized all-to-all exchange:
@@ -315,8 +316,8 @@ func RawAlltoall[T any](c *Comm, sendTo [][]T) [][]T {
 		panic(fmt.Sprintf("comm: Alltoall with %d buckets on a %d-PE world", len(sendTo), p))
 	}
 	fr, _ := c.a2aStage[c.epoch&1].(*a2aFrame[T])
-	if fr == nil || len(fr.off) != p+1 {
-		fr = &a2aFrame[T]{off: make([]int32, p+1)}
+	if fr == nil || len(fr.Off) != p+1 {
+		fr = &a2aFrame[T]{Off: make([]int32, p+1)}
 		c.a2aStage[c.epoch&1] = fr
 	}
 	total := 0
@@ -325,21 +326,21 @@ func RawAlltoall[T any](c *Comm, sendTo [][]T) [][]T {
 	}
 	data := make([]T, 0, total)
 	for i, b := range sendTo {
-		fr.off[i] = int32(len(data))
+		fr.Off[i] = int32(len(data))
 		data = append(data, b...)
 	}
-	fr.off[p] = int32(len(data))
-	fr.data = data
+	fr.Off[p] = int32(len(data))
+	fr.Data = data
 	recv := make([][]T, p)
-	c.exchange(mkTag(opAlltoall, 0), fr, a2aCodecFor[T](c), nil, func(_ any, boards []deposit) {
+	c.exchange(mkTag(opAlltoall, 0), fr, wireCodec[*a2aFrame[T]](c), nil, func(_ any, boards []deposit) {
 		r := c.rank
 		for i := range boards {
 			f := boards[i].Val.(*a2aFrame[T])
-			lo, hi := f.off[r], f.off[r+1]
+			lo, hi := f.Off[r], f.Off[r+1]
 			if lo < hi {
 				// Three-index slice: an append on the received bucket must
 				// reallocate, never spill into the next PE's bucket.
-				recv[i] = f.data[lo:hi:hi]
+				recv[i] = f.Data[lo:hi:hi]
 			}
 		}
 	})

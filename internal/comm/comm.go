@@ -38,7 +38,6 @@ package comm
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -647,58 +646,47 @@ func (h commHost) Flags() transport.Flags {
 // as a fault and converted into an abort verdict, so even a faulting
 // reduction operator releases the barrier coherently.
 func (h commHost) Complete(board []deposit, remote transport.Flags) transport.Slot {
-	c := h.c
+	jb := h.c.jb
 	if len(remote.Faults) > 0 {
 		h.RemoteFaults(remote.Faults)
 	}
-	m := board[0].Clock
-	for i := 1; i < len(board); i++ {
-		if board[i].Clock > m {
-			m = board[i].Clock
-		}
-	}
-	slot := transport.Slot{ClockMax: m}
 	verdict := verdictRun
-	if c.jb.abortReq.Load() || remote.Abort {
+	if jb.abortReq.Load() || remote.Abort {
 		verdict = verdictAbort
-	} else if c.jb.cancelReq.Load() || remote.Cancel {
+	} else if jb.cancelReq.Load() || remote.Cancel {
 		verdict = verdictCancel
 	}
-	if c.pending != nil && verdict == verdictRun {
-		if val, ok := c.runPending(board); ok {
-			slot.Val = val
-		} else {
-			verdict = verdictAbort
-		}
-	}
-	slot.Verdict = verdict
-	c.w.progress.Add(1)
-	return slot
+	return h.c.complete(board, verdict)
 }
 
 // CompleteWith is Complete under a verdict decided elsewhere (a follower
-// process applying the leader's reply): fold the clocks, run the combine
-// closure locally under that verdict, publish. A combine panic here cannot
-// change the already-decided verdict globally, so it aborts locally — the
-// recorded fault and abort request reach the leader with the next
-// superstep's flags, unwinding the whole world one superstep later.
+// process applying the leader's reply). A combine panic here cannot change
+// the already-decided verdict globally, so it aborts locally — the recorded
+// fault and abort request reach the leader with the next superstep's flags,
+// unwinding the whole world one superstep later.
 func (h commHost) CompleteWith(board []deposit, verdict uint8) transport.Slot {
-	c := h.c
+	return h.c.complete(board, verdict)
+}
+
+// complete publishes one superstep's slot under the given verdict: fold the
+// deposited clocks into the global maximum and, when the superstep runs, the
+// pending combine closure's result (a panic in it turns the slot into an
+// abort).
+func (c *Comm) complete(board []deposit, verdict uint8) transport.Slot {
 	m := board[0].Clock
 	for i := 1; i < len(board); i++ {
 		if board[i].Clock > m {
 			m = board[i].Clock
 		}
 	}
-	slot := transport.Slot{ClockMax: m}
+	slot := transport.Slot{ClockMax: m, Verdict: verdict}
 	if c.pending != nil && verdict == verdictRun {
 		if val, ok := c.runPending(board); ok {
 			slot.Val = val
 		} else {
-			verdict = verdictAbort
+			slot.Verdict = verdictAbort
 		}
 	}
-	slot.Verdict = verdict
 	c.w.progress.Add(1)
 	return slot
 }
@@ -928,46 +916,6 @@ func wireCodec[T any](c *Comm) *enc.Codec {
 		return nil
 	}
 	return enc.CodecFor[T]()
-}
-
-// a2aCodecs caches the hand-built codecs for the all-to-all frame type,
-// keyed by its (generic-instantiated) reflect type. The frame has
-// unexported fields — it is a comm-internal staging structure — so the enc
-// walker cannot reach it; the codec below composes the element codecs
-// explicitly instead.
-var a2aCodecs sync.Map // reflect.Type -> *enc.Codec
-
-// a2aCodecFor resolves the wire codec for *a2aFrame[T] deposits (nil on a
-// purely local world).
-func a2aCodecFor[T any](c *Comm) *enc.Codec {
-	if !c.wire {
-		return nil
-	}
-	key := reflect.TypeOf((*a2aFrame[T])(nil))
-	if cd, ok := a2aCodecs.Load(key); ok {
-		return cd.(*enc.Codec)
-	}
-	dataCd := enc.CodecFor[[]T]()
-	offCd := enc.CodecFor[[]int32]()
-	cd := enc.NewCodec(key.String(),
-		func(dst []byte, v any) []byte {
-			f := v.(*a2aFrame[T])
-			dst = dataCd.Append(dst, f.data)
-			return offCd.Append(dst, f.off)
-		},
-		func(b []byte) (any, []byte, error) {
-			dv, b, err := dataCd.Decode(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			ov, b, err := offCd.Decode(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			return &a2aFrame[T]{data: dv.([]T), off: ov.([]int32)}, b, nil
-		})
-	actual, _ := a2aCodecs.LoadOrStore(key, cd)
-	return actual.(*enc.Codec)
 }
 
 // Clocks returns a copy of the per-rank final modeled clocks of the last

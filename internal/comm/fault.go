@@ -197,18 +197,11 @@ func (c *Comm) recordPanicFault(r any) {
 // a FaultStall with per-rank arrival diagnostics, requests an abort (in
 // case the world is still cooperating), poisons the world (in case it is
 // not), and signals RunJobCfg via jb.stalled.
-func (w *World) watchdog(jb *worldJob, timeout time.Duration, stop, done chan struct{}) {
+func (w *World) watchdog(jb *worldJob, base []int64, timeout time.Duration, stop, done chan struct{}) {
 	defer close(done)
 	interval := timeout / 4
 	if interval < time.Millisecond {
 		interval = time.Millisecond
-	}
-	// base is each rank's arrival count at job start; arrivals are lifetime
-	// counters, so the diagnostics subtract it to report job-relative
-	// supersteps.
-	base := make([]int64, w.p)
-	for r := range base {
-		base[r] = w.arrived[r].v.Load()
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()

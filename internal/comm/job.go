@@ -321,7 +321,16 @@ func (w *World) RunJobCfg(ctx context.Context, cfg JobConfig, f func(*Comm)) err
 		jb.stalled = make(chan struct{})
 		watchStop = make(chan struct{})
 		watchDone = make(chan struct{})
-		go w.watchdog(jb, cfg.StallTimeout, watchStop, watchDone)
+		// base is each rank's arrival count at job start: arrivals are
+		// lifetime counters, so the stall diagnosis subtracts it to report
+		// job-relative supersteps. It must be read before dispatch: once the
+		// PEs run, a rank may already have passed its first barrier, and a
+		// baseline that includes it would name that rank missing at a stall.
+		base := make([]int64, w.p)
+		for r := range base {
+			base[r] = w.arrived[r].v.Load()
+		}
+		go w.watchdog(jb, base, cfg.StallTimeout, watchStop, watchDone)
 	}
 	w.dispatch(jb)
 	graceful := true

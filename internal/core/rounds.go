@@ -590,41 +590,12 @@ func redistribute(c *comm.Comm, edges []graph.Edge, opt Options) ([]graph.Edge, 
 	return sorted, graph.BuildLayout(c, sorted)
 }
 
-// dedupSorted removes directed duplicates (same U and V) from a globally
-// sorted distribution, keeping the lexicographically first — which is the
-// lightest, since the sort key continues with (W, TB). Runs crossing a PE
-// boundary are resolved with one allgather of boundary keys.
+// dedupSorted is graph.DedupSorted charged for its scan after the boundary
+// allgather (the input pipeline in gen charges before it).
 func dedupSorted(c *comm.Comm, sorted []graph.Edge) []graph.Edge {
-	dedup := sorted[:0]
-	for i, e := range sorted {
-		if i > 0 && e.U == sorted[i-1].U && e.V == sorted[i-1].V {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
-	type key struct {
-		Has  bool
-		U, V graph.VID
-	}
-	mine := key{}
-	if len(dedup) > 0 {
-		mine = key{Has: true, U: dedup[len(dedup)-1].U, V: dedup[len(dedup)-1].V}
-	}
-	lasts := comm.Allgather(c, mine)
-	var prev key
-	for i := 0; i < c.Rank(); i++ {
-		if lasts[i].Has {
-			prev = lasts[i]
-		}
-	}
-	if prev.Has {
-		drop := 0
-		for drop < len(dedup) && dedup[drop].U == prev.U && dedup[drop].V == prev.V {
-			drop++
-		}
-		dedup = dedup[drop:]
-	}
-	c.ChargeCompute(len(sorted))
+	n := len(sorted)
+	dedup := graph.DedupSorted(c, sorted)
+	c.ChargeCompute(n)
 	return dedup
 }
 

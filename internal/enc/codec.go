@@ -7,19 +7,30 @@ package enc
 // codec and the receiver decodes with its own collective's codec for the
 // same superstep.
 //
-// Two strategies, picked once per type and cached:
+// One rule, applied at every depth of a value:
 //
-//   - POD fast path: fixed-size types containing no pointers (ints, floats,
-//     bools, and arrays/structs thereof — unexported fields included) are
-//     memcpy'd. The TCP handshake pins word size and byte order, so raw
-//     bytes round-trip exactly; float bits in particular survive untouched,
-//     which modeled-clock parity across transports depends on.
-//   - Reflect walker: strings, slices, pointers and structs of such are
-//     encoded field by field. Struct fields on this path must be exported
-//     (reflection cannot set unexported fields on decode); an unsupported
-//     type panics at codec construction — a programmer error, found the
-//     first time the collective runs — while malformed BYTES always surface
-//     as typed errors, never panics.
+//   - A POD subtree — a fixed-size type containing no pointers: ints, floats,
+//     bools, and arrays/structs thereof, unexported fields included — is its
+//     in-memory bytes. The TCP handshake pins word size and byte order, so
+//     raw bytes round-trip exactly; float bits in particular survive
+//     untouched, which modeled-clock parity across transports depends on. A
+//     POD struct has the same encoding deposited on its own and nested in a
+//     walked struct; a []POD is a flag, a count and one bulk copy.
+//   - Everything else is walked: uvarint length-prefixed strings and slices
+//     (slices with a nil flag), flag-prefixed pointers, structs field by
+//     field (exported fields only — reflection cannot set unexported ones),
+//     and a bool standing directly in a walked struct, whose byte is
+//     validated. Any other shape (map, chan, func, interface, an array of
+//     non-POD elements) panics at codec construction — a programmer error,
+//     found the first time the collective runs — while malformed BYTES always
+//     surface as typed errors, never panics.
+//
+// Audit of what leaves the POD case today: string (graphio.shareErr), the
+// two METIS stage structs (Err string + POD), dsort's sampleSet{Items []T},
+// the job-control frames wireJobSpec and wireJobEnd, and comm's
+// *a2aFrame[T]; every other deposit is POD or []POD. Explicit per-type
+// codecs for these would need a registration hook through the generic
+// collectives, so the walker stays and serves exactly these shapes.
 
 import (
 	"fmt"
@@ -29,97 +40,46 @@ import (
 )
 
 // Codec serializes one concrete value type for wire transport.
-type Codec struct {
-	name string
-	enc  func(dst []byte, v any) []byte
-	dec  func(b []byte) (any, []byte, error)
-}
+type Codec struct{ rt reflect.Type }
 
 // Name reports the codec's type name, for diagnostics.
-func (c *Codec) Name() string { return c.name }
+func (c *Codec) Name() string { return c.rt.String() }
 
 // Append encodes v (which must hold the codec's type) onto dst.
-func (c *Codec) Append(dst []byte, v any) []byte { return c.enc(dst, v) }
+func (c *Codec) Append(dst []byte, v any) []byte {
+	// An addressable copy, so POD subtrees can be viewed as bytes.
+	rv := reflect.New(c.rt).Elem()
+	rv.Set(reflect.ValueOf(v))
+	return encValue(dst, rv)
+}
 
 // Decode decodes one value from b, returning the value, the remaining
 // bytes, and a typed error (ErrTruncated/ErrOversized/ErrCorrupt) on
 // malformed input.
-func (c *Codec) Decode(b []byte) (any, []byte, error) { return c.dec(b) }
-
-// NewCodec wraps custom encode/decode functions as a Codec — for container
-// types with unexported fields that the reflect walker cannot reach (the
-// collectives' internal all-to-all frame builds one from element codecs).
-func NewCodec(name string, enc func(dst []byte, v any) []byte, dec func(b []byte) (any, []byte, error)) *Codec {
-	return &Codec{name: name, enc: enc, dec: dec}
+func (c *Codec) Decode(b []byte) (any, []byte, error) {
+	rv := reflect.New(c.rt).Elem()
+	rest, err := decValue(b, rv)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rv.Interface(), rest, nil
 }
 
 // CodecFor returns the cached codec for T, building it on first use. It
-// panics if T is not wire-encodable (chan, func, map, interface fields, or
-// unexported fields on the reflect path) — a programmer error surfaced the
-// first time a remote-backed collective carries the type.
+// panics if T is not wire-encodable (chan, func, map, interface, non-POD
+// array, or unexported fields outside a POD subtree) — a programmer error
+// surfaced the first time a remote-backed collective carries the type.
 func CodecFor[T any]() *Codec {
-	return codecOf(reflect.TypeOf((*T)(nil)).Elem())
-}
-
-var codecCache sync.Map // reflect.Type -> *Codec
-
-func codecOf(rt reflect.Type) *Codec {
+	rt := reflect.TypeOf((*T)(nil)).Elem()
 	if c, ok := codecCache.Load(rt); ok {
 		return c.(*Codec)
 	}
-	c := buildCodec(rt)
-	actual, _ := codecCache.LoadOrStore(rt, c)
-	return actual.(*Codec)
-}
-
-func buildCodec(rt reflect.Type) *Codec {
 	validateWireType(rt, rt)
-	name := rt.String()
-	if isPOD(rt) {
-		size := int(rt.Size())
-		return &Codec{
-			name: name,
-			enc: func(dst []byte, v any) []byte {
-				return append(dst, podBytes(v, size)...)
-			},
-			dec: func(b []byte) (any, []byte, error) {
-				if len(b) < size {
-					return nil, nil, fmt.Errorf("%w: %s needs %d bytes, %d left", ErrTruncated, name, size, len(b))
-				}
-				nv := reflect.New(rt)
-				if size > 0 {
-					copy(unsafe.Slice((*byte)(nv.UnsafePointer()), size), b[:size])
-				}
-				return nv.Elem().Interface(), b[size:], nil
-			},
-		}
-	}
-	return &Codec{
-		name: name,
-		enc: func(dst []byte, v any) []byte {
-			return encValue(dst, reflect.ValueOf(v))
-		},
-		dec: func(b []byte) (any, []byte, error) {
-			nv := reflect.New(rt).Elem()
-			rest, err := decValue(b, nv)
-			if err != nil {
-				return nil, nil, err
-			}
-			return nv.Interface(), rest, nil
-		},
-	}
+	c, _ := codecCache.LoadOrStore(rt, &Codec{rt: rt})
+	return c.(*Codec)
 }
 
-// podBytes views an interface's boxed POD payload as raw bytes. Every
-// non-pointer-shaped value is stored indirectly in an interface, so the data
-// word points at size bytes of the value.
-func podBytes(v any, size int) []byte {
-	if size == 0 {
-		return nil
-	}
-	data := (*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1]
-	return unsafe.Slice((*byte)(data), size)
-}
+var codecCache sync.Map // reflect.Type -> *Codec
 
 // isPOD reports whether rt is a fixed-size type containing no pointers, so
 // its in-memory bytes ARE its wire encoding.
@@ -143,6 +103,15 @@ func isPOD(rt reflect.Type) bool {
 	return false
 }
 
+// rawPOD reports whether the walker copies rt's bytes as they are: every POD
+// type except a bare bool, whose byte decode validates.
+func rawPOD(rt reflect.Type) bool { return rt.Kind() != reflect.Bool && isPOD(rt) }
+
+// podBytes views n consecutive POD values starting at p as raw bytes.
+func podBytes(p unsafe.Pointer, n int, rt reflect.Type) []byte {
+	return unsafe.Slice((*byte)(p), n*int(rt.Size()))
+}
+
 // validateWireType panics (at codec construction, not at transfer time) if
 // any reachable part of rt cannot cross the wire.
 func validateWireType(root, rt reflect.Type) {
@@ -151,13 +120,13 @@ func validateWireType(root, rt reflect.Type) {
 	}
 	switch rt.Kind() {
 	case reflect.String:
-	case reflect.Slice, reflect.Array, reflect.Pointer:
+	case reflect.Slice, reflect.Pointer:
 		validateWireType(root, rt.Elem())
 	case reflect.Struct:
 		for i := 0; i < rt.NumField(); i++ {
 			f := rt.Field(i)
 			if f.PkgPath != "" {
-				panic(fmt.Sprintf("enc: %v is not wire-encodable: unexported field %s.%s needs the reflect path", root, rt, f.Name))
+				panic(fmt.Sprintf("enc: %v is not wire-encodable: unexported field %s.%s outside a POD subtree", root, rt, f.Name))
 			}
 			validateWireType(root, f.Type)
 		}
@@ -166,24 +135,18 @@ func validateWireType(root, rt reflect.Type) {
 	}
 }
 
-// encValue appends rv's walker encoding: fixed-width scalars, uvarint
-// length-prefixed strings and slices (with a nil flag), flag-prefixed
-// pointers, fields in order for structs. Slices of POD elements are bulk
-// copied.
+// encValue appends the encoding of the addressable rv.
 func encValue(dst []byte, rv reflect.Value) []byte {
 	rt := rv.Type()
+	if rawPOD(rt) {
+		return append(dst, podBytes(rv.Addr().UnsafePointer(), 1, rt)...)
+	}
 	switch rt.Kind() {
 	case reflect.Bool:
 		if rv.Bool() {
 			return append(dst, 1)
 		}
 		return append(dst, 0)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return AppendU64(dst, uint64(rv.Int()))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return AppendU64(dst, rv.Uint())
-	case reflect.Float32, reflect.Float64:
-		return AppendF64(dst, rv.Float())
 	case reflect.String:
 		return AppendString(dst, rv.String())
 	case reflect.Slice:
@@ -193,19 +156,10 @@ func encValue(dst []byte, rv reflect.Value) []byte {
 		dst = append(dst, 1)
 		n := rv.Len()
 		dst = AppendUvarint(dst, uint64(n))
-		if et := rt.Elem(); isPOD(et) {
-			if n > 0 {
-				size := n * int(et.Size())
-				dst = append(dst, unsafe.Slice((*byte)(rv.UnsafePointer()), size)...)
-			}
-			return dst
+		if et := rt.Elem(); rawPOD(et) {
+			return append(dst, podBytes(rv.UnsafePointer(), n, et)...)
 		}
 		for i := 0; i < n; i++ {
-			dst = encValue(dst, rv.Index(i))
-		}
-		return dst
-	case reflect.Array:
-		for i := 0; i < rv.Len(); i++ {
 			dst = encValue(dst, rv.Index(i))
 		}
 		return dst
@@ -213,8 +167,7 @@ func encValue(dst []byte, rv reflect.Value) []byte {
 		if rv.IsNil() {
 			return append(dst, 0)
 		}
-		dst = append(dst, 1)
-		return encValue(dst, rv.Elem())
+		return encValue(append(dst, 1), rv.Elem())
 	case reflect.Struct:
 		for i := 0; i < rv.NumField(); i++ {
 			dst = encValue(dst, rv.Field(i))
@@ -224,43 +177,37 @@ func encValue(dst []byte, rv reflect.Value) []byte {
 	panic(fmt.Sprintf("enc: cannot encode %v", rt))
 }
 
-// decValue decodes one walker-encoded value into the settable rv, returning
-// the remaining bytes. Malformed input is a typed error; counts are checked
+// decFlag reads the one-byte 0/1 flag that encodes a bool and prefixes
+// slices (non-nil) and pointers (non-nil).
+func decFlag(b []byte, what string) (bool, []byte, error) {
+	if len(b) < 1 {
+		return false, nil, fmt.Errorf("%w: %s flag", ErrTruncated, what)
+	}
+	if b[0] > 1 {
+		return false, nil, fmt.Errorf("%w: %s flag %d", ErrCorrupt, what, b[0])
+	}
+	return b[0] == 1, b[1:], nil
+}
+
+// decValue decodes one value into the addressable rv, returning the
+// remaining bytes. Malformed input is a typed error; counts are checked
 // against the remaining byte budget before any allocation, so a corrupt
 // length cannot reserve unbounded memory.
 func decValue(b []byte, rv reflect.Value) ([]byte, error) {
 	rt := rv.Type()
+	if rawPOD(rt) {
+		size := int(rt.Size())
+		if len(b) < size {
+			return nil, fmt.Errorf("%w: %s needs %d bytes, %d left", ErrTruncated, rt, size, len(b))
+		}
+		copy(podBytes(rv.Addr().UnsafePointer(), 1, rt), b)
+		return b[size:], nil
+	}
 	switch rt.Kind() {
 	case reflect.Bool:
-		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: bool", ErrTruncated)
-		}
-		switch b[0] {
-		case 0:
-			rv.SetBool(false)
-		case 1:
-			rv.SetBool(true)
-		default:
-			return nil, fmt.Errorf("%w: bool flag %d", ErrCorrupt, b[0])
-		}
-		return b[1:], nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64:
-		r := NewReader(b)
-		u := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		switch rt.Kind() {
-		case reflect.Float32, reflect.Float64:
-			rv.SetFloat(frombits(u))
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			rv.SetUint(u)
-		default:
-			rv.SetInt(int64(u))
-		}
-		return b[8:], nil
+		set, rest, err := decFlag(b, "bool")
+		rv.SetBool(set)
+		return rest, err
 	case reflect.String:
 		r := NewReader(b)
 		s := r.String()
@@ -270,18 +217,10 @@ func decValue(b []byte, rv reflect.Value) ([]byte, error) {
 		rv.SetString(s)
 		return b[len(b)-r.Len():], nil
 	case reflect.Slice:
-		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: slice flag", ErrTruncated)
-		}
-		flag := b[0]
-		b = b[1:]
-		switch flag {
-		case 0:
+		set, b, err := decFlag(b, "slice")
+		if err != nil || !set {
 			rv.SetZero()
-			return b, nil
-		case 1:
-		default:
-			return nil, fmt.Errorf("%w: slice flag %d", ErrCorrupt, flag)
+			return b, err
 		}
 		r := NewReader(b)
 		n := r.Uvarint()
@@ -289,63 +228,36 @@ func decValue(b []byte, rv reflect.Value) ([]byte, error) {
 			return nil, err
 		}
 		b = b[len(b)-r.Len():]
+		// Elements occupy their size (POD) or at least one byte (walked).
 		et := rt.Elem()
-		if isPOD(et) {
-			size := uint64(et.Size())
-			if size > 0 && n > uint64(len(b))/size {
-				return nil, fmt.Errorf("%w: %d %s elements in %d bytes", ErrOversized, n, et, len(b))
-			}
-			sl := reflect.MakeSlice(rt, int(n), int(n))
-			if n > 0 && size > 0 {
-				total := int(n * size)
-				copy(unsafe.Slice((*byte)(sl.UnsafePointer()), total), b[:total])
-				b = b[total:]
-			}
-			rv.Set(sl)
-			return b, nil
+		pod, per := rawPOD(et), uint64(1)
+		if pod {
+			per = uint64(et.Size())
 		}
-		// Non-POD elements occupy at least one byte each on the wire.
-		if n > uint64(len(b)) {
-			return nil, fmt.Errorf("%w: %d elements in %d bytes", ErrOversized, n, len(b))
+		if per > 0 && n > uint64(len(b))/per {
+			return nil, fmt.Errorf("%w: %d %s elements in %d bytes", ErrOversized, n, et, len(b))
 		}
 		sl := reflect.MakeSlice(rt, int(n), int(n))
-		var err error
-		for i := 0; i < int(n); i++ {
-			if b, err = decValue(b, sl.Index(i)); err != nil {
-				return nil, err
+		if pod {
+			b = b[copy(podBytes(sl.UnsafePointer(), int(n), et), b):]
+		} else {
+			for i := 0; i < int(n); i++ {
+				if b, err = decValue(b, sl.Index(i)); err != nil {
+					return nil, err
+				}
 			}
 		}
 		rv.Set(sl)
 		return b, nil
-	case reflect.Array:
-		var err error
-		for i := 0; i < rv.Len(); i++ {
-			if b, err = decValue(b, rv.Index(i)); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
 	case reflect.Pointer:
-		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: pointer flag", ErrTruncated)
-		}
-		flag := b[0]
-		b = b[1:]
-		switch flag {
-		case 0:
+		set, b, err := decFlag(b, "pointer")
+		if err != nil || !set {
 			rv.SetZero()
-			return b, nil
-		case 1:
-			nv := reflect.New(rt.Elem())
-			rest, err := decValue(b, nv.Elem())
-			if err != nil {
-				return nil, err
-			}
-			rv.Set(nv)
-			return rest, nil
-		default:
-			return nil, fmt.Errorf("%w: pointer flag %d", ErrCorrupt, flag)
+			return b, err
 		}
+		nv := reflect.New(rt.Elem())
+		rv.Set(nv)
+		return decValue(b, nv.Elem())
 	case reflect.Struct:
 		var err error
 		for i := 0; i < rv.NumField(); i++ {
@@ -356,9 +268,4 @@ func decValue(b []byte, rv reflect.Value) ([]byte, error) {
 		return b, nil
 	}
 	return nil, fmt.Errorf("%w: undecodable kind %v", ErrCorrupt, rt.Kind())
-}
-
-func frombits(u uint64) float64 {
-	r := NewReader(AppendU64(nil, u))
-	return r.F64()
 }

@@ -1,6 +1,7 @@
 package enc
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -20,13 +21,16 @@ type podNested struct {
 	ok  bool
 }
 
-// walked exercises the reflect path: strings and slices force it off the
-// POD fast path, so all fields must be exported.
+// walked exercises every shape the walker serves: string, slice, pointer,
+// struct, a validated bool, and POD subtrees (a scalar, a struct with
+// unexported fields) copied raw. Its own fields must be exported.
 type walked struct {
 	Name   string
 	Vals   []float64
-	Edges  []podEdge // POD elements: bulk memcpy inside the walker
+	Edges  []podEdge // POD elements: one bulk copy
 	Ptr    *int64
+	Flag   bool
+	Pod    podEdge
 	Nested struct {
 		A int32
 		B string
@@ -80,6 +84,8 @@ func TestCodecWalkerRoundTrip(t *testing.T) {
 		Vals:  []float64{1.5, math.Pi},
 		Edges: []podEdge{{1, 2, 0.5}, {3, 4, 1.5}},
 		Ptr:   &x,
+		Flag:  true,
+		Pod:   podEdge{u: 5, v: 6, w: -2.5},
 	}
 	v.Nested.A = -3
 	v.Nested.B = "inner"
@@ -110,6 +116,35 @@ func TestCodecSliceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecPODNestedIsTopLevel pins the one codec rule: a POD value has the
+// same bytes deposited on its own and nested in a walked struct — its memory
+// image, no per-field widening.
+func TestCodecPODNestedIsTopLevel(t *testing.T) {
+	type outer struct {
+		Name string
+		Pod  podEdge
+		N    int32
+	}
+	e := podEdge{u: 7, v: 9, w: 3.25}
+	top := CodecFor[podEdge]().Append(nil, e)
+	if len(top) != 16 {
+		t.Fatalf("top-level podEdge is %d bytes, want its 16-byte memory image", len(top))
+	}
+	want := AppendString(nil, "x")
+	want = append(want, top...)
+	want = AppendU32(want, 0xfffffffe) // int32(-2): 4 raw bytes
+	got := CodecFor[outer]().Append(nil, outer{Name: "x", Pod: e, N: -2})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("nested POD:\n got %x\nwant %x", got, want)
+	}
+	// The []POD layout: non-nil flag, uvarint count, the elements' memory.
+	want = append(AppendUvarint([]byte{1}, 2), top...)
+	want = append(want, top...)
+	if got := CodecFor[[]podEdge]().Append(nil, []podEdge{e, e}); !bytes.Equal(got, want) {
+		t.Fatalf("[]POD:\n got %x\nwant %x", got, want)
+	}
+}
+
 func TestCodecCached(t *testing.T) {
 	if CodecFor[podEdge]() != CodecFor[podEdge]() {
 		t.Fatal("codec not cached")
@@ -134,6 +169,10 @@ func TestCodecUnencodablePanics(t *testing.T) {
 	}
 	mustPanic("unexported", func() { CodecFor[badUnexported]() })
 	_ = badUnexported{s: ""}
+	// Shapes the walker no longer serves: only POD arrays exist on the wire.
+	mustPanic("array of strings", func() { CodecFor[[2]string]() })
+	mustPanic("array field", func() { CodecFor[struct{ A [2][]int }]() })
+	mustPanic("interface field", func() { CodecFor[struct{ V any }]() })
 }
 
 func TestCodecDecodeMalformed(t *testing.T) {
@@ -149,6 +188,29 @@ func TestCodecDecodeMalformed(t *testing.T) {
 			t.Fatalf("prefix %d: untyped error %v", i, err)
 		}
 	}
+	// Flag bytes other than 0/1 are corrupt, wherever they stand.
+	for name, decode := range map[string]func([]byte) error{
+		"bool": func(b []byte) error {
+			_, _, err := CodecFor[struct {
+				S string
+				B bool
+			}]().Decode(append([]byte{0}, b...))
+			return err
+		},
+		"slice":   func(b []byte) error { _, _, err := CodecFor[[]string]().Decode(b); return err },
+		"pointer": func(b []byte) error { _, _, err := CodecFor[*podEdge]().Decode(b); return err },
+	} {
+		if err := decode([]byte{2}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s flag 2: %v", name, err)
+		}
+		if err := decode(nil); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s flag missing: %v", name, err)
+		}
+	}
+	// A nested POD cut short is truncated, like a top-level one.
+	if _, _, err := CodecFor[*podEdge]().Decode(append([]byte{1}, make([]byte, 15)...)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short nested POD: %v", err)
+	}
 	// A corrupt element count must be rejected before allocation.
 	b := []byte{1} // non-nil slice
 	b = AppendUvarint(b, 1<<40)
@@ -162,9 +224,9 @@ func TestCodecDecodeMalformed(t *testing.T) {
 	}
 }
 
-// FuzzCodecDecode feeds arbitrary bytes to the two codec strategies:
-// decoding must return a value or a typed error — no panics, no unbounded
-// allocation.
+// FuzzCodecDecode feeds arbitrary bytes to codecs covering every shape the
+// walker serves: decoding must return a value or a typed error — no panics,
+// no unbounded allocation.
 func FuzzCodecDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(CodecFor[walked]().Append(nil, walked{Name: "seed", Vals: []float64{1, 2}}))

@@ -196,40 +196,8 @@ func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge
 
 	// Remove duplicates: runs of equal (U,V) are consecutive after the
 	// lexicographic sort and the lightest copy leads each run.
-	dedup := sorted[:0]
-	for i, e := range sorted {
-		if i > 0 && e.U == sorted[i-1].U && e.V == sorted[i-1].V {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
 	c.ChargeCompute(len(sorted))
-
-	// Cross-boundary duplicates: drop our head run if the previous
-	// non-empty PE ends with the same (U, V).
-	type key struct {
-		Has  bool
-		U, V graph.VID
-	}
-	mine := key{}
-	if len(dedup) > 0 {
-		last := dedup[len(dedup)-1]
-		mine = key{Has: true, U: last.U, V: last.V}
-	}
-	lasts := comm.Allgather(c, mine)
-	var prev key
-	for i := 0; i < c.Rank(); i++ {
-		if lasts[i].Has {
-			prev = lasts[i]
-		}
-	}
-	if prev.Has {
-		drop := 0
-		for drop < len(dedup) && dedup[drop].U == prev.U && dedup[drop].V == prev.V {
-			drop++
-		}
-		dedup = dedup[drop:]
-	}
+	dedup := graph.DedupSorted(c, sorted)
 
 	// Assign consecutive global IDs in sort order.
 	offset := comm.ExScan(c, len(dedup), 0, func(a, b int) int { return a + b })

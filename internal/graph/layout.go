@@ -211,3 +211,44 @@ func GlobalVertexCount(c *comm.Comm, l *Layout, localEdges []Edge) int {
 	}
 	return comm.Allreduce(c, distinct, func(a, b int) int { return a + b })
 }
+
+// DedupSorted removes directed duplicates (same U and V) from a globally
+// lexicographically sorted distribution, in place, keeping the first of
+// each run — the lightest, since the sort key continues with (W, TB). Runs
+// crossing a PE boundary are resolved with one allgather of boundary keys:
+// a PE drops its head run if the previous non-empty PE ends on the same
+// pair. It charges no compute; each caller charges its scan of len(sorted)
+// where its modeled clock has always had it.
+func DedupSorted(c *comm.Comm, sorted []Edge) []Edge {
+	dedup := sorted[:0]
+	for i, e := range sorted {
+		if i > 0 && e.U == sorted[i-1].U && e.V == sorted[i-1].V {
+			continue
+		}
+		dedup = append(dedup, e)
+	}
+	type key struct {
+		Has  bool
+		U, V VID
+	}
+	mine := key{}
+	if len(dedup) > 0 {
+		last := dedup[len(dedup)-1]
+		mine = key{Has: true, U: last.U, V: last.V}
+	}
+	lasts := comm.Allgather(c, mine)
+	var prev key
+	for i := 0; i < c.Rank(); i++ {
+		if lasts[i].Has {
+			prev = lasts[i]
+		}
+	}
+	if prev.Has {
+		drop := 0
+		for drop < len(dedup) && dedup[drop].U == prev.U && dedup[drop].V == prev.V {
+			drop++
+		}
+		dedup = dedup[drop:]
+	}
+	return dedup
+}

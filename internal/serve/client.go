@@ -195,12 +195,6 @@ func (c *Client) Healthy(ctx context.Context) bool {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil) == nil
 }
 
-// Ready reports whether /readyz answers 200 — the server is serving, not
-// draining, not browned out, and has live machines.
-func (c *Client) Ready(ctx context.Context) bool {
-	return c.do(ctx, http.MethodGet, "/readyz", nil, nil) == nil
-}
-
 // do round-trips one API call, decoding {"error","code"} bodies into the
 // sentinel errors the in-process API uses.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {

@@ -1,6 +1,7 @@
 package kamsta
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -10,34 +11,108 @@ import (
 	"kamsta/internal/graph"
 )
 
-// This file holds the SPMD job bodies a Machine runs. Each body is one
-// function executed by every PE of the world — and, on a distributed
-// machine, by every worker process's PEs too, so the bodies are factored
-// here where both Machine.run and ServeWorker's control loop reach
-// them. A body must issue the identical collective sequence on every rank
-// (the substrate audits tags on rank 0); rank-0-only blocks write into
-// fields that simply stay zero on worker processes.
+// This file defines the jobs a Machine runs, once for both sides of the
+// process boundary: the leader (Machine.runJob) and every worker process
+// (runWorkerJob) name a kind, and runKind looks it up in jobKinds, builds
+// its state and runs its SPMD body on the local ranks. A body is one
+// function executed by every PE of the world; it must issue the identical
+// collective sequence on every rank (the substrate audits tags on rank 0).
 
-// msfJob is one MSF computation: materialize the source, measure the
-// algorithm, leave each rank's MSF share in shares[rank] and the rank-0
-// summary in rep.
-type msfJob struct {
-	src    Source
-	rs     runSettings
-	w      *comm.World
-	rep    *Report
-	shares [][]graph.Edge
-	algErr error // set on rank 0 only; PEs leave together on input errors
+// Job kinds a leader dispatches.
+const (
+	jobMSF     = "msf"     // one MSF computation
+	jobCollect = "collect" // gather canonical edges to rank 0 (sequential path)
+	jobProbe   = "probe"   // post-fault health probe (one tiny Allreduce)
+)
+
+// jobKind is one entry of the kind table.
+type jobKind struct {
+	// needsSource rejects a dispatch that carries no input source.
+	needsSource bool
+	// body is the kind's SPMD program.
+	body func(*job, *comm.Comm)
 }
 
-func (j *msfJob) run(c *comm.Comm) {
-	w, rs, rep := j.w, j.rs, j.rep
-	edges, layout, inErr := j.src.provide(c, rs)
-	if inErr != nil {
-		// provide returns the same error on every PE, so all PEs
-		// leave the SPMD program here together.
+var jobKinds = map[string]jobKind{
+	jobMSF:     {needsSource: true, body: (*job).msf},
+	jobCollect: {needsSource: true, body: (*job).collect},
+	jobProbe:   {body: (*job).probe},
+}
+
+// job is one process's state of one running job: its inputs and what the
+// body leaves behind for the driver. Rank 0 is always leader-local, so the
+// rank-0 outputs simply stay zero on worker processes.
+type job struct {
+	src Source
+	rs  runSettings
+	w   *comm.World
+
+	// shares[r] is rank r's share of the MSF (msf; each local rank writes
+	// its own entry).
+	shares [][]graph.Edge
+	// Rank 0 only: the algorithm's summary (msf), the canonical edges
+	// (collect), the Allreduce sum (probe).
+	rep       Report
+	collected []InputEdge
+	probeSum  int
+	// inputErr, rank 0 only, is the input error every rank left the program
+	// early on: Source.provide returns the same error on every PE, so the
+	// world agrees on it without a collective and no rank is left behind.
+	inputErr error
+}
+
+// runKind runs one job of the named kind on w's local ranks. An unknown
+// kind or a missing source fails before anything runs (nil job); every
+// process of the world takes that exit on the same dispatch, so the
+// job-control streams stay in lockstep.
+func runKind(ctx context.Context, w *comm.World, kind string, src Source, rs runSettings) (*job, error) {
+	k, ok := jobKinds[kind]
+	if !ok {
+		return nil, fmt.Errorf("kamsta: unknown job kind %q", kind)
+	}
+	if k.needsSource && src == nil {
+		return nil, fmt.Errorf("kamsta: %s job without a source", kind)
+	}
+	w.ResetMetrics() // this job's makespan and traffic, not the machine's history
+	j := &job{src: src, rs: rs, w: w, shares: make([][]graph.Edge, w.P())}
+	// A worker's settings carry no observer, tracer or injector.
+	cfg := comm.JobConfig{Observer: rs.obs, StallTimeout: rs.stall, Inject: rs.inject, Trace: rs.trace}
+	return j, w.RunJobCfg(ctx, cfg, func(c *comm.Comm) { k.body(j, c) })
+}
+
+// msfAlgorithms maps each distributed algorithm to its SPMD entry point.
+var msfAlgorithms = map[Algorithm]func(*comm.Comm, []graph.Edge, *graph.Layout, core.Options) core.Result{
+	AlgBoruvka:       core.Boruvka,
+	AlgFilterBoruvka: core.FilterBoruvka,
+	AlgMNDMST:        baseline(baselines.MNDMST),
+	AlgSparseMatrix:  baseline(baselines.SparseMatrix),
+}
+
+// baseline adapts a competitor to the paper algorithms' signature: the
+// baselines take only the PE's thread count and have no base case to count.
+func baseline(f func(*comm.Comm, []graph.Edge, *graph.Layout, baselines.Options) baselines.Result) func(*comm.Comm, []graph.Edge, *graph.Layout, core.Options) core.Result {
+	return func(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, _ core.Options) core.Result {
+		r := f(c, edges, layout, baselines.Options{Threads: c.Threads()})
+		return core.Result{MSTEdges: r.MSTEdges, TotalWeight: r.TotalWeight, NumEdges: r.NumEdges, Rounds: r.Rounds}
+	}
+}
+
+// msf is one MSF computation: materialize the source, measure the
+// algorithm, leave each rank's MSF share in shares[rank] and the rank-0
+// summary in rep.
+func (j *job) msf(c *comm.Comm) {
+	alg, ok := msfAlgorithms[j.rs.alg]
+	if !ok {
+		// Every rank reads the same settings, so they all leave here.
 		if c.Rank() == 0 {
-			j.algErr = inErr
+			j.inputErr = fmt.Errorf("kamsta: unknown algorithm %q", j.rs.alg)
+		}
+		return
+	}
+	edges, layout, err := j.src.provide(c, j.rs)
+	if err != nil {
+		if c.Rank() == 0 {
+			j.inputErr = err
 		}
 		return
 	}
@@ -50,59 +125,23 @@ func (j *msfJob) run(c *comm.Comm) {
 	comm.Barrier(c)
 	c.ResetLocalMetrics()
 	if c.Rank() == 0 {
-		w.ResetMetrics()
+		j.w.ResetMetrics()
 	}
 	comm.Barrier(c)
-	switch rs.alg {
-	case AlgBoruvka:
-		r := core.Boruvka(c, edges, layout, rs.core)
-		j.shares[c.Rank()] = r.MSTEdges
-		if c.Rank() == 0 {
-			rep.TotalWeight, rep.NumEdges = r.TotalWeight, r.NumEdges
-			rep.Rounds, rep.BaseCalls = r.Rounds, r.BaseCalls
-		}
-	case AlgFilterBoruvka:
-		r := core.FilterBoruvka(c, edges, layout, rs.core)
-		j.shares[c.Rank()] = r.MSTEdges
-		if c.Rank() == 0 {
-			rep.TotalWeight, rep.NumEdges = r.TotalWeight, r.NumEdges
-			rep.Rounds, rep.BaseCalls = r.Rounds, r.BaseCalls
-		}
-	case AlgMNDMST:
-		r := baselines.MNDMST(c, edges, layout, baselines.Options{Threads: c.Threads()})
-		j.shares[c.Rank()] = r.MSTEdges
-		if c.Rank() == 0 {
-			rep.TotalWeight, rep.NumEdges = r.TotalWeight, r.NumEdges
-			rep.Rounds = r.Rounds
-		}
-	case AlgSparseMatrix:
-		r := baselines.SparseMatrix(c, edges, layout, baselines.Options{Threads: c.Threads()})
-		j.shares[c.Rank()] = r.MSTEdges
-		if c.Rank() == 0 {
-			rep.TotalWeight, rep.NumEdges = r.TotalWeight, r.NumEdges
-			rep.Rounds = r.Rounds
-		}
-	default:
-		if c.Rank() == 0 {
-			j.algErr = fmt.Errorf("kamsta: unknown algorithm %q", rs.alg)
-		}
-	}
+	r := alg(c, edges, layout, j.rs.core)
+	j.shares[c.Rank()] = r.MSTEdges
 	if c.Rank() == 0 {
-		rep.InputVertices, rep.InputEdges = nv, ne
-		rep.InputModeledSeconds = iclk
+		j.rep = Report{
+			TotalWeight: r.TotalWeight, NumEdges: r.NumEdges,
+			Rounds: r.Rounds, BaseCalls: r.BaseCalls,
+			InputVertices: nv, InputEdges: ne, InputModeledSeconds: iclk,
+		}
 	}
 }
 
-// collectJob materializes a source and gathers the canonical (U < V)
+// collect materializes a source and gathers the canonical (U < V)
 // undirected edges to rank 0, for the sequential reference path.
-type collectJob struct {
-	src       Source
-	rs        runSettings
-	collected []InputEdge // rank 0 only
-	inputErr  error       // rank 0 only
-}
-
-func (j *collectJob) run(c *comm.Comm) {
+func (j *job) collect(c *comm.Comm) {
 	edges, _, err := j.src.provide(c, j.rs)
 	if err != nil {
 		if c.Rank() == 0 {
@@ -120,16 +159,13 @@ func (j *collectJob) run(c *comm.Comm) {
 	}
 }
 
-// probeJob is the post-fault health probe: every PE contributes 1 to an
-// Allreduce, exercising the full superstep path on whatever state the
-// aborted job left behind. Rank 0 records the sum for its owner to check.
-type probeJob struct {
-	got int // rank 0 only
-}
-
-func (j *probeJob) run(c *comm.Comm) {
+// probe is the post-fault health probe: every PE contributes 1 to an
+// Allreduce, exercising the full superstep path — deposits, barrier,
+// pre-release combine, verdict — on whatever state the aborted job left
+// behind. Rank 0 records the sum for its owner to check.
+func (j *job) probe(c *comm.Comm) {
 	n := comm.Allreduce(c, 1, func(a, b int) int { return a + b })
 	if c.Rank() == 0 {
-		j.got = n
+		j.probeSum = n
 	}
 }

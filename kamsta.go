@@ -148,7 +148,7 @@ type Report struct {
 }
 
 // sequentialReport runs the Kruskal reference.
-func sequentialReport(edges []InputEdge) (*Report, error) {
+func sequentialReport(edges []InputEdge) *Report {
 	work := make([]graph.Edge, 0, len(edges))
 	maxV := graph.VID(0)
 	verts := map[uint64]struct{}{}
@@ -177,5 +177,5 @@ func sequentialReport(edges []InputEdge) (*Report, error) {
 		rep.MSTEdges = append(rep.MSTEdges, InputEdge{U: u, V: v, W: e.W})
 	}
 	sortMSTEdges(rep.MSTEdges)
-	return rep, nil
+	return rep
 }

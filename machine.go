@@ -440,7 +440,7 @@ func (s *fifoSem) pending() int {
 func (m *Machine) restoreWorld() (rebuilt bool) {
 	w := m.world.Load()
 	if m.lt != nil {
-		if !w.Broken() && !m.lt.Failed() && m.probeWorld(w) {
+		if !w.Broken() && !m.lt.Failed() && m.probeWorld() {
 			return false
 		}
 		m.dead.Store(true)
@@ -448,7 +448,7 @@ func (m *Machine) restoreWorld() (rebuilt bool) {
 		m.lt.Close()
 		return false
 	}
-	if !w.Broken() && m.probeWorld(w) {
+	if !w.Broken() && m.probeWorld() {
 		return false
 	}
 	w.Close()
@@ -470,84 +470,45 @@ func (m *Machine) restoreWorld() (rebuilt bool) {
 // not clean.
 const probeStallTimeout = 2 * time.Second
 
-// probeWorld verifies a world after a cooperative abort by running one
-// trivial SPMD job: every PE contributes 1 to an Allreduce and rank 0
-// checks the sum. It exercises the full superstep path — deposits, barrier,
-// pre-release combine, verdict — on the state the aborted job left behind.
-// On a distributed machine the probe is a dispatched job like any other, so
-// it also proves the workers and the wire.
-func (m *Machine) probeWorld(w *comm.World) bool {
-	job := &probeJob{got: -1}
-	if m.lt != nil {
-		if err := m.startRemote(jobProbe, nil, runSettings{stall: probeStallTimeout}); err != nil {
-			return false
-		}
-	}
-	err := w.RunJobCfg(context.Background(), comm.JobConfig{StallTimeout: probeStallTimeout}, job.run)
-	if m.lt != nil {
-		if err != nil {
-			m.drainRemote(w)
-		} else if m.finishRemote(w, nil) != nil {
-			return false
-		}
-	}
-	return err == nil && job.got == m.cfg.PEs
+// probeWorld verifies the world after a cooperative abort by running one
+// probe job and checking rank 0's sum. On a distributed machine the probe is
+// a dispatched job like any other, so it also proves the workers and the
+// wire. It runs under its own deadline, not the failed job's context.
+func (m *Machine) probeWorld() bool {
+	j, err := m.runJob(context.Background(), jobProbe, nil, runSettings{stall: probeStallTimeout})
+	return err == nil && j.probeSum == m.cfg.PEs
 }
 
-// run executes one job on the machine's current world. The caller holds the
-// job slot.
+// run executes one Compute on the machine's current world. The caller holds
+// the job slot.
 func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report, error) {
 	if rs.alg == AlgKruskal {
 		if es, ok := src.(edgesSource); ok {
 			// No world is involved: the edges are already in memory, so the
 			// report's Stats and InputModeledSeconds are legitimately zero
 			// (no substrate traffic occurred; see Report.Stats).
-			return sequentialReport(es.edges)
+			return sequentialReport(es.edges), nil
 		}
-		collected, stats, iclk, err := m.collectCanonical(ctx, src, rs)
+		rs.obs = nil // no algorithm phases to observe on this path
+		j, err := m.runJob(ctx, jobCollect, src, rs)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := sequentialReport(collected)
-		if err != nil {
-			return nil, err
-		}
+		rep := sequentialReport(j.collected)
 		// The substrate DID run for this job — materializing the source and
 		// gathering the canonical edges to rank 0 — so report that traffic
-		// instead of silently zeroing it (it used to read as "free").
-		rep.Stats = stats
-		rep.InputModeledSeconds = iclk
+		// and modeled time instead of a silent zero.
+		rep.Stats = j.w.TotalStats()
+		rep.InputModeledSeconds = j.w.MaxClock()
 		return rep, nil
 	}
 
-	w := m.world.Load()
-	w.ResetMetrics() // this job's makespan, not the machine's history
-	rep := &Report{}
-	job := &msfJob{src: src, rs: rs, w: w, rep: rep, shares: make([][]graph.Edge, m.cfg.PEs)}
-	if m.lt != nil {
-		if err := m.startRemote(jobMSF, src, rs); err != nil {
-			return nil, err
-		}
-	}
 	start := time.Now()
-	err := w.RunJobCfg(ctx, m.jobConfig(rs), job.run)
-	if m.lt != nil {
-		// Keep the job-control streams in lockstep: on success fold the
-		// workers' reports into the world's aggregates before reading them;
-		// on any failure (including a leader-local input error, which the
-		// workers saw too and completed past) drain the pending reports.
-		if err != nil || job.algErr != nil {
-			m.drainRemote(w)
-		} else if ferr := m.finishRemote(w, job.shares); ferr != nil {
-			return nil, ferr
-		}
-	}
+	j, err := m.runJob(ctx, jobMSF, src, rs)
 	if err != nil {
 		return nil, err
 	}
-	if job.algErr != nil {
-		return nil, job.algErr
-	}
+	rep, w := &j.rep, j.w
 	rep.WallSeconds = time.Since(start).Seconds()
 	rep.ModeledSeconds = w.MaxClock()
 	if rep.ModeledSeconds > 0 {
@@ -555,7 +516,7 @@ func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report,
 	}
 	rep.Phases = w.Phases()
 	rep.Stats = w.TotalStats()
-	for _, sh := range job.shares {
+	for _, sh := range j.shares {
 		for _, e := range sh {
 			u, v := e.OrigPair()
 			rep.MSTEdges = append(rep.MSTEdges, InputEdge{U: u, V: v, W: e.W})
@@ -565,40 +526,36 @@ func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report,
 	return rep, nil
 }
 
-// jobConfig resolves one job's simulation-level configuration from its run
-// settings.
-func (m *Machine) jobConfig(rs runSettings) comm.JobConfig {
-	return comm.JobConfig{Observer: rs.obs, StallTimeout: rs.stall, Inject: rs.inject, Trace: rs.trace}
-}
-
-// collectCanonical materializes a source inside the machine's world and
-// gathers the canonical (U < V) undirected edges, for the sequential
-// reference path. Alongside the edges it reports the substrate traffic and
-// modeled time this collection cost, so the sequential report can carry
-// them instead of a silent zero.
-func (m *Machine) collectCanonical(ctx context.Context, src Source, rs runSettings) ([]InputEdge, comm.Stats, float64, error) {
-	cfg := m.jobConfig(rs)
-	cfg.Observer = nil // no algorithm phases to observe on this path
+// runJob runs one job of the given kind on the machine's current world and,
+// on a distributed machine, on every worker — the only place the remote
+// halves are started, finished or drained. The job-control streams stay in
+// lockstep whatever happens: when the leader's ranks completed the job, the
+// workers' reports are folded into the world's aggregates before anyone
+// reads them; on any failure — including an input error every rank left
+// early on, which the workers saw too and completed past — the pending
+// reports are drained instead.
+func (m *Machine) runJob(ctx context.Context, kind string, src Source, rs runSettings) (*job, error) {
 	w := m.world.Load()
-	w.ResetMetrics() // this job's traffic, not the machine's history
-	job := &collectJob{src: src, rs: rs}
 	if m.lt != nil {
-		if err := m.startRemote(jobCollect, src, rs); err != nil {
-			return nil, comm.Stats{}, 0, err
+		if err := m.startRemote(kind, src, rs); err != nil {
+			return nil, err
 		}
 	}
-	err := w.RunJobCfg(ctx, cfg, job.run)
+	j, err := runKind(ctx, w, kind, src, rs)
+	if err == nil {
+		err = j.inputErr
+	}
 	if m.lt != nil {
-		if err != nil || job.inputErr != nil {
+		if err != nil {
 			m.drainRemote(w)
-		} else if ferr := m.finishRemote(w, nil); ferr != nil {
-			return nil, comm.Stats{}, 0, ferr
+		} else {
+			err = m.finishRemote(w, j.shares)
 		}
 	}
 	if err != nil {
-		return nil, comm.Stats{}, 0, err
+		return nil, err
 	}
-	return job.collected, w.TotalStats(), w.MaxClock(), job.inputErr
+	return j, nil
 }
 
 // startRemote dispatches one job's spec to every worker and arms the wire
@@ -610,7 +567,7 @@ func (m *Machine) startRemote(kind string, src Source, rs runSettings) error {
 		return err
 	}
 	m.lt.SetIOTimeout(ioTimeoutFor(rs.stall))
-	if err := m.lt.StartJob(encodeJobSpec(spec)); err != nil {
+	if err := m.lt.StartJob(encodeWire(spec)); err != nil {
 		m.dead.Store(true)
 		return fmt.Errorf("kamsta: dispatching %s job: %w", kind, err)
 	}
@@ -628,7 +585,7 @@ func (m *Machine) finishRemote(w *comm.World, shares [][]graph.Edge) error {
 		return fmt.Errorf("kamsta: collecting worker reports: %w", err)
 	}
 	for _, b := range reports {
-		end, err := decodeJobEnd(b)
+		end, err := decodeWire[wireJobEnd]("job report", b)
 		if err != nil {
 			m.dead.Store(true)
 			return err

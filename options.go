@@ -164,12 +164,9 @@ func DistributedAlgorithms() []Algorithm {
 	return out
 }
 
-// validAlgorithm reports whether a is a supported algorithm name.
+// validAlgorithm reports whether a job can run a: the sequential reference
+// or an entry of the MSF body's algorithm table.
 func validAlgorithm(a Algorithm) bool {
-	for _, k := range Algorithms() {
-		if a == k {
-			return true
-		}
-	}
-	return false
+	_, distributed := msfAlgorithms[a]
+	return distributed || a == AlgKruskal
 }

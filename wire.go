@@ -17,13 +17,6 @@ import (
 // layer (internal/transport/tcp) treats both as opaque payloads; their
 // meaning lives here, next to the Machine that speaks them.
 
-// Job kinds a leader dispatches.
-const (
-	jobMSF     = "msf"     // one MSF computation (Machine.run's SPMD body)
-	jobCollect = "collect" // gather canonical edges to rank 0 (sequential path)
-	jobProbe   = "probe"   // post-fault health probe (one tiny Allreduce)
-)
-
 // wireSource describes a Source so a worker can rebuild it. Edge-list
 // sources ship no edges: rank 0 — always leader-local — feeds them into
 // the world, and every other rank contributes an empty share exactly as it
@@ -73,7 +66,6 @@ type wireShare struct {
 // worker-side summary for diagnostics.
 type wireJobEnd struct {
 	OK     bool
-	Broken bool
 	Err    string
 	Lo, Hi int64
 	Clocks []float64
@@ -84,35 +76,20 @@ type wireJobEnd struct {
 	Shares []wireShare
 }
 
-var (
-	jobSpecCodec = enc.CodecFor[wireJobSpec]()
-	jobEndCodec  = enc.CodecFor[wireJobEnd]()
-)
+// encodeWire and decodeWire are the job-control frames' codec: the same enc
+// walker every deposit crosses the wire with.
+func encodeWire[T any](v T) []byte { return enc.CodecFor[T]().Append(nil, v) }
 
-func encodeJobSpec(s wireJobSpec) []byte { return jobSpecCodec.Append(nil, s) }
-
-func decodeJobSpec(b []byte) (wireJobSpec, error) {
-	v, rest, err := jobSpecCodec.Decode(b)
+func decodeWire[T any](what string, b []byte) (T, error) {
+	var zero T
+	v, rest, err := enc.CodecFor[T]().Decode(b)
 	if err != nil {
-		return wireJobSpec{}, fmt.Errorf("kamsta: job spec: %w", err)
+		return zero, fmt.Errorf("kamsta: %s: %w", what, err)
 	}
 	if len(rest) != 0 {
-		return wireJobSpec{}, fmt.Errorf("kamsta: %d bytes after job spec", len(rest))
+		return zero, fmt.Errorf("kamsta: %d bytes after %s", len(rest), what)
 	}
-	return v.(wireJobSpec), nil
-}
-
-func encodeJobEnd(e wireJobEnd) []byte { return jobEndCodec.Append(nil, e) }
-
-func decodeJobEnd(b []byte) (wireJobEnd, error) {
-	v, rest, err := jobEndCodec.Decode(b)
-	if err != nil {
-		return wireJobEnd{}, fmt.Errorf("kamsta: job report: %w", err)
-	}
-	if len(rest) != 0 {
-		return wireJobEnd{}, fmt.Errorf("kamsta: %d bytes after job report", len(rest))
-	}
-	return v.(wireJobEnd), nil
+	return v.(T), nil
 }
 
 // wireSourceOf describes src for shipping; the bool is false for source
@@ -180,11 +157,10 @@ func (s wireJobSpec) settings() runSettings {
 // a job: outcome, the rank block's flushed clocks, the world's aggregated
 // phases and traffic (local ranks only — the leader sums the blocks), and
 // the MSF shares.
-func jobEndOf(w *comm.World, lo, hi int, jerr error, shares [][]graph.Edge) wireJobEnd {
+func jobEndOf(w *comm.World, lo, hi int, j *job, jerr error) wireJobEnd {
 	end := wireJobEnd{Lo: int64(lo), Hi: int64(hi)}
 	if jerr != nil {
 		end.Err = jerr.Error()
-		end.Broken = w.Broken()
 		return end
 	}
 	end.OK = true
@@ -202,8 +178,8 @@ func jobEndOf(w *comm.World, lo, hi int, jerr error, shares [][]graph.Edge) wire
 	st := w.TotalStats()
 	end.Msgs, end.Bytes, end.Colls = st.Messages, st.Bytes, st.Collectives
 	for r := lo; r < hi; r++ {
-		if shares != nil && len(shares[r]) > 0 {
-			end.Shares = append(end.Shares, wireShare{Rank: int64(r), Edges: shares[r]})
+		if len(j.shares[r]) > 0 {
+			end.Shares = append(end.Shares, wireShare{Rank: int64(r), Edges: j.shares[r]})
 		}
 	}
 	return end

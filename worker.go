@@ -3,14 +3,12 @@ package kamsta
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
 
 	"kamsta/internal/comm"
-	"kamsta/internal/graph"
 	"kamsta/internal/transport/tcp"
 )
 
@@ -95,13 +93,13 @@ func serveWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions) {
 			}
 			return
 		}
-		spec, err := decodeJobSpec(specB)
+		spec, err := decodeWire[wireJobSpec]("job spec", specB)
 		if err != nil {
 			logf("worker: %v", err)
 			return
 		}
 		end := runWorkerJob(w, f, hs, spec)
-		if err := f.EndJob(encodeJobEnd(end)); err != nil {
+		if err := f.EndJob(encodeWire(end)); err != nil {
 			logf("worker: %v", err)
 			return
 		}
@@ -113,49 +111,20 @@ func serveWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions) {
 }
 
 // runWorkerJob runs one dispatched job's SPMD body on this process's rank
-// block and assembles the end-of-job report. Jobs run under
-// context.Background(): cancellation is the leader's to decide (it reaches
-// the workers through the superstep verdict), and worker shutdown closes
-// the connection instead.
+// block and assembles the end-of-job report; a spec this process cannot run
+// (unknown kind or source) yields a failure report, never a hang. Jobs run
+// under context.Background(): cancellation is the leader's to decide (it
+// reaches the workers through the superstep verdict), and worker shutdown
+// closes the connection instead.
 func runWorkerJob(w *comm.World, f *tcp.Follower, hs tcp.Handshake, spec wireJobSpec) wireJobEnd {
-	stall := time.Duration(spec.StallMs) * time.Millisecond
-	f.SetIOTimeout(ioTimeoutFor(stall))
-	w.ResetMetrics()
-	cfg := comm.JobConfig{StallTimeout: stall}
-	fail := func(err error) wireJobEnd {
-		return wireJobEnd{Lo: int64(hs.Lo), Hi: int64(hs.Hi), Err: err.Error()}
+	rs := spec.settings()
+	f.SetIOTimeout(ioTimeoutFor(rs.stall))
+	var j *job
+	src, err := spec.Source.source()
+	if err == nil {
+		j, err = runKind(context.Background(), w, spec.Kind, src, rs)
 	}
-	var shares [][]graph.Edge
-	var jerr error
-	switch spec.Kind {
-	case jobProbe:
-		pj := &probeJob{}
-		jerr = w.RunJobCfg(context.Background(), cfg, pj.run)
-	case jobCollect:
-		src, err := spec.Source.source()
-		if err == nil && src == nil {
-			err = fmt.Errorf("kamsta: %s job without a source", spec.Kind)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		cj := &collectJob{src: src, rs: spec.settings()}
-		jerr = w.RunJobCfg(context.Background(), cfg, cj.run)
-	case jobMSF:
-		src, err := spec.Source.source()
-		if err == nil && src == nil {
-			err = fmt.Errorf("kamsta: %s job without a source", spec.Kind)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		shares = make([][]graph.Edge, hs.P)
-		mj := &msfJob{src: src, rs: spec.settings(), w: w, rep: &Report{}, shares: shares}
-		jerr = w.RunJobCfg(context.Background(), cfg, mj.run)
-	default:
-		return fail(fmt.Errorf("kamsta: unknown job kind %q", spec.Kind))
-	}
-	return jobEndOf(w, hs.Lo, hs.Hi, jerr, shares)
+	return jobEndOf(w, hs.Lo, hs.Hi, j, err)
 }
 
 // ioTimeoutFor maps a job's stall budget onto the transport's per-wait
