@@ -11,7 +11,7 @@
 //	mstserve -addr :8377 -batch-jobs 8 -max-deadline 30s -metrics -
 //	mstserve -retry-attempts 3 -quarantine-after 5 -brownout 0.8
 //
-// Overload resilience (see internal/serve and DESIGN.md §13): deadline-aware
+// Overload resilience (see internal/serve and DESIGN.md §12): deadline-aware
 // admission shedding (-shed-min-samples, -shed-quantile), brownout
 // (-brownout), machine quarantine (-quarantine-after), and server-side retry
 // of fault-killed jobs (-retry-attempts, -retry-rate, -retry-burst).
@@ -60,7 +60,7 @@ func main() {
 	shedSamples := flag.Int("shed-min-samples", 16, "dispatches observed before deadline-aware shedding engages (<0 disables)")
 	shedQuantile := flag.Float64("shed-quantile", 0.9, "service-time quantile the queue-wait estimate plans for")
 	brownout := flag.Float64("brownout", 0.75, "queue depth fraction that flips brownout (>=1 = only on quarantine)")
-	quarantineAfter := flag.Int("quarantine-after", 0, "consecutive world faults that quarantine a machine (0 disables)")
+	quarantineAfter := flag.Int("quarantine-after", 0, "consecutive contained faults that quarantine a healthy machine (0 disables; a dead machine always leaves service)")
 	retryAttempts := flag.Int("retry-attempts", 1, "dispatch attempts per fault-killed job (<=1 disables server-side retries)")
 	retryRate := flag.Float64("retry-rate", 1, "per-tenant retry budget refill, tokens/second")
 	retryBurst := flag.Float64("retry-burst", 10, "per-tenant retry budget burst")

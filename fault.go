@@ -1,10 +1,6 @@
 package kamsta
 
-import (
-	"fmt"
-
-	"kamsta/internal/comm"
-)
+import "kamsta/internal/comm"
 
 // FaultKind classifies a contained job failure (re-exported from the
 // machine simulation; see comm.FaultKind).
@@ -30,97 +26,33 @@ const (
 )
 
 // JobError is the structured report of a job that failed inside the
-// simulated machine — a contained PE panic, a stalled collective, or a
-// lost PE goroutine. The process never crashes for a job-scoped failure:
-// Compute returns a *JobError, and the Machine either verifies its world
-// clean for reuse or rebuilds it transparently before the next job
-// (Rebuilt records which).
+// simulated machine — a contained PE panic, a stalled collective, a lost PE
+// goroutine or a failed transport. The process never crashes for a
+// job-scoped failure: Compute returns a *JobError, and the Machine either
+// verifies its world clean for reuse or rebuilds it transparently before
+// the next job (Rebuilt records which).
 type JobError struct {
-	// Kind classifies the fault.
-	Kind FaultKind
-	// Rank is the faulting PE, or -1 when no single rank is responsible
-	// (stalls).
-	Rank int
-	// Superstep is the faulting PE's collective count at the fault; for
-	// stalls, the stalled superstep's job-relative index.
-	Superstep int
-	// Phase is the innermost algorithm phase open on the faulting PE when
-	// it faulted ("" if none).
-	Phase string
-	// Round is the last distributed round the faulting PE entered (0
-	// before the first round).
-	Round int
-	// PanicValue and Stack capture a FaultPanic's recovered value and the
-	// faulting goroutine's stack at the panic site.
-	PanicValue any
-	Stack      string
-	// Arrived and Missing diagnose a FaultStall: the ranks that reached
-	// the stalled superstep's barrier and the ranks that never did.
-	Arrived []int
-	Missing []int
-	// Faults is the total number of faults the job recorded (> 1 when
-	// several PEs faulted in the same superstep); this JobError describes
-	// the first.
-	Faults int
+	// JobError is the simulation's own fault report, carried as it was
+	// raised: Kind, Rank (-1 for stalls), Superstep, Phase, Round,
+	// PanicValue and Stack (panics), Arrived and Missing (stalls), Faults
+	// (how many PEs faulted; this is the first) and Remote (the fault
+	// happened on a worker process of a distributed machine).
+	*comm.JobError
 	// Rebuilt reports that the fault left the world unusable (or failing
 	// its health probe) and the Machine transparently rebuilt it. The
 	// machine is healthy again either way; Rebuilt only records the cost.
 	// Distributed worlds are never rebuilt; see FaultTransport.
 	Rebuilt bool
-	// Remote reports that the fault originated on a worker process of a
-	// distributed machine and reached the leader through the superstep
-	// control flags; Rank then indexes that worker's rank block.
-	Remote bool
-
-	cause *comm.JobError
 }
 
-// Error formats the fault for humans; the fields carry the structure.
+// Error is the simulation's message, plus the recovery cost.
 func (e *JobError) Error() string {
-	var msg string
-	switch e.Kind {
-	case FaultStall:
-		msg = fmt.Sprintf("kamsta: job stalled at superstep %d: ranks %v reached the barrier, ranks %v did not",
-			e.Superstep, e.Arrived, e.Missing)
-	case FaultLostPE:
-		msg = fmt.Sprintf("kamsta: PE %d lost: goroutine exited without completing its job", e.Rank)
-	case FaultTransport:
-		msg = fmt.Sprintf("kamsta: transport failed at superstep %d: %v", e.Superstep, e.PanicValue)
-	default:
-		msg = fmt.Sprintf("kamsta: PE %d panicked at superstep %d", e.Rank, e.Superstep)
-		if e.Phase != "" {
-			msg += fmt.Sprintf(" (phase %q, round %d)", e.Phase, e.Round)
-		}
-		msg = fmt.Sprintf("%s: %v", msg, e.PanicValue)
-	}
-	if e.Remote {
-		msg += " [on a worker process]"
-	}
 	if e.Rebuilt {
-		msg += " [machine rebuilt]"
+		return e.JobError.Error() + " [machine rebuilt]"
 	}
-	return msg
+	return e.JobError.Error()
 }
 
 // Unwrap exposes the underlying comm.JobError (for errors.As in tests and
 // tooling that works below the public API).
-func (e *JobError) Unwrap() error { return e.cause }
-
-// toJobError lifts the simulation's fault report into the public error.
-func toJobError(ce *comm.JobError, rebuilt bool) *JobError {
-	return &JobError{
-		Kind:       ce.Kind,
-		Rank:       ce.Rank,
-		Superstep:  ce.Superstep,
-		Phase:      ce.Phase,
-		Round:      ce.Round,
-		PanicValue: ce.PanicValue,
-		Stack:      ce.Stack,
-		Arrived:    ce.Arrived,
-		Missing:    ce.Missing,
-		Faults:     ce.Faults,
-		Rebuilt:    rebuilt,
-		Remote:     ce.Remote,
-		cause:      ce,
-	}
-}
+func (e *JobError) Unwrap() error { return e.JobError }

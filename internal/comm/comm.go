@@ -37,6 +37,7 @@ package comm
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -97,7 +98,7 @@ type World struct {
 	wire   bool
 
 	mu     sync.Mutex
-	phases map[string]*PhaseTime // max-aggregated over PEs
+	phases map[string]PhaseTime // max-aggregated over PEs
 	stats  Stats
 	clocks []float64 // final modeled clock per PE, for the last Run
 
@@ -206,7 +207,7 @@ func NewWorld(p int, opts ...Option) *World {
 		p:       p,
 		threads: 1,
 		cost:    DefaultCostModel(),
-		phases:  make(map[string]*PhaseTime),
+		phases:  make(map[string]PhaseTime),
 		clocks:  make([]float64, p),
 		arrived: make([]arrival, p),
 		arenas:  make([]*arena.Arena, p),
@@ -242,7 +243,7 @@ func (w *World) newComm(rank int, jb *worldJob) *Comm {
 		inj:     jb.inj,
 		threads: w.threads,
 		wire:    w.wire,
-		phases:  make(map[string]*PhaseTime),
+		phases:  make(map[string]PhaseTime),
 	}
 	c.host = commHost{c}
 	if rank == 0 {
@@ -286,11 +287,7 @@ type PhaseTime struct {
 func (w *World) Phases() map[string]PhaseTime {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make(map[string]PhaseTime, len(w.phases))
-	for k, v := range w.phases {
-		out[k] = *v
-	}
-	return out
+	return maps.Clone(w.phases)
 }
 
 // PhaseNames returns the phase names in sorted order.
@@ -329,7 +326,7 @@ func (w *World) TotalStats() Stats {
 func (w *World) ResetMetrics() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.phases = make(map[string]*PhaseTime)
+	w.phases = make(map[string]PhaseTime)
 	w.stats = Stats{}
 	for i := range w.clocks {
 		w.clocks[i] = 0
@@ -371,7 +368,7 @@ type Comm struct {
 
 	clock  float64 // modeled seconds since Run start
 	stats  Stats
-	phases map[string]*PhaseTime
+	phases map[string]PhaseTime
 
 	phaseStack []phaseFrame
 	// round is the last distributed round this PE reported via EmitRound,
@@ -454,7 +451,7 @@ func (c *Comm) ResetLocalMetrics() {
 	}
 	c.clock = 0
 	c.stats = Stats{}
-	c.phases = make(map[string]*PhaseTime)
+	c.phases = make(map[string]PhaseTime)
 }
 
 // ChargeComm adds the modeled cost of msgs message startups plus bytes
@@ -493,13 +490,10 @@ func (c *Comm) PhaseEnd() {
 	modeled := c.clock - fr.clockAt - fr.childTime
 	wall := time.Since(fr.wallAt) - fr.childWall
 	pt := c.phases[fr.name]
-	if pt == nil {
-		pt = &PhaseTime{}
-		c.phases[fr.name] = pt
-	}
 	pt.Modeled += modeled
 	pt.Wall += wall
 	pt.Stats.add(c.stats.minus(fr.statsAt).minus(fr.childStats))
+	c.phases[fr.name] = pt
 	if n >= 2 {
 		parent := &c.phaseStack[n-2]
 		parent.childTime += c.clock - fr.clockAt
@@ -516,30 +510,12 @@ func (c *Comm) Phase(name string, f func()) {
 	f()
 }
 
-// flush merges this PE's metrics into the world (max for times, sum for
-// traffic) and refreshes this rank's export gauges.
+// flush merges this PE's metrics into the world and refreshes this rank's
+// export gauges.
 func (c *Comm) flush() {
-	w := c.w
-	w.mu.Lock()
-	for name, pt := range c.phases {
-		agg := w.phases[name]
-		if agg == nil {
-			agg = &PhaseTime{}
-			w.phases[name] = agg
-		}
-		agg.Modeled = math.Max(agg.Modeled, pt.Modeled)
-		if pt.Wall > agg.Wall {
-			agg.Wall = pt.Wall
-		}
-		agg.Stats.add(pt.Stats)
-	}
-	w.stats.add(c.stats)
-	if c.clock > w.clocks[c.rank] {
-		w.clocks[c.rank] = c.clock
-	}
-	w.mu.Unlock()
+	c.w.Merge(c.rank, []float64{c.clock}, c.phases, c.stats)
 	if c.m != nil {
-		w.wm.refreshGauges(w, c.rank, c.clock)
+		c.w.wm.refreshGauges(c.w, c.rank, c.clock)
 	}
 }
 
@@ -919,8 +895,8 @@ func wireCodec[T any](c *Comm) *enc.Codec {
 }
 
 // Clocks returns a copy of the per-rank final modeled clocks of the last
-// run (zero for ranks that have not flushed — e.g. remote ranks before a
-// MergeRemote).
+// run (zero for ranks that have not flushed — e.g. remote ranks before
+// their block is Merged).
 func (w *World) Clocks() []float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -929,11 +905,12 @@ func (w *World) Clocks() []float64 {
 	return out
 }
 
-// MergeRemote folds a remote process's flushed metrics into this world's
-// aggregates with the same discipline as Comm.flush: maximum for times and
-// clocks (PEs overlap), sum for traffic (every byte is distinct). clocks
-// covers the remote block starting at global rank lo.
-func (w *World) MergeRemote(lo int, clocks []float64, phases map[string]PhaseTime, stats Stats) {
+// Merge folds one flushed rank block into this world's aggregates — a local
+// PE at the end of its job (Comm.flush), or a remote process's ranks from
+// its end-of-job report: maximum for times and clocks (PEs overlap), sum for
+// traffic (every byte is distinct). clocks covers the block starting at
+// global rank lo.
+func (w *World) Merge(lo int, clocks []float64, phases map[string]PhaseTime, stats Stats) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for i, cl := range clocks {
@@ -943,15 +920,10 @@ func (w *World) MergeRemote(lo int, clocks []float64, phases map[string]PhaseTim
 	}
 	for name, pt := range phases {
 		agg := w.phases[name]
-		if agg == nil {
-			agg = &PhaseTime{}
-			w.phases[name] = agg
-		}
 		agg.Modeled = math.Max(agg.Modeled, pt.Modeled)
-		if pt.Wall > agg.Wall {
-			agg.Wall = pt.Wall
-		}
+		agg.Wall = max(agg.Wall, pt.Wall)
 		agg.Stats.add(pt.Stats)
+		w.phases[name] = agg
 	}
 	w.stats.add(stats)
 }

@@ -79,11 +79,11 @@ func (s *Server) runBatch(pm *poolMachine, jobs []*Job) error {
 	}
 	defer cancel()
 
-	s.sm.observeBatch(len(jobs))
+	s.sm.batchSize.Observe(float64(len(jobs)))
 	start := time.Now()
 	rep, err := pm.m.Compute(ctx, kamsta.FromEdges(union), s.runOptions(jobs[0].req)...)
 	sec := time.Since(start).Seconds()
-	s.sm.observeRun(sec)
+	s.sm.runTime.Observe(sec)
 	s.shed.observe(pm.shape.PEs, sec)
 	if err != nil {
 		for _, j := range jobs {

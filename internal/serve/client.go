@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
@@ -25,31 +23,13 @@ type Client struct {
 	HTTPClient *http.Client
 	// PollWait is the long-poll window per status request (default 2s).
 	PollWait time.Duration
-	// MaxRetries makes Submit retry overload rejections (429/503 back-
-	// pressure: queue full, shed, brownout) up to that many extra attempts,
-	// honoring the server's Retry-After hint when present and exponential
-	// backoff with jitter otherwise. 0 (the default) surfaces rejections to
-	// the caller — load generators do their own retry policy.
-	MaxRetries int
-	// RetryBase seeds the client backoff (default 50ms); RetryMax caps both
-	// the backoff and any server Retry-After hint (default 2s), so a
-	// pessimistic server cannot stall a client indefinitely.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 }
 
 // RemoteJob is a submitted job handle on a remote server.
 type RemoteJob struct {
-	c      *Client
-	id     uint64
-	tenant string
+	c  *Client
+	id uint64
 }
-
-// ID returns the server-assigned job id.
-func (rj *RemoteJob) ID() uint64 { return rj.id }
-
-// Tenant returns the submitting tenant.
-func (rj *RemoteJob) Tenant() string { return rj.tenant }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
@@ -61,68 +41,19 @@ func (c *Client) httpClient() *http.Client {
 // Submit posts a job. Requests carrying a Source or Options are in-process
 // only and are rejected client-side. Admission rejections surface as the
 // same sentinel errors the in-process Submit returns (overload rejections
-// wrapped in *RetryAfterError when the server sent a hint); with
-// MaxRetries set, overload rejections are retried here first.
+// wrapped in *RetryAfterError when the server sent a hint); what to do about
+// one is the caller's policy — RejectionOf(err).Class says what the server
+// asked for.
 func (c *Client) Submit(ctx context.Context, req Request) (*RemoteJob, error) {
 	if req.Source != nil || len(req.Options) > 0 {
 		return nil, fmt.Errorf("%w: Source and Options are in-process only", ErrBadRequest)
 	}
-	rj, err := c.submitOnce(ctx, req)
-	for attempt := 0; err != nil && attempt < c.MaxRetries && isOverload(err); attempt++ {
-		if werr := sleepCtx(ctx, c.retryDelay(err, attempt)); werr != nil {
-			return nil, err // report the rejection, not the cancelled sleep
-		}
-		rj, err = c.submitOnce(ctx, req)
-	}
-	return rj, err
-}
-
-// isOverload reports whether a rejection is transient server back-pressure
-// worth retrying (as opposed to a malformed or unauthorized request).
-func isOverload(err error) bool {
-	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantQueueFull) ||
-		errors.Is(err, ErrDeadlineUnattainable) || errors.Is(err, ErrBrownout)
-}
-
-// retryDelay picks the wait before retry attempt n: the server's
-// Retry-After hint when present, else RetryBase·2^n, both jittered ±50%
-// and capped at RetryMax.
-func (c *Client) retryDelay(err error, attempt int) time.Duration {
-	base := c.RetryBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxD := c.RetryMax
-	if maxD <= 0 {
-		maxD = 2 * time.Second
-	}
-	d := base << min(attempt, 20)
-	if hint, ok := retryAfterOf(err); ok && hint > 0 {
-		d = hint
-	}
-	if d <= 0 || d > maxD {
-		d = maxD
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (c *Client) submitOnce(ctx context.Context, req Request) (*RemoteJob, error) {
 	wr := wireRequest{
-		Tenant:     req.Tenant,
-		Algorithm:  string(req.Algorithm),
-		Seed:       req.Seed,
-		DeadlineMS: req.Deadline.Milliseconds(),
+		Tenant:    req.Tenant,
+		Algorithm: string(req.Algorithm),
+		Seed:      req.Seed,
+		// Rounded up: a sub-millisecond deadline stays a deadline (0 means none).
+		DeadlineMS: (req.Deadline + time.Millisecond - 1).Milliseconds(),
 		PEs:        req.PEs,
 		NoBatch:    req.NoBatch,
 		File:       req.File,
@@ -148,12 +79,12 @@ func (c *Client) submitOnce(ctx context.Context, req Request) (*RemoteJob, error
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs", wr, &wj); err != nil {
 		return nil, err
 	}
-	return &RemoteJob{c: c, id: wj.ID, tenant: wj.Tenant}, nil
+	return &RemoteJob{c: c, id: wj.ID}, nil
 }
 
 // Wait polls (long-poll windows of PollWait) until the job finishes or ctx
-// expires. Job errors come back as their in-process equivalents where a
-// mapping exists (deadline, cancelled).
+// expires. A job error comes back under the outcome it had on the server:
+// Outcome(err) names it, and errors.Is matches its row's sentinel.
 func (rj *RemoteJob) Wait(ctx context.Context) (*kamsta.Report, error) {
 	wait := rj.c.PollWait
 	if wait <= 0 {
@@ -172,7 +103,7 @@ func (rj *RemoteJob) Wait(ctx context.Context) (*kamsta.Report, error) {
 			continue
 		}
 		if wj.Error != "" {
-			return nil, wireOutcomeError(wj.Code, wj.Error)
+			return nil, remoteOutcome(wj.Code, wj.Error)
 		}
 		return fromWireResult(wj.Result), nil
 	}
@@ -225,10 +156,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if resp.StatusCode >= 400 {
 		var apiErr struct{ Error, Code string }
 		if json.Unmarshal(raw, &apiErr) == nil && apiErr.Code != "" {
-			err := wireCodeError(apiErr.Code, apiErr.Error)
-			// Re-attach the server's backoff hint so callers (and this
-			// client's own retry loop) see the same RetryAfterError shape
-			// the in-process Submit returns.
+			err := fmt.Errorf("%w (%s)", rejectionByCode(apiErr.Code).Err, apiErr.Error)
+			// Re-attach the server's backoff hint so callers see the same
+			// RetryAfterError shape the in-process Submit returns.
 			if secs, perr := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64); perr == nil && secs > 0 {
 				err = &RetryAfterError{Err: err, RetryAfter: time.Duration(secs) * time.Second}
 			}
@@ -240,45 +170,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return nil
 	}
 	return json.Unmarshal(raw, out)
-}
-
-// wireCodeError maps an admission rejection code back to its sentinel.
-func wireCodeError(code, msg string) error {
-	switch code {
-	case "queue_full":
-		return fmt.Errorf("%w (%s)", ErrQueueFull, msg)
-	case "tenant_queue_full":
-		return fmt.Errorf("%w (%s)", ErrTenantQueueFull, msg)
-	case "unknown_tenant":
-		return fmt.Errorf("%w (%s)", ErrUnknownTenant, msg)
-	case "draining":
-		return fmt.Errorf("%w (%s)", ErrDraining, msg)
-	case "no_shape":
-		return fmt.Errorf("%w (%s)", ErrNoSuchShape, msg)
-	case "shed_deadline":
-		return fmt.Errorf("%w (%s)", ErrDeadlineUnattainable, msg)
-	case "brownout":
-		return fmt.Errorf("%w (%s)", ErrBrownout, msg)
-	case "quarantined":
-		return fmt.Errorf("%w (%s)", ErrShapeQuarantined, msg)
-	default:
-		return fmt.Errorf("%w: %s", ErrBadRequest, msg)
-	}
-}
-
-// wireOutcomeError maps a finished job's outcome code to the error the
-// in-process Job.Wait would return.
-func wireOutcomeError(code, msg string) error {
-	switch code {
-	case "deadline":
-		return fmt.Errorf("%w (%s)", context.DeadlineExceeded, msg)
-	case "cancelled":
-		return fmt.Errorf("%w (%s)", context.Canceled, msg)
-	case "quarantined":
-		return fmt.Errorf("%w (%s)", ErrShapeQuarantined, msg)
-	default:
-		return fmt.Errorf("serve: remote job failed (%s): %s", code, msg)
-	}
 }
 
 func fromWireResult(res *wireResult) *kamsta.Report {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -24,12 +23,10 @@ import (
 //	                         live machines remain) — 503 with a reason
 //	                         otherwise, for load balancers to steer around
 //
-// Errors are {"error","code"} JSON; code is the machine-readable reason
-// (queue_full, tenant_queue_full, unknown_tenant, draining, no_shape,
-// shed_deadline, brownout, quarantined, bad_request — and on finished
-// jobs: deadline, cancelled, quarantined, fault, error). Overload
-// rejections (429/503) carry a Retry-After header with the server's drain
-// estimate, rounded up to whole seconds.
+// Errors are {"error","code"} JSON; code and status are a row of the
+// rejection table (outcome.go), and a finished job's code a row of the
+// outcome table. Overload rejections (429/503) carry a Retry-After header
+// with the server's drain estimate, rounded up to whole seconds.
 
 // wireEdge is one edge on the wire: [u, v, w].
 type wireEdge [3]uint64
@@ -101,25 +98,21 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleReady answers readiness: 200 while the server can do useful work,
-// 503 (with a reason) while it should be steered around — draining,
-// browned out, or out of live machines.
+// 503 while it should be steered around — out of live machines, browned
+// out, or draining — naming the rejection code a submission would meet.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	reason := ""
+	var err error
 	switch {
-	case s.shed.live(0) == 0:
-		reason = "no live machines"
+	case s.live(0) == 0:
+		err = ErrShapeQuarantined
 	case s.brownout():
-		reason = "brownout"
-	default:
-		s.sched.mu.Lock()
-		if s.sched.state != schedRunning {
-			reason = "draining"
-		}
-		s.sched.mu.Unlock()
+		err = ErrBrownout
+	case s.sched.lifecycle() != schedRunning:
+		err = ErrDraining
 	}
-	if reason != "" {
+	if err != nil {
 		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, reason)
+		fmt.Fprintln(w, RejectionOf(err).Code)
 		return
 	}
 	w.WriteHeader(http.StatusOK)
@@ -177,7 +170,7 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	if rep, err, done := j.Result(); done {
 		if err != nil {
 			resp.Error = err.Error()
-			resp.Code = outcomeOf(err)
+			resp.Code = Outcome(err)
 		} else {
 			resp.Result = toWireResult(rep, r.URL.Query().Get("edges") != "")
 		}
@@ -274,29 +267,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError maps a Submit error to an HTTP status plus machine-readable
-// code: back-pressure and deadline shedding are 429, authz 403, shutdown /
-// brownout / quarantine 503, the rest 400. Overload rejections carrying a
-// server hint also set Retry-After (delta-seconds, rounded up — the header
-// has whole-second granularity).
+// writeError renders a Submit error as its rejection-table row: HTTP status
+// plus machine-readable code. Overload rejections carrying a server hint
+// also set Retry-After (delta-seconds, rounded up — the header has
+// whole-second granularity).
 func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantQueueFull),
-		errors.Is(err, ErrDeadlineUnattainable):
-		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrUnknownTenant):
-		status = http.StatusForbidden
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrBrownout),
-		errors.Is(err, ErrShapeQuarantined):
-		status = http.StatusServiceUnavailable
-	}
 	if hint, ok := retryAfterOf(err); ok {
-		secs := int64((hint + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
+		secs := max(1, int64((hint+time.Second-1)/time.Second))
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error(), "code": rejectReason(err)})
+	row := RejectionOf(err)
+	writeJSON(w, row.Status, map[string]string{"error": err.Error(), "code": row.Code})
 }

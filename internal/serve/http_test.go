@@ -173,10 +173,9 @@ func TestHTTPMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestHTTPRetryAfterAndClientRetry: overload rejections carry Retry-After
-// over the wire, and a Client with MaxRetries rides them out until the
-// queue drains.
-func TestHTTPRetryAfterAndClientRetry(t *testing.T) {
+// TestHTTPRetryAfter: overload rejections carry the server's Retry-After
+// hint over the wire, and a resubmission lands once the queue has drained.
+func TestHTTPRetryAfter(t *testing.T) {
 	s, c := newHTTPPair(t, Config{Pool: []PoolShape{{PEs: 2}}, QueueBound: 1})
 	warm, err := s.Submit(Request{
 		Tenant: "web",
@@ -197,7 +196,7 @@ func TestHTTPRetryAfterAndClientRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No retries: the rejection surfaces with the server's backoff hint.
+	// The rejection surfaces with the server's backoff hint.
 	_, err = c.Submit(context.Background(), Request{Tenant: "web", Edges: testEdges(17, 10, 20)})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("full queue err = %v, want ErrQueueFull", err)
@@ -205,21 +204,17 @@ func TestHTTPRetryAfterAndClientRetry(t *testing.T) {
 	if hint, ok := retryAfterOf(err); !ok || hint <= 0 {
 		t.Fatalf("429 carried no Retry-After hint: %v", err)
 	}
-	// With retries: the client backs off and lands the job once the warm
-	// job frees the queue.
-	rc := &Client{BaseURL: c.BaseURL, PollWait: 200 * time.Millisecond,
-		MaxRetries: 10, RetryBase: 10 * time.Millisecond, RetryMax: 100 * time.Millisecond}
-	rj, err := rc.Submit(context.Background(), Request{Tenant: "web", Edges: testEdges(18, 10, 20)})
-	if err != nil {
-		t.Fatalf("retrying Submit gave up: %v", err)
-	}
-	if _, err := rj.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	for _, j := range []*Job{warm, queued} {
 		if _, err := j.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+	}
+	rj, err := c.Submit(context.Background(), Request{Tenant: "web", Edges: testEdges(18, 10, 20)})
+	if err != nil {
+		t.Fatalf("Submit after the queue drained: %v", err)
+	}
+	if _, err := rj.Wait(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"io"
+	"maps"
 
 	"kamsta/internal/bench"
 )
@@ -68,10 +69,7 @@ func tenantRow(tr *TenantResult, tl TenantLoad, elapsed float64) bench.Row {
 	}
 	row.RejectP99Seconds = tr.RejectPercentile(99)
 	if len(tr.Outcomes) > 0 {
-		row.Outcomes = make(map[string]int, len(tr.Outcomes))
-		for k, v := range tr.Outcomes {
-			row.Outcomes[k] = v
-		}
+		row.Outcomes = maps.Clone(tr.Outcomes)
 	}
 	if row.Algorithm == "" {
 		row.Algorithm = "boruvka"

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kamsta"
@@ -131,8 +132,9 @@ type TenantResult struct {
 	Submitted int
 	Rejected  int
 	Shed      int
-	// Outcomes tallies results by class: ok, deadline, cancelled, fault,
-	// error. Their sum must equal Submitted (exactly-once delivery).
+	// Outcomes tallies results by serve.Outcome — the word the server's
+	// own completion counter used. Their sum must equal Submitted
+	// (exactly-once delivery).
 	Outcomes map[string]int
 	// Latencies are submit-to-result seconds of all resolved jobs.
 	Latencies []float64
@@ -263,25 +265,15 @@ func Run(ctx context.Context, target Target, plan Plan) (*Result, error) {
 // submitted and resolved. Admission rejections back off briefly and retry
 // the same job, so closed-loop tenants never lose work to back-pressure.
 func runClosedLoop(ctx context.Context, target Target, plan Plan, ti int, tl TenantLoad, st *tenantState) {
-	var next int64
-	var mu sync.Mutex
+	var next atomic.Int64 // the next job index to hand out
 	var wg sync.WaitGroup
-	takeJob := func() (int64, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= int64(tl.Jobs) {
-			return 0, false
-		}
-		next++
-		return next - 1, true
-	}
 	for w := 0; w < tl.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				idx, ok := takeJob()
-				if !ok || ctx.Err() != nil {
+				idx := next.Add(1) - 1
+				if idx >= int64(tl.Jobs) || ctx.Err() != nil {
 					return
 				}
 				st.attempt()
@@ -289,9 +281,6 @@ func runClosedLoop(ctx context.Context, target Target, plan Plan, ti int, tl Ten
 				for {
 					rejectStart := time.Now()
 					h, err := target.Submit(ctx, req)
-					if err != nil && ctx.Err() == nil {
-						st.rejectLatency(time.Since(rejectStart))
-					}
 					if err == nil {
 						st.admitted()
 						submitTime := time.Now()
@@ -299,19 +288,21 @@ func runClosedLoop(ctx context.Context, target Target, plan Plan, ti int, tl Ten
 						st.resolve(plan, ti, tl, idx, rep, werr, time.Since(submitTime))
 						break
 					}
-					if !isBackpressure(err) || ctx.Err() != nil {
-						// Shed rejections (deadline unattainable, brownout)
-						// are the server saying "not this job, not now" —
-						// a closed-loop client gives the job up rather
-						// than hammer a degraded server.
-						st.rejectFinal(err)
+					if ctx.Err() != nil {
+						return // the run is over; not a rejection to account
+					}
+					// Only an overflowed bound asks for the same job again.
+					// A shed rejection is the server saying "not this job,
+					// not now" — a closed-loop client gives the job up
+					// rather than hammer a degraded server.
+					resend := serve.RejectionOf(err).Class == serve.Backpressure
+					st.rejected(err, time.Since(rejectStart), resend)
+					if !resend {
 						break
 					}
-					st.reject()
 					select {
 					case <-time.After(backoffHint(err)):
 					case <-ctx.Done():
-						st.rejectFinal(err)
 						return
 					}
 				}
@@ -340,9 +331,7 @@ func runOpenLoop(ctx context.Context, target Target, plan Plan, ti int, tl Tenan
 		rejectStart := time.Now()
 		h, err := target.Submit(ctx, req)
 		if err != nil {
-			st.rejectLatency(time.Since(rejectStart))
-			st.reject()
-			st.rejectFinal(err)
+			st.rejected(err, time.Since(rejectStart), true)
 			continue
 		}
 		st.admitted()
@@ -440,9 +429,9 @@ func randomEdges(seed int64, m, n int) []kamsta.InputEdge {
 	return edges
 }
 
-// Accounting. attempt/admitted/reject/rejectedFinal/resolve each touch the
-// tenant's result under its lock; resolve classifies the outcome and, with
-// Verify on, cross-checks the result against a cached Kruskal reference.
+// Accounting. attempt/admitted/rejected/resolve each touch the tenant's
+// result under its lock; resolve classifies the outcome and, with Verify
+// on, cross-checks the result against a cached Kruskal reference.
 func (st *tenantState) attempt() {
 	st.mu.Lock()
 	st.res.Attempted++
@@ -455,26 +444,19 @@ func (st *tenantState) admitted() {
 	st.mu.Unlock()
 }
 
-func (st *tenantState) reject() {
+// rejected accounts one refused submission: how long the server took to say
+// no, whether it shed the job on purpose, and — count — whether the event
+// goes into Rejected (open loops count every rejection, closed loops the
+// ones they resend; a job given up shows as Attempted minus Submitted).
+func (st *tenantState) rejected(err error, lat time.Duration, count bool) {
 	st.mu.Lock()
-	st.res.Rejected++
-	st.mu.Unlock()
-}
-
-func (st *tenantState) rejectLatency(d time.Duration) {
-	st.mu.Lock()
-	st.res.RejectLatencies = append(st.res.RejectLatencies, d.Seconds())
-	st.mu.Unlock()
-}
-
-// rejectFinal accounts a job given up at admission (Attempted vs Submitted
-// carries the count; Outcomes only holds admitted jobs) and tallies the
-// deliberate load-shedding rejections.
-func (st *tenantState) rejectFinal(err error) {
-	if errors.Is(err, serve.ErrDeadlineUnattainable) || errors.Is(err, serve.ErrBrownout) {
-		st.mu.Lock()
+	defer st.mu.Unlock()
+	st.res.RejectLatencies = append(st.res.RejectLatencies, lat.Seconds())
+	if count {
+		st.res.Rejected++
+	}
+	if serve.RejectionOf(err).Class == serve.Shed {
 		st.res.Shed++
-		st.mu.Unlock()
 	}
 }
 
@@ -485,7 +467,7 @@ func (st *tenantState) resolve(plan Plan, ti int, tl TenantLoad, idx int64, rep 
 		bad = rep.TotalWeight != want.weight || rep.NumEdges != want.edges
 	}
 	st.mu.Lock()
-	st.res.Outcomes[classify(err)]++
+	st.res.Outcomes[serve.Outcome(err)]++
 	st.res.Latencies = append(st.res.Latencies, lat.Seconds())
 	if bad {
 		st.res.BadResults++
@@ -512,14 +494,6 @@ func (st *tenantState) referenceFor(plan Plan, ti int, tl TenantLoad, idx int64)
 	return want
 }
 
-// isBackpressure reports whether a Submit error is retryable saturation
-// rather than a permanent rejection. Deliberate shedding (deadline
-// unattainable, brownout) is NOT retried: the server asked this class of
-// job to go away, and a well-behaved client listens.
-func isBackpressure(err error) bool {
-	return errors.Is(err, serve.ErrQueueFull) || errors.Is(err, serve.ErrTenantQueueFull)
-}
-
 // backoffHint is the closed-loop retry pause: the server's Retry-After
 // hint when present (capped so a test-scale loop stays fast), else 1ms.
 func backoffHint(err error) time.Duration {
@@ -528,23 +502,4 @@ func backoffHint(err error) time.Duration {
 		return min(ra.RetryAfter, 100*time.Millisecond)
 	}
 	return time.Millisecond
-}
-
-// classify buckets a job error the way the server's completion counter
-// does.
-func classify(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
-	case errors.Is(err, context.Canceled):
-		return "cancelled"
-	default:
-		var je *kamsta.JobError
-		if errors.As(err, &je) {
-			return "fault"
-		}
-		return "error"
-	}
 }

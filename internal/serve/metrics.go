@@ -1,36 +1,67 @@
 package serve
 
 import (
-	"context"
-	"errors"
-	"sync"
+	"sync/atomic"
 
-	"kamsta"
 	"kamsta/internal/obs"
 )
 
-// serveMetrics owns the serve_* series. All methods are safe on a nil
-// receiver (no registry configured); per-tenant and per-reason series are
-// created lazily under a small lock, the hot counters themselves stay
-// lock-free.
+// serveMetrics owns the serve_* series.
 type serveMetrics struct {
+	reg       *obs.Registry
 	queueWait *obs.Histogram
 	runTime   *obs.Histogram
 	batchSize *obs.Histogram
-
-	mu       sync.Mutex
-	reg      *obs.Registry
-	submit   map[string]*obs.Counter
-	reject   map[[2]string]*obs.Counter
-	complete map[[2]string]*obs.Counter
-	retry    map[string]*obs.Counter
 }
 
-// newServeMetrics registers the serve_* series against reg (nil disables)
-// and wires the live gauges to the server's own state.
+// tenantSeries caches one tenant's counters on its tenant record, so the
+// per-job path is a pointer load and an atomic add. Slots fill on first use:
+// a series that never counted anything is not exported.
+type tenantSeries struct {
+	submitted, retried atomic.Pointer[obs.Counter]
+	rejected           [len(rejections)]atomic.Pointer[obs.Counter]
+	completed          [len(outcomes)]atomic.Pointer[obs.Counter]
+}
+
+// counterFam names one per-tenant counter family; key is its second label
+// ("" = tenant only).
+type counterFam struct{ name, help, key string }
+
+var (
+	famSubmitted = counterFam{"serve_jobs_submitted_total", "Jobs admitted, by tenant.", ""}
+	famRetried   = counterFam{"serve_jobs_retried_total", "Server-side retries of fault-killed jobs, by tenant.", ""}
+	famRejected  = counterFam{"serve_jobs_rejected_total", "Submissions rejected, by tenant and reason.", "reason"}
+	famCompleted = counterFam{"serve_jobs_completed_total", "Jobs finished, by tenant and outcome.", "outcome"}
+)
+
+// inc bumps the counter cached in slot, resolving it from the registry (which
+// is get-or-create by name and labels) the first time. A nil slot — there is
+// no tenant record to cache on — resolves every time.
+func (sm *serveMetrics) inc(slot *atomic.Pointer[obs.Counter], f *counterFam, tenant, value string) {
+	var c *obs.Counter
+	if slot != nil {
+		c = slot.Load()
+	}
+	if c == nil {
+		labels := []obs.Label{{Key: "tenant", Value: tenant}}
+		if f.key != "" {
+			labels = append(labels, obs.Label{Key: f.key, Value: value})
+		}
+		c = sm.reg.Counter(f.name, f.help, labels...)
+		if slot != nil {
+			slot.Store(c)
+		}
+	}
+	c.Inc()
+}
+
+// newServeMetrics registers the serve_* series against reg and wires the
+// live gauges to the server's own state. Without a configured registry the
+// series live in a private one nobody scrapes, so the server has one
+// accounting path either way.
 func newServeMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	sm := &serveMetrics{
 		reg: reg,
@@ -43,10 +74,6 @@ func newServeMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 		batchSize: reg.Histogram("serve_batch_jobs",
 			"Jobs coalesced per batched dispatch.",
 			[]float64{2, 4, 8, 16, 32}),
-		submit:   make(map[string]*obs.Counter),
-		reject:   make(map[[2]string]*obs.Counter),
-		complete: make(map[[2]string]*obs.Counter),
-		retry:    make(map[string]*obs.Counter),
 	}
 	reg.GaugeFunc("serve_queue_depth", "Jobs currently queued.",
 		func() float64 { return float64(s.sched.depth()) })
@@ -71,117 +98,20 @@ func newServeMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 			}
 			return 0
 		})
-	reg.GaugeFunc("serve_machines_quarantined", "Pool machines removed from service after repeated faults.",
-		func() float64 { return float64(s.quarantined.Load()) })
+	reg.GaugeFunc("serve_machines_quarantined", "Pool machines removed from service (dead, or after repeated faults).",
+		func() float64 { return float64(len(s.machines) - s.live(0)) })
 	return sm
 }
 
-// retriedInc counts one server-side retry of a fault-killed job.
-func (sm *serveMetrics) retriedInc(tenant string) {
-	if sm == nil {
-		return
+// rejected counts one refused submission under its rejection-table row. t
+// is nil while the tenant is not registered (unknown, or refused before
+// auto-registration).
+func (sm *serveMetrics) rejected(t *tenant, name string, row int) {
+	var slot *atomic.Pointer[obs.Counter]
+	if t != nil {
+		slot = &t.series.rejected[row]
+	} else if name == "" {
+		name = "unknown"
 	}
-	sm.mu.Lock()
-	c := sm.retry[tenant]
-	if c == nil {
-		c = sm.reg.Counter("serve_jobs_retried_total",
-			"Server-side retries of fault-killed jobs, by tenant.",
-			obs.Label{Key: "tenant", Value: tenant})
-		sm.retry[tenant] = c
-	}
-	sm.mu.Unlock()
-	c.Inc()
-}
-
-func (sm *serveMetrics) submitted(tenant string) {
-	if sm == nil {
-		return
-	}
-	sm.mu.Lock()
-	c := sm.submit[tenant]
-	if c == nil {
-		c = sm.reg.Counter("serve_jobs_submitted_total",
-			"Jobs admitted, by tenant.", obs.Label{Key: "tenant", Value: tenant})
-		sm.submit[tenant] = c
-	}
-	sm.mu.Unlock()
-	c.Inc()
-}
-
-func (sm *serveMetrics) rejected(tenant, reason string) {
-	if sm == nil {
-		return
-	}
-	if tenant == "" {
-		tenant = "unknown"
-	}
-	k := [2]string{tenant, reason}
-	sm.mu.Lock()
-	c := sm.reject[k]
-	if c == nil {
-		c = sm.reg.Counter("serve_jobs_rejected_total",
-			"Submissions rejected, by tenant and reason.",
-			obs.Label{Key: "tenant", Value: tenant}, obs.Label{Key: "reason", Value: reason})
-		sm.reject[k] = c
-	}
-	sm.mu.Unlock()
-	c.Inc()
-}
-
-func (sm *serveMetrics) completed(tenant, outcome string) {
-	if sm == nil {
-		return
-	}
-	k := [2]string{tenant, outcome}
-	sm.mu.Lock()
-	c := sm.complete[k]
-	if c == nil {
-		c = sm.reg.Counter("serve_jobs_completed_total",
-			"Jobs finished, by tenant and outcome.",
-			obs.Label{Key: "tenant", Value: tenant}, obs.Label{Key: "outcome", Value: outcome})
-		sm.complete[k] = c
-	}
-	sm.mu.Unlock()
-	c.Inc()
-}
-
-func (sm *serveMetrics) observeWait(sec float64) {
-	if sm != nil {
-		sm.queueWait.Observe(sec)
-	}
-}
-
-func (sm *serveMetrics) observeRun(sec float64) {
-	if sm != nil {
-		sm.runTime.Observe(sec)
-	}
-}
-
-func (sm *serveMetrics) observeBatch(n int) {
-	if sm != nil {
-		sm.batchSize.Observe(float64(n))
-	}
-}
-
-// outcomeOf classifies a job error for the completion counter, mirroring
-// the Machine's own outcome labels: ok, deadline, cancelled, quarantined
-// (the pool lost every machine that could serve the job), fault (contained
-// job fault — panic, injected I/O error) or error.
-func outcomeOf(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
-	case errors.Is(err, context.Canceled):
-		return "cancelled"
-	case errors.Is(err, ErrShapeQuarantined):
-		return "quarantined"
-	default:
-		var je *kamsta.JobError
-		if errors.As(err, &je) {
-			return "fault"
-		}
-		return "error"
-	}
+	sm.inc(slot, &famRejected, name, rejections[row].Code)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -381,5 +382,73 @@ func TestQuarantineAfterConsecutiveFaults(t *testing.T) {
 	s.handleReady(rr, httptest.NewRequest("GET", "/readyz", nil))
 	if rr.Code != 503 {
 		t.Fatalf("readyz = %d with a quarantined machine, want 503", rr.Code)
+	}
+}
+
+// TestDeadMachineLeavesService loses the worker process behind a distributed
+// pool machine at the default QuarantineAfter of 0: the condemned machine
+// fails every Compute in microseconds, so unless it leaves service it drains
+// the whole queue into errors. The job that finds it dead pays for the
+// discovery; after that the pool reports the loss, admission refuses what
+// nothing can serve, and no job fails for having met a dead machine.
+func TestDeadMachineLeavesService(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	workerCtx, killWorker := context.WithCancel(context.Background())
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		kamsta.ServeWorker(workerCtx, lis, kamsta.WorkerOptions{})
+	}()
+	defer func() { killWorker(); <-workerDone }()
+
+	s := newTestServer(t, Config{
+		Pool:      []PoolShape{{PEs: 2}},
+		Transport: kamsta.TransportTCP, Workers: []string{lis.Addr().String()},
+		QuarantineAfter: 0,
+	})
+	warm := mustSubmit(t, s, Request{Tenant: "a", Edges: testEdges(41, 20, 60)})
+	if _, err := warm.Wait(context.Background()); err != nil {
+		t.Fatalf("warm job over the wire: %v", err)
+	}
+	killWorker()
+	<-workerDone
+
+	// A burst behind the loss: the first dispatch discovers it.
+	var admitted []*Job
+	for i := int64(0); i < 20; i++ {
+		j, err := s.Submit(Request{Tenant: "a", Edges: testEdges(50+i, 20, 60)})
+		if err == nil {
+			admitted = append(admitted, j)
+		} else if !errors.Is(err, ErrShapeQuarantined) {
+			t.Fatalf("burst job %d rejected with %v, want ErrShapeQuarantined", i, err)
+		}
+	}
+	discovered := 0
+	for _, j := range admitted {
+		_, err := j.Wait(context.Background())
+		switch Outcome(err) {
+		case "fault", "world_failed":
+			discovered++
+		case "quarantined":
+		default:
+			t.Errorf("burst job %d: %q (%v), want the discovery or quarantined", j.ID(), Outcome(err), err)
+		}
+	}
+	if discovered != 1 {
+		t.Errorf("%d jobs met the dead machine, want exactly 1", discovered)
+	}
+	if st := s.Stats(); st.Quarantined != 1 || !st.Machines[0].Quarantined {
+		t.Errorf("Stats = %+v, want the dead machine quarantined", st)
+	}
+	if _, err := s.Submit(Request{Tenant: "a", Edges: testEdges(42, 20, 60)}); !errors.Is(err, ErrShapeQuarantined) {
+		t.Errorf("submit to a pool with no live machine: err = %v, want ErrShapeQuarantined", err)
+	}
+	rr := httptest.NewRecorder()
+	s.handleReady(rr, httptest.NewRequest("GET", "/readyz", nil))
+	if rr.Code != 503 {
+		t.Errorf("readyz = %d with no live machine, want 503", rr.Code)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"time"
@@ -63,44 +62,29 @@ func (rc RetryConfig) backoff(n int) time.Duration {
 	return 1 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// tokenBucket is a refill-on-take token bucket guarding one tenant's retry
-// budget.
+// tokenBucket is a refill-on-take token bucket: one tenant's retry budget,
+// kept on its tenant record. The zero value is a full bucket.
 type tokenBucket struct {
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
-	rate   float64
-	burst  float64
 }
 
-func newTokenBucket(rate, burst float64) *tokenBucket {
-	return &tokenBucket{tokens: burst, last: time.Now(), rate: rate, burst: burst}
-}
-
-// take consumes one token if available.
-func (b *tokenBucket) take() bool {
+// take consumes one token if available, refilling at rate up to burst first.
+func (b *tokenBucket) take(rate, burst float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := time.Now()
-	b.tokens = min(b.burst, b.tokens+now.Sub(b.last).Seconds()*b.rate)
+	if b.last.IsZero() {
+		b.tokens = burst
+	}
+	b.tokens = min(burst, b.tokens+now.Sub(b.last).Seconds()*rate)
 	b.last = now
 	if b.tokens < 1 {
 		return false
 	}
 	b.tokens--
 	return true
-}
-
-// retryBudget returns (creating on first use) the tenant's bucket.
-func (s *Server) retryBudget(tenant string) *tokenBucket {
-	s.retryMu.Lock()
-	defer s.retryMu.Unlock()
-	b := s.budgets[tenant]
-	if b == nil {
-		b = newTokenBucket(s.cfg.Retry.BudgetRate, s.cfg.Retry.BudgetBurst)
-		s.budgets[tenant] = b
-	}
-	return b
 }
 
 // maybeRetry resolves a dispatch outcome: world faults re-dispatch after a
@@ -110,13 +94,12 @@ func (s *Server) retryBudget(tenant string) *tokenBucket {
 // it finishes once, at its terminal outcome, and its tenant's submitted
 // counter was bumped only at admission.
 func (s *Server) maybeRetry(j *Job, rep *kamsta.Report, err error) {
-	var je *kamsta.JobError
-	if err == nil || s.cfg.Retry.MaxAttempts <= 1 || !errors.As(err, &je) || j.ctx.Err() != nil {
+	if s.cfg.Retry.MaxAttempts <= 1 || !outcomes[outcomeOf(err)].fault || j.ctx.Err() != nil {
 		s.finishJob(j, rep, err)
 		return
 	}
 	j.attempts++
-	if j.attempts >= s.cfg.Retry.MaxAttempts || !s.retryBudget(j.tenant).take() {
+	if j.attempts >= s.cfg.Retry.MaxAttempts || !j.ten.budget.take(s.cfg.Retry.BudgetRate, s.cfg.Retry.BudgetBurst) {
 		s.finishJob(j, nil, err)
 		return
 	}
@@ -135,8 +118,8 @@ func (s *Server) maybeRetry(j *Job, rep *kamsta.Report, err error) {
 	s.retryMu.Unlock()
 	if j.ten != nil {
 		j.ten.retried.Add(1)
+		s.sm.inc(&j.ten.series.retried, &famRetried, j.tenant, "")
 	}
-	s.sm.retriedInc(j.tenant)
 }
 
 // pendingRetry is one job waiting out its backoff.
@@ -157,7 +140,7 @@ func (s *Server) redispatch(id uint64) {
 	if pr == nil {
 		return // flushed by drainRetries
 	}
-	if pr.j.ctx.Err() != nil || s.shed.live(pr.j.req.PEs) == 0 {
+	if pr.j.ctx.Err() != nil || s.live(pr.j.req.PEs) == 0 {
 		// The deadline burned out during the backoff, or quarantine took
 		// the last machine that could serve it: report the original fault
 		// rather than queue a job nothing will run.

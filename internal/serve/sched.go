@@ -1,36 +1,19 @@
 package serve
 
 import (
-	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// The admission errors Submit reports. They are sentinels so clients (and
-// the HTTP layer) can map them to back-pressure decisions: everything here
-// is the server protecting itself, not a broken request.
-var (
-	// ErrQueueFull: the global queue bound is reached — the server is
-	// saturated; back off and retry.
-	ErrQueueFull = errors.New("serve: job queue full")
-	// ErrTenantQueueFull: this tenant's queue share is full while the
-	// server still has room for others — per-tenant isolation working.
-	ErrTenantQueueFull = errors.New("serve: tenant queue full")
-	// ErrUnknownTenant: the tenant is not configured and the server does
-	// not auto-register tenants (Config.DefaultWeight == 0).
-	ErrUnknownTenant = errors.New("serve: unknown tenant")
-	// ErrDraining: the server is shutting down and admits no new jobs.
-	ErrDraining = errors.New("serve: server is draining")
-	// ErrNoSuchShape: the job requests a PE count no pool machine has.
-	ErrNoSuchShape = errors.New("serve: no pool machine with the requested PEs")
-)
-
-// scheduler lifecycle states.
+// scheduler lifecycle states, and their names in Stats.State.
 const (
 	schedRunning int32 = iota
 	schedDraining
 	schedClosed
 )
+
+var schedStates = [...]string{"running", "draining", "closed"}
 
 // strideScale is the fixed-point scale of the stride scheduler: a tenant
 // with weight w advances its pass by strideScale/w per dispatched job, so
@@ -52,6 +35,8 @@ type tenant struct {
 	completed atomic.Int64
 	rejected  atomic.Int64
 	retried   atomic.Int64
+	series    tenantSeries // the same events as exported serve_* counters
+	budget    tokenBucket  // server-side retry budget (Config.Retry)
 }
 
 // scheduler is the server's bounded, weighted-fair job queue. Submission
@@ -128,19 +113,18 @@ func (s *scheduler) submit(j *Job) error {
 	j.ten = t
 	t.q = append(t.q, j)
 	s.queued++
-	s.cond.Signal()
+	// Broadcast, not Signal: idle workers of every shape wait on this one
+	// condition, and waking only a worker whose shape cannot run a pinned
+	// job would leave it queued beside an idle machine that can.
+	s.cond.Broadcast()
 	return nil
 }
 
-// noteRejected charges a shedding rejection to the tenant's counter (when
-// the tenant is registered — shedding happens before auto-registration).
-func (s *scheduler) noteRejected(name string) {
+// lookup returns the tenant's record, nil while it is not registered.
+func (s *scheduler) lookup(name string) *tenant {
 	s.mu.Lock()
-	t := s.tenants[name]
-	s.mu.Unlock()
-	if t != nil {
-		t.rejected.Add(1)
-	}
+	defer s.mu.Unlock()
+	return s.tenants[name]
 }
 
 // resubmit re-queues an already-admitted job after a retry backoff. It
@@ -155,7 +139,7 @@ func (s *scheduler) resubmit(j *Job) error {
 	}
 	j.ten.q = append(j.ten.q, j)
 	s.queued++
-	s.cond.Signal()
+	s.cond.Broadcast()
 	return nil
 }
 
@@ -169,16 +153,13 @@ func (s *scheduler) remove(j *Job) bool {
 	if t == nil {
 		return false
 	}
-	for i, q := range t.q {
-		if q == j {
-			copy(t.q[i:], t.q[i+1:])
-			t.q[len(t.q)-1] = nil
-			t.q = t.q[:len(t.q)-1]
-			s.queued--
-			return true
-		}
+	i := slices.Index(t.q, j)
+	if i < 0 {
+		return false
 	}
-	return false
+	t.q = slices.Delete(t.q, i, i+1)
+	s.queued--
+	return true
 }
 
 // failUnservable removes and returns every queued job for which servable
@@ -213,9 +194,9 @@ func compatible(j *Job, pes int) bool {
 }
 
 // pick returns the queued tenant with the smallest pass that has a job
-// compatible with pes, and the index of that job in its queue. Caller
-// holds the lock.
-func (s *scheduler) pick(pes int) (*tenant, int) {
+// compatible with pes that also fits (nil = any), and the index of that job
+// in its queue. Caller holds the lock.
+func (s *scheduler) pick(pes int, fits func(*Job) bool) (*tenant, int) {
 	var best *tenant
 	bestIdx := -1
 	for _, t := range s.order {
@@ -223,31 +204,7 @@ func (s *scheduler) pick(pes int) (*tenant, int) {
 			continue
 		}
 		for i, j := range t.q {
-			if compatible(j, pes) {
-				best, bestIdx = t, i
-				break
-			}
-		}
-	}
-	return best, bestIdx
-}
-
-// pickBatch returns the min-pass tenant holding a job that batches under
-// key within the remaining edge/vertex room, and its queue index. Caller
-// holds the lock.
-func (s *scheduler) pickBatch(pes int, key batchKey, bc BatchConfig, edgeRoom int, vertRoom uint64) (*tenant, int) {
-	var best *tenant
-	bestIdx := -1
-	for _, t := range s.order {
-		if len(t.q) == 0 || (best != nil && t.pass >= best.pass) {
-			continue
-		}
-		for i, j := range t.q {
-			if !compatible(j, pes) {
-				continue
-			}
-			k, ok := batchKeyOf(j, bc)
-			if ok && k == key && len(j.req.Edges) <= edgeRoom && j.maxV <= vertRoom {
+			if compatible(j, pes) && (fits == nil || fits(j)) {
 				best, bestIdx = t, i
 				break
 			}
@@ -260,9 +217,7 @@ func (s *scheduler) pickBatch(pes int, key batchKey, bc BatchConfig, edgeRoom in
 // holds the lock.
 func (s *scheduler) take(t *tenant, i int) *Job {
 	j := t.q[i]
-	copy(t.q[i:], t.q[i+1:])
-	t.q[len(t.q)-1] = nil
-	t.q = t.q[:len(t.q)-1]
+	t.q = slices.Delete(t.q, i, i+1)
 	s.global = t.pass
 	t.pass += t.stride
 	s.queued--
@@ -280,14 +235,18 @@ func (s *scheduler) next(pes int, bc BatchConfig) []*Job {
 		if s.state == schedClosed {
 			return nil
 		}
-		if t, i := s.pick(pes); t != nil {
+		if t, i := s.pick(pes, nil); t != nil {
 			jobs := []*Job{s.take(t, i)}
 			lead := jobs[0]
 			if key, ok := batchKeyOf(lead, bc); ok {
 				edgeRoom := bc.MaxEdges - len(lead.req.Edges)
 				vertRoom := batchMaxLabel - lead.maxV
+				batchMate := func(j *Job) bool {
+					k, ok := batchKeyOf(j, bc)
+					return ok && k == key && len(j.req.Edges) <= edgeRoom && j.maxV <= vertRoom
+				}
 				for len(jobs) < bc.MaxJobs {
-					t2, i2 := s.pickBatch(pes, key, bc, edgeRoom, vertRoom)
+					t2, i2 := s.pick(pes, batchMate)
 					if t2 == nil {
 						break
 					}
@@ -333,6 +292,13 @@ func (s *scheduler) close() []*Job {
 	s.queued = 0
 	s.cond.Broadcast()
 	return orphans
+}
+
+// lifecycle reports the scheduler's state.
+func (s *scheduler) lifecycle() int32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state
 }
 
 // depth reports the total queued jobs.

@@ -17,7 +17,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,12 +25,6 @@ import (
 	"kamsta"
 	"kamsta/internal/obs"
 )
-
-// ErrBadRequest marks submissions rejected for being malformed (missing
-// tenant, zero or multiple graph sources, invalid edge labels, unknown
-// algorithm) rather than by back-pressure. errors.Is-able; the HTTP layer
-// maps it to 400.
-var ErrBadRequest = errors.New("serve: bad request")
 
 // PoolShape describes one machine configuration in the pool.
 type PoolShape struct {
@@ -74,7 +67,7 @@ type Config struct {
 	// "tcp" makes every machine lead a distributed world over the given
 	// mstworker addresses (one worker process serves many machines; each
 	// connection gets its own world). A distributed machine that loses a
-	// worker is condemned, not rebuilt — pair with QuarantineAfter.
+	// worker is condemned, not rebuilt, and leaves service.
 	Transport string
 	Workers   []string
 	// Tenants pre-registers tenants with weights. Unknown tenants are
@@ -116,9 +109,10 @@ type Config struct {
 	// quarantine).
 	BrownoutFraction float64
 	// QuarantineAfter removes a machine from service after that many
-	// consecutive world faults (0 disables — the default, so fault-
-	// injection tests keep their machines). Queued jobs no live machine
-	// can serve fail with ErrShapeQuarantined.
+	// consecutive contained faults (0 disables — the default, so fault-
+	// injection tests keep their machines). A machine that stops being
+	// Healthy leaves service whatever this says. Either way, queued jobs no
+	// live machine can serve fail with ErrShapeQuarantined.
 	QuarantineAfter int
 	// Retry bounds server-side transparent retries of fault-killed jobs
 	// (see RetryConfig; zero value disables).
@@ -126,8 +120,8 @@ type Config struct {
 	// MaxRequestBytes caps an HTTP job submission body (default 64 MiB).
 	MaxRequestBytes int64
 
-	// Metrics receives the serve_* series (nil disables); Trace receives
-	// job spans.
+	// Metrics receives the serve_* series (nil keeps them unexported); Trace
+	// receives job spans.
 	Metrics *obs.Registry
 	Trace   *kamsta.Trace
 }
@@ -247,9 +241,10 @@ type poolMachine struct {
 	m     *kamsta.Machine
 	shape PoolShape
 	busy  atomic.Bool
-	// consecFaults counts consecutive dispatches that died on a world
-	// fault (reset by any success); at Config.QuarantineAfter the machine
-	// is quarantined and its worker exits.
+	// consecFaults counts consecutive dispatches that died on a contained
+	// fault (reset by any success). quarantined marks a machine out of
+	// service — at Config.QuarantineAfter, or dead; its worker exits. The
+	// pool's flags are the live-machine census (Server.live).
 	consecFaults atomic.Int64
 	quarantined  atomic.Bool
 }
@@ -257,7 +252,6 @@ type poolMachine struct {
 // Server is the multi-tenant job server.
 type Server struct {
 	cfg      Config
-	batch    BatchConfig
 	sched    *scheduler
 	sm       *serveMetrics
 	shed     *shedder
@@ -269,12 +263,10 @@ type Server struct {
 	ids        atomic.Uint64
 	running    atomic.Int64
 
-	brownoutHi  int          // queue depth that flips brownout on
-	quarantined atomic.Int64 // machines removed from service
+	brownoutHi int // queue depth that flips brownout on
 
 	retryMu      sync.Mutex
 	pending      map[uint64]*pendingRetry // jobs waiting out a retry backoff
-	budgets      map[string]*tokenBucket  // per-tenant retry budgets
 	retryStopped bool
 
 	teardownOnce sync.Once
@@ -331,11 +323,9 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:     cfg,
-		batch:   cfg.Batch,
 		sched:   newScheduler(cfg.QueueBound, cfg.TenantQueueBound, cfg.DefaultWeight),
 		shed:    newShedder(cfg),
 		pending: make(map[uint64]*pendingRetry),
-		budgets: make(map[string]*tokenBucket),
 		jobs:    make(map[uint64]*Job),
 	}
 	s.brownoutHi = int(cfg.BrownoutFraction * float64(cfg.QueueBound))
@@ -381,16 +371,15 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Submit validates and admits one job. The job's deadline clock starts
-// now — queue wait counts against it. Rejections are sentinel errors
-// (ErrQueueFull, ErrTenantQueueFull, ErrUnknownTenant, ErrDraining,
-// ErrNoSuchShape) or wrap ErrBadRequest.
+// now — queue wait counts against it. Every rejection is a row of the
+// rejection table (outcome.go): its sentinel, or an error wrapping it.
 func (s *Server) Submit(req Request) (*Job, error) {
 	j, err := s.admit(req)
 	if err != nil {
-		s.sm.rejected(req.Tenant, rejectReason(err))
+		s.sm.rejected(s.sched.lookup(req.Tenant), req.Tenant, rejectionOf(err))
 		return nil, err
 	}
-	s.sm.submitted(req.Tenant)
+	s.sm.inc(&j.ten.series.submitted, &famSubmitted, j.tenant, "")
 	s.remember(j)
 	return j, nil
 }
@@ -453,7 +442,11 @@ func (s *Server) admit(req Request) (*Job, error) {
 	}
 	if err := s.overloadCheck(j, d); err != nil {
 		j.cancel()
-		s.sched.noteRejected(req.Tenant)
+		// Shedding happens before auto-registration: only a known tenant
+		// has a counter to charge.
+		if t := s.sched.lookup(req.Tenant); t != nil {
+			t.rejected.Add(1)
+		}
 		return nil, err
 	}
 	// The fast-fail watcher: if the deadline (or a cancel) fires while the
@@ -468,8 +461,8 @@ func (s *Server) admit(req Request) (*Job, error) {
 	j.unwatch = func() { stop() }
 	if err := s.sched.submit(j); err != nil {
 		j.cancel()
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantQueueFull) {
-			err = &RetryAfterError{Err: err, RetryAfter: s.shed.drainHint(req.PEs, 1)}
+		if RejectionOf(err).Class == Backpressure {
+			err = &RetryAfterError{Err: err, RetryAfter: s.shed.drainHint(req.PEs, 1, s.live(req.PEs))}
 		}
 		return nil, err
 	}
@@ -482,15 +475,28 @@ func (s *Server) admit(req Request) (*Job, error) {
 // batch-eligible small jobs first), and deadline-aware shedding (the
 // estimated queue wait alone would burn the whole deadline).
 func (s *Server) overloadCheck(j *Job, d time.Duration) error {
-	if s.shed.live(j.req.PEs) == 0 {
+	machines := s.live(j.req.PEs)
+	if machines == 0 {
 		return ErrShapeQuarantined
 	}
 	depth := s.sched.depth()
-	if _, batchable := batchKeyOf(j, s.batch); batchable && s.brownout() {
+	if _, batchable := batchKeyOf(j, s.cfg.Batch); batchable && s.brownout() {
 		return &RetryAfterError{Err: ErrBrownout,
-			RetryAfter: s.shed.drainHint(j.req.PEs, depth-s.brownoutHi+1)}
+			RetryAfter: s.shed.drainHint(j.req.PEs, depth-s.brownoutHi+1, machines)}
 	}
-	return s.shed.shedCheck(j.req.PEs, depth, d)
+	return s.shed.shedCheck(j.req.PEs, depth, machines, d)
+}
+
+// live counts the machines in service that can run a job pinned to pes
+// (0 = any) — the census admission, shedding and readiness read.
+func (s *Server) live(pes int) int {
+	n := 0
+	for _, pm := range s.machines {
+		if !pm.quarantined.Load() && (pes == 0 || pm.shape.PEs == pes) {
+			n++
+		}
+	}
+	return n
 }
 
 // profileEdges validates labels the way kamsta.FromEdges will and returns
@@ -511,30 +517,6 @@ func profileEdges(edges []kamsta.InputEdge) (maxV uint64, verts int, err error) 
 	return maxV, len(seen), nil
 }
 
-// rejectReason labels a Submit error for the rejection counter.
-func rejectReason(err error) string {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return "queue_full"
-	case errors.Is(err, ErrTenantQueueFull):
-		return "tenant_queue_full"
-	case errors.Is(err, ErrUnknownTenant):
-		return "unknown_tenant"
-	case errors.Is(err, ErrDraining):
-		return "draining"
-	case errors.Is(err, ErrNoSuchShape):
-		return "no_shape"
-	case errors.Is(err, ErrDeadlineUnattainable):
-		return "shed_deadline"
-	case errors.Is(err, ErrBrownout):
-		return "brownout"
-	case errors.Is(err, ErrShapeQuarantined):
-		return "quarantined"
-	default:
-		return "bad_request"
-	}
-}
-
 // worker serves one pool machine until the scheduler tells it to exit or
 // the machine is quarantined. During brownout, batching is disabled: a
 // degraded pool should not multiply the blast radius of one faulting world
@@ -542,7 +524,7 @@ func rejectReason(err error) string {
 func (s *Server) worker(pm *poolMachine) {
 	defer s.wg.Done()
 	for {
-		bc := s.batch
+		bc := s.cfg.Batch
 		if bc.MaxJobs > 1 && s.brownout() {
 			bc = BatchConfig{}
 		}
@@ -564,7 +546,7 @@ func (s *Server) dispatch(pm *poolMachine, jobs []*Job) {
 	live := jobs[:0]
 	for _, j := range jobs {
 		j.started.Store(now.UnixNano())
-		s.sm.observeWait(now.Sub(j.submitted).Seconds())
+		s.sm.queueWait.Observe(now.Sub(j.submitted).Seconds())
 		if err := j.ctx.Err(); err != nil {
 			s.finishJob(j, nil, err)
 			continue
@@ -591,7 +573,7 @@ func (s *Server) dispatch(pm *poolMachine, jobs []*Job) {
 		start := time.Now()
 		rep, err := pm.m.Compute(live[0].ctx, s.source(live[0].req), s.runOptions(live[0].req)...)
 		sec := time.Since(start).Seconds()
-		s.sm.observeRun(sec)
+		s.sm.runTime.Observe(sec)
 		s.shed.observe(pm.shape.PEs, sec)
 		s.noteMachineOutcome(pm, err)
 		s.maybeRetry(live[0], rep, err)
@@ -600,19 +582,20 @@ func (s *Server) dispatch(pm *poolMachine, jobs []*Job) {
 	s.noteMachineOutcome(pm, s.runBatch(pm, live))
 }
 
-// noteMachineOutcome tracks one machine's consecutive world faults and
-// quarantines it at the configured threshold. Deadline and cancel outcomes
-// say nothing about machine health and leave the count alone.
+// noteMachineOutcome takes pm out of service when it can no longer serve: a
+// machine that is not Healthy after a dispatch (a condemned distributed
+// world fails every later Compute in microseconds) always leaves, whatever
+// the threshold; a healthy one leaves after Config.QuarantineAfter
+// consecutive contained faults. Deadline and cancel outcomes say nothing
+// about machine health and leave the count alone.
 func (s *Server) noteMachineOutcome(pm *poolMachine, err error) {
-	if s.cfg.QuarantineAfter <= 0 {
-		return
-	}
-	var je *kamsta.JobError
 	switch {
+	case !pm.m.Healthy():
+		s.quarantine(pm)
 	case err == nil:
 		pm.consecFaults.Store(0)
-	case errors.As(err, &je):
-		if pm.consecFaults.Add(1) >= int64(s.cfg.QuarantineAfter) || !pm.m.Healthy() {
+	case outcomes[outcomeOf(err)].fault:
+		if n := pm.consecFaults.Add(1); s.cfg.QuarantineAfter > 0 && n >= int64(s.cfg.QuarantineAfter) {
 			s.quarantine(pm)
 		}
 	}
@@ -626,9 +609,7 @@ func (s *Server) quarantine(pm *poolMachine) {
 	if !pm.quarantined.CompareAndSwap(false, true) {
 		return
 	}
-	s.quarantined.Add(1)
-	s.shed.quarantineOne(pm.shape.PEs)
-	for _, j := range s.sched.failUnservable(func(j *Job) bool { return s.shed.live(j.req.PEs) > 0 }) {
+	for _, j := range s.sched.failUnservable(func(j *Job) bool { return s.live(j.req.PEs) > 0 }) {
 		s.finishJob(j, nil, ErrShapeQuarantined)
 	}
 }
@@ -670,8 +651,9 @@ func (s *Server) finishJob(j *Job, rep *kamsta.Report, err error) {
 		j.finished.Store(time.Now().UnixNano())
 		if j.ten != nil {
 			j.ten.completed.Add(1)
+			row := outcomeOf(err)
+			s.sm.inc(&j.ten.series.completed[row], &famCompleted, j.tenant, outcomes[row].code)
 		}
-		s.sm.completed(j.tenant, outcomeOf(err))
 		close(j.done)
 		j.cancel()
 		if j.unwatch != nil {
@@ -739,15 +721,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close aborts: stops admission, cancels every job context, fails the
-// queue, and releases the machines.
+// Close aborts — a Drain that has already run out of time: stops admission,
+// cancels every job context, fails the queue, and releases the machines.
 func (s *Server) Close() error {
-	s.sched.drain()
-	s.drainRetries()
-	s.baseCancel()
-	s.failOrphans()
-	s.wg.Wait()
-	s.teardown()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Drain(ctx)
 	return nil
 }
 
@@ -808,22 +787,13 @@ type Stats struct {
 // counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
+		State:       schedStates[s.sched.lifecycle()],
 		Queued:      s.sched.depth(),
 		Running:     int(s.running.Load()),
 		Brownout:    s.brownout(),
-		Quarantined: int(s.quarantined.Load()),
+		Quarantined: len(s.machines) - s.live(0),
 		Tenants:     s.sched.snapshot(),
 	}
-	s.sched.mu.Lock()
-	switch s.sched.state {
-	case schedRunning:
-		st.State = "running"
-	case schedDraining:
-		st.State = "draining"
-	default:
-		st.State = "closed"
-	}
-	s.sched.mu.Unlock()
 	for _, pm := range s.machines {
 		st.Machines = append(st.Machines, MachineStat{
 			PEs:         pm.shape.PEs,

@@ -4,33 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"kamsta/internal/obs"
 )
 
-// Overload errors: the server refusing work it could not finish usefully.
-// Like the admission sentinels in sched.go they are errors.Is-able; the
-// HTTP layer maps them to 429/503 with a Retry-After hint.
-var (
-	// ErrDeadlineUnattainable: the job's deadline cannot survive the
-	// estimated queue wait, so admitting it would only burn a machine slot
-	// on a result nobody can use. Retry later or with a larger deadline.
-	ErrDeadlineUnattainable = errors.New("serve: deadline cannot survive the current queue wait")
-	// ErrBrownout: the server is degraded (deep queue or quarantined
-	// machines) and is shedding batch-eligible small jobs first to protect
-	// the rest of the workload.
-	ErrBrownout = errors.New("serve: brownout, shedding batch-eligible small jobs")
-	// ErrShapeQuarantined: every pool machine that could serve the job has
-	// been quarantined after repeated faults.
-	ErrShapeQuarantined = errors.New("serve: no live machine for the job")
-)
-
 // RetryAfterError wraps an overload rejection with a backoff hint — how
 // long the server estimates the condition needs to clear. The HTTP layer
-// renders it as a Retry-After header; serve.Client and loadgen honor it.
-// errors.Is still matches the wrapped sentinel.
+// renders it as a Retry-After header, serve.Client rebuilds it from the
+// header, and loadgen's closed loops wait it out. errors.Is still matches
+// the wrapped sentinel.
 type RetryAfterError struct {
 	Err        error
 	RetryAfter time.Duration
@@ -52,8 +35,8 @@ func retryAfterOf(err error) (time.Duration, bool) {
 }
 
 // shedder is the admission-time overload estimator: rolling windows of
-// recent per-dispatch service times (one per pool shape plus a pooled one),
-// and the live-machine census that quarantine shrinks. It answers the one
+// recent per-dispatch service times (one per pool shape plus a pooled one).
+// Given the machines currently in service (Server.live) it answers the one
 // question admission control needs — "how long would a job submitted now
 // wait in the queue?" — from observed behavior, not configuration.
 type shedder struct {
@@ -62,10 +45,6 @@ type shedder struct {
 
 	all     *obs.Rolling
 	byShape map[int]*obs.Rolling // keyed by PEs
-
-	mu        sync.Mutex
-	liveByPEs map[int]int
-	liveTotal int
 }
 
 // shedWindow is the rolling window capacity. Big enough to smooth one
@@ -79,18 +58,11 @@ func newShedder(cfg Config) *shedder {
 		quantile:   cfg.ShedQuantile,
 		all:        obs.NewRolling(shedWindow),
 		byShape:    make(map[int]*obs.Rolling),
-		liveByPEs:  make(map[int]int),
 	}
 	for _, shape := range cfg.Pool {
-		count := shape.Count
-		if count <= 0 {
-			count = 1
-		}
 		if sh.byShape[shape.PEs] == nil {
 			sh.byShape[shape.PEs] = obs.NewRolling(shedWindow)
 		}
-		sh.liveByPEs[shape.PEs] += count
-		sh.liveTotal += count
 	}
 	return sh
 }
@@ -104,24 +76,6 @@ func (sh *shedder) observe(pes int, sec float64) {
 	}
 }
 
-// live reports the machines able to serve a job pinned to pes (0 = any).
-func (sh *shedder) live(pes int) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if pes == 0 {
-		return sh.liveTotal
-	}
-	return sh.liveByPEs[pes]
-}
-
-// quarantineOne removes a machine from the live census.
-func (sh *shedder) quarantineOne(pes int) {
-	sh.mu.Lock()
-	sh.liveByPEs[pes]--
-	sh.liveTotal--
-	sh.mu.Unlock()
-}
-
 // window picks the estimator for a shape pin (0 = the pooled window).
 func (sh *shedder) window(pes int) *obs.Rolling {
 	if pes != 0 {
@@ -133,14 +87,14 @@ func (sh *shedder) window(pes int) *obs.Rolling {
 }
 
 // estimate returns the expected queue wait for a job pinned to pes given
-// the current depth, and whether the estimator is warm enough to be
-// trusted (below minSamples it abstains, so a cold server never sheds).
-func (sh *shedder) estimate(pes, depth int) (time.Duration, bool) {
+// the current depth and the machines in service for it, and whether the
+// estimator is warm enough to be trusted (below minSamples it abstains, so
+// a cold server never sheds).
+func (sh *shedder) estimate(pes, depth, machines int) (time.Duration, bool) {
 	w := sh.window(pes)
 	if w.Count() < sh.minSamples {
 		return 0, false
 	}
-	machines := sh.live(pes)
 	if machines < 1 {
 		return 0, false
 	}
@@ -154,11 +108,11 @@ func (sh *shedder) estimate(pes, depth int) (time.Duration, bool) {
 
 // shedCheck decides whether to shed a job with effective deadline d at
 // current queue depth. A zero deadline never sheds.
-func (sh *shedder) shedCheck(pes, depth int, d time.Duration) error {
+func (sh *shedder) shedCheck(pes, depth, machines int, d time.Duration) error {
 	if d <= 0 || sh.minSamples < 0 {
 		return nil
 	}
-	est, warm := sh.estimate(pes, depth)
+	est, warm := sh.estimate(pes, depth, machines)
 	if !warm || est < d {
 		return nil
 	}
@@ -170,24 +124,21 @@ func (sh *shedder) shedCheck(pes, depth int, d time.Duration) error {
 // drainHint estimates the time for n queued jobs to drain — the Retry-After
 // hint on queue-full and brownout rejections. Cold estimator: a fixed
 // conservative default.
-func (sh *shedder) drainHint(pes, n int) time.Duration {
+func (sh *shedder) drainHint(pes, n, machines int) time.Duration {
 	if n < 1 {
 		n = 1
 	}
-	if est, warm := sh.estimate(pes, n); warm {
+	if est, warm := sh.estimate(pes, n, machines); warm {
 		return max(est, time.Millisecond)
 	}
 	return 100 * time.Millisecond
 }
 
-// brownout reports whether the server is degraded: any machine quarantined,
-// or the queue past the brownout high-water mark. Degraded, the server
+// brownout reports whether the server is degraded: any machine out of
+// service, or the queue past the brownout high-water mark. Degraded, the server
 // sheds batch-eligible small jobs at admission (they have the best chance
 // of succeeding later) and stops batching (batch growth multiplies the
 // blast radius of a faulting world).
 func (s *Server) brownout() bool {
-	if s.quarantined.Load() > 0 {
-		return true
-	}
-	return s.sched.depth() >= s.brownoutHi
+	return s.live(0) < len(s.machines) || s.sched.depth() >= s.brownoutHi
 }

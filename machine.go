@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,10 +125,10 @@ func (mc MachineConfig) Validate() error {
 // ErrMachineClosed is returned by Compute on a closed Machine.
 var ErrMachineClosed = errors.New("kamsta: machine is closed")
 
-// ErrWorldFailed is returned by Compute after a distributed machine's
-// transport failed: worker connections do not recover mid-world, so the
-// machine is condemned instead of transparently rebuilt. Close it and
-// build a new one.
+// ErrWorldFailed is returned by Compute when a distributed machine's
+// job-control streams fail, and by every Compute after any failure of its
+// transport: worker connections do not recover mid-world, so the machine is
+// condemned instead of transparently rebuilt. Close it and build a new one.
 var ErrWorldFailed = errors.New("kamsta: distributed world failed; the machine must be rebuilt")
 
 // Machine is a persistent simulated machine: its PE goroutines are spawned
@@ -271,7 +272,7 @@ func (m *Machine) Close() error {
 // the queue and the job itself are both abandoned with ctx.Err() when ctx
 // expires (cancellation is observed cooperatively at collective boundaries,
 // all PEs exit together, and the machine stays usable for the next job).
-func (m *Machine) Compute(ctx context.Context, src Source, opts ...RunOption) (*Report, error) {
+func (m *Machine) Compute(ctx context.Context, src Source, opts ...RunOption) (rep *Report, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -300,36 +301,34 @@ func (m *Machine) Compute(ctx context.Context, src Source, opts ...RunOption) (*
 		m.mm.queued.Add(1)
 	}
 	queuedAt := time.Now()
-	acqErr := m.jobs.acquire(ctx, m.closed)
+	err = m.jobs.acquire(ctx, m.closed)
 	if m.mm != nil {
 		m.mm.queued.Add(-1)
 		m.mm.queueWait.Observe(time.Since(queuedAt).Seconds())
 	}
-	if acqErr != nil {
-		m.mm.finish(nil, acqErr)
-		return nil, acqErr
+	// Every ending from here on is one the job metrics classify.
+	defer func() { m.mm.finish(rep, err) }()
+	if err != nil {
+		return nil, err
 	}
 	defer m.jobs.release()
 	select {
 	case <-m.closed:
-		m.mm.finish(nil, ErrMachineClosed)
 		return nil, ErrMachineClosed
 	default:
 	}
 	if m.dead.Load() {
-		m.mm.finish(nil, ErrWorldFailed)
 		return nil, ErrWorldFailed
 	}
-	rep, err := m.run(ctx, src, rs)
+	rep, err = m.run(ctx, src, rs)
 	// Contain job-scoped failures: lift a *comm.JobError coming back from
 	// the simulation to the public *JobError, and restore the world
 	// (verified clean or rebuilt) BEFORE returning, so the machine is
 	// healthy for the next caller.
 	var ce *comm.JobError
 	if errors.As(err, &ce) {
-		rep, err = nil, toJobError(ce, m.restoreWorld())
+		rep, err = nil, &JobError{JobError: ce, Rebuilt: m.restoreWorld()}
 	}
-	m.mm.finish(rep, err)
 	return rep, err
 }
 
@@ -390,14 +389,10 @@ func (s *fifoSem) acquire(ctx context.Context, closed <-chan struct{}) error {
 // waiter so it is never lost.
 func (s *fifoSem) abandon(w chan struct{}) {
 	s.mu.Lock()
-	for i, q := range s.waiters {
-		if q == w {
-			copy(s.waiters[i:], s.waiters[i+1:])
-			s.waiters[len(s.waiters)-1] = nil
-			s.waiters = s.waiters[:len(s.waiters)-1]
-			s.mu.Unlock()
-			return
-		}
+	if i := slices.Index(s.waiters, w); i >= 0 {
+		s.waiters = slices.Delete(s.waiters, i, i+1)
+		s.mu.Unlock()
+		return
 	}
 	s.mu.Unlock()
 	<-w // grant already sent (buffered): take it and hand it on
@@ -409,9 +404,7 @@ func (s *fifoSem) release() {
 	s.mu.Lock()
 	if len(s.waiters) > 0 {
 		w := s.waiters[0]
-		copy(s.waiters, s.waiters[1:])
-		s.waiters[len(s.waiters)-1] = nil
-		s.waiters = s.waiters[:len(s.waiters)-1]
+		s.waiters = slices.Delete(s.waiters, 0, 1)
 		w <- struct{}{} // buffered: never blocks, held stays true
 		s.mu.Unlock()
 		return
@@ -548,8 +541,11 @@ func (m *Machine) runJob(ctx context.Context, kind string, src Source, rs runSet
 	if m.lt != nil {
 		if err != nil {
 			m.drainRemote(w)
-		} else {
-			err = m.finishRemote(w, j.shares)
+		} else if err = m.finishRemote(w, j.shares); err != nil {
+			// The leader's ranks finished but the workers' half cannot be
+			// trusted or reached: condemn the machine.
+			m.dead.Store(true)
+			err = fmt.Errorf("%w: %w", ErrWorldFailed, err)
 		}
 	}
 	if err != nil {
@@ -569,35 +565,31 @@ func (m *Machine) startRemote(kind string, src Source, rs runSettings) error {
 	m.lt.SetIOTimeout(ioTimeoutFor(rs.stall))
 	if err := m.lt.StartJob(encodeWire(spec)); err != nil {
 		m.dead.Store(true)
-		return fmt.Errorf("kamsta: dispatching %s job: %w", kind, err)
+		return fmt.Errorf("%w: dispatching %s job: %w", ErrWorldFailed, kind, err)
 	}
 	return nil
 }
 
 // finishRemote collects every worker's end-of-job report and folds it into
 // the leader world's aggregates (and, for MSF jobs, the share table). Any
-// wire failure, undecodable report, or worker-side failure the superstep
-// flags did not already surface condemns the machine.
+// error — a wire failure, an undecodable report, a worker-side failure the
+// superstep flags did not already surface — condemns the machine (runJob).
 func (m *Machine) finishRemote(w *comm.World, shares [][]graph.Edge) error {
 	reports, err := m.lt.FinishJob()
 	if err != nil {
-		m.dead.Store(true)
-		return fmt.Errorf("kamsta: collecting worker reports: %w", err)
+		return fmt.Errorf("collecting worker reports: %w", err)
 	}
 	for _, b := range reports {
 		end, err := decodeWire[wireJobEnd]("job report", b)
 		if err != nil {
-			m.dead.Store(true)
 			return err
 		}
 		if !end.OK {
 			// The leader's ranks finished but this worker's did not — SPMD
 			// divergence the flags should have caught. Nothing to trust.
-			m.dead.Store(true)
-			return fmt.Errorf("kamsta: worker ranks [%d,%d) failed: %s", end.Lo, end.Hi, end.Err)
+			return fmt.Errorf("worker ranks [%d,%d) failed: %s", end.Lo, end.Hi, end.Err)
 		}
 		if err := end.merge(w, shares); err != nil {
-			m.dead.Store(true)
 			return err
 		}
 	}

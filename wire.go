@@ -44,14 +44,11 @@ type wireJobSpec struct {
 	Source  wireSource
 }
 
-// wirePhase is one aggregated phase row of a worker's report.
+// wirePhase is one aggregated phase row of a worker's report: the row as
+// comm keeps it (POD, so raw bytes under the codec rule) plus its name.
 type wirePhase struct {
-	Name    string
-	Modeled float64
-	WallNs  int64
-	Msgs    int64
-	Bytes   int64
-	Colls   int64
+	Name string
+	comm.PhaseTime
 }
 
 // wireShare is one remote rank's MSF edge share.
@@ -70,9 +67,7 @@ type wireJobEnd struct {
 	Lo, Hi int64
 	Clocks []float64
 	Phases []wirePhase
-	Msgs   int64
-	Bytes  int64
-	Colls  int64
+	Stats  comm.Stats
 	Shares []wireShare
 }
 
@@ -166,17 +161,9 @@ func jobEndOf(w *comm.World, lo, hi int, j *job, jerr error) wireJobEnd {
 	end.OK = true
 	end.Clocks = w.Clocks()[lo:hi]
 	for name, pt := range w.Phases() {
-		end.Phases = append(end.Phases, wirePhase{
-			Name:    name,
-			Modeled: pt.Modeled,
-			WallNs:  pt.Wall.Nanoseconds(),
-			Msgs:    pt.Stats.Messages,
-			Bytes:   pt.Stats.Bytes,
-			Colls:   pt.Stats.Collectives,
-		})
+		end.Phases = append(end.Phases, wirePhase{name, pt})
 	}
-	st := w.TotalStats()
-	end.Msgs, end.Bytes, end.Colls = st.Messages, st.Bytes, st.Collectives
+	end.Stats = w.TotalStats()
 	for r := lo; r < hi; r++ {
 		if len(j.shares[r]) > 0 {
 			end.Shares = append(end.Shares, wireShare{Rank: int64(r), Edges: j.shares[r]})
@@ -191,13 +178,9 @@ func jobEndOf(w *comm.World, lo, hi int, j *job, jerr error) wireJobEnd {
 func (e *wireJobEnd) merge(w *comm.World, shares [][]graph.Edge) error {
 	phases := make(map[string]comm.PhaseTime, len(e.Phases))
 	for _, ph := range e.Phases {
-		phases[ph.Name] = comm.PhaseTime{
-			Modeled: ph.Modeled,
-			Wall:    time.Duration(ph.WallNs),
-			Stats:   comm.Stats{Messages: ph.Msgs, Bytes: ph.Bytes, Collectives: ph.Colls},
-		}
+		phases[ph.Name] = ph.PhaseTime
 	}
-	w.MergeRemote(int(e.Lo), e.Clocks, phases, comm.Stats{Messages: e.Msgs, Bytes: e.Bytes, Collectives: e.Colls})
+	w.Merge(int(e.Lo), e.Clocks, phases, e.Stats)
 	for _, sh := range e.Shares {
 		r := int(sh.Rank)
 		if r < 0 || r >= len(shares) {

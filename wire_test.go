@@ -88,7 +88,8 @@ func wireRoundTrip[T any](t *testing.T) {
 }
 
 // TestWireFramesCarryEveryField fills every field of the two job-control
-// frames — nested core.Options, gen.Spec, phases and shares included — and
+// frames — nested core.Options, gen.Spec, and the comm.PhaseTime rows,
+// comm.Stats and shares of a report, which travel as themselves — and
 // requires them back unchanged: a field added to any of those structs cannot
 // be dropped on the wire without this test noticing.
 func TestWireFramesCarryEveryField(t *testing.T) {
