@@ -74,10 +74,14 @@ func slot[T any](a *Arena, k Key) *[]T {
 // Grab returns a slice of length n in slot k, reusing the slot's capacity.
 // Contents are unspecified (they are whatever the previous user left);
 // callers must write every element they read. Grabbing a slot invalidates
-// the slice returned by its previous Grab.
+// the slice returned by its previous Grab. An empty slot is sized exactly —
+// the first request of a job shape is its steady state, and most tables
+// only shrink over the rounds — and a slot that has to grow gets half again.
 func Grab[T any](a *Arena, k Key, n int) []T {
 	p := slot[T](a, k)
-	if cap(*p) < n {
+	if cap(*p) == 0 && n > 0 {
+		*p = make([]T, n)
+	} else if cap(*p) < n {
 		*p = make([]T, n+n/2+8)
 	}
 	s := (*p)[:n]

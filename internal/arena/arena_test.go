@@ -104,3 +104,26 @@ func TestDistinctKeysAndTypes(t *testing.T) {
 	}()
 	Grab[string](a, k1, 1)
 }
+
+// TestGrabSizesEmptySlotExactly: the first request of a slot is taken as its
+// steady-state size (no slack held for the life of the world); only a slot
+// that has to grow is given room to grow further.
+func TestGrabSizesEmptySlotExactly(t *testing.T) {
+	a := New()
+	k := NewKey()
+	if s := Grab[int64](a, k, 1000); cap(s) != 1000 {
+		t.Fatalf("first Grab(1000) has cap %d, want exactly 1000", cap(s))
+	}
+	if s := Grab[int64](a, k, 400); cap(s) != 1000 {
+		t.Fatalf("smaller Grab reallocated: cap %d", cap(s))
+	}
+	if s := Grab[int64](a, k, 1001); cap(s) < 1500 {
+		t.Fatalf("growing Grab(1001) has cap %d, want slack for further growth", cap(s))
+	}
+	if _, bytes := a.Footprint(); bytes < 1500*8 {
+		t.Fatalf("footprint %d after growth", bytes)
+	}
+	if s := Grab[int64](a, NewKey(), 0); len(s) != 0 {
+		t.Fatalf("Grab(0) returned %d elements", len(s))
+	}
+}

@@ -62,15 +62,8 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 		lo = hi
 	}
 	arena.Keep(a, kBaseLocal, local)
-	if len(local) > 0 {
-		for i := c.Rank() - 1; i >= 0; i-- {
-			if l.Counts[i] > 0 {
-				if l.Last[i].U == local[0] {
-					local = local[1:]
-				}
-				break
-			}
-		}
+	if len(local) > 0 && l.HomePE(local[0]) < c.Rank() {
+		local = local[1:]
 	}
 	verts := comm.AllgatherConcatInto(c, arena.GrabAppend[graph.VID](a, kBaseVerts), local)
 	arena.Keep(a, kBaseVerts, verts)

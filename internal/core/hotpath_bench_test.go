@@ -126,6 +126,31 @@ func TestDsortSteadyStateAllocsFloorObserved(t *testing.T) {
 	}
 }
 
+// BenchmarkLocalPreprocess runs LOCALPREPROCESSING (§IV-A) on the family it
+// exists for: 2D-RGG on 4 PEs, 2^12 vertices and 2^16 directed edges per PE,
+// the paper's options. After the warm-up call localmst's working set and
+// Result live in the PE's arena; what still allocates per call is the label
+// table, the owned relabel output and the collectives.
+func BenchmarkLocalPreprocess(b *testing.B) {
+	w := comm.NewWorld(4)
+	w.Run(func(c *comm.Comm) {
+		edges, l := gen.Build(c, gen.Spec{Family: gen.RGG2D, N: 1 << 14, M: 1 << 17, Seed: 42}, dsort.Options{})
+		opt := DefaultOptions().withDefaults()
+		pool := par.NewPool(1)
+		var mst []graph.Edge
+		localPreprocess(c, edges, l, pool, opt, &mst, nil)
+		if c.Rank() == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		comm.Barrier(c)
+		for i := 0; i < b.N; i++ {
+			mst = mst[:0]
+			localPreprocess(c, edges, l, pool, opt, &mst, nil)
+		}
+	})
+}
+
 func BenchmarkMinEdges(b *testing.B) {
 	benchWorld(func(c *comm.Comm, edges []graph.Edge, l *graph.Layout, pool *par.Pool) {
 		minEdges(c, edges, l, pool)

@@ -9,10 +9,6 @@ import (
 	"kamsta/internal/graph"
 )
 
-func sortSlice(edges []graph.Edge) {
-	slices.SortFunc(edges, graph.CmpLex)
-}
-
 // inputCopy is the compressed copy of this PE's original input chunk plus
 // the replicated ID offsets of all chunks, kept to output original MST
 // endpoints (§VI-C: stored 7-bit variable-length encoded because node
@@ -54,13 +50,15 @@ func redistributeMST(c *comm.Comm, mst []graph.Edge, in *inputCopy, opt Options)
 		send[home] = append(send[home], e.ID)
 	}
 	recv := alltoall.Exchange(c, opt.A2A, send)
-	var out []graph.Edge
+	// One forward sweep over the compressed chunk: IDs are positions in the
+	// sorted input, so decoding them in ascending order yields the local
+	// share already in lexicographic order.
+	var ids []uint64
 	for i := range recv {
-		for _, id := range recv[i] {
-			out = append(out, in.comp.ByID(id))
-		}
+		ids = append(ids, recv[i]...)
 	}
-	sortSlice(out)
+	slices.Sort(ids)
+	out := in.comp.DecodeIDs(ids)
 	// Second decode pass of the compressed copy (§VI-C accounting).
 	c.ChargeCompute(in.comp.Len())
 	return out

@@ -25,12 +25,10 @@ import (
 func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	pool *par.Pool, opt Options, mst *[]graph.Edge, rec *distArray) ([]graph.Edge, *graph.Layout) {
 
-	isLocal := func(v graph.VID) bool {
-		// A vertex is contractible here iff its whole neighborhood is on
-		// this PE: it appears as a source here and is not shared.
-		first, last := l.SharedSpan(v)
-		return first == last && first == c.Rank()
-	}
+	// A vertex is contractible here iff its whole neighborhood is on this
+	// PE: it appears as a source here and is not shared — a range test.
+	lo, hi := l.LocalRange(c.Rank())
+	isLocal := func(v graph.VID) bool { return lo <= v && v < hi }
 	// Quick check: count local edges (both endpoints contractible).
 	localCnt := 0
 	for _, e := range edges {
@@ -49,6 +47,7 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 
 	res := localmst.Run(edges, isLocal, localmst.Config{
 		Pool:      pool,
+		Scratch:   c.Scratch(),
 		Filter:    opt.LocalFilter,
 		HashDedup: opt.HashDedup,
 	})
@@ -87,8 +86,9 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	ghost := exchangeLabels(c, edges, l, labels, opt)
 	work := relabel(c, res.Remaining, l, denseLabels{}, ghost, pool, false, nil)
 
-	// Re-establish the sorted distributed sequence.
-	localSortEdges(work)
+	// Re-establish the sorted distributed sequence: a local (U, V)-keyed
+	// radix pass first.
+	radix.Sort(work, graph.KeyLex, graph.LessLex)
 	c.ChargeCompute(len(work) * log2ceilInt(len(work)+1))
 	if dsort.IsGloballySorted(c, work, graph.LessLex) {
 		if opt.DedupParallel {
@@ -97,11 +97,4 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 		return work, graph.BuildLayout(c, work)
 	}
 	return redistribute(c, work, opt)
-}
-
-// localSortEdges sorts a local edge slice lexicographically in place with
-// the (U, V)-keyed radix pass (one-shot scratch: preprocessing runs once
-// per job, outside the steady-state rounds).
-func localSortEdges(edges []graph.Edge) {
-	radix.Sort(edges, graph.KeyLex, graph.LessLex)
 }

@@ -2,8 +2,10 @@ package gen
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"kamsta/internal/comm"
 	"kamsta/internal/dsort"
@@ -394,4 +396,52 @@ func BenchmarkBuildRGG2D(b *testing.B) {
 			Build(c, Spec{Family: RGG2D, N: 1 << 12, M: 1 << 15, Seed: 1}, dsort.Options{})
 		}
 	})
+}
+
+// TestGenerateFillsOnePresizedSlice: every generator sizes its output from
+// the spec, so generating allocates about one copy of the edges it returns
+// (plus, for RGG, the regenerated cell points) instead of the several a
+// slice grown from nil goes through; the grid's size is exact.
+func TestGenerateFillsOnePresizedSlice(t *testing.T) {
+	for _, tc := range []struct {
+		spec  Spec
+		bound float64 // allocated bytes ÷ bytes of the returned edges
+	}{
+		{Spec{Family: Grid2D, N: 1 << 14, Seed: 1}, 1.05},
+		{Spec{Family: RoadLike, N: 1 << 14, Seed: 1}, 1.2},
+		{Spec{Family: GNM, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.05},
+		{Spec{Family: RMAT, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.05},
+		{Spec{Family: RHG, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.3},
+		{Spec{Family: RGG2D, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.9},
+		{Spec{Family: RGG3D, N: 1 << 13, M: 1 << 16, Seed: 1}, 3.2},
+	} {
+		for _, p := range []int{1, 4} {
+			ratio := make([]float64, p)
+			exact := make([]bool, p)
+			comm.NewWorld(p).Run(func(c *comm.Comm) {
+				// One PE generates at a time so the process-wide allocation
+				// counter is its own.
+				for turn := 0; turn < p; turn++ {
+					if turn == c.Rank() {
+						var before, after runtime.MemStats
+						runtime.ReadMemStats(&before)
+						raw := Generate(c, tc.spec)
+						runtime.ReadMemStats(&after)
+						ratio[turn] = float64(after.TotalAlloc-before.TotalAlloc) / float64(len(raw)*int(unsafe.Sizeof(graph.Edge{})))
+						exact[turn] = cap(raw) == len(raw)
+					}
+					comm.Barrier(c)
+				}
+			})
+			for rank, r := range ratio {
+				if r > tc.bound {
+					t.Errorf("%s p=%d PE %d: allocated %.2f× the returned edges, want ≤ %.2f×", tc.spec.Label(), p, rank, r, tc.bound)
+				}
+				if tc.spec.Family == Grid2D && !exact[rank] {
+					t.Errorf("%s p=%d PE %d: grid output not sized exactly", tc.spec.Label(), p, rank)
+				}
+			}
+			t.Logf("%s p=%d: allocated ÷ returned = %.2f", tc.spec.Label(), p, ratio)
+		}
+	}
 }

@@ -20,7 +20,7 @@ func genGNM(c *comm.Comm, spec Spec) []graph.Edge {
 	lo, hi := ownedRange(c.Rank(), c.P(), spec.M)
 	edges := make([]graph.Edge, 0, 2*(hi-lo))
 	for e := lo; e < hi; e++ {
-		r := rng.New(rng.Hash64(spec.Seed, 0x6E6D, e))
+		r := rng.Seeded(rng.Hash64(spec.Seed, 0x6E6D, e))
 		u := graph.VID(r.Uint64n(n) + 1)
 		v := graph.VID(r.Uint64n(n) + 1)
 		if u == v {

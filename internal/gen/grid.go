@@ -32,7 +32,13 @@ func genGrid2D(c *comm.Comm, spec Spec, road bool) []graph.Edge {
 	}
 	loRow, hiRow := ownedRange(c.Rank(), c.P(), rows)
 	id := func(r, col uint64) graph.VID { return graph.VID(r*cols + col + 1) }
-	var edges []graph.Edge
+	// Presized: the mesh's exact directed count for the owned rows (the
+	// road variant deletes more than its diagonals add).
+	down := hiRow - loRow
+	if hiRow == rows && down > 0 {
+		down--
+	}
+	edges := make([]graph.Edge, 0, 2*((hiRow-loRow)*(cols-1)+down*cols))
 	for r := loRow; r < hiRow; r++ {
 		for col := uint64(0); col < cols; col++ {
 			u := id(r, col)

@@ -40,7 +40,10 @@ func genRGG(c *comm.Comm, spec Spec, dims int) []graph.Edge {
 	g := newRGGGeom(n, radius, dims)
 
 	loCell, hiCell := ownedRange(c.Rank(), c.P(), g.totalCells)
-	var edges []graph.Edge
+	// Presized: the 2·M directed edges spread over the cells like the point
+	// pairs, plus an eighth of slack.
+	share := float64(2*spec.M) * float64(g.pairsBefore(hiCell)-g.pairsBefore(loCell)) / float64(g.pairsBefore(g.totalCells))
+	edges := make([]graph.Edge, 0, uint64(share*1.125))
 	r2 := radius * radius
 	work := 0
 	for cell := loCell; cell < hiCell; cell++ {
@@ -140,6 +143,12 @@ func (g rggGeom) cellOffset(k uint64) uint64 {
 		extra = g.rem
 	}
 	return k*g.base + extra
+}
+
+// pairsBefore returns Σ count² over the cells before k: edges ∝ point pairs.
+func (g rggGeom) pairsBefore(k uint64) uint64 {
+	dense := min(k, g.rem)
+	return dense*(g.base+1)*(g.base+1) + (k-dense)*g.base*g.base
 }
 
 // cellPoints regenerates the points of cell k purely from the seed.

@@ -34,11 +34,14 @@ func genRHG(c *comm.Comm, spec Spec) []graph.Edge {
 	scale := float64(2*spec.M) / s
 
 	lo, hi := ownedRange(c.Rank(), c.P(), n)
-	var edges []graph.Edge
+	// Presized: Σ w_u over the owned labels lo+1..hi directed edges, plus an
+	// eighth of slack.
+	share := scale * (math.Pow(float64(hi), 1-alpha) - math.Pow(float64(lo), 1-alpha)) / (1 - alpha)
+	edges := make([]graph.Edge, 0, uint64(share*1.125)+64)
 	work := 0
 	for u0 := lo; u0 < hi; u0++ {
 		u := graph.VID(u0 + 1)
-		r := rng.New(rng.Hash64(spec.Seed, 0x2467, uint64(u)))
+		r := rng.Seeded(rng.Hash64(spec.Seed, 0x2467, uint64(u)))
 		w := scale * math.Pow(float64(u), -alpha)
 		k := int(w / 2)
 		if r.Float64() < w/2-float64(k) {

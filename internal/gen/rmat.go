@@ -33,7 +33,7 @@ func genRMAT(c *comm.Comm, spec Spec) []graph.Edge {
 	lo, hi := ownedRange(c.Rank(), c.P(), spec.M)
 	edges := make([]graph.Edge, 0, 2*(hi-lo))
 	for e := lo; e < hi; e++ {
-		r := rng.New(rng.Hash64(spec.Seed, 0x52A7, e))
+		r := rng.Seeded(rng.Hash64(spec.Seed, 0x52A7, e))
 		var u, v uint64
 		for l := 0; l < levels; l++ {
 			f := r.Float64()

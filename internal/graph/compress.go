@@ -77,49 +77,56 @@ func (c *CompressedEdges) At(i int) Edge {
 	if i < 0 || i >= c.n {
 		panic(fmt.Sprintf("graph: index %d out of range [0,%d)", i, c.n))
 	}
-	cp := c.index[i/blockSize]
-	pos := cp.offset
-	prevU, prevV := cp.prevU, cp.prevV
-	var e Edge
-	for j := (i / blockSize) * blockSize; j <= i; j++ {
-		du, k1 := binary.Uvarint(c.data[pos:])
-		pos += k1
-		dv, k2 := binary.Uvarint(c.data[pos:])
-		pos += k2
-		w, k3 := binary.Uvarint(c.data[pos:])
-		pos += k3
-		prevU += du
-		prevV = VID(int64(prevV) + unzigzag(dv))
-		e = Edge{U: prevU, V: prevV, W: Weight(w), TB: MakeTB(prevU, prevV), ID: c.firstID + uint64(j)}
-	}
-	return e
+	return c.ByID(c.firstID + uint64(i))
 }
 
 // ByID decodes the edge with the given global ID; it must lie in
 // [FirstID, FirstID+Len()).
 func (c *CompressedEdges) ByID(id uint64) Edge {
-	if id < c.firstID || id >= c.firstID+uint64(c.n) {
-		panic(fmt.Sprintf("graph: ID %d outside chunk [%d,%d)", id, c.firstID, c.firstID+uint64(c.n)))
-	}
-	return c.At(int(id - c.firstID))
+	return c.DecodeIDs([]uint64{id})[0]
 }
 
-// DecodeAll reproduces the full edge slice, accounting the sequential
-// decode pass the paper charges before and after the MST computation.
-func (c *CompressedEdges) DecodeAll() []Edge {
-	out := make([]Edge, 0, c.n)
-	pos := 0
+// DecodeIDs decodes the edges with the given global IDs, which must be
+// ascending (repeats allowed) and lie in [FirstID, FirstID+Len()), in one
+// forward sweep: it decodes through to the next wanted edge and jumps to a
+// block checkpoint only when that lies ahead of the edge it would decode
+// next — the sequential decode pass §VI-C describes and the model charges.
+func (c *CompressedEdges) DecodeIDs(ids []uint64) []Edge {
+	out := make([]Edge, 0, len(ids))
+	next, pos := 0, 0 // position of the next edge to decode, its byte offset
 	var prevU, prevV VID
-	for i := 0; i < c.n; i++ {
-		du, k1 := binary.Uvarint(c.data[pos:])
-		pos += k1
-		dv, k2 := binary.Uvarint(c.data[pos:])
-		pos += k2
-		w, k3 := binary.Uvarint(c.data[pos:])
-		pos += k3
-		prevU += du
-		prevV = VID(int64(prevV) + unzigzag(dv))
-		out = append(out, Edge{U: prevU, V: prevV, W: Weight(w), TB: MakeTB(prevU, prevV), ID: c.firstID + uint64(i)})
+	var e Edge // the last edge decoded
+	for k, id := range ids {
+		if id < c.firstID || id >= c.firstID+uint64(c.n) {
+			panic(fmt.Sprintf("graph: ID %d outside chunk [%d,%d)", id, c.firstID, c.firstID+uint64(c.n)))
+		}
+		if k > 0 && id < ids[k-1] {
+			panic(fmt.Sprintf("graph: DecodeIDs: ID %d after %d, want ascending", id, ids[k-1]))
+		}
+		i := int(id - c.firstID)
+		if block := i - i%blockSize; k == 0 || block > next {
+			cp := c.index[i/blockSize]
+			next, pos, prevU, prevV = block, cp.offset, cp.prevU, cp.prevV
+		}
+		for ; next <= i; next++ {
+			du, k1 := binary.Uvarint(c.data[pos:])
+			dv, k2 := binary.Uvarint(c.data[pos+k1:])
+			w, k3 := binary.Uvarint(c.data[pos+k1+k2:])
+			pos += k1 + k2 + k3
+			prevU += du
+			prevV = VID(int64(prevV) + unzigzag(dv))
+			e = Edge{U: prevU, V: prevV, W: Weight(w), TB: MakeTB(prevU, prevV), ID: c.firstID + uint64(next)}
+		}
+		out = append(out, e)
 	}
 	return out
+}
+
+// DecodeAll reproduces the full edge slice.
+func (c *CompressedEdges) DecodeAll() []Edge {
+	ids := make([]uint64, c.n)
+	for i := range ids {
+		ids[i] = c.firstID + uint64(i)
+	}
+	return c.DecodeIDs(ids)
 }

@@ -164,3 +164,56 @@ func BenchmarkRandomAccess(b *testing.B) {
 		c.At(i % len(edges))
 	}
 }
+
+// TestDecodeIDsMatchesByID: the forward sweep agrees with per-edge random
+// access on ascending ID subsets that are empty, sparse (crossing block
+// boundaries, so checkpoints are skipped to), dense, hit the first and last
+// edge or repeat an ID; descending and out-of-range IDs panic as ByID does.
+func TestDecodeIDsMatchesByID(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	for _, n := range []int{1, blockSize - 1, blockSize, blockSize + 1, 5*blockSize + 7} {
+		edges := makeSortedEdges(n, uint64(n)+40)
+		c := CompressEdges(edges, 100)
+		first, last := uint64(100), uint64(100+n-1)
+		all := make([]uint64, n)
+		for i := range all {
+			all[i] = first + uint64(i)
+		}
+		subsets := [][]uint64{nil, {first}, {last}, {first, last}, {last, last}, all}
+		r := rng.New(uint64(n))
+		for _, keepOneIn := range []int{2, 7, 300} {
+			var ids []uint64
+			for _, id := range all {
+				if r.Intn(keepOneIn) == 0 {
+					ids = append(ids, id)
+				}
+			}
+			subsets = append(subsets, ids)
+		}
+		for _, ids := range subsets {
+			got := c.DecodeIDs(ids)
+			if len(got) != len(ids) {
+				t.Fatalf("n=%d: %d IDs decoded to %d edges", n, len(ids), len(got))
+			}
+			for k, id := range ids {
+				if want := c.ByID(id); got[k] != want {
+					t.Fatalf("n=%d: ID %d: got %+v want %+v", n, id, got[k], want)
+				}
+			}
+		}
+		mustPanic("below range", func() { c.DecodeIDs([]uint64{first - 1}) })
+		mustPanic("above range", func() { c.DecodeIDs([]uint64{first, last + 1}) })
+		if n > 1 {
+			mustPanic("descending", func() { c.DecodeIDs([]uint64{last, first}) })
+		}
+	}
+	mustPanic("empty chunk", func() { CompressEdges(nil, 0).DecodeIDs([]uint64{0}) })
+}

@@ -124,19 +124,8 @@ func KeyWeight(e Edge) uint64 {
 	return uint64(e.W)<<32 | e.TB>>32
 }
 
-// CmpLex adapts LessLex to the slices.SortFunc contract (a total order, so
-// distinct edges never compare equal).
-func CmpLex(a, b Edge) int {
-	switch {
-	case LessLex(a, b):
-		return -1
-	case LessLex(b, a):
-		return 1
-	}
-	return 0
-}
-
-// CmpWeight adapts LessWeight to the slices.SortFunc contract.
+// CmpWeight adapts LessWeight to the slices.SortFunc contract (a total
+// order, so distinct edges never compare equal).
 func CmpWeight(a, b Edge) int {
 	switch {
 	case LessWeight(a, b):

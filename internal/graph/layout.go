@@ -15,7 +15,8 @@ import (
 //   - IsShared(v): whether v's edge range crosses a PE boundary (shared
 //     vertices are the component roots of the distributed Borůvka rounds),
 //   - OwnerOfEdge(u, v): the PE holding the directed edge (u, v),
-//   - SharedSpan(v): the full contiguous range of PEs sharing v.
+//   - SharedSpan(v): the full contiguous range of PEs sharing v,
+//   - LocalRange(rank): the label range of the vertices only PE rank holds.
 //
 // Empty PEs are handled by back-filling their First entry with the next
 // non-empty PE's first edge, keeping the array monotone.
@@ -176,6 +177,24 @@ func (l *Layout) SharedSpan(v VID) (int, int) {
 	return first, last
 }
 
+// LocalRange returns the half-open label range [lo, hi) for which an
+// existing vertex v has SharedSpan(v) == (rank, rank): the PE's first to
+// last source, minus a first source the previous non-empty PE ends on and a
+// last source the next one starts with (lo ≥ hi when nothing is left).
+func (l *Layout) LocalRange(rank int) (lo, hi VID) {
+	if l.Counts[rank] == 0 {
+		return 0, 0
+	}
+	lo, hi = l.First[rank].U, l.Last[rank].U+1
+	if l.HomePE(lo) < rank {
+		lo++
+	}
+	if n := l.next[rank+1]; n < l.P && l.First[n].U == hi-1 {
+		hi--
+	}
+	return lo, hi
+}
+
 // IsSharedOn reports whether v is shared from the point of view of PE rank:
 // v's span includes rank and at least one other PE.
 func (l *Layout) IsSharedOn(v VID, rank int) bool {
@@ -196,18 +215,9 @@ func GlobalVertexCount(c *comm.Comm, l *Layout, localEdges []Edge) int {
 		distinct++
 		lo = hi
 	}
-	// Subtract one if our first vertex is already counted by the previous
-	// non-empty PE.
-	if len(localEdges) > 0 {
-		r := c.Rank()
-		for i := r - 1; i >= 0; i-- {
-			if l.Counts[i] > 0 {
-				if l.Last[i].U == localEdges[0].U {
-					distinct--
-				}
-				break
-			}
-		}
+	// Subtract one if our first vertex is already counted by an earlier PE.
+	if len(localEdges) > 0 && l.HomePE(localEdges[0].U) < c.Rank() {
+		distinct--
 	}
 	return comm.Allreduce(c, distinct, func(a, b int) int { return a + b })
 }

@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"sort"
 	"testing"
 
 	"kamsta/internal/comm"
+	"kamsta/internal/rng"
 )
 
 // TestOwnerOfReverse checks the exact-copy reverse lookup used by the
@@ -102,4 +104,55 @@ func TestHighDegreeVertexSpansManyPEs(t *testing.T) {
 			t.Error("PE 4 holds only back edges; center is not its source")
 		}
 	})
+}
+
+// TestLocalRangeMatchesSharedSpan: for random sorted distributions — empty
+// PEs, a vertex spanning three or more PEs, a vertex that is both first and
+// last source of a PE — the range test local preprocessing uses agrees with
+// SharedSpan(v) == (rank, rank) for every vertex that occurs, on every PE.
+func TestLocalRangeMatchesSharedSpan(t *testing.T) {
+	r := rng.New(11)
+	sawWide, sawFirstLast, sawEmpty := false, false, false
+	for trial := 0; trial < 200; trial++ {
+		n := 6 + r.Intn(30)
+		edges := makeGlobalEdges(n, n+r.Intn(n*(n-1)/2-n), uint64(trial))
+		p := 2 + r.Intn(9)
+		// Random cut points, repeats allowed: equal cuts are empty PEs and
+		// close cuts fall inside one vertex's run.
+		cuts := make([]int, p+1)
+		cuts[p] = len(edges)
+		for i := 1; i < p; i++ {
+			cuts[i] = r.Intn(len(edges) + 1)
+		}
+		sort.Ints(cuts)
+		all := make([]entry, p)
+		for i := range all {
+			if chunk := edges[cuts[i]:cuts[i+1]]; len(chunk) > 0 {
+				all[i] = entry{First: chunk[0], Last: chunk[len(chunk)-1], Count: len(chunk)}
+				sawFirstLast = sawFirstLast || (chunk[0].U == chunk[len(chunk)-1].U && len(chunk) > 1)
+			} else {
+				sawEmpty = true
+			}
+		}
+		l := assembleLayout(all)
+		for i := 0; i < len(edges); i++ {
+			v := edges[i].U
+			if i > 0 && edges[i-1].U == v {
+				continue
+			}
+			first, last := l.SharedSpan(v)
+			sawWide = sawWide || last-first >= 2
+			for rank := 0; rank < p; rank++ {
+				lo, hi := l.LocalRange(rank)
+				want := first == last && first == rank
+				if got := lo <= v && v < hi; got != want {
+					t.Fatalf("trial %d: vertex %d on PE %d: range [%d,%d) says %v, SharedSpan (%d,%d) says %v (cuts %v)",
+						trial, v, rank, lo, hi, got, first, last, want, cuts)
+				}
+			}
+		}
+	}
+	if !sawWide || !sawFirstLast || !sawEmpty {
+		t.Fatalf("shapes not covered: span≥3 %v, first=last %v, empty PE %v", sawWide, sawFirstLast, sawEmpty)
+	}
 }

@@ -15,11 +15,22 @@
 // It also provides the engineering refinements of §VI-B: the hash-table
 // based removal of parallel edges, and a one-level variant of the recursive
 // edge filtering applied before contraction.
+//
+// Endpoints are translated once to dense int32 ids that ascend with the
+// vertex labels, and the rounds run over 16-byte records that index the
+// caller's edge slice, which is never written (DESIGN.md §8.4). Every
+// buffer comes from Config.Scratch, the Result's MSTEdges, Verts, Roots and
+// Remaining included: they are valid until the next Run on the same arena.
+// With a nil Scratch a call has its own arena and the Result owns them.
 package localmst
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
+	"sync/atomic"
 
+	"kamsta/internal/arena"
 	"kamsta/internal/graph"
 	"kamsta/internal/par"
 )
@@ -28,26 +39,18 @@ import (
 type Config struct {
 	// Pool provides intra-PE threads (nil = sequential).
 	Pool *par.Pool
+	// Scratch is the arena all working memory and the Result are taken
+	// from (nil = a private arena for this call).
+	Scratch *arena.Arena
 	// Filter enables the §VI-B edge-filtering enhancement: the edge set is
 	// partitioned at a pivot weight, the light part is contracted first,
 	// and heavy intra-component edges are dropped before a second pass.
-	Filter bool
-	// FilterThreshold is the edge count above which filtering activates
-	// (default 4096).
+	// It activates above FilterThreshold edges (default 4096).
+	Filter          bool
 	FilterThreshold int
-	// HashDedup selects the hash-table parallel-edge removal (§VI-B)
-	// instead of pure sorting.
+	// HashDedup selects the hash-table parallel-edge removal (§VI-B): the
+	// survivors are reduced to one copy per pair before they are sorted.
 	HashDedup bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Pool == nil {
-		c.Pool = par.NewPool(1)
-	}
-	if c.FilterThreshold <= 0 {
-		c.FilterThreshold = 4096
-	}
-	return c
 }
 
 // Result of a local contraction.
@@ -55,90 +58,198 @@ type Result struct {
 	// MSTEdges are the identified MST edges. Their U/V fields are working
 	// labels; TB and ID still identify the original edge.
 	MSTEdges []graph.Edge
-	// Verts lists every eligible (isLocal) vertex in ascending order, and
-	// Roots is aligned with it: Roots[i] is the component root label of
-	// Verts[i] (identity for frozen roots). The dense pair replaces the
-	// former map so callers iterate deterministically and look labels up by
-	// binary search.
+	// Verts lists every eligible (isLocal) vertex in ascending order;
+	// Roots[i] is the component root label of Verts[i].
 	Verts []graph.VID
 	Roots []graph.VID
-	// Remaining holds the surviving edges, endpoints relabeled to component
-	// roots, self-loops removed, parallel edges reduced to the lightest,
-	// sorted lexicographically.
+	// Remaining holds the surviving edges, relabeled to component roots,
+	// without self-loops, the lightest per pair, sorted lexicographically.
 	Remaining []graph.Edge
 	// Rounds is the number of Borůvka rounds executed.
 	Rounds int
-	// Work is the total number of edge touches across all rounds (the
-	// rounds compact the edge set, so Work is far below m·Rounds on
-	// contractible graphs). Callers use it for modeled-cost accounting.
+	// Work is the number of edge touches across all rounds (far below
+	// m·Rounds, as rounds compact the edge set): the modeled-cost charge.
 	Work int
+}
+
+// Arena slots of one Run.
+var (
+	kRecs, kPairs   = arena.NewKey(), arena.NewKey() // []rec working records; []uint32 endpoint-pair hash table
+	kDirect, kLabel = arena.NewKey(), arena.NewKey() // []int32 label window → id+1; []graph.VID id → label
+	kParent, kFlag  = arena.NewKey(), arena.NewKey() // []int32 contraction forest; []uint8 vertex flags
+	kSlots          = arena.NewKey()                 // []atomic.Uint32 min-priority-write table
+	kMST, kRem      = arena.NewKey(), arena.NewKey() // []graph.Edge Result.MSTEdges, Result.Remaining
+	kVerts, kRoots  = arena.NewKey(), arena.NewKey() // []graph.VID Result.Verts, Result.Roots
+)
+
+// rec is a working edge: current endpoint ids (component roots), weight,
+// and the position of its edge in the caller's slice, where TB and ID are
+// read when weights tie and when edges are emitted.
+type rec struct {
+	u, v int32
+	w    graph.Weight
+	orig uint32
+}
+
+// Vertex flags: a foreign vertex may not be contracted here (not isLocal), a
+// frozen root may no longer contract within the current contract call.
+const frozen, foreign = 1, 2
+
+// state is one Run: the id translation and the component structure over
+// all endpoints. Ids ascend with labels, so comparing ids compares labels.
+type state struct {
+	edges  []graph.Edge // the caller's slice, read-only
+	a      *arena.Arena // Config.Scratch, or this call's own
+	pool   *par.Pool
+	base   graph.VID
+	direct []int32     // direct[label-base] = id+1, 0 = absent; nil = search label
+	label  []graph.VID // id → label
+	parent []int32     // roots: parent[i] == i
+	flag   []uint8
+	slots  par.MinIndex
+	work   []rec // the active records of the current round
+	less   func(a, b uint32) bool
+	offer  func(lo, hi int)
+	res    Result
 }
 
 // Run contracts the graph induced by edges as far as the locality rule
 // allows. isLocal says whether a vertex may be contracted on this PE (for
-// preprocessing: local and not shared; for a single-node MSF: always true).
-// Non-local endpoints keep their labels; edges to them freeze their source
-// component when they are its lightest incident edge.
+// preprocessing: local and not shared; for a single-node MSF: always true)
+// and is asked once per distinct vertex. Non-local endpoints keep their
+// labels; edges to them freeze their source component when they are its
+// lightest incident edge.
 func Run(edges []graph.Edge, isLocal func(graph.VID) bool, cfg Config) Result {
-	cfg = cfg.withDefaults()
-	work := make([]graph.Edge, len(edges))
-	copy(work, edges)
-
-	st := newState(work, isLocal)
-	res := Result{}
-	if cfg.Filter && len(work) > cfg.FilterThreshold {
-		light, heavy := splitAtMedianWeight(work)
-		work = st.contract(light, cfg, &res)
-		// Filter heavy edges through the labels achieved so far, then
-		// finish on the union.
-		heavy = st.relabelAndDrop(heavy, cfg.Pool)
-		work = append(work, heavy...)
+	a := cfg.Scratch
+	if a == nil {
+		a = arena.New()
 	}
-	work = st.contract(work, cfg, &res)
-
-	res.Remaining = removeParallel(work, cfg)
-	res.Verts, res.Roots = st.labels()
-	return res
-}
-
-// state tracks the dense component structure over the eligible vertices.
-type state struct {
-	verts   []graph.VID // sorted distinct eligible vertices
-	parent  []int32     // dense parent pointers (roots: parent[i] == i)
-	frozen  []bool      // component may no longer contract
-	isLocal func(graph.VID) bool
-}
-
-func newState(edges []graph.Edge, isLocal func(graph.VID) bool) *state {
-	verts := make([]graph.VID, 0, 2*len(edges))
-	for _, e := range edges {
-		if isLocal(e.U) {
-			verts = append(verts, e.U)
-		}
-		if isLocal(e.V) {
-			verts = append(verts, e.V)
+	st := &state{edges: edges, a: a, pool: cfg.Pool}
+	st.res.MSTEdges = arena.GrabAppend[graph.Edge](a, kMST)
+	st.number(isLocal)
+	st.less = func(x, y uint32) bool { return st.lighter(st.work[x], st.work[y]) }
+	// Min-priority-write [15]: every edge offers itself to the slots of BOTH
+	// endpoints, which makes the selection correct for undirected edges
+	// regardless of which directed copies this PE holds.
+	st.offer = func(lo, hi int) {
+		work, flag, slots, less := st.work, st.flag, st.slots, st.less
+		for k := lo; k < hi; k++ {
+			r := work[k]
+			if flag[r.u] == 0 {
+				slots.Write(int(r.u), uint32(k), less)
+			}
+			if flag[r.v] == 0 {
+				slots.Write(int(r.v), uint32(k), less)
+			}
 		}
 	}
-	slices.Sort(verts)
-	verts = slices.Compact(verts)
-	st := &state{
-		verts:   verts,
-		parent:  make([]int32, len(verts)),
-		frozen:  make([]bool, len(verts)),
-		isLocal: isLocal,
+
+	// Translate once, dropping self-loops; with filtering, light records
+	// fill the buffer from the front and heavy ones from the back.
+	filter := cfg.Filter && len(edges) > cmp.Or(max(cfg.FilterThreshold, 0), 4096)
+	var pivot graph.Edge
+	if filter {
+		pivot = medianWeight(edges)
 	}
-	for i := range st.parent {
-		st.parent[i] = int32(i)
+	recs := arena.Grab[rec](a, kRecs, len(edges))
+	n, heavy := 0, len(recs)
+	for k := range edges {
+		e := &edges[k]
+		if e.U == e.V {
+			continue
+		}
+		r := rec{u: st.id(e.U), v: st.id(e.V), w: e.W, orig: uint32(k)}
+		if filter && graph.LessWeight(pivot, *e) {
+			heavy--
+			recs[heavy] = r
+		} else {
+			recs[n] = r
+			n++
+		}
 	}
-	return st
+	if filter {
+		// Contract the light part and filter the heavy edges through its labels.
+		n = st.contract(recs[:n])
+		_, n = st.relabel(recs, n, heavy, len(recs))
+	}
+	n = st.contract(recs[:n])
+	st.emit(recs[:n], cfg.HashDedup)
+	return st.res
 }
 
-// idx returns the dense index of v, or -1 if v is not eligible.
-func (st *state) idx(v graph.VID) int32 {
-	if i, ok := slices.BinarySearch(st.verts, v); ok {
-		return int32(i)
+// number gives every distinct endpoint a dense id in ascending label order
+// and asks isLocal once per vertex. When the labels span a window not much
+// larger than the edge count (the rule, by §II-B's consecutive ids) a
+// direct table translates in O(1); otherwise the sorted labels are searched.
+func (st *state) number(isLocal func(graph.VID) bool) {
+	edges, a := st.edges, st.a
+	lo, hi := ^graph.VID(0), graph.VID(0)
+	for i := range edges {
+		lo = min(lo, edges[i].U, edges[i].V)
+		hi = max(hi, edges[i].U, edges[i].V)
 	}
-	return -1
+	label := arena.GrabAppend[graph.VID](a, kLabel)
+	if len(edges) > 0 && hi-lo < graph.VID(4*len(edges)+1024) {
+		st.base = lo
+		st.direct = arena.GrabZeroed[int32](a, kDirect, int(hi-lo)+1)
+		for i := range edges {
+			st.direct[edges[i].U-lo], st.direct[edges[i].V-lo] = 1, 1
+		}
+		for x, present := range st.direct {
+			if present != 0 {
+				label = append(label, lo+graph.VID(x))
+				st.direct[x] = int32(len(label))
+			}
+		}
+	} else {
+		for i := range edges {
+			label = append(label, edges[i].U, edges[i].V)
+		}
+		slices.Sort(label)
+		label = slices.Compact(label)
+	}
+	arena.Keep(a, kLabel, label)
+	st.label = label
+	st.parent = arena.Grab[int32](a, kParent, len(label))
+	st.flag = arena.Grab[uint8](a, kFlag, len(label))
+	st.slots = par.MinIndex(arena.Grab[atomic.Uint32](a, kSlots, len(label)))
+	for i, v := range label {
+		st.parent[i], st.flag[i] = int32(i), 0
+		if !isLocal(v) {
+			st.flag[i] = foreign
+		}
+	}
+}
+
+// id returns the dense id of an endpoint label.
+func (st *state) id(v graph.VID) int32 {
+	if st.direct != nil {
+		return st.direct[v-st.base] - 1
+	}
+	i, _ := slices.BinarySearch(st.label, v)
+	return int32(i)
+}
+
+// lighter is graph.LessWeight on records: (W, TB, current V label, ID).
+func (st *state) lighter(a, b rec) bool {
+	if a.w != b.w {
+		return a.w < b.w
+	}
+	ea, eb := &st.edges[a.orig], &st.edges[b.orig]
+	if ea.TB != eb.TB {
+		return ea.TB < eb.TB
+	}
+	if a.v != b.v {
+		return a.v < b.v
+	}
+	return ea.ID < eb.ID
+}
+
+// edge materializes a record: its edge with the record's current labels.
+func (st *state) edge(r rec) graph.Edge {
+	e := st.edges[r.orig]
+	e.U, e.V = st.label[r.u], st.label[r.v]
+	return e
 }
 
 // root resolves i to its component root with path compression.
@@ -153,292 +264,178 @@ func (st *state) root(i int32) int32 {
 	return r
 }
 
-// rootLabel maps a vertex label to its current component root label.
-func (st *state) rootLabel(v graph.VID) graph.VID {
-	i := st.idx(v)
-	if i < 0 {
-		return v
-	}
-	return st.verts[st.root(i)]
-}
-
-// labels materializes the final (ascending vertex, root label) table.
-func (st *state) labels() (verts, roots []graph.VID) {
-	roots = make([]graph.VID, len(st.verts))
-	for i := range st.verts {
-		roots[i] = st.verts[st.root(int32(i))]
-	}
-	return st.verts, roots
-}
-
-// contract runs Borůvka rounds on work until no component can contract,
-// appending found MST edges to res and counting rounds. It returns the
-// surviving relabeled edges (self-loops removed, possibly with parallels).
-func (st *state) contract(work []graph.Edge, cfg Config, res *Result) []graph.Edge {
-	pool := cfg.Pool
+// contract runs Borůvka rounds on w (endpoints are roots, no self-loops)
+// until no component can contract, adding MST edges, rounds and work to the
+// result. It compacts the survivors to the front of w, in no particular
+// order, and returns their number.
+func (st *state) contract(w []rec) int {
 	// Frozen flags are a per-call memo: a component frozen for lack of
-	// edges in the filtered light phase must get another chance when the
-	// heavy edges arrive. Re-freezing on cut edges happens naturally, as a
-	// cut edge lighter than every heavy edge stays the component minimum.
-	for i := range st.frozen {
-		st.frozen[i] = false
+	// edges in the filtered light phase gets another chance when the heavy
+	// edges arrive, and re-freezes naturally on a lighter cut edge.
+	for i := range st.flag {
+		st.flag[i] &^= frozen
 	}
-	// Edges arrive with original labels; normalize to current roots first
-	// (no-op on the first call).
-	work = st.relabelKeepCut(work, pool)
-	// retired holds edges that can never participate again within this
-	// call: both endpoints frozen or non-local. Freezing is permanent for
-	// the duration of a contract call, so setting such edges aside keeps
-	// the per-round scan proportional to the still-active part of the
-	// graph — essential on graphs with many cut edges, where the paper's
-	// preprocessing would otherwise rescan frozen boundaries every round.
-	var retired []graph.Edge
+	// w[:rt] holds the retired edges — both ends frozen or foreign, which
+	// is permanent within a call — so the per-round scan of the active
+	// w[rt:n] stays proportional to the part of the graph still moving
+	// instead of rescanning frozen boundaries every round.
+	rt, n := 0, len(w)
 	for {
-		res.Work += len(work)
-		slots := par.NewMinIndex(len(st.verts))
-		lessByWeight := func(a, b uint32) bool { return graph.LessWeight(work[a], work[b]) }
-		// Min-priority-write: every edge offers itself to the slots of BOTH
-		// endpoints (endpoints are component roots already). Writing both
-		// sides makes the selection correct for undirected edges regardless
-		// of which directed copies this PE holds, and is exactly the
-		// min-priority-write of [15].
-		pool.For(len(work), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				if i := st.idx(work[k].U); i >= 0 && !st.frozen[i] {
-					slots.Write(int(i), uint32(k), lessByWeight)
-				}
-				if i := st.idx(work[k].V); i >= 0 && !st.frozen[i] {
-					slots.Write(int(i), uint32(k), lessByWeight)
-				}
-			}
-		})
-
-		// Choose parents; freeze components whose lightest edge leaves the
-		// local vertex set.
-		type pick struct {
-			target int32 // dense root of the chosen local neighbor, -1 = freeze
-			edge   uint32
+		st.work = w[rt:n]
+		st.res.Work += n - rt
+		st.slots.Reset()
+		st.pool.For(n-rt, st.offer)
+		if !st.hook() {
+			return n
 		}
-		picks := make([]pick, len(st.verts))
-		merged := false
-		for i := range st.verts {
-			picks[i] = pick{target: -1, edge: par.None}
-			if st.frozen[i] || st.parent[i] != int32(i) {
-				continue
-			}
-			k := slots.Get(i)
-			if k == par.None {
-				st.frozen[i] = true // isolated component
-				continue
-			}
-			e := work[k]
-			// The chosen edge may have been written from either side; the
-			// contraction target is the endpoint that is not this root.
-			other := e.V
-			if other == st.verts[i] {
-				other = e.U
-			}
-			j := st.idx(other)
-			if j < 0 {
-				st.frozen[i] = true // lightest edge is a cut edge
-				continue
-			}
-			picks[i] = pick{target: j, edge: k}
-		}
-
-		// Resolve picks; mutual pairs (2-cycles) keep the smaller label as
-		// root and contribute exactly one MST edge.
-		for i := range st.verts {
-			p := picks[i]
-			if p.target < 0 {
-				continue
-			}
-			j := p.target
-			if picks[j].target == int32(i) && st.verts[j] > st.verts[i] {
-				// Mutual pair and we are the smaller label: we stay root;
-				// drop our pick (j will hang under us and contribute the
-				// single MST edge of the 2-cycle).
-				continue
-			}
-			st.parent[i] = j
-			res.MSTEdges = append(res.MSTEdges, work[p.edge])
-			merged = true
-		}
-		res.Rounds++
-		if !merged {
-			break
-		}
-		// Flatten the forest and relabel the edges.
+		// Flatten; then relabel, drop self-loops, retire: one compaction.
 		for i := range st.parent {
 			st.root(int32(i))
 		}
-		work = st.relabelKeepCut(work, pool)
+		from := rt
+		rt, n = st.relabel(w, from, from, n)
 		// Contracting a dense graph leaves many parallel edges; reducing
 		// them per round keeps the total work a geometric sum instead of
-		// m·rounds (the final removeParallel still canonicalizes the
-		// survivors). Cheap hash reduction, lightest copy per directed
-		// pair — both directions of a local edge reduce consistently.
-		if len(work) > 256 {
-			work = reduceParallelPairs(work)
+		// m·rounds. A pair is retired or active as a whole, so the two
+		// parts reduce separately.
+		if n-from > 256 {
+			retired := st.reducePairs(w[from:rt])
+			active := st.reducePairs(w[rt:n])
+			copy(w[from+retired:], w[rt:rt+active])
+			rt, n = from+retired, from+retired+active
 		}
-		// Retire edges between permanently settled components.
-		settled := func(v graph.VID) bool {
-			i := st.idx(v)
-			return i < 0 || st.frozen[st.root(i)]
-		}
-		active := work[:0]
-		for _, e := range work {
-			if settled(e.U) && settled(e.V) {
-				retired = append(retired, e)
-			} else {
-				active = append(active, e)
-			}
-		}
-		work = active
 	}
-	return append(work, retired...)
 }
 
-// reduceParallelPairs keeps the lightest copy per directed endpoint pair.
-// Order is not preserved; the caller re-sorts at the end of the run.
-func reduceParallelPairs(edges []graph.Edge) []graph.Edge {
-	type pair struct{ U, V graph.VID }
-	best := make(map[pair]int, len(edges))
-	out := edges[:0]
-	for _, e := range edges {
-		k := pair{e.U, e.V}
-		if i, ok := best[k]; ok {
-			if graph.LessWeight(e, out[i]) {
-				out[i] = e
-			}
+// hook hangs every root that can still contract under the other end of its
+// lightest edge and emits that edge, freezes components whose lightest edge
+// leaves the local vertex set, and reports whether anything merged.
+func (st *state) hook() bool {
+	merged := false
+	for i := range st.parent {
+		k := st.slots.Get(i)
+		switch {
+		case st.flag[i] != 0 || st.parent[i] != int32(i):
+			continue
+		case k == par.None:
+			st.flag[i] = frozen // isolated component
 			continue
 		}
-		best[k] = len(out)
-		out = append(out, e)
-	}
-	return out
-}
-
-// relabelKeepCut rewrites endpoints to current root labels and drops
-// self-loops.
-func (st *state) relabelKeepCut(edges []graph.Edge, pool *par.Pool) []graph.Edge {
-	out := par.Map(pool, edges, func(e graph.Edge) graph.Edge {
-		e.U = st.rootLabel(e.U)
-		e.V = st.rootLabel(e.V)
-		return e
-	})
-	return par.Filter(pool, out, func(e graph.Edge) bool { return e.U != e.V })
-}
-
-// relabelAndDrop is the filtering step: relabel and drop intra-component
-// (self-loop) edges from a held-back heavy set.
-func (st *state) relabelAndDrop(edges []graph.Edge, pool *par.Pool) []graph.Edge {
-	return st.relabelKeepCut(edges, pool)
-}
-
-// splitAtMedianWeight partitions edges at the median weight of a small
-// sample, light part inclusive.
-func splitAtMedianWeight(edges []graph.Edge) (light, heavy []graph.Edge) {
-	const sampleN = 63
-	sample := make([]graph.Edge, 0, sampleN)
-	step := len(edges)/sampleN + 1
-	for i := 0; i < len(edges); i += step {
-		sample = append(sample, edges[i])
-	}
-	slices.SortFunc(sample, graph.CmpWeight)
-	pivot := sample[len(sample)/2]
-	light = make([]graph.Edge, 0, len(edges)/2)
-	heavy = make([]graph.Edge, 0, len(edges)/2)
-	for _, e := range edges {
-		if graph.LessWeight(pivot, e) {
-			heavy = append(heavy, e)
-		} else {
-			light = append(light, e)
+		r := st.work[k] // written from either side: the target is the other end
+		j := r.v
+		if j == int32(i) {
+			j = r.u
+		}
+		switch {
+		case st.flag[j] == foreign:
+			st.flag[i] = frozen // lightest edge is a cut edge
+		case j > int32(i) && st.slots.Get(int(j)) == k:
+			// 2-cycle (under a strict order both ends chose the same
+			// record): the smaller label stays root, the larger emits.
+		default:
+			st.parent[i] = j
+			st.res.MSTEdges = append(st.res.MSTEdges, st.edge(r))
+			merged = true
 		}
 	}
-	return light, heavy
-}
-
-// removeParallel reduces runs of equal (U,V) to the lightest copy and
-// returns the edges sorted lexicographically. With cfg.HashDedup it uses
-// the §VI-B hybrid: edges lighter than a sampled pivot enter a hash table
-// that both dedups them and filters heavier duplicates, so only the heavy
-// remainder needs sorting.
-func removeParallel(edges []graph.Edge, cfg Config) []graph.Edge {
-	if len(edges) == 0 {
-		return nil
-	}
-	if !cfg.HashDedup {
-		slices.SortFunc(edges, graph.CmpLex)
-		out := edges[:0]
-		for i, e := range edges {
-			if i > 0 && e.U == edges[i-1].U && e.V == edges[i-1].V {
-				continue
-			}
-			out = append(out, e)
-		}
-		return out
-	}
-
-	// Pivot such that the light set is small (about a quarter).
-	const sampleN = 31
-	sample := make([]graph.Edge, 0, sampleN)
-	step := len(edges)/sampleN + 1
-	for i := 0; i < len(edges); i += step {
-		sample = append(sample, edges[i])
-	}
-	slices.SortFunc(sample, graph.CmpWeight)
-	pivot := sample[len(sample)/4]
-
-	type key struct{ U, V graph.VID }
-	light := make(map[key]graph.Edge)
-	heavy := make([]graph.Edge, 0, len(edges))
-	for _, e := range edges {
-		if !graph.LessWeight(pivot, e) {
-			k := key{e.U, e.V}
-			if cur, ok := light[k]; !ok || graph.LessWeight(e, cur) {
-				light[k] = e
-			}
-		} else {
-			heavy = append(heavy, e)
-		}
-	}
-	// Heavy edges whose pair already has a lighter copy die here.
-	kept := heavy[:0]
-	for _, e := range heavy {
-		if _, ok := light[key{e.U, e.V}]; !ok {
-			kept = append(kept, e)
-		}
-	}
-	slices.SortFunc(kept, graph.CmpLex)
-	out := make([]graph.Edge, 0, len(light)+len(kept))
-	for _, e := range light {
-		out = append(out, e)
-	}
-	slices.SortFunc(out, graph.CmpLex)
-	// Merge the two sorted parts, dropping heavy duplicates.
-	merged := make([]graph.Edge, 0, len(out)+len(kept))
-	i, j := 0, 0
-	for i < len(out) || j < len(kept) {
-		var e graph.Edge
-		if j >= len(kept) || (i < len(out) && graph.LessLex(out[i], kept[j])) {
-			e = out[i]
-			i++
-		} else {
-			e = kept[j]
-			j++
-		}
-		if n := len(merged); n > 0 && merged[n-1].U == e.U && merged[n-1].V == e.V {
-			continue
-		}
-		merged = append(merged, e)
-	}
+	st.res.Rounds++
 	return merged
 }
 
+// relabel rewrites w[from:to] to current roots (the forest must be flat)
+// and drops self-loops, compacting the survivors to w[dst:n], dst ≤ from:
+// edges frozen or foreign at both ends to w[dst:rt], the others to w[rt:n].
+func (st *state) relabel(w []rec, dst, from, to int) (rt, n int) {
+	rt, n = dst, dst
+	for k := from; k < to; k++ {
+		r := w[k]
+		r.u, r.v = st.parent[r.u], st.parent[r.v]
+		switch {
+		case r.u == r.v:
+		case st.flag[r.u] != 0 && st.flag[r.v] != 0:
+			w[n], w[rt] = w[rt], r
+			rt, n = rt+1, n+1
+		default:
+			w[n] = r
+			n++
+		}
+	}
+	return rt, n
+}
+
+// reducePairs keeps the lightest copy per directed endpoint pair, compacted
+// to the front of w, and returns their number; an open-addressing table of
+// positions in w is the map.
+func (st *state) reducePairs(w []rec) int {
+	size := 1 << bits.Len(uint(2*len(w))) // a power of two above 2·len(w)
+	table := arena.GrabZeroed[uint32](st.a, kPairs, size)
+	n := 0
+	for _, r := range w {
+		for h := (uint64(uint32(r.u))<<32 | uint64(uint32(r.v))) * 0x9E3779B97F4A7C15 >> 32; ; h++ {
+			t := &table[h&uint64(size-1)]
+			if *t == 0 {
+				w[n] = r
+				n++
+				*t = uint32(n)
+				break
+			}
+			if q := &w[*t-1]; q.u == r.u && q.v == r.v {
+				if st.lighter(r, *q) {
+					*q = r
+				}
+				break
+			}
+		}
+	}
+	return n
+}
+
+// medianWeight is the filter pivot: the median of a strided input sample.
+func medianWeight(edges []graph.Edge) graph.Edge {
+	sample := make([]graph.Edge, 0, 64)
+	for i, step := 0, len(edges)/63+1; i < len(edges); i += step {
+		sample = append(sample, edges[i])
+	}
+	slices.SortFunc(sample, graph.CmpWeight)
+	return sample[len(sample)/2]
+}
+
+// emit fills the Result from the survivors w: Remaining is the lightest
+// copy per endpoint pair in lexicographic order, found by sorting all
+// copies or, with hashDedup, by reducing them first (§VI-B).
+func (st *state) emit(w []rec, hashDedup bool) {
+	if hashDedup {
+		w = w[:st.reducePairs(w)]
+	}
+	slices.SortFunc(w, func(x, y rec) int { return cmp.Or(cmp.Compare(x.u, y.u), cmp.Compare(x.v, y.v)) })
+	m := 0
+	for _, r := range w {
+		switch {
+		case m == 0 || r.u != w[m-1].u || r.v != w[m-1].v:
+			w[m] = r
+			m++
+		case st.lighter(r, w[m-1]):
+			w[m-1] = r
+		}
+	}
+	rem := arena.Grab[graph.Edge](st.a, kRem, m)
+	for i, r := range w[:m] {
+		rem[i] = st.edge(r)
+	}
+	verts := arena.Grab[graph.VID](st.a, kVerts, len(st.label))[:0]
+	roots := arena.Grab[graph.VID](st.a, kRoots, len(st.label))[:0]
+	for i, v := range st.label {
+		if st.flag[i] != foreign {
+			verts = append(verts, v)
+			roots = append(roots, st.label[st.root(int32(i))])
+		}
+	}
+	arena.Keep(st.a, kMST, st.res.MSTEdges)
+	st.res.Remaining, st.res.Verts, st.res.Roots = rem, verts, roots
+}
+
 // MSF computes the full minimum spanning forest of an in-memory graph with
-// t threads — the shared-memory baseline (§VII-C). All vertices count as
-// local.
+// t threads: the shared-memory baseline (§VII-C). All vertices are local.
 func MSF(edges []graph.Edge, pool *par.Pool) Result {
 	return Run(edges, func(graph.VID) bool { return true }, Config{Pool: pool, HashDedup: true})
 }

@@ -228,14 +228,10 @@ func filterTwoPass[T any](p *Pool, xs []T, keep func(T) bool, alloc func(total i
 	return out
 }
 
-// Map applies f to every element of xs in parallel, returning a new slice.
-func Map[T, U any](p *Pool, xs []T, f func(T) U) []U {
-	return MapInto(p, make([]U, len(xs)), xs, f)
-}
-
-// MapInto is Map writing into dst, which must have capacity at least
-// len(xs) and must not alias xs; it returns dst[:len(xs)]. Used with
-// arena-backed destinations to keep per-round transforms allocation-free.
+// MapInto applies f to every element of xs in parallel, writing into dst,
+// which must have capacity at least len(xs) and must not alias xs; it
+// returns dst[:len(xs)]. Used with arena-backed destinations to keep
+// per-round transforms allocation-free.
 func MapInto[T, U any](p *Pool, dst []U, xs []T, f func(T) U) []U {
 	dst = dst[:len(xs)]
 	p.For(len(xs), func(lo, hi int) {
@@ -271,44 +267,33 @@ const None = ^uint32(0)
 // It is the core primitive of the min-priority-write Borůvka variant: each
 // edge is written to the slots of both endpoints, and each slot retains the
 // index of the lightest edge. Writers may race freely; the CAS loop
-// guarantees the winner is the minimum under less.
-type MinIndex struct {
-	slots []atomic.Uint32
-}
-
-// NewMinIndex returns a table with n empty slots.
-func NewMinIndex(n int) *MinIndex {
-	m := &MinIndex{slots: make([]atomic.Uint32, n)}
-	m.Reset()
-	return m
-}
-
-// Len reports the number of slots.
-func (m *MinIndex) Len() int { return len(m.slots) }
+// guarantees the winner is the minimum under less. A table is a plain
+// slice — make one, or convert recycled memory — and must be Reset before use.
+type MinIndex []atomic.Uint32
 
 // Reset empties all slots.
-func (m *MinIndex) Reset() {
-	for i := range m.slots {
-		m.slots[i].Store(None)
+func (m MinIndex) Reset() {
+	for i := range m {
+		m[i].Store(None)
 	}
 }
 
 // Write offers candidate index idx to slot s; the slot keeps whichever of
 // the current holder and idx is smaller under less. less(a, b) must define a
 // strict total order on candidate indices and must be pure.
-func (m *MinIndex) Write(s int, idx uint32, less func(a, b uint32) bool) {
+func (m MinIndex) Write(s int, idx uint32, less func(a, b uint32) bool) {
 	for {
-		cur := m.slots[s].Load()
+		cur := m[s].Load()
 		if cur != None && !less(idx, cur) {
 			return
 		}
-		if m.slots[s].CompareAndSwap(cur, idx) {
+		if m[s].CompareAndSwap(cur, idx) {
 			return
 		}
 	}
 }
 
 // Get returns the current holder of slot s, or None.
-func (m *MinIndex) Get(s int) uint32 {
-	return m.slots[s].Load()
+func (m MinIndex) Get(s int) uint32 {
+	return m[s].Load()
 }

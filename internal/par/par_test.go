@@ -151,10 +151,10 @@ func TestMapParallel(t *testing.T) {
 	for i := range xs {
 		xs[i] = i
 	}
-	got := Map(p, xs, func(v int) int { return v * v })
+	got := MapInto(p, make([]int, n), xs, func(v int) int { return v * v })
 	for i, v := range got {
 		if v != i*i {
-			t.Fatalf("Map wrong at %d: %d", i, v)
+			t.Fatalf("MapInto wrong at %d: %d", i, v)
 		}
 	}
 }
@@ -167,7 +167,8 @@ func TestMinIndexSequential(t *testing.T) {
 		}
 		return a < b
 	}
-	m := NewMinIndex(2)
+	m := make(MinIndex, 2)
+	m.Reset()
 	for i := range weights {
 		m.Write(0, uint32(i), less)
 	}
@@ -187,7 +188,8 @@ func TestMinIndexTieBreak(t *testing.T) {
 		}
 		return a < b
 	}
-	m := NewMinIndex(1)
+	m := make(MinIndex, 1)
+	m.Reset()
 	m.Write(0, 2, less)
 	m.Write(0, 0, less)
 	m.Write(0, 1, less)
@@ -208,7 +210,8 @@ func TestMinIndexConcurrent(t *testing.T) {
 		}
 		return a < b
 	}
-	m := NewMinIndex(16)
+	m := make(MinIndex, 16)
+	m.Reset()
 	p := NewPool(8)
 	p.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -230,7 +233,8 @@ func TestMinIndexConcurrent(t *testing.T) {
 }
 
 func TestMinIndexReset(t *testing.T) {
-	m := NewMinIndex(4)
+	m := make(MinIndex, 4)
+	m.Reset()
 	less := func(a, b uint32) bool { return a < b }
 	m.Write(2, 7, less)
 	m.Reset()
@@ -260,7 +264,8 @@ func BenchmarkMinIndexWrite(b *testing.B) {
 		weights[i] = i * 31 % 1009
 	}
 	less := func(x, y uint32) bool { return weights[x] < weights[y] || (weights[x] == weights[y] && x < y) }
-	m := NewMinIndex(1024)
+	m := make(MinIndex, 1024)
+	m.Reset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Write(i%1024, uint32(i%(1<<16)), less)

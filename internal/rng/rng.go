@@ -50,6 +50,12 @@ type RNG struct {
 // New returns a generator seeded from the given seed via SplitMix64, as
 // recommended by the xoshiro authors.
 func New(seed uint64) *RNG {
+	r := Seeded(seed)
+	return &r
+}
+
+// Seeded is New by value: a short-lived generator that stays on the stack.
+func Seeded(seed uint64) RNG {
 	var r RNG
 	x := seed
 	for i := range r.s {
@@ -59,7 +65,7 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return &r
+	return r
 }
 
 // Split derives an independent child generator identified by id. Children
