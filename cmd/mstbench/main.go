@@ -10,13 +10,14 @@
 //	mstbench -input g.kg -ps 4,8,16                  # benchmark a graph file
 //	mstbench -input g.kg -alg boruvka,filterBoruvka  # selected algorithms only
 //
+// The modeled columns are the exhibit; wall_s is printed for orientation
+// only — wall-clock claims are benchmark/'s job (benchmark/README.md).
+//
 // Observability: -metrics - dumps the substrate and job metrics on exit,
-// -trace trace.json records a Chrome-loadable span trace, -json out.json
-// emits machine-readable benchmark rows (the BENCH_<date>.json schema),
-// and -pprof addr serves live profiles and /metrics over HTTP:
+// -trace trace.json records a Chrome-loadable span trace, and -pprof addr
+// serves live profiles and /metrics over HTTP:
 //
 //	mstbench -metrics - -trace trace.json -input g.kg -ps 8
-//	mstbench -experiment fig6 -json BENCH_$(date +%F).json
 //
 // Distributed runs: -transport tcp leads a world whose remote ranks live in
 // mstworker processes, and -golden verifies the pinned reference bits on
@@ -36,7 +37,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"kamsta"
 	"kamsta/internal/bench"
@@ -59,7 +59,6 @@ func main() {
 	informat := flag.String("format", "auto", "input format: kamsta, edgelist, gr, metis, auto")
 	algNames := flag.String("alg", "", "comma-separated algorithms for -input runs, from: "+
 		kamsta.AlgorithmNames()+" (default: all distributed algorithms)")
-	jsonOut := flag.String("json", "", "write machine-readable benchmark rows to this file (- for stdout)")
 	timeout := flag.Duration("timeout", 0,
 		"per-job deadline: each measurement runs under context.WithTimeout (0 = none)")
 	golden := flag.Bool("golden", false,
@@ -92,26 +91,14 @@ func main() {
 		Metrics:        obsFlags.Registry,
 		Trace:          obsFlags.Trace,
 	}
-	if *jsonOut != "" {
-		scale.Rec = &bench.Recorder{}
-	}
 	scale.Ps, err = parseInts(*ps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mstbench: bad -ps: %v\n", err)
 		os.Exit(2)
 	}
-	// flush writes the -json/-metrics/-trace outputs; every exit path that
-	// has measured something calls it.
+	// flush writes the -metrics/-trace outputs; every exit path that has
+	// measured something calls it.
 	flush := func() {
-		if scale.Rec != nil {
-			err := writeOut(*jsonOut, func(w *os.File) error {
-				return scale.Rec.WriteJSON(w, scale, time.Now().Format("2006-01-02"))
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mstbench: -json: %v\n", err)
-				os.Exit(1)
-			}
-		}
 		if err := obsFlags.Flush(); err != nil {
 			fmt.Fprintf(os.Stderr, "mstbench: %v\n", err)
 			os.Exit(1)
@@ -157,22 +144,6 @@ func main() {
 		fail(err)
 	}
 	flush()
-}
-
-// writeOut opens path for writing ("-" = stdout), runs emit, and closes.
-func writeOut(path string, emit func(*os.File) error) error {
-	if path == "-" {
-		return emit(os.Stdout)
-	}
-	w, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(w); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }
 
 // fail prints one line and exits non-zero; an interrupt gets its own

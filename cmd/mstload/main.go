@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	mstload -tenants alpha:4,beta:2,gamma:1 -workers 8 -jobs 400 -json -
+//	mstload -tenants alpha:4,beta:2,gamma:1 -workers 8 -jobs 400
 //	mstload -target http://127.0.0.1:8377 -tenants web -rate 200 -jobs 1000
 //	mstload -family gnm -n 4096 -m 32768 -tenants big -workers 2 -jobs 20
 //	mstload -chaos-fault 0.2 -chaos-storm 0.1 -retry-attempts 3 -jobs 200
@@ -27,10 +27,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"kamsta"
-	"kamsta/internal/bench"
 	"kamsta/internal/cliobs"
 	"kamsta/internal/gen"
 	"kamsta/internal/serve"
@@ -60,7 +58,6 @@ func main() {
 	verify := flag.Bool("verify", true, "cross-check edge-list results against sequential Kruskal")
 	seed := flag.Uint64("seed", 42, "load and instance seed")
 	duration := flag.Duration("duration", 0, "cap the run (0 = until all jobs resolve)")
-	jsonOut := flag.String("json", "", "write a kamsta-bench/v1 exhibit to this path (- = stdout)")
 	chaosFault := flag.Float64("chaos-fault", 0, "fraction of jobs that panic on one PE mid-run (in-process targets only)")
 	chaosStall := flag.Float64("chaos-stall", 0, "fraction of jobs that stall one PE past the watchdog (in-process targets only)")
 	chaosStorm := flag.Float64("chaos-storm", 0, "fraction of jobs arriving with a hopeless deadline")
@@ -121,8 +118,6 @@ func main() {
 
 	var tgt loadgen.Target
 	var srvStats func() (serve.Stats, bool)
-	var scale bench.Scale
-	scale.Seed = *seed
 	if *target != "" {
 		c := &serve.Client{BaseURL: *target}
 		if !c.Healthy(context.Background()) {
@@ -137,9 +132,6 @@ func main() {
 		shapes, err := serve.ParsePool(*pool)
 		if err != nil {
 			fail("%v", err)
-		}
-		for _, sh := range shapes {
-			scale.Ps = append(scale.Ps, sh.PEs)
 		}
 		srv, err := serve.New(serve.Config{
 			Pool:             shapes,
@@ -164,27 +156,13 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	// Snapshot the server before drain/close so the exhibit records the
+	// Snapshot the server before drain/close so the summary reports the
 	// run's retry and quarantine counters.
 	if st, ok := srvStats(); ok {
 		res.Server = &st
 	}
 	printSummary(res)
 
-	if *jsonOut != "" {
-		w := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fail("%v", err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := loadgen.WriteExhibit(w, res, plan, scale, time.Now().Format("2006-01-02")); err != nil {
-			fail("write exhibit: %v", err)
-		}
-	}
 	if err := obsFlags.Flush(); err != nil {
 		fail("%v", err)
 	}
@@ -205,9 +183,15 @@ func printSummary(res *loadgen.Result) {
 			outcomes = append(outcomes, fmt.Sprintf("%s=%d", k, v))
 		}
 		sort.Strings(outcomes)
-		fmt.Printf("%-12s attempted=%d admitted=%d shed=%d %v p50=%.1fms p95=%.1fms p99=%.1fms\n",
+		fmt.Printf("%-12s attempted=%d admitted=%d shed=%d %v p50=%.1fms p95=%.1fms p99=%.1fms",
 			tr.Name, tr.Attempted, tr.Submitted, tr.Shed, outcomes,
 			tr.Percentile(50)*1e3, tr.Percentile(95)*1e3, tr.Percentile(99)*1e3)
+		// How fast the server says no: under overload this should sit orders
+		// of magnitude below p50.
+		if len(tr.RejectLatencies) > 0 {
+			fmt.Printf(" reject_p99=%.3fms", tr.RejectPercentile(99)*1e3)
+		}
+		fmt.Println()
 	}
 	fmt.Printf("total: %d jobs in %.2fs = %.1f jobs/s\n", jobs, elapsed, float64(jobs)/elapsed)
 	if res.Server != nil {

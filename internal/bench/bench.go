@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -69,9 +68,6 @@ type Scale struct {
 	// Trace, when non-nil, records the span stream of every measured job
 	// (cmd/mstbench -trace).
 	Trace *kamsta.Trace
-	// Rec, when non-nil, records machine-readable benchmark rows for the
-	// -json emitter and the BENCH_<date>.json trajectory.
-	Rec *Recorder
 }
 
 // baseCap resolves the base-case threshold for this scale.
@@ -112,9 +108,8 @@ func (cfg runCfg) runOptions() []kamsta.RunOption {
 // paperOptions is core.DefaultOptions() — the configuration the paper
 // evaluates — with the sorter seed DefaultOptions already resolved cleared
 // again, so input materialization (which reads Core.Sort before the
-// algorithm's defaulting) samples as it always has and the
-// input_modeled_seconds column of the BENCH_*.json trajectory stays
-// comparable.
+// algorithm's defaulting) samples as it always has and table1file's load_s
+// column stays where testdata/exhibits.golden pins it.
 func paperOptions() core.Options {
 	o := core.DefaultOptions()
 	o.Sort.Seed = 0
@@ -170,16 +165,19 @@ func seriesConfig(alg kamsta.Algorithm, threads int, s Scale) runCfg {
 	return cfg
 }
 
-// machinePool caches persistent kamsta.Machines keyed by machine shape
-// (PEs, threads, cost model), so a sweep reuses one parked world per shape
-// across all its data points instead of rebuilding the world — spawning p
-// goroutines and allocating all boards — for every measurement. Every
-// experiment owns a pool for its duration and closes it on exit. The pool
-// carries the sweep's context: cancelling it (SIGINT in cmd/mstbench)
-// aborts the in-flight job at its next collective and stops the sweep.
+// machinePool keeps one warm kamsta.Machine: consecutive measurements on
+// the same shape (PEs, threads, cost model) reuse its parked world, and
+// asking for a different shape closes it first. One slot, not one machine
+// per shape, because a warm machine retains its grow-only arenas — ≈ 2.2 GB
+// for 4 PEs after one 6 M-edge job — and fig5's four shapes together
+// exhausted a 16 GB box. Every experiment owns a pool for its duration and
+// closes it on exit. The pool carries the sweep's context: cancelling it
+// (SIGINT in cmd/mstbench) aborts the in-flight job at its next collective
+// and stops the sweep.
 type machinePool struct {
 	ctx context.Context
-	ms  map[machineKey]*kamsta.Machine
+	key machineKey
+	m   *kamsta.Machine
 
 	// timeout, when positive, wraps every Compute in context.WithTimeout
 	// (Scale.Timeout; the -timeout flag).
@@ -194,7 +192,6 @@ type machinePool struct {
 	// may be nil; see the Scale fields of the same names).
 	metrics *kamsta.Metrics
 	trace   *kamsta.Trace
-	rec     *Recorder
 }
 
 type machineKey struct {
@@ -208,13 +205,11 @@ func newMachinePool(ctx context.Context, s Scale) *machinePool {
 	}
 	return &machinePool{
 		ctx:       ctx,
-		ms:        make(map[machineKey]*kamsta.Machine),
 		timeout:   s.Timeout,
 		transport: s.Transport,
 		workers:   s.Workers,
 		metrics:   s.Metrics,
 		trace:     s.Trace,
-		rec:       s.Rec,
 	}
 }
 
@@ -222,7 +217,8 @@ func newMachinePool(ctx context.Context, s Scale) *machinePool {
 // experiment bodies; RunExperiment's recover turns it back into an error.
 type benchFailure struct{ err error }
 
-// get returns the pooled machine for cfg's shape, creating it on first use.
+// get returns the warm machine if it has cfg's shape, and otherwise
+// replaces it with a new one of that shape.
 func (mp *machinePool) get(cfg runCfg) (*kamsta.Machine, error) {
 	key := machineKey{pes: cfg.PEs, threads: cfg.Threads, cost: cfg.Cost}
 	if key.pes <= 0 {
@@ -231,25 +227,25 @@ func (mp *machinePool) get(cfg runCfg) (*kamsta.Machine, error) {
 	if key.threads <= 0 {
 		key.threads = 1
 	}
-	m := mp.ms[key]
-	if m == nil {
-		mc := cfg.MachineConfig
-		mc.Metrics, mc.Transport, mc.Workers = mp.metrics, mp.transport, mp.workers
-		var err error
-		m, err = kamsta.NewMachine(mc)
-		if err != nil {
-			return nil, err
-		}
-		mp.ms[key] = m
+	if mp.m != nil && mp.key == key {
+		return mp.m, nil
 	}
+	mp.Close()
+	mc := cfg.MachineConfig
+	mc.Metrics, mc.Transport, mc.Workers = mp.metrics, mp.transport, mp.workers
+	m, err := kamsta.NewMachine(mc)
+	if err != nil {
+		return nil, err
+	}
+	mp.key, mp.m = key, m
 	return m, nil
 }
 
-// Close releases every pooled machine's parked PE goroutines.
+// Close releases the warm machine's parked PE goroutines.
 func (mp *machinePool) Close() {
-	for k, m := range mp.ms {
-		m.Close()
-		delete(mp.ms, k)
+	if mp.m != nil {
+		mp.m.Close()
+		mp.m = nil
 	}
 }
 
@@ -281,10 +277,7 @@ func (mp *machinePool) measureSource(src kamsta.Source, cfg runCfg, reps int) *k
 }
 
 // measureSourceErr is the error-returning measurement core: reps runs on
-// the pooled machine, keeping the one with minimum modeled time. With a
-// Recorder attached it also records one machine-readable row per
-// measurement, bracketing the reps with process MemStats for the
-// allocation trajectory.
+// the pooled machine, keeping the one with minimum modeled time.
 func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg runCfg, reps int) (*kamsta.Report, error) {
 	var best *kamsta.Report
 	if reps < 1 {
@@ -298,10 +291,6 @@ func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg runCfg, reps int)
 	if mp.trace != nil {
 		opts = append(opts, kamsta.WithTrace(mp.trace))
 	}
-	var ms0 runtime.MemStats
-	if mp.rec != nil {
-		runtime.ReadMemStats(&ms0)
-	}
 	for i := 0; i < reps; i++ {
 		rep, err := mp.compute(m, src, opts...)
 		if err != nil {
@@ -310,37 +299,6 @@ func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg runCfg, reps int)
 		if best == nil || rep.ModeledSeconds < best.ModeledSeconds {
 			best = rep
 		}
-	}
-	if mp.rec != nil {
-		var ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms1)
-		alg := cfg.Algorithm
-		if alg == "" {
-			alg = kamsta.AlgBoruvka
-		}
-		pes, threads := cfg.PEs, cfg.Threads
-		if pes <= 0 {
-			pes = 4
-		}
-		if threads <= 0 {
-			threads = 1
-		}
-		mp.rec.add(Row{
-			Instance:            src.Label(),
-			Algorithm:           string(alg),
-			PEs:                 pes,
-			Threads:             threads,
-			Vertices:            best.InputVertices,
-			EdgesDirected:       best.InputEdges,
-			Rounds:              best.Rounds,
-			Reps:                reps,
-			ModeledSeconds:      best.ModeledSeconds,
-			WallSeconds:         best.WallSeconds,
-			InputModeledSeconds: best.InputModeledSeconds,
-			EdgesPerSecond:      best.EdgesPerSecond,
-			AllocsPerRep:        (ms1.Mallocs - ms0.Mallocs) / uint64(reps),
-			AllocBytesPerRep:    (ms1.TotalAlloc - ms0.TotalAlloc) / uint64(reps),
-		})
 	}
 	return best, nil
 }
@@ -670,9 +628,6 @@ func FileBackedTable1(ctx context.Context, w io.Writer, s Scale) {
 func RunFile(ctx context.Context, w io.Writer, path, format string, algs []kamsta.Algorithm, s Scale) error {
 	mp := newMachinePool(ctx, s)
 	defer mp.Close()
-	if s.Rec != nil {
-		s.Rec.SetBenchmark("file")
-	}
 	src := kamsta.FromFileFormat(path, format)
 	fmt.Fprintf(w, "# file-backed run — %s\n", path)
 	tw := table(w)
@@ -741,9 +696,6 @@ func RunExperiment(ctx context.Context, id string, w io.Writer, s Scale) error {
 	run, ok := Experiments()[id]
 	if !ok {
 		return fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(ExperimentNames(), ", "))
-	}
-	if s.Rec != nil {
-		s.Rec.SetBenchmark(id)
 	}
 	return runCaptured(func() { run(ctx, w, s) })
 }

@@ -3,8 +3,11 @@ package bench
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -26,29 +29,119 @@ func tinyScale() Scale {
 	}
 }
 
-func TestExperimentRunnersProduceOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness sweep is slow")
-	}
-	for name, run := range Experiments() {
-		var buf bytes.Buffer
-		run(context.Background(), &buf, tinyScale())
-		out := buf.String()
-		if len(out) < 100 {
-			t.Fatalf("%s: suspiciously short output:\n%s", name, out)
-		}
-		if !strings.Contains(out, "#") {
-			t.Fatalf("%s: missing header:\n%s", name, out)
-		}
-	}
-}
+// update rewrites testdata/exhibits.golden from this run. It is test
+// tooling (go test ./internal/bench -run TestExhibitsPinned -update); no
+// command has the flag. A diff of the golden file is a modeled column that
+// moved, and belongs in the PR that moved it, alone.
+var update = flag.Bool("update", false, "rewrite testdata/exhibits.golden from this run")
 
-func TestRunFileBenchmarksAGraphFile(t *testing.T) {
+const exhibitsGolden = "testdata/exhibits.golden"
+
+// cellGap separates two cells of a tabwriter row (padding 2, so never less
+// than two spaces; a cell itself holds single spaces at most).
+var cellGap = regexp.MustCompile(" {2,}")
+
+// writeGraphFile writes a small GNM instance as g.kg in a fresh temp dir.
+func writeGraphFile(t *testing.T) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.kg")
 	spec := gen.Spec{Family: gen.GNM, N: 200, M: 800, Seed: 2}
 	if err := graphio.WriteFile(path, graphio.FormatKamsta, collectEdges(spec, 4)); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestExhibitsPinned holds ROADMAP's behaviour contract — every modeled
+// exhibit column byte-identical — under tier-1: all eight experiments plus
+// a -input run at tinyScale(), every table minus its wall_s columns,
+// compared byte for byte with the committed golden file.
+func TestExhibitsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness sweep is slow")
+	}
+	var got []string
+	for _, id := range ExperimentNames() {
+		var buf bytes.Buffer
+		if err := RunExperiment(context.Background(), id, &buf, tinyScale()); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got = append(got, "== "+id)
+		got = append(got, modeledColumns(t, id, buf.String())...)
+	}
+	path := writeGraphFile(t)
+	var buf bytes.Buffer
+	if err := RunFile(context.Background(), &buf, path, "auto", nil, tinyScale()); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, "== input")
+	got = append(got, modeledColumns(t, "input", strings.ReplaceAll(buf.String(), filepath.Dir(path), "$TMP"))...)
+
+	if *update {
+		if err := os.WriteFile(exhibitsGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(exhibitsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	id := ""
+	for i := 0; i < len(want) || i < len(got); i++ {
+		w, g := "<end of golden file>", "<end of output>"
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(got) {
+			g = got[i]
+		}
+		if w != g {
+			t.Fatalf("exhibit %s, %s line %d:\n  want %s\n  got  %s", id, exhibitsGolden, i+1, w, g)
+		}
+		if strings.HasPrefix(g, "== ") {
+			id = g[3:]
+		}
+	}
+}
+
+// modeledColumns splits an exhibit's output into lines and drops, from
+// every table, each column whose header is wall_s; the surviving cells are
+// re-joined by two spaces, since dropping a column moves the alignment
+// anyway. A table starts at the first line after a '#' title and ends at a
+// blank line or the next title; a row whose cell count differs from its
+// header's would make the drop ambiguous and fails the test.
+func modeledColumns(t *testing.T, id, out string) []string {
+	t.Helper()
+	var lines []string
+	var header []string
+	for _, ln := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		if ln == "" || strings.HasPrefix(ln, "#") {
+			header = nil
+			lines = append(lines, ln)
+			continue
+		}
+		row := cellGap.Split(ln, -1)
+		if header == nil {
+			header = row
+		}
+		if len(row) != len(header) {
+			t.Fatalf("%s: row has %d cells under a %d-column header:\n%s", id, len(row), len(header), ln)
+		}
+		var kept []string
+		for i, c := range row {
+			if header[i] != "wall_s" {
+				kept = append(kept, c)
+			}
+		}
+		lines = append(lines, strings.Join(kept, "  "))
+	}
+	return lines
+}
+
+func TestRunFileBenchmarksAGraphFile(t *testing.T) {
+	path := writeGraphFile(t)
 	s := tinyScale()
 	s.Ps = []int{2}
 	var buf bytes.Buffer

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,11 +11,14 @@ import (
 )
 
 // GoldenCase pins one reference computation: the modeled clock bits, MSF
-// weight and traffic stats captured on the original in-process substrate.
-// The table duplicates the repo's golden tests so the same bits gate the
-// multi-process smoke lane (mstbench -golden -transport tcp -workers ...):
-// every transport backend must reproduce them verbatim — the wire is
-// allowed to change wall time only.
+// weight and traffic stats captured on the original in-process mutex+cond
+// substrate. The modeled clock is a deterministic function of the
+// algorithm's communication structure and the cost model, so it must not
+// move when the substrate's wall-clock implementation is reworked. This is
+// the one table: the root package's TestModeledTimeGolden iterates it, and
+// so does the multi-process smoke lane (mstbench -golden -transport tcp
+// -workers ...) — every transport backend must reproduce it verbatim; the
+// wire is allowed to change wall time only.
 type GoldenCase struct {
 	Name        string
 	Spec        kamsta.GraphSpec
@@ -23,6 +27,8 @@ type GoldenCase struct {
 	ModeledBits uint64
 	Weight      uint64
 	MSFEdges    int
+	// Traffic totals of the job (Report.Stats).
+	Msgs, Bytes, Collectives int64
 }
 
 // GoldenCases lists the pinned reference computations.
@@ -33,34 +39,45 @@ func GoldenCases() []GoldenCase {
 			Spec:        kamsta.GraphSpec{Family: kamsta.GNM, N: 1 << 10, M: 1 << 13, Seed: 42},
 			Alg:         kamsta.AlgBoruvka,
 			PEs:         8,
-			ModeledBits: 0x3f453980b2cb7769,
+			ModeledBits: 0x3f453980b2cb7769, // 0.0006477239999999998 s
 			Weight:      19837,
 			MSFEdges:    1023,
+			Msgs:        312,
+			Bytes:       1377024,
+			Collectives: 88,
 		},
 		{
 			Name:        "rgg2d-filter",
 			Spec:        kamsta.GraphSpec{Family: kamsta.RGG2D, N: 1 << 10, M: 1 << 13, Seed: 7},
 			Alg:         kamsta.AlgFilterBoruvka,
 			PEs:         8,
-			ModeledBits: 0x3f68ca7d4d6ed9eb,
+			ModeledBits: 0x3f68ca7d4d6ed9eb, // 0.003026242000000003 s
 			Weight:      22137,
 			MSFEdges:    1023,
+			Msgs:        2192,
+			Bytes:       1884808,
+			Collectives: 472,
 		},
 	}
 }
 
 // RunGolden computes every golden case on the Scale's transport and checks
-// the bits, printing one PASS/FAIL line per case. A mismatch or a failed
-// job returns an error after the remaining cases have still been tried.
+// bits, MSF and traffic, printing one PASS/FAIL line per case. A mismatch
+// or a failed job returns an error after the remaining cases have still
+// been tried.
 func RunGolden(ctx context.Context, w io.Writer, s Scale) error {
 	mp := newMachinePool(ctx, s)
 	defer mp.Close()
 	var firstErr error
 	for _, gc := range GoldenCases() {
 		cfg := runCfg{MachineConfig: kamsta.MachineConfig{PEs: gc.PEs}, Algorithm: gc.Alg}
-		err := runGoldenCase(mp, gc, cfg)
+		rep, err := mp.measureSourceErr(kamsta.FromSpec(gc.Spec), cfg, 1)
 		if err == nil {
-			fmt.Fprintf(w, "PASS %-14s modeled bits %#x, weight %d\n", gc.Name, gc.ModeledBits, gc.Weight)
+			err = gc.Check(rep)
+		}
+		if err == nil {
+			fmt.Fprintf(w, "PASS %-14s modeled bits %#x, weight %d, msgs/bytes/collectives %d/%d/%d\n",
+				gc.Name, gc.ModeledBits, gc.Weight, gc.Msgs, gc.Bytes, gc.Collectives)
 			continue
 		}
 		fmt.Fprintf(w, "FAIL %-14s %v\n", gc.Name, err)
@@ -71,21 +88,21 @@ func RunGolden(ctx context.Context, w io.Writer, s Scale) error {
 	return firstErr
 }
 
-func runGoldenCase(mp *machinePool, gc GoldenCase, cfg runCfg) error {
-	m, err := mp.get(cfg)
-	if err != nil {
-		return err
-	}
-	rep, err := mp.compute(m, kamsta.FromSpec(gc.Spec), cfg.runOptions()...)
-	if err != nil {
-		return err
-	}
+// Check reports every way rep departs from the pinned case: clock bits, MSF
+// weight and size, traffic totals. Nil means it reproduces the case.
+func (gc GoldenCase) Check(rep *kamsta.Report) error {
+	var errs []error
 	if got := math.Float64bits(rep.ModeledSeconds); got != gc.ModeledBits {
-		return fmt.Errorf("modeled %v (bits %#x), want bits %#x (%v)",
-			rep.ModeledSeconds, got, gc.ModeledBits, math.Float64frombits(gc.ModeledBits))
+		errs = append(errs, fmt.Errorf("modeled %v (bits %#x), want bits %#x (%v)",
+			rep.ModeledSeconds, got, gc.ModeledBits, math.Float64frombits(gc.ModeledBits)))
 	}
 	if rep.TotalWeight != gc.Weight || rep.NumEdges != gc.MSFEdges {
-		return fmt.Errorf("MSF weight/edges %d/%d, want %d/%d", rep.TotalWeight, rep.NumEdges, gc.Weight, gc.MSFEdges)
+		errs = append(errs, fmt.Errorf("MSF weight/edges %d/%d, want %d/%d",
+			rep.TotalWeight, rep.NumEdges, gc.Weight, gc.MSFEdges))
 	}
-	return nil
+	if st := rep.Stats; st.Messages != gc.Msgs || st.Bytes != gc.Bytes || st.Collectives != gc.Collectives {
+		errs = append(errs, fmt.Errorf("msgs/bytes/collectives %d/%d/%d, want %d/%d/%d",
+			st.Messages, st.Bytes, st.Collectives, gc.Msgs, gc.Bytes, gc.Collectives))
+	}
+	return errors.Join(errs...)
 }

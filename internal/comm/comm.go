@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -288,18 +287,6 @@ func (w *World) Phases() map[string]PhaseTime {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return maps.Clone(w.phases)
-}
-
-// PhaseNames returns the phase names in sorted order.
-func (w *World) PhaseNames() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	names := make([]string, 0, len(w.phases))
-	for k := range w.phases {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // MaxClock reports the maximum modeled clock over all PEs after the last

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -483,10 +485,38 @@ func TestPhaseNamesSorted(t *testing.T) {
 		c.Phase("zz", func() {})
 		c.Phase("aa", func() {})
 	})
-	names := w.PhaseNames()
-	if len(names) != 2 || names[0] != "aa" || names[1] != "zz" {
-		t.Fatalf("PhaseNames = %v", names)
+	var names []string
+	for name := range w.Phases() {
+		names = append(names, name)
 	}
+	sort.Strings(names)
+	if len(names) != 2 || names[0] != "aa" || names[1] != "zz" {
+		t.Fatalf("phase names = %v", names)
+	}
+}
+
+// TestCompleteFoldsClocks pins the board clock fold every superstep
+// completion performs: the slot carries the maximum deposited clock, and
+// the fold is order-independent (negative zero and +Inf included), so every
+// process of a distributed world derives bit-identical clocks.
+func TestCompleteFoldsClocks(t *testing.T) {
+	NewWorld(1).Run(func(c *Comm) {
+		fold := func(clocks ...float64) float64 {
+			board := make([]deposit, len(clocks))
+			for i, clk := range clocks {
+				board[i].Clock = clk
+			}
+			return c.complete(board, verdictRun).ClockMax
+		}
+		if got := fold(1.5, 3.25, 2.0); got != 3.25 {
+			t.Errorf("fold = %v, want 3.25", got)
+		}
+		negZero := math.Copysign(0, -1)
+		x, y := fold(negZero, 0, math.Inf(1)), fold(math.Inf(1), 0, negZero)
+		if math.Float64bits(x) != math.Float64bits(y) {
+			t.Errorf("fold order-dependent: %x vs %x", math.Float64bits(x), math.Float64bits(y))
+		}
+	})
 }
 
 func TestStatsAccumulate(t *testing.T) {

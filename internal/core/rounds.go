@@ -599,14 +599,6 @@ func dedupSorted(c *comm.Comm, sorted []graph.Edge) []graph.Edge {
 	return dedup
 }
 
-// checkSorted panics with context if the local edges are not sorted; used
-// at phase boundaries in debug paths.
-func checkSorted(where string, edges []graph.Edge) {
-	if !graph.IsSorted(edges) {
-		panic(fmt.Sprintf("core: %s: local edges out of order", where))
-	}
-}
-
 // debugChecks enables expensive global invariant verification (tests only).
 var debugChecks = false
 

@@ -66,28 +66,8 @@ func CompressEdges(edges []Edge, firstID uint64) *CompressedEdges {
 // Len reports the number of stored edges.
 func (c *CompressedEdges) Len() int { return c.n }
 
-// FirstID reports the global ID of the first stored edge.
-func (c *CompressedEdges) FirstID() uint64 { return c.firstID }
-
-// SizeBytes reports the compressed payload size (excluding the index).
-func (c *CompressedEdges) SizeBytes() int { return len(c.data) }
-
-// At decodes the i-th stored edge (0-based position within this chunk).
-func (c *CompressedEdges) At(i int) Edge {
-	if i < 0 || i >= c.n {
-		panic(fmt.Sprintf("graph: index %d out of range [0,%d)", i, c.n))
-	}
-	return c.ByID(c.firstID + uint64(i))
-}
-
-// ByID decodes the edge with the given global ID; it must lie in
-// [FirstID, FirstID+Len()).
-func (c *CompressedEdges) ByID(id uint64) Edge {
-	return c.DecodeIDs([]uint64{id})[0]
-}
-
 // DecodeIDs decodes the edges with the given global IDs, which must be
-// ascending (repeats allowed) and lie in [FirstID, FirstID+Len()), in one
+// ascending (repeats allowed) and lie in [firstID, firstID+Len()), in one
 // forward sweep: it decodes through to the next wanted edge and jumps to a
 // block checkpoint only when that lies ahead of the edge it would decode
 // next — the sequential decode pass §VI-C describes and the model charges.
@@ -120,13 +100,4 @@ func (c *CompressedEdges) DecodeIDs(ids []uint64) []Edge {
 		out = append(out, e)
 	}
 	return out
-}
-
-// DecodeAll reproduces the full edge slice.
-func (c *CompressedEdges) DecodeAll() []Edge {
-	ids := make([]uint64, c.n)
-	for i := range ids {
-		ids[i] = c.firstID + uint64(i)
-	}
-	return c.DecodeIDs(ids)
 }

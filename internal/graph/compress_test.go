@@ -26,11 +26,20 @@ func makeSortedEdges(n int, seed uint64) []Edge {
 	return edges
 }
 
+// allIDs lists every ID c stores, ascending.
+func allIDs(c *CompressedEdges) []uint64 {
+	ids := make([]uint64, c.n)
+	for i := range ids {
+		ids[i] = c.firstID + uint64(i)
+	}
+	return ids
+}
+
 func TestRoundTripDecodeAll(t *testing.T) {
 	for _, n := range []int{0, 1, 5, blockSize - 1, blockSize, blockSize + 1, 4*blockSize + 7} {
 		edges := makeSortedEdges(n, uint64(n))
 		c := CompressEdges(edges, 100)
-		got := c.DecodeAll()
+		got := c.DecodeIDs(allIDs(c))
 		if len(got) != n {
 			t.Fatalf("n=%d: decoded %d edges", n, len(got))
 		}
@@ -46,8 +55,8 @@ func TestRandomAccessAt(t *testing.T) {
 	edges := makeSortedEdges(3*blockSize+17, 9)
 	c := CompressEdges(edges, 100)
 	for _, i := range []int{0, 1, blockSize - 1, blockSize, 2*blockSize + 5, len(edges) - 1} {
-		if got := c.At(i); got != edges[i] {
-			t.Fatalf("At(%d): got %+v want %+v", i, got, edges[i])
+		if got := c.DecodeIDs([]uint64{100 + uint64(i)})[0]; got != edges[i] {
+			t.Fatalf("position %d: got %+v want %+v", i, got, edges[i])
 		}
 	}
 }
@@ -56,8 +65,8 @@ func TestByID(t *testing.T) {
 	edges := makeSortedEdges(50, 3)
 	c := CompressEdges(edges, 100)
 	for i, e := range edges {
-		if got := c.ByID(100 + uint64(i)); got != e {
-			t.Fatalf("ByID(%d) mismatch", 100+i)
+		if got := c.DecodeIDs([]uint64{100 + uint64(i)})[0]; got != e {
+			t.Fatalf("ID %d mismatch", 100+i)
 		}
 	}
 }
@@ -68,22 +77,12 @@ func TestByIDPanicsOutOfRange(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("ByID(%d) should panic", id)
+					t.Errorf("ID %d should panic", id)
 				}
 			}()
-			c.ByID(id)
+			c.DecodeIDs([]uint64{id})
 		}()
 	}
-}
-
-func TestAtPanicsOutOfRange(t *testing.T) {
-	c := CompressEdges(makeSortedEdges(10, 1), 100)
-	defer func() {
-		if recover() == nil {
-			t.Error("At(-1) should panic")
-		}
-	}()
-	c.At(-1)
 }
 
 func TestEncodePanicsOnUnsorted(t *testing.T) {
@@ -121,8 +120,8 @@ func TestCompressionSavesSpace(t *testing.T) {
 	}
 	c := CompressEdges(edges, 0)
 	raw := n * 40
-	if c.SizeBytes()*4 > raw {
-		t.Fatalf("compressed %d bytes vs raw %d: expected at least 4x saving", c.SizeBytes(), raw)
+	if len(c.data)*4 > raw {
+		t.Fatalf("compressed %d bytes vs raw %d: expected at least 4x saving", len(c.data), raw)
 	}
 }
 
@@ -135,8 +134,8 @@ func TestZigzagRoundTrip(t *testing.T) {
 
 func TestLenAndFirstID(t *testing.T) {
 	c := CompressEdges(makeSortedEdges(33, 2), 100)
-	if c.Len() != 33 || c.FirstID() != 100 {
-		t.Fatalf("Len=%d FirstID=%d", c.Len(), c.FirstID())
+	if c.Len() != 33 || c.firstID != 100 {
+		t.Fatalf("Len=%d firstID=%d", c.Len(), c.firstID)
 	}
 }
 
@@ -150,9 +149,10 @@ func BenchmarkCompressEdges(b *testing.B) {
 
 func BenchmarkDecodeAll(b *testing.B) {
 	c := CompressEdges(makeSortedEdges(100000, 4), 100)
+	ids := allIDs(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.DecodeAll()
+		c.DecodeIDs(ids)
 	}
 }
 
@@ -161,14 +161,14 @@ func BenchmarkRandomAccess(b *testing.B) {
 	c := CompressEdges(edges, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.At(i % len(edges))
+		c.DecodeIDs([]uint64{100 + uint64(i%len(edges))})
 	}
 }
 
-// TestDecodeIDsMatchesByID: the forward sweep agrees with per-edge random
-// access on ascending ID subsets that are empty, sparse (crossing block
+// TestDecodeIDsMatchesByID: the forward sweep reproduces the encoded edge
+// for every ID of ascending subsets that are empty, sparse (crossing block
 // boundaries, so checkpoints are skipped to), dense, hit the first and last
-// edge or repeat an ID; descending and out-of-range IDs panic as ByID does.
+// edge or repeat an ID; descending and out-of-range IDs panic.
 func TestDecodeIDsMatchesByID(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -183,10 +183,7 @@ func TestDecodeIDsMatchesByID(t *testing.T) {
 		edges := makeSortedEdges(n, uint64(n)+40)
 		c := CompressEdges(edges, 100)
 		first, last := uint64(100), uint64(100+n-1)
-		all := make([]uint64, n)
-		for i := range all {
-			all[i] = first + uint64(i)
-		}
+		all := allIDs(c)
 		subsets := [][]uint64{nil, {first}, {last}, {first, last}, {last, last}, all}
 		r := rng.New(uint64(n))
 		for _, keepOneIn := range []int{2, 7, 300} {
@@ -204,7 +201,7 @@ func TestDecodeIDsMatchesByID(t *testing.T) {
 				t.Fatalf("n=%d: %d IDs decoded to %d edges", n, len(ids), len(got))
 			}
 			for k, id := range ids {
-				if want := c.ByID(id); got[k] != want {
+				if want := edges[id-first]; got[k] != want {
 					t.Fatalf("n=%d: ID %d: got %+v want %+v", n, id, got[k], want)
 				}
 			}

@@ -14,7 +14,7 @@ import (
 //   - HomePE(v): the first PE holding edges with source v,
 //   - IsShared(v): whether v's edge range crosses a PE boundary (shared
 //     vertices are the component roots of the distributed Borůvka rounds),
-//   - OwnerOfEdge(u, v): the PE holding the directed edge (u, v),
+//   - OwnerOfReverse(e): the PE holding the reverse copy of edge e,
 //   - SharedSpan(v): the full contiguous range of PEs sharing v,
 //   - LocalRange(rank): the label range of the vertices only PE rank holds.
 //
@@ -76,15 +76,6 @@ func assembleLayout(all []entry) *Layout {
 	return l
 }
 
-// TotalEdges reports the global number of edges.
-func (l *Layout) TotalEdges() int {
-	s := 0
-	for _, c := range l.Counts {
-		s += c
-	}
-	return s
-}
-
 // locate returns the first non-empty PE containing an edge >= probe, or P
 // if none.
 func (l *Layout) locate(probe Edge) int {
@@ -125,16 +116,6 @@ func probeFor(v VID) Edge { return Edge{U: v} }
 // start; callers only query existing vertices.
 func (l *Layout) HomePE(v VID) int {
 	i := l.locate(probeFor(v))
-	if i >= l.P {
-		return l.P - 1
-	}
-	return i
-}
-
-// OwnerOfEdge returns the PE holding the directed edge (u, v). Callers only
-// query existing edges.
-func (l *Layout) OwnerOfEdge(u, v VID) int {
-	i := l.locate(Edge{U: u, V: v})
 	if i >= l.P {
 		return l.P - 1
 	}

@@ -134,10 +134,10 @@ func bruteShared(chunks [][]Edge, v VID) bool {
 	return n > 1
 }
 
-func bruteOwner(chunks [][]Edge, u, v VID) int {
+func bruteOwner(chunks [][]Edge, want Edge) int {
 	for i, ch := range chunks {
 		for _, e := range ch {
-			if e.U == u && e.V == v {
+			if e == want {
 				return i
 			}
 		}
@@ -153,9 +153,11 @@ func TestLayoutAgainstBruteForce(t *testing.T) {
 			w := comm.NewWorld(p)
 			w.Run(func(c *comm.Comm) {
 				l := BuildLayout(c, chunks[c.Rank()])
-				if l.TotalEdges() != len(edges) {
-					t.Errorf("p=%d pat=%d: TotalEdges=%d want %d", p, pattern, l.TotalEdges(), len(edges))
-					return
+				for i, n := range l.Counts {
+					if n != len(chunks[i]) {
+						t.Errorf("p=%d pat=%d: Counts[%d]=%d want %d", p, pattern, i, n, len(chunks[i]))
+						return
+					}
 				}
 				if c.Rank() != 0 {
 					return // checks below are deterministic and replicated
@@ -173,9 +175,11 @@ func TestLayoutAgainstBruteForce(t *testing.T) {
 					}
 				}
 				for _, e := range edges {
-					want := bruteOwner(chunks, e.U, e.V)
-					if got := l.OwnerOfEdge(e.U, e.V); got != want {
-						t.Errorf("p=%d pat=%d: OwnerOfEdge(%d,%d)=%d want %d", p, pattern, e.U, e.V, got, want)
+					// e is the reverse copy of its own reverse.
+					rev := Edge{U: e.V, V: e.U, W: e.W, TB: e.TB}
+					want := bruteOwner(chunks, e)
+					if got := l.OwnerOfReverse(rev); got != want {
+						t.Errorf("p=%d pat=%d: owner of (%d,%d)=%d want %d", p, pattern, e.U, e.V, got, want)
 					}
 				}
 			})
@@ -269,8 +273,10 @@ func TestLayoutAllEmpty(t *testing.T) {
 	w := comm.NewWorld(3)
 	w.Run(func(c *comm.Comm) {
 		l := BuildLayout(c, nil)
-		if l.TotalEdges() != 0 {
-			t.Errorf("empty layout has %d edges", l.TotalEdges())
+		for i, n := range l.Counts {
+			if n != 0 {
+				t.Errorf("empty layout has %d edges on PE %d", n, i)
+			}
 		}
 	})
 }

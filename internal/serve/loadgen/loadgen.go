@@ -2,9 +2,9 @@
 // (over HTTP) with multi-tenant job mixes: closed-loop worker pools that
 // keep a fixed concurrency in flight, and open-loop Poisson arrivals at a
 // target rate. It accounts every job exactly once — lost or duplicated
-// results are a harness error, not a statistic — and renders throughput,
-// latency percentiles and rejection rates as kamsta-bench/v1 rows
-// (exhibit.go), the service-side counterpart of internal/bench.
+// results are a harness error, not a statistic — and returns per-tenant
+// counts, outcomes and latency samples for the caller to summarise
+// (cmd/mstload prints them).
 package loadgen
 
 import (

@@ -1,15 +1,12 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"kamsta"
-	"kamsta/internal/bench"
 	"kamsta/internal/obs"
 	"kamsta/internal/serve"
 )
@@ -68,31 +65,6 @@ func TestExactlyOnceUnderLoad(t *testing.T) {
 		if len(tr.Latencies) != perTenant {
 			t.Fatalf("tenant %s recorded %d latencies, want %d", tr.Name, len(tr.Latencies), perTenant)
 		}
-	}
-	// The exhibit renders without error and carries the loadgen fields.
-	var buf bytes.Buffer
-	scale := bench.Scale{Ps: []int{2}, Seed: plan.Seed}
-	if err := WriteExhibit(&buf, res, plan, scale, "2026-01-01"); err != nil {
-		t.Fatalf("WriteExhibit: %v", err)
-	}
-	var doc struct {
-		Schema string `json:"schema"`
-		Rows   []struct {
-			Tenant        string  `json:"tenant"`
-			Jobs          int     `json:"jobs"`
-			JobsPerSecond float64 `json:"jobs_per_second"`
-			P99Seconds    float64 `json:"p99_seconds"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("exhibit is not valid JSON: %v", err)
-	}
-	if doc.Schema != "kamsta-bench/v1" || len(doc.Rows) != 4 {
-		t.Fatalf("exhibit schema %q with %d rows, want kamsta-bench/v1 with 4 rows", doc.Schema, len(doc.Rows))
-	}
-	total := doc.Rows[3]
-	if total.Tenant != "all" || total.Jobs != 3*perTenant || total.JobsPerSecond <= 0 {
-		t.Fatalf("summary row = %+v", total)
 	}
 }
 

@@ -22,7 +22,6 @@ package tcp
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"kamsta/internal/enc"
 	"kamsta/internal/transport"
@@ -256,15 +255,4 @@ func appendRawSlot(b []byte, d *transport.Deposit, raw []byte, present bool) []b
 	}
 	b = enc.AppendU8(b, 1)
 	return enc.AppendBytes(b, raw)
-}
-
-// foldClock is the board clock fold every completion performs; max is
-// order-independent for the regular floats the cost model produces, so the
-// result is bit-identical on every process.
-func foldClock(board []transport.Deposit) float64 {
-	m := board[0].Clock
-	for i := 1; i < len(board); i++ {
-		m = math.Max(m, board[i].Clock)
-	}
-	return m
 }

@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -165,18 +164,5 @@ func TestSlotRejectsCorruption(t *testing.T) {
 	bad[12] = 7 // presence flag: not 0 or 1
 	if _, _, err := readSlot(enc.NewReader(bad), &d, cd); !errors.Is(err, enc.ErrCorrupt) {
 		t.Fatalf("bad presence flag: got %v, want ErrCorrupt", err)
-	}
-}
-
-func TestFoldClock(t *testing.T) {
-	board := []transport.Deposit{{Clock: 1.5}, {Clock: 3.25}, {Clock: 2.0}}
-	if got := foldClock(board); got != 3.25 {
-		t.Fatalf("foldClock = %v, want 3.25", got)
-	}
-	// Order independence, including negative zero and inf.
-	a := []transport.Deposit{{Clock: math.Copysign(0, -1)}, {Clock: 0}, {Clock: math.Inf(1)}}
-	b := []transport.Deposit{{Clock: math.Inf(1)}, {Clock: 0}, {Clock: math.Copysign(0, -1)}}
-	if x, y := foldClock(a), foldClock(b); math.Float64bits(x) != math.Float64bits(y) {
-		t.Fatalf("foldClock order-dependent: %x vs %x", math.Float64bits(x), math.Float64bits(y))
 	}
 }
