@@ -67,7 +67,7 @@ func main() {
 	tpFlags := cliobs.RegisterTransport()
 	flag.Parse()
 
-	algs, err := parseAlgs(*algNames)
+	algs, err := cliobs.ParseDistributedAlgs(*algNames)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mstbench: bad -alg: %v\n", err)
 		os.Exit(2)
@@ -91,7 +91,7 @@ func main() {
 		Metrics:        obsFlags.Registry,
 		Trace:          obsFlags.Trace,
 	}
-	scale.Ps, err = parseInts(*ps)
+	scale.Ps, err = cliobs.ParsePEs(*ps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mstbench: bad -ps: %v\n", err)
 		os.Exit(2)
@@ -159,42 +159,6 @@ func fail(err error) {
 	}
 	fmt.Fprintf(os.Stderr, "mstbench: %v\n", err)
 	os.Exit(1)
-}
-
-// parseAlgs resolves the -alg list before any world is started; unknown
-// names error out listing the valid ones. Empty means the runner's default
-// set. The sequential reference is rejected: it has no modeled machine, so
-// its benchmark row would be all zeros.
-func parseAlgs(s string) ([]kamsta.Algorithm, error) {
-	out, err := kamsta.ParseAlgorithmList(s)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range out {
-		if a == kamsta.AlgKruskal {
-			return nil, fmt.Errorf("kruskal is the sequential reference (no modeled machine); pick distributed algorithms")
-		}
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad PE count %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
 }
 
 func join(xs []int) string {

@@ -11,7 +11,7 @@
 //	mstserve -addr :8377 -batch-jobs 8 -max-deadline 30s -metrics -
 //	mstserve -retry-attempts 3 -quarantine-after 5 -brownout 0.8
 //
-// Overload resilience (see internal/serve and DESIGN.md §12): deadline-aware
+// Overload resilience (see internal/serve and DESIGN.md §11): deadline-aware
 // admission shedding (-shed-min-samples, -shed-quantile), brownout
 // (-brownout), machine quarantine (-quarantine-after), and server-side retry
 // of fault-killed jobs (-retry-attempts, -retry-rate, -retry-burst).

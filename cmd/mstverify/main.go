@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -43,15 +41,18 @@ func main() {
 	tpFlags := cliobs.RegisterTransport()
 	flag.Parse()
 
-	peList, err := parseInts(*ps)
+	peList, err := cliobs.ParsePEs(*ps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mstverify: %v\n", err)
 		os.Exit(2)
 	}
-	algs, err := parseAlgs(*algNames)
+	algs, err := cliobs.ParseDistributedAlgs(*algNames)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mstverify: bad -alg: %v\n", err)
 		os.Exit(2)
+	}
+	if len(algs) == 0 {
+		algs = kamsta.DistributedAlgorithms()
 	}
 	if err := obsFlags.Activate(); err != nil {
 		fmt.Fprintf(os.Stderr, "mstverify: %v\n", err)
@@ -90,25 +91,6 @@ func checkInterrupt(err error) {
 		fmt.Fprintln(os.Stderr, "mstverify: interrupted")
 		os.Exit(130)
 	}
-}
-
-// parseAlgs resolves the -alg list before any world is started; unknown
-// names error out listing the valid ones. Empty means all distributed
-// algorithms.
-func parseAlgs(s string) ([]kamsta.Algorithm, error) {
-	out, err := kamsta.ParseAlgorithmList(s)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range out {
-		if a == kamsta.AlgKruskal {
-			return nil, fmt.Errorf("kruskal is the oracle; pick distributed algorithms to check against it")
-		}
-	}
-	if len(out) == 0 {
-		out = kamsta.DistributedAlgorithms()
-	}
-	return out, nil
 }
 
 // verifier holds one persistent Machine per PE count, reused for every
@@ -262,23 +244,4 @@ func (v *verifier) run(n, m, seeds uint64, algs []kamsta.Algorithm) int {
 	}
 	fmt.Printf("\n%d checks, %d failures\n", checks, failures)
 	return failures
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad PE count %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
 }

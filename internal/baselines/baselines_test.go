@@ -10,18 +10,18 @@ import (
 	"kamsta/internal/seqmst"
 )
 
-type algFunc func(*comm.Comm, []graph.Edge, *graph.Layout, Options) Result
+type algFunc func(*comm.Comm, []graph.Edge, *graph.Layout) Result
 
-func runBaseline(t *testing.T, p int, spec gen.Spec, opt Options, alg algFunc) (Result, [][]graph.Edge, []graph.Edge) {
+func runBaseline(t *testing.T, p, threads int, spec gen.Spec, alg algFunc) (Result, [][]graph.Edge, []graph.Edge) {
 	t.Helper()
-	w := comm.NewWorld(p)
+	w := comm.NewWorld(p, comm.WithThreads(threads))
 	results := make([]Result, p)
 	shares := make([][]graph.Edge, p)
 	inputs := make([][]graph.Edge, p)
 	w.Run(func(c *comm.Comm) {
 		edges, layout := gen.Build(c, spec, dsort.Options{})
 		inputs[c.Rank()] = edges
-		r := alg(c, edges, layout, opt)
+		r := alg(c, edges, layout)
 		results[c.Rank()] = r
 		shares[c.Rank()] = r.MSTEdges
 	})
@@ -93,7 +93,7 @@ func specs() []gen.Spec {
 func TestSparseMatrixMatchesKruskal(t *testing.T) {
 	for _, spec := range specs() {
 		for _, p := range []int{1, 2, 4, 7, 9} {
-			res, shares, all := runBaseline(t, p, spec, Options{}, SparseMatrix)
+			res, shares, all := runBaseline(t, p, 1, spec, SparseMatrix)
 			check(t, spec.Label(), res, shares, all)
 		}
 	}
@@ -102,38 +102,33 @@ func TestSparseMatrixMatchesKruskal(t *testing.T) {
 func TestMNDMSTMatchesKruskal(t *testing.T) {
 	for _, spec := range specs() {
 		for _, p := range []int{1, 2, 4, 7, 8} {
-			res, shares, all := runBaseline(t, p, spec, Options{}, MNDMST)
+			res, shares, all := runBaseline(t, p, 1, spec, MNDMST)
 			check(t, spec.Label(), res, shares, all)
 		}
 	}
 }
 
-func TestMNDMSTGroupSizes(t *testing.T) {
-	spec := gen.Spec{Family: gen.GNM, N: 200, M: 800, Seed: 9}
-	for _, g := range []int{2, 3, 8} {
-		res, shares, all := runBaseline(t, 8, spec, Options{GroupSize: g}, MNDMST)
-		check(t, spec.Label(), res, shares, all)
-	}
-}
-
+// TestMNDMSTThreads: 6000 directed edges per PE, so the local phases' loops
+// really fan out on the 8-thread pool the world built.
 func TestMNDMSTThreads(t *testing.T) {
-	spec := gen.Spec{Family: gen.RGG2D, N: 200, M: 900, Seed: 11}
-	a, _, _ := runBaseline(t, 4, spec, Options{Threads: 1}, MNDMST)
-	b, _, _ := runBaseline(t, 4, spec, Options{Threads: 8}, MNDMST)
-	if a.TotalWeight != b.TotalWeight {
-		t.Fatalf("thread counts disagree: %d vs %d", a.TotalWeight, b.TotalWeight)
+	spec := gen.Spec{Family: gen.RGG2D, N: 2000, M: 12000, Seed: 11}
+	a, _, _ := runBaseline(t, 4, 1, spec, MNDMST)
+	b, shares, all := runBaseline(t, 4, 8, spec, MNDMST)
+	check(t, spec.Label(), b, shares, all)
+	if a.TotalWeight != b.TotalWeight || a.Rounds != b.Rounds {
+		t.Fatalf("thread counts disagree: weight %d vs %d, rounds %d vs %d", a.TotalWeight, b.TotalWeight, a.Rounds, b.Rounds)
 	}
 }
 
 func TestSparseMatrixDisconnected(t *testing.T) {
 	spec := gen.Spec{Family: gen.GNM, N: 300, M: 200, Seed: 13} // m < n: forest
-	res, shares, all := runBaseline(t, 4, spec, Options{}, SparseMatrix)
+	res, shares, all := runBaseline(t, 4, 1, spec, SparseMatrix)
 	check(t, spec.Label(), res, shares, all)
 }
 
 func TestMNDMSTDisconnected(t *testing.T) {
 	spec := gen.Spec{Family: gen.GNM, N: 300, M: 200, Seed: 13}
-	res, shares, all := runBaseline(t, 4, spec, Options{}, MNDMST)
+	res, shares, all := runBaseline(t, 4, 1, spec, MNDMST)
 	check(t, spec.Label(), res, shares, all)
 }
 
@@ -141,10 +136,10 @@ func TestBaselinesEmptyGraph(t *testing.T) {
 	w := comm.NewWorld(3)
 	w.Run(func(c *comm.Comm) {
 		edges, layout := gen.Finish(c, nil, dsort.Options{})
-		if r := SparseMatrix(c, edges, layout, Options{}); r.NumEdges != 0 {
+		if r := SparseMatrix(c, edges, layout); r.NumEdges != 0 {
 			t.Errorf("sparseMatrix on empty graph: %+v", r)
 		}
-		if r := MNDMST(c, edges, layout, Options{}); r.NumEdges != 0 {
+		if r := MNDMST(c, edges, layout); r.NumEdges != 0 {
 			t.Errorf("MND-MST on empty graph: %+v", r)
 		}
 	})
@@ -152,7 +147,7 @@ func TestBaselinesEmptyGraph(t *testing.T) {
 
 func TestSparseMatrixRoundsLogarithmic(t *testing.T) {
 	spec := gen.Spec{Family: gen.GNM, N: 512, M: 2000, Seed: 17}
-	res, _, _ := runBaseline(t, 4, spec, Options{}, SparseMatrix)
+	res, _, _ := runBaseline(t, 4, 1, spec, SparseMatrix)
 	if res.Rounds > 12 {
 		t.Fatalf("AS hooking took %d rounds on n=512; expected logarithmic", res.Rounds)
 	}

@@ -5,9 +5,11 @@ import (
 	"kamsta/internal/comm"
 	"kamsta/internal/graph"
 	"kamsta/internal/localmst"
-	"kamsta/internal/par"
 	"kamsta/internal/radix"
 )
+
+// groupSize is MND-MST's merge fan-in.
+const groupSize = 4
 
 // labelPair carries one contraction record (vertex → component root).
 type labelPair struct {
@@ -33,10 +35,8 @@ type labelPair struct {
 //     merged subgraphs before contracting further. The merge hierarchy —
 //     MND-MST's defining structure and its leader bottleneck — is
 //     reproduced exactly.
-func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options) Result {
-	opt = opt.withDefaults()
+func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout) Result {
 	p := c.P()
-	pool := par.NewPool(opt.Threads)
 
 	// Reassign shared-vertex edge ranges to the first holder so every
 	// vertex's outgoing range lives on exactly one PE.
@@ -77,7 +77,7 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options)
 	ownerMemo := map[graph.VID]int{}
 
 	// Merge hierarchy: at level k the active PEs are those with
-	// rank % stride == 0; groups of GroupSize consecutive active PEs merge
+	// rank % stride == 0; groups of groupSize consecutive active PEs merge
 	// onto their first member, so the leader of v's original owner at
 	// stride s is (owner0(v)/s)·s.
 	var mst []graph.Edge
@@ -117,7 +117,7 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options)
 				}
 				return (o/s)*s == c.Rank()
 			}
-			res := localmst.Run(work, isLocal, localmst.Config{Pool: pool, HashDedup: true})
+			res := localmst.Run(work, isLocal, localmst.Config{Pool: c.Pool()})
 			mst = append(mst, res.MSTEdges...)
 			work = res.Remaining
 			for i, v := range res.Verts {
@@ -132,7 +132,7 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options)
 			break
 		}
 		// Ship contracted graphs and contraction maps to the group leaders.
-		leader := (c.Rank() / (stride * opt.GroupSize)) * (stride * opt.GroupSize)
+		leader := (c.Rank() / (stride * groupSize)) * (stride * groupSize)
 		sendE := make([][]graph.Edge, p)
 		sendM := make([][]labelPair, p)
 		if active && leader != c.Rank() {
@@ -155,7 +155,7 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options)
 		} else {
 			work, cum = nil, map[graph.VID]graph.VID{}
 		}
-		stride *= opt.GroupSize
+		stride *= groupSize
 	}
 	return finishResult(c, mst, levels)
 }

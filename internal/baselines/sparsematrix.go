@@ -46,24 +46,6 @@ type Result struct {
 // MPI_Alltoallv.
 const a2a = alltoall.Direct
 
-// Options configures the baselines.
-type Options struct {
-	// GroupSize is MND-MST's merge fan-in (default 4).
-	GroupSize int
-	// Threads is the intra-PE thread count for MND-MST's local phases.
-	Threads int
-}
-
-func (o Options) withDefaults() Options {
-	if o.GroupSize < 2 {
-		o.GroupSize = 4
-	}
-	if o.Threads < 1 {
-		o.Threads = 1
-	}
-	return o
-}
-
 // SparseMatrix computes the MSF in the style of Baer et al.: edges are
 // redistributed into a ⌈√p⌉×⌈√p⌉ 2D block partition of the adjacency
 // matrix, and Awerbuch–Shiloach-style rounds hook every component along
@@ -80,8 +62,7 @@ func (o Options) withDefaults() Options {
 // mutual 2-cycle, whose second side finds the components already merged
 // and skips — so every tree edge is emitted exactly once, by the PE whose
 // block contributed the winning candidate.
-func SparseMatrix(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options) Result {
-	opt = opt.withDefaults()
+func SparseMatrix(c *comm.Comm, edges []graph.Edge, layout *graph.Layout) Result {
 	_ = layout // the 2D partition below replaces the 1D layout
 	p := c.P()
 

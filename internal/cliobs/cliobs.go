@@ -1,8 +1,9 @@
 // Package cliobs wires the flags shared by the kamsta commands: the
 // observability trio -metrics, -trace, and -pprof (each command registers
 // them, activates the sinks after flag.Parse, threads the registry/trace
-// into its machines or worlds, and flushes on exit), and the distributed-
-// machine pair -transport and -workers.
+// into its machines or worlds, and flushes on exit), the distributed-
+// machine pair -transport and -workers, and the parsers of the -ps and -alg
+// lists.
 package cliobs
 
 import (
@@ -11,12 +12,14 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 
 	// Register the pprof handlers on http.DefaultServeMux; the -pprof
 	// server below serves that mux.
 	_ "net/http/pprof"
 
+	"kamsta"
 	"kamsta/internal/obs"
 )
 
@@ -147,4 +150,43 @@ func writeOut(path string, emit func(*os.File) error) error {
 		return err
 	}
 	return w.Close()
+}
+
+// ParsePEs parses a -ps value: a comma-separated, non-empty list of PE
+// counts ≥ 1.
+func ParsePEs(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad PE count %q", part)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty list")
+	}
+	return out, nil
+}
+
+// ParseDistributedAlgs resolves an -alg value before any world is started;
+// unknown names error out listing the valid ones, and empty means the
+// caller's default set. The sequential reference is refused: it is the
+// oracle mstverify checks against and has no modeled machine for mstbench
+// to report.
+func ParseDistributedAlgs(s string) ([]kamsta.Algorithm, error) {
+	out, err := kamsta.ParseAlgorithmList(s)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range out {
+		if a == kamsta.AlgKruskal {
+			return nil, fmt.Errorf("kruskal is the sequential reference (the oracle, no modeled machine); pick distributed algorithms")
+		}
+	}
+	return out, nil
 }

@@ -49,40 +49,6 @@ func Barrier(c *Comm) {
 	c.stats.Collectives++
 }
 
-// Bcast distributes root's value to all PEs. For slice-typed T the receivers
-// share the root's backing array and must treat it as read-only; use
-// BcastSlice for an owned copy.
-func Bcast[T any](c *Comm, root int, x T) T {
-	var out T
-	c.exchange(mkTag(opBcast, 0), x, wireCodec[T](c), nil, func(_ any, boards []deposit) {
-		out = boards[root].Val.(T)
-	})
-	c.ChargeComm(log2Ceil(c.P()), sizeof.Of[T]())
-	c.stats.Collectives++
-	return out
-}
-
-// BcastSlice distributes root's slice to all PEs; every PE receives its own
-// copy. The root's xs is staged at deposit time, so the root may mutate xs
-// immediately after the call.
-func BcastSlice[T any](c *Comm, root int, xs []T) []T {
-	var dep any
-	if c.rank == root {
-		cp := make([]T, len(xs))
-		copy(cp, xs)
-		dep = cp
-	}
-	var out []T
-	c.exchange(mkTag(opBcastSlice, 0), dep, wireCodec[[]T](c), nil, func(_ any, boards []deposit) {
-		src := boards[root].Val.([]T)
-		out = make([]T, len(src))
-		copy(out, src)
-	})
-	c.ChargeComm(log2Ceil(c.P()), len(out)*sizeof.Of[T]())
-	c.stats.Collectives++
-	return out
-}
-
 // Allreduce combines every PE's value with the associative op and returns
 // the result on all PEs. op must be deterministic and rank-independent.
 func Allreduce[T any](c *Comm, x T, op func(a, b T) T) T {

@@ -38,23 +38,6 @@ func TestAllreduceVecOddWorld(t *testing.T) {
 	}
 }
 
-// TestBcastFromEveryRoot sweeps the root argument.
-func TestBcastFromEveryRoot(t *testing.T) {
-	p := 4
-	for root := 0; root < p; root++ {
-		w := NewWorld(p)
-		w.Run(func(c *Comm) {
-			v := -1
-			if c.Rank() == root {
-				v = root * 7
-			}
-			if got := Bcast(c, root, v); got != root*7 {
-				t.Errorf("root=%d rank=%d: got %d", root, c.Rank(), got)
-			}
-		})
-	}
-}
-
 // TestClockMonotone ensures no collective ever rewinds a PE's clock.
 func TestClockMonotone(t *testing.T) {
 	w := NewWorld(4)

@@ -47,6 +47,7 @@ import (
 	"kamsta/internal/enc"
 	"kamsta/internal/faultinject"
 	"kamsta/internal/obs"
+	"kamsta/internal/par"
 	"kamsta/internal/transport"
 	"kamsta/internal/transport/shm"
 )
@@ -132,6 +133,11 @@ type World struct {
 	// Comm.Scratch.
 	arenas []*arena.Arena
 
+	// pools holds each local rank's intra-PE thread pool (the paper's t
+	// OpenMP threads per MPI process), built once from WithThreads; see
+	// Comm.Pool. Remote ranks' entries stay nil.
+	pools []*par.Pool
+
 	// wm holds the world's resolved metric instruments (nil unless built
 	// WithMetrics); see metrics.go for the update discipline.
 	wm *worldMetrics
@@ -186,8 +192,9 @@ func WithTransport(t transport.Transport) Option {
 	return func(w *World) { w.tr = t }
 }
 
-// WithThreads sets the number of intra-PE threads every PE reports
-// (the paper's OpenMP threads per MPI process). Default 1.
+// WithThreads sets the number of intra-PE threads of every PE (the paper's
+// OpenMP threads per MPI process): the width of each rank's Pool and the
+// divisor of its ChargeCompute. Default 1.
 func WithThreads(t int) Option {
 	return func(w *World) {
 		if t < 1 {
@@ -210,6 +217,7 @@ func NewWorld(p int, opts ...Option) *World {
 		clocks:  make([]float64, p),
 		arrived: make([]arrival, p),
 		arenas:  make([]*arena.Arena, p),
+		pools:   make([]*par.Pool, p),
 		rings:   make([]*obs.Ring, p),
 	}
 	for i := range w.arenas {
@@ -226,6 +234,9 @@ func NewWorld(p int, opts ...Option) *World {
 	}
 	w.lo, w.hi = w.tr.Local()
 	w.wire = w.lo != 0 || w.hi != p
+	for r := w.lo; r < w.hi; r++ {
+		w.pools[r] = par.NewPool(w.threads)
+	}
 	return w
 }
 
@@ -236,13 +247,12 @@ func (w *World) P() int { return w.p }
 // job's observer, so every phase/round event fires exactly once.
 func (w *World) newComm(rank int, jb *worldJob) *Comm {
 	c := &Comm{
-		rank:    rank,
-		w:       w,
-		jb:      jb,
-		inj:     jb.inj,
-		threads: w.threads,
-		wire:    w.wire,
-		phases:  make(map[string]PhaseTime),
+		rank:   rank,
+		w:      w,
+		jb:     jb,
+		inj:    jb.inj,
+		wire:   w.wire,
+		phases: make(map[string]PhaseTime),
 	}
 	c.host = commHost{c}
 	if rank == 0 {
@@ -347,11 +357,10 @@ func (s Stats) minus(o Stats) Stats {
 // phase timers and its traffic counters. A Comm must only be used by the
 // goroutine it was handed to.
 type Comm struct {
-	rank    int
-	w       *World
-	jb      *worldJob // the job this handle belongs to
-	threads int
-	epoch   uint64 // collective supersteps completed; selects the board buffer
+	rank  int
+	w     *World
+	jb    *worldJob // the job this handle belongs to
+	epoch uint64    // collective supersteps completed; selects the board buffer
 
 	clock  float64 // modeled seconds since Run start
 	stats  Stats
@@ -412,12 +421,17 @@ func (c *Comm) P() int { return c.w.p }
 
 // Threads reports the number of intra-PE threads (for dividing parallel
 // compute charges).
-func (c *Comm) Threads() int { return c.threads }
+func (c *Comm) Threads() int { return c.w.threads }
 
 // Scratch returns this PE's scratch arena: world-owned, grow-only working
 // memory recycled across Borůvka rounds and across jobs. Only the goroutine
 // running this rank's share of the current job may use it.
 func (c *Comm) Scratch() *arena.Arena { return c.w.arenas[c.rank] }
+
+// Pool returns this PE's thread pool: world-owned like the scratch arena,
+// Threads() wide. Only the goroutine running this rank's share of the
+// current job may run loops on it.
+func (c *Comm) Pool() *par.Pool { return c.w.pools[c.rank] }
 
 // Clock returns this PE's current modeled time in seconds.
 func (c *Comm) Clock() float64 { return c.clock }
@@ -425,7 +439,7 @@ func (c *Comm) Clock() float64 { return c.clock }
 // ChargeCompute adds the modeled cost of ops local operations executed by
 // all threads in parallel.
 func (c *Comm) ChargeCompute(ops int) {
-	c.clock += float64(ops) * c.w.cost.Compute / float64(c.threads)
+	c.clock += float64(ops) * c.w.cost.Compute / float64(c.w.threads)
 }
 
 // ResetLocalMetrics zeroes this PE's modeled clock, phase timers and
@@ -526,8 +540,6 @@ type opTag uint32
 const (
 	opNone uint8 = iota
 	opBarrier
-	opBcast
-	opBcastSlice
 	opAllreduce
 	opARVFold
 	opARVBfly
@@ -544,8 +556,6 @@ const (
 var opNames = [...]string{
 	opNone:            "(none)",
 	opBarrier:         "Barrier",
-	opBcast:           "Bcast",
-	opBcastSlice:      "BcastSlice",
 	opAllreduce:       "Allreduce",
 	opARVFold:         "AllreduceVec/fold",
 	opARVBfly:         "AllreduceVec/butterfly",

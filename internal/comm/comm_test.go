@@ -54,42 +54,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	for _, p := range worldSizes {
-		w := NewWorld(p)
-		root := p / 2
-		w.Run(func(c *Comm) {
-			v := -1
-			if c.Rank() == root {
-				v = 42
-			}
-			got := Bcast(c, root, v)
-			if got != 42 {
-				t.Errorf("p=%d rank=%d: Bcast got %d", p, c.Rank(), got)
-			}
-		})
-	}
-}
-
-func TestBcastSliceOwnership(t *testing.T) {
-	w := NewWorld(4)
-	results := make([][]int, 4)
-	w.Run(func(c *Comm) {
-		var xs []int
-		if c.Rank() == 0 {
-			xs = []int{1, 2, 3}
-		}
-		got := BcastSlice(c, 0, xs)
-		got[0] += c.Rank() // mutate the copy; must not affect others
-		results[c.Rank()] = got
-	})
-	for r, res := range results {
-		if len(res) != 3 || res[0] != 1+r || res[1] != 2 || res[2] != 3 {
-			t.Fatalf("rank %d got %v; copies are not independent", r, res)
-		}
-	}
-}
-
 func TestAllreduceSum(t *testing.T) {
 	for _, p := range worldSizes {
 		w := NewWorld(p)

@@ -28,9 +28,9 @@ func TestLargeWorldMixedCollectives(t *testing.T) {
 				return
 			}
 			Barrier(c)
-			got := Bcast(c, round%p, round*7)
-			if got != round*7 {
-				t.Errorf("round %d rank %d: bcast=%d", round, c.Rank(), got)
+			all := Allgather(c, c.Rank()+round)
+			if len(all) != p || all[round] != 2*round || all[p-1] != p-1+round {
+				t.Errorf("round %d rank %d: allgather=%v", round, c.Rank(), all)
 				return
 			}
 		}
@@ -47,17 +47,6 @@ func TestInputsMutableImmediatelyAfterReturn(t *testing.T) {
 	w := NewWorld(p)
 	w.Run(func(c *Comm) {
 		for round := 0; round < 50; round++ {
-			// BcastSlice: root trashes xs right after the call.
-			xs := []int{round, c.Rank(), 3}
-			got := BcastSlice(c, 0, xs)
-			for i := range xs {
-				xs[i] = -1
-			}
-			if got[0] != round || got[1] != 0 || got[2] != 3 {
-				t.Errorf("round %d rank %d: BcastSlice got %v", round, c.Rank(), got)
-				return
-			}
-
 			// AllgatherConcat: contribution trashed right after.
 			contrib := []int{c.Rank() * 10, c.Rank()*10 + 1}
 			cat := AllgatherConcat(c, contrib)

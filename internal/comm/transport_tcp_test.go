@@ -6,6 +6,7 @@ import (
 	"net"
 	"testing"
 
+	"kamsta/internal/par"
 	"kamsta/internal/transport/tcp"
 )
 
@@ -18,9 +19,10 @@ type distWorld struct {
 }
 
 // newDistWorld builds a p-rank world with local leader ranks and the rest
-// behind a loopback connection. Both halves are started; run() executes one
-// SPMD body on every rank of both.
-func newDistWorld(t *testing.T, p, local int) *distWorld {
+// behind a loopback connection, both halves with the same extra options.
+// Both halves are started; run() executes one SPMD body on every rank of
+// both.
+func newDistWorld(t *testing.T, p, local int, opts ...Option) *distWorld {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -57,8 +59,8 @@ func newDistWorld(t *testing.T, p, local int) *distWorld {
 	}
 
 	d := &distWorld{lt: lt}
-	d.leader = NewWorld(p, WithTransport(lt))
-	d.follower = NewWorld(p, WithTransport(acc.f))
+	d.leader = NewWorld(p, append(opts, WithTransport(lt))...)
+	d.follower = NewWorld(p, append(opts, WithTransport(acc.f))...)
 	d.leader.Start()
 	d.follower.Start()
 	t.Cleanup(func() {
@@ -155,6 +157,32 @@ func TestTCPTransportParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPoolPerLocalRank: the world builds one pool per rank it hosts, as wide
+// as WithThreads says, on a single-process world and on both halves of a
+// distributed one; two ranks never share a pool.
+func TestPoolPerLocalRank(t *testing.T) {
+	const p, threads = 4, 2
+	check := func(pools []*par.Pool) func(c *Comm) {
+		return func(c *Comm) {
+			if got := c.Pool().Threads(); got != threads || c.Threads() != threads {
+				t.Errorf("rank %d: pool is %d wide, Threads() %d, want %d", c.Rank(), got, c.Threads(), threads)
+			}
+			pools[c.Rank()] = c.Pool()
+		}
+	}
+	shm, dist := make([]*par.Pool, p), make([]*par.Pool, p)
+	w := NewWorld(p, WithThreads(threads))
+	w.Run(check(shm))
+	newDistWorld(t, p, 2, WithThreads(threads)).run(t, check(dist))
+	for _, pools := range [][]*par.Pool{shm, dist} {
+		for r := 1; r < p; r++ {
+			if pools[r] == pools[r-1] {
+				t.Errorf("ranks %d and %d share a pool", r-1, r)
+			}
+		}
 	}
 }
 

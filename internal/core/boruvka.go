@@ -4,7 +4,6 @@ import (
 	"kamsta/internal/arena"
 	"kamsta/internal/comm"
 	"kamsta/internal/graph"
-	"kamsta/internal/par"
 )
 
 // Result is the outcome of a distributed MST computation on one PE.
@@ -38,7 +37,6 @@ type Result struct {
 // must call collectively.
 func Boruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options) Result {
 	opt = opt.withDefaults()
-	pool := par.NewPool(c.Threads())
 	in := makeInputCopy(c, edges)
 
 	var mst []graph.Edge
@@ -47,11 +45,11 @@ func Boruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options
 
 	if opt.LocalPreprocessing {
 		c.PhaseBegin(PhasePreprocess)
-		work, l = localPreprocess(c, work, l, pool, opt, &mst, nil)
+		work, l = localPreprocess(c, work, l, opt, &mst, nil)
 		c.PhaseEnd()
 	}
 
-	res.Rounds, res.EdgesTouched, res.VertexCounts = distributedRounds(c, &work, &l, pool, opt, &mst, nil)
+	res.Rounds, res.EdgesTouched, res.VertexCounts = distributedRounds(c, &work, &l, opt, &mst, nil)
 
 	c.PhaseBegin(PhaseBaseCase)
 	baseCase(c, work, l, &mst, nil, opt)
@@ -69,7 +67,7 @@ func Boruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options
 // *work and *l in place and returns (rounds, edges touched, per-round
 // vertex counts).
 func distributedRounds(c *comm.Comm, work *[]graph.Edge, l **graph.Layout,
-	pool *par.Pool, opt Options, mst *[]graph.Edge, rec *distArray) (int, int, []int) {
+	opt Options, mst *[]graph.Edge, rec *distArray) (int, int, []int) {
 
 	threshold := opt.BaseCaseCap
 	if t := 2 * c.P(); t > threshold {
@@ -86,7 +84,7 @@ func distributedRounds(c *comm.Comm, work *[]graph.Edge, l **graph.Layout,
 		}
 		vertexCounts = append(vertexCounts, n)
 		c.EmitRound(rounds+1, n)
-		mins := minEdges(c, *work, *l, pool)
+		mins := minEdges(c, *work, *l)
 		c.PhaseEnd()
 
 		c.PhaseBegin(PhaseContract)
@@ -106,7 +104,7 @@ func distributedRounds(c *comm.Comm, work *[]graph.Edge, l **graph.Layout,
 
 		c.PhaseBegin(PhaseLabels)
 		ghost := exchangeLabels(c, *work, *l, labels, opt)
-		relabeled := relabel(c, *work, *l, labels, ghost, pool, true, c.Scratch())
+		relabeled := relabel(c, *work, *l, labels, ghost, true, c.Scratch())
 		c.PhaseEnd()
 
 		c.PhaseBegin(PhaseRedistribute)

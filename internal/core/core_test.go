@@ -111,7 +111,7 @@ func testSpecs() []gen.Spec {
 func TestBoruvkaMatchesKruskalAcrossFamilies(t *testing.T) {
 	for _, spec := range testSpecs() {
 		for _, p := range []int{1, 2, 4, 7} {
-			opt := Options{LocalPreprocessing: true, LocalFilter: true, HashDedup: true, DedupParallel: true, BaseCaseCap: 16}
+			opt := Options{LocalPreprocessing: true, LocalFilter: true, DedupParallel: true, BaseCaseCap: 16}
 			res, shares, all := runDistributed(t, p, 1, spec, opt, Boruvka)
 			checkAgainstOracle(t, spec.Label(), res, shares, all)
 		}
@@ -121,7 +121,7 @@ func TestBoruvkaMatchesKruskalAcrossFamilies(t *testing.T) {
 func TestFilterBoruvkaMatchesKruskalAcrossFamilies(t *testing.T) {
 	for _, spec := range testSpecs() {
 		for _, p := range []int{1, 2, 4, 7} {
-			opt := Options{LocalPreprocessing: true, LocalFilter: true, HashDedup: true, DedupParallel: true, BaseCaseCap: 16,
+			opt := Options{LocalPreprocessing: true, LocalFilter: true, DedupParallel: true, BaseCaseCap: 16,
 				Filter: FilterOptions{MinEdgesPerPE: 32, MergeBackFraction: 0.25}}
 			res, shares, all := runDistributed(t, p, 1, spec, opt, FilterBoruvka)
 			checkAgainstOracle(t, spec.Label(), res, shares, all)
@@ -134,7 +134,7 @@ func TestBoruvkaOptionMatrix(t *testing.T) {
 	for _, pre := range []bool{false, true} {
 		for _, dedup := range []bool{false, true} {
 			for _, threads := range []int{1, 4} {
-				opt := Options{LocalPreprocessing: pre, DedupParallel: dedup, HashDedup: pre, BaseCaseCap: 16}
+				opt := Options{LocalPreprocessing: pre, DedupParallel: dedup, BaseCaseCap: 16}
 				res, shares, all := runDistributed(t, 4, threads, spec, opt, Boruvka)
 				label := spec.Label()
 				checkAgainstOracle(t, label, res, shares, all)
@@ -147,7 +147,7 @@ func TestBoruvkaGridHighLocality(t *testing.T) {
 	// Grid graphs exercise the preprocessing path heavily: most edges are
 	// local, so nearly everything contracts before the distributed rounds.
 	spec := gen.Spec{Family: gen.Grid2D, N: 400, Seed: 11}
-	opt := Options{LocalPreprocessing: true, LocalFilter: true, HashDedup: true, DedupParallel: true, BaseCaseCap: 16}
+	opt := Options{LocalPreprocessing: true, LocalFilter: true, DedupParallel: true, BaseCaseCap: 16}
 	res, shares, all := runDistributed(t, 4, 2, spec, opt, Boruvka)
 	checkAgainstOracle(t, spec.Label(), res, shares, all)
 }
@@ -180,7 +180,7 @@ func TestDisconnectedMSF(t *testing.T) {
 	// grid: the generator yields one component, so use GNM sparse enough to
 	// be disconnected).
 	spec := gen.Spec{Family: gen.GNM, N: 400, M: 300, Seed: 19} // m < n → many components
-	opt := Options{LocalPreprocessing: true, HashDedup: true, DedupParallel: true, BaseCaseCap: 16}
+	opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
 	for _, alg := range []func(*comm.Comm, []graph.Edge, *graph.Layout, Options) Result{Boruvka, FilterBoruvka} {
 		res, shares, all := runDistributed(t, 4, 1, spec, opt, alg)
 		checkAgainstOracle(t, spec.Label(), res, shares, all)
@@ -225,7 +225,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	spec := gen.Spec{Family: gen.RMAT, N: 256, M: 1000, Seed: 23}
-	opt := Options{LocalPreprocessing: true, HashDedup: true, DedupParallel: true, BaseCaseCap: 16}
+	opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
 	a, sharesA, _ := runDistributed(t, 4, 2, spec, opt, Boruvka)
 	b, sharesB, _ := runDistributed(t, 4, 2, spec, opt, Boruvka)
 	if a.TotalWeight != b.TotalWeight || a.NumEdges != b.NumEdges {
@@ -245,7 +245,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestResultIndependentOfWorldSize(t *testing.T) {
 	spec := gen.Spec{Family: gen.RGG2D, N: 200, M: 900, Seed: 29}
-	opt := Options{LocalPreprocessing: true, HashDedup: true, DedupParallel: true, BaseCaseCap: 16}
+	opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
 	ref, _, _ := runDistributed(t, 1, 1, spec, opt, Boruvka)
 	for _, p := range []int{2, 3, 5, 8} {
 		got, _, _ := runDistributed(t, p, 1, spec, opt, Boruvka)
@@ -258,7 +258,7 @@ func TestResultIndependentOfWorldSize(t *testing.T) {
 
 func TestFilterAgreesWithPlainBoruvka(t *testing.T) {
 	for _, spec := range testSpecs() {
-		optB := Options{LocalPreprocessing: true, HashDedup: true, DedupParallel: true, BaseCaseCap: 16}
+		optB := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
 		optF := optB
 		optF.Filter = FilterOptions{MinEdgesPerPE: 32}
 		b, _, _ := runDistributed(t, 4, 1, spec, optB, Boruvka)

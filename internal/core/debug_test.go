@@ -23,7 +23,7 @@ func TestSymmetricInvariantMaintained(t *testing.T) {
 			w := comm.NewWorld(p)
 			w.Run(func(c *comm.Comm) {
 				edges, layout := gen.Build(c, spec, dsort.Options{})
-				opt := Options{LocalPreprocessing: true, LocalFilter: true, HashDedup: true,
+				opt := Options{LocalPreprocessing: true, LocalFilter: true,
 					DedupParallel: true, BaseCaseCap: 16,
 					Filter: FilterOptions{MinEdgesPerPE: 32, MergeBackFraction: 0.25}}
 				FilterBoruvka(c, edges, layout, opt)

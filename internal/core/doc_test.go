@@ -1,0 +1,71 @@
+package core
+
+import (
+	"os"
+	"regexp"
+	"strconv"
+	"testing"
+
+	"kamsta/internal/arena"
+	"kamsta/internal/graph"
+	"kamsta/internal/par"
+)
+
+// designNumbers returns the integers DESIGN.md quotes in pattern's groups.
+func designNumbers(t *testing.T, what, pattern string) []int {
+	t.Helper()
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(pattern).FindSubmatch(raw)
+	if m == nil {
+		t.Fatalf("DESIGN.md no longer quotes the %s (pattern %q)", what, pattern)
+	}
+	out := make([]int, len(m)-1)
+	for i, g := range m[1:] {
+		if out[i], err = strconv.Atoi(string(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestDesignQuotesResourceConstants compares the constants DESIGN.md §8
+// quotes for the per-rank resources with what the code does: the direct
+// rename table's window, the arena's growth rule and par's grain.
+func TestDesignQuotesResourceConstants(t *testing.T) {
+	w := designNumbers(t, "direct window", "at most `(\\d+)n\\+(\\d+)` for `n`\\s+vertices \\(`directWindow`")
+	verts := []graph.VID{1, 2, 3, 0}
+	widest := w[0]*len(verts) + w[1]
+	for span, want := range map[int]int{widest: widest, widest + 1: 0} {
+		verts[3] = verts[0] + graph.VID(span) - 1
+		if got := directWindow(verts); got != want {
+			t.Errorf("directWindow over a span of %d for %d vertices = %d, DESIGN.md's %dn+%d says %d", span, len(verts), got, w[0], w[1], want)
+		}
+	}
+
+	g := designNumbers(t, "arena growth", "must grow gets `n\\+n/(\\d+)\\+(\\d+)`")
+	a, k := arena.New(), arena.NewKey()
+	arena.Grab[byte](a, k, 10)
+	if got, want := cap(arena.Grab[byte](a, k, 100)), 100+100/g[0]+g[1]; got != want {
+		t.Errorf("a slot grown to 100 has capacity %d, DESIGN.md's n+n/%d+%d says %d", got, g[0], g[1], want)
+	}
+	if got := cap(arena.Grab[byte](arena.New(), k, 100)); got != 100 {
+		t.Errorf("an empty slot sized for 100 has capacity %d, DESIGN.md says exactly n", got)
+	}
+
+	grain := designNumbers(t, "par grain", "below 2·(\\d+) iterations \\(the par grain of (\\d+) per worker\\)")
+	if grain[0] != grain[1] {
+		t.Fatalf("DESIGN.md quotes two par grains, %d and %d", grain[0], grain[1])
+	}
+	blocks := func(n int) int {
+		calls := make(chan struct{}, 2)
+		par.NewPool(2).For(n, func(lo, hi int) { calls <- struct{}{} })
+		return len(calls)
+	}
+	if below, at := blocks(2*grain[0]-1), blocks(2*grain[0]); below != 1 || at != 2 {
+		t.Errorf("a 2-thread For ran %d block(s) over %d iterations and %d over %d; DESIGN.md's grain %d says 1 and 2",
+			below, 2*grain[0]-1, at, 2*grain[0], grain[0])
+	}
+}

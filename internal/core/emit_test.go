@@ -7,7 +7,6 @@ import (
 	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
-	"kamsta/internal/par"
 )
 
 // TestMSTEmissionOrderStable pins the shape property that let the dense
@@ -25,9 +24,8 @@ func TestMSTEmissionOrderStable(t *testing.T) {
 		perRank := make([][]graph.Edge, p)
 		w.Run(func(c *comm.Comm) {
 			edges, layout := gen.Build(c, spec, dsort.Options{})
-			pool := par.NewPool(1)
 			opt := Options{}.withDefaults()
-			mins := minEdges(c, edges, layout, pool)
+			mins := minEdges(c, edges, layout)
 			var mst []graph.Edge
 			contractComponents(c, edges, layout, mins, opt, &mst)
 			perRank[c.Rank()] = append([]graph.Edge(nil), mst...)

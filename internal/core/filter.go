@@ -182,7 +182,6 @@ type segment struct {
 // also hosts the §VI-C merge-back rule for poorly-filtered segments.
 func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options) Result {
 	opt = opt.withDefaults()
-	pool := par.NewPool(c.Threads())
 	in := makeInputCopy(c, edges)
 
 	maxLabel := uint64(0)
@@ -205,7 +204,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 
 	if opt.LocalPreprocessing {
 		c.PhaseBegin(PhasePreprocess)
-		work, l = localPreprocess(c, work, l, pool, opt, &mst, P)
+		work, l = localPreprocess(c, work, l, opt, &mst, P)
 		c.PhaseEnd()
 	}
 
@@ -218,7 +217,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		var segLayout *graph.Layout
 		if seg.needsFilter {
 			c.PhaseBegin(PhaseFilter)
-			seg.edges, segLayout = filterSegment(c, seg.edges, P, pool, opt)
+			seg.edges, segLayout = filterSegment(c, seg.edges, P, opt)
 			m := comm.Allreduce(c, len(seg.edges), func(a, b int) int { return a + b })
 			c.PhaseEnd()
 			// Merge-back (§VI-C): a segment that came out too small is not
@@ -247,7 +246,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 			// Distributed Borůvka base (no preprocessing, no per-call MST
 			// redistribution), recording contractions in P.
 			w, wl := seg.edges, segLayout
-			r, t, vc := distributedRounds(c, &w, &wl, pool, opt, &mst, P)
+			r, t, vc := distributedRounds(c, &w, &wl, opt, &mst, P)
 			res.VertexCounts = append(res.VertexCounts, vc...)
 			res.Rounds += r
 			res.EdgesTouched += t
@@ -262,7 +261,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		pivot, ok := pivotSelect(c, seg.edges, opt)
 		var light, heavy []graph.Edge
 		if ok {
-			light, heavy = partitionAtPivot(seg.edges, pivot, pool)
+			light, heavy = partitionAtPivot(c, seg.edges, pivot)
 			c.ChargeCompute(len(seg.edges))
 		}
 		heavyM := comm.Allreduce(c, len(heavy), func(a, b int) int { return a + b })
@@ -270,7 +269,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		if !ok || heavyM == 0 {
 			// Degenerate pivot: no split possible; solve directly.
 			w, wl := seg.edges, segLayout
-			r, t, vc := distributedRounds(c, &w, &wl, pool, opt, &mst, P)
+			r, t, vc := distributedRounds(c, &w, &wl, opt, &mst, P)
 			res.VertexCounts = append(res.VertexCounts, vc...)
 			res.Rounds += r
 			res.EdgesTouched += t
@@ -341,18 +340,16 @@ func weightClassLess(a, b graph.Edge) bool {
 // class, so the symmetric invariant is preserved on both sides. The halves
 // are owned (not arena-backed): they live on the recursion stack across an
 // unbounded number of rounds.
-func partitionAtPivot(edges []graph.Edge, pivot graph.Edge, pool *par.Pool) (light, heavy []graph.Edge) {
-	light = par.Filter(pool, edges, func(e graph.Edge) bool { return !weightClassLess(pivot, e) })
-	heavy = par.Filter(pool, edges, func(e graph.Edge) bool { return weightClassLess(pivot, e) })
+func partitionAtPivot(c *comm.Comm, edges []graph.Edge, pivot graph.Edge) (light, heavy []graph.Edge) {
+	light = par.Filter(c.Pool(), edges, func(e graph.Edge) bool { return !weightClassLess(pivot, e) })
+	heavy = par.Filter(c.Pool(), edges, func(e graph.Edge) bool { return weightClassLess(pivot, e) })
 	return light, heavy
 }
 
 // filterSegment implements FILTER (§V): resolve every endpoint through P,
 // drop intra-component edges (now self-loops), and redistribute the
 // survivors into a fresh sorted, deduplicated, balanced distribution.
-func filterSegment(c *comm.Comm, edges []graph.Edge, P *distArray,
-	pool *par.Pool, opt Options) ([]graph.Edge, *graph.Layout) {
-
+func filterSegment(c *comm.Comm, edges []graph.Edge, P *distArray, opt Options) ([]graph.Edge, *graph.Layout) {
 	a := c.Scratch()
 	// Distinct endpoints, sorted: the dense stand-in for the former hash
 	// set, and the rename table the relabeling below binary-searches.
@@ -369,8 +366,8 @@ func filterSegment(c *comm.Comm, edges []graph.Edge, P *distArray,
 		e.V = reps[lookupVID(vs, e.V)]
 		return e
 	}
-	out := par.MapInto(pool, arena.Grab[graph.Edge](a, kFilterTmp, len(edges)), edges, apply)
-	out = par.FilterInto(pool, arena.Grab[graph.Edge](a, kFilterOut, len(edges)), out,
+	out := par.MapInto(c.Pool(), arena.Grab[graph.Edge](a, kFilterTmp, len(edges)), edges, apply)
+	out = par.FilterInto(c.Pool(), arena.Grab[graph.Edge](a, kFilterOut, len(edges)), out,
 		func(e graph.Edge) bool { return e.U != e.V })
 	c.ChargeCompute(len(edges))
 	return redistribute(c, out, opt)

@@ -9,7 +9,6 @@ import (
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
 	"kamsta/internal/obs"
-	"kamsta/internal/par"
 	"kamsta/internal/rng"
 )
 
@@ -20,11 +19,11 @@ import (
 // every round after the first runs in.
 var benchSpec = gen.Spec{Family: gen.GNM, N: 1 << 12, M: 1 << 15, Seed: 42}
 
-func benchWorld(f func(c *comm.Comm, edges []graph.Edge, l *graph.Layout, pool *par.Pool)) {
+func benchWorld(f func(c *comm.Comm, edges []graph.Edge, l *graph.Layout)) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
 		edges, layout := gen.Build(c, benchSpec, dsort.Options{})
-		f(c, edges, layout, par.NewPool(1))
+		f(c, edges, layout)
 	})
 }
 
@@ -48,7 +47,7 @@ func shuffleEdges(edges []graph.Edge, seed uint64) []graph.Edge {
 // edge set, (U,V)-keyed radix local sort, arena-backed output. Steady-state
 // allocs/op must be zero — asserted by TestDsortSteadyStateAllocsFloor.
 func BenchmarkDsortP1(b *testing.B) {
-	benchWorld(func(c *comm.Comm, edges []graph.Edge, l *graph.Layout, pool *par.Pool) {
+	benchWorld(func(c *comm.Comm, edges []graph.Edge, l *graph.Layout) {
 		in := shuffleEdges(edges, 99)
 		ord := dsort.ByKey(graph.LessLex, graph.KeyLex)
 		dsort.Sort(c, in, ord, dsort.Options{})
@@ -136,9 +135,8 @@ func BenchmarkLocalPreprocess(b *testing.B) {
 	w.Run(func(c *comm.Comm) {
 		edges, l := gen.Build(c, gen.Spec{Family: gen.RGG2D, N: 1 << 14, M: 1 << 17, Seed: 42}, dsort.Options{})
 		opt := DefaultOptions().withDefaults()
-		pool := par.NewPool(1)
 		var mst []graph.Edge
-		localPreprocess(c, edges, l, pool, opt, &mst, nil)
+		localPreprocess(c, edges, l, opt, &mst, nil)
 		if c.Rank() == 0 {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -146,26 +144,26 @@ func BenchmarkLocalPreprocess(b *testing.B) {
 		comm.Barrier(c)
 		for i := 0; i < b.N; i++ {
 			mst = mst[:0]
-			localPreprocess(c, edges, l, pool, opt, &mst, nil)
+			localPreprocess(c, edges, l, opt, &mst, nil)
 		}
 	})
 }
 
 func BenchmarkMinEdges(b *testing.B) {
-	benchWorld(func(c *comm.Comm, edges []graph.Edge, l *graph.Layout, pool *par.Pool) {
-		minEdges(c, edges, l, pool)
+	benchWorld(func(c *comm.Comm, edges []graph.Edge, l *graph.Layout) {
+		minEdges(c, edges, l)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			minEdges(c, edges, l, pool)
+			minEdges(c, edges, l)
 		}
 	})
 }
 
 func BenchmarkContractComponents(b *testing.B) {
-	benchWorld(func(c *comm.Comm, edges []graph.Edge, l *graph.Layout, pool *par.Pool) {
+	benchWorld(func(c *comm.Comm, edges []graph.Edge, l *graph.Layout) {
 		opt := Options{}.withDefaults()
-		mins := minEdges(c, edges, l, pool)
+		mins := minEdges(c, edges, l)
 		var mst []graph.Edge
 		contractComponents(c, edges, l, mins, opt, &mst)
 		b.ReportAllocs()
@@ -178,17 +176,17 @@ func BenchmarkContractComponents(b *testing.B) {
 }
 
 func BenchmarkRelabelFilter(b *testing.B) {
-	benchWorld(func(c *comm.Comm, edges []graph.Edge, l *graph.Layout, pool *par.Pool) {
+	benchWorld(func(c *comm.Comm, edges []graph.Edge, l *graph.Layout) {
 		opt := Options{}.withDefaults()
-		mins := minEdges(c, edges, l, pool)
+		mins := minEdges(c, edges, l)
 		var mst []graph.Edge
 		labels := contractComponents(c, edges, l, mins, opt, &mst)
 		ghost := exchangeLabels(c, edges, l, labels, opt)
-		relabel(c, edges, l, labels, ghost, pool, true, c.Scratch())
+		relabel(c, edges, l, labels, ghost, true, c.Scratch())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			relabel(c, edges, l, labels, ghost, pool, true, c.Scratch())
+			relabel(c, edges, l, labels, ghost, true, c.Scratch())
 		}
 	})
 }

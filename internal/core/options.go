@@ -23,8 +23,8 @@ import (
 
 // Options configures the distributed MST algorithms. Zero numeric fields
 // take the defaults documented per field, but the zero value is NOT the
-// paper's configuration: it leaves the four enhancement booleans
-// (LocalPreprocessing, LocalFilter, HashDedup, DedupParallel) off. Start
+// paper's configuration: it leaves the three enhancement booleans
+// (LocalPreprocessing, LocalFilter, DedupParallel) off. Start
 // from DefaultOptions() for the configuration the paper evaluates.
 type Options struct {
 	// A2A is the sparse all-to-all strategy for label exchange and pointer
@@ -43,9 +43,6 @@ type Options struct {
 	// LocalFilter applies the recursive edge-filtering enhancement inside
 	// local preprocessing (§VI-B).
 	LocalFilter bool
-	// HashDedup uses the hash-table parallel-edge removal in local
-	// preprocessing (§VI-B).
-	HashDedup bool
 	// DedupParallel removes parallel edges during REDISTRIBUTE (keeping
 	// the lightest); the paper notes this is optional for correctness.
 	DedupParallel bool
@@ -98,12 +95,12 @@ func (o Options) withDefaults() Options {
 }
 
 // DefaultOptions returns the paper's default configuration (local
-// preprocessing on, hash dedup on, auto all-to-all).
+// preprocessing with local filtering on, parallel-edge removal on, auto
+// all-to-all).
 func DefaultOptions() Options {
 	return Options{
 		LocalPreprocessing: true,
 		LocalFilter:        true,
-		HashDedup:          true,
 		DedupParallel:      true,
 	}.withDefaults()
 }

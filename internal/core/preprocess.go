@@ -5,7 +5,6 @@ import (
 	"kamsta/internal/dsort"
 	"kamsta/internal/graph"
 	"kamsta/internal/localmst"
-	"kamsta/internal/par"
 	"kamsta/internal/radix"
 )
 
@@ -23,7 +22,7 @@ import (
 // step is skipped entirely (§VI-B: the paper skips after a quick check when
 // cut edges exceed 90%).
 func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
-	pool *par.Pool, opt Options, mst *[]graph.Edge, rec *distArray) ([]graph.Edge, *graph.Layout) {
+	opt Options, mst *[]graph.Edge, rec *distArray) ([]graph.Edge, *graph.Layout) {
 
 	// A vertex is contractible here iff its whole neighborhood is on this
 	// PE: it appears as a source here and is not shared — a range test.
@@ -46,10 +45,9 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	}
 
 	res := localmst.Run(edges, isLocal, localmst.Config{
-		Pool:      pool,
-		Scratch:   c.Scratch(),
-		Filter:    opt.LocalFilter,
-		HashDedup: opt.HashDedup,
+		Pool:    c.Pool(),
+		Scratch: c.Scratch(),
+		Filter:  opt.LocalFilter,
 	})
 	*mst = append(*mst, res.MSTEdges...)
 	// Charge the contraction's actual edge touches (rounds compact the
@@ -84,7 +82,7 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	// relabel gets a nil arena: its result lives beyond this call (it may
 	// become the rounds' working edge set), so it must own its memory.
 	ghost := exchangeLabels(c, edges, l, labels, opt)
-	work := relabel(c, res.Remaining, l, denseLabels{}, ghost, pool, false, nil)
+	work := relabel(c, res.Remaining, l, denseLabels{}, ghost, false, nil)
 
 	// Re-establish the sorted distributed sequence: a local (U, V)-keyed
 	// radix pass first.

@@ -15,7 +15,7 @@ import (
 // Arena keys of the per-round dense tables and send buckets. One set of
 // keys per process; every PE's arena has its own storage behind them. A key
 // is re-grabbed once per round, so a slot's previous round's contents are
-// dead by the time it is reused (see the lifecycle notes in DESIGN.md §8).
+// dead by the time it is reused (see the lifetime table in DESIGN.md §8.2).
 var (
 	kRanges     = arena.NewKey() // []graph.VertexRange: per-source runs
 	kMins       = arena.NewKey() // []minEdge: minimum-edge selection
@@ -48,12 +48,12 @@ type minEdge struct {
 // contiguous source range, so this is a communication-free segmented min.
 // The result is in ascending vertex order (ranges are sorted), which is what
 // makes the dense tables of contractComponents index-ordered.
-func minEdges(c *comm.Comm, edges []graph.Edge, l *graph.Layout, pool *par.Pool) []minEdge {
+func minEdges(c *comm.Comm, edges []graph.Edge, l *graph.Layout) []minEdge {
 	a := c.Scratch()
 	ranges := graph.AppendLocalRanges(arena.GrabAppend[graph.VertexRange](a, kRanges), edges)
 	arena.Keep(a, kRanges, ranges)
 	out := arena.Grab[minEdge](a, kMins, len(ranges))
-	pool.For(len(ranges), func(lo, hi int) {
+	c.Pool().For(len(ranges), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			r := ranges[k]
 			if l.IsSharedOn(r.V, c.Rank()) {
@@ -492,22 +492,9 @@ func lessPairV(a, b labelPair) int {
 // within the round). Callers that keep the result across rounds — local
 // preprocessing — pass a nil arena and get owned memory.
 func relabel(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
-	lab denseLabels, ghost ghostTable, pool *par.Pool, strict bool, a *arena.Arena) []graph.Edge {
+	lab denseLabels, ghost ghostTable, strict bool, a *arena.Arena) []graph.Edge {
 
-	resolve := func(v graph.VID) graph.VID {
-		if lbl, ok := lab.get(v); ok {
-			return lbl
-		}
-		if lbl, ok := ghost.get(v); ok {
-			return lbl
-		}
-		if strict && !l.IsShared(v) {
-			first, last := l.SharedSpan(v)
-			panic(fmt.Sprintf("core: relabel: rank %d: no label for non-shared vertex %d (span %d..%d, home %d, labels=%d ghost=%d, localEdges=%d)",
-				c.Rank(), v, first, last, l.HomePE(v), lab.len(), ghost.len(), len(edges)))
-		}
-		return v // shared vertices keep their label this round
-	}
+	pool := c.Pool()
 	// Each block walks its edges exploiting the sorted order: the source
 	// label is resolved once per run of equal U, and the ascending V values
 	// within a run gallop through the label table with a moving lower bound
@@ -523,7 +510,10 @@ func relabel(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 		i := lo
 		for i < hi {
 			u := edges[i].U
-			nu := resolve(u)
+			nu, ok := lab.get(u)
+			if !ok {
+				nu = resolveNonLocal(c, l, ghost, u, strict, lab, len(edges))
+			}
 			vbase := 0
 			for ; i < hi && edges[i].U == u; i++ {
 				e := edges[i]
@@ -559,9 +549,9 @@ func relabel(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	return out
 }
 
-// resolveNonLocal handles the slow path of relabel's V resolution: a vertex
-// without a local label is a ghost or shared (or, in strict mode, a
-// protocol bug).
+// resolveNonLocal handles the slow path of relabel's resolution: a vertex
+// without a local label is a ghost, or shared and keeps its label this round
+// (or, in strict mode, a protocol bug).
 func resolveNonLocal(c *comm.Comm, l *graph.Layout, ghost ghostTable,
 	v graph.VID, strict bool, lab denseLabels, m int) graph.VID {
 	if lbl, ok := ghost.get(v); ok {

@@ -29,7 +29,7 @@ func TestBoruvkaUnderAllCommunicationStrategies(t *testing.T) {
 	var want uint64
 	for i, cb := range combos {
 		opt := Options{
-			LocalPreprocessing: true, HashDedup: true, DedupParallel: true,
+			LocalPreprocessing: true, DedupParallel: true,
 			BaseCaseCap: 16, A2A: cb.a2a,
 		}
 		opt.Sort.Alg = cb.alg

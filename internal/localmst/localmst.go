@@ -18,7 +18,7 @@
 //
 // Endpoints are translated once to dense int32 ids that ascend with the
 // vertex labels, and the rounds run over 16-byte records that index the
-// caller's edge slice, which is never written (DESIGN.md §8.4). Every
+// caller's edge slice, which is never written (DESIGN.md §8.3). Every
 // buffer comes from Config.Scratch, the Result's MSTEdges, Verts, Roots and
 // Remaining included: they are valid until the next Run on the same arena.
 // With a nil Scratch a call has its own arena and the Result owns them.
@@ -48,9 +48,6 @@ type Config struct {
 	// It activates above FilterThreshold edges (default 4096).
 	Filter          bool
 	FilterThreshold int
-	// HashDedup selects the hash-table parallel-edge removal (§VI-B): the
-	// survivors are reduced to one copy per pair before they are sorted.
-	HashDedup bool
 }
 
 // Result of a local contraction.
@@ -173,7 +170,7 @@ func Run(edges []graph.Edge, isLocal func(graph.VID) bool, cfg Config) Result {
 		_, n = st.relabel(recs, n, heavy, len(recs))
 	}
 	n = st.contract(recs[:n])
-	st.emit(recs[:n], cfg.HashDedup)
+	st.emit(recs[:n])
 	return st.res
 }
 
@@ -401,25 +398,13 @@ func medianWeight(edges []graph.Edge) graph.Edge {
 }
 
 // emit fills the Result from the survivors w: Remaining is the lightest
-// copy per endpoint pair in lexicographic order, found by sorting all
-// copies or, with hashDedup, by reducing them first (§VI-B).
-func (st *state) emit(w []rec, hashDedup bool) {
-	if hashDedup {
-		w = w[:st.reducePairs(w)]
-	}
+// copy per endpoint pair (the hash-table parallel-edge removal of §VI-B) in
+// lexicographic order.
+func (st *state) emit(w []rec) {
+	w = w[:st.reducePairs(w)]
 	slices.SortFunc(w, func(x, y rec) int { return cmp.Or(cmp.Compare(x.u, y.u), cmp.Compare(x.v, y.v)) })
-	m := 0
-	for _, r := range w {
-		switch {
-		case m == 0 || r.u != w[m-1].u || r.v != w[m-1].v:
-			w[m] = r
-			m++
-		case st.lighter(r, w[m-1]):
-			w[m-1] = r
-		}
-	}
-	rem := arena.Grab[graph.Edge](st.a, kRem, m)
-	for i, r := range w[:m] {
+	rem := arena.Grab[graph.Edge](st.a, kRem, len(w))
+	for i, r := range w {
 		rem[i] = st.edge(r)
 	}
 	verts := arena.Grab[graph.VID](st.a, kVerts, len(st.label))[:0]
@@ -437,5 +422,5 @@ func (st *state) emit(w []rec, hashDedup bool) {
 // MSF computes the full minimum spanning forest of an in-memory graph with
 // t threads: the shared-memory baseline (§VII-C). All vertices are local.
 func MSF(edges []graph.Edge, pool *par.Pool) Result {
-	return Run(edges, func(graph.VID) bool { return true }, Config{Pool: pool, HashDedup: true})
+	return Run(edges, func(graph.VID) bool { return true }, Config{Pool: pool})
 }

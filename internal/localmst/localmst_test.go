@@ -58,20 +58,18 @@ func TestMSFMatchesKruskalAllLocal(t *testing.T) {
 		want := seqmst.Kruskal(n, edges)
 		for _, threads := range []int{1, 4} {
 			for _, filter := range []bool{false, true} {
-				for _, hash := range []bool{false, true} {
-					got := Run(edges, allLocal, Config{
-						Pool: par.NewPool(threads), Filter: filter, FilterThreshold: 64, HashDedup: hash,
-					})
-					if w := totalWeight(got.MSTEdges); w != want.TotalWeight {
-						t.Fatalf("seed=%d threads=%d filter=%v hash=%v: weight %d want %d",
-							seed, threads, filter, hash, w, want.TotalWeight)
-					}
-					if len(got.MSTEdges) != len(want.Edges) {
-						t.Fatalf("seed=%d: %d MST edges want %d", seed, len(got.MSTEdges), len(want.Edges))
-					}
-					if len(got.Remaining) != 0 {
-						t.Fatalf("seed=%d: %d edges remain after full MSF", seed, len(got.Remaining))
-					}
+				got := Run(edges, allLocal, Config{
+					Pool: par.NewPool(threads), Filter: filter, FilterThreshold: 64,
+				})
+				if w := totalWeight(got.MSTEdges); w != want.TotalWeight {
+					t.Fatalf("seed=%d threads=%d filter=%v: weight %d want %d",
+						seed, threads, filter, w, want.TotalWeight)
+				}
+				if len(got.MSTEdges) != len(want.Edges) {
+					t.Fatalf("seed=%d: %d MST edges want %d", seed, len(got.MSTEdges), len(want.Edges))
+				}
+				if len(got.Remaining) != 0 {
+					t.Fatalf("seed=%d: %d edges remain after full MSF", seed, len(got.Remaining))
 				}
 			}
 		}
@@ -213,31 +211,52 @@ func TestPreprocessingEdgesAreGlobalMSTEdges(t *testing.T) {
 func TestRemainingIsSortedAndDeduped(t *testing.T) {
 	edges := randomEdges(50, 300, 3)
 	isLocal := func(v graph.VID) bool { return v%3 != 0 }
-	for _, hash := range []bool{false, true} {
-		got := Run(edges, isLocal, Config{HashDedup: hash})
-		if !graph.IsSorted(got.Remaining) {
-			t.Fatalf("hash=%v: remaining edges not sorted", hash)
-		}
-		for i := 1; i < len(got.Remaining); i++ {
-			a, b := got.Remaining[i-1], got.Remaining[i]
-			if a.U == b.U && a.V == b.V {
-				t.Fatalf("hash=%v: parallel edge survived: %v %v", hash, a, b)
-			}
+	got := Run(edges, isLocal, Config{})
+	if !graph.IsSorted(got.Remaining) {
+		t.Fatal("remaining edges not sorted")
+	}
+	for i := 1; i < len(got.Remaining); i++ {
+		a, b := got.Remaining[i-1], got.Remaining[i]
+		if a.U == b.U && a.V == b.V {
+			t.Fatalf("parallel edge survived: %v %v", a, b)
 		}
 	}
 }
 
+// TestHashAndSortDedupAgree checks Run's hash-table parallel-edge removal
+// against the sort-based one, spelled here: relabel every input edge through
+// the returned roots, drop self-loops, sort, keep the lightest per pair.
 func TestHashAndSortDedupAgree(t *testing.T) {
 	edges := randomEdges(70, 400, 8)
 	isLocal := func(v graph.VID) bool { return v%2 == 0 }
-	a := Run(edges, isLocal, Config{HashDedup: false})
-	b := Run(edges, isLocal, Config{HashDedup: true})
-	if len(a.Remaining) != len(b.Remaining) {
-		t.Fatalf("dedup variants disagree: %d vs %d edges", len(a.Remaining), len(b.Remaining))
-	}
-	for i := range a.Remaining {
-		if a.Remaining[i] != b.Remaining[i] {
-			t.Fatalf("dedup variants disagree at %d: %v vs %v", i, a.Remaining[i], b.Remaining[i])
+	for _, filter := range []bool{false, true} {
+		got := Run(edges, isLocal, Config{Filter: filter, FilterThreshold: 64})
+		root := map[graph.VID]graph.VID{}
+		for i, v := range got.Verts {
+			root[v] = got.Roots[i]
+		}
+		relabel := func(v graph.VID) graph.VID {
+			if r, ok := root[v]; ok {
+				return r
+			}
+			return v
+		}
+		var want []graph.Edge
+		for _, e := range edges {
+			if e.U, e.V = relabel(e.U), relabel(e.V); e.U != e.V {
+				want = append(want, e)
+			}
+		}
+		slices.SortFunc(want, func(a, b graph.Edge) int {
+			if graph.LessLex(a, b) {
+				return -1
+			}
+			return 1
+		})
+		want = slices.CompactFunc(want, func(a, b graph.Edge) bool { return a.U == b.U && a.V == b.V })
+		if !slices.Equal(got.Remaining, want) {
+			t.Fatalf("filter=%v: Remaining has %d edges, the sort-based reduction %d (or they differ)",
+				filter, len(got.Remaining), len(want))
 		}
 	}
 }
@@ -256,14 +275,12 @@ func TestParallelEdgesKeepLightest(t *testing.T) {
 		graph.NewEdge(2, 5, 20),
 		graph.NewEdge(4, 5, 21),
 	}
-	for _, hash := range []bool{false, true} {
-		got := Run(edges, isLocal, Config{HashDedup: hash})
-		if w := totalWeight(got.MSTEdges); w != 1+2+8 {
-			t.Fatalf("hash=%v: contracted weight %d want 11 (edges %+v)", hash, w, got.MSTEdges)
-		}
-		if len(got.Remaining) != 1 || got.Remaining[0].W != 20 {
-			t.Fatalf("hash=%v: surviving cut edge wrong: %+v", hash, got.Remaining)
-		}
+	got := Run(edges, isLocal, Config{})
+	if w := totalWeight(got.MSTEdges); w != 1+2+8 {
+		t.Fatalf("contracted weight %d want 11 (edges %+v)", w, got.MSTEdges)
+	}
+	if len(got.Remaining) != 1 || got.Remaining[0].W != 20 {
+		t.Fatalf("surviving cut edge wrong: %+v", got.Remaining)
 	}
 }
 

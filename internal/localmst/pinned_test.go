@@ -202,9 +202,8 @@ func pinnedInstances(t *testing.T) []pinnedInstance {
 }
 
 // pinnedWant was recorded on the commit before localmst moved to dense ids
-// (PR 16's parent, db2de6d): one row per instance × Filter. HashDedup and
-// the thread count do not change a result, so each row is asserted for all
-// four combinations of them.
+// (PR 16's parent, db2de6d): one row per instance × Filter. The thread
+// count does not change a result, so each row is asserted for 1 and 4.
 var pinnedWant = map[string]pinned{
 	"rgg2d/pe0/filter=false":        {Work: 12437, Rounds: 6, MST: 631, MSTWeight: 0x335b, MSTHash: 0xa868097474027958, Rem: 426, RemHash: 0xe5d4217585edf87e, LabelHash: 0xdd4858eb0638289a},
 	"rgg2d/pe0/filter=true":         {Work: 8383, Rounds: 7, MST: 631, MSTWeight: 0x335b, MSTHash: 0xa868097474027958, Rem: 426, RemHash: 0xe5d4217585edf87e, LabelHash: 0xdd4858eb0638289a},
@@ -248,18 +247,16 @@ func TestRunResultsPinned(t *testing.T) {
 			key := fmt.Sprintf("%s/filter=%v", in.name, filter)
 			want, ok := pinnedWant[key]
 			seen++
-			for _, hash := range []bool{false, true} {
-				for _, threads := range []int{1, 4} {
-					got := fingerprint(Run(in.edges, in.isLocal, Config{
-						Pool: par.NewPool(threads), Filter: filter, FilterThreshold: 200, HashDedup: hash,
-					}))
-					if !ok {
-						t.Errorf("no pinned row; recorded:\n\t%q: %#v,", key, got)
-						ok, want = true, got
-					}
-					if got != want {
-						t.Errorf("%s hash=%v threads=%d:\n got %+v\nwant %+v", key, hash, threads, got, want)
-					}
+			for _, threads := range []int{1, 4} {
+				got := fingerprint(Run(in.edges, in.isLocal, Config{
+					Pool: par.NewPool(threads), Filter: filter, FilterThreshold: 200,
+				}))
+				if !ok {
+					t.Errorf("no pinned row; recorded:\n\t%q: %#v,", key, got)
+					ok, want = true, got
+				}
+				if got != want {
+					t.Errorf("%s threads=%d:\n got %+v\nwant %+v", key, threads, got, want)
 				}
 			}
 		}
@@ -278,7 +275,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		var perSize []float64
 		for _, m := range []int{2000, 40000} {
 			edges := randomEdges(m/4, m, 31)
-			cfg := Config{Scratch: arena.New(), Filter: filter, FilterThreshold: 500, HashDedup: true}
+			cfg := Config{Scratch: arena.New(), Filter: filter, FilterThreshold: 500}
 			Run(edges, isLocal, cfg) // warm the arena
 			perSize = append(perSize, testing.AllocsPerRun(5, func() { Run(edges, isLocal, cfg) }))
 		}

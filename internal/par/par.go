@@ -4,10 +4,11 @@
 // min-priority-write used by the shared-memory Borůvka variant of
 // Dhulipala et al. that the local preprocessing step builds on.
 //
-// A Pool models the paper's "OpenMP threads per MPI process": every PE of
-// the simulated machine owns a Pool with t workers. With t == 1 all
-// primitives degenerate to their sequential forms with no goroutine or
-// synchronization overhead, which keeps the 1-thread configurations honest.
+// A Pool models the paper's "OpenMP threads per MPI process": the world
+// builds one with t workers for every PE it hosts (comm.Comm.Pool). With
+// t == 1 all primitives degenerate to their sequential forms with no
+// goroutine or synchronization overhead, which keeps the 1-thread
+// configurations honest.
 package par
 
 import (
@@ -42,41 +43,52 @@ func (p *Pool) Threads() int {
 // spawning goroutines is not worth it.
 const grainSize = 512
 
-// For runs f over the index range [0, n) split into contiguous blocks, one
-// block per worker. f must be safe to call concurrently on disjoint ranges.
-func (p *Pool) For(n int, f func(lo, hi int)) {
+// width reports how many blocks a loop over [0, n) is split into: 1 — run
+// it inline — on a single-threaded pool or below 2·grainSize iterations,
+// otherwise at most Threads() blocks of at least grainSize iterations.
+func (p *Pool) width(n int) int {
 	t := p.Threads()
-	if n <= 0 {
-		return
-	}
 	if t == 1 || n < 2*grainSize {
-		f(0, n)
-		return
+		return 1
 	}
-	if t > n/grainSize {
-		t = n / grainSize
-		if t < 1 {
-			t = 1
-		}
-	}
-	var wg sync.WaitGroup
+	return min(t, n/grainSize)
+}
+
+// fanOut splits [0, n) into width(n) contiguous blocks, runs f(w, lo, hi) on
+// block w concurrently and returns when all are done. It is the package's
+// one go statement: every parallel primitive below is this loop. The split
+// depends on n and Threads() alone, so two fan-outs over the same n hand
+// worker w the same block.
+func (p *Pool) fanOut(n int, f func(w, lo, hi int)) {
+	t := p.width(n)
 	chunk := (n + t - 1) / t
+	var wg sync.WaitGroup
 	for w := 0; w < t; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		if lo >= hi {
 			break
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
+			f(w, lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
+}
+
+// For runs f over the index range [0, n) split into contiguous blocks, one
+// block per worker. f must be safe to call concurrently on disjoint ranges.
+func (p *Pool) For(n int, f func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if p.width(n) == 1 {
+		f(0, n)
+		return
+	}
+	p.fanOut(n, func(_, lo, hi int) { f(lo, hi) })
 }
 
 // PrefixSum computes the exclusive prefix sum of xs in parallel and returns
@@ -87,8 +99,8 @@ func PrefixSum(p *Pool, xs, out []int) int {
 	if len(out) != n {
 		panic("par: PrefixSum output length mismatch")
 	}
-	t := p.Threads()
-	if t == 1 || n < 2*grainSize {
+	t := p.width(n)
+	if t == 1 {
 		sum := 0
 		for i, v := range xs {
 			out[i] = sum
@@ -96,55 +108,26 @@ func PrefixSum(p *Pool, xs, out []int) int {
 		}
 		return sum
 	}
-	if t > n/grainSize {
-		t = n / grainSize
-	}
-	chunk := (n + t - 1) / t
 	blockSum := make([]int, t)
-	var wg sync.WaitGroup
-	for w := 0; w < t; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	p.fanOut(n, func(w, lo, hi int) {
+		s := 0
+		for i := lo; i < hi; i++ {
+			s += xs[i]
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := 0
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			blockSum[w] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		blockSum[w] = s
+	})
 	total := 0
 	for w := range blockSum {
 		blockSum[w], total = total, total+blockSum[w]
 	}
-	for w := 0; w < t; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	p.fanOut(n, func(w, lo, hi int) {
+		s := blockSum[w]
+		for i := lo; i < hi; i++ {
+			v := xs[i]
+			out[i] = s
+			s += v
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := blockSum[w]
-			for i := lo; i < hi; i++ {
-				v := xs[i]
-				out[i] = s
-				s += v
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	})
 	return total
 }
 
@@ -152,7 +135,7 @@ func PrefixSum(p *Pool, xs, out []int) int {
 // preserving order. It runs in two parallel passes (count, then pack).
 func Filter[T any](p *Pool, xs []T, keep func(T) bool) []T {
 	n := len(xs)
-	if p.Threads() == 1 || n < 2*grainSize {
+	if p.width(n) == 1 {
 		out := make([]T, 0, n/2+1)
 		for _, v := range xs {
 			if keep(v) {
@@ -169,62 +152,30 @@ func Filter[T any](p *Pool, xs []T, keep func(T) bool) []T {
 // known.
 func filterTwoPass[T any](p *Pool, xs []T, keep func(T) bool, alloc func(total int) []T) []T {
 	n := len(xs)
-	t := p.Threads()
-	if t > n/grainSize {
-		t = n / grainSize
-	}
-	chunk := (n + t - 1) / t
-	counts := make([]int, t)
-	var wg sync.WaitGroup
-	for w := 0; w < t; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			c := 0
-			for i := lo; i < hi; i++ {
-				if keep(xs[i]) {
-					c++
-				}
+	offsets := make([]int, p.width(n))
+	p.fanOut(n, func(w, lo, hi int) {
+		c := 0
+		for i := lo; i < hi; i++ {
+			if keep(xs[i]) {
+				c++
 			}
-			counts[w] = c
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+		offsets[w] = c
+	})
 	total := 0
-	offsets := make([]int, t)
-	for w := range counts {
-		offsets[w] = total
-		total += counts[w]
+	for w := range offsets {
+		offsets[w], total = total, total+offsets[w]
 	}
 	out := alloc(total)
-	for w := 0; w < t; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			o := offsets[w]
-			for i := lo; i < hi; i++ {
-				if keep(xs[i]) {
-					out[o] = xs[i]
-					o++
-				}
+	p.fanOut(n, func(w, lo, hi int) {
+		o := offsets[w]
+		for i := lo; i < hi; i++ {
+			if keep(xs[i]) {
+				out[o] = xs[i]
+				o++
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }
 
@@ -246,8 +197,7 @@ func MapInto[T, U any](p *Pool, dst []U, xs []T, f func(T) U) []U {
 // len(xs) and must not alias xs; it returns the packed prefix of dst,
 // preserving order.
 func FilterInto[T any](p *Pool, dst []T, xs []T, keep func(T) bool) []T {
-	n := len(xs)
-	if p.Threads() == 1 || n < 2*grainSize {
+	if p.width(len(xs)) == 1 {
 		out := dst[:0]
 		for _, v := range xs {
 			if keep(v) {

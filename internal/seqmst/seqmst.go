@@ -1,17 +1,14 @@
-// Package seqmst implements the classic sequential MST/MSF algorithms:
-// Kruskal, Prim (Jarník), Borůvka, and the Filter-Kruskal algorithm of
-// Osipov, Sanders and Singler [8] that the paper's Filter-Borůvka adapts to
-// the distributed setting. These serve three purposes: ground truth for
-// every correctness test in the repository, the sequential baseline of the
-// benchmark harness, and a reference for the filtering recursion structure.
+// Package seqmst implements sequential Kruskal: the ground truth of every
+// correctness test in the repository and the sequential baseline of the
+// benchmark harness. Its own independent witness is internal/verify's
+// path-maximum check, which shares no code with it.
 //
-// All algorithms use the unique global weight order (graph.LessWeight), so
-// the minimum spanning forest is unique and algorithms can be compared by
-// edge set, not just total weight.
+// Kruskal uses the unique global weight order (graph.LessWeight), so the
+// minimum spanning forest is unique and any algorithm can be compared with
+// it by edge set, not just total weight.
 package seqmst
 
 import (
-	"container/heap"
 	"slices"
 
 	"kamsta/internal/graph"
@@ -50,7 +47,7 @@ func finish(n int, picked []graph.Edge, uf *unionfind.UF, touched []bool) Result
 	comps := 0
 	seen := map[int]bool{}
 	for v := 1; v <= n; v++ {
-		if touched != nil && !touched[v] {
+		if !touched[v] {
 			continue
 		}
 		r := uf.Find(v)
@@ -102,235 +99,3 @@ func Kruskal(n int, edges []graph.Edge) Result {
 	}
 	return finish(n, picked, uf, markTouched(n, edges))
 }
-
-// filterKruskalThreshold is the input size below which the recursion falls
-// back to plain Kruskal.
-const filterKruskalThreshold = 1024
-
-// FilterKruskal computes the MSF with the quicksort-style recursion of [8]:
-// partition at a pivot weight, recurse on the light half, filter the heavy
-// half against the partial forest, recurse on the survivors.
-func FilterKruskal(n int, edges []graph.Edge) Result {
-	work := make([]graph.Edge, len(edges))
-	copy(work, edges)
-	uf := unionfind.New(n + 1)
-	var picked []graph.Edge
-	filterKruskalRec(work, uf, &picked)
-	return finish(n, picked, uf, markTouched(n, edges))
-}
-
-func filterKruskalRec(edges []graph.Edge, uf *unionfind.UF, picked *[]graph.Edge) {
-	if len(edges) <= filterKruskalThreshold {
-		kruskalInto(edges, uf, picked)
-		return
-	}
-	pivot := medianOfThreeWeight(edges)
-	// Partition: light (< pivot or equal-with-smaller-tiebreak) vs heavy.
-	light, heavy := partitionByPivot(edges, pivot)
-	filterKruskalRec(light, uf, picked)
-	// Filter: drop heavy edges already connected by the light forest.
-	survivors := heavy[:0]
-	for _, e := range heavy {
-		if uf.Find(int(e.U)) != uf.Find(int(e.V)) {
-			survivors = append(survivors, e)
-		}
-	}
-	filterKruskalRec(survivors, uf, picked)
-}
-
-func kruskalInto(edges []graph.Edge, uf *unionfind.UF, picked *[]graph.Edge) {
-	slices.SortFunc(edges, graph.CmpWeight)
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		if uf.Union(int(e.U), int(e.V)) {
-			*picked = append(*picked, e)
-		}
-	}
-}
-
-// medianOfThreeWeight picks a pivot edge whose (W, TB) key is the median of
-// the first, middle and last edge.
-func medianOfThreeWeight(edges []graph.Edge) graph.Edge {
-	a, b, c := edges[0], edges[len(edges)/2], edges[len(edges)-1]
-	if graph.LessWeight(b, a) {
-		a, b = b, a
-	}
-	if graph.LessWeight(c, b) {
-		b = c
-		if graph.LessWeight(b, a) {
-			a, b = b, a
-		}
-	}
-	return b
-}
-
-// partitionByPivot splits edges into (≤ pivot, > pivot) under the unique
-// weight order. The pivot edge itself lands in the light part.
-func partitionByPivot(edges []graph.Edge, pivot graph.Edge) (light, heavy []graph.Edge) {
-	light = make([]graph.Edge, 0, len(edges)/2)
-	heavy = make([]graph.Edge, 0, len(edges)/2)
-	for _, e := range edges {
-		if graph.LessWeight(pivot, e) {
-			heavy = append(heavy, e)
-		} else {
-			light = append(light, e)
-		}
-	}
-	return light, heavy
-}
-
-// primItem is a heap entry: the best known connecting edge for a vertex.
-type primItem struct {
-	v    graph.VID
-	edge graph.Edge
-}
-
-type primHeap []primItem
-
-func (h primHeap) Len() int            { return len(h) }
-func (h primHeap) Less(i, j int) bool  { return graph.LessWeight(h[i].edge, h[j].edge) }
-func (h primHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *primHeap) Push(x interface{}) { *h = append(*h, x.(primItem)) }
-func (h *primHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// Prim computes the MSF with the Jarník–Prim algorithm using a binary heap,
-// restarted per component.
-func Prim(n int, edges []graph.Edge) Result {
-	// Build adjacency (CSR) with both directions.
-	deg := make([]int, n+2)
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		deg[e.U]++
-		deg[e.V]++
-	}
-	off := make([]int, n+2)
-	for v := 1; v <= n; v++ {
-		off[v+1] = off[v] + deg[v]
-	}
-	adj := make([]graph.Edge, off[n+1])
-	fill := make([]int, n+1)
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		adj[off[e.U]+fill[e.U]] = e
-		fill[e.U]++
-		rev := e
-		rev.U, rev.V = e.V, e.U
-		adj[off[e.V]+fill[e.V]] = rev
-		fill[e.V]++
-	}
-
-	touched := markTouched(n, edges)
-	inTree := make([]bool, n+1)
-	uf := unionfind.New(n + 1) // used only for component counting in finish
-	var picked []graph.Edge
-	h := &primHeap{}
-	for start := 1; start <= n; start++ {
-		if !touched[start] || inTree[start] {
-			continue
-		}
-		inTree[start] = true
-		*h = (*h)[:0]
-		for _, e := range adj[off[start] : off[start]+deg[start]] {
-			heap.Push(h, primItem{v: e.V, edge: e})
-		}
-		for h.Len() > 0 {
-			it := heap.Pop(h).(primItem)
-			if inTree[it.v] {
-				continue
-			}
-			inTree[it.v] = true
-			picked = append(picked, it.edge)
-			uf.Union(int(it.edge.U), int(it.edge.V))
-			for _, e := range adj[off[it.v] : off[it.v]+deg[it.v]] {
-				if !inTree[e.V] {
-					heap.Push(h, primItem{v: e.V, edge: e})
-				}
-			}
-		}
-	}
-	return finish(n, picked, uf, touched)
-}
-
-// Boruvka computes the MSF with the classic Borůvka rounds: every component
-// selects its lightest incident edge, the selected edges are added, and
-// components merge, halving their number per round (§II-C).
-func Boruvka(n int, edges []graph.Edge) Result {
-	uf := unionfind.New(n + 1)
-	var picked []graph.Edge
-	for {
-		// best[root] = lightest edge leaving the component of root.
-		best := map[int]graph.Edge{}
-		for _, e := range edges {
-			if e.U == e.V {
-				continue
-			}
-			ru, rv := uf.Find(int(e.U)), uf.Find(int(e.V))
-			if ru == rv {
-				continue
-			}
-			if b, ok := best[ru]; !ok || graph.LessWeight(e, b) {
-				best[ru] = e
-			}
-			if b, ok := best[rv]; !ok || graph.LessWeight(e, b) {
-				best[rv] = e
-			}
-		}
-		if len(best) == 0 {
-			break
-		}
-		merged := false
-		for _, e := range best {
-			if uf.Union(int(e.U), int(e.V)) {
-				picked = append(picked, e)
-				merged = true
-			}
-		}
-		if !merged {
-			break
-		}
-	}
-	return finish(n, picked, uf, markTouched(n, edges))
-}
-
-// VerifySpanningForest checks that result is a spanning forest of the input
-// connecting exactly the input's components, and that every result edge is
-// an input edge. Returns "" when consistent, or a diagnostic.
-func VerifySpanningForest(n int, input []graph.Edge, result Result) string {
-	inSet := map[uint64]bool{}
-	for _, e := range input {
-		inSet[e.TB] = true
-	}
-	uf := unionfind.New(n + 1)
-	for _, e := range result.Edges {
-		if !inSet[e.TB] {
-			return "result contains an edge not present in the input"
-		}
-		if !uf.Union(int(e.U), int(e.V)) {
-			return "result contains a cycle"
-		}
-	}
-	full := unionfind.New(n + 1)
-	for _, e := range input {
-		full.Union(int(e.U), int(e.V))
-	}
-	for _, e := range input {
-		if full.Same(uint64ToInt(e.U), uint64ToInt(e.V)) != uf.Same(uint64ToInt(e.U), uint64ToInt(e.V)) {
-			return "result does not span the input components"
-		}
-	}
-	return ""
-}
-
-func uint64ToInt(v graph.VID) int { return int(v) }

@@ -7,6 +7,7 @@ import (
 	"kamsta/internal/graph"
 	"kamsta/internal/rng"
 	"kamsta/internal/unionfind"
+	"kamsta/internal/verify"
 )
 
 func newUFForTest(n int) *unionfind.UF { return unionfind.New(n + 1) }
@@ -29,15 +30,6 @@ func triangle() (int, []graph.Edge) {
 	}
 }
 
-func allAlgorithms() map[string]func(int, []graph.Edge) Result {
-	return map[string]func(int, []graph.Edge) Result{
-		"kruskal":       Kruskal,
-		"filterKruskal": FilterKruskal,
-		"prim":          Prim,
-		"boruvka":       Boruvka,
-	}
-}
-
 func TestKnownSmallGraphs(t *testing.T) {
 	type fixture struct {
 		name  string
@@ -53,37 +45,29 @@ func TestKnownSmallGraphs(t *testing.T) {
 		{"triangle", n2, e2, 3, 2},
 	}
 	for _, fx := range fixtures {
-		for name, alg := range allAlgorithms() {
-			r := alg(fx.n, fx.edges)
-			if r.TotalWeight != fx.want {
-				t.Errorf("%s on %s: weight %d want %d", name, fx.name, r.TotalWeight, fx.want)
-			}
-			if len(r.Edges) != fx.count {
-				t.Errorf("%s on %s: %d edges want %d", name, fx.name, len(r.Edges), fx.count)
-			}
-			if msg := VerifySpanningForest(fx.n, fx.edges, r); msg != "" {
-				t.Errorf("%s on %s: %s", name, fx.name, msg)
-			}
+		r := Kruskal(fx.n, fx.edges)
+		if r.TotalWeight != fx.want {
+			t.Errorf("%s: weight %d want %d", fx.name, r.TotalWeight, fx.want)
+		}
+		if len(r.Edges) != fx.count {
+			t.Errorf("%s: %d edges want %d", fx.name, len(r.Edges), fx.count)
+		}
+		if msg := verify.MSF(fx.edges, r.Edges); msg != "" {
+			t.Errorf("%s: %s", fx.name, msg)
 		}
 	}
 }
 
 func TestSingleEdge(t *testing.T) {
 	edges := []graph.Edge{graph.NewEdge(1, 2, 5)}
-	for name, alg := range allAlgorithms() {
-		r := alg(2, edges)
-		if r.TotalWeight != 5 || len(r.Edges) != 1 || r.Components != 1 {
-			t.Errorf("%s: %+v", name, r)
-		}
+	if r := Kruskal(2, edges); r.TotalWeight != 5 || len(r.Edges) != 1 || r.Components != 1 {
+		t.Errorf("%+v", r)
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
-	for name, alg := range allAlgorithms() {
-		r := alg(5, nil)
-		if r.TotalWeight != 0 || len(r.Edges) != 0 || r.Components != 0 {
-			t.Errorf("%s on empty graph: %+v", name, r)
-		}
+	if r := Kruskal(5, nil); r.TotalWeight != 0 || len(r.Edges) != 0 || r.Components != 0 {
+		t.Errorf("empty graph: %+v", r)
 	}
 }
 
@@ -92,11 +76,8 @@ func TestSelfLoopsIgnored(t *testing.T) {
 		{U: 1, V: 1, W: 1, TB: graph.MakeTB(1, 1)},
 		graph.NewEdge(1, 2, 7),
 	}
-	for name, alg := range allAlgorithms() {
-		r := alg(2, edges)
-		if r.TotalWeight != 7 || len(r.Edges) != 1 {
-			t.Errorf("%s with self-loop: %+v", name, r)
-		}
+	if r := Kruskal(2, edges); r.TotalWeight != 7 || len(r.Edges) != 1 {
+		t.Errorf("with self-loop: %+v", r)
 	}
 }
 
@@ -107,14 +88,12 @@ func TestDisconnectedComponents(t *testing.T) {
 		graph.NewEdge(5, 6, 3),
 		graph.NewEdge(5, 7, 4),
 	}
-	for name, alg := range allAlgorithms() {
-		r := alg(7, edges)
-		if r.Components != 3 {
-			t.Errorf("%s: %d components want 3", name, r.Components)
-		}
-		if r.TotalWeight != 10 || len(r.Edges) != 4 {
-			t.Errorf("%s: %+v", name, r)
-		}
+	r := Kruskal(7, edges)
+	if r.Components != 3 {
+		t.Errorf("%d components want 3", r.Components)
+	}
+	if r.TotalWeight != 10 || len(r.Edges) != 4 {
+		t.Errorf("%+v", r)
 	}
 }
 
@@ -125,11 +104,8 @@ func TestParallelEdgesKeepLightest(t *testing.T) {
 		graph.NewEdge(1, 2, 9),
 		graph.NewEdge(1, 2, 2),
 	}
-	for name, alg := range allAlgorithms() {
-		r := alg(2, edges)
-		if r.TotalWeight != 2 {
-			t.Errorf("%s: picked weight %d want 2", name, r.TotalWeight)
-		}
+	if r := Kruskal(2, edges); r.TotalWeight != 2 {
+		t.Errorf("picked weight %d want 2", r.TotalWeight)
 	}
 }
 
@@ -168,41 +144,16 @@ func randomGraph(n, extra int, seed uint64) []graph.Edge {
 	return edges
 }
 
-func TestAllAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
+// TestKruskalVerifiedOnRandomGraphs holds the oracle to its independent
+// witness: verify.MSF checks forest, spanning and cycle property without
+// running an MST algorithm.
+func TestKruskalVerifiedOnRandomGraphs(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		n := 50 + int(seed)*13
 		edges := randomGraph(n, n*3, seed)
-		want := Kruskal(n, edges)
-		for name, alg := range allAlgorithms() {
-			got := alg(n, edges)
-			if got.TotalWeight != want.TotalWeight {
-				t.Fatalf("seed %d: %s weight %d != kruskal %d", seed, name, got.TotalWeight, want.TotalWeight)
-			}
-			if len(got.Edges) != len(want.Edges) {
-				t.Fatalf("seed %d: %s has %d edges, kruskal %d", seed, name, len(got.Edges), len(want.Edges))
-			}
-			// Unique weights → unique MSF → identical edge sets.
-			for i := range got.Edges {
-				if got.Edges[i].TB != want.Edges[i].TB {
-					t.Fatalf("seed %d: %s edge set differs from kruskal at %d", seed, name, i)
-				}
-			}
-			if msg := VerifySpanningForest(n, edges, got); msg != "" {
-				t.Fatalf("seed %d: %s: %s", seed, name, msg)
-			}
+		if msg := verify.MSF(edges, Kruskal(n, edges).Edges); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
 		}
-	}
-}
-
-func TestFilterKruskalLargeInput(t *testing.T) {
-	// Exceed the recursion threshold to exercise partition + filter.
-	n := 2000
-	edges := randomGraph(n, 20000, 99)
-	want := Kruskal(n, edges)
-	got := FilterKruskal(n, edges)
-	if got.TotalWeight != want.TotalWeight || len(got.Edges) != len(want.Edges) {
-		t.Fatalf("filterKruskal %d/%d vs kruskal %d/%d",
-			got.TotalWeight, len(got.Edges), want.TotalWeight, len(want.Edges))
 	}
 }
 
@@ -217,14 +168,11 @@ func TestTreeInputKeepsAllEdges(t *testing.T) {
 			u := graph.VID(r.Intn(i-1) + 1)
 			edges = append(edges, graph.NewEdge(u, graph.VID(i), graph.RandomWeight(seed, u, graph.VID(i))))
 		}
-		for name, alg := range allAlgorithms() {
-			res := alg(n, edges)
-			if len(res.Edges) != n-1 {
-				t.Logf("%s dropped tree edges: %d of %d", name, len(res.Edges), n-1)
-				return false
-			}
+		res := Kruskal(n, edges)
+		if len(res.Edges) != n-1 {
+			t.Logf("dropped tree edges: %d of %d", len(res.Edges), n-1)
 		}
-		return true
+		return len(res.Edges) == n-1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -278,40 +226,11 @@ func TestUndirectedFromDirected(t *testing.T) {
 	}
 }
 
-func TestVerifyDetectsCycle(t *testing.T) {
-	n, edges := triangle()
-	bad := Result{Edges: edges} // all three edges form a cycle
-	if VerifySpanningForest(n, edges, bad) == "" {
-		t.Fatal("verifier accepted a cyclic result")
-	}
-}
-
-func TestVerifyDetectsForeignEdge(t *testing.T) {
-	n, edges := pathWithChord()
-	bad := Result{Edges: []graph.Edge{graph.NewEdge(1, 3, 1)}}
-	if VerifySpanningForest(n, edges, bad) == "" {
-		t.Fatal("verifier accepted a foreign edge")
-	}
-}
-
-func TestVerifyDetectsNonSpanning(t *testing.T) {
-	n, edges := pathWithChord()
-	bad := Result{Edges: edges[:1]}
-	if VerifySpanningForest(n, edges, bad) == "" {
-		t.Fatal("verifier accepted a non-spanning result")
-	}
-}
-
-func BenchmarkKruskal(b *testing.B)       { benchAlg(b, Kruskal) }
-func BenchmarkFilterKruskal(b *testing.B) { benchAlg(b, FilterKruskal) }
-func BenchmarkPrim(b *testing.B)          { benchAlg(b, Prim) }
-func BenchmarkBoruvka(b *testing.B)       { benchAlg(b, Boruvka) }
-
-func benchAlg(b *testing.B, alg func(int, []graph.Edge) Result) {
+func BenchmarkKruskal(b *testing.B) {
 	n := 5000
 	edges := randomGraph(n, 50000, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		alg(n, edges)
+		Kruskal(n, edges)
 	}
 }

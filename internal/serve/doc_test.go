@@ -47,7 +47,7 @@ func tableSource(t *testing.T, table string) []string {
 	return rows
 }
 
-// TestDesignQuotesOutcomeTables parses the two tables of DESIGN.md §12.4 and
+// TestDesignQuotesOutcomeTables parses the two tables of DESIGN.md §11.4 and
 // compares them, row by row and in order, with the tables in outcome.go, so
 // the document cannot drift from the vocabulary it describes.
 func TestDesignQuotesOutcomeTables(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // the server refuses ends in a row of rejections; an admitted job ends in a
 // row of outcomes. Everything that names an ending — the rejection and
 // completion counters, the HTTP status and code, serve.Client's
-// reconstruction, loadgen's histogram, the tables in DESIGN.md §12.4 — is a
+// reconstruction, loadgen's histogram, the tables in DESIGN.md §11.4 — is a
 // lookup into these two tables, so a new failure mode is one new row.
 
 // The sentinels Submit rejects with. All are errors.Is-able, in-process and

@@ -89,10 +89,10 @@ var msfAlgorithms = map[Algorithm]func(*comm.Comm, []graph.Edge, *graph.Layout, 
 }
 
 // baseline adapts a competitor to the paper algorithms' signature: the
-// baselines take only the PE's thread count and have no base case to count.
-func baseline(f func(*comm.Comm, []graph.Edge, *graph.Layout, baselines.Options) baselines.Result) func(*comm.Comm, []graph.Edge, *graph.Layout, core.Options) core.Result {
+// baselines have no options and no base case to count.
+func baseline(f func(*comm.Comm, []graph.Edge, *graph.Layout) baselines.Result) func(*comm.Comm, []graph.Edge, *graph.Layout, core.Options) core.Result {
 	return func(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, _ core.Options) core.Result {
-		r := f(c, edges, layout, baselines.Options{Threads: c.Threads()})
+		r := f(c, edges, layout)
 		return core.Result{MSTEdges: r.MSTEdges, TotalWeight: r.TotalWeight, NumEdges: r.NumEdges, Rounds: r.Rounds}
 	}
 }

@@ -2,6 +2,7 @@ package kamsta
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"kamsta/internal/comm"
@@ -166,6 +167,36 @@ func TestThreadsSpeedUpModeledTime(t *testing.T) {
 	if eight.ModeledSeconds >= one.ModeledSeconds {
 		t.Fatalf("8 threads (%.3e) not faster than 1 (%.3e) on a local graph",
 			eight.ModeledSeconds, one.ModeledSeconds)
+	}
+}
+
+// TestThreadsDoNotChangeTheForest is the north star's "bit-identical across
+// thread counts" for everything but the clock: 8000 directed edges per PE
+// are far above par's 2·512 cut-off, so on 2 and 8 threads For, FilterInto
+// and MapInto really fan out on the pool the world built, and the forest,
+// the algorithm structure and the traffic must not notice.
+func TestThreadsDoNotChangeTheForest(t *testing.T) {
+	for _, spec := range []GraphSpec{
+		{Family: RGG2D, N: 4000, M: 16000, Seed: 5},
+		{Family: GNM, N: 2000, M: 16000, Seed: 6},
+	} {
+		for _, alg := range DistributedAlgorithms() {
+			var want *Report
+			for _, threads := range []int{1, 2, 8} {
+				got := mustCompute(t, newTestMachine(t, MachineConfig{PEs: 4, Threads: threads}),
+					FromSpec(spec), WithAlgorithm(alg))
+				if want == nil {
+					want = got
+					continue
+				}
+				if !slices.Equal(got.MSTEdges, want.MSTEdges) || got.TotalWeight != want.TotalWeight ||
+					got.Rounds != want.Rounds || got.BaseCalls != want.BaseCalls || got.Stats != want.Stats {
+					t.Errorf("%s %s: %d threads: weight %d rounds %d base calls %d stats %+v (%d edges); 1 thread: weight %d rounds %d base calls %d stats %+v (%d edges)",
+						spec.Family, alg, threads, got.TotalWeight, got.Rounds, got.BaseCalls, got.Stats, len(got.MSTEdges),
+						want.TotalWeight, want.Rounds, want.BaseCalls, want.Stats, len(want.MSTEdges))
+				}
+			}
+		}
 	}
 }
 

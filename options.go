@@ -70,7 +70,7 @@ func WithSeed(seed uint64) RunOption {
 
 // WithCoreOptions tunes the paper's algorithms for this job. Without it a
 // job runs core.Options' zero value: default thresholds, but the paper's
-// four enhancements (local preprocessing, local filter, hash dedup,
+// three switchable enhancements (local preprocessing, local filter,
 // parallel-edge removal) off. Pass core.DefaultOptions() for the
 // configuration the paper evaluates.
 func WithCoreOptions(o core.Options) RunOption {

@@ -120,6 +120,9 @@ func TestJobKindTable(t *testing.T) {
 			return
 		}
 		defer f.Close()
+		if hs.Threads != 2 {
+			t.Errorf("handshake carries %d threads, the machine has 2", hs.Threads)
+		}
 		w := comm.NewWorld(hs.P, comm.WithTransport(f), comm.WithThreads(hs.Threads),
 			comm.WithCost(comm.CostModel{Alpha: hs.Alpha, Beta: hs.Beta, Compute: hs.Compute}))
 		w.Start()
@@ -141,7 +144,9 @@ func TestJobKindTable(t *testing.T) {
 		}
 	}()
 
-	m, err := NewMachine(MachineConfig{PEs: 4, Transport: TransportTCP, Workers: []string{lis.Addr().String()}})
+	// Two threads per PE: the follower world builds its ranks' pools from the
+	// handshake (comm's TestPoolPerLocalRank checks their width).
+	m, err := NewMachine(MachineConfig{PEs: 4, Threads: 2, Transport: TransportTCP, Workers: []string{lis.Addr().String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
