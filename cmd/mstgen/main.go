@@ -17,17 +17,13 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 
 	"kamsta/internal/cliobs"
 	"kamsta/internal/comm"
-	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
 	"kamsta/internal/graphio"
@@ -47,85 +43,54 @@ func main() {
 	obsFlags := cliobs.Register()
 	flag.Parse()
 
-	if *pes < 1 || *pes > 1<<12 {
-		fail("bad -p %d: need between 1 and %d PEs", *pes, 1<<12)
-	}
-	var spec gen.Spec
-	if *realworld != "" {
+	cliobs.Run("mstgen", obsFlags, func(ctx context.Context) error {
+		if *pes < 1 || *pes > 1<<12 {
+			return cliobs.Usagef("bad -p %d: need between 1 and %d PEs", *pes, 1<<12)
+		}
+		spec := gen.Spec{N: *n, M: *m, Seed: *seed}
 		var err error
-		spec, err = gen.RealWorldSpec(*realworld, *rwScale, *seed)
-		if err != nil {
-			fail("%v", err)
+		if *realworld != "" {
+			spec, err = gen.RealWorldSpec(*realworld, *rwScale, *seed)
+		} else {
+			spec.Family, err = gen.ParseFamily(*family)
 		}
-	} else {
-		f, err := gen.ParseFamily(*family)
 		if err != nil {
-			fail("%v", err)
+			return cliobs.Usagef("%v", err)
 		}
-		spec = gen.Spec{Family: f, N: *n, M: *m, Seed: *seed}
-	}
-	fm, err := graphio.ParseFormat(*format)
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := obsFlags.Activate(); err != nil {
-		fail("%v", err)
-	}
+		fm, err := graphio.ParseFormat(*format)
+		if err != nil {
+			return cliobs.Usagef("%v", err)
+		}
 
-	// SIGINT cancels generation at the next collective boundary: the world
-	// unwinds cleanly and the command exits without a panic trace.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+		// An interrupt cancels generation at the next collective boundary.
+		w := comm.NewWorld(*pes, comm.WithMetrics(obsFlags.Registry))
+		all, err := gen.Collect(ctx, w, comm.JobConfig{Trace: obsFlags.Trace}, spec)
+		if err != nil {
+			return fmt.Errorf("generating: %w", err)
+		}
 
-	chunks := make([][]graph.Edge, *pes)
-	w := comm.NewWorld(*pes, comm.WithMetrics(obsFlags.Registry))
-	err = w.RunJobCfg(ctx, comm.JobConfig{Trace: obsFlags.Trace}, func(c *comm.Comm) {
-		edges, _ := gen.Build(c, spec, dsort.Options{})
-		chunks[c.Rank()] = edges
+		switch {
+		case *stats:
+			printStats(spec, all)
+			return nil
+		case *out != "":
+			if err := graphio.WriteFile(*out, fm, all); err != nil {
+				return fmt.Errorf("writing %s: %w", *out, err)
+			}
+			return nil
+		}
+		if fm == graphio.FormatAuto {
+			fm = graphio.FormatEdgeList
+		}
+		bw := bufio.NewWriterSize(os.Stdout, 1<<20)
+		if err := graphio.Write(bw, fm, all); err != nil {
+			return fmt.Errorf("writing stdout: %w", err)
+		}
+		if err := bw.Flush(); err != nil {
+			return fmt.Errorf("writing stdout: %w", err)
+		}
+		return nil
 	})
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "mstgen: interrupted")
-		os.Exit(130)
-	}
-	if err != nil {
-		fail("generating: %v", err)
-	}
-	var all []graph.Edge
-	for _, ch := range chunks {
-		all = append(all, ch...)
-	}
-
-	defer func() {
-		if err := obsFlags.Flush(); err != nil {
-			fail("%v", err)
-		}
-	}()
-	if *stats {
-		printStats(spec, all)
-		return
-	}
-	if *out != "" {
-		if err := graphio.WriteFile(*out, fm, all); err != nil {
-			fail("writing %s: %v", *out, err)
-		}
-		return
-	}
-	if fm == graphio.FormatAuto {
-		fm = graphio.FormatEdgeList
-	}
-	bw := bufio.NewWriterSize(os.Stdout, 1<<20)
-	if err := graphio.Write(bw, fm, all); err != nil {
-		fail("writing stdout: %v", err)
-	}
-	if err := bw.Flush(); err != nil {
-		fail("writing stdout: %v", err)
-	}
-}
-
-// fail prints an error and exits with the flag-error status.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mstgen: "+format+"\n", args...)
-	os.Exit(2)
 }
 
 func printStats(spec gen.Spec, all []graph.Edge) {

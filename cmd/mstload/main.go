@@ -37,11 +37,9 @@ import (
 
 func main() {
 	target := flag.String("target", "", "mstserve base URL (empty = run an in-process server)")
-	pool := flag.String("pool", "4x1:1", "in-process pool: comma-separated PEs[xThreads][:Count]")
-	queue := flag.Int("queue", 1024, "in-process global queue bound")
-	tenantQueue := flag.Int("tenant-queue", 0, "in-process per-tenant queue bound (0 = global)")
-	batchJobs := flag.Int("batch-jobs", 8, "in-process batching: max jobs per batch (<=1 disables)")
-	batchEdges := flag.Int("batch-edges", 65536, "in-process batching: max summed edges per batch")
+	// The in-process server's flags are mstserve's own, by the same names.
+	srvFlags := serve.RegisterFlags(flag.CommandLine,
+		"pool", "queue", "tenant-queue", "batch-jobs", "batch-edges", "retry-attempts", "quarantine-after")
 	tenants := flag.String("tenants", "load", "tenants, name[:weight] comma-separated (weight applies in-process)")
 	workers := flag.Int("workers", 4, "closed loop: concurrent workers per tenant")
 	rate := flag.Float64("rate", 0, "open loop: Poisson arrivals per second per tenant (overrides -workers)")
@@ -61,116 +59,104 @@ func main() {
 	chaosFault := flag.Float64("chaos-fault", 0, "fraction of jobs that panic on one PE mid-run (in-process targets only)")
 	chaosStall := flag.Float64("chaos-stall", 0, "fraction of jobs that stall one PE past the watchdog (in-process targets only)")
 	chaosStorm := flag.Float64("chaos-storm", 0, "fraction of jobs arriving with a hopeless deadline")
-	retryAttempts := flag.Int("retry-attempts", 1, "in-process server: dispatch attempts per fault-killed job (<=1 disables retries)")
-	quarantineAfter := flag.Int("quarantine-after", 0, "in-process server: consecutive faults that quarantine a machine (0 disables)")
 	obsFlags := cliobs.Register()
 	flag.Parse()
 
-	tcs, err := serve.ParseTenants(*tenants)
-	if err != nil {
-		fail("%v", err)
-	}
-	if len(tcs) == 0 {
-		fail("no tenants")
-	}
-	if err := obsFlags.Activate(); err != nil {
-		fail("%v", err)
-	}
-
-	tmpl := loadgen.Template{
-		Algorithm: kamsta.Algorithm(*alg),
-		Deadline:  *deadline,
-		PEs:       *pes,
-		NoBatch:   *noBatch,
-	}
-	if *family != "" {
-		fam, err := gen.ParseFamily(*family)
+	cliobs.Run("mstload", obsFlags, func(ctx context.Context) error {
+		cfg, err := srvFlags.Config()
+		if err == nil {
+			cfg.Tenants, err = serve.ParseTenants(*tenants)
+		}
 		if err != nil {
-			fail("%v", err)
+			return cliobs.Usagef("%v", err)
 		}
-		tmpl.Spec = &kamsta.GraphSpec{Family: fam, N: *n, M: *m, Seed: *seed}
-	} else {
-		tmpl.EdgeCount = *edges
-		tmpl.Vertices = *vertices
-		tmpl.Verify = *verify
-	}
-	if *chaosFault > 0 || *chaosStall > 0 || *chaosStorm > 0 {
-		if *target != "" && (*chaosFault > 0 || *chaosStall > 0) {
-			fail("-chaos-fault/-chaos-stall need an in-process server (fault plans do not travel over HTTP)")
+		if len(cfg.Tenants) == 0 {
+			return cliobs.Usagef("no tenants")
 		}
-		tmpl.Chaos = &loadgen.ChaosSpec{
-			FaultFraction: *chaosFault,
-			StallFraction: *chaosStall,
-			StormFraction: *chaosStorm,
-		}
-	}
 
-	plan := loadgen.Plan{Seed: *seed, Duration: *duration}
-	for _, tc := range tcs {
-		tl := loadgen.TenantLoad{Name: tc.Name, Jobs: *jobs, Template: tmpl}
-		if *rate > 0 {
-			tl.RateHz = *rate
+		tmpl := loadgen.Template{
+			Algorithm: kamsta.Algorithm(*alg),
+			Deadline:  *deadline,
+			PEs:       *pes,
+			NoBatch:   *noBatch,
+		}
+		if *family != "" {
+			fam, err := gen.ParseFamily(*family)
+			if err != nil {
+				return cliobs.Usagef("%v", err)
+			}
+			tmpl.Spec = &kamsta.GraphSpec{Family: fam, N: *n, M: *m, Seed: *seed}
 		} else {
-			tl.Workers = *workers
+			tmpl.EdgeCount = *edges
+			tmpl.Vertices = *vertices
+			tmpl.Verify = *verify
 		}
-		plan.Tenants = append(plan.Tenants, tl)
-	}
+		if *chaosFault > 0 || *chaosStall > 0 || *chaosStorm > 0 {
+			if *target != "" && (*chaosFault > 0 || *chaosStall > 0) {
+				return cliobs.Usagef("-chaos-fault/-chaos-stall need an in-process server (fault plans do not travel over HTTP)")
+			}
+			tmpl.Chaos = &loadgen.ChaosSpec{
+				FaultFraction: *chaosFault,
+				StallFraction: *chaosStall,
+				StormFraction: *chaosStorm,
+			}
+		}
 
-	var tgt loadgen.Target
-	var srvStats func() (serve.Stats, bool)
-	if *target != "" {
-		c := &serve.Client{BaseURL: *target}
-		if !c.Healthy(context.Background()) {
-			fail("target %s is not healthy", *target)
+		plan := loadgen.Plan{Seed: *seed, Duration: *duration}
+		for _, tc := range cfg.Tenants {
+			tl := loadgen.TenantLoad{Name: tc.Name, Jobs: *jobs, Template: tmpl}
+			if *rate > 0 {
+				tl.RateHz = *rate
+			} else {
+				tl.Workers = *workers
+			}
+			plan.Tenants = append(plan.Tenants, tl)
 		}
-		srvStats = func() (serve.Stats, bool) {
-			st, err := c.Stats(context.Background())
-			return st, err == nil
+
+		var tgt loadgen.Target
+		var srvStats func() (serve.Stats, bool)
+		if *target != "" {
+			c := &serve.Client{BaseURL: *target}
+			if !c.Healthy(ctx) {
+				return cliobs.Usagef("target %s is not healthy", *target)
+			}
+			srvStats = func() (serve.Stats, bool) {
+				st, err := c.Stats(context.Background())
+				return st, err == nil
+			}
+			tgt = loadgen.Remote(c)
+		} else {
+			cfg.Metrics, cfg.Trace = obsFlags.Registry, obsFlags.Trace
+			srv, err := serve.New(cfg)
+			if err != nil {
+				return cliobs.Usagef("%v", err)
+			}
+			defer srv.Close()
+			srvStats = func() (serve.Stats, bool) { return srv.Stats(), true }
+			tgt = loadgen.Local(srv)
 		}
-		tgt = loadgen.Remote(c)
-	} else {
-		shapes, err := serve.ParsePool(*pool)
+
+		// An interrupt cancels the plan: in-flight jobs are still accounted,
+		// and the partial summary is printed before the exit.
+		res, err := loadgen.Run(ctx, tgt, plan)
 		if err != nil {
-			fail("%v", err)
+			return cliobs.Usagef("%v", err)
 		}
-		srv, err := serve.New(serve.Config{
-			Pool:             shapes,
-			Tenants:          tcs,
-			QueueBound:       *queue,
-			TenantQueueBound: *tenantQueue,
-			Batch:            serve.BatchConfig{MaxJobs: *batchJobs, MaxEdges: *batchEdges},
-			QuarantineAfter:  *quarantineAfter,
-			Retry:            serve.RetryConfig{MaxAttempts: *retryAttempts},
-			Metrics:          obsFlags.Registry,
-			Trace:            obsFlags.Trace,
-		})
-		if err != nil {
-			fail("%v", err)
+		// Snapshot the server before drain/close so the summary reports the
+		// run's retry and quarantine counters.
+		if st, ok := srvStats(); ok {
+			res.Server = &st
 		}
-		defer srv.Close()
-		srvStats = func() (serve.Stats, bool) { return srv.Stats(), true }
-		tgt = loadgen.Local(srv)
-	}
-
-	res, err := loadgen.Run(context.Background(), tgt, plan)
-	if err != nil {
-		fail("%v", err)
-	}
-	// Snapshot the server before drain/close so the summary reports the
-	// run's retry and quarantine counters.
-	if st, ok := srvStats(); ok {
-		res.Server = &st
-	}
-	printSummary(res)
-
-	if err := obsFlags.Flush(); err != nil {
-		fail("%v", err)
-	}
-	if err := res.Verify(); err != nil {
-		fmt.Fprintf(os.Stderr, "mstload: VERIFY FAILED: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "mstload: exactly-once verified")
+		printSummary(res)
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if err := res.Verify(); err != nil {
+			return fmt.Errorf("VERIFY FAILED: %w", err)
+		}
+		fmt.Fprintln(os.Stderr, "mstload: exactly-once verified")
+		return nil
+	})
 }
 
 func printSummary(res *loadgen.Result) {
@@ -203,9 +189,4 @@ func printSummary(res *loadgen.Result) {
 			fmt.Printf("server: retried=%d quarantined=%d\n", retried, res.Server.Quarantined)
 		}
 	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mstload: "+format+"\n", args...)
-	os.Exit(2)
 }

@@ -28,13 +28,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"kamsta/internal/cliobs"
@@ -44,133 +43,61 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8377", "listen address for the job API")
-	pool := flag.String("pool", "4x1:1", "machine pool: comma-separated PEs[xThreads][:Count]")
-	tenants := flag.String("tenants", "", "tenants and weights, name[:weight] comma-separated (empty = open tenancy)")
-	defaultWeight := flag.Int("default-weight", 0, "weight for unknown tenants (0 with -tenants set = reject them)")
-	queue := flag.Int("queue", 1024, "global queue bound")
-	tenantQueue := flag.Int("tenant-queue", 0, "per-tenant queue bound (0 = global bound)")
-	defaultDeadline := flag.Duration("default-deadline", 0, "deadline for jobs that set none (0 = unlimited)")
-	maxDeadline := flag.Duration("max-deadline", 0, "clamp every job deadline (0 = unlimited)")
-	batchJobs := flag.Int("batch-jobs", 8, "max small edge-list jobs coalesced per machine run (<=1 disables batching)")
-	batchEdges := flag.Int("batch-edges", 65536, "max summed edges per batch")
-	stall := flag.Duration("stall", 0, "per-job stall timeout (0 = machine default)")
-	resultTTL := flag.Duration("result-ttl", 10*time.Minute, "how long finished jobs stay pollable")
-	allowFiles := flag.Bool("allow-files", false, "permit HTTP jobs that read server-local graph files")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound on SIGINT/SIGTERM")
-	shedSamples := flag.Int("shed-min-samples", 16, "dispatches observed before deadline-aware shedding engages (<0 disables)")
-	shedQuantile := flag.Float64("shed-quantile", 0.9, "service-time quantile the queue-wait estimate plans for")
-	brownout := flag.Float64("brownout", 0.75, "queue depth fraction that flips brownout (>=1 = only on quarantine)")
-	quarantineAfter := flag.Int("quarantine-after", 0, "consecutive contained faults that quarantine a healthy machine (0 disables; a dead machine always leaves service)")
-	retryAttempts := flag.Int("retry-attempts", 1, "dispatch attempts per fault-killed job (<=1 disables server-side retries)")
-	retryRate := flag.Float64("retry-rate", 1, "per-tenant retry budget refill, tokens/second")
-	retryBurst := flag.Float64("retry-burst", 10, "per-tenant retry budget burst")
-	maxBody := flag.Int64("max-body", 64<<20, "largest accepted job submission body, bytes")
+	srvFlags := serve.RegisterFlags(flag.CommandLine)
 	obsFlags := cliobs.Register()
 	tpFlags := cliobs.RegisterTransport()
 	flag.Parse()
 
-	shapes, err := serve.ParsePool(*pool)
-	if err != nil {
-		fail("%v", err)
-	}
-	tcs, err := serve.ParseTenants(*tenants)
-	if err != nil {
-		fail("%v", err)
-	}
-	if *queue < 1 {
-		fail("-queue must be at least 1 (got %d)", *queue)
-	}
-	if *tenantQueue < 0 {
-		fail("-tenant-queue must be non-negative (got %d)", *tenantQueue)
-	}
-	if *shedQuantile <= 0 || *shedQuantile > 1 {
-		fail("-shed-quantile must be in (0, 1] (got %g)", *shedQuantile)
-	}
-	if err := obsFlags.Activate(); err != nil {
-		fail("%v", err)
-	}
-	// The job API always serves /metrics, even without -metrics/-pprof.
-	reg := obsFlags.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	cliobs.Run("mstserve", obsFlags, func(ctx context.Context) error {
+		cfg, err := srvFlags.Config()
+		if err != nil {
+			return cliobs.Usagef("%v", err)
+		}
+		cfg.Transport, cfg.Workers, cfg.Trace = tpFlags.Transport, tpFlags.Workers(), obsFlags.Trace
+		// The job API always serves /metrics, even without -metrics/-pprof.
+		if cfg.Metrics = obsFlags.Registry; cfg.Metrics == nil {
+			cfg.Metrics = obs.NewRegistry()
+		}
 
-	// Bind before building the pool: a taken port must fail fast with a
-	// non-zero exit, not after warming a fleet of machines.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fail("listen: %v", err)
-	}
+		// Bind before building the pool: a taken port must fail fast, not
+		// after warming a fleet of machines.
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			return cliobs.Usagef("listen: %v", err)
+		}
+		srv, err := serve.New(cfg)
+		if err != nil {
+			ln.Close()
+			return cliobs.Usagef("%v", err)
+		}
 
-	srv, err := serve.New(serve.Config{
-		Pool:             shapes,
-		Transport:        tpFlags.Transport,
-		Workers:          tpFlags.Workers(),
-		Tenants:          tcs,
-		DefaultWeight:    *defaultWeight,
-		QueueBound:       *queue,
-		TenantQueueBound: *tenantQueue,
-		DefaultDeadline:  *defaultDeadline,
-		MaxDeadline:      *maxDeadline,
-		Batch:            serve.BatchConfig{MaxJobs: *batchJobs, MaxEdges: *batchEdges},
-		StallTimeout:     *stall,
-		ResultTTL:        *resultTTL,
-		AllowFiles:       *allowFiles,
-		ShedMinSamples:   *shedSamples,
-		ShedQuantile:     *shedQuantile,
-		BrownoutFraction: *brownout,
-		QuarantineAfter:  *quarantineAfter,
-		Retry: serve.RetryConfig{
-			MaxAttempts: *retryAttempts,
-			BudgetRate:  *retryRate,
-			BudgetBurst: *retryBurst,
-		},
-		MaxRequestBytes: *maxBody,
-		Metrics:         reg,
-		Trace:           obsFlags.Trace,
+		// ReadHeaderTimeout caps how long a connection may dribble its request
+		// header (slow-loris); job bodies are bounded by -max-body instead.
+		httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- httpSrv.Serve(ln) }()
+		fmt.Printf("mstserve: serving on http://%s (pool %s)\n", ln.Addr(), srvFlags.Pool)
+		select {
+		case err := <-serveErr:
+			return fmt.Errorf("http: %w", err)
+		case <-ctx.Done():
+		}
+
+		// Graceful drain: stop admitting, let queued and running jobs finish;
+		// past -drain-timeout, cancel what's left (jobs unwind at their next
+		// collective boundary).
+		fmt.Fprintf(os.Stderr, "mstserve: draining (up to %s)\n", *drainTimeout)
+		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		defer cancel()
+		forced := srv.Drain(drainCtx)
+		shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel2()
+		_ = httpSrv.Shutdown(shutCtx)
+		if forced != nil {
+			return errors.New("drain timed out; remaining jobs were cancelled")
+		}
+		fmt.Fprintln(os.Stderr, "mstserve: drained cleanly")
+		return nil
 	})
-	if err != nil {
-		ln.Close()
-		fail("%v", err)
-	}
-
-	// ReadHeaderTimeout caps how long a connection may dribble its request
-	// header (slow-loris); job bodies are bounded by -max-body instead.
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	fmt.Printf("mstserve: serving on http://%s (pool %s)\n", ln.Addr(), *pool)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-serveErr:
-		fail("http: %v", err)
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills the process the default way
-
-	// Graceful drain: stop admitting, let queued and running jobs finish;
-	// past -drain-timeout, cancel what's left (jobs unwind at their next
-	// collective boundary).
-	fmt.Fprintf(os.Stderr, "mstserve: draining (up to %s)\n", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	forced := srv.Drain(drainCtx)
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	_ = httpSrv.Shutdown(shutCtx)
-	if err := obsFlags.Flush(); err != nil {
-		fail("%v", err)
-	}
-	if forced != nil {
-		fmt.Fprintln(os.Stderr, "mstserve: drain timed out; remaining jobs were cancelled")
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "mstserve: drained cleanly")
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mstserve: "+format+"\n", args...)
-	os.Exit(2)
 }

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"kamsta"
 	"kamsta/internal/cliobs"
@@ -33,33 +31,19 @@ func main() {
 	obsFlags := cliobs.Register()
 	flag.Parse()
 
-	if err := obsFlags.Activate(); err != nil {
-		fail("%v", err)
-	}
-	lis, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fail("listen: %v", err)
-	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "mstworker: "+format+"\n", args...)
-	}
-	opts := kamsta.WorkerOptions{Metrics: obsFlags.Registry}
-	if !*quiet {
-		opts.Logf = logf
-	}
-	logf("listening on %s", lis.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := kamsta.ServeWorker(ctx, lis, opts); err != nil {
-		fail("%v", err)
-	}
-	if err := obsFlags.Flush(); err != nil {
-		fail("%v", err)
-	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mstworker: "+format+"\n", args...)
-	os.Exit(1)
+	cliobs.Run("mstworker", obsFlags, func(ctx context.Context) error {
+		lis, err := net.Listen("tcp", *listen)
+		if err != nil {
+			return fmt.Errorf("listen: %w", err)
+		}
+		logf := func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "mstworker: "+format+"\n", args...)
+		}
+		opts := kamsta.WorkerOptions{Metrics: obsFlags.Registry}
+		if !*quiet {
+			opts.Logf = logf
+		}
+		logf("listening on %s", lis.Addr())
+		return kamsta.ServeWorker(ctx, lis, opts)
+	})
 }

@@ -21,7 +21,6 @@ import (
 	"kamsta/internal/alltoall"
 	"kamsta/internal/comm"
 	"kamsta/internal/core"
-	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
 	"kamsta/internal/graphio"
@@ -145,24 +144,12 @@ func algConfig(name string, threads int, s Scale) runCfg {
 	return cfg
 }
 
-// seriesConfig is algConfig keyed by public algorithm name instead of the
-// figures' series names (used by the file-backed runner, where the caller
-// picks algorithms with -alg). The paper's algorithms get their default
-// enhancements; baselines run as published.
-func seriesConfig(alg kamsta.Algorithm, threads int, s Scale) runCfg {
-	switch alg {
-	case kamsta.AlgBoruvka:
-		return algConfig("boruvka", threads, s)
-	case kamsta.AlgFilterBoruvka:
-		return algConfig("filterBoruvka", threads, s)
-	case kamsta.AlgMNDMST:
-		return algConfig("MND-MST", threads, s)
-	case kamsta.AlgSparseMatrix:
-		return algConfig("sparseMatrix", threads, s)
-	}
-	cfg := runCfg{MachineConfig: kamsta.MachineConfig{Threads: threads}, Algorithm: alg}
-	cfg.Core.BaseCaseCap = s.baseCap()
-	return cfg
+// seriesOf names the figure series a public algorithm runs as in a
+// file-backed run, where the caller picks algorithms with -alg: the paper's
+// two get their default enhancements, the baselines run as published.
+var seriesOf = map[kamsta.Algorithm]string{
+	kamsta.AlgBoruvka: "boruvka", kamsta.AlgFilterBoruvka: "filterBoruvka",
+	kamsta.AlgMNDMST: "MND-MST", kamsta.AlgSparseMatrix: "sparseMatrix",
 }
 
 // machinePool keeps one warm kamsta.Machine: consecutive measurements on
@@ -170,28 +157,18 @@ func seriesConfig(alg kamsta.Algorithm, threads int, s Scale) runCfg {
 // asking for a different shape closes it first. One slot, not one machine
 // per shape, because a warm machine retains its grow-only arenas — ≈ 2.2 GB
 // for 4 PEs after one 6 M-edge job — and fig5's four shapes together
-// exhausted a 16 GB box. Every experiment owns a pool for its duration and
-// closes it on exit. The pool carries the sweep's context: cancelling it
-// (SIGINT in cmd/mstbench) aborts the in-flight job at its next collective
-// and stops the sweep.
+// exhausted a 16 GB box. Every exhibit, the golden lane, a file run and a
+// verification sweep owns a pool for its duration and closes it on exit.
+// The pool carries the sweep's context: cancelling it (SIGINT in the
+// commands) aborts the in-flight job at its next collective and stops the
+// sweep. Of its Scale it reads the harness half: Timeout wraps every
+// Compute, Transport/Workers/Metrics configure every pooled machine, Trace
+// receives every job's spans.
 type machinePool struct {
 	ctx context.Context
+	s   Scale
 	key machineKey
 	m   *kamsta.Machine
-
-	// timeout, when positive, wraps every Compute in context.WithTimeout
-	// (Scale.Timeout; the -timeout flag).
-	timeout time.Duration
-
-	// transport and workers configure every pooled machine's substrate
-	// backend (Scale.Transport/Workers).
-	transport string
-	workers   []string
-
-	// Observability sinks shared by every measurement of the sweep (all
-	// may be nil; see the Scale fields of the same names).
-	metrics *kamsta.Metrics
-	trace   *kamsta.Trace
 }
 
 type machineKey struct {
@@ -203,14 +180,7 @@ func newMachinePool(ctx context.Context, s Scale) *machinePool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &machinePool{
-		ctx:       ctx,
-		timeout:   s.Timeout,
-		transport: s.Transport,
-		workers:   s.Workers,
-		metrics:   s.Metrics,
-		trace:     s.Trace,
-	}
+	return &machinePool{ctx: ctx, s: s}
 }
 
 // benchFailure carries a measurement error out of the panic-style
@@ -221,18 +191,12 @@ type benchFailure struct{ err error }
 // replaces it with a new one of that shape.
 func (mp *machinePool) get(cfg runCfg) (*kamsta.Machine, error) {
 	key := machineKey{pes: cfg.PEs, threads: cfg.Threads, cost: cfg.Cost}
-	if key.pes <= 0 {
-		key.pes = 4
-	}
-	if key.threads <= 0 {
-		key.threads = 1
-	}
 	if mp.m != nil && mp.key == key {
 		return mp.m, nil
 	}
 	mp.Close()
 	mc := cfg.MachineConfig
-	mc.Metrics, mc.Transport, mc.Workers = mp.metrics, mp.transport, mp.workers
+	mc.Metrics, mc.Transport, mc.Workers = mp.s.Metrics, mp.s.Transport, mp.s.Workers
 	m, err := kamsta.NewMachine(mc)
 	if err != nil {
 		return nil, err
@@ -253,9 +217,9 @@ func (mp *machinePool) Close() {
 // timeout (Scale.Timeout) around the sweep context when one is set.
 func (mp *machinePool) compute(m *kamsta.Machine, src kamsta.Source, opts ...kamsta.RunOption) (*kamsta.Report, error) {
 	ctx := mp.ctx
-	if mp.timeout > 0 {
+	if mp.s.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, mp.timeout)
+		ctx, cancel = context.WithTimeout(ctx, mp.s.Timeout)
 		defer cancel()
 	}
 	return m.Compute(ctx, src, opts...)
@@ -287,10 +251,7 @@ func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg runCfg, reps int)
 	if err != nil {
 		return nil, err
 	}
-	opts := cfg.runOptions()
-	if mp.trace != nil {
-		opts = append(opts, kamsta.WithTrace(mp.trace))
-	}
+	opts := append(cfg.runOptions(), kamsta.WithTrace(mp.s.Trace))
 	for i := 0; i < reps; i++ {
 		rep, err := mp.compute(m, src, opts...)
 		if err != nil {
@@ -306,15 +267,9 @@ func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg runCfg, reps int)
 // collectEdges materializes a spec in a small world and returns the full
 // directed, globally sorted edge sequence (for writing exhibit files).
 func collectEdges(spec gen.Spec, pes int) []graph.Edge {
-	chunks := make([][]graph.Edge, pes)
-	w := comm.NewWorld(pes)
-	w.Run(func(c *comm.Comm) {
-		edges, _ := gen.Build(c, spec, dsort.Options{})
-		chunks[c.Rank()] = edges
-	})
-	var all []graph.Edge
-	for _, ch := range chunks {
-		all = append(all, ch...)
+	all, err := gen.Collect(context.Background(), comm.NewWorld(pes), comm.JobConfig{}, spec)
+	if err != nil {
+		panic(err)
 	}
 	return all
 }
@@ -380,7 +335,7 @@ func Fig2(ctx context.Context, w io.Writer, s Scale) {
 			cfg.PEs = p
 			cfg.Core.A2A = variant.a2a
 			rep := mp.measure(spec, cfg, s.Reps)
-			contract := rep.Phases["contractComponents"]
+			contract := rep.Phases[core.PhaseContract]
 			fmt.Fprintf(tw, "%d\t%s\t%.4e\t%.4e\n", p, variant.name, contract.Modeled, rep.ModeledSeconds)
 		}
 	}
@@ -467,9 +422,8 @@ func Fig6(ctx context.Context, w io.Writer, s Scale) {
 		{"f1", "filterBoruvka", 1}, {"f8", "filterBoruvka", 8},
 	}
 	phases := []string{
-		"localPreprocessing", "graphSetup+minEdges", "contractComponents",
-		"exchangeLabels+relabel", "redistribute", "basecase+redistributeMST",
-		"partition+filter",
+		core.PhasePreprocess, core.PhaseMinEdges, core.PhaseContract, core.PhaseLabels,
+		core.PhaseRedistribute, core.PhaseBaseCase, core.PhaseFilter,
 	}
 	fmt.Fprintf(w, "# Fig. 6 — normalized running-time breakdown\n")
 	tw := table(w)
@@ -647,7 +601,7 @@ func RunFile(ctx context.Context, w io.Writer, path, format string, algs []kamst
 		var last *kamsta.Report
 		lastP := 0
 		for _, p := range s.Ps {
-			cfg := seriesConfig(alg, 1, s)
+			cfg := algConfig(seriesOf[alg], 1, s)
 			cfg.PEs = p
 			rep, err := mp.measureSourceErr(src, cfg, s.Reps)
 			if err != nil {

@@ -1,27 +1,88 @@
-// Package cliobs wires the flags shared by the kamsta commands: the
-// observability trio -metrics, -trace, and -pprof (each command registers
-// them, activates the sinks after flag.Parse, threads the registry/trace
-// into its machines or worlds, and flushes on exit), the distributed-
-// machine pair -transport and -workers, and the parsers of the -ps and -alg
-// lists.
+// Package cliobs is what the kamsta commands share, so that each is a flag
+// parser and nothing else: the process scaffold (Run: signal context,
+// observability sinks activated and flushed, one exit-status mapping), the
+// observability trio -metrics, -trace and -pprof, the distributed-machine
+// pair -transport and -workers, and the sweep block -ps, -alg, -input,
+// -format, -timeout of the two commands that drive internal/bench.
 package cliobs
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 
 	// Register the pprof handlers on http.DefaultServeMux; the -pprof
 	// server below serves that mux.
 	_ "net/http/pprof"
 
 	"kamsta"
+	"kamsta/internal/bench"
 	"kamsta/internal/obs"
 )
+
+// usageError marks a failure of the command line itself.
+type usageError struct{ error }
+
+// Usagef is the error a command body returns for a bad flag value or an
+// unusable combination of flags: Run exits 2 on it and flushes nothing.
+func Usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
+// ExitCode maps what a command body returned to the process exit status:
+// 0 for nil, 2 for a usage error, 130 for an interrupt (the body's context
+// was cancelled), 1 for any other failure.
+func ExitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &usageError{}):
+		return 2
+	case errors.Is(err, context.Canceled):
+		return 130
+	}
+	return 1
+}
+
+// Run is the process scaffold of every command; call it after flag.Parse,
+// with everything else in body. It activates the observability sinks, runs
+// body under a context that SIGINT/SIGTERM cancel (jobs unwind at their next
+// collective boundary; a second signal kills the process the default way),
+// flushes -metrics/-trace on every path that got past the command line,
+// prints "name: error" and exits with ExitCode. It does not return.
+func Run(name string, f *Flags, body func(ctx context.Context) error) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	err := f.Activate()
+	if err != nil {
+		err = usageError{err}
+	} else {
+		err = body(ctx)
+	}
+	code := ExitCode(err)
+	if code != 2 {
+		if ferr := f.Flush(); ferr != nil && code == 0 {
+			err, code = ferr, 1
+		}
+	}
+	switch {
+	case code == 130:
+		fmt.Fprintf(os.Stderr, "%s: interrupted\n", name)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+	}
+	os.Exit(code)
+}
 
 // Flags holds the observability flag values and, after Activate, the live
 // sinks they configure.
@@ -50,8 +111,7 @@ func Register() *Flags {
 }
 
 // Activate builds the sinks the parsed flags ask for and starts the -pprof
-// server. Call once, after flag.Parse and before any machine or world is
-// created.
+// server. Run calls it once, before the body creates any machine or world.
 func (f *Flags) Activate() error {
 	if f.MetricsPath != "" || f.PprofAddr != "" {
 		f.Registry = obs.NewRegistry()
@@ -74,26 +134,16 @@ func (f *Flags) Activate() error {
 	return nil
 }
 
-// Flush writes the metrics and trace outputs the flags asked for. Call once
-// on the way out, after all jobs have completed.
+// Flush writes the metrics and trace outputs the flags asked for. Run calls
+// it once on the way out, after the body's jobs have completed.
 func (f *Flags) Flush() error {
 	if f.MetricsPath != "" {
-		if err := writeOut(f.MetricsPath, func(w *os.File) error {
-			if strings.HasSuffix(f.MetricsPath, ".json") {
-				return f.Registry.WriteJSON(w)
-			}
-			return f.Registry.WritePrometheus(w)
-		}); err != nil {
+		if err := writeOut(f.MetricsPath, f.Registry.WriteJSON, f.Registry.WritePrometheus); err != nil {
 			return fmt.Errorf("-metrics: %w", err)
 		}
 	}
 	if f.TracePath != "" {
-		if err := writeOut(f.TracePath, func(w *os.File) error {
-			if strings.HasSuffix(f.TracePath, ".json") {
-				return f.Trace.WriteChromeJSON(w)
-			}
-			return f.Trace.WriteSummary(w)
-		}); err != nil {
+		if err := writeOut(f.TracePath, f.Trace.WriteChromeJSON, f.Trace.WriteSummary); err != nil {
 			return fmt.Errorf("-trace: %w", err)
 		}
 		if n := f.Trace.Dropped(); n > 0 {
@@ -136,8 +186,64 @@ func (f *TransportFlags) Workers() []string {
 	return out
 }
 
-// writeOut opens path for writing ("-" = stdout), runs emit, and closes.
-func writeOut(path string, emit func(*os.File) error) error {
+// SweepFlags is the flag block of the two commands that sweep PE counts
+// over generated or file-backed instances on internal/bench's harness
+// (mstbench, mstverify), the observability and transport flags included.
+type SweepFlags struct {
+	*Flags
+	// Input and Format are the -input and -format values.
+	Input, Format string
+
+	tp       *TransportFlags
+	ps, algs string
+	timeout  time.Duration
+}
+
+// RegisterSweep declares the block on the default flag set; defaultPs is
+// the command's default -ps list. Call before flag.Parse.
+func RegisterSweep(defaultPs ...int) *SweepFlags {
+	f := &SweepFlags{Flags: Register(), tp: RegisterTransport()}
+	ps := make([]string, len(defaultPs))
+	for i, p := range defaultPs {
+		ps[i] = strconv.Itoa(p)
+	}
+	flag.StringVar(&f.ps, "ps", strings.Join(ps, ","), "comma-separated PE counts")
+	flag.StringVar(&f.algs, "alg", "", "comma-separated algorithms for the sweep (mstbench: -input runs only), from: "+
+		kamsta.AlgorithmNames()+" (default: all distributed algorithms)")
+	flag.StringVar(&f.Input, "input", "", "run on a graph file instead of generated instances")
+	flag.StringVar(&f.Format, "format", "auto", "input format: kamsta, edgelist, gr, metis, auto")
+	flag.DurationVar(&f.timeout, "timeout", 0,
+		"per-job deadline: each job runs under context.WithTimeout (0 = none)")
+	return f
+}
+
+// Scale resolves the block into the harness half of a bench.Scale — PE
+// counts, timeout, transport, sinks; call it inside Run's body, after
+// Activate — and the -alg list (nil = the harness default set). A bad -ps
+// or -alg is a usage error, found before any world is started.
+func (f *SweepFlags) Scale() (bench.Scale, []kamsta.Algorithm, error) {
+	ps, err := ParsePEs(f.ps)
+	if err != nil {
+		return bench.Scale{}, nil, Usagef("bad -ps: %v", err)
+	}
+	algs, err := ParseDistributedAlgs(f.algs)
+	if err != nil {
+		return bench.Scale{}, nil, Usagef("bad -alg: %v", err)
+	}
+	return bench.Scale{
+		Ps: ps, Timeout: f.timeout,
+		Transport: f.tp.Transport, Workers: f.tp.Workers(),
+		Metrics: f.Registry, Trace: f.Trace,
+	}, algs, nil
+}
+
+// writeOut writes one output to path ("-" = stdout): in the JSON form when
+// the path ends in .json, else in the text form.
+func writeOut(path string, json, text func(io.Writer) error) error {
+	emit := text
+	if strings.HasSuffix(path, ".json") {
+		emit = json
+	}
 	if path == "-" {
 		return emit(os.Stdout)
 	}

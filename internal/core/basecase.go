@@ -6,6 +6,7 @@ import (
 
 	"kamsta/internal/arena"
 	"kamsta/internal/comm"
+	"kamsta/internal/dsort"
 	"kamsta/internal/graph"
 )
 
@@ -81,7 +82,7 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 	for i, e := range edges {
 		work[i] = dEdge{u: dense(e.U), v: dense(e.V), e: e}
 	}
-	c.ChargeCompute(len(edges) * log2ceilInt(n+1))
+	c.ChargeCompute(len(edges) * dsort.Log2Ceil(n+1))
 
 	empty := cand{W: math.MaxUint32, TB: math.MaxUint64}
 	less := func(a, b cand) bool {
@@ -185,15 +186,4 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 			panic("core: base case failed to converge")
 		}
 	}
-}
-
-func log2ceilInt(n int) int {
-	k := 0
-	for v := 1; v < n; v <<= 1 {
-		k++
-	}
-	if k == 0 {
-		return 1
-	}
-	return k
 }

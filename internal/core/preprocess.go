@@ -87,7 +87,7 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	// Re-establish the sorted distributed sequence: a local (U, V)-keyed
 	// radix pass first.
 	radix.Sort(work, graph.KeyLex, graph.LessLex)
-	c.ChargeCompute(len(work) * log2ceilInt(len(work)+1))
+	c.ChargeCompute(len(work) * dsort.Log2Ceil(len(work)+1))
 	if dsort.IsGloballySorted(c, work, graph.LessLex) {
 		if opt.DedupParallel {
 			work = dedupSorted(c, work)

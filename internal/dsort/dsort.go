@@ -221,11 +221,13 @@ func localSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T]) {
 	n := len(data)
 	sortBuf(c, ks, data, ord)
 	if n > 1 {
-		c.ChargeCompute(n * log2ceil(n))
+		c.ChargeCompute(n * Log2Ceil(n))
 	}
 }
 
-func log2ceil(n int) int {
+// Log2Ceil is ⌈log2 n⌉, at least 1: the per-element factor of every modeled
+// comparison-sort charge, here and in internal/core.
+func Log2Ceil(n int) int {
 	k := 0
 	for v := 1; v < n; v <<= 1 {
 		k++
@@ -258,7 +260,7 @@ func sampleSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T], opt O
 	all := comm.AllgatherConcatInto(c, arena.GrabAppend[T](a, ks.all), samples)
 	arena.Keep(a, ks.all, all)
 	sortBuf(c, ks, all, ord)
-	c.ChargeCompute(len(all) * log2ceil(len(all)+1))
+	c.ChargeCompute(len(all) * Log2Ceil(len(all)+1))
 
 	// p-1 splitters at the sample quantiles.
 	splitters := arena.GrabAppend[T](a, ks.split)
@@ -291,7 +293,7 @@ func sampleSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T], opt O
 
 	recv := alltoall.Exchange(c, opt.A2A, send)
 	merged := kwayMerge(c, ks, recv, less)
-	c.ChargeCompute(len(merged) * log2ceil(p+1))
+	c.ChargeCompute(len(merged) * Log2Ceil(p+1))
 	return Rebalance(c, merged)
 }
 

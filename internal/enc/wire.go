@@ -85,9 +85,9 @@ func ReadFrame(r io.Reader, buf []byte) (kind uint8, payload []byte, err error) 
 		buf = make([]byte, n)
 	}
 	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if got, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("%w: frame payload (%d of %d bytes)", ErrTruncated, 0, n)
+			return 0, nil, fmt.Errorf("%w: frame payload (%d of %d bytes)", ErrTruncated, got, n)
 		}
 		return 0, nil, err
 	}

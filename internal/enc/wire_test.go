@@ -56,8 +56,9 @@ func TestFrameErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-2]
-	if _, _, err := ReadFrame(bytes.NewReader(short), nil); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short payload: %v", err)
+	if _, _, err := ReadFrame(bytes.NewReader(short), nil); !errors.Is(err, ErrTruncated) ||
+		!strings.Contains(err.Error(), "(3 of 5 bytes)") {
+		t.Fatalf("short payload: %v, want ErrTruncated naming 3 of 5 bytes", err)
 	}
 	// Corrupt length prefix beyond MaxFrameSize: rejected without allocating.
 	hdr := AppendU32(nil, 0xffffffff)

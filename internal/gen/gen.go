@@ -17,6 +17,7 @@
 package gen
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -232,4 +233,20 @@ func ownedRange(rank, p int, total uint64) (uint64, uint64) {
 func emitBoth(edges []graph.Edge, seed uint64, u, v graph.VID) []graph.Edge {
 	w := graph.RandomWeight(seed, u, v)
 	return append(edges, graph.NewEdge(u, v, w), graph.NewEdge(v, u, w))
+}
+
+// Collect builds spec on every rank of w as one job and returns the whole
+// directed, globally sorted edge sequence, for writing an instance out
+// (cmd/mstgen, the file-backed exhibits). The result does not depend on the
+// world's size.
+func Collect(ctx context.Context, w *comm.World, cfg comm.JobConfig, spec Spec) ([]graph.Edge, error) {
+	chunks := make([][]graph.Edge, w.P())
+	err := w.RunJobCfg(ctx, cfg, func(c *comm.Comm) {
+		chunks[c.Rank()], _ = Build(c, spec, dsort.Options{})
+	})
+	var all []graph.Edge
+	for _, ch := range chunks {
+		all = append(all, ch...)
+	}
+	return all, err
 }

@@ -96,6 +96,22 @@ func parseWeight(b []byte) (uint32, error) {
 	return uint32(v), nil
 }
 
+// parseEdgeFields parses the "u v [w]" fields an edge-list line consists of
+// and a gr arc line ends in.
+func parseEdgeFields(fields [][]byte) (e rawEdge, err error) {
+	if e.U, err = parseLabel(fields[0]); err != nil {
+		return e, err
+	}
+	if e.V, err = parseLabel(fields[1]); err != nil {
+		return e, err
+	}
+	if len(fields) == 3 {
+		e.W, err = parseWeight(fields[2])
+		e.HasW = true
+	}
+	return e, err
+}
+
 // parseEdgeListData parses plain edge-list lines: "u v [w]" per undirected
 // edge, '#' or '%' comment lines, blank lines ignored. base is the file
 // offset of data[0], for diagnostics.
@@ -110,19 +126,9 @@ func parseEdgeListData(data []byte, base int64) ([]rawEdge, error) {
 		if len(fields) != 2 && len(fields) != 3 {
 			return fmt.Errorf("edge list line at byte %d: want \"u v [w]\", got %q", off, s)
 		}
-		var e rawEdge
-		var err error
-		if e.U, err = parseLabel(fields[0]); err != nil {
+		e, err := parseEdgeFields(fields)
+		if err != nil {
 			return fmt.Errorf("edge list line at byte %d: %v", off, err)
-		}
-		if e.V, err = parseLabel(fields[1]); err != nil {
-			return fmt.Errorf("edge list line at byte %d: %v", off, err)
-		}
-		if len(fields) == 3 {
-			if e.W, err = parseWeight(fields[2]); err != nil {
-				return fmt.Errorf("edge list line at byte %d: %v", off, err)
-			}
-			e.HasW = true
 		}
 		out = append(out, e)
 		return nil
@@ -160,19 +166,9 @@ func parseGrData(data []byte, base int64) ([]rawEdge, error) {
 			if len(fields) != 3 && len(fields) != 4 {
 				return fmt.Errorf("gr line at byte %d: want \"a u v w\", got %q", off, s)
 			}
-			var e rawEdge
-			var err error
-			if e.U, err = parseLabel(fields[1]); err != nil {
+			e, err := parseEdgeFields(fields[1:])
+			if err != nil {
 				return fmt.Errorf("gr line at byte %d: %v", off, err)
-			}
-			if e.V, err = parseLabel(fields[2]); err != nil {
-				return fmt.Errorf("gr line at byte %d: %v", off, err)
-			}
-			if len(fields) == 4 {
-				if e.W, err = parseWeight(fields[3]); err != nil {
-					return fmt.Errorf("gr line at byte %d: %v", off, err)
-				}
-				e.HasW = true
 			}
 			out = append(out, e)
 		default:
@@ -354,14 +350,15 @@ func canonicalCount(edges []graph.Edge) (uint64, uint64) {
 	return n, maxL
 }
 
-// writeEdgeList writes the canonical undirected edges as "u v w" lines.
-func writeEdgeList(w io.Writer, edges []graph.Edge) error {
+// writeRecords writes every canonical (U < V) edge as one "<prefix>u v w"
+// line.
+func writeRecords(w io.Writer, prefix string, edges []graph.Edge) error {
 	buf := make([]byte, 0, 64)
 	for _, e := range edges {
 		if e.U >= e.V {
 			continue
 		}
-		buf = buf[:0]
+		buf = append(buf[:0], prefix...)
 		buf = strconv.AppendUint(buf, e.U, 10)
 		buf = append(buf, ' ')
 		buf = strconv.AppendUint(buf, e.V, 10)
@@ -375,6 +372,11 @@ func writeEdgeList(w io.Writer, edges []graph.Edge) error {
 	return nil
 }
 
+// writeEdgeList writes the canonical undirected edges as "u v w" lines.
+func writeEdgeList(w io.Writer, edges []graph.Edge) error {
+	return writeRecords(w, "", edges)
+}
+
 // writeGr writes the 9th-DIMACS format: each undirected edge once as an
 // "a u v w" arc (loaders reconstruct both directions).
 func writeGr(w io.Writer, edges []graph.Edge) error {
@@ -382,23 +384,7 @@ func writeGr(w io.Writer, edges []graph.Edge) error {
 	if _, err := fmt.Fprintf(w, "c kamsta graph, %d vertices (max label), %d undirected edges\np sp %d %d\n", n, m, n, m); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, 64)
-	for _, e := range edges {
-		if e.U >= e.V {
-			continue
-		}
-		buf = append(buf[:0], 'a', ' ')
-		buf = strconv.AppendUint(buf, e.U, 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendUint(buf, e.V, 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendUint(buf, uint64(e.W), 10)
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeRecords(w, "a ", edges)
 }
 
 // writeMetis writes the METIS adjacency format with edge weights

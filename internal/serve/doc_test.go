@@ -96,6 +96,7 @@ func TestCodesSpelledOnce(t *testing.T) {
 		"ok":       "http.go",  // the /healthz body
 		"error":    "http.go",  // the JSON key of an error body
 		"draining": "sched.go", // Stats.State, the server lifecycle
+		"brownout": "flags.go", // the name of the -brownout flag
 	}
 	rows := map[string]int{}
 	for _, r := range rejections {

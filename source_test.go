@@ -8,24 +8,16 @@ import (
 	"testing"
 
 	"kamsta/internal/comm"
-	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
-	"kamsta/internal/graph"
 	"kamsta/internal/graphio"
 )
 
 // writeSpec materializes a spec and writes it to a file in the given format.
 func writeSpec(t *testing.T, spec GraphSpec, path string, f graphio.Format) {
 	t.Helper()
-	chunks := make([][]graph.Edge, 4)
-	w := comm.NewWorld(4)
-	w.Run(func(c *comm.Comm) {
-		edges, _ := gen.Build(c, spec, dsort.Options{})
-		chunks[c.Rank()] = edges
-	})
-	var all []graph.Edge
-	for _, ch := range chunks {
-		all = append(all, ch...)
+	all, err := gen.Collect(context.Background(), comm.NewWorld(4), comm.JobConfig{}, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := graphio.WriteFile(path, f, all); err != nil {
 		t.Fatal(err)
