@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kamsta/internal/arena"
+	"kamsta/internal/comm"
 	"kamsta/internal/graph"
 	"kamsta/internal/par"
 )
@@ -33,7 +34,8 @@ func designNumbers(t *testing.T, what, pattern string) []int {
 
 // TestDesignQuotesResourceConstants compares the constants DESIGN.md §8
 // quotes for the per-rank resources with what the code does: the direct
-// rename table's window, the arena's growth rule and par's grain.
+// rename table's window (at the rounds' call site and at FILTER's), the
+// arena's growth rule and par's grain.
 func TestDesignQuotesResourceConstants(t *testing.T) {
 	w := designNumbers(t, "direct window", "at most `(\\d+)n\\+(\\d+)` for `n`\\s+vertices \\(`directWindow`")
 	verts := []graph.VID{1, 2, 3, 0}
@@ -43,6 +45,20 @@ func TestDesignQuotesResourceConstants(t *testing.T) {
 		if got := directWindow(verts); got != want {
 			t.Errorf("directWindow over a span of %d for %d vertices = %d, DESIGN.md's %dn+%d says %d", span, len(verts), got, w[0], w[1], want)
 		}
+	}
+
+	// The same rule at FILTER's call site, label space against endpoint
+	// slots: the bitmap slot is grabbed exactly when the rule admits it.
+	f := designNumbers(t, "filter window", "at most `(\\d+)s\\+(\\d+)` for the `s`\\s+endpoint slots of the segment \\(`filterSegment`")
+	seg := []graph.Edge{{U: 1, V: 2, W: 1}, {U: 2, V: 1, W: 1}, {U: 2, V: 3, W: 2}, {U: 3, V: 2, W: 2}}
+	widestSpace := uint64(f[0]*2*len(seg) + f[1])
+	for n, want := range map[uint64]bool{widestSpace: true, widestSpace + 1: false} {
+		comm.NewWorld(1).Run(func(c *comm.Comm) {
+			filterSegment(c, segment{edges: seg}, newDistArray(c, n-1), Options{}.withDefaults())
+			if got := cap(arena.GrabAppend[uint64](c.Scratch(), kLabelBits)) > 0; got != want {
+				t.Errorf("filterSegment over a label space of %d for %d slots: bitmap %v, DESIGN.md's %ds+%d says %v", n, 2*len(seg), got, f[0], f[1], want)
+			}
+		})
 	}
 
 	g := designNumbers(t, "arena growth", "must grow gets `n\\+n/(\\d+)\\+(\\d+)`")

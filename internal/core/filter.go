@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"kamsta/internal/alltoall"
 	"kamsta/internal/arena"
 	"kamsta/internal/comm"
 	"kamsta/internal/graph"
-	"kamsta/internal/par"
 	"kamsta/internal/rng"
 )
 
@@ -20,11 +20,61 @@ var (
 	kResTgt    = arena.NewKey() // []graph.VID: distinct pending targets
 	kResSendQ  = arena.NewKey() // [][]graph.VID buckets (resolve queries)
 	kResSendR  = arena.NewKey() // [][]labelPair buckets (resolve replies)
-	kResAns    = arena.NewKey() // []labelPair: sorted answers
+	kResAns    = arena.NewKey() // []graph.VID: replies, aligned with the targets
+	kResWin    = arena.NewKey() // []graph.VID: the reply table's direct window
+	kLabelBits = arena.NewKey() // []uint64: labelSet's bitmap over the label space
 	kFilterVs  = arena.NewKey() // []graph.VID: distinct endpoints of a segment
-	kFilterTmp = arena.NewKey() // []graph.Edge: filter map stage
-	kFilterOut = arena.NewKey() // []graph.Edge: filter pack stage
+	kFilterWin = arena.NewKey() // []graph.VID: the rename table's direct window
+	kFilterOut = arena.NewKey() // []graph.Edge: relabeled survivors of a segment
+	kPartHeavy = arena.NewKey() // []graph.Edge: heavy half staged by a partition
+	kPartRuns  = arena.NewKey() // []int: per-block run bookkeeping of the pack loops
+	kPivotSmp  = arena.NewKey() // []graph.Edge: this PE's pivot sample
+	kPivotAll  = arena.NewKey() // []graph.Edge: the gathered sample
 )
+
+// labelSet collects labels of [0, n) and hands them back ascending and
+// duplicate-free — the order every resolve message sequence is built from.
+// Dense label spaces (denseWindow over the whole space) mark a bitmap and
+// scan it; sparse ones append, sort and compact. Both yield the same slice.
+type labelSet struct {
+	a    *arena.Arena
+	k    arena.Key // slot of list
+	bits []uint64  // nil on the sparse path
+	list []graph.VID
+}
+
+// newLabelSet returns an empty set over [0, n) whose result lives in slot k.
+func newLabelSet(a *arena.Arena, k arena.Key, n uint64, dense bool) labelSet {
+	s := labelSet{a: a, k: k, list: arena.GrabAppend[graph.VID](a, k)}
+	if dense {
+		s.bits = arena.GrabZeroed[uint64](a, kLabelBits, int((n+63)/64))
+	}
+	return s
+}
+
+func (s *labelSet) add(v graph.VID) {
+	if s.bits != nil {
+		s.bits[v>>6] |= 1 << (v & 63)
+	} else {
+		s.list = append(s.list, v)
+	}
+}
+
+// sorted returns the distinct labels added, ascending, and keeps the slot's
+// grown capacity for the next set.
+func (s *labelSet) sorted() []graph.VID {
+	if s.bits == nil {
+		slices.Sort(s.list)
+		s.list = slices.Compact(s.list)
+	}
+	for w, word := range s.bits {
+		for ; word != 0; word &= word - 1 {
+			s.list = append(s.list, graph.VID(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	arena.Keep(s.a, s.k, s.list)
+	return s.list
+}
 
 // distArray is Filter-Borůvka's distributed component-representative array
 // P (§V): P[v] holds a representative for every vertex label, 1D-partitioned
@@ -34,7 +84,7 @@ var (
 // recorded over time form shallow trees; resolve follows them to the roots
 // with batched query rounds (the paper contracts them with O(log log n)
 // pointer-doubling rounds at the end — we resolve on demand at each filter
-// step, which needs the same machinery).
+// step, which needs the same machinery; ROADMAP item 11 Stage B).
 type distArray struct {
 	n   uint64      // label space is [1, n]
 	tbl []graph.VID // owned range [lo, hi), tbl[v-lo]; 0 = identity
@@ -100,8 +150,11 @@ func (d *distArray) lookup(v graph.VID) graph.VID {
 // resolve returns the fully-resolved representative for every queried
 // label, following chains across PEs in batched rounds. vs must be sorted
 // ascending and duplicate-free; the result is aligned with vs and is
-// arena-backed (valid until the next resolve on this PE). Collective.
-func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, opt Options) []graph.VID {
+// arena-backed (valid until the next resolve on this PE). dense is the
+// caller's denseWindow verdict on the label space: it picks how a round's
+// distinct targets are found and its replies looked up, never what is sent.
+// Collective.
+func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, dense bool, opt Options) []graph.VID {
 	a := c.Scratch()
 	cur := arena.Grab[graph.VID](a, kResCur, len(vs))
 	copy(cur, vs)
@@ -110,15 +163,13 @@ func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, opt Options) []graph.V
 		// Distinct pending targets, ascending: owners are monotone in the
 		// label, so the buckets fill in rank order and every PE's query
 		// sequence — and with it the reply concatenation below — is sorted.
-		tgt := arena.GrabAppend[graph.VID](a, kResTgt)
+		set := newLabelSet(a, kResTgt, d.n, dense)
 		for i, v := range cur {
 			if !done[i] {
-				tgt = append(tgt, v)
+				set.add(v)
 			}
 		}
-		arena.Keep(a, kResTgt, tgt)
-		slices.Sort(tgt)
-		tgt = slices.Compact(tgt)
+		tgt := set.sorted()
 		send := arena.Buckets[graph.VID](a, kResSendQ, c.P())
 		for _, t := range tgt {
 			o := d.owner(c, t)
@@ -132,25 +183,31 @@ func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, opt Options) []graph.V
 			}
 		}
 		recvR := alltoall.Exchange(c, opt.A2A, sendR)
-		ans := arena.GrabAppend[labelPair](a, kResAns)
+		// Every owner answers its bucket in order and the buckets concatenate
+		// in rank order, so the replies arrive aligned with the queries.
+		ans := denseLabels{verts: tgt, labels: arena.Grab[graph.VID](a, kResAns, len(tgt))}
+		k := 0
 		for i := range recvR {
-			ans = append(ans, recvR[i]...)
+			for _, lp := range recvR[i] {
+				if k == len(tgt) || lp.V != tgt[k] {
+					panic(fmt.Sprintf("core: distributed array resolution: reply %d answers label %d, not the query", k, lp.V))
+				}
+				ans.labels[k] = lp.L
+				k++
+			}
 		}
-		arena.Keep(a, kResAns, ans)
-		if !slices.IsSortedFunc(ans, lessPairV) {
-			slices.SortFunc(ans, lessPairV)
+		if k != len(tgt) {
+			panic(fmt.Sprintf("core: distributed array resolution: %d replies to %d queries", k, len(tgt)))
 		}
-		at := ghostTable{pairs: ans}
+		if dense {
+			ans.window(a, kResWin, labelSpan(tgt))
+		}
 		progress := false
 		for i, v := range cur {
 			if done[i] {
 				continue
 			}
-			next, ok := at.get(v)
-			if !ok {
-				panic(fmt.Sprintf("core: distributed array resolution: no answer for label %d", v))
-			}
-			if next == v {
+			if next, _ := ans.get(v); next == v {
 				done[i] = true
 			} else {
 				cur[i] = next
@@ -167,10 +224,17 @@ func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, opt Options) []graph.V
 	return cur
 }
 
-// segment is one pending edge set of the Filter-Borůvka recursion.
+// segment is one pending edge set of the Filter-Borůvka recursion: edges,
+// then carry. All segments on the stack are sub-slices of one owned buffer
+// that partitionAtPivot splits in place, with capacities clipped so nothing
+// appended to one can reach its neighbour; carry is the segment's own small
+// slice for the survivors merged back into it (§VI-C), which arrive
+// arena-backed and must be copied anyway.
 type segment struct {
 	edges       []graph.Edge
+	carry       []graph.Edge
 	needsFilter bool // must be filtered through P before processing
+	owned       bool // edges is this recursion's memory: partition in place
 }
 
 // FilterBoruvka computes the minimum spanning forest with Algorithm 2: one
@@ -217,14 +281,15 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		var segLayout *graph.Layout
 		if seg.needsFilter {
 			c.PhaseBegin(PhaseFilter)
-			seg.edges, segLayout = filterSegment(c, seg.edges, P, opt)
+			seg.edges, segLayout = filterSegment(c, seg, P, opt)
+			seg.owned = false // redistribute's slot, not ours
 			m := comm.Allreduce(c, len(seg.edges), func(a, b int) int { return a + b })
 			c.PhaseEnd()
 			// Merge-back (§VI-C): a segment that came out too small is not
 			// worth full processing; fold it into the next pending segment.
 			if m < int(opt.Filter.MergeBackFraction*float64(opt.Filter.MinEdgesPerPE*c.P()))+1 && len(stack) > 0 {
 				top := &stack[len(stack)-1]
-				top.edges = append(top.edges, seg.edges...)
+				top.carry = append(top.carry, seg.edges...)
 				top.needsFilter = true
 				continue
 			}
@@ -261,6 +326,11 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		pivot, ok := pivotSelect(c, seg.edges, opt)
 		var light, heavy []graph.Edge
 		if ok {
+			if !seg.owned {
+				// The caller's input or a sorter slot: the one copy the
+				// recursion below this segment lives in.
+				seg.edges = slices.Clone(seg.edges)
+			}
 			light, heavy = partitionAtPivot(c, seg.edges, pivot)
 			c.ChargeCompute(len(seg.edges))
 		}
@@ -280,8 +350,8 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 			continue
 		}
 		// Heavy first onto the stack so the light half is processed first.
-		stack = append(stack, segment{edges: heavy, needsFilter: true})
-		stack = append(stack, segment{edges: light})
+		stack = append(stack, segment{edges: heavy, needsFilter: true, owned: true})
+		stack = append(stack, segment{edges: light, owned: true})
 	}
 
 	c.PhaseBegin(PhaseBaseCase)
@@ -308,12 +378,14 @@ func dedupedLayout(c *comm.Comm, edges []graph.Edge, opt Options) []graph.Edge {
 // gathered sample yields the identical pivot). ok is false when the
 // segment is globally empty.
 func pivotSelect(c *comm.Comm, edges []graph.Edge, opt Options) (graph.Edge, bool) {
+	a := c.Scratch()
 	r := rng.New(opt.Seed ^ 0xF117).Split(uint64(c.Rank()))
-	samples := make([]graph.Edge, 0, pivotSamples)
+	samples := arena.Grab[graph.Edge](a, kPivotSmp, pivotSamples)[:0]
 	for i := 0; i < pivotSamples && len(edges) > 0; i++ {
 		samples = append(samples, edges[r.Intn(len(edges))])
 	}
-	all := comm.AllgatherConcat(c, samples)
+	all := comm.AllgatherConcatInto(c, arena.GrabAppend[graph.Edge](a, kPivotAll), samples)
+	arena.Keep(a, kPivotAll, all)
 	if len(all) == 0 {
 		return graph.Edge{}, false
 	}
@@ -321,54 +393,112 @@ func pivotSelect(c *comm.Comm, edges []graph.Edge, opt Options) (graph.Edge, boo
 	return all[len(all)/2], true
 }
 
-// weightClassLess orders edges by (W, TB) only — a strict total order on
-// logical undirected edges under which an edge and its back edge compare
-// equal. The partition MUST use this order: the finer LessWeight breaks
-// ties by current endpoint and ID, which would send the two directed
-// copies of the pivot's own weight class to different sides and destroy
-// the symmetric-representation invariant.
-func weightClassLess(a, b graph.Edge) bool {
-	if a.W != b.W {
-		return a.W < b.W
-	}
-	return a.TB < b.TB
-}
-
-// partitionAtPivot splits edges into (≤ pivot, > pivot) under the weight-
-// class order, preserving local sortedness (stable filters of a sorted
-// sequence stay sorted). Both directed copies of an edge share the weight
-// class, so the symmetric invariant is preserved on both sides. The halves
-// are owned (not arena-backed): they live on the recursion stack across an
-// unbounded number of rounds.
-func partitionAtPivot(c *comm.Comm, edges []graph.Edge, pivot graph.Edge) (light, heavy []graph.Edge) {
-	light = par.Filter(c.Pool(), edges, func(e graph.Edge) bool { return !weightClassLess(pivot, e) })
-	heavy = par.Filter(c.Pool(), edges, func(e graph.Edge) bool { return weightClassLess(pivot, e) })
-	return light, heavy
-}
-
-// filterSegment implements FILTER (§V): resolve every endpoint through P,
-// drop intra-component edges (now self-loops), and redistribute the
-// survivors into a fresh sorted, deduplicated, balanced distribution.
-func filterSegment(c *comm.Comm, edges []graph.Edge, P *distArray, opt Options) ([]graph.Edge, *graph.Layout) {
+// partitionAtPivot splits seg in place into (≤ pivot, > pivot) under the
+// weight-class order (W, TB) — a strict total order on logical undirected
+// edges under which an edge and its back edge compare equal. The partition
+// MUST use this order: the finer LessWeight breaks ties by current endpoint
+// and ID, which would send the two directed copies of the pivot's own weight
+// class to different sides and destroy the symmetric-representation
+// invariant. The split is stable, so both halves stay locally sorted. One
+// pass per pool block packs the light edges to the front of the block and
+// the heavy ones into an arena stage; the runs are then closed up, light to
+// the front of seg and heavy behind it. light's capacity is clipped to its
+// length and heavy runs to the end of seg, so appending to either reallocates
+// instead of writing into the other (or into seg's own right neighbour).
+func partitionAtPivot(c *comm.Comm, seg []graph.Edge, pivot graph.Edge) (light, heavy []graph.Edge) {
 	a := c.Scratch()
-	// Distinct endpoints, sorted: the dense stand-in for the former hash
-	// set, and the rename table the relabeling below binary-searches.
-	vs := arena.GrabAppend[graph.VID](a, kFilterVs)
-	for _, e := range edges {
-		vs = append(vs, e.U, e.V)
-	}
-	arena.Keep(a, kFilterVs, vs)
-	slices.Sort(vs)
-	vs = slices.Compact(vs)
-	reps := P.resolve(c, vs, opt)
-	apply := func(e graph.Edge) graph.Edge {
-		e.U = reps[lookupVID(vs, e.U)]
-		e.V = reps[lookupVID(vs, e.V)]
-		return e
-	}
-	out := par.MapInto(c.Pool(), arena.Grab[graph.Edge](a, kFilterTmp, len(edges)), edges, apply)
-	out = par.FilterInto(c.Pool(), arena.Grab[graph.Edge](a, kFilterOut, len(edges)), out,
-		func(e graph.Edge) bool { return e.U != e.V })
-	c.ChargeCompute(len(edges))
-	return redistribute(c, out, opt)
+	stage := arena.Grab[graph.Edge](a, kPartHeavy, len(seg))
+	lo, nl, nh := blockRuns(a, c.Pool().Threads())
+	t := c.Pool().ForBlocks(len(seg), func(w, blo, bhi int) {
+		l, h := blo, blo
+		for i := blo; i < bhi; i++ {
+			if e := &seg[i]; e.W < pivot.W || e.W == pivot.W && e.TB <= pivot.TB {
+				seg[l] = *e
+				l++
+			} else {
+				stage[h] = *e
+				h++
+			}
+		}
+		lo[w], nl[w], nh[w] = blo, l-blo, h-blo
+	})
+	k := closeUp(seg, seg, lo[:t], nl)
+	closeUp(seg[k:], stage, lo[:t], nh)
+	return seg[:k:k], seg[k:len(seg):len(seg)]
 }
+
+// blockRuns hands out the bookkeeping of a pack loop over pool blocks: block
+// w leaves its survivors, in order, at [lo[w], lo[w]+n[w]) of its
+// destination (and, in a two-way split, the rest at the same offset of a
+// stage).
+func blockRuns(a *arena.Arena, threads int) (lo, n, rest []int) {
+	s := arena.Grab[int](a, kPartRuns, 3*threads)
+	return s[:threads], s[threads : 2*threads], s[2*threads:]
+}
+
+// closeUp copies the runs src[lo[w]:lo[w]+n[w]] to the front of dst in block
+// order — dst may be src, runs only move down — and returns their total
+// length.
+func closeUp(dst, src []graph.Edge, lo, n []int) int {
+	total := 0
+	for w, at := range lo {
+		total += copy(dst[total:], src[at:at+n[w]])
+	}
+	return total
+}
+
+// filterSegment implements FILTER (§V): resolve every endpoint of the
+// segment (edges, then carry) through P, drop intra-component edges (now
+// self-loops), and redistribute the survivors into a fresh sorted,
+// deduplicated, balanced distribution. The distinct endpoints come from a
+// labelSet and the rename goes through a denseLabels table — bitmap and
+// direct window when the label space passes denseWindow for the segment's
+// endpoint slots, sort and binary search otherwise; the queries resolve
+// sends are the same sorted set either way.
+func filterSegment(c *comm.Comm, seg segment, P *distArray, opt Options) ([]graph.Edge, *graph.Layout) {
+	a := c.Scratch()
+	parts := [2][]graph.Edge{seg.edges, seg.carry}
+	m := len(seg.edges) + len(seg.carry)
+	dense := denseWindow(P.n, 2*m) && !forceSparseLabels
+	set := newLabelSet(a, kFilterVs, P.n, dense)
+	for _, part := range parts {
+		for i := range part {
+			set.add(part[i].U)
+			set.add(part[i].V)
+		}
+	}
+	ren := denseLabels{verts: set.sorted()}
+	ren.labels = P.resolve(c, ren.verts, dense, opt)
+	if dense {
+		ren.window(a, kFilterWin, labelSpan(ren.verts))
+	}
+	// One pass per pool block: relabel and pack the non-loops to the front
+	// of the block's share of out, then close the runs up.
+	out := arena.Grab[graph.Edge](a, kFilterOut, m)
+	lo, n, _ := blockRuns(a, c.Pool().Threads())
+	k := 0
+	for _, part := range parts {
+		dst := out[k:]
+		t := c.Pool().ForBlocks(len(part), func(w, blo, bhi int) {
+			o := blo
+			for i := blo; i < bhi; i++ {
+				u, _ := ren.get(part[i].U)
+				v, _ := ren.get(part[i].V)
+				if u != v {
+					dst[o] = part[i]
+					dst[o].U, dst[o].V = u, v
+					o++
+				}
+			}
+			lo[w], n[w] = blo, o-blo
+		})
+		k += closeUp(dst, dst, lo[:t], n)
+	}
+	c.ChargeCompute(m)
+	return redistribute(c, out[:k], opt)
+}
+
+// forceSparseLabels sends filterSegment down the sort-and-search path
+// whatever the label space (tests only): the two paths must be
+// indistinguishable from outside.
+var forceSparseLabels = false

@@ -1,0 +1,296 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+
+	"kamsta/internal/comm"
+	"kamsta/internal/dsort"
+	"kamsta/internal/gen"
+	"kamsta/internal/graph"
+	"kamsta/internal/rng"
+)
+
+// filterRun is everything of one Filter-Borůvka job an outside observer can
+// tell apart: the forest, the algorithm's structure, the traffic and the
+// modeled clock.
+type filterRun struct {
+	res    Result
+	shares [][]graph.Edge
+	stats  comm.Stats
+	clock  float64
+}
+
+// runFilter runs Filter-Borůvka on a fresh p-PE world over spec with every
+// label v moved to 1+(v-1)·spread — monotone, so the input format and the
+// (W, TB) order hold.
+func runFilter(t *testing.T, p, threads int, spec gen.Spec, spread uint64, opt Options) (filterRun, []graph.Edge) {
+	t.Helper()
+	w := comm.NewWorld(p, comm.WithThreads(threads))
+	out := filterRun{shares: make([][]graph.Edge, p)}
+	inputs := make([][]graph.Edge, p)
+	w.Run(func(c *comm.Comm) {
+		edges, layout := gen.Build(c, spec, dsort.Options{})
+		if spread > 1 {
+			for i := range edges {
+				edges[i].U = 1 + (edges[i].U-1)*spread
+				edges[i].V = 1 + (edges[i].V-1)*spread
+				edges[i].TB = graph.MakeTB(edges[i].U, edges[i].V)
+			}
+			layout = graph.BuildLayout(c, edges)
+		}
+		inputs[c.Rank()] = edges
+		r := FilterBoruvka(c, edges, layout, opt)
+		out.shares[c.Rank()] = r.MSTEdges
+		if c.Rank() == 0 {
+			r.MSTEdges = nil
+			out.res = r
+		}
+	})
+	out.stats, out.clock = w.TotalStats(), w.MaxClock()
+	return out, slices.Concat(inputs...)
+}
+
+// pathSpec is large enough that at 16 PEs a segment still spans two pool
+// blocks, and dense enough that the recursion partitions, filters and merges
+// back.
+var (
+	pathSpec = gen.Spec{Family: gen.GNM, N: 2000, M: 24000, Seed: 6}
+	pathOpt  = Options{DedupParallel: true, BaseCaseCap: 16, // no preprocessing: at p = 1 it would solve everything
+
+		Filter: FilterOptions{MinEdgesPerPE: 64, MergeBackFraction: 0.25}}
+)
+
+// TestFilterPathsIndistinguishable drives one instance through FILTER's
+// dense path (bitmap, direct windows) and through its sparse fallback (sort,
+// binary search) and holds everything observable equal — forest, rounds,
+// base calls, messages, bytes, supersteps and the modeled clock to the bit —
+// at every thread count. The kernels may differ; what they send may not.
+func TestFilterPathsIndistinguishable(t *testing.T) {
+	defer func() { forceSparseLabels = false }()
+	for _, p := range []int{1, 3, 16} {
+		var want filterRun
+		for _, sparse := range []bool{false, true} {
+			for _, threads := range []int{1, 2, 8} {
+				forceSparseLabels = sparse
+				got, all := runFilter(t, p, threads, pathSpec, 1, pathOpt)
+				label := fmt.Sprintf("p=%d threads=%d sparse=%v", p, threads, sparse)
+				if want.shares == nil {
+					want = got
+					checkAgainstOracle(t, label, got.res, got.shares, all)
+					if got.res.BaseCalls < 2 {
+						t.Fatalf("%s: %d base calls: the recursion did not filter", label, got.res.BaseCalls)
+					}
+					continue
+				}
+				for r := range got.shares {
+					if !slices.Equal(got.shares[r], want.shares[r]) {
+						t.Fatalf("%s: rank %d's MST share differs from the dense 1-thread run", label, r)
+					}
+				}
+				g, w := got.res, want.res
+				if g.TotalWeight != w.TotalWeight || g.Rounds != w.Rounds || g.BaseCalls != w.BaseCalls ||
+					g.EdgesTouched != w.EdgesTouched || got.stats != want.stats {
+					t.Errorf("%s: weight %d rounds %d base calls %d touched %d stats %+v; dense 1-thread: %d %d %d %d %+v",
+						label, g.TotalWeight, g.Rounds, g.BaseCalls, g.EdgesTouched, got.stats,
+						w.TotalWeight, w.Rounds, w.BaseCalls, w.EdgesTouched, want.stats)
+				}
+				// Threads divide the compute charge; the path must not touch it.
+				if threads == 1 && got.clock != want.clock {
+					t.Errorf("%s: modeled %v, dense path %v", label, got.clock, want.clock)
+				}
+			}
+		}
+	}
+}
+
+// TestFilterSparseLabelSpace spreads the same instance's labels so far apart
+// that the rule itself refuses the bitmap (no toggle): the fallback is the
+// path the data picks, and the forest is still Kruskal's.
+func TestFilterSparseLabelSpace(t *testing.T) {
+	const spread = 1 << 10
+	for _, p := range []int{1, 3, 16} {
+		if n, slots := pathSpec.N*spread, 4*int(pathSpec.M)/p; denseWindow(n, slots) {
+			t.Fatalf("p=%d: a label space of %d passes the rule for %d slots; spread further", p, n, slots)
+		}
+		got, all := runFilter(t, p, 2, pathSpec, spread, pathOpt)
+		checkAgainstOracle(t, fmt.Sprintf("spread p=%d", p), got.res, got.shares, all)
+		dense, _ := runFilter(t, p, 2, pathSpec, 1, pathOpt)
+		if got.res.TotalWeight != dense.res.TotalWeight || got.res.NumEdges != dense.res.NumEdges {
+			t.Errorf("p=%d: spread labels give weight %d over %d edges, the compact ones %d over %d",
+				p, got.res.TotalWeight, got.res.NumEdges, dense.res.TotalWeight, dense.res.NumEdges)
+		}
+	}
+}
+
+// TestResolveChasesRandomForest records a random forest in P — one chain 40
+// deep, the rest random parents below the vertex — and checks resolve
+// against a sequential chase, on both paths, with some ranks asking nothing
+// while still calling collectively, twice over so recycled slots are seen.
+func TestResolveChasesRandomForest(t *testing.T) {
+	const n = 600
+	r := rng.New(11)
+	parent := make([]graph.VID, n+1) // parent[v] == v: a root
+	for v := 1; v <= n; v++ {
+		switch {
+		case v > 1 && v <= 40:
+			parent[v] = graph.VID(v - 1)
+		case v > 40 && r.Intn(4) > 0:
+			parent[v] = graph.VID(1 + r.Intn(v-1))
+		default:
+			parent[v] = graph.VID(v)
+		}
+	}
+	root := func(v graph.VID) graph.VID {
+		for parent[v] != v {
+			v = parent[v]
+		}
+		return v
+	}
+	for _, p := range []int{1, 3, 8} {
+		for _, dense := range []bool{true, false} {
+			w := comm.NewWorld(p)
+			w.Run(func(c *comm.Comm) {
+				opt := Options{}.withDefaults()
+				P := newDistArray(c, n)
+				var pairs []labelPair // recorded from wherever, routed to the owners
+				for v := 1 + c.Rank(); v <= n; v += p {
+					if parent[v] != graph.VID(v) {
+						pairs = append(pairs, labelPair{V: graph.VID(v), L: parent[v]})
+					}
+				}
+				P.record(c, pairs, opt)
+				rr := rng.New(5).Split(uint64(c.Rank()))
+				for round := 0; round < 2; round++ {
+					var vs []graph.VID
+					if c.Rank()%3 != 1 {
+						for v := 1; v <= n; v++ {
+							if rr.Intn(3) == 0 || v == 40 {
+								vs = append(vs, graph.VID(v))
+							}
+						}
+					}
+					got := P.resolve(c, vs, dense, opt)
+					if len(got) != len(vs) {
+						t.Errorf("p=%d dense=%v rank %d: %d answers to %d labels", p, dense, c.Rank(), len(got), len(vs))
+						continue
+					}
+					for i, v := range vs {
+						if got[i] != root(v) {
+							t.Errorf("p=%d dense=%v rank %d: resolve(%d) = %d, the chase ends at %d", p, dense, c.Rank(), v, got[i], root(v))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPartitionAtPivotProperties: the in-place split is the stable two-way
+// filter under (W, TB), exact in its complement, keeps a weight class on one
+// side, and hands out halves whose appends cannot reach each other.
+func TestPartitionAtPivotProperties(t *testing.T) {
+	for _, threads := range []int{1, 2, 8} {
+		for _, n := range []int{0, 1, 37, 5000} {
+			w := comm.NewWorld(1, comm.WithThreads(threads))
+			w.Run(func(c *comm.Comm) {
+				r := rng.New(uint64(n + threads))
+				seg := make([]graph.Edge, n, n+8) // spare capacity: a neighbour's memory
+				for i := range seg {
+					tb := uint64(r.Intn(6)) // few classes, so ties with the pivot abound
+					seg[i] = graph.Edge{U: graph.VID(i + 1), V: graph.VID(r.Intn(n) + 1), W: graph.Weight(r.Intn(5)), TB: tb, ID: uint64(i)}
+				}
+				in := slices.Clone(seg)
+				pivot := graph.Edge{W: 2, TB: 3, U: 999, V: 999, ID: 999}
+				isLight := func(e graph.Edge) bool { return e.W < pivot.W || e.W == pivot.W && e.TB <= pivot.TB }
+				var wantL, wantH []graph.Edge
+				for _, e := range in {
+					if isLight(e) {
+						wantL = append(wantL, e)
+					} else {
+						wantH = append(wantH, e)
+					}
+				}
+				light, heavy := partitionAtPivot(c, seg, pivot)
+				if !slices.Equal(light, wantL) || !slices.Equal(heavy, wantH) {
+					t.Fatalf("threads=%d n=%d: not the stable split (%d+%d edges, want %d+%d)", threads, n, len(light), len(heavy), len(wantL), len(wantH))
+				}
+				type class struct {
+					w  graph.Weight
+					tb uint64
+				}
+				side := map[class]bool{}
+				for _, e := range light {
+					side[class{e.W, e.TB}] = true
+				}
+				for _, e := range heavy {
+					if side[class{e.W, e.TB}] {
+						t.Fatalf("threads=%d n=%d: weight class (%d, %d) is on both sides", threads, n, e.W, e.TB)
+					}
+				}
+				if cap(light) != len(light) || cap(heavy) != len(heavy) {
+					t.Fatalf("threads=%d n=%d: capacities %d/%d beyond lengths %d/%d", threads, n, cap(light), cap(heavy), len(light), len(heavy))
+				}
+				if n > 0 && (len(light) > 0 && &light[0] != &seg[0] || len(heavy) > 0 && &heavy[0] != &seg[len(light)]) {
+					t.Fatalf("threads=%d n=%d: the halves are not seg's own storage", threads, n)
+				}
+				grownL := append(light, graph.Edge{ID: 1 << 40})
+				grownH := append(heavy, graph.Edge{ID: 1 << 41})
+				if !slices.Equal(heavy, wantH) || !slices.Equal(light, wantL) ||
+					!slices.Equal(grownL[:len(light)], wantL) || !slices.Equal(grownH[:len(heavy)], wantH) {
+					t.Fatalf("threads=%d n=%d: an append to one half reached the other", threads, n)
+				}
+			})
+		}
+	}
+}
+
+// filterShape is one PE of the gnm-filter workload: 2^14 vertices, 131 k
+// directed edges.
+var filterShape = gen.Spec{Family: gen.GNM, N: 1 << 14, M: 1 << 16, Seed: 42}
+
+// filterFixture takes a 1-PE world to the first FILTER step of a job: the
+// input partitioned at the sampled pivot, the light half solved with its
+// contractions recorded in P, the heavy half pending.
+func filterFixture(c *comm.Comm, edges []graph.Edge, opt Options) (P *distArray, owned []graph.Edge, pivot graph.Edge, heavy segment) {
+	P = newDistArray(c, edges[len(edges)-1].U)
+	owned = slices.Clone(edges)
+	pivot, _ = pivotSelect(c, owned, opt)
+	light, hv := partitionAtPivot(c, owned, pivot)
+	light = dedupedLayout(c, light, opt)
+	l := graph.BuildLayout(c, light)
+	var mst []graph.Edge
+	distributedRounds(c, &light, &l, opt, &mst, P)
+	baseCase(c, light, l, &mst, P, opt)
+	return P, owned, pivot, segment{edges: hv, needsFilter: true, owned: true}
+}
+
+// TestFilterSteadyStateAllocs: after one warm-up pass the partition and the
+// filter of a 131 k-edge segment allocate nothing that grows with the edges.
+// What is left are the frames of resolve's exchanges, which grow with the
+// labels: 2^11 of them here, 64 edges each, keep that floor far under one
+// byte per edge (an edge is 40; the smallest per-edge buffer would be 4).
+func TestFilterSteadyStateAllocs(t *testing.T) {
+	w := comm.NewWorld(1)
+	w.Run(func(c *comm.Comm) {
+		edges, _ := gen.Build(c, gen.Spec{Family: gen.GNM, N: 1 << 11, M: 1 << 16, Seed: 42}, dsort.Options{})
+		opt := DefaultOptions()
+		P, owned, pivot, heavy := filterFixture(c, edges, opt)
+		filterSegment(c, heavy, P, opt) // warm the arena
+		var before, after runtime.MemStats
+		const runs = 5
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			partitionAtPivot(c, owned, pivot)
+			filterSegment(c, heavy, P, opt)
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%d bytes per pass over %d edges", perRun, len(edges))
+		if perRun > uint64(len(edges)) {
+			t.Errorf("partition + filter of %d edges allocate %d bytes per pass in steady state, want under one byte per edge", len(edges), perRun)
+		}
+	})
+}

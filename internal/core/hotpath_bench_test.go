@@ -190,3 +190,38 @@ func BenchmarkRelabelFilter(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPartitionAtPivot and BenchmarkFilterSegment time FILTER's two
+// local kernels on one PE of the gnm-filter workload (filterShape), at the
+// state filterFixture leaves: the in-place split of the whole input, and the
+// filter of its heavy half through a P holding the light half's
+// contractions. At p = 1 the collectives inside are free, so the numbers are
+// the bitmap, the rename table, the pack loops and the local sort.
+func BenchmarkPartitionAtPivot(b *testing.B) {
+	w := comm.NewWorld(1)
+	w.Run(func(c *comm.Comm) {
+		edges, _ := gen.Build(c, filterShape, dsort.Options{})
+		_, owned, pivot, _ := filterFixture(c, edges, DefaultOptions())
+		b.ReportAllocs()
+		b.SetBytes(int64(len(owned)) * 40)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			partitionAtPivot(c, owned, pivot)
+		}
+	})
+}
+
+func BenchmarkFilterSegment(b *testing.B) {
+	w := comm.NewWorld(1)
+	w.Run(func(c *comm.Comm) {
+		edges, _ := gen.Build(c, filterShape, dsort.Options{})
+		opt := DefaultOptions()
+		P, _, _, heavy := filterFixture(c, edges, opt)
+		filterSegment(c, heavy, P, opt)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			filterSegment(c, heavy, P, opt)
+		}
+	})
+}

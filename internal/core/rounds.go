@@ -26,12 +26,14 @@ var (
 	kSendQ      = arena.NewKey() // [][]query buckets
 	kSendR      = arena.NewKey() // [][]reply buckets
 	kSendLbl    = arena.NewKey() // [][]labelPair buckets (exchangeLabels)
-	kGhost      = arena.NewKey() // []labelPair: sorted ghost label table
+	kGhost      = arena.NewKey() // []graph.VID: ghost vertices, ascending
+	kGhostLbl   = arena.NewKey() // []graph.VID: their labels
+	kGhostWin   = arena.NewKey() // []graph.VID: the ghost table's direct window
 	kRelabelTmp = arena.NewKey() // []graph.Edge: relabel map stage
 	kRelabelOut = arena.NewKey() // []graph.Edge: relabel filter stage
 	kRecPairs   = arena.NewKey() // []labelPair: contraction records for P
 	kRecSend    = arena.NewKey() // [][]labelPair buckets (distArray.record)
-	kDirect     = arena.NewKey() // []int32: O(1) window-indexed rename table
+	kDirect     = arena.NewKey() // []graph.VID: the round labels' direct window
 )
 
 // minEdge pairs a local vertex with its lightest incident edge's index in
@@ -91,45 +93,67 @@ type labelPair struct {
 	V, L graph.VID
 }
 
-// denseLabels is the per-round component labeling: verts is the ascending
-// set of this PE's non-shared local vertices and labels is aligned with it.
-// It replaces the former map[VID]VID — lookups are index-based, and
-// iteration is in index order, which makes every derived message sequence
-// deterministic.
+// denseLabels maps an ascending, duplicate-free vertex set to labels aligned
+// with it: the round's component labeling of this PE's non-shared vertices,
+// the ghost labels EXCHANGELABELS receives, and Filter-Borůvka's rename and
+// reply tables are all this one shape. It replaces the former maps — lookups
+// are index-based, and iteration is in index order, which makes every
+// derived message sequence deterministic.
 //
 // When the vertex IDs span a window not much larger than their count — the
 // §II-B consecutive-ID guarantee makes this the common case in early
-// rounds — direct holds an O(1) window-indexed rename table; otherwise
-// lookups binary-search (or gallop over) verts.
+// rounds — direct holds the labels themselves, window-indexed, for an O(1)
+// answer; otherwise lookups binary-search (or gallop over) verts.
 type denseLabels struct {
 	verts  []graph.VID
 	labels []graph.VID
 	base   graph.VID
-	direct []int32 // direct[v-base] = index into verts, -1 = absent; may be nil
+	direct []graph.VID // direct[v-base] = label of v, 0 (reserved) = absent; may be nil
 }
 
-// directWindow returns the size of the direct rename table for verts, or 0
-// when the ID span exceeds 4·|verts|+1024 — too sparse, so lookups fall
-// back to searching.
-func directWindow(verts []graph.VID) int {
+// denseWindow is the one rule for trading a search for a table: a window of
+// span labels is worth indexing directly when it is at most 4·n+1024 for the
+// n entries (or endpoint slots) it serves.
+func denseWindow(span uint64, n int) bool { return span <= uint64(4*n+1024) }
+
+// labelSpan is the number of IDs from the first to the last of the ascending
+// verts, 0 for none.
+func labelSpan(verts []graph.VID) int {
 	if len(verts) == 0 {
 		return 0
 	}
-	span := verts[len(verts)-1] - verts[0] + 1
-	if span <= uint64(4*len(verts)+1024) {
-		return int(span)
+	return int(verts[len(verts)-1] - verts[0] + 1)
+}
+
+// directWindow returns the size of the direct window for verts, or 0 when
+// the ID span fails denseWindow — too sparse, so lookups fall back to
+// searching.
+func directWindow(verts []graph.VID) int {
+	if span := labelSpan(verts); denseWindow(uint64(span), len(verts)) {
+		return span
 	}
 	return 0
+}
+
+// window indexes the table directly over span IDs from verts[0], out of slot
+// k; a span of 0 leaves it searching.
+func (d *denseLabels) window(a *arena.Arena, k arena.Key, span int) {
+	if span == 0 {
+		return
+	}
+	d.base = d.verts[0]
+	d.direct = arena.GrabZeroed[graph.VID](a, k, span)
+	for i, v := range d.verts {
+		d.direct[v-d.base] = d.labels[i]
+	}
 }
 
 // get returns the label of v, if v is in the table.
 func (d denseLabels) get(v graph.VID) (graph.VID, bool) {
 	if d.direct != nil {
-		if v < d.base || v >= d.base+graph.VID(len(d.direct)) {
-			return 0, false
-		}
-		if i := d.direct[v-d.base]; i >= 0 {
-			return d.labels[i], true
+		if i := v - d.base; i < graph.VID(len(d.direct)) { // v < base wraps past it
+			lbl := d.direct[i]
+			return lbl, lbl != 0
 		}
 		return 0, false
 	}
@@ -140,31 +164,6 @@ func (d denseLabels) get(v graph.VID) (graph.VID, bool) {
 }
 
 func (d denseLabels) len() int { return len(d.verts) }
-
-// ghostTable resolves ghost vertices to their new labels: pairs sorted
-// ascending by vertex, looked up by binary search. It replaces the former
-// ghost map.
-type ghostTable struct {
-	pairs []labelPair
-}
-
-func (g ghostTable) get(v graph.VID) (graph.VID, bool) {
-	i, ok := slices.BinarySearchFunc(g.pairs, v, func(p labelPair, v graph.VID) int {
-		switch {
-		case p.V < v:
-			return -1
-		case p.V > v:
-			return 1
-		}
-		return 0
-	})
-	if !ok {
-		return 0, false
-	}
-	return g.pairs[i].L, true
-}
-
-func (g ghostTable) len() int { return len(g.pairs) }
 
 // lookupVID returns the index of v in the ascending verts, or -1.
 func lookupVID(verts []graph.VID, v graph.VID) int {
@@ -394,17 +393,7 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 	}
 	c.ChargeCompute(n)
 	lab := denseLabels{verts: verts, labels: labels}
-	if span := directWindow(verts); span > 0 {
-		lab.base = verts[0]
-		direct := arena.Grab[int32](a, kDirect, span)
-		for i := range direct {
-			direct[i] = -1
-		}
-		for i, v := range verts {
-			direct[v-lab.base] = int32(i)
-		}
-		lab.direct = direct
-	}
+	lab.window(a, kDirect, directWindow(verts))
 	return lab
 }
 
@@ -412,14 +401,15 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 // (u, v) with contracted local source u, the new label of u is pushed to
 // the home PE of the reverse edge (v, u), deduplicated per (PE, u) pair.
 // Shared endpoints need no messages: both sides know they are roots.
-// The returned table resolves ghost vertices to their new labels.
+// The returned table resolves ghost vertices to their new labels, through a
+// direct window under the same rule as the round's own.
 //
 // Deduplication needs no hash set: within one source vertex's sorted edge
 // range the reverse-edge probes (v, u, W, TB) are ascending, so the owner
 // sequence is non-decreasing and duplicates per (owner, u) are adjacent —
 // remembering the last owner suffices.
 func exchangeLabels(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
-	lab denseLabels, opt Options) ghostTable {
+	lab denseLabels, opt Options) denseLabels {
 
 	p := c.P()
 	a := c.Scratch()
@@ -453,29 +443,26 @@ func exchangeLabels(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 		send[owner] = append(send[owner], labelPair{V: e.U, L: lbl})
 	}
 	recv := alltoall.Exchange(c, opt.A2A, send)
-	ghost := arena.GrabAppend[labelPair](a, kGhost)
+	// Rank-ordered arrival is ascending by vertex: non-shared sources of
+	// different PEs are disjoint and rank-ordered.
+	ghost := denseLabels{
+		verts:  arena.GrabAppend[graph.VID](a, kGhost),
+		labels: arena.GrabAppend[graph.VID](a, kGhostLbl),
+	}
 	for i := range recv {
-		ghost = append(ghost, recv[i]...)
+		for _, lp := range recv[i] {
+			ghost.verts = append(ghost.verts, lp.V)
+			ghost.labels = append(ghost.labels, lp.L)
+		}
 	}
-	arena.Keep(a, kGhost, ghost)
-	// Rank-ordered arrival is already ascending by vertex (non-shared
-	// sources of different PEs are disjoint and rank-ordered); re-sort
-	// defensively if an exchange strategy ever reorders.
-	if !slices.IsSortedFunc(ghost, lessPairV) {
-		slices.SortFunc(ghost, lessPairV)
+	arena.Keep(a, kGhost, ghost.verts)
+	arena.Keep(a, kGhostLbl, ghost.labels)
+	if !slices.IsSorted(ghost.verts) {
+		panic(fmt.Sprintf("core: exchangeLabels: rank %d: ghost labels arrived out of vertex order", c.Rank()))
 	}
+	ghost.window(a, kGhostWin, directWindow(ghost.verts))
 	c.ChargeCompute(len(edges))
-	return ghostTable{pairs: ghost}
-}
-
-func lessPairV(a, b labelPair) int {
-	switch {
-	case a.V < b.V:
-		return -1
-	case a.V > b.V:
-		return 1
-	}
-	return 0
+	return ghost
 }
 
 // relabel implements RELABEL (§IV-C): rewrite endpoints to component roots
@@ -492,7 +479,7 @@ func lessPairV(a, b labelPair) int {
 // within the round). Callers that keep the result across rounds — local
 // preprocessing — pass a nil arena and get owned memory.
 func relabel(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
-	lab denseLabels, ghost ghostTable, strict bool, a *arena.Arena) []graph.Edge {
+	lab, ghost denseLabels, strict bool, a *arena.Arena) []graph.Edge {
 
 	pool := c.Pool()
 	// Each block walks its edges exploiting the sorted order: the source
@@ -552,7 +539,7 @@ func relabel(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 // resolveNonLocal handles the slow path of relabel's resolution: a vertex
 // without a local label is a ghost, or shared and keeps its label this round
 // (or, in strict mode, a protocol bug).
-func resolveNonLocal(c *comm.Comm, l *graph.Layout, ghost ghostTable,
+func resolveNonLocal(c *comm.Comm, l *graph.Layout, ghost denseLabels,
 	v graph.VID, strict bool, lab denseLabels, m int) graph.VID {
 	if lbl, ok := ghost.get(v); ok {
 		return lbl

@@ -54,19 +54,29 @@ func (p *Pool) width(n int) int {
 	return min(t, n/grainSize)
 }
 
-// fanOut splits [0, n) into width(n) contiguous blocks, runs f(w, lo, hi) on
-// block w concurrently and returns when all are done. It is the package's
-// one go statement: every parallel primitive below is this loop. The split
-// depends on n and Threads() alone, so two fan-outs over the same n hand
-// worker w the same block.
-func (p *Pool) fanOut(n int, f func(w, lo, hi int)) {
+// ForBlocks splits [0, n) into width(n) contiguous blocks, runs f(w, lo, hi)
+// on block w — inline when there is one, concurrently otherwise — and returns
+// the number of blocks once all are done. It holds the package's one go
+// statement: every parallel primitive below is this loop. The split depends
+// on n and Threads() alone, so two loops over the same n hand worker w the
+// same block, and blocks ascend with w: a body that packs its survivors to
+// the front of its block leaves runs the caller closes up in block order.
+func (p *Pool) ForBlocks(n int, f func(w, lo, hi int)) int {
+	if n <= 0 {
+		return 0
+	}
 	t := p.width(n)
+	if t == 1 {
+		f(0, 0, n)
+		return 1
+	}
 	chunk := (n + t - 1) / t
 	var wg sync.WaitGroup
 	for w := 0; w < t; w++ {
 		lo := w * chunk
 		hi := min(lo+chunk, n)
 		if lo >= hi {
+			t = w
 			break
 		}
 		wg.Add(1)
@@ -76,6 +86,7 @@ func (p *Pool) fanOut(n int, f func(w, lo, hi int)) {
 		}(w, lo, hi)
 	}
 	wg.Wait()
+	return t
 }
 
 // For runs f over the index range [0, n) split into contiguous blocks, one
@@ -88,7 +99,7 @@ func (p *Pool) For(n int, f func(lo, hi int)) {
 		f(0, n)
 		return
 	}
-	p.fanOut(n, func(_, lo, hi int) { f(lo, hi) })
+	p.ForBlocks(n, func(_, lo, hi int) { f(lo, hi) })
 }
 
 // PrefixSum computes the exclusive prefix sum of xs in parallel and returns
@@ -109,7 +120,7 @@ func PrefixSum(p *Pool, xs, out []int) int {
 		return sum
 	}
 	blockSum := make([]int, t)
-	p.fanOut(n, func(w, lo, hi int) {
+	p.ForBlocks(n, func(w, lo, hi int) {
 		s := 0
 		for i := lo; i < hi; i++ {
 			s += xs[i]
@@ -120,7 +131,7 @@ func PrefixSum(p *Pool, xs, out []int) int {
 	for w := range blockSum {
 		blockSum[w], total = total, total+blockSum[w]
 	}
-	p.fanOut(n, func(w, lo, hi int) {
+	p.ForBlocks(n, func(w, lo, hi int) {
 		s := blockSum[w]
 		for i := lo; i < hi; i++ {
 			v := xs[i]
@@ -131,19 +142,10 @@ func PrefixSum(p *Pool, xs, out []int) int {
 	return total
 }
 
-// Filter writes the elements of xs satisfying keep into a fresh slice,
-// preserving order. It runs in two parallel passes (count, then pack).
+// Filter writes the elements of xs satisfying keep into a fresh slice of
+// exactly their number, preserving order. It runs in two passes (count, then
+// pack) at every width, so nothing is grown and re-copied.
 func Filter[T any](p *Pool, xs []T, keep func(T) bool) []T {
-	n := len(xs)
-	if p.width(n) == 1 {
-		out := make([]T, 0, n/2+1)
-		for _, v := range xs {
-			if keep(v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
 	return filterTwoPass(p, xs, keep, func(total int) []T { return make([]T, total) })
 }
 
@@ -153,7 +155,7 @@ func Filter[T any](p *Pool, xs []T, keep func(T) bool) []T {
 func filterTwoPass[T any](p *Pool, xs []T, keep func(T) bool, alloc func(total int) []T) []T {
 	n := len(xs)
 	offsets := make([]int, p.width(n))
-	p.fanOut(n, func(w, lo, hi int) {
+	p.ForBlocks(n, func(w, lo, hi int) {
 		c := 0
 		for i := lo; i < hi; i++ {
 			if keep(xs[i]) {
@@ -167,7 +169,7 @@ func filterTwoPass[T any](p *Pool, xs []T, keep func(T) bool, alloc func(total i
 		offsets[w], total = total, total+offsets[w]
 	}
 	out := alloc(total)
-	p.fanOut(n, func(w, lo, hi int) {
+	p.ForBlocks(n, func(w, lo, hi int) {
 		o := offsets[w]
 		for i := lo; i < hi; i++ {
 			if keep(xs[i]) {
@@ -177,20 +179,6 @@ func filterTwoPass[T any](p *Pool, xs []T, keep func(T) bool, alloc func(total i
 		}
 	})
 	return out
-}
-
-// MapInto applies f to every element of xs in parallel, writing into dst,
-// which must have capacity at least len(xs) and must not alias xs; it
-// returns dst[:len(xs)]. Used with arena-backed destinations to keep
-// per-round transforms allocation-free.
-func MapInto[T, U any](p *Pool, dst []U, xs []T, f func(T) U) []U {
-	dst = dst[:len(xs)]
-	p.For(len(xs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = f(xs[i])
-		}
-	})
-	return dst
 }
 
 // FilterInto is Filter packing into dst, which must have capacity at least

@@ -144,17 +144,43 @@ func TestFilterProperty(t *testing.T) {
 	}
 }
 
-func TestMapParallel(t *testing.T) {
-	p := NewPool(8)
-	n := 3 * grainSize
-	xs := make([]int, n)
+// TestForBlocksNumbersAscendingBlocks: the blocks tile [0, n) exactly, block
+// w+1 starts where block w ends, the count returned is the number run, and a
+// loop below the grain (or on one thread) is one inline block.
+func TestForBlocksNumbersAscendingBlocks(t *testing.T) {
+	for _, threads := range []int{1, 2, 8} {
+		p := NewPool(threads)
+		for _, n := range []int{0, 1, 2*grainSize - 1, 2 * grainSize, 5*grainSize + 3} {
+			los, his := make([]int, threads), make([]int, threads)
+			got := p.ForBlocks(n, func(w, lo, hi int) { los[w], his[w] = lo, hi })
+			if want := min(1, n) * p.width(n); got != want {
+				t.Fatalf("threads=%d n=%d: ran %d blocks, want %d", threads, n, got, want)
+			}
+			end := 0
+			for w := 0; w < got; w++ {
+				if los[w] != end || his[w] <= los[w] {
+					t.Fatalf("threads=%d n=%d: block %d is [%d, %d), previous ended at %d", threads, n, w, los[w], his[w], end)
+				}
+				end = his[w]
+			}
+			if end != n {
+				t.Fatalf("threads=%d n=%d: blocks end at %d", threads, n, end)
+			}
+		}
+	}
+}
+
+// TestFilterAllocatesExactly: count first, then one allocation of exactly the
+// survivors, at width 1 as at any other.
+func TestFilterAllocatesExactly(t *testing.T) {
+	xs := make([]int, 10*grainSize)
 	for i := range xs {
 		xs[i] = i
 	}
-	got := MapInto(p, make([]int, n), xs, func(v int) int { return v * v })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("MapInto wrong at %d: %d", i, v)
+	for _, threads := range []int{1, 4} {
+		got := Filter(NewPool(threads), xs, func(v int) bool { return v%10 == 0 })
+		if len(got) != grainSize || cap(got) != len(got) {
+			t.Errorf("threads=%d: len %d cap %d, want both %d", threads, len(got), cap(got), grainSize)
 		}
 	}
 }
