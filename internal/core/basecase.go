@@ -19,7 +19,7 @@ var (
 	kBaseWork   = arena.NewKey() // []dEdge: local edges with dense endpoints
 	kBaseVec    = arena.NewKey() // []cand: per-round allreduce input vector
 	kBaseParent = arena.NewKey() // []int32: replicated contraction forest
-	kBasePairs  = arena.NewKey() // []labelPair: contraction records for P
+	kBaseRoots  = arena.NewKey() // []graph.VID: component roots recorded in P
 )
 
 // dEdge is a base-case working edge: dense endpoints packed beside the
@@ -160,14 +160,11 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 		}
 		c.ChargeCompute(n)
 		if rec != nil {
-			pairs := arena.GrabAppend[labelPair](a, kBasePairs)
-			for i := 0; i < n; i++ {
-				if parent[i] != int32(i) {
-					pairs = append(pairs, labelPair{V: verts[i], L: verts[parent[i]]})
-				}
+			roots := arena.Grab[graph.VID](a, kBaseRoots, n)
+			for i, r := range parent {
+				roots[i] = verts[r]
 			}
-			arena.Keep(a, kBasePairs, pairs)
-			rec.record(c, pairs, opt)
+			rec.record(c, denseLabels{verts: verts, labels: roots}, opt)
 		}
 		// Relabel the local edges and drop self-loops.
 		kept := work[:0]

@@ -54,11 +54,16 @@ func Boruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options
 	c.PhaseBegin(PhaseBaseCase)
 	baseCase(c, work, l, &mst, nil, opt)
 	res.BaseCalls = 1
-	out := redistributeMST(c, mst, in, opt)
-	c.PhaseEnd()
+	return res.finish(c, mst, in, opt)
+}
 
-	res.MSTEdges = out
-	res.TotalWeight, res.NumEdges = globalWeight(c, out)
+// finish is the epilogue of both algorithms. It is entered inside the
+// base-case phase and closes it after REDISTRIBUTEMST; the global weight is
+// reduced outside any phase.
+func (res Result) finish(c *comm.Comm, mst []graph.Edge, in *inputCopy, opt Options) Result {
+	res.MSTEdges = redistributeMST(c, mst, in, opt)
+	c.PhaseEnd()
+	res.TotalWeight, res.NumEdges = globalWeight(c, res.MSTEdges)
 	return res
 }
 
@@ -90,21 +95,17 @@ func distributedRounds(c *comm.Comm, work *[]graph.Edge, l **graph.Layout,
 		c.PhaseBegin(PhaseContract)
 		labels := contractComponents(c, *work, *l, mins, opt, mst)
 		if rec != nil {
-			a := c.Scratch()
-			pairs := arena.GrabAppend[labelPair](a, kRecPairs)
-			for i, v := range labels.verts {
-				if lbl := labels.labels[i]; v != lbl {
-					pairs = append(pairs, labelPair{V: v, L: lbl})
-				}
-			}
-			arena.Keep(a, kRecPairs, pairs)
-			rec.record(c, pairs, opt)
+			rec.record(c, labels, opt)
 		}
 		c.PhaseEnd()
 
+		// RELABEL packs into a slot, never in place: *work may still be the
+		// caller's input.
 		c.PhaseBegin(PhaseLabels)
-		ghost := exchangeLabels(c, *work, *l, labels, opt)
-		relabeled := relabel(c, *work, *l, labels, ghost, true, c.Scratch())
+		tbl := relabelTable{lab: labels, ghost: exchangeLabels(c, *work, *l, labels, opt), strict: *l}
+		relabeled := arena.Grab[graph.Edge](c.Scratch(), kRelabelOut, len(*work))
+		relabeled = relabeled[:relabelPack(c, relabeled, *work, &tbl)]
+		c.ChargeCompute(len(*work))
 		c.PhaseEnd()
 
 		c.PhaseBegin(PhaseRedistribute)

@@ -85,3 +85,20 @@ func TestDesignQuotesResourceConstants(t *testing.T) {
 			below, 2*grain[0]-1, at, 2*grain[0], grain[0])
 	}
 }
+
+// TestDesignQuotesTuningConstants compares the fixed tuning constants DESIGN.md
+// §4 quotes for core with the code (the two dsort numbers of the same bullet
+// are TestDesignQuotesSorterConstants's, where the constants are visible).
+func TestDesignQuotesTuningConstants(t *testing.T) {
+	n := designNumbers(t, "tuning constants",
+		"the (\\d+) %\\s+local-edge cut-off for preprocessing \\(`core\\.minLocalEdgeFrac`, §VI-B\\),\\s+the average-degree-(\\d+) sparse stop and the (\\d+)-sample pivot\\s+\\(`core\\.sparseDegree`, `core\\.pivotSamples`")
+	if float64(n[0])/100 != minLocalEdgeFrac {
+		t.Errorf("DESIGN.md says preprocessing is skipped below %d %% local edges, the code %v", n[0], minLocalEdgeFrac)
+	}
+	if n[1] != sparseDegree {
+		t.Errorf("DESIGN.md says the recursion stops at average degree %d, the code %d", n[1], sparseDegree)
+	}
+	if n[2] != pivotSamples {
+		t.Errorf("DESIGN.md says the pivot is the median of %d samples per PE, the code %d", n[2], pivotSamples)
+	}
+}

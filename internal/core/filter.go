@@ -122,13 +122,16 @@ func (d *distArray) owner(c *comm.Comm, v graph.VID) int {
 	return int(j)
 }
 
-// record pushes contraction pairs (v → root) to their owners. Collective:
-// all PEs must call together (with possibly empty pair sets).
-func (d *distArray) record(c *comm.Comm, pairs []labelPair, opt Options) {
+// record pushes the contractions in a (vertex, label) table — its entries
+// with label ≠ vertex, in table order — to their owners. Collective: all PEs
+// must call together (with possibly empty tables).
+func (d *distArray) record(c *comm.Comm, t denseLabels, opt Options) {
 	send := arena.Buckets[labelPair](c.Scratch(), kRecSend, c.P())
-	for _, lp := range pairs {
-		o := d.owner(c, lp.V)
-		send[o] = append(send[o], lp)
+	for i, v := range t.verts {
+		if lbl := t.labels[i]; lbl != v {
+			o := d.owner(c, v)
+			send[o] = append(send[o], labelPair{V: v, L: lbl})
+		}
 	}
 	recv := alltoall.Exchange(c, opt.A2A, send)
 	for i := range recv {
@@ -250,17 +253,9 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 
 	maxLabel := uint64(0)
 	for _, e := range edges {
-		if e.U > maxLabel {
-			maxLabel = e.U
-		}
+		maxLabel = max(maxLabel, e.U)
 	}
-	maxLabel = comm.Allreduce(c, maxLabel, func(a, b uint64) uint64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	P := newDistArray(c, maxLabel)
+	P := newDistArray(c, comm.Allreduce(c, maxLabel, func(a, b uint64) uint64 { return max(a, b) }))
 
 	var mst []graph.Edge
 	res := Result{}
@@ -270,6 +265,19 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		c.PhaseBegin(PhasePreprocess)
 		work, l = localPreprocess(c, work, l, opt, &mst, P)
 		c.PhaseEnd()
+	}
+	// solve is a leaf of the recursion: the distributed Borůvka base (no
+	// preprocessing, no per-call MST redistribution), recording its
+	// contractions in P.
+	solve := func(w []graph.Edge, wl *graph.Layout) {
+		r, t, vc := distributedRounds(c, &w, &wl, opt, &mst, P)
+		res.VertexCounts = append(res.VertexCounts, vc...)
+		res.Rounds += r
+		res.EdgesTouched += t
+		c.PhaseBegin(PhaseBaseCase)
+		baseCase(c, w, wl, &mst, P, opt)
+		c.PhaseEnd()
+		res.BaseCalls++
 	}
 
 	stack := []segment{{edges: work}}
@@ -296,7 +304,11 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		} else if first {
 			segLayout, first = l, false
 		} else {
-			seg.edges = dedupedLayout(c, seg.edges, opt)
+			// An unfiltered light segment is already a sorted subsequence per
+			// PE; parallel copies may remain from its parent.
+			if opt.DedupParallel {
+				seg.edges = dedupSorted(c, seg.edges)
+			}
 			segLayout = graph.BuildLayout(c, seg.edges)
 		}
 
@@ -305,20 +317,8 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		n := graph.GlobalVertexCount(c, segLayout, seg.edges)
 		res.EdgesTouched += len(seg.edges)
 
-		sparse := m <= sparseDegree*n ||
-			m < opt.Filter.MinEdgesPerPE*c.P()
-		if sparse {
-			// Distributed Borůvka base (no preprocessing, no per-call MST
-			// redistribution), recording contractions in P.
-			w, wl := seg.edges, segLayout
-			r, t, vc := distributedRounds(c, &w, &wl, opt, &mst, P)
-			res.VertexCounts = append(res.VertexCounts, vc...)
-			res.Rounds += r
-			res.EdgesTouched += t
-			c.PhaseBegin(PhaseBaseCase)
-			baseCase(c, w, wl, &mst, P, opt)
-			c.PhaseEnd()
-			res.BaseCalls++
+		if m <= sparseDegree*n || m < opt.Filter.MinEdgesPerPE*c.P() {
+			solve(seg.edges, segLayout) // sparse: not worth partitioning
 			continue
 		}
 
@@ -337,16 +337,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		heavyM := comm.Allreduce(c, len(heavy), func(a, b int) int { return a + b })
 		c.PhaseEnd()
 		if !ok || heavyM == 0 {
-			// Degenerate pivot: no split possible; solve directly.
-			w, wl := seg.edges, segLayout
-			r, t, vc := distributedRounds(c, &w, &wl, opt, &mst, P)
-			res.VertexCounts = append(res.VertexCounts, vc...)
-			res.Rounds += r
-			res.EdgesTouched += t
-			c.PhaseBegin(PhaseBaseCase)
-			baseCase(c, w, wl, &mst, P, opt)
-			c.PhaseEnd()
-			res.BaseCalls++
+			solve(seg.edges, segLayout) // degenerate pivot: no split possible
 			continue
 		}
 		// Heavy first onto the stack so the light half is processed first.
@@ -355,21 +346,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 	}
 
 	c.PhaseBegin(PhaseBaseCase)
-	out := redistributeMST(c, mst, in, opt)
-	c.PhaseEnd()
-	res.MSTEdges = out
-	res.TotalWeight, res.NumEdges = globalWeight(c, out)
-	return res
-}
-
-// dedupedLayout prepares an unfiltered light segment: it is already a
-// sorted subsequence per PE; parallel copies may remain from its parent and
-// are reduced here when enabled.
-func dedupedLayout(c *comm.Comm, edges []graph.Edge, opt Options) []graph.Edge {
-	if opt.DedupParallel {
-		return dedupSorted(c, edges)
-	}
-	return edges
+	return res.finish(c, mst, in, opt)
 }
 
 // pivotSelect draws pivotSamples random edges per PE, gathers them, and
@@ -457,11 +434,10 @@ func closeUp(dst, src []graph.Edge, lo, n []int) int {
 // sends are the same sorted set either way.
 func filterSegment(c *comm.Comm, seg segment, P *distArray, opt Options) ([]graph.Edge, *graph.Layout) {
 	a := c.Scratch()
-	parts := [2][]graph.Edge{seg.edges, seg.carry}
 	m := len(seg.edges) + len(seg.carry)
 	dense := denseWindow(P.n, 2*m) && !forceSparseLabels
 	set := newLabelSet(a, kFilterVs, P.n, dense)
-	for _, part := range parts {
+	for _, part := range [2][]graph.Edge{seg.edges, seg.carry} {
 		for i := range part {
 			set.add(part[i].U)
 			set.add(part[i].V)
@@ -472,28 +448,10 @@ func filterSegment(c *comm.Comm, seg segment, P *distArray, opt Options) ([]grap
 	if dense {
 		ren.window(a, kFilterWin, labelSpan(ren.verts))
 	}
-	// One pass per pool block: relabel and pack the non-loops to the front
-	// of the block's share of out, then close the runs up.
 	out := arena.Grab[graph.Edge](a, kFilterOut, m)
-	lo, n, _ := blockRuns(a, c.Pool().Threads())
-	k := 0
-	for _, part := range parts {
-		dst := out[k:]
-		t := c.Pool().ForBlocks(len(part), func(w, blo, bhi int) {
-			o := blo
-			for i := blo; i < bhi; i++ {
-				u, _ := ren.get(part[i].U)
-				v, _ := ren.get(part[i].V)
-				if u != v {
-					dst[o] = part[i]
-					dst[o].U, dst[o].V = u, v
-					o++
-				}
-			}
-			lo[w], n[w] = blo, o-blo
-		})
-		k += closeUp(dst, dst, lo[:t], n)
-	}
+	tbl := relabelTable{lab: ren}
+	k := relabelPack(c, out, seg.edges, &tbl)
+	k += relabelPack(c, out[k:], seg.carry, &tbl)
 	c.ChargeCompute(m)
 	return redistribute(c, out[:k], opt)
 }

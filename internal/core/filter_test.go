@@ -155,13 +155,12 @@ func TestResolveChasesRandomForest(t *testing.T) {
 			w.Run(func(c *comm.Comm) {
 				opt := Options{}.withDefaults()
 				P := newDistArray(c, n)
-				var pairs []labelPair // recorded from wherever, routed to the owners
+				var tbl denseLabels // recorded from wherever, routed to the owners; roots are skipped
 				for v := 1 + c.Rank(); v <= n; v += p {
-					if parent[v] != graph.VID(v) {
-						pairs = append(pairs, labelPair{V: graph.VID(v), L: parent[v]})
-					}
+					tbl.verts = append(tbl.verts, graph.VID(v))
+					tbl.labels = append(tbl.labels, parent[v])
 				}
-				P.record(c, pairs, opt)
+				P.record(c, tbl, opt)
 				rr := rng.New(5).Split(uint64(c.Rank()))
 				for round := 0; round < 2; round++ {
 					var vs []graph.VID
@@ -259,7 +258,7 @@ func filterFixture(c *comm.Comm, edges []graph.Edge, opt Options) (P *distArray,
 	owned = slices.Clone(edges)
 	pivot, _ = pivotSelect(c, owned, opt)
 	light, hv := partitionAtPivot(c, owned, pivot)
-	light = dedupedLayout(c, light, opt)
+	light = dedupSorted(c, light) // every caller passes DefaultOptions: DedupParallel is on
 	l := graph.BuildLayout(c, light)
 	var mst []graph.Edge
 	distributedRounds(c, &light, &l, opt, &mst, P)

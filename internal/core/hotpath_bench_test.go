@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"kamsta/internal/arena"
 	"kamsta/internal/comm"
 	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
@@ -128,8 +129,9 @@ func TestDsortSteadyStateAllocsFloorObserved(t *testing.T) {
 // BenchmarkLocalPreprocess runs LOCALPREPROCESSING (§IV-A) on the family it
 // exists for: 2D-RGG on 4 PEs, 2^12 vertices and 2^16 directed edges per PE,
 // the paper's options. After the warm-up call localmst's working set and
-// Result live in the PE's arena; what still allocates per call is the label
-// table, the owned relabel output and the collectives.
+// Result live in the PE's arena and the label table and the relabelled edges
+// stay in them; what still allocates per call is the MST append, radix.Sort's
+// scratch and the collectives.
 func BenchmarkLocalPreprocess(b *testing.B) {
 	w := comm.NewWorld(4)
 	w.Run(func(c *comm.Comm) {
@@ -181,12 +183,13 @@ func BenchmarkRelabelFilter(b *testing.B) {
 		mins := minEdges(c, edges, l)
 		var mst []graph.Edge
 		labels := contractComponents(c, edges, l, mins, opt, &mst)
-		ghost := exchangeLabels(c, edges, l, labels, opt)
-		relabel(c, edges, l, labels, ghost, true, c.Scratch())
+		tbl := relabelTable{lab: labels, ghost: exchangeLabels(c, edges, l, labels, opt), strict: l}
+		out := arena.Grab[graph.Edge](c.Scratch(), kRelabelOut, len(edges))
+		relabelPack(c, out, edges, &tbl)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			relabel(c, edges, l, labels, ghost, true, c.Scratch())
+			relabelPack(c, out, edges, &tbl)
 		}
 	})
 }

@@ -114,5 +114,4 @@ const (
 	PhaseRedistribute = "redistribute"
 	PhaseBaseCase     = "basecase+redistributeMST"
 	PhaseFilter       = "partition+filter"
-	PhaseMisc         = "misc"
 )

@@ -54,13 +54,10 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	// edge set, so this is far below m·rounds).
 	c.ChargeCompute(res.Work)
 
-	// Strip identity labels — only contracted vertices need broadcasting.
-	// res.Verts is ascending, so the stripped table stays a valid dense
-	// rename table.
-	labels := denseLabels{
-		verts:  make([]graph.VID, 0, len(res.Verts)),
-		labels: make([]graph.VID, 0, len(res.Verts)),
-	}
+	// Strip identity labels in place — only contracted vertices need
+	// broadcasting. res.Verts is ascending, so the stripped table stays a
+	// valid dense rename table.
+	labels := denseLabels{verts: res.Verts[:0], labels: res.Roots[:0]}
 	for i, v := range res.Verts {
 		if lbl := res.Roots[i]; v != lbl {
 			labels.verts = append(labels.verts, v)
@@ -68,21 +65,19 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 		}
 	}
 	if rec != nil {
-		pairs := make([]labelPair, 0, labels.len())
-		for i, v := range labels.verts {
-			pairs = append(pairs, labelPair{V: v, L: labels.labels[i]})
-		}
-		rec.record(c, pairs, opt)
+		rec.record(c, labels, opt)
 	}
 
 	// Ghost updates: my surviving edges already carry my new source labels,
 	// but other PEs' edges pointing at my contracted vertices do not. Push
 	// labels along cut edges as in §IV-B; note the push must use the
 	// ORIGINAL edges (whose reverse copies still exist at the receivers).
-	// relabel gets a nil arena: its result lives beyond this call (it may
-	// become the rounds' working edge set), so it must own its memory.
-	ghost := exchangeLabels(c, edges, l, labels, opt)
-	work := relabel(c, res.Remaining, l, denseLabels{}, ghost, false, nil)
+	// res.Remaining is relabelled in place: it is localmst's slot, which
+	// nothing grabs again before the next job's localmst.Run, so it can be
+	// (and often is) the rounds' working edge set.
+	tbl := relabelTable{ghost: exchangeLabels(c, edges, l, labels, opt)}
+	work := res.Remaining[:relabelPack(c, res.Remaining, res.Remaining, &tbl)]
+	c.ChargeCompute(len(res.Remaining))
 
 	// Re-establish the sorted distributed sequence: a local (U, V)-keyed
 	// radix pass first.

@@ -9,7 +9,6 @@ import (
 	"kamsta/internal/comm"
 	"kamsta/internal/dsort"
 	"kamsta/internal/graph"
-	"kamsta/internal/par"
 )
 
 // Arena keys of the per-round dense tables and send buckets. One set of
@@ -29,9 +28,7 @@ var (
 	kGhost      = arena.NewKey() // []graph.VID: ghost vertices, ascending
 	kGhostLbl   = arena.NewKey() // []graph.VID: their labels
 	kGhostWin   = arena.NewKey() // []graph.VID: the ghost table's direct window
-	kRelabelTmp = arena.NewKey() // []graph.Edge: relabel map stage
-	kRelabelOut = arena.NewKey() // []graph.Edge: relabel filter stage
-	kRecPairs   = arena.NewKey() // []labelPair: contraction records for P
+	kRelabelOut = arena.NewKey() // []graph.Edge: the rounds' relabelled edges
 	kRecSend    = arena.NewKey() // [][]labelPair buckets (distArray.record)
 	kDirect     = arena.NewKey() // []graph.VID: the round labels' direct window
 )
@@ -103,7 +100,7 @@ type labelPair struct {
 // When the vertex IDs span a window not much larger than their count — the
 // §II-B consecutive-ID guarantee makes this the common case in early
 // rounds — direct holds the labels themselves, window-indexed, for an O(1)
-// answer; otherwise lookups binary-search (or gallop over) verts.
+// answer; otherwise lookups binary-search verts.
 type denseLabels struct {
 	verts  []graph.VID
 	labels []graph.VID
@@ -149,7 +146,7 @@ func (d *denseLabels) window(a *arena.Arena, k arena.Key, span int) {
 }
 
 // get returns the label of v, if v is in the table.
-func (d denseLabels) get(v graph.VID) (graph.VID, bool) {
+func (d *denseLabels) get(v graph.VID) (graph.VID, bool) {
 	if d.direct != nil {
 		if i := v - d.base; i < graph.VID(len(d.direct)) { // v < base wraps past it
 			lbl := d.direct[i]
@@ -163,7 +160,7 @@ func (d denseLabels) get(v graph.VID) (graph.VID, bool) {
 	return 0, false
 }
 
-func (d denseLabels) len() int { return len(d.verts) }
+func (d *denseLabels) len() int { return len(d.verts) }
 
 // lookupVID returns the index of v in the ascending verts, or -1.
 func lookupVID(verts []graph.VID, v graph.VID) int {
@@ -171,32 +168,6 @@ func lookupVID(verts []graph.VID, v graph.VID) int {
 		return i
 	}
 	return -1
-}
-
-// gallopSearch returns the position of the first element ≥ v in xs[from:]
-// (as an absolute index) and whether it equals v, probing exponentially from
-// `from`. For an ascending query sequence with a moving base this makes a
-// scan of k lookups over an n-table cost O(k·log(n/k)) instead of
-// O(k·log n) — the lookup pattern of relabeling a sorted edge range.
-func gallopSearch(xs []graph.VID, v graph.VID, from int) (pos int, ok bool) {
-	n := len(xs)
-	if from >= n {
-		return n, false
-	}
-	if xs[from] >= v {
-		return from, xs[from] == v
-	}
-	lo, step := from, 1
-	for lo+step < n && xs[lo+step] < v {
-		lo += step
-		step <<= 1
-	}
-	hi := lo + step + 1
-	if hi > n {
-		hi = n
-	}
-	i, found := slices.BinarySearch(xs[lo+1:hi], v)
-	return lo + 1 + i, found
 }
 
 // contractComponents converts the pseudo-trees induced by the minimum edges
@@ -465,91 +436,58 @@ func exchangeLabels(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	return ghost
 }
 
-// relabel implements RELABEL (§IV-C): rewrite endpoints to component roots
-// and drop self-loops. edges must be sorted lexicographically (every caller
-// passes a redistribute/preprocess output, which is) — the scan exploits
-// that order. In strict mode (the distributed rounds, where every
-// non-shared vertex has a label) an unknown non-shared endpoint is a
-// protocol bug and panics loudly; lenient mode (preprocessing, where only
-// contracted vertices have labels) keeps unknown labels unchanged.
-//
-// With a non-nil arena the two stages run in recycled scratch and the
-// returned slice is arena-backed: valid until the NEXT relabel on the same
-// PE, which is fine for the rounds (the result is consumed by redistribute
-// within the round). Callers that keep the result across rounds — local
-// preprocessing — pass a nil arena and get owned memory.
-func relabel(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
-	lab, ghost denseLabels, strict bool, a *arena.Arena) []graph.Edge {
-
-	pool := c.Pool()
-	// Each block walks its edges exploiting the sorted order: the source
-	// label is resolved once per run of equal U, and the ascending V values
-	// within a run gallop through the label table with a moving lower bound
-	// instead of restarting a full binary search per edge. A run split
-	// across block boundaries just re-resolves its source — harmless.
-	var tmp []graph.Edge
-	if a != nil {
-		tmp = arena.Grab[graph.Edge](a, kRelabelTmp, len(edges))
-	} else {
-		tmp = make([]graph.Edge, len(edges))
-	}
-	pool.For(len(edges), func(lo, hi int) {
-		i := lo
-		for i < hi {
-			u := edges[i].U
-			nu, ok := lab.get(u)
-			if !ok {
-				nu = resolveNonLocal(c, l, ghost, u, strict, lab, len(edges))
-			}
-			vbase := 0
-			for ; i < hi && edges[i].U == u; i++ {
-				e := edges[i]
-				var nv graph.VID
-				if lab.direct != nil {
-					if lbl, ok := lab.get(e.V); ok {
-						nv = lbl
-					} else {
-						nv = resolveNonLocal(c, l, ghost, e.V, strict, lab, len(edges))
-					}
-				} else if pos, ok := gallopSearch(lab.verts, e.V, vbase); ok {
-					vbase = pos
-					nv = lab.labels[pos]
-				} else {
-					vbase = pos
-					nv = resolveNonLocal(c, l, ghost, e.V, strict, lab, len(edges))
-				}
-				if nu != e.U || nv != e.V {
-					e.U, e.V = nu, nv
-				}
-				tmp[i] = e
-			}
-		}
-	})
-	keep := func(e graph.Edge) bool { return e.U != e.V }
-	var out []graph.Edge
-	if a != nil {
-		out = par.FilterInto(pool, arena.Grab[graph.Edge](a, kRelabelOut, len(edges)), tmp, keep)
-	} else {
-		out = par.Filter(pool, tmp, keep)
-	}
-	c.ChargeCompute(len(edges))
-	return out
+// relabelTable is what RELABEL renames an endpoint through: this PE's own
+// table, then the ghost table, and a vertex in neither keeps its label — it
+// is shared and a root this round, or (preprocessing) was not contracted.
+// With strict set (the distributed rounds, where every non-shared vertex has
+// a label) an unknown non-shared endpoint is a protocol bug and panics.
+type relabelTable struct {
+	lab, ghost denseLabels
+	strict     *graph.Layout
 }
 
-// resolveNonLocal handles the slow path of relabel's resolution: a vertex
-// without a local label is a ghost, or shared and keeps its label this round
-// (or, in strict mode, a protocol bug).
-func resolveNonLocal(c *comm.Comm, l *graph.Layout, ghost denseLabels,
-	v graph.VID, strict bool, lab denseLabels, m int) graph.VID {
-	if lbl, ok := ghost.get(v); ok {
+// resolve returns the new label of v; m is the caller's edge count, for the
+// panic message only.
+func (t *relabelTable) resolve(c *comm.Comm, v graph.VID, m int) graph.VID {
+	if lbl, ok := t.lab.get(v); ok {
 		return lbl
 	}
-	if strict && !l.IsShared(v) {
+	if lbl, ok := t.ghost.get(v); ok {
+		return lbl
+	}
+	if l := t.strict; l != nil && !l.IsShared(v) {
 		first, last := l.SharedSpan(v)
 		panic(fmt.Sprintf("core: relabel: rank %d: no label for non-shared vertex %d (span %d..%d, home %d, labels=%d ghost=%d, localEdges=%d)",
-			c.Rank(), v, first, last, l.HomePE(v), lab.len(), ghost.len(), m))
+			c.Rank(), v, first, last, l.HomePE(v), t.lab.len(), t.ghost.len(), m))
 	}
 	return v
+}
+
+// relabelPack implements RELABEL (§IV-C) and FILTER's rename (§V), the one
+// loop of either in the program: rewrite the endpoints of src through t, drop
+// the self-loops and pack the rest, in order, to the front of dst, whose
+// length must be at least src's; it returns their number. One pass per pool
+// block packs to the front of the block's share of dst, then the runs are
+// closed up. dst may be src: writes trail reads.
+func relabelPack(c *comm.Comm, dst, src []graph.Edge, t *relabelTable) int {
+	lo, n, _ := blockRuns(c.Scratch(), c.Pool().Threads())
+	blocks := c.Pool().ForBlocks(len(src), func(w, blo, bhi int) {
+		o := blo
+		var u, nu graph.VID // the last source resolved (0 is no vertex): sorted runs repeat it
+		for i := blo; i < bhi; i++ {
+			e := src[i]
+			if e.U != u {
+				u, nu = e.U, t.resolve(c, e.U, len(src))
+			}
+			e.U, e.V = nu, t.resolve(c, e.V, len(src))
+			if e.U != e.V {
+				dst[o] = e
+				o++
+			}
+		}
+		lo[w], n[w] = blo, o-blo
+	})
+	return closeUp(dst, dst, lo[:blocks], n)
 }
 
 // redistribute implements REDISTRIBUTE (§IV-C): sort the relabeled edges

@@ -8,7 +8,8 @@ import (
 )
 
 // TestDesignQuotesSorterConstants compares the two constants of DESIGN.md
-// §8.4's algorithm rule with the code.
+// §8.4's algorithm rule, and their second quote in §4's tuning bullet, with
+// the code.
 func TestDesignQuotesSorterConstants(t *testing.T) {
 	raw, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -20,6 +21,8 @@ func TestDesignQuotesSorterConstants(t *testing.T) {
 	}{
 		{"hypercubeBelow", "fewer than (\\d+) elements per PE on average\\s+\\(`hypercubeBelow`", hypercubeBelow},
 		{"splitterSamples", "drawing (\\d+)\\s+splitter samples per PE \\(`splitterSamples`\\)", splitterSamples},
+		{"hypercubeBelow (§4)", "the (\\d+)-element\\s+sorter switch and \\d+ splitter samples per PE \\(`dsort\\.hypercubeBelow`", hypercubeBelow},
+		{"splitterSamples (§4)", "sorter switch and (\\d+) splitter samples per PE \\(`dsort\\.hypercubeBelow`,\\s+`dsort\\.splitterSamples`\\)", splitterSamples},
 	} {
 		m := regexp.MustCompile(c.pattern).FindSubmatch(raw)
 		if m == nil {

@@ -111,16 +111,12 @@ func readAtFull(r io.ReaderAt, buf []byte, off int64) error {
 func loadKamsta(c *comm.Comm, path string) ([]graph.Edge, error) {
 	var out []graph.Edge
 	err := func() error {
-		f, err := os.Open(path)
+		f, size, err := openSized(path)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		st, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		h, err := readKamstaHeader(f, st.Size())
+		h, err := readKamstaHeader(f, size)
 		if err != nil {
 			return err
 		}
@@ -140,27 +136,67 @@ func loadKamsta(c *comm.Comm, path string) ([]graph.Edge, error) {
 	return out, nil
 }
 
+// openSized opens path for reading and reports its size.
+func openSized(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, st.Size(), nil
+}
+
+// readMyLines is the text formats' one range driver: this PE's share of the
+// file bytes [from, size), as whole lines (readLineRange), with the absolute
+// offset of the first. The error is the caller's to agree on collectively.
+func readMyLines(c *comm.Comm, f *os.File, from, size int64) ([]byte, int64, error) {
+	lo, hi := byteRange(c.Rank(), c.P(), uint64(size-from))
+	// Chaos-testing hook, as in loadKamsta.
+	if err := c.FaultPoint(faultinject.SiteGraphRead); err != nil {
+		return nil, 0, err
+	}
+	return readLineRange(f, size, from+int64(lo), from+int64(hi), tracer(c.Rank()))
+}
+
+// finishText ends a text load: agree on the parse error, detect a 0-based
+// file with one global reduction over the labels, and build the directed
+// edges with shiftU and shiftV added to its endpoints if it is (1 for the
+// labels a file spells out, 0 for METIS's line-number sources, which are
+// 1-based whatever the neighbour lists are). Collective.
+func finishText(c *comm.Comm, raws []rawEdge, perr error, shiftU, shiftV, seed uint64) ([]graph.Edge, error) {
+	if err := shareErr(c, perr); err != nil {
+		return nil, err
+	}
+	minLabel := uint64(math.MaxUint64)
+	for _, r := range raws {
+		minLabel = min(minLabel, r.U, r.V)
+	}
+	if comm.Allreduce(c, minLabel, func(a, b uint64) uint64 { return min(a, b) }) != 0 {
+		shiftU, shiftV = 0, 0 // 1-based already
+	}
+	out, err := buildEdges(raws, shiftU, shiftV, seed)
+	if err := shareErr(c, err); err != nil {
+		return nil, err
+	}
+	c.ChargeCompute(len(out))
+	return out, nil
+}
+
 // loadText reads this PE's line-aligned byte range of an edge-list or
-// DIMACS .gr file, then normalizes labels (0-based files shift to 1-based)
-// with one global reduction.
+// DIMACS .gr file and normalizes its labels.
 func loadText(c *comm.Comm, path string, gr bool, seed uint64) ([]graph.Edge, error) {
 	var raws []rawEdge
-	minLabel := uint64(math.MaxUint64)
 	err := func() error {
-		f, err := os.Open(path)
+		f, size, err := openSized(path)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		st, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		lo, hi := byteRange(c.Rank(), c.P(), uint64(st.Size()))
-		if err := c.FaultPoint(faultinject.SiteGraphRead); err != nil {
-			return err
-		}
-		data, dataOff, err := readLineRange(f, st.Size(), int64(lo), int64(hi), tracer(c.Rank()))
+		data, dataOff, err := readMyLines(c, f, 0, size)
 		if err != nil {
 			return err
 		}
@@ -169,28 +205,9 @@ func loadText(c *comm.Comm, path string, gr bool, seed uint64) ([]graph.Edge, er
 		} else {
 			raws, err = parseEdgeListData(data, dataOff)
 		}
-		if err != nil {
-			return err
-		}
-		for _, r := range raws {
-			minLabel = min(minLabel, r.U, r.V)
-		}
-		return nil
+		return err
 	}()
-	if err := shareErr(c, err); err != nil {
-		return nil, err
-	}
-	gmin := comm.Allreduce(c, minLabel, func(a, b uint64) uint64 { return min(a, b) })
-	shift := uint64(0)
-	if gmin == 0 {
-		shift = 1 // 0-based input: shift every label up
-	}
-	out, err := buildEdges(raws, shift, shift, seed)
-	if err := shareErr(c, err); err != nil {
-		return nil, err
-	}
-	c.ChargeCompute(len(out))
-	return out, nil
+	return finishText(c, raws, err, 1, 1, seed)
 }
 
 // loadMetis reads this PE's line-aligned byte range of the adjacency
@@ -208,34 +225,16 @@ func loadMetis(c *comm.Comm, path string, seed uint64) ([]graph.Edge, error) {
 		Size   int64
 	}
 	var s1 stage1
-	var f *os.File
-	err := func() error {
-		var err error
-		f, err = os.Open(path)
-		if err != nil {
-			return err
-		}
-		st, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		s1.Size = st.Size()
-		if c.Rank() != 0 {
-			return nil
-		}
-		hdrLine, end, err := metisHeaderLine(f, st.Size())
-		if err != nil {
-			return err
-		}
-		s1.Hdr, err = parseMetisHeader(hdrLine)
-		if err != nil {
-			return err
-		}
-		s1.HdrEnd = end
-		return nil
-	}()
-	if f != nil {
+	f, size, err := openSized(path)
+	if err == nil {
 		defer f.Close()
+		s1.Size = size
+		if c.Rank() == 0 {
+			var hdrLine string
+			if hdrLine, s1.HdrEnd, err = metisHeaderLine(f, size); err == nil {
+				s1.Hdr, err = parseMetisHeader(hdrLine)
+			}
+		}
 	}
 	if err != nil {
 		s1.Err = err.Error()
@@ -256,14 +255,7 @@ func loadMetis(c *comm.Comm, path string, seed uint64) ([]graph.Edge, error) {
 		Lines, TailBlanks int
 	}
 	var s2 stage2
-	var data []byte
-	region := uint64(size - hdrEnd)
-	lo, hi := byteRange(c.Rank(), c.P(), region)
-	if ierr := c.FaultPoint(faultinject.SiteGraphRead); ierr != nil {
-		err = ierr
-	} else {
-		data, _, err = readLineRange(f, size, hdrEnd+int64(lo), hdrEnd+int64(hi), tracer(c.Rank()))
-	}
+	data, _, err := readMyLines(c, f, hdrEnd, size)
 	if err != nil {
 		s2.Err = err.Error()
 	} else {
@@ -298,24 +290,7 @@ func loadMetis(c *comm.Comm, path string, seed uint64) ([]graph.Edge, error) {
 	// (0-based neighbor lists shift to 1-based; vertex ids from line
 	// numbers are already 1-based).
 	raws, err := parseMetisData(data, hdr, firstVertex)
-	minNb := uint64(math.MaxUint64)
-	for _, r := range raws {
-		minNb = min(minNb, r.V)
-	}
-	if err := shareErr(c, err); err != nil {
-		return nil, err
-	}
-	gmin := comm.Allreduce(c, minNb, func(a, b uint64) uint64 { return min(a, b) })
-	shift := uint64(0)
-	if gmin == 0 {
-		shift = 1
-	}
-	out, err := buildEdges(raws, 0, shift, seed)
-	if err := shareErr(c, err); err != nil {
-		return nil, err
-	}
-	c.ChargeCompute(len(out))
-	return out, nil
+	return finishText(c, raws, err, 0, 1, seed)
 }
 
 // metisHeaderLine scans from the start of the file for the first
@@ -324,36 +299,28 @@ func loadMetis(c *comm.Comm, path string, seed uint64) ([]graph.Edge, error) {
 func metisHeaderLine(r io.ReaderAt, size int64) (string, int64, error) {
 	const block = 64 << 10
 	var buf []byte
-	pos := int64(0)
+	pos := int64(0) // file offset of buf[0]
 	for {
-		for {
-			if i := bytes.IndexByte(buf, '\n'); i >= 0 {
-				line := string(buf[:i])
-				buf = buf[i+1:]
-				pos += int64(i) + 1
-				if s := bytes.TrimSpace([]byte(line)); len(s) == 0 || s[0] == '%' {
-					continue
-				}
-				return line, pos, nil
+		i := bytes.IndexByte(buf, '\n')
+		if end := pos + int64(len(buf)); i < 0 && end < size {
+			ext := make([]byte, min(block, size-end))
+			if err := readAtFull(r, ext, end); err != nil {
+				return "", 0, err
 			}
-			break
+			buf = append(buf, ext...)
+			continue
 		}
-		if pos+int64(len(buf)) >= size {
-			// Last line without newline terminator.
-			if s := bytes.TrimSpace(buf); len(s) > 0 && s[0] != '%' {
-				return string(buf), size, nil
-			}
+		line, next := buf, size // the last line, without a terminator
+		if i >= 0 {
+			line, next = buf[:i], pos+int64(i)+1
+		}
+		if s := bytes.TrimSpace(line); len(s) > 0 && s[0] != '%' {
+			return string(line), next, nil
+		}
+		if i < 0 {
 			return "", 0, fmt.Errorf("metis file has no header line")
 		}
-		n := int64(block)
-		if rem := size - pos - int64(len(buf)); n > rem {
-			n = rem
-		}
-		ext := make([]byte, n)
-		if err := readAtFull(r, ext, pos+int64(len(buf))); err != nil {
-			return "", 0, err
-		}
-		buf = append(buf, ext...)
+		buf, pos = buf[i+1:], next
 	}
 }
 

@@ -155,11 +155,10 @@ func parseGrData(data []byte, base int64) ([]rawEdge, error) {
 			if len(fields) < 4 {
 				return fmt.Errorf("gr line at byte %d: malformed problem line %q", off, s)
 			}
-			if _, err := parseLabel(fields[2]); err != nil {
-				return fmt.Errorf("gr line at byte %d: %v", off, err)
-			}
-			if _, err := parseLabel(fields[3]); err != nil {
-				return fmt.Errorf("gr line at byte %d: %v", off, err)
+			for _, f := range fields[2:4] {
+				if _, err := parseLabel(f); err != nil {
+					return fmt.Errorf("gr line at byte %d: %v", off, err)
+				}
 			}
 		case 'a', 'e':
 			fields := bytes.Fields(s)
@@ -282,29 +281,23 @@ func parseMetisData(data []byte, h metisHeader, firstVertex uint64) ([]rawEdge, 
 				u, len(fields), skip)
 		}
 		fields = fields[skip:]
+		step := 1 // fields per neighbor
 		if h.HasEdgeWeights {
+			step = 2
 			if len(fields)%2 != 0 {
 				return nil, fmt.Errorf("metis vertex %d: odd neighbor/weight list", u)
 			}
-			for j := 0; j < len(fields); j += 2 {
-				nb, err := parseLabel(fields[j])
-				if err != nil {
-					return nil, fmt.Errorf("metis vertex %d: %v", u, err)
-				}
-				w, err := parseWeight(fields[j+1])
-				if err != nil {
-					return nil, fmt.Errorf("metis vertex %d: %v", u, err)
-				}
-				out = append(out, rawEdge{U: u, V: nb, W: w, HasW: true})
+		}
+		for j := 0; j < len(fields); j += step {
+			e := rawEdge{U: u, HasW: h.HasEdgeWeights}
+			var err error
+			if e.V, err = parseLabel(fields[j]); err == nil && e.HasW {
+				e.W, err = parseWeight(fields[j+1])
 			}
-		} else {
-			for _, f := range fields {
-				nb, err := parseLabel(f)
-				if err != nil {
-					return nil, fmt.Errorf("metis vertex %d: %v", u, err)
-				}
-				out = append(out, rawEdge{U: u, V: nb})
+			if err != nil {
+				return nil, fmt.Errorf("metis vertex %d: %v", u, err)
 			}
+			out = append(out, e)
 		}
 		u++
 	}
@@ -370,11 +363,6 @@ func writeRecords(w io.Writer, prefix string, edges []graph.Edge) error {
 		}
 	}
 	return nil
-}
-
-// writeEdgeList writes the canonical undirected edges as "u v w" lines.
-func writeEdgeList(w io.Writer, edges []graph.Edge) error {
-	return writeRecords(w, "", edges)
 }
 
 // writeGr writes the 9th-DIMACS format: each undirected edge once as an

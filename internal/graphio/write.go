@@ -19,7 +19,7 @@ func Write(w io.Writer, f Format, edges []graph.Edge) error {
 	case FormatKamsta:
 		return writeKamsta(w, edges)
 	case FormatEdgeList:
-		return writeEdgeList(w, edges)
+		return writeRecords(w, "", edges) // "u v w" lines
 	case FormatGr:
 		return writeGr(w, edges)
 	case FormatMetis:

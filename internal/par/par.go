@@ -146,13 +146,6 @@ func PrefixSum(p *Pool, xs, out []int) int {
 // exactly their number, preserving order. It runs in two passes (count, then
 // pack) at every width, so nothing is grown and re-copied.
 func Filter[T any](p *Pool, xs []T, keep func(T) bool) []T {
-	return filterTwoPass(p, xs, keep, func(total int) []T { return make([]T, total) })
-}
-
-// filterTwoPass is the shared parallel count-then-pack body of Filter and
-// FilterInto; alloc provides the destination once the surviving count is
-// known.
-func filterTwoPass[T any](p *Pool, xs []T, keep func(T) bool, alloc func(total int) []T) []T {
 	n := len(xs)
 	offsets := make([]int, p.width(n))
 	p.ForBlocks(n, func(w, lo, hi int) {
@@ -168,7 +161,7 @@ func filterTwoPass[T any](p *Pool, xs []T, keep func(T) bool, alloc func(total i
 	for w := range offsets {
 		offsets[w], total = total, total+offsets[w]
 	}
-	out := alloc(total)
+	out := make([]T, total)
 	p.ForBlocks(n, func(w, lo, hi int) {
 		o := offsets[w]
 		for i := lo; i < hi; i++ {
@@ -179,22 +172,6 @@ func filterTwoPass[T any](p *Pool, xs []T, keep func(T) bool, alloc func(total i
 		}
 	})
 	return out
-}
-
-// FilterInto is Filter packing into dst, which must have capacity at least
-// len(xs) and must not alias xs; it returns the packed prefix of dst,
-// preserving order.
-func FilterInto[T any](p *Pool, dst []T, xs []T, keep func(T) bool) []T {
-	if p.width(len(xs)) == 1 {
-		out := dst[:0]
-		for _, v := range xs {
-			if keep(v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	return filterTwoPass(p, xs, keep, func(total int) []T { return dst[:total] })
 }
 
 // None marks an empty MinIndex slot.

@@ -172,10 +172,10 @@ func TestThreadsSpeedUpModeledTime(t *testing.T) {
 
 // TestThreadsDoNotChangeTheForest is the north star's "bit-identical across
 // thread counts" for everything but the clock: 8000 directed edges per PE
-// are far above par's 2·512 cut-off, so on 2 and 8 threads For, FilterInto
-// and FILTER's ForBlocks pack loops really fan out on the pool the world
-// built, and the forest, the algorithm structure and the traffic must not
-// notice.
+// are far above par's 2·512 cut-off, so on 2 and 8 threads For and the two
+// ForBlocks pack loops (RELABEL's, the partition's) really fan out on the
+// pool the world built, and the forest, the algorithm structure and the
+// traffic must not notice.
 func TestThreadsDoNotChangeTheForest(t *testing.T) {
 	for _, spec := range []GraphSpec{
 		{Family: RGG2D, N: 4000, M: 16000, Seed: 5},
