@@ -68,35 +68,49 @@ func Exchange[T any](c *comm.Comm, s Strategy, send [][]T) [][]T {
 	if len(send) != c.P() {
 		panic(fmt.Sprintf("alltoall: %d buckets on a %d-PE world", len(send), c.P()))
 	}
-	switch s {
-	case Direct:
-		return comm.Alltoall(c, send)
-	case Grid:
-		return gridExchange(c, send)
-	case Auto:
-		return autoExchange(c, send)
-	default:
-		panic("alltoall: unknown strategy " + s.String())
-	}
-}
-
-// autoExchange makes a global decision between Direct and Grid based on the
-// average number of payload bytes per (ordered) PE pair, mirroring §VI-A.
-func autoExchange[T any](c *comm.Comm, send [][]T) [][]T {
-	elem := elemSize[T]()
-	local := 0
-	for j, b := range send {
-		if j != c.Rank() {
-			local += len(b) * elem
-		}
-	}
-	total := comm.Allreduce(c, local, func(a, b int) int { return a + b })
-	p := c.P()
-	pairs := p * (p - 1)
-	if pairs == 0 || total/pairs >= DefaultGridThreshold {
+	if direct[T](c, s, func(j int) int { return len(send[j]) }) {
 		return comm.Alltoall(c, send)
 	}
 	return gridExchange(c, send)
+}
+
+// ExchangeFlat is Exchange for buckets that already lie back to back: bucket
+// j is data[off[j]:off[j+1]]. The direct route deposits data and off as they
+// are (comm.AlltoallFlat) and the grid's hops reference data as they always
+// did, so on either route the caller must leave data and off alone, and may
+// only read what it received, until its next collective has returned.
+func ExchangeFlat[T any](c *comm.Comm, s Strategy, data []T, off []int32) [][]T {
+	if direct[T](c, s, func(j int) int { return int(off[j+1] - off[j]) }) {
+		return comm.AlltoallFlat(c, data, off)
+	}
+	send := make([][]T, c.P())
+	for j := range send {
+		send[j] = data[off[j]:off[j+1]]
+	}
+	return gridExchange(c, send)
+}
+
+// direct reports whether strategy s delivers buckets of the given element
+// counts in one hop. Auto makes that a global decision from the average
+// number of payload bytes per (ordered) PE pair, mirroring §VI-A.
+func direct[T any](c *comm.Comm, s Strategy, count func(j int) int) bool {
+	switch s {
+	case Direct:
+		return true
+	case Grid:
+		return false
+	case Auto:
+		p, local := c.P(), 0
+		for j := 0; j < p; j++ {
+			if j != c.Rank() {
+				local += count(j) * elemSize[T]()
+			}
+		}
+		total := comm.Allreduce(c, local, func(a, b int) int { return a + b })
+		pairs := p * (p - 1)
+		return pairs == 0 || total/pairs >= DefaultGridThreshold
+	}
+	panic("alltoall: unknown strategy " + s.String())
 }
 
 // gridGeom captures the logical grid of §VI-A: c = ⌊√p⌋ columns and

@@ -19,9 +19,10 @@
 // in an all-to-all is staged (copied into the wire frame) at deposit time,
 // so reusing its slot after the collective returns is safe. A slot whose
 // memory is referenced by a routed payload (e.g. the Items of an in-flight
-// hop in an indirect exchange) must not be re-grabbed until the PE has
-// passed one further collective — every algorithm in internal/core reuses a
-// slot no earlier than the next round, several supersteps later.
+// hop in an indirect exchange) or deposited as it lies (comm.AlltoallFlat:
+// the sorter's exchange frame) must not be written or re-grabbed until the
+// PE has passed one further collective — every algorithm in internal/core
+// reuses a slot no earlier than the next round, several supersteps later.
 package arena
 
 import (

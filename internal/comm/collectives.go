@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"kamsta/internal/sizeof"
 )
@@ -38,9 +39,10 @@ import (
 // the combine runs. The one remaining sharing contract: a deposited VALUE
 // type containing references (e.g. a struct with a slice field, as in
 // GroupAllreduce of a sample set) exposes the referenced memory to other
-// PEs until the depositor's next collective; such referenced data must not
-// be mutated in between. All in-tree callers deposit freshly built values
-// and comply.
+// PEs until the depositor's next collective has returned; such referenced
+// data must not be mutated in between. AlltoallFlat deposits its caller's
+// buffer under exactly that contract (the sorter's exchange frame); every
+// other in-tree caller deposits freshly built values.
 
 // Barrier synchronizes all PEs (and their modeled clocks).
 func Barrier(c *Comm) {
@@ -233,15 +235,13 @@ func AllgatherConcatInto[T any](c *Comm, dst []T, xs []T) []T {
 }
 
 // a2aFrame is one PE's personalized all-to-all deposit: all p outgoing
-// buckets staged back to back in one flat buffer, with Off[j]..Off[j+1]
-// delimiting the per-pair slot for PE j. The frame struct and its offset
-// array are reusable per-parity staging (deposited as a pointer, so
-// publishing never boxes); the flat data buffer is fresh per call because
-// the receivers ADOPT their slots — the sender never touches it after the
-// barrier, so ownership transfers, and the one allocation serves as both
-// wire and result. Each reader slices out exactly its own range instead of
-// unboxing and scanning a full [][]T board deposit. The fields are exported
-// only so the enc walker can carry the frame across a process boundary.
+// buckets back to back in one flat buffer, with Off[j]..Off[j+1] delimiting
+// the slot for PE j. Each reader slices out exactly its own range instead of
+// unboxing and scanning a full [][]T board deposit. It is deposited as a
+// pointer, so publishing never boxes; who owns Data afterwards depends on
+// the entry point (staged: RawAlltoall, borrowed: AlltoallFlat). The fields
+// are exported only so the enc walker can carry the frame across a process
+// boundary.
 type a2aFrame[T any] struct {
 	Data []T
 	Off  []int32
@@ -254,20 +254,31 @@ type a2aFrame[T any] struct {
 // Received slices are owned by the caller, and the send buckets may be
 // mutated as soon as the call returns.
 func Alltoall[T any](c *Comm, sendTo [][]T) [][]T {
-	recv := RawAlltoall(c, sendTo)
-	elem := sizeof.Of[T]()
+	return chargeDirect(c, RawAlltoall(c, sendTo), func(i int) int { return len(sendTo[i]) })
+}
+
+// AlltoallFlat is Alltoall for buckets that already lie back to back: bucket
+// i is data[off[i]:off[i+1]]. Nothing is staged — data and off ARE the
+// deposited frame, BORROWED until the caller's next collective has returned:
+// until then the caller must not write either (as for any deposited
+// reference), and the received slices alias the senders' buffers, so they
+// are read-only and valid only that long.
+func AlltoallFlat[T any](c *Comm, data []T, off []int32) [][]T {
+	recv := rawAlltoallFlat(c, &a2aFrame[T]{Data: data, Off: off})
+	return chargeDirect(c, recv, func(i int) int { return int(off[i+1] - off[i]) })
+}
+
+// chargeDirect charges the direct exchange that produced recv, given the
+// element count sent to each PE.
+func chargeDirect[T any](c *Comm, recv [][]T, sentTo func(i int) int) [][]T {
 	sent, got := 0, 0
-	for i := range sendTo {
-		if i != c.rank {
-			sent += len(sendTo[i])
-		}
-	}
 	for i := range recv {
 		if i != c.rank {
+			sent += sentTo(i)
 			got += len(recv[i])
 		}
 	}
-	c.ChargeComm(c.P()-1, elem*max(sent, got))
+	c.ChargeComm(c.P()-1, sizeof.Of[T]()*max(sent, got))
 	c.stats.Collectives++
 	return recv
 }
@@ -275,7 +286,10 @@ func Alltoall[T any](c *Comm, sendTo [][]T) [][]T {
 // RawAlltoall moves buckets like Alltoall but charges no modeled cost.
 // It exists so routing strategies (internal/alltoall) can move data in
 // several physical rounds while self-accounting the cost of each round with
-// ChargeComm. Everything else should use Alltoall.
+// ChargeComm. Everything else should use Alltoall. The buckets are staged
+// into a fresh flat buffer the receivers ADOPT — the sender never touches it
+// again, so the one allocation serves as both wire and result; the frame
+// struct and its offset table are reusable per-parity staging.
 func RawAlltoall[T any](c *Comm, sendTo [][]T) [][]T {
 	p := c.P()
 	if len(sendTo) != p {
@@ -290,13 +304,26 @@ func RawAlltoall[T any](c *Comm, sendTo [][]T) [][]T {
 	for i := range sendTo {
 		total += len(sendTo[i])
 	}
-	data := make([]T, 0, total)
+	fr.Data = make([]T, 0, total)
 	for i, b := range sendTo {
-		fr.Off[i] = int32(len(data))
-		data = append(data, b...)
+		fr.Off[i] = int32(len(fr.Data)) // a wrap is caught by the kernel's length check
+		fr.Data = append(fr.Data, b...)
 	}
-	fr.Off[p] = int32(len(data))
-	fr.Data = data
+	fr.Off[p] = int32(len(fr.Data))
+	return rawAlltoallFlat(c, fr)
+}
+
+// rawAlltoallFlat is the one exchange body: it deposits fr and slices every
+// PE's frame at this rank's offsets, after refusing a frame its int32
+// offsets cannot describe (receivers would otherwise get wrong bounds).
+func rawAlltoallFlat[T any](c *Comm, fr *a2aFrame[T]) [][]T {
+	p, n := c.P(), len(fr.Data)
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("comm: Alltoall frame of %d elements overflows its int32 offsets", n))
+	}
+	if len(fr.Off) != p+1 || fr.Off[0] < 0 || int(fr.Off[p]) > n || !slices.IsSorted(fr.Off) {
+		panic(fmt.Sprintf("comm: Alltoall offsets %v: want %d non-decreasing ones within a frame of %d elements", fr.Off, p+1, n))
+	}
 	recv := make([][]T, p)
 	c.exchange(mkTag(opAlltoall, 0), fr, wireCodec[*a2aFrame[T]](c), nil, func(_ any, boards []deposit) {
 		r := c.rank

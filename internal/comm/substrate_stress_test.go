@@ -1,6 +1,10 @@
 package comm
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -183,4 +187,71 @@ func TestManyCollectivesHighChurn(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBorrowedFrameStillUntilNextCollective is AlltoallFlat's ownership rule
+// as a test: the sender's buffer IS the frame, the receivers read it in
+// place, and the sender may write it again only once its next collective
+// has returned. Every rank deposits a flat buffer, checks what it received,
+// passes a Barrier and then poisons its buffer; no receiver may ever see
+// poison (and, under -race, no read may race with the poisoning), with one
+// and with two OS threads under the PEs.
+func TestBorrowedFrameStillUntilNextCollective(t *testing.T) {
+	const p, per, poison = 8, 5, -1
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			NewWorld(p).Run(func(c *Comm) {
+				r := c.Rank()
+				buf, off := make([]int, p*per), make([]int32, p+1)
+				for j := range off {
+					off[j] = int32(j * per)
+				}
+				for round := 0; round < 200; round++ {
+					for i := range buf {
+						buf[i] = (round*p+r)*p + i/per // (round, sender, receiver)
+					}
+					recv := AlltoallFlat(c, buf, off)
+					for s, got := range recv {
+						want := (round*p+s)*p + r
+						if len(got) != per || slices.ContainsFunc(got, func(v int) bool { return v != want }) {
+							t.Errorf("round %d: rank %d read %v from rank %d, want %d×%d", round, r, got, s, per, want)
+							return
+						}
+					}
+					Barrier(c)
+					for i := range buf {
+						buf[i] = poison
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestAlltoallRefusesBadFrames: a frame its int32 offsets cannot describe,
+// or offsets that do not describe the frame, panic naming the collective
+// instead of handing receivers wrong slice bounds. 2^31 zero-size elements
+// cost nothing to make.
+func TestAlltoallRefusesBadFrames(t *testing.T) {
+	panics := func(name, want string, f func(c *Comm)) {
+		t.Helper()
+		NewWorld(1).Run(func(c *Comm) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "comm: Alltoall") || !strings.Contains(msg, want) {
+					t.Errorf("%s: recovered %q, want a comm: Alltoall panic mentioning %q", name, msg, want)
+				}
+			}()
+			f(c)
+		})
+	}
+	panics("staged 2^31", "overflows its int32 offsets", func(c *Comm) {
+		RawAlltoall(c, [][]struct{}{make([]struct{}, 1<<31)})
+	})
+	panics("flat 2^31", "overflows its int32 offsets", func(c *Comm) {
+		AlltoallFlat(c, make([]struct{}, 1<<31), []int32{0, 0})
+	})
+	for name, off := range map[string][]int32{"count": {0}, "decreasing": {2, 1}, "negative": {-1, 2}, "past the end": {0, 3}} {
+		panics(name, "want 2 non-decreasing ones within a frame of 2", func(c *Comm) { AlltoallFlat(c, []int{1, 2}, off) })
+	}
 }

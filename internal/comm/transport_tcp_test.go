@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 
 	"kamsta/internal/par"
@@ -124,7 +125,27 @@ func TestTCPTransportParity(t *testing.T) {
 					}
 					gsum := GroupAllreduce(c, members, r+7, func(a, b int) int { return a + b })
 					all := AllgatherConcat(c, []int{r * 3})
+					// The same buckets deposited both ways: staged, and as a
+					// borrowed flat frame a remote rank decodes like any
+					// other (still until the next collective has returned).
+					flat, off, send := []int(nil), make([]int32, p+1), make([][]int, p)
+					for j := range send {
+						for k := 0; k < (r+j)%3; k++ {
+							flat = append(flat, r*100+j*10+k)
+						}
+						send[j], off[j+1] = flat[off[j]:], int32(len(flat))
+					}
+					staged, borrowed := Alltoall(c, send), AlltoallFlat(c, flat, off)
 					acc := sum + gsum
+					for s := range staged {
+						if !slices.Equal(staged[s], borrowed[s]) {
+							acc = -1 << 40 // poisons the comparison below on either backend
+						}
+						for _, v := range borrowed[s] {
+							acc += v * (s + 2)
+						}
+					}
+					Barrier(c)
 					for _, v := range pair {
 						acc += v
 					}

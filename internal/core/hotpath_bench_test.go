@@ -82,6 +82,30 @@ func BenchmarkDsortSampleSortP8(b *testing.B) {
 	})
 }
 
+// BenchmarkGenFinishP16 finishes the gnm-filter workload's instance (GNM,
+// n = 2^14, m = 2^20: 2.1 M directed edges) on 16 PEs: one sample sort, a
+// dedup and two rebalances of 40-byte edges — the input path of every
+// compute workload. Each iteration finishes a fresh copy of the raw edges
+// (Finish filters its input in place); the copy is inside the timer.
+func BenchmarkGenFinishP16(b *testing.B) {
+	spec := gen.Spec{Family: gen.GNM, N: 1 << 14, M: 1 << 20, Seed: 42}
+	comm.NewWorld(16).Run(func(c *comm.Comm) {
+		raw := gen.Generate(c, spec)
+		in := make([]graph.Edge, len(raw))
+		copy(in, raw)
+		gen.Finish(c, in, DefaultOptions().Sort)
+		if c.Rank() == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		comm.Barrier(c)
+		for i := 0; i < b.N; i++ {
+			copy(in, raw)
+			gen.Finish(c, in, DefaultOptions().Sort)
+		}
+	})
+}
+
 // TestDsortSteadyStateAllocsFloor pins the tentpole's de-allocation claim:
 // after warm-up, a 1-PE sort (no collectives, so no substrate floor)
 // performs ZERO heap allocations per call — every buffer, including the

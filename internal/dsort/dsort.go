@@ -18,27 +18,34 @@
 // supplies a Key — a uint64 extraction that is order-consistent with the
 // comparator, like graph.KeyLex/graph.KeyWeight — every local sort runs as
 // an LSD radix pass (internal/radix) instead of a comparison sort, and the
-// p received runs are merged with a winner tree (O(log p) per element
-// instead of the former O(p) head scan). Without a key the local sorts fall
-// back to slices.SortFunc. The modeled compute charges remain the paper's
-// comparison-sort model (n·log n), so the modeled clock is independent of
-// which local algorithm runs.
+// p received runs are merged with a loser tree that caches each run's head
+// key (O(log p) integer comparisons per element; the comparator only breaks
+// key ties). Without a key the local sorts fall back to slices.SortFunc and
+// the comparator decides every node of the same tree. The modeled compute
+// charges remain the paper's comparison-sort model (n·log n), so the modeled
+// clock is independent of which local algorithm runs.
 //
 // # Memory ownership
 //
-// Every per-call buffer — the local working copy, sample staging, splitter
-// and send frames, the merge output, Rebalance frames and the returned
-// chunk itself — lives in the world-owned per-PE scratch arena
-// (comm.Comm.Scratch), in slots keyed per element type. Steady-state sorts
-// therefore allocate nothing beyond the substrate's collective-internal
-// floor. The flip side is a lifetime contract: the slice returned by Sort
-// or Rebalance is valid only until the NEXT dsort collective with the same
-// element type on the same world; callers that retain a result across later
-// sorts (e.g. gen.Finish, whose output lives for a whole job of re-sorting
-// rounds) must copy it into owned memory.
+// Every local phase writes its result where the next phase reads it: the
+// caller's data is sorted INTO the local slot, that slot cut at the
+// splitters IS the exchange frame (alltoall.ExchangeFlat — borrowed, not
+// staged: the sorter next writes it after Rebalance's first collective has
+// returned, when every reader is done), the merge fills the merge slot, and
+// Rebalance moves the share that stays on this PE with one copy and sends
+// only the rest. All of it, the returned chunk included, lives in the
+// world-owned per-PE scratch arena (comm.Comm.Scratch), in slots keyed per
+// element type, so steady-state sorts allocate nothing beyond the
+// substrate's collective-internal floor. The flip side is a lifetime
+// contract: the slice returned by Sort or Rebalance is valid only until the
+// NEXT dsort collective with the same element type on the same world (and
+// must not be that collective's input at p = 1, where it would be sorted
+// onto itself); a result that has to outlive later sorts goes to a slot of
+// the caller's through RebalanceInto, as gen.Finish's does.
 package dsort
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -113,17 +120,17 @@ func ByKey[T any](less func(a, b T) bool, key Key[T]) Order[T] {
 // instantiation of the sorter. Keys are process-wide; the storage behind
 // them is per-PE (each arena owns its slots).
 type typeKeys struct {
-	local     arena.Key // []T: local working copy (sample sort)
+	local     arena.Key // []T: sorted local data — the sample-sort exchange frame
+	off       arena.Key // []int32: that frame's bucket offsets
 	samples   arena.Key // []T: splitter sample staging
 	all       arena.Key // []T: gathered global sample
-	split     arena.Key // []T: selected splitters
-	send      arena.Key // [][]T: sample-sort bucket frame
+	split     arena.Key // []T: the gathered sample, sorted
 	merge     arena.Key // []T: k-way merge output
-	mergeTree arena.Key // []int32: winner-tree nodes
-	mergeHead arena.Key // []int32: per-run cursors
+	mergeTree arena.Key // []int32: loser-tree nodes
+	mergeKeys arena.Key // []uint64: per-run cached head keys
+	mergeRest arena.Key // [][]T: per-run remaining elements
 	out       arena.Key // []T: Rebalance output (the returned chunk)
 	rebSend   arena.Key // [][]T: Rebalance bucket frame
-	rebBounds arena.Key // []int: Rebalance cumulative targets
 	hcLocal   arena.Key // []T: hypercube working set
 	hcLow     arena.Key // []T: partition low side
 	hcHigh    arena.Key // []T: partition high side
@@ -131,7 +138,6 @@ type typeKeys struct {
 	hcMembers arena.Key // []int: subcube member ranks
 	rxPairs   arena.Key // []radix.KV: radix (key, index) pairs
 	rxTmp     arena.Key // []radix.KV: radix ping-pong buffer
-	rxPerm    arena.Key // []T: radix gather buffer
 }
 
 var (
@@ -149,13 +155,13 @@ func keysFor[T any]() *typeKeys {
 	ks := keysByType[id]
 	if ks == nil {
 		ks = &typeKeys{
-			local: arena.NewKey(), samples: arena.NewKey(), all: arena.NewKey(),
-			split: arena.NewKey(), send: arena.NewKey(), merge: arena.NewKey(),
-			mergeTree: arena.NewKey(), mergeHead: arena.NewKey(), out: arena.NewKey(),
-			rebSend: arena.NewKey(), rebBounds: arena.NewKey(),
+			local: arena.NewKey(), off: arena.NewKey(), samples: arena.NewKey(),
+			all: arena.NewKey(), split: arena.NewKey(), merge: arena.NewKey(),
+			mergeTree: arena.NewKey(), mergeKeys: arena.NewKey(), mergeRest: arena.NewKey(),
+			out: arena.NewKey(), rebSend: arena.NewKey(),
 			hcLocal: arena.NewKey(), hcLow: arena.NewKey(), hcHigh: arena.NewKey(),
 			hcSamples: arena.NewKey(), hcMembers: arena.NewKey(),
-			rxPairs: arena.NewKey(), rxTmp: arena.NewKey(), rxPerm: arena.NewKey(),
+			rxPairs: arena.NewKey(), rxTmp: arena.NewKey(),
 		}
 		keysByType[id] = ks
 	}
@@ -171,8 +177,7 @@ func Sort[T any](c *comm.Comm, data []T, ord Order[T], opt Options) []T {
 	ks := keysFor[T]()
 	if p == 1 {
 		out := arena.Grab[T](c.Scratch(), ks.out, len(data))
-		copy(out, data)
-		localSort(c, ks, out, ord)
+		localSortInto(c, ks, out, data, ord)
 		return out
 	}
 	total := comm.Allreduce(c, len(data), func(a, b int) int { return a + b })
@@ -195,32 +200,28 @@ func Sort[T any](c *comm.Comm, data []T, ord Order[T], opt Options) []T {
 	}
 }
 
-// sortBuf sorts a local buffer in place without charging modeled time:
-// radix when a key is available, pdqsort otherwise.
-func sortBuf[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T]) {
-	n := len(data)
-	if n < 2 {
-		return
-	}
+// sortInto sorts src into dst (same length, no overlap) without charging
+// modeled time and without writing src: radix when a key is available,
+// pdqsort on a copy otherwise.
+func sortInto[T any](c *comm.Comm, ks *typeKeys, dst, src []T, ord Order[T]) {
+	n := len(src)
 	if ord.Key != nil && uint64(n) < 1<<32 {
 		a := c.Scratch()
-		pairs := arena.Grab[radix.KV](a, ks.rxPairs, n)
-		tmp := arena.Grab[radix.KV](a, ks.rxTmp, n)
-		perm := arena.Grab[T](a, ks.rxPerm, n)
-		radix.SortScratch(data, ord.Key, ord.Less, pairs, tmp, perm)
+		radix.SortInto(dst, src, ord.Key, ord.Less,
+			arena.Grab[radix.KV](a, ks.rxPairs, n), arena.Grab[radix.KV](a, ks.rxTmp, n))
 		return
 	}
-	slices.SortFunc(data, radix.CmpOf(ord.Less))
+	copy(dst, src)
+	slices.SortFunc(dst, radix.CmpOf(ord.Less))
 }
 
-// localSort is sortBuf plus the modeled n·log n comparison charge — the
+// localSortInto is sortInto plus the modeled n·log n comparison charge — the
 // paper's cost model for the local phase, kept independent of whether the
 // radix or the comparison path ran so modeled clocks do not depend on the
 // presence of a key.
-func localSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T]) {
-	n := len(data)
-	sortBuf(c, ks, data, ord)
-	if n > 1 {
+func localSortInto[T any](c *comm.Comm, ks *typeKeys, dst, src []T, ord Order[T]) {
+	sortInto(c, ks, dst, src, ord)
+	if n := len(src); n > 1 {
 		c.ChargeCompute(n * Log2Ceil(n))
 	}
 }
@@ -239,14 +240,12 @@ func Log2Ceil(n int) int {
 }
 
 // sampleSort: local sort → sample → gathered splitter selection → bucket
-// partition → all-to-all delivery → winner-tree p-way merge → rebalance.
+// partition → all-to-all delivery → loser-tree p-way merge → rebalance.
 func sampleSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T], opt Options) []T {
 	p, rank := c.P(), c.Rank()
 	a := c.Scratch()
-	less := ord.Less
 	local := arena.Grab[T](a, ks.local, len(data))
-	copy(local, data)
-	localSort(c, ks, local, ord)
+	localSortInto(c, ks, local, data, ord)
 
 	// Sample uniformly at random from the local data. The samples slot is
 	// deposited to AllgatherConcat, which reads it only in the pre-release
@@ -259,102 +258,110 @@ func sampleSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T], opt O
 	arena.Keep(a, ks.samples, samples)
 	all := comm.AllgatherConcatInto(c, arena.GrabAppend[T](a, ks.all), samples)
 	arena.Keep(a, ks.all, all)
-	sortBuf(c, ks, all, ord)
+	split := arena.Grab[T](a, ks.split, len(all))
+	sortInto(c, ks, split, all, ord)
 	c.ChargeCompute(len(all) * Log2Ceil(len(all)+1))
 
-	// p-1 splitters at the sample quantiles.
-	splitters := arena.GrabAppend[T](a, ks.split)
-	for i := 1; i < p; i++ {
-		if len(all) == 0 {
-			break
-		}
-		idx := i * len(all) / p
-		if idx >= len(all) {
-			idx = len(all) - 1
-		}
-		splitters = append(splitters, all[idx])
-	}
-	arena.Keep(a, ks.split, splitters)
-
-	// Partition the sorted local data at the splitters. The buckets are
-	// subslices of local; the exchange stages them into its wire frames at
-	// deposit time and local is not re-grabbed before the next Sort.
-	send := arena.Grab[[]T](a, ks.send, p)
+	// Cut the sorted local data at the p-1 sample quantiles. The buckets
+	// lie back to back in local, so local and the offsets are the exchange
+	// frame as they stand; the next write to either is the next Sort's,
+	// after Rebalance's collectives.
+	off := arena.Grab[int32](a, ks.off, p+1)
 	lo := 0
 	for b := 0; b < p; b++ {
-		hi := len(local)
-		if b < len(splitters) {
-			hi = lo + lowerBound(local[lo:], splitters[b], less)
+		off[b] = int32(lo) // a wrap is caught by the exchange's length check
+		if b < p-1 && len(split) > 0 {
+			lo += lowerBound(local[lo:], split[(b+1)*len(split)/p], ord.Less)
 		}
-		send[b] = local[lo:hi]
-		lo = hi
 	}
+	off[p] = int32(len(local))
 	c.ChargeCompute(len(local))
 
-	recv := alltoall.Exchange(c, opt.A2A, send)
-	merged := kwayMerge(c, ks, recv, less)
+	recv := alltoall.ExchangeFlat(c, opt.A2A, local, off)
+	merged := kwayMerge(c, ks, recv, ord)
 	c.ChargeCompute(len(merged) * Log2Ceil(p+1))
 	return Rebalance(c, merged)
 }
 
-// kwayMerge merges the already-sorted received runs with a winner tree:
-// O(log p) comparisons per element. Ties across runs go to the
-// lowest run index — the same winner the former O(p) head scan picked — so
-// the output sequence is unchanged for any input.
-func kwayMerge[T any](c *comm.Comm, ks *typeKeys, runs [][]T, less func(a, b T) bool) []T {
+// kwayMerge merges the already-sorted received runs with a loser tree over
+// each run's remaining elements: one pass from the winner's leaf to the root
+// per element, comparing cached head keys and calling the comparator only
+// where keys tie (a keyless order caches nothing, so it decides every node).
+// What still ties goes to the lowest run index, so the output is the stable
+// merge of the runs in rank order for any input, weak orders included.
+func kwayMerge[T any](c *comm.Comm, ks *typeKeys, runs [][]T, ord Order[T]) []T {
 	a := c.Scratch()
-	total := 0
+	total, K := 0, 1
 	for _, r := range runs {
 		total += len(r)
 	}
-	out := arena.Grab[T](a, ks.merge, total)
-	if total == 0 {
-		return out
-	}
-	k := len(runs)
-	K := 1
-	for K < k {
+	for K < len(runs) {
 		K <<= 1
 	}
-	heads := arena.Grab[int32](a, ks.mergeHead, k)
-	for i := range heads {
-		heads[i] = 0
+	out := arena.Grab[T](a, ks.merge, total)
+	// Leaf i is run i, padded with empty runs up to the power of two K. A
+	// run's cached key is its head's (0 under a keyless order), or exhausted
+	// once it is empty, so an empty run loses on the integer comparison.
+	const exhausted = math.MaxUint64
+	rest := arena.Grab[[]T](a, ks.mergeRest, K)
+	keys := arena.Grab[uint64](a, ks.mergeKeys, K)
+	continueAt := func(i int32, r []T) {
+		rest[i], keys[i] = r, 0
+		if len(r) == 0 {
+			keys[i] = exhausted
+		} else if ord.Key != nil {
+			keys[i] = ord.Key(r[0])
+		}
 	}
-	// tree[1] is the overall winner; tree[K+i] the leaf of run i (-1 for
-	// padding leaves and exhausted runs).
+	for i := len(runs); i < K; i++ {
+		continueAt(int32(i), nil)
+	}
+	for i, r := range runs {
+		continueAt(int32(i), r)
+	}
+	// before reports whether run x's head is emitted before run y's; the
+	// merge loop compares the keys inline and calls it only where they tie.
+	before := func(x, y int32) bool {
+		if keys[x] != keys[y] {
+			return keys[x] < keys[y]
+		}
+		rx, ry := rest[x], rest[y]
+		switch {
+		case len(rx) == 0 || len(ry) == 0: // a real key may equal exhausted
+			return len(ry) == 0
+		case x < y:
+			return !ord.Less(ry[0], rx[0])
+		}
+		return ord.Less(rx[0], ry[0])
+	}
+	// Play the tournament once as a winner tree (tree[K+i] = leaf i), keep
+	// the champion in tree[0], then turn each node top-down into the loser
+	// of its match: the child that is not its winner.
 	tree := arena.Grab[int32](a, ks.mergeTree, 2*K)
-	winner := func(x, y int32) int32 {
-		if x < 0 {
-			return y
-		}
-		if y < 0 {
-			return x
-		}
-		if less(runs[y][heads[y]], runs[x][heads[x]]) {
-			return y
-		}
-		return x
-	}
 	for i := 0; i < K; i++ {
-		if i < k && len(runs[i]) > 0 {
-			tree[K+i] = int32(i)
-		} else {
-			tree[K+i] = -1
-		}
+		tree[K+i] = int32(i)
 	}
 	for i := K - 1; i >= 1; i-- {
-		tree[i] = winner(tree[2*i], tree[2*i+1])
+		tree[i] = tree[2*i]
+		if before(tree[2*i+1], tree[2*i]) {
+			tree[i] = tree[2*i+1]
+		}
 	}
-	for pos := 0; pos < total; pos++ {
-		w := tree[1]
-		out[pos] = runs[w][heads[w]]
-		heads[w]++
-		if int(heads[w]) == len(runs[w]) {
-			tree[K+int(w)] = -1
-		}
+	tree[0] = tree[1]
+	for i := 1; i < K; i++ {
+		tree[i] = tree[2*i] ^ tree[2*i+1] ^ tree[i]
+	}
+	for pos := range out {
+		w := tree[0]
+		out[pos] = rest[w][0]
+		continueAt(w, rest[w][1:])
 		for i := (K + int(w)) / 2; i >= 1; i /= 2 {
-			tree[i] = winner(tree[2*i], tree[2*i+1])
+			l := tree[i]
+			if kl, kw := keys[l], keys[w]; kl < kw || (kl == kw && before(l, w)) {
+				tree[i], w = w, l
+			}
 		}
+		tree[0] = w
 	}
 	return out
 }
@@ -467,8 +474,9 @@ func hypercubeQuicksort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T
 		groupSize = half
 		level++
 	}
-	localSort(c, ks, local, ord)
-	return Rebalance(c, local)
+	sorted := arena.Grab[T](a, ks.local, len(local))
+	localSortInto(c, ks, sorted, local, ord)
+	return Rebalance(c, sorted)
 }
 
 // lowerBound returns the first index in s whose element is not below x —
@@ -500,52 +508,54 @@ func rebalanceBound(j, total, p int) int {
 // before PE i+1's) so every PE ends with ⌈total/p⌉ or ⌊total/p⌋ elements,
 // preserving the global order. It is also the final step of REDISTRIBUTE
 // (§IV-C). The result is arena-backed under the same lifetime contract as
-// Sort; data may alias a previous dsort result (the send frames are staged
-// into the wire before the output slot is re-grabbed).
+// Sort; data may alias a previous dsort result.
 func Rebalance[T any](c *comm.Comm, data []T) []T {
-	p := c.P()
+	return RebalanceInto(c, keysFor[T]().out, data)
+}
+
+// RebalanceInto is Rebalance writing its result into the caller's arena
+// slot, which makes the result's lifetime the caller's: valid until slot is
+// grabbed again. data may lie anywhere in that slot — the shape Sort →
+// dedup in place → Rebalance has.
+func RebalanceInto[T any](c *comm.Comm, slot arena.Key, data []T) []T {
+	p, rank := c.P(), c.Rank()
+	a := c.Scratch()
 	if p == 1 {
-		return data
+		out := arena.Grab[T](a, slot, len(data))
+		copy(out, data)
+		return out
 	}
-	myCount := len(data)
-	before := comm.ExScan(c, myCount, 0, func(a, b int) int { return a + b })
-	total := comm.Allreduce(c, myCount, func(a, b int) int { return a + b })
+	before := comm.ExScan(c, len(data), 0, func(a, b int) int { return a + b })
+	total := comm.Allreduce(c, len(data), func(a, b int) int { return a + b })
 	if total == 0 {
 		return nil
 	}
-	a := c.Scratch()
-	ks := keysFor[T]()
-	// Per-PE cumulative targets, computed once: PE j owns global positions
-	// [bounds[j], bounds[j+1]).
-	bounds := arena.Grab[int](a, ks.rebBounds, p+1)
-	for j := 0; j <= p; j++ {
-		bounds[j] = rebalanceBound(j, total, p)
+	// PE j owns global positions [bound(j), bound(j+1)) and data holds
+	// [before, before+len(data)), so data[:cut(j)] lies before PE j's range.
+	bound := func(j int) int { return rebalanceBound(j, total, p) }
+	cut := func(j int) int { return min(max(bound(j)-before, 0), len(data)) }
+	send := arena.Grab[[]T](a, keysFor[T]().rebSend, p)
+	for j := range send {
+		send[j] = data[cut(j):cut(j+1)]
 	}
-	send := arena.GrabZeroed[[]T](a, ks.rebSend, p)
-	j := 0
-	for i := 0; i < myCount; {
-		g := before + i // global position of data[i]
-		for g >= bounds[j+1] {
-			j++
-		}
-		hi := bounds[j+1] - before
-		if hi > myCount {
-			hi = myCount
-		}
-		send[j] = data[i:hi]
-		i = hi
-	}
+	// Only what leaves this PE is deposited; the share it keeps never enters
+	// a frame — the modeled charge excludes the self bucket anyway.
+	own := send[rank]
+	send[rank] = nil
 	recv := comm.Alltoall(c, send)
-	n := 0
-	for i := range recv {
-		n += len(recv[i])
-	}
-	// Grabbed only after the exchange staged the send frames: data may
-	// alias this very slot (e.g. Rebalance of a deduplicated Sort result).
-	out := arena.Grab[T](a, ks.out, n)
+	// Grabbed only after the exchange staged what leaves, and the own share
+	// moves before anything else is written: data may lie in this very slot,
+	// so the copy may overlap itself (or, when the slot had to grow, read
+	// the old backing) and the foreign shares land on what it has left.
+	out := arena.Grab[T](a, slot, bound(rank+1)-bound(rank))
+	at := min(max(before-bound(rank), 0), len(out)) // lower ranks fill out[:at]
+	copy(out[at:], own)
 	pos := 0
-	for i := range recv {
-		pos += copy(out[pos:], recv[i])
+	for i, r := range recv {
+		if i == rank { // r is empty: nothing was sent to self
+			pos += len(own)
+		}
+		pos += copy(out[pos:], r)
 	}
 	return out
 }

@@ -1,0 +1,166 @@
+package dsort
+
+import (
+	"slices"
+	"testing"
+
+	"kamsta/internal/arena"
+	"kamsta/internal/comm"
+	"kamsta/internal/radix"
+	"kamsta/internal/rng"
+)
+
+// rec is a merge element whose key is only a prefix of its order: Tag is
+// left to the comparator, Run and Pos say where the element came from.
+type rec struct{ K, Tag, Run, Pos int }
+
+func recKey(x rec) uint64 { return uint64(x.K) }
+
+func recTotal(a, b rec) bool { return a.K < b.K || (a.K == b.K && a.Tag < b.Tag) }
+
+// makeRuns builds k runs sorted under less, about a third of them empty,
+// with keys drawn from so few values that runs share them.
+func makeRuns(r *rng.RNG, k int, less func(a, b rec) bool) [][]rec {
+	runs := make([][]rec, k)
+	for i := range runs {
+		if r.Intn(3) == 0 {
+			continue
+		}
+		run := make([]rec, r.Intn(40))
+		for j := range run {
+			run[j] = rec{K: r.Intn(6), Tag: r.Intn(4), Run: i}
+		}
+		slices.SortStableFunc(run, radix.CmpOf(less))
+		for j := range run {
+			run[j].Pos = j
+		}
+		runs[i] = run
+	}
+	return runs
+}
+
+// TestKwayMerge holds the loser tree to its reference — a stable sort of the
+// runs' concatenation, which is "ties to the lowest run, then run order" —
+// for 0 to 33 runs (powers of two and not, empty runs, nothing but empty
+// runs), keys shared across runs and finished by the comparator, a keyless
+// order, and a weak order in which everything ties.
+func TestKwayMerge(t *testing.T) {
+	orders := map[string]Order[rec]{
+		"keyed":     ByKey(recTotal, recKey),
+		"keyless":   ByLess(recTotal),
+		"weak":      ByKey(func(a, b rec) bool { return a.K < b.K }, recKey),
+		"all-equal": ByKey(func(a, b rec) bool { return false }, func(rec) uint64 { return 9 }),
+	}
+	comm.NewWorld(1).Run(func(c *comm.Comm) {
+		ks := keysFor[rec]()
+		r := rng.New(17)
+		for name, ord := range orders {
+			for k := 0; k <= 33; k++ {
+				runs := makeRuns(r, k, ord.Less)
+				if k%11 == 5 {
+					runs = make([][]rec, k) // all empty
+				}
+				want := slices.Concat(runs...)
+				slices.SortStableFunc(want, radix.CmpOf(ord.Less))
+				if got := kwayMerge(c, ks, runs, ord); !slices.Equal(got, want) {
+					t.Fatalf("%s, %d runs: merged\n%v\nwant\n%v", name, k, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestRebalanceKeepsOwnShare checks Rebalance against gather-and-cut: the
+// world's elements are 0, 1, 2, … in rank order, so rank r must end with
+// exactly [bound(r), bound(r+1)). Counts are skewed (empty ranks, one rank
+// holding most), and the input lies outside the arena, at the start of the
+// output slot, or inside it — the slot sized to the input, so a rank that
+// gains elements grows it mid-call and reads its own share from the old
+// backing, while a rank that loses some moves its share over itself.
+func TestRebalanceKeepsOwnShare(t *testing.T) {
+	private := arena.NewKey()
+	for _, p := range []int{1, 2, 3, 16} {
+		for trial := 0; trial < 24; trial++ {
+			r := rng.New(uint64(100*p + trial))
+			counts := make([]int, p)
+			for i := range counts {
+				switch r.Intn(4) {
+				case 0: // empty
+				case 1:
+					counts[i] = 1 + r.Intn(400)
+				default:
+					counts[i] = 1 + r.Intn(40)
+				}
+			}
+			total := 0
+			for _, n := range counts {
+				total += n
+			}
+			comm.NewWorld(p).Run(func(c *comm.Comm) {
+				rank, n := c.Rank(), counts[c.Rank()]
+				first := 0
+				for _, m := range counts[:rank] {
+					first += m
+				}
+				slot, lead := keysFor[int]().out, 0
+				var data []int
+				switch trial % 4 {
+				case 0: // caller-owned memory
+					data = make([]int, n)
+				case 1: // a Sort result as it stands
+					data = arena.Grab[int](c.Scratch(), slot, n)
+				case 2: // a Sort result that lost its head to a dedup
+					lead = 1 + trial%5
+					data = arena.Grab[int](c.Scratch(), slot, lead+n)[lead:]
+				case 3: // the same, rebalanced into a slot of the caller's
+					slot, lead = private, 3
+					data = arena.Grab[int](c.Scratch(), slot, lead+n)[lead:]
+				}
+				for i := range data {
+					data[i] = first + i
+				}
+				var got []int
+				if slot == private {
+					got = RebalanceInto(c, slot, data)
+				} else {
+					got = Rebalance(c, data)
+				}
+				lo, hi := rebalanceBound(rank, total, p), rebalanceBound(rank+1, total, p)
+				if len(got) != hi-lo {
+					t.Errorf("p=%d trial %d rank %d: %d elements, want %d", p, trial, rank, len(got), hi-lo)
+					return
+				}
+				for i, v := range got {
+					if v != lo+i {
+						t.Errorf("p=%d trial %d rank %d: position %d holds %d, want %d (counts %v)", p, trial, rank, i, v, lo+i, counts)
+						return
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkKwayMerge merges 16 runs of 2^12 keyed records on one PE — the
+// shape of a sample-sort receive on the benchmark's 16-PE worlds.
+func BenchmarkKwayMerge(b *testing.B) {
+	comm.NewWorld(1).Run(func(c *comm.Comm) {
+		r := rng.New(3)
+		ord := ByKey(recTotal, recKey)
+		runs := make([][]rec, 16)
+		for i := range runs {
+			runs[i] = make([]rec, 1<<12)
+			for j := range runs[i] {
+				runs[i][j] = rec{K: r.Intn(1 << 30), Tag: r.Intn(4)}
+			}
+			slices.SortFunc(runs[i], radix.CmpOf(recTotal))
+		}
+		ks := keysFor[rec]()
+		kwayMerge(c, ks, runs, ord)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			kwayMerge(c, ks, runs, ord)
+		}
+	})
+}

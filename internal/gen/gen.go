@@ -19,9 +19,11 @@ package gen
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"kamsta/internal/arena"
 	"kamsta/internal/comm"
 	"kamsta/internal/dsort"
 	"kamsta/internal/graph"
@@ -181,10 +183,21 @@ func Generate(c *comm.Comm, spec Spec) []graph.Edge {
 	panic("gen: unknown family " + spec.Family.String())
 }
 
+// kFinish is the arena slot of Finish's result: its own, so that no dsort
+// call of the job that consumes the result grabs it.
+var kFinish = arena.NewKey()
+
 // Finish turns raw per-PE edges into the distributed graph input format:
 // globally lexicographically sorted, duplicate edges and self-loops
 // removed, consecutive global IDs assigned, balanced across PEs, and the
-// replicated layout built.
+// replicated layout built. raw is filtered in place.
+//
+// The returned edges live in this PE's scratch arena, in a slot only Finish
+// grabs: they stay valid — across every sort, round and collective of the
+// job that consumes them — until the next Finish on the same world. The job
+// that called Finish may hold them to its end; whoever needs them after the
+// job returns (the world then belongs to the next job) clones them inside
+// the job body, as Collect does.
 func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge, *graph.Layout) {
 	// Drop self-loops locally first.
 	kept := raw[:0]
@@ -205,14 +218,8 @@ func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge
 	for i := range dedup {
 		dedup[i].ID = uint64(offset + i)
 	}
-	rebalanced := dsort.Rebalance(c, dedup)
-	// The result outlives every later dsort call of the job (the rounds
-	// re-sort the working set repeatedly), so it must own its memory —
-	// dsort results are arena-backed and valid only until the next sort.
-	balanced := make([]graph.Edge, len(rebalanced))
-	copy(balanced, rebalanced)
-	layout := graph.BuildLayout(c, balanced)
-	return balanced, layout
+	balanced := dsort.RebalanceInto(c, kFinish, dedup)
+	return balanced, graph.BuildLayout(c, balanced)
 }
 
 // Build generates and finishes an instance in one call.
@@ -242,7 +249,8 @@ func emitBoth(edges []graph.Edge, seed uint64, u, v graph.VID) []graph.Edge {
 func Collect(ctx context.Context, w *comm.World, cfg comm.JobConfig, spec Spec) ([]graph.Edge, error) {
 	chunks := make([][]graph.Edge, w.P())
 	err := w.RunJobCfg(ctx, cfg, func(c *comm.Comm) {
-		chunks[c.Rank()], _ = Build(c, spec, dsort.Options{})
+		edges, _ := Build(c, spec, dsort.Options{})
+		chunks[c.Rank()] = slices.Clone(edges) // read after the job: see Finish
 	})
 	var all []graph.Edge
 	for _, ch := range chunks {

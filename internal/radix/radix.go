@@ -8,16 +8,20 @@
 // key may encode only a prefix of the order (e.g. graph.KeyLex packs the
 // (U, V) endpoints and leaves (W, TB, ID) to the comparator). The sort is
 // performed on (key, index) pairs — 16 bytes moved per pass instead of the
-// full element — followed by one gather permutation of the elements, and
-// counting passes whose byte is constant across all keys are skipped
-// entirely, so narrow key distributions (a 14-bit vertex range, a 8-bit
-// weight) pay only for the bytes that vary.
+// full element — followed by one gather of the elements into the
+// destination (SortInto: a buffer of the caller's; the in-place entry points
+// gather into scratch and copy back), and counting passes whose byte is
+// constant across all keys are skipped entirely, so narrow key distributions
+// (a 14-bit vertex range, a 8-bit weight) pay only for the bytes that vary.
 package radix
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // KV is one sort item: the element's extracted key and its original index.
-// Exported so callers can provide recycled scratch to SortScratch.
+// Exported so callers can provide recycled scratch.
 type KV struct {
 	K uint64
 	I uint32
@@ -29,7 +33,7 @@ type KV struct {
 const insertionMax = 32
 
 // Sort sorts data by key (ties finished with less), allocating its own
-// scratch. For hot paths with recycled buffers use SortScratch.
+// scratch. For hot paths with recycled buffers use SortScratch or SortInto.
 func Sort[T any](data []T, key func(T) uint64, less func(a, b T) bool) {
 	n := len(data)
 	if n < 2 {
@@ -42,53 +46,70 @@ func Sort[T any](data []T, key func(T) uint64, less func(a, b T) bool) {
 	SortScratch(data, key, less, make([]KV, n), make([]KV, n), make([]T, n))
 }
 
-// SortScratch sorts data by key (ties finished with less) using the caller's
-// scratch buffers; pairs, tmp and perm must each have length len(data),
-// which must be below 2^32. The scratch contents are overwritten.
+// SortScratch sorts data in place using the caller's scratch buffers: the
+// into-kernel with perm as its destination, plus the copy back. pairs, tmp
+// and perm must each have length len(data); their contents are overwritten.
 func SortScratch[T any](data []T, key func(T) uint64, less func(a, b T) bool, pairs, tmp []KV, perm []T) {
-	n := len(data)
-	if n < 2 {
-		return
+	if SortInto(perm, data, key, less, pairs, tmp) {
+		copy(data, perm)
 	}
-	if len(pairs) != n || len(tmp) != n || len(perm) != n {
+}
+
+// SortInto is the one radix kernel: it writes the elements of src into dst
+// in sorted order (by key, ties finished with less), leaves src as it was,
+// and reports whether the two orders differ. dst, pairs and tmp must each
+// have length len(src), which must be below 2^32, and dst must not overlap
+// src; the scratch contents are overwritten.
+func SortInto[T any](dst, src []T, key func(T) uint64, less func(a, b T) bool, pairs, tmp []KV) bool {
+	n := len(src)
+	if uint64(n) >= 1<<32 {
+		panic(fmt.Sprintf("radix: %d elements overflow the uint32 index of a (key, index) pair", n))
+	}
+	if len(dst) != n || len(pairs) != n || len(tmp) != n {
 		panic("radix: scratch length mismatch")
+	}
+	if n < 2 {
+		copy(dst, src)
+		return false
 	}
 	// Extract keys, folding in an already-sorted check (the pattern pdqsort
 	// detects; common for re-sorts of nearly-static data).
-	k0 := key(data[0])
+	k0 := key(src[0])
 	pairs[0] = KV{K: k0}
 	orAll, andAll := k0, k0
 	prevK := k0
 	sorted := true
 	for i := 1; i < n; i++ {
-		k := key(data[i])
+		k := key(src[i])
 		pairs[i] = KV{K: k, I: uint32(i)}
 		orAll |= k
 		andAll &= k
-		if sorted && (k < prevK || (k == prevK && less(data[i], data[i-1]))) {
+		if sorted && (k < prevK || (k == prevK && less(src[i], src[i-1]))) {
 			sorted = false
 		}
 		prevK = k
 	}
 	if sorted {
-		return
+		copy(dst, src)
+		return false
 	}
 	if orAll == andAll {
 		// Every key equal: the radix passes are no-ops; hand the whole
 		// slice to the comparator.
-		finishRun(data, less)
-		return
+		copy(dst, src)
+		finishRun(dst, less)
+		return true
 	}
 	// LSD counting passes over the bytes that vary. Each pass is stable, so
 	// equal keys keep their original relative order throughout.
-	src, dst := pairs, tmp
+	from, to := pairs, tmp
 	varying := orAll ^ andAll
 	for shift := 0; shift < 64; shift += 8 {
 		if (varying>>shift)&0xFF == 0 {
 			continue
 		}
 		var cnt [256]int
-		for _, p := range src {
+		for _, p := range from {
 			cnt[(p.K>>shift)&0xFF]++
 		}
 		pos := 0
@@ -97,30 +118,30 @@ func SortScratch[T any](data []T, key func(T) uint64, less func(a, b T) bool, pa
 			cnt[b] = pos
 			pos += c
 		}
-		for _, p := range src {
+		for _, p := range from {
 			b := (p.K >> shift) & 0xFF
-			dst[cnt[b]] = p
+			to[cnt[b]] = p
 			cnt[b]++
 		}
-		src, dst = dst, src
+		from, to = to, from
 	}
-	// Gather the elements into key order, then finish equal-key runs with
-	// the comparator (stability left them in original order, not sorted
-	// order).
-	for j, p := range src {
-		perm[j] = data[p.I]
+	// Gather the elements into key order — the one move of each element —
+	// then finish equal-key runs with the comparator where they lie
+	// (stability left them in original order, not sorted order).
+	for j, p := range from {
+		dst[j] = src[p.I]
 	}
-	copy(data, perm)
 	for lo := 0; lo < n; {
 		hi := lo + 1
-		for hi < n && src[hi].K == src[lo].K {
+		for hi < n && from[hi].K == from[lo].K {
 			hi++
 		}
 		if hi-lo > 1 {
-			finishRun(data[lo:hi], less)
+			finishRun(dst[lo:hi], less)
 		}
 		lo = hi
 	}
+	return true
 }
 
 // finishRun comparator-sorts one equal-key run: insertion sort for short

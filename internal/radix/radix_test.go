@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -131,4 +132,68 @@ func TestSortStableWithinEqualKeysBeforeFinish(t *testing.T) {
 	if len(seen) != 200 {
 		t.Fatal("element lost")
 	}
+}
+
+// TestSortInto holds the into-kernel to a stable comparison sort of a copy:
+// dst distinct from src, src unchanged, through the early exits (already
+// sorted, all keys equal, n < 2) and the gather, on total orders and on the
+// PR 5 duplicate-key shapes (a weak order whose key is all of it, so ties
+// are only required to survive as a multiset).
+func TestSortInto(t *testing.T) {
+	type rec struct{ K, Tag int }
+	key := func(x rec) uint64 { return uint64(x.K) }
+	total := func(a, b rec) bool { return a.K < b.K || (a.K == b.K && a.Tag < b.Tag) }
+	weak := func(a, b rec) bool { return a.K < b.K }
+	r := rand.New(rand.NewSource(5))
+	gen := func(n int, k func(i int) int) []rec {
+		out := make([]rec, n)
+		for i := range out {
+			out[i] = rec{K: k(i), Tag: r.Intn(1 << 30)}
+		}
+		return out
+	}
+	cases := map[string]struct {
+		src  []rec
+		less func(a, b rec) bool
+	}{
+		"empty":           {nil, total},
+		"one":             {gen(1, func(int) int { return 3 }), total},
+		"two-swapped":     {[]rec{{2, 0}, {1, 0}}, total},
+		"random":          {gen(3000, func(int) int { return r.Intn(1 << 18) }), total},
+		"long-key-runs":   {gen(3000, func(int) int { return r.Intn(4) }), total},
+		"already-sorted":  {gen(500, func(i int) int { return 2 * i }), total},
+		"all-equal-keys":  {gen(500, func(int) int { return 7 }), total},
+		"dup-all-equal":   {gen(800, func(int) int { return 7 }), weak},
+		"dup-two-classes": {gen(800, func(i int) int { return []int{3, 200}[i%2] }), weak},
+	}
+	for name, tc := range cases {
+		n := len(tc.src)
+		before := slices.Clone(tc.src)
+		dst := make([]rec, n)
+		SortInto(dst, tc.src, key, tc.less, make([]KV, n), make([]KV, n))
+		if !slices.Equal(tc.src, before) {
+			t.Errorf("%s: SortInto wrote its source", name)
+		}
+		want := slices.Clone(before)
+		slices.SortStableFunc(want, CmpOf(total))
+		if !slices.IsSortedFunc(dst, CmpOf(tc.less)) {
+			t.Errorf("%s: destination not sorted", name)
+		}
+		slices.SortStableFunc(dst, CmpOf(total)) // a no-op under the total order
+		if !slices.Equal(dst, want) {
+			t.Errorf("%s: destination is not the sorted source", name)
+		}
+	}
+}
+
+// TestSortIntoRefusesUint32Overflow: 2^32 zero-size elements cost nothing
+// to make and must be refused before an index wraps, not sorted wrongly.
+func TestSortIntoRefusesUint32Overflow(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "overflow the uint32 index") {
+			t.Fatalf("SortInto of 2^32 elements: recovered %q", msg)
+		}
+	}()
+	big := make([]struct{}, 1<<32)
+	SortInto(big, big, func(struct{}) uint64 { return 0 }, func(a, b struct{}) bool { return false }, nil, nil)
 }
