@@ -1,8 +1,8 @@
 package core
 
 import (
+	"fmt"
 	"math"
-	"sort"
 
 	"kamsta/internal/arena"
 	"kamsta/internal/comm"
@@ -16,6 +16,7 @@ import (
 var (
 	kBaseLocal  = arena.NewKey() // []graph.VID: distinct local sources
 	kBaseVerts  = arena.NewKey() // []graph.VID: replicated dense rename table
+	kBaseWin    = arena.NewKey() // []int32: its index window
 	kBaseWork   = arena.NewKey() // []dEdge: local edges with dense endpoints
 	kBaseVec    = arena.NewKey() // []cand: per-round allreduce input vector
 	kBaseParent = arena.NewKey() // []int32: replicated contraction forest
@@ -66,21 +67,27 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 	if len(local) > 0 && l.HomePE(local[0]) < c.Rank() {
 		local = local[1:]
 	}
-	verts := comm.AllgatherConcatInto(c, arena.GrabAppend[graph.VID](a, kBaseVerts), local)
-	arena.Keep(a, kBaseVerts, verts)
-	n := len(verts)
+	x := vertexIndex{verts: comm.AllgatherConcatInto(c, arena.GrabAppend[graph.VID](a, kBaseVerts), local)}
+	arena.Keep(a, kBaseVerts, x.verts)
+	n := x.len()
 	if n == 0 {
 		return
 	}
-	dense := func(v graph.VID) int32 {
-		i := sort.Search(n, func(i int) bool { return verts[i] >= v })
-		return int32(i)
-	}
+	x.index(a, kBaseWin, 2*len(edges))
 
-	// Working copy with dense endpoints packed beside the edge.
+	// Working copy with dense endpoints packed beside the edge. The charge is
+	// the paper's binary search per endpoint, whatever x does.
 	work := arena.Grab[dEdge](a, kBaseWork, len(edges))
 	for i, e := range edges {
-		work[i] = dEdge{u: dense(e.U), v: dense(e.V), e: e}
+		u, v := x.find(e.U), x.find(e.V)
+		if min(u, v) < 0 {
+			miss := e.U
+			if u >= 0 {
+				miss = e.V
+			}
+			panic(fmt.Sprintf("core: base case: rank %d: no dense index for vertex %d", c.Rank(), miss))
+		}
+		work[i] = dEdge{u: int32(u), v: int32(v), e: e}
 	}
 	c.ChargeCompute(len(edges) * dsort.Log2Ceil(n+1))
 
@@ -162,9 +169,9 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 		if rec != nil {
 			roots := arena.Grab[graph.VID](a, kBaseRoots, n)
 			for i, r := range parent {
-				roots[i] = verts[r]
+				roots[i] = x.verts[r]
 			}
-			rec.record(c, denseLabels{verts: verts, labels: roots}, opt)
+			rec.record(c, denseLabels{vertexIndex: x, labels: roots}, opt)
 		}
 		// Relabel the local edges and drop self-loops.
 		kept := work[:0]

@@ -33,17 +33,21 @@ func designNumbers(t *testing.T, what, pattern string) []int {
 }
 
 // TestDesignQuotesResourceConstants compares the constants DESIGN.md §8
-// quotes for the per-rank resources with what the code does: the direct
-// rename table's window (at the rounds' call site and at FILTER's), the
-// arena's growth rule and par's grain.
+// quotes for the per-rank resources with what the code does: the vertex
+// index's window (bound by its entries, and by its lookups, and at FILTER's
+// call site), the arena's growth rule and par's grain.
 func TestDesignQuotesResourceConstants(t *testing.T) {
-	w := designNumbers(t, "direct window", "at most `(\\d+)n\\+(\\d+)` for `n`\\s+vertices \\(`directWindow`")
+	w := designNumbers(t, "index window",
+		"at most `(\\d+)·max\\(n, q\\)\\+(\\d+)` for a table of `n`\\s+vertices serving `q` lookups \\(`directWindow`")
 	verts := []graph.VID{1, 2, 3, 0}
-	widest := w[0]*len(verts) + w[1]
-	for span, want := range map[int]int{widest: widest, widest + 1: 0} {
-		verts[3] = verts[0] + graph.VID(span) - 1
-		if got := directWindow(verts); got != want {
-			t.Errorf("directWindow over a span of %d for %d vertices = %d, DESIGN.md's %dn+%d says %d", span, len(verts), got, w[0], w[1], want)
+	for _, lookups := range []int{0, 100} {
+		widest := w[0]*max(len(verts), lookups) + w[1]
+		for span, want := range map[int]int{widest: widest, widest + 1: 0} {
+			verts[3] = verts[0] + graph.VID(span) - 1
+			if got := directWindow(verts, lookups); got != want {
+				t.Errorf("directWindow over a span of %d for %d vertices and %d lookups = %d, DESIGN.md's %d·max(n, q)+%d says %d",
+					span, len(verts), lookups, got, w[0], w[1], want)
+			}
 		}
 	}
 

@@ -21,10 +21,10 @@ var (
 	kResSendQ  = arena.NewKey() // [][]graph.VID buckets (resolve queries)
 	kResSendR  = arena.NewKey() // [][]labelPair buckets (resolve replies)
 	kResAns    = arena.NewKey() // []graph.VID: replies, aligned with the targets
-	kResWin    = arena.NewKey() // []graph.VID: the reply table's direct window
+	kResWin    = arena.NewKey() // []int32: the reply table's index window
 	kLabelBits = arena.NewKey() // []uint64: labelSet's bitmap over the label space
 	kFilterVs  = arena.NewKey() // []graph.VID: distinct endpoints of a segment
-	kFilterWin = arena.NewKey() // []graph.VID: the rename table's direct window
+	kFilterWin = arena.NewKey() // []int32: the rename table's index window
 	kFilterOut = arena.NewKey() // []graph.Edge: relabeled survivors of a segment
 	kPartHeavy = arena.NewKey() // []graph.Edge: heavy half staged by a partition
 	kPartRuns  = arena.NewKey() // []int: per-block run bookkeeping of the pack loops
@@ -155,8 +155,8 @@ func (d *distArray) lookup(v graph.VID) graph.VID {
 // ascending and duplicate-free; the result is aligned with vs and is
 // arena-backed (valid until the next resolve on this PE). dense is the
 // caller's denseWindow verdict on the label space: it picks how a round's
-// distinct targets are found and its replies looked up, never what is sent.
-// Collective.
+// distinct targets are found, never what is sent; the replies are read
+// through an index sized for the len(vs) lookups. Collective.
 func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, dense bool, opt Options) []graph.VID {
 	a := c.Scratch()
 	cur := arena.Grab[graph.VID](a, kResCur, len(vs))
@@ -188,7 +188,7 @@ func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, dense bool, opt Option
 		recvR := alltoall.Exchange(c, opt.A2A, sendR)
 		// Every owner answers its bucket in order and the buckets concatenate
 		// in rank order, so the replies arrive aligned with the queries.
-		ans := denseLabels{verts: tgt, labels: arena.Grab[graph.VID](a, kResAns, len(tgt))}
+		ans := denseLabels{vertexIndex: vertexIndex{verts: tgt}, labels: arena.Grab[graph.VID](a, kResAns, len(tgt))}
 		k := 0
 		for i := range recvR {
 			for _, lp := range recvR[i] {
@@ -202,9 +202,7 @@ func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, dense bool, opt Option
 		if k != len(tgt) {
 			panic(fmt.Sprintf("core: distributed array resolution: %d replies to %d queries", k, len(tgt)))
 		}
-		if dense {
-			ans.window(a, kResWin, labelSpan(tgt))
-		}
+		ans.index(a, kResWin, len(cur))
 		progress := false
 		for i, v := range cur {
 			if done[i] {
@@ -428,14 +426,14 @@ func closeUp(dst, src []graph.Edge, lo, n []int) int {
 // segment (edges, then carry) through P, drop intra-component edges (now
 // self-loops), and redistribute the survivors into a fresh sorted,
 // deduplicated, balanced distribution. The distinct endpoints come from a
-// labelSet and the rename goes through a denseLabels table — bitmap and
-// direct window when the label space passes denseWindow for the segment's
-// endpoint slots, sort and binary search otherwise; the queries resolve
-// sends are the same sorted set either way.
+// labelSet — a bitmap when the label space passes denseWindow for the
+// segment's endpoint slots, sort and compact otherwise; the queries resolve
+// sends are the same sorted set either way — and the rename goes through a
+// denseLabels table indexed for those slots under the same rule.
 func filterSegment(c *comm.Comm, seg segment, P *distArray, opt Options) ([]graph.Edge, *graph.Layout) {
 	a := c.Scratch()
 	m := len(seg.edges) + len(seg.carry)
-	dense := denseWindow(P.n, 2*m) && !forceSparseLabels
+	dense := denseWindow(P.n, 2*m)
 	set := newLabelSet(a, kFilterVs, P.n, dense)
 	for _, part := range [2][]graph.Edge{seg.edges, seg.carry} {
 		for i := range part {
@@ -443,11 +441,9 @@ func filterSegment(c *comm.Comm, seg segment, P *distArray, opt Options) ([]grap
 			set.add(part[i].V)
 		}
 	}
-	ren := denseLabels{verts: set.sorted()}
+	ren := denseLabels{vertexIndex: vertexIndex{verts: set.sorted()}}
 	ren.labels = P.resolve(c, ren.verts, dense, opt)
-	if dense {
-		ren.window(a, kFilterWin, labelSpan(ren.verts))
-	}
+	ren.index(a, kFilterWin, 2*m)
 	out := arena.Grab[graph.Edge](a, kFilterOut, m)
 	tbl := relabelTable{lab: ren}
 	k := relabelPack(c, out, seg.edges, &tbl)
@@ -455,8 +451,3 @@ func filterSegment(c *comm.Comm, seg segment, P *distArray, opt Options) ([]grap
 	c.ChargeCompute(m)
 	return redistribute(c, out[:k], opt)
 }
-
-// forceSparseLabels sends filterSegment down the sort-and-search path
-// whatever the label space (tests only): the two paths must be
-// indistinguishable from outside.
-var forceSparseLabels = false

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"kamsta/internal/arena"
 	"kamsta/internal/comm"
 	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
@@ -13,20 +14,30 @@ import (
 	"kamsta/internal/rng"
 )
 
-// filterRun is everything of one Filter-Borůvka job an outside observer can
-// tell apart: the forest, the algorithm's structure, the traffic and the
+// filterRun is everything of one job an outside observer can tell apart: the
+// forest, the algorithm's structure, the traffic (per phase too) and the
 // modeled clock.
 type filterRun struct {
 	res    Result
 	shares [][]graph.Edge
 	stats  comm.Stats
 	clock  float64
+	phases map[string]comm.PhaseTime
+
+	windows int // index window slots rank 0 grabbed (not observable from outside)
 }
 
 // runFilter runs Filter-Borůvka on a fresh p-PE world over spec with every
 // label v moved to 1+(v-1)·spread — monotone, so the input format and the
 // (W, TB) order hold.
 func runFilter(t *testing.T, p, threads int, spec gen.Spec, spread uint64, opt Options) (filterRun, []graph.Edge) {
+	t.Helper()
+	return runAlg(t, p, threads, spec, spread, opt, FilterBoruvka)
+}
+
+// runAlg is runFilter for either algorithm.
+func runAlg(t *testing.T, p, threads int, spec gen.Spec, spread uint64, opt Options,
+	alg func(*comm.Comm, []graph.Edge, *graph.Layout, Options) Result) (filterRun, []graph.Edge) {
 	t.Helper()
 	w := comm.NewWorld(p, comm.WithThreads(threads))
 	out := filterRun{shares: make([][]graph.Edge, p)}
@@ -42,14 +53,19 @@ func runFilter(t *testing.T, p, threads int, spec gen.Spec, spread uint64, opt O
 			layout = graph.BuildLayout(c, edges)
 		}
 		inputs[c.Rank()] = edges
-		r := FilterBoruvka(c, edges, layout, opt)
+		r := alg(c, edges, layout, opt)
 		out.shares[c.Rank()] = r.MSTEdges
 		if c.Rank() == 0 {
 			r.MSTEdges = nil
 			out.res = r
+			for _, k := range []arena.Key{kDirect, kGhostWin, kBaseWin, kResWin, kFilterWin} {
+				if cap(arena.GrabAppend[int32](c.Scratch(), k)) > 0 {
+					out.windows++
+				}
+			}
 		}
 	})
-	out.stats, out.clock = w.TotalStats(), w.MaxClock()
+	out.stats, out.clock, out.phases = w.TotalStats(), w.MaxClock(), w.Phases()
 	return out, slices.Concat(inputs...)
 }
 
@@ -100,6 +116,63 @@ func TestFilterPathsIndistinguishable(t *testing.T) {
 				// Threads divide the compute charge; the path must not touch it.
 				if threads == 1 && got.clock != want.clock {
 					t.Errorf("%s: modeled %v, dense path %v", label, got.clock, want.clock)
+				}
+			}
+		}
+	}
+}
+
+// TestRoundPathsIndistinguishable widens the same check to every table of the
+// rounds and the base case: GNM, RGG2D and a wide-span instance (labels 64
+// apart, where some tables fail the window rule by themselves) × p ∈ {3, 8,
+// 16} × both algorithms, each once with the index windows and FILTER's
+// bitmap the data picks and once with all of them forced off. Forest, rounds,
+// base calls, traffic and modeled time per phase and the modeled clock must
+// be identical to the bit, and the first run must really have indexed.
+func TestRoundPathsIndistinguishable(t *testing.T) {
+	defer func() { forceSparseLabels = false }()
+	instances := []struct {
+		spec   gen.Spec
+		spread uint64
+	}{
+		{gen.Spec{Family: gen.GNM, N: 1500, M: 12000, Seed: 8}, 1},
+		{gen.Spec{Family: gen.RGG2D, N: 1500, M: 12000, Seed: 9}, 1},
+		{gen.Spec{Family: gen.GNM, N: 1500, M: 12000, Seed: 10}, 64},
+	}
+	algs := map[string]func(*comm.Comm, []graph.Edge, *graph.Layout, Options) Result{
+		"boruvka": Boruvka, "filterBoruvka": FilterBoruvka,
+	}
+	opt := pathOpt
+	opt.LocalPreprocessing = true
+	for _, in := range instances {
+		for _, p := range []int{3, 8, 16} {
+			for name, alg := range algs {
+				label := fmt.Sprintf("%s %v×%d p=%d", name, in.spec.Family, in.spread, p)
+				forceSparseLabels = false
+				want, all := runAlg(t, p, 1, in.spec, in.spread, opt, alg)
+				forceSparseLabels = true
+				got, _ := runAlg(t, p, 1, in.spec, in.spread, opt, alg)
+				checkAgainstOracle(t, label, want.res, want.shares, all)
+				if in.spread == 1 && want.windows == 0 || got.windows != 0 {
+					t.Fatalf("%s: %d index windows grabbed with the rule, %d forced off", label, want.windows, got.windows)
+				}
+				for r := range got.shares {
+					if !slices.Equal(got.shares[r], want.shares[r]) {
+						t.Fatalf("%s: rank %d's MST share differs between the paths", label, r)
+					}
+				}
+				g, w := got.res, want.res
+				if g.TotalWeight != w.TotalWeight || g.Rounds != w.Rounds || g.BaseCalls != w.BaseCalls ||
+					!slices.Equal(g.VertexCounts, w.VertexCounts) || got.stats != want.stats || got.clock != want.clock {
+					t.Errorf("%s: searched %+v %+v %v; indexed %+v %+v %v", label, g, got.stats, got.clock, w, want.stats, want.clock)
+				}
+				if len(got.phases) != len(want.phases) {
+					t.Errorf("%s: %d phases searched, %d indexed", label, len(got.phases), len(want.phases))
+				}
+				for ph, wp := range want.phases {
+					if gp := got.phases[ph]; gp.Stats != wp.Stats || gp.Modeled != wp.Modeled {
+						t.Errorf("%s: phase %s searched %+v %v, indexed %+v %v", label, ph, gp.Stats, gp.Modeled, wp.Stats, wp.Modeled)
+					}
 				}
 			}
 		}

@@ -252,3 +252,89 @@ func BenchmarkFilterSegment(b *testing.B) {
 		}
 	})
 }
+
+// boruvkaShape is the gnm-boruvka workload's instance: GNM, n = 2^15,
+// m = 2^19 (1 M directed edges, 65 k per PE at p = 16), the input where
+// EXCHANGELABELS and the base case do the most lookups per message.
+var boruvkaShape = gen.Spec{Family: gen.GNM, N: 1 << 15, M: 1 << 19, Seed: 42}
+
+// BenchmarkExchangeLabels times EXCHANGELABELS of the first Borůvka round of
+// boruvkaShape on 16 PEs: the owner of every cut edge's reverse copy, the
+// per-owner dedup, one all-to-all and the ghost table's index.
+func BenchmarkExchangeLabels(b *testing.B) {
+	comm.NewWorld(16).Run(func(c *comm.Comm) {
+		edges, l := gen.Build(c, boruvkaShape, dsort.Options{})
+		opt := DefaultOptions().withDefaults()
+		var mst []graph.Edge
+		labels := contractComponents(c, edges, l, minEdges(c, edges, l), opt, &mst)
+		exchangeLabels(c, edges, l, labels, opt)
+		if c.Rank() == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		comm.Barrier(c)
+		for i := 0; i < b.N; i++ {
+			exchangeLabels(c, edges, l, labels, opt)
+		}
+	})
+}
+
+// BenchmarkBaseCase times the base case (§IV-D) of boruvkaShape on 16 PEs,
+// entered where a Borůvka job enters it: after the distributed rounds have
+// brought the vertex count under the threshold. Its remap reads one index
+// per endpoint over the replicated vertex list.
+func BenchmarkBaseCase(b *testing.B) {
+	comm.NewWorld(16).Run(func(c *comm.Comm) {
+		work, l := gen.Build(c, boruvkaShape, dsort.Options{})
+		opt := DefaultOptions().withDefaults()
+		var mst []graph.Edge
+		distributedRounds(c, &work, &l, opt, &mst, nil)
+		baseCase(c, work, l, &mst, nil, opt)
+		if c.Rank() == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		comm.Barrier(c)
+		for i := 0; i < b.N; i++ {
+			mst = mst[:0]
+			baseCase(c, work, l, &mst, nil, opt)
+		}
+	})
+}
+
+// TestBaseCaseSteadyStateAllocs: a warm second base case on the same world
+// allocates nothing of its own — its remap window, replicated vertex list,
+// working edges and forest are arena slots. What is left is the floor of the
+// collectives it runs, measured on the same world: one vertex gather and one
+// AllreduceVec per round.
+func TestBaseCaseSteadyStateAllocs(t *testing.T) {
+	w := comm.NewWorld(1)
+	var edges []graph.Edge
+	var l *graph.Layout
+	opt := DefaultOptions().withDefaults()
+	mst := make([]graph.Edge, 0, benchSpec.N)
+	w.Run(func(c *comm.Comm) {
+		edges, l = gen.Build(c, benchSpec, dsort.Options{})
+		baseCase(c, edges, l, &mst, nil, opt) // warm the arena
+	})
+	w.ResetMetrics()
+	const runs = 10 // an average: a stray allocation of the runtime's does not count whole
+	var allocs, gather, reduce float64
+	w.Run(func(c *comm.Comm) {
+		allocs = testing.AllocsPerRun(runs, func() {
+			mst = mst[:0]
+			baseCase(c, edges, l, &mst, nil, opt)
+		})
+	})
+	rounds := int(w.TotalStats().Collectives)/(runs+1) - 1 // AllocsPerRun adds one unmeasured call
+	w.Run(func(c *comm.Comm) {
+		verts, dst, vec := []graph.VID{1, 2, 3}, []graph.VID(nil), make([]cand, 8)
+		gather = testing.AllocsPerRun(runs, func() { dst = comm.AllgatherConcatInto(c, dst[:0], verts) })
+		reduce = testing.AllocsPerRun(runs, func() { comm.AllreduceVec(c, vec, func(a, _ cand) cand { return a }) })
+	})
+	floor := gather + float64(rounds)*reduce
+	t.Logf("%v allocations in a warm base case of %d rounds; collective floor %v", allocs, rounds, floor)
+	if allocs > floor {
+		t.Errorf("a warm base case allocates %v times, the collectives it runs %v", allocs, floor)
+	}
+}

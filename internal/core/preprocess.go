@@ -57,7 +57,7 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	// Strip identity labels in place — only contracted vertices need
 	// broadcasting. res.Verts is ascending, so the stripped table stays a
 	// valid dense rename table.
-	labels := denseLabels{verts: res.Verts[:0], labels: res.Roots[:0]}
+	labels := denseLabels{vertexIndex: vertexIndex{verts: res.Verts[:0]}, labels: res.Roots[:0]}
 	for i, v := range res.Verts {
 		if lbl := res.Roots[i]; v != lbl {
 			labels.verts = append(labels.verts, v)

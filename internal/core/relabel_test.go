@@ -35,7 +35,7 @@ func relabelRef(src []graph.Edge, lab, ghost map[graph.VID]graph.VID) []graph.Ed
 }
 
 // tableOf turns a map into the dense table the kernel reads: left searching,
-// or with a direct window out of slot k where production would build one.
+// or with an index window out of slot k where production would build one.
 func tableOf(a *arena.Arena, k arena.Key, m map[graph.VID]graph.VID, window bool) denseLabels {
 	var d denseLabels
 	for v := range m {
@@ -46,7 +46,7 @@ func tableOf(a *arena.Arena, k arena.Key, m map[graph.VID]graph.VID, window bool
 		d.labels = append(d.labels, m[v])
 	}
 	if window {
-		d.window(a, k, directWindow(d.verts))
+		d.index(a, k, 0)
 	}
 	return d
 }
@@ -76,7 +76,7 @@ func relabelChunk(r *rng.RNG, rank, n int) []graph.Edge {
 // reference: random sorted chunks and an unsorted concatenation of sorted
 // runs (FILTER's carry) × the rounds' tables (own labels, ghosts, a shared
 // vertex in neither), preprocessing's (no own table, ghosts for some) and
-// FILTER's (one table of everything) × direct window or search × in place or
+// FILTER's (one table of everything) × index window or search × in place or
 // into a second slice × 1, 2 and 8 threads. Same survivors in the same order,
 // nothing written past len(src), the source intact when it is not the
 // destination.
@@ -122,8 +122,8 @@ func TestRelabelPack(t *testing.T) {
 					for _, tc := range cases {
 						tbl := relabelTable{lab: tableOf(a, kDirect, tc.lab, window),
 							ghost: tableOf(a, kGhostWin, tc.ghost, window), strict: tc.strict}
-						if window && n == 5000 && (tbl.lab.direct == nil) != (tc.lab == nil) {
-							t.Errorf("threads=%d %s: a dense table of %d labels got no direct window", threads, tc.name, len(tc.lab))
+						if window && n == 5000 && (tbl.lab.win == nil) != (tc.lab == nil) {
+							t.Errorf("threads=%d %s: a dense table of %d labels got no index window", threads, tc.name, len(tc.lab))
 						}
 						for si, src := range [][]graph.Edge{sorted, carry} {
 							want := relabelRef(src, tc.lab, tc.ghost)
@@ -191,6 +191,24 @@ func TestRelabelStrictAndLenient(t *testing.T) {
 		tail := fmt.Sprintf("labels=%d ghost=0, localEdges=%d)", len(lab), len(src))
 		if !strings.HasPrefix(msg, want) || !strings.HasSuffix(msg, tail) {
 			t.Errorf("rank %d: strict mode said %q, want %q…%q", c.Rank(), msg, want, tail)
+		}
+	})
+}
+
+// TestBaseCaseMissPanics: an endpoint that is no source anywhere has no
+// dense index, and the base case says so with rank and vertex instead of
+// contracting into a neighbour's slot.
+func TestBaseCaseMissPanics(t *testing.T) {
+	comm.NewWorld(1).Run(func(c *comm.Comm) {
+		edges := []graph.Edge{{U: 1, V: 2, W: 1}, {U: 1, V: 5, W: 2}, {U: 2, V: 1, W: 1}}
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			var mst []graph.Edge
+			baseCase(c, edges, graph.BuildLayout(c, edges), &mst, nil, Options{}.withDefaults())
+			return
+		}()
+		if want := "core: base case: rank 0: no dense index for vertex 5"; msg != want {
+			t.Errorf("base case over a dangling endpoint said %q, want %q", msg, want)
 		}
 	})
 }

@@ -18,7 +18,7 @@ import (
 var (
 	kRanges     = arena.NewKey() // []graph.VertexRange: per-source runs
 	kMins       = arena.NewKey() // []minEdge: minimum-edge selection
-	kVerts      = arena.NewKey() // []graph.VID: dense rename table
+	kVerts      = arena.NewKey() // []graph.VID: the round's non-shared vertices
 	kParent     = arena.NewKey() // []parentEntry: pointer-doubling state
 	kEmit       = arena.NewKey() // []int32: candidate MST edge per vertex
 	kLabels     = arena.NewKey() // []graph.VID: component labels
@@ -27,10 +27,10 @@ var (
 	kSendLbl    = arena.NewKey() // [][]labelPair buckets (exchangeLabels)
 	kGhost      = arena.NewKey() // []graph.VID: ghost vertices, ascending
 	kGhostLbl   = arena.NewKey() // []graph.VID: their labels
-	kGhostWin   = arena.NewKey() // []graph.VID: the ghost table's direct window
+	kGhostWin   = arena.NewKey() // []int32: the ghost table's index window
 	kRelabelOut = arena.NewKey() // []graph.Edge: the rounds' relabelled edges
 	kRecSend    = arena.NewKey() // [][]labelPair buckets (distArray.record)
-	kDirect     = arena.NewKey() // []graph.VID: the round labels' direct window
+	kDirect     = arena.NewKey() // []int32: the round's vertex index window
 )
 
 // minEdge pairs a local vertex with its lightest incident edge's index in
@@ -52,10 +52,11 @@ func minEdges(c *comm.Comm, edges []graph.Edge, l *graph.Layout) []minEdge {
 	ranges := graph.AppendLocalRanges(arena.GrabAppend[graph.VertexRange](a, kRanges), edges)
 	arena.Keep(a, kRanges, ranges)
 	out := arena.Grab[minEdge](a, kMins, len(ranges))
+	own, end := l.LocalRange(c.Rank()) // a local source outside it is shared
 	c.Pool().For(len(ranges), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			r := ranges[k]
-			if l.IsSharedOn(r.V, c.Rank()) {
+			if r.V < own || r.V >= end {
 				out[k] = minEdge{v: r.V, idx: -1}
 				continue
 			}
@@ -90,84 +91,97 @@ type labelPair struct {
 	V, L graph.VID
 }
 
-// denseLabels maps an ascending, duplicate-free vertex set to labels aligned
-// with it: the round's component labeling of this PE's non-shared vertices,
-// the ghost labels EXCHANGELABELS receives, and Filter-Borůvka's rename and
-// reply tables are all this one shape. It replaces the former maps — lookups
-// are index-based, and iteration is in index order, which makes every
-// derived message sequence deterministic.
+// vertexIndex numbers an ascending, duplicate-free vertex set: find(v) is
+// v's position in verts, or -1. It is every per-vertex lookup of a round —
+// the contraction's parent table, the round's labeling, the ghost table
+// EXCHANGELABELS receives, Filter-Borůvka's rename and reply tables and the
+// base case's replicated remap. It replaces the former maps: iteration is in
+// index order, which makes every derived message sequence deterministic.
 //
-// When the vertex IDs span a window not much larger than their count — the
-// §II-B consecutive-ID guarantee makes this the common case in early
-// rounds — direct holds the labels themselves, window-indexed, for an O(1)
-// answer; otherwise lookups binary-search verts.
-type denseLabels struct {
-	verts  []graph.VID
-	labels []graph.VID
-	base   graph.VID
-	direct []graph.VID // direct[v-base] = label of v, 0 (reserved) = absent; may be nil
+// When the IDs span a window denseWindow admits for the lookups the table
+// serves — the §II-B consecutive-ID guarantee makes this the common case —
+// win holds index+1 per ID for a one-load answer; otherwise find
+// binary-searches verts.
+type vertexIndex struct {
+	verts []graph.VID
+	base  graph.VID
+	win   []int32 // win[v-base] = 1 + index of v, 0 = absent; nil = search
 }
 
 // denseWindow is the one rule for trading a search for a table: a window of
-// span labels is worth indexing directly when it is at most 4·n+1024 for the
-// n entries (or endpoint slots) it serves.
-func denseWindow(span uint64, n int) bool { return span <= uint64(4*n+1024) }
+// span IDs is worth indexing directly when it is at most 4·n+1024 for the n
+// slots it serves — a table's entries or its lookups, whichever is more.
+func denseWindow(span uint64, n int) bool {
+	return span <= uint64(4*n+1024) && !forceSparseLabels
+}
 
-// labelSpan is the number of IDs from the first to the last of the ascending
-// verts, 0 for none.
-func labelSpan(verts []graph.VID) int {
+// forceSparseLabels makes denseWindow refuse everything (tests only): FILTER
+// sorts instead of marking a bitmap and every vertexIndex searches. Either
+// path must be indistinguishable from outside.
+var forceSparseLabels = false
+
+// directWindow returns the size of the index window over verts for a table
+// serving that many lookups, or 0 when the ID span fails denseWindow — too
+// sparse, so lookups fall back to searching.
+func directWindow(verts []graph.VID, lookups int) int {
 	if len(verts) == 0 {
 		return 0
 	}
-	return int(verts[len(verts)-1] - verts[0] + 1)
-}
-
-// directWindow returns the size of the direct window for verts, or 0 when
-// the ID span fails denseWindow — too sparse, so lookups fall back to
-// searching.
-func directWindow(verts []graph.VID) int {
-	if span := labelSpan(verts); denseWindow(uint64(span), len(verts)) {
+	if span := int(verts[len(verts)-1]-verts[0]) + 1; denseWindow(uint64(span), max(len(verts), lookups)) {
 		return span
 	}
 	return 0
 }
 
-// window indexes the table directly over span IDs from verts[0], out of slot
-// k; a span of 0 leaves it searching.
-func (d *denseLabels) window(a *arena.Arena, k arena.Key, span int) {
-	if span == 0 {
-		return
+// index builds the window out of slot k when directWindow admits it for
+// lookups, and leaves x searching otherwise.
+func (x *vertexIndex) index(a *arena.Arena, k arena.Key, lookups int) {
+	x.win = nil
+	if span := directWindow(x.verts, lookups); span > 0 {
+		x.base = x.verts[0]
+		x.win = arena.GrabZeroed[int32](a, k, span)
+		for i, v := range x.verts {
+			x.win[v-x.base] = int32(i + 1)
+		}
 	}
-	d.base = d.verts[0]
-	d.direct = arena.GrabZeroed[graph.VID](a, k, span)
-	for i, v := range d.verts {
-		d.direct[v-d.base] = d.labels[i]
+}
+
+// find returns the index of v in verts, or -1. The search is written out
+// rather than a slices.BinarySearch call so that find stays inlinable: it is
+// the per-endpoint lookup of RELABEL and the base case's remap.
+func (x *vertexIndex) find(v graph.VID) int {
+	if i := v - x.base; i < graph.VID(len(x.win)) { // v < base wraps past it
+		return int(x.win[i]) - 1
 	}
+	if x.win != nil {
+		return -1
+	}
+	for lo, hi := 0, len(x.verts); lo < hi; {
+		if m := (lo + hi) >> 1; x.verts[m] < v {
+			lo = m + 1
+		} else if x.verts[m] > v {
+			hi = m
+		} else {
+			return m
+		}
+	}
+	return -1
+}
+
+func (x *vertexIndex) len() int { return len(x.verts) }
+
+// denseLabels is a vertexIndex with a label per vertex.
+type denseLabels struct {
+	vertexIndex
+	labels []graph.VID
 }
 
 // get returns the label of v, if v is in the table.
 func (d *denseLabels) get(v graph.VID) (graph.VID, bool) {
-	if d.direct != nil {
-		if i := v - d.base; i < graph.VID(len(d.direct)) { // v < base wraps past it
-			lbl := d.direct[i]
-			return lbl, lbl != 0
-		}
-		return 0, false
-	}
-	if i, ok := slices.BinarySearch(d.verts, v); ok {
+	if i := d.find(v); i >= 0 {
 		return d.labels[i], true
 	}
 	return 0, false
-}
-
-func (d *denseLabels) len() int { return len(d.verts) }
-
-// lookupVID returns the index of v in the ascending verts, or -1.
-func lookupVID(verts []graph.VID, v graph.VID) int {
-	if i, ok := slices.BinarySearch(verts, v); ok {
-		return i
-	}
-	return -1
 }
 
 // contractComponents converts the pseudo-trees induced by the minimum edges
@@ -194,15 +208,18 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 	a := c.Scratch()
 	n := len(mins)
 	// Dense tables for this PE's non-shared vertices.
-	verts := arena.Grab[graph.VID](a, kVerts, n)
+	x := vertexIndex{verts: arena.Grab[graph.VID](a, kVerts, n)}
 	parent := arena.Grab[parentEntry](a, kParent, n)
 	emit := arena.Grab[int32](a, kEmit, n) // emit[i] = candidate MST edge index, -1 = none
 	for i, me := range mins {
 		e := edges[me.idx]
-		verts[i] = me.v
+		x.verts[i] = me.v
 		parent[i] = parentEntry{cur: e.V}
 		emit[i] = int32(me.idx)
 	}
+	// One index serves the doubling below and, as the round's labeling,
+	// RELABEL's lookup of every local edge's target.
+	x.index(a, kDirect, len(edges))
 
 	// Round 0 handles 2-cycles: u and parent[u]=v point at each other when
 	// they picked the same logical lightest edge. The smaller label becomes
@@ -234,47 +251,46 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 			if pe.done {
 				continue
 			}
-			u := verts[i]
+			u := x.verts[i]
 			v := pe.cur
-			switch {
-			case v == u:
+			if v == u {
 				pe.done = true
-			case l.IsShared(v):
-				// Shared vertices are roots by fiat — no communication.
-				pe.done = true
-			default:
-				if j := lookupVID(verts, v); j >= 0 {
-					// Target is on this PE: step locally.
-					q := &parent[j]
-					if round == 0 && q.cur == u {
-						// Local 2-cycle.
-						if u < v {
-							pe.cur = u
-							pe.done = true
-							emit[i] = -1
-						} else {
-							pe.done = true // cur stays v, v is root
-						}
-						continue
+				continue
+			}
+			if j := x.find(v); j >= 0 {
+				// Target is on this PE (so not shared): step locally.
+				q := &parent[j]
+				if round == 0 && q.cur == u {
+					// Local 2-cycle.
+					if u < v {
+						pe.cur = u
+						pe.done = true
+						emit[i] = -1
+					} else {
+						pe.done = true // cur stays v, v is root
 					}
-					if q.done || q.cur == v {
-						pe.cur = q.cur
-						if q.cur == v { // v is a root
-							pe.done = true
-						} else {
-							pe.done = q.done
-						}
-						if pe.cur == u { // collapsed 2-cycle remnant
-							pe.done = true
-						}
-						continue
-					}
-					pe.cur = q.cur
-					pending++
 					continue
 				}
-				// Remote target.
-				home := l.HomePE(v)
+				if q.done || q.cur == v {
+					pe.cur = q.cur
+					if q.cur == v { // v is a root
+						pe.done = true
+					} else {
+						pe.done = q.done
+					}
+					if pe.cur == u { // collapsed 2-cycle remnant
+						pe.done = true
+					}
+					continue
+				}
+				pe.cur = q.cur
+				pending++
+				continue
+			}
+			if home, last := l.SharedSpan(v); last > home {
+				// Shared vertices are roots by fiat — no communication.
+				pe.done = true
+			} else {
 				sendQ[home] = append(sendQ[home], query{Asker: u, Target: v})
 				pending++
 			}
@@ -293,7 +309,7 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 		for from := range recvQ {
 			for _, q := range recvQ[from] {
 				r := reply{Asker: q.Asker, Target: q.Target}
-				if j := lookupVID(verts, q.Target); j >= 0 {
+				if j := x.find(q.Target); j >= 0 {
 					pe := &parent[j]
 					r.Cur = pe.cur
 					r.Done = pe.done || pe.cur == q.Target
@@ -306,7 +322,7 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 		recvR := alltoall.Exchange(c, opt.A2A, sendR)
 		for from := range recvR {
 			for _, r := range recvR[from] {
-				i := lookupVID(verts, r.Asker)
+				i := x.find(r.Asker)
 				if i < 0 {
 					continue
 				}
@@ -363,21 +379,20 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 		}
 	}
 	c.ChargeCompute(n)
-	lab := denseLabels{verts: verts, labels: labels}
-	lab.window(a, kDirect, directWindow(verts))
-	return lab
+	return denseLabels{vertexIndex: x, labels: labels}
 }
 
 // exchangeLabels implements EXCHANGELABELS (§IV-B): for every cut edge
 // (u, v) with contracted local source u, the new label of u is pushed to
 // the home PE of the reverse edge (v, u), deduplicated per (PE, u) pair.
 // Shared endpoints need no messages: both sides know they are roots.
-// The returned table resolves ghost vertices to their new labels, through a
-// direct window under the same rule as the round's own.
+// The returned table resolves ghost vertices to their new labels, through an
+// index window sized, as the round's own, for one lookup per local edge.
 //
-// Deduplication needs no hash set: within one source vertex's sorted edge
-// range the reverse-edge probes (v, u, W, TB) are ascending, so the owner
-// sequence is non-decreasing and duplicates per (owner, u) are adjacent —
+// Neither the owners nor the deduplication need a search per edge: within one
+// source vertex's sorted edge range the reverse copies (v, u, W, TB) ascend,
+// so the owner is found once per range and then only walked forward
+// (Layout.NextOwnerOfReverse), and duplicates per (owner, u) are adjacent —
 // remembering the last owner suffices.
 func exchangeLabels(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	lab denseLabels, opt Options) denseLabels {
@@ -386,39 +401,37 @@ func exchangeLabels(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	a := c.Scratch()
 	send := arena.Buckets[labelPair](a, kSendLbl, p)
 	var (
-		curU      graph.VID
-		lbl       graph.VID
-		has       bool
-		lastOwner = -1
-		started   bool
+		curU        graph.VID // 0 is no vertex
+		lbl         graph.VID
+		has         bool
+		owner, last int
 	)
 	for _, e := range edges {
-		if !started || e.U != curU {
-			curU, started = e.U, true
-			lbl, has = lab.get(e.U)
-			lastOwner = -1
+		switch {
+		case e.U != curU:
+			curU, last = e.U, -1
+			if lbl, has = lab.get(e.U); has {
+				// Probing with the full weight class pins the exact copy even
+				// among parallels.
+				owner = l.OwnerOfReverse(e)
+			}
+		case has:
+			owner = l.NextOwnerOfReverse(owner, e)
 		}
-		if !has {
-			continue // shared source: label unchanged, receiver knows
-		}
-		// Destination side: find the reverse edge's home. Probing with the
-		// full weight class pins the exact copy even among parallels.
-		owner := l.OwnerOfReverse(e)
-		if owner == c.Rank() {
-			continue // reverse edge is ours; relabel resolves locally
-		}
-		if owner == lastOwner {
+		// A shared source keeps its label and the receiver knows; a reverse
+		// edge of ours is resolved locally by RELABEL.
+		if !has || owner == c.Rank() || owner == last {
 			continue
 		}
-		lastOwner = owner
+		last = owner
 		send[owner] = append(send[owner], labelPair{V: e.U, L: lbl})
 	}
 	recv := alltoall.Exchange(c, opt.A2A, send)
 	// Rank-ordered arrival is ascending by vertex: non-shared sources of
 	// different PEs are disjoint and rank-ordered.
 	ghost := denseLabels{
-		verts:  arena.GrabAppend[graph.VID](a, kGhost),
-		labels: arena.GrabAppend[graph.VID](a, kGhostLbl),
+		vertexIndex: vertexIndex{verts: arena.GrabAppend[graph.VID](a, kGhost)},
+		labels:      arena.GrabAppend[graph.VID](a, kGhostLbl),
 	}
 	for i := range recv {
 		for _, lp := range recv[i] {
@@ -431,7 +444,7 @@ func exchangeLabels(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	if !slices.IsSorted(ghost.verts) {
 		panic(fmt.Sprintf("core: exchangeLabels: rank %d: ghost labels arrived out of vertex order", c.Rank()))
 	}
-	ghost.window(a, kGhostWin, directWindow(ghost.verts))
+	ghost.index(a, kGhostWin, len(edges))
 	c.ChargeCompute(len(edges))
 	return ghost
 }
@@ -447,13 +460,14 @@ type relabelTable struct {
 }
 
 // resolve returns the new label of v; m is the caller's edge count, for the
-// panic message only.
+// panic message only. It reads the tables through find, which inlines, not
+// get, which does not: this is the per-endpoint path.
 func (t *relabelTable) resolve(c *comm.Comm, v graph.VID, m int) graph.VID {
-	if lbl, ok := t.lab.get(v); ok {
-		return lbl
+	if i := t.lab.find(v); i >= 0 {
+		return t.lab.labels[i]
 	}
-	if lbl, ok := t.ghost.get(v); ok {
-		return lbl
+	if i := t.ghost.find(v); i >= 0 {
+		return t.ghost.labels[i]
 	}
 	if l := t.strict; l != nil && !l.IsShared(v) {
 		first, last := l.SharedSpan(v)
@@ -480,8 +494,8 @@ func relabelPack(c *comm.Comm, dst, src []graph.Edge, t *relabelTable) int {
 				u, nu = e.U, t.resolve(c, e.U, len(src))
 			}
 			e.U, e.V = nu, t.resolve(c, e.V, len(src))
+			dst[o] = e // kept only if no self-loop: a branch here mispredicts
 			if e.U != e.V {
-				dst[o] = e
 				o++
 			}
 		}

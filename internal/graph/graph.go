@@ -72,7 +72,11 @@ func (e Edge) String() string {
 
 // LessLex orders edges lexicographically by (U, V, W, TB, ID) — the global
 // sort order of the distributed edge sequence.
-func LessLex(a, b Edge) bool {
+func LessLex(a, b Edge) bool { return lessLex(&a, &b) }
+
+// lessLex is LessLex through pointers: the layout's searches compare in
+// place instead of copying two 40-byte records per step.
+func lessLex(a, b *Edge) bool {
 	if a.U != b.U {
 		return a.U < b.U
 	}

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"sort"
-
-	"kamsta/internal/comm"
-)
+import "kamsta/internal/comm"
 
 // Layout is the replicated part of the distributed graph data structure
 // (§II-B): for every PE its lexicographically smallest edge, its last
@@ -14,7 +10,9 @@ import (
 //   - HomePE(v): the first PE holding edges with source v,
 //   - IsShared(v): whether v's edge range crosses a PE boundary (shared
 //     vertices are the component roots of the distributed Borůvka rounds),
-//   - OwnerOfReverse(e): the PE holding the reverse copy of edge e,
+//   - OwnerOfReverse(e): the PE holding the reverse copy of edge e, and
+//     NextOwnerOfReverse, the same answer by a forward walk from an earlier
+//     one,
 //   - SharedSpan(v): the full contiguous range of PEs sharing v,
 //   - LocalRange(rank): the label range of the vertices only PE rank holds.
 //
@@ -76,62 +74,55 @@ func assembleLayout(all []entry) *Layout {
 	return l
 }
 
-// locate returns the first non-empty PE containing an edge >= probe, or P
-// if none.
-func (l *Layout) locate(probe Edge) int {
+// locate returns the first non-empty PE containing an edge >= *probe, or
+// P-1 if none.
+func (l *Layout) locate(probe *Edge) int {
 	// Find the smallest i with First[next[i+1]] > probe, i.e. the PE whose
 	// range [First[i], First[i+1]) can contain probe; then skip empties.
-	i := sort.Search(l.P, func(i int) bool {
-		n := l.next[i+1]
-		if n >= l.P {
-			return true // everything from i+1 on is empty
+	lo, hi := 0, l.P
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n := l.next[m+1]; n < l.P && !lessLex(probe, &l.First[n]) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		return LessLex(probe, l.First[n])
-	})
-	if i >= l.P {
-		return l.P
-	}
-	i = l.next[i]
-	if i >= l.P {
-		return l.P
 	}
 	// The probe may fall in the value gap between PE i's last edge and the
 	// next non-empty PE's first edge; the first edge >= probe then lives on
 	// that next PE.
-	if LessLex(l.Last[i], probe) {
-		i = l.next[i+1]
-		if i >= l.P {
-			return l.P
-		}
-	}
-	return i
+	return l.advance(l.next[lo], probe)
 }
 
-// probeFor returns the smallest possible edge with source v. Real vertices
-// are labeled from 1, so V=0, W=0 sorts before every real edge of v.
-func probeFor(v VID) Edge { return Edge{U: v} }
+// advance walks forward from PE i, which must be P or at most the first
+// non-empty PE holding an edge >= *probe, to that PE (P-1 if none).
+func (l *Layout) advance(i int, probe *Edge) int {
+	for i < l.P && lessLex(&l.Last[i], probe) {
+		i = l.next[i+1]
+	}
+	return min(i, l.P-1)
+}
 
 // HomePE returns the first PE holding edges with source v. If v does not
 // occur as a source anywhere, the result is the PE where such edges would
-// start; callers only query existing vertices.
-func (l *Layout) HomePE(v VID) int {
-	i := l.locate(probeFor(v))
-	if i >= l.P {
-		return l.P - 1
-	}
-	return i
-}
+// start; callers only query existing vertices. Real vertices are labelled
+// from 1, so the probe (v, 0, 0, 0) sorts before every real edge of v.
+func (l *Layout) HomePE(v VID) int { return l.locate(&Edge{U: v}) }
 
 // OwnerOfReverse returns the PE holding the reverse copy of e — the edge
 // (e.V, e.U) with the same weight class. Probing with the full (W, TB) key
 // pins the exact copy even when parallel edges between the same endpoints
 // exist.
 func (l *Layout) OwnerOfReverse(e Edge) int {
-	i := l.locate(Edge{U: e.V, V: e.U, W: e.W, TB: e.TB})
-	if i >= l.P {
-		return l.P - 1
-	}
-	return i
+	return l.locate(&Edge{U: e.V, V: e.U, W: e.W, TB: e.TB})
+}
+
+// NextOwnerOfReverse is OwnerOfReverse(e) found by walking forward from
+// owner, the OwnerOfReverse of an edge whose reverse copy sorts at or before
+// e's. Within one source run the reverse copies (v, u, W, TB) ascend, so
+// EXCHANGELABELS searches once per run and then only moves this cursor.
+func (l *Layout) NextOwnerOfReverse(owner int, e Edge) int {
+	return l.advance(owner, &Edge{U: e.V, V: e.U, W: e.W, TB: e.TB})
 }
 
 // IsShared reports whether v's edge range crosses a PE boundary: some later

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sort"
 	"testing"
 
 	"kamsta/internal/comm"
@@ -279,4 +280,140 @@ func TestLayoutAllEmpty(t *testing.T) {
 			}
 		}
 	})
+}
+
+// randomDistribution is a random sorted, symmetric edge sequence cut into p
+// chunks: parallel copies (a second weight class between the same
+// endpoints), a hub whose range tends to span several PEs, and random cuts,
+// repeats allowed, so equal cuts leave PEs empty. cuts[i]..cuts[i+1] is PE i.
+func randomDistribution(r *rng.RNG, trial int) (edges []Edge, cuts []int) {
+	n := 6 + r.Intn(30)
+	base := makeGlobalEdges(n, n+r.Intn(n*(n-1)/2-n), uint64(trial))
+	for _, e := range base {
+		if e.U < e.V && (e.U == 1 || r.Intn(4) == 0) { // a parallel class, and vertex 1 a hub
+			w := e.W + 256*Weight(1+r.Intn(3))
+			edges = append(edges, Edge{U: e.U, V: e.V, W: w, TB: e.TB}, Edge{U: e.V, V: e.U, W: w, TB: e.TB})
+		}
+	}
+	edges = append(edges, base...)
+	sort.Slice(edges, func(i, j int) bool { return LessLex(edges[i], edges[j]) })
+	for i := range edges {
+		edges[i].ID = uint64(i)
+	}
+	p := 2 + r.Intn(11)
+	cuts = make([]int, p+1)
+	cuts[p] = len(edges)
+	for i := 1; i < p; i++ {
+		cuts[i] = r.Intn(len(edges) + 1)
+	}
+	sort.Ints(cuts)
+	return edges, cuts
+}
+
+// layoutOf assembles the replicated layout of a cut distribution.
+func layoutOf(edges []Edge, cuts []int) *Layout {
+	all := make([]entry, len(cuts)-1)
+	for i := range all {
+		if chunk := edges[cuts[i]:cuts[i+1]]; len(chunk) > 0 {
+			all[i] = entry{First: chunk[0], Last: chunk[len(chunk)-1], Count: len(chunk)}
+		}
+	}
+	return assembleLayout(all)
+}
+
+// TestReverseOwnerCursor walks every PE's source runs as EXCHANGELABELS does —
+// OwnerOfReverse for a run's first edge, NextOwnerOfReverse from there on —
+// and requires the cursor to name, edge by edge, the PE OwnerOfReverse names
+// and the PE that really holds the reverse copy.
+func TestReverseOwnerCursor(t *testing.T) {
+	r := rng.New(25)
+	sawEmpty, sawWide, sawParallel, sawMove := false, false, false, false
+	for trial := 0; trial < 300; trial++ {
+		edges, cuts := randomDistribution(r, trial)
+		l := layoutOf(edges, cuts)
+		holder := map[Edge]int{} // edge without its ID → the PE holding it
+		for pe := 0; pe+1 < len(cuts); pe++ {
+			sawEmpty = sawEmpty || cuts[pe] == cuts[pe+1]
+			for _, e := range edges[cuts[pe]:cuts[pe+1]] {
+				e.ID = 0
+				holder[e] = pe
+			}
+		}
+		for pe := 0; pe+1 < len(cuts); pe++ {
+			chunk := edges[cuts[pe]:cuts[pe+1]]
+			owner := -1
+			for i, e := range chunk {
+				if i == 0 || e.U != chunk[i-1].U {
+					owner = l.OwnerOfReverse(e)
+					first, last := l.SharedSpan(e.U)
+					sawWide = sawWide || last-first >= 2
+				} else {
+					prev := owner
+					owner = l.NextOwnerOfReverse(owner, e)
+					sawMove = sawMove || owner != prev
+					sawParallel = sawParallel || e.V == chunk[i-1].V
+				}
+				want, ok := holder[Edge{U: e.V, V: e.U, W: e.W, TB: e.TB}]
+				if !ok {
+					t.Fatalf("trial %d: edge %v has no reverse copy", trial, e)
+				}
+				if got := l.OwnerOfReverse(e); owner != got || owner != want {
+					t.Fatalf("trial %d: PE %d edge %d %v: cursor %d, OwnerOfReverse %d, holder %d (cuts %v)",
+						trial, pe, i, e, owner, got, want, cuts)
+				}
+			}
+		}
+	}
+	if !sawEmpty || !sawWide || !sawParallel || !sawMove {
+		t.Fatalf("shapes not covered: empty PE %v, span ≥ 3 %v, parallel copies %v, cursor moved %v", sawEmpty, sawWide, sawParallel, sawMove)
+	}
+}
+
+// locateRef is the layout search as a sort.Search closure over First: the
+// first non-empty PE holding an edge >= probe, or P when none.
+func locateRef(l *Layout, probe Edge) int {
+	i := sort.Search(l.P, func(i int) bool {
+		n := l.next[i+1]
+		return n >= l.P || LessLex(probe, l.First[n])
+	})
+	if i = l.next[min(i, l.P)]; i < l.P && LessLex(l.Last[i], probe) {
+		i = l.next[i+1]
+	}
+	return i
+}
+
+// TestLocateMatchesReference holds the closure-free locate to the reference
+// on every edge, every source's HomePE probe, every reverse probe, both
+// sentinels, and a probe just past each PE's last edge — in the value gap
+// before the next non-empty PE's first edge, whose answer is that next PE.
+func TestLocateMatchesReference(t *testing.T) {
+	r := rng.New(26)
+	gaps := 0
+	for trial := 0; trial < 300; trial++ {
+		edges, cuts := randomDistribution(r, trial)
+		l := layoutOf(edges, cuts)
+		probes := []Edge{{}, MaxEdge()}
+		for _, e := range edges {
+			probes = append(probes, e, Edge{U: e.U}, Edge{U: e.V, V: e.U, W: e.W, TB: e.TB})
+		}
+		for i := 0; i < l.P; i++ {
+			if l.Counts[i] > 0 {
+				past := l.Last[i]
+				past.ID++
+				probes = append(probes, past)
+				if n := l.next[i+1]; n < l.P && LessLex(past, l.First[n]) && locateRef(l, past) == n {
+					gaps++
+				}
+			}
+		}
+		for _, probe := range probes {
+			want := min(locateRef(l, probe), l.P-1)
+			if got := l.locate(&probe); got != want {
+				t.Fatalf("trial %d: locate(%v) = %d, the reference %d (cuts %v)", trial, probe, got, want, cuts)
+			}
+		}
+	}
+	if gaps == 0 {
+		t.Fatal("no probe fell in the gap between two non-empty PEs")
+	}
 }
