@@ -9,17 +9,22 @@
 // bytes on their system). These are the two schemes the paper evaluates
 // (Fig. 2); its remark that the grid generalizes to d > 2 dimensions is not
 // implemented because no exhibit exercises it.
+//
+// Every exchange sends one flat frame (ExchangeFlat); the program's call
+// sites lay theirs out with a Builder in arena slots of their own.
 package alltoall
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"kamsta/internal/arena"
 	"kamsta/internal/comm"
 	"kamsta/internal/sizeof"
 )
 
-// Strategy selects a routing scheme for Exchange.
+// Strategy selects a routing scheme for ExchangeFlat.
 type Strategy int
 
 const (
@@ -60,52 +65,133 @@ type hop[T any] struct {
 // hopHeaderBytes is the modeled wire overhead of one hop header.
 const hopHeaderBytes = 8
 
-// Exchange performs a personalized all-to-all: send[j] is delivered to PE j
-// and the result's slot i holds what PE i sent here. All PEs must call it
-// collectively with the same strategy. Received slices are owned by the
-// caller.
-func Exchange[T any](c *comm.Comm, s Strategy, send [][]T) [][]T {
-	if len(send) != c.P() {
-		panic(fmt.Sprintf("alltoall: %d buckets on a %d-PE world", len(send), c.P()))
-	}
-	if direct[T](c, s, func(j int) int { return len(send[j]) }) {
-		return comm.Alltoall(c, send)
-	}
-	return gridExchange(c, send)
-}
-
-// ExchangeFlat is Exchange for buckets that already lie back to back: bucket
-// j is data[off[j]:off[j+1]]. The direct route deposits data and off as they
-// are (comm.AlltoallFlat) and the grid's hops reference data as they always
-// did, so on either route the caller must leave data and off alone, and may
-// only read what it received, until its next collective has returned.
+// ExchangeFlat performs a personalized all-to-all of one flat frame: bucket
+// j is data[off[j]:off[j+1]], delivered to PE j, and the result's slot i
+// holds what PE i sent here. All PEs must call it collectively with the same
+// strategy. On either route nothing is copied — the direct route deposits
+// the frame as it lies (comm.Alltoall) and the grid's hops reference it — so
+// comm's one ownership rule holds from the caller's side: leave data and off
+// unchanged until your next collective has returned, and read what you
+// received only until your next collective.
 func ExchangeFlat[T any](c *comm.Comm, s Strategy, data []T, off []int32) [][]T {
-	if direct[T](c, s, func(j int) int { return int(off[j+1] - off[j]) }) {
-		return comm.AlltoallFlat(c, data, off)
+	if direct[T](c, s, off) {
+		return comm.Alltoall(c, data, off)
 	}
-	send := make([][]T, c.P())
-	for j := range send {
-		send[j] = data[off[j]:off[j+1]]
-	}
-	return gridExchange(c, send)
+	return gridExchange(c, data, off)
 }
 
-// direct reports whether strategy s delivers buckets of the given element
-// counts in one hop. Auto makes that a global decision from the average
-// number of payload bytes per (ordered) PE pair, mirroring §VI-A.
-func direct[T any](c *comm.Comm, s Strategy, count func(j int) int) bool {
+// Exchange is ExchangeFlat for buckets that do not lie back to back: it packs
+// send into a fresh frame first. Nothing in the program calls it; it keeps
+// the signature the benchmark's exchange microcalls use.
+func Exchange[T any](c *comm.Comm, s Strategy, send [][]T) [][]T {
+	off := make([]int32, len(send)+1)
+	for j, b := range send {
+		off[j+1] = off[j] + int32(len(b))
+	}
+	return ExchangeFlat(c, s, slices.Concat(send...), off)
+}
+
+// SendKey names the arena slots one call site builds its frames in. Reserve
+// one per call site at package init with NewSendKey, and always use it with
+// the same element type.
+type SendKey struct{ items, runs, frame, off arena.Key }
+
+// NewSendKey reserves the slots of one call site.
+func NewSendKey() SendKey {
+	return SendKey{arena.NewKey(), arena.NewKey(), arena.NewKey(), arena.NewKey()}
+}
+
+// Builder lays out one PE's outgoing messages as the flat frame ExchangeFlat
+// sends, in its call site's arena slots, so a warm exchange allocates no
+// frame. Add and Append stage elements in call order; Exchange scatters them
+// into their buckets with one counting pass or, when the destinations never
+// fell, sends them as they lie. Under the ownership rule a call site builds
+// its next frame only after one further collective.
+type Builder[T any] struct {
+	c         *comm.Comm
+	k         SendKey
+	items     []T
+	runs      []run   // destination runs of items, in call order
+	off       []int32 // off[d+1] counts bucket d until Exchange
+	scattered bool    // some run's destination is below its predecessor's
+}
+
+// run is n consecutive staged elements for PE d.
+type run struct{ d, n int32 }
+
+// NewBuilder starts an empty frame in the slots of k.
+func NewBuilder[T any](c *comm.Comm, k SendKey) Builder[T] {
+	a := c.Scratch()
+	return Builder[T]{c: c, k: k,
+		items: arena.GrabAppend[T](a, k.items),
+		runs:  arena.GrabAppend[run](a, k.runs),
+		off:   arena.GrabZeroed[int32](a, k.off, c.P()+1),
+	}
+}
+
+// Add stages x for PE d.
+func (b *Builder[T]) Add(d int, x T) {
+	b.note(d, 1)
+	b.items = append(b.items, x)
+}
+
+// Append stages xs, in order, for PE d.
+func (b *Builder[T]) Append(d int, xs []T) {
+	b.note(d, len(xs))
+	b.items = append(b.items, xs...)
+}
+
+// note records n staged elements for d.
+func (b *Builder[T]) note(d, n int) {
+	if n == 0 {
+		return
+	}
+	b.off[d+1] += int32(n)
+	k := len(b.runs) - 1
+	if k >= 0 && b.runs[k].d == int32(d) {
+		b.runs[k].n += int32(n)
+		return
+	}
+	b.scattered = b.scattered || k >= 0 && b.runs[k].d > int32(d)
+	b.runs = append(b.runs, run{int32(d), int32(n)})
+}
+
+// Exchange sends the frame with strategy s; the result and the rule are
+// ExchangeFlat's.
+func (b *Builder[T]) Exchange(s Strategy) [][]T {
+	a := b.c.Scratch()
+	arena.Keep(a, b.k.items, b.items)
+	arena.Keep(a, b.k.runs, b.runs)
+	off := b.off
+	for d := 1; d < len(off); d++ {
+		off[d] += off[d-1] // off[d] starts bucket d
+	}
+	frame := b.items
+	if b.scattered {
+		frame = arena.Grab[T](a, b.k.frame, len(b.items))
+		pos := 0
+		for _, r := range b.runs {
+			pos += copy(frame[off[r.d]:], b.items[pos:pos+int(r.n)])
+			off[r.d] += r.n
+		}
+		copy(off[1:], off) // off[d] ended bucket d
+		off[0] = 0
+	}
+	return ExchangeFlat(b.c, s, frame, off)
+}
+
+// direct reports whether strategy s delivers the buckets off delimits in
+// one hop. Auto makes that a global decision from the average number of
+// payload bytes per (ordered) PE pair, mirroring §VI-A.
+func direct[T any](c *comm.Comm, s Strategy, off []int32) bool {
 	switch s {
 	case Direct:
 		return true
 	case Grid:
 		return false
 	case Auto:
-		p, local := c.P(), 0
-		for j := 0; j < p; j++ {
-			if j != c.Rank() {
-				local += count(j) * elemSize[T]()
-			}
-		}
+		p, r := c.P(), c.Rank()
+		local := int(off[p]-off[0]-(off[r+1]-off[r])) * sizeof.Of[T]()
 		total := comm.Allreduce(c, local, func(a, b int) int { return a + b })
 		pairs := p * (p - 1)
 		return pairs == 0 || total/pairs >= DefaultGridThreshold
@@ -161,66 +247,54 @@ func (g gridGeom) colSize(k int) int {
 // it to the final destination along the intermediate's row. Each phase is
 // charged α·(√p-ish participants) + β·(phase volume); the total volume is
 // twice that of a direct exchange, which is exactly the trade the paper
-// makes.
-func gridExchange[T any](c *comm.Comm, send [][]T) [][]T {
+// makes. Only the hop headers travel through comm.RawAlltoall's staging: a
+// hop's Items is the sender's bucket itself, and the receiver's result slot
+// is that same slice.
+func gridExchange[T any](c *comm.Comm, data []T, off []int32) [][]T {
 	p, rank := c.P(), c.Rank()
 	g := newGridGeom(p)
-	elem := elemSize[T]()
+	// route moves hops one physical round and charges it msgs startups plus
+	// the larger of the bytes leaving and entering this PE.
+	route := func(send [][]hop[T], msgs int) [][]hop[T] {
+		bytes := func(hs [][]hop[T]) (n int) {
+			for i := range hs {
+				for _, h := range hs[i] {
+					if i != rank {
+						n += len(h.Items)*sizeof.Of[T]() + hopHeaderBytes
+					}
+				}
+			}
+			return n
+		}
+		recv := comm.RawAlltoall(c, send)
+		c.ChargeComm(msgs, max(bytes(send), bytes(recv)))
+		return recv
+	}
 
 	// Phase 1: sender → intermediate (within the sender's column).
-	send1 := make([][]hop[T], p)
-	out1 := 0
-	for j, b := range send {
-		if len(b) == 0 {
-			continue
-		}
-		t := g.intermediate(rank, j)
-		send1[t] = append(send1[t], hop[T]{Src: int32(rank), Dst: int32(j), Items: b})
-		if t != rank {
-			out1 += len(b)*elem + hopHeaderBytes
+	send := make([][]hop[T], p)
+	for j := 0; j < p; j++ {
+		if b := data[off[j]:off[j+1]:off[j+1]]; len(b) > 0 {
+			t := g.intermediate(rank, j)
+			send[t] = append(send[t], hop[T]{Src: int32(rank), Dst: int32(j), Items: b})
 		}
 	}
-	recv1 := comm.RawAlltoall(c, send1)
-	in1 := 0
-	for s := range recv1 {
-		if s == rank {
-			continue
-		}
-		for _, h := range recv1[s] {
-			in1 += len(h.Items)*elem + hopHeaderBytes
-		}
-	}
-	c.ChargeComm(g.colSize(g.col(rank))-1, max(out1, in1))
+	recv := route(send, g.colSize(g.col(rank))-1)
 
 	// Phase 2: intermediate → destination (within the intermediate's row,
-	// plus virtually appended members of an incomplete last row).
-	send2 := make([][]hop[T], p)
-	out2 := 0
-	for s := range recv1 {
-		for _, h := range recv1[s] {
-			send2[h.Dst] = append(send2[h.Dst], h)
-			if int(h.Dst) != rank {
-				out2 += len(h.Items)*elem + hopHeaderBytes
-			}
+	// plus virtually appended members of an incomplete last row). Every
+	// source sends at most one hop here, so its Items is the result slot.
+	send = make([][]hop[T], p)
+	for _, hs := range recv {
+		for _, h := range hs {
+			send[h.Dst] = append(send[h.Dst], h)
 		}
 	}
-	recv2 := comm.RawAlltoall(c, send2)
 	result := make([][]T, p)
-	in2 := 0
-	for s := range recv2 {
-		for _, h := range recv2[s] {
-			if s != rank {
-				in2 += len(h.Items)*elem + hopHeaderBytes
-			}
-			result[h.Src] = append(result[h.Src], h.Items...)
+	for _, hs := range route(send, g.c+1) {
+		for _, h := range hs {
+			result[h.Src] = h.Items
 		}
 	}
-	c.ChargeComm(g.c+1, max(out2, in2))
 	return result
-}
-
-// elemSize is the shared compile-time element-size helper; kept as a local
-// alias so call sites in this package stay terse.
-func elemSize[T any]() int {
-	return sizeof.Of[T]()
 }

@@ -2,6 +2,7 @@ package alltoall
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"kamsta/internal/comm"
@@ -207,6 +208,70 @@ func TestStrategyString(t *testing.T) {
 	for s, want := range map[Strategy]string{Direct: "direct", Grid: "grid", Auto: "auto"} {
 		if s.String() != want {
 			t.Fatalf("String(%d)=%q want %q", int(s), s.String(), want)
+		}
+	}
+}
+
+// TestWarmExchangesAllocateOnlyHeaders: once its slots are warm, an exchange
+// moves its data without allocating any. A builder exchange (scattered, so
+// both of its slots are used), a RawAlltoall and a PairExchange on a 4-PE
+// world allocate no more per call than the same exchange of empty payloads
+// does — the collective's header floor, measured on the same world — while a
+// copy of the data would cost 32 KiB per call or more.
+func TestWarmExchangesAllocateOnlyHeaders(t *testing.T) {
+	const p, per, calls, slack = 4, 1024, 50, 1 << 10
+	k := NewSendKey()
+	buckets := make([][][]int, p) // per rank: one bucket of per elements per PE
+	for r := range buckets {
+		buckets[r] = make([][]int, p)
+		for d := range buckets[r] {
+			buckets[r][d] = make([]int, per)
+		}
+	}
+	ops := []struct {
+		name string
+		call func(c *comm.Comm, n int)
+	}{
+		{"builder", func(c *comm.Comm, n int) {
+			b := NewBuilder[int](c, k)
+			for d := p - 1; d >= 0; d-- {
+				for i := 0; i < n; i++ {
+					b.Add(d, i)
+				}
+			}
+			b.Exchange(Direct)
+			comm.Barrier(c) // the frame's slots are the call site's again
+		}},
+		{"rawalltoall", func(c *comm.Comm, n int) {
+			send := buckets[c.Rank()]
+			for d := range send {
+				send[d] = send[d][:n]
+			}
+			comm.RawAlltoall(c, send)
+		}},
+		{"pairexchange", func(c *comm.Comm, n int) {
+			comm.PairExchange(c, c.Rank()^1, buckets[c.Rank()][0][:n])
+			comm.Barrier(c)
+		}},
+	}
+	for _, op := range ops {
+		w := comm.NewWorld(p)
+		bytesPerCall := func(n int) float64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			w.Run(func(c *comm.Comm) {
+				for i := 0; i < calls; i++ {
+					op.call(c, n)
+				}
+			})
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / calls
+		}
+		bytesPerCall(per) // warm the slots and the staging
+		floor, loaded := bytesPerCall(0), bytesPerCall(per)
+		t.Logf("%s: %.0f bytes per warm call, %.0f with empty payloads", op.name, loaded, floor)
+		if loaded > floor+slack {
+			t.Errorf("%s: a warm call allocates %.0f bytes, the header floor %.0f", op.name, loaded, floor)
 		}
 	}
 }

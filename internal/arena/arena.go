@@ -3,7 +3,7 @@
 // persistent world (one Arena per simulated PE, see comm.Comm.Scratch).
 //
 // The hot per-round tables of the MST algorithms — the dense vertex rename
-// table, parent/emit/label arrays, all-to-all send buckets — live in these
+// table, parent/emit/label arrays, all-to-all send frames — live in these
 // slots, so a steady-state round performs no vertex-bookkeeping allocation:
 // each round re-grabs the same slots, which only reallocate while the
 // working set is still growing. Resetting is explicit — Grab returns
@@ -15,14 +15,11 @@
 // r's share of a job; jobs are serialized, so successive uses are ordered by
 // the job dispatch's happens-before edges.
 //
-// Ownership discipline for slices handed to collectives: a bucket deposited
-// in an all-to-all is staged (copied into the wire frame) at deposit time,
-// so reusing its slot after the collective returns is safe. A slot whose
-// memory is referenced by a routed payload (e.g. the Items of an in-flight
-// hop in an indirect exchange) or deposited as it lies (comm.AlltoallFlat:
-// the sorter's exchange frame) must not be written or re-grabbed until the
-// PE has passed one further collective — every algorithm in internal/core
-// reuses a slot no earlier than the next round, several supersteps later.
+// Slots handed to collectives follow comm's one ownership rule: a slot
+// another PE may read (a send frame, a pair exchange's payload) is not
+// written or re-grabbed until one further collective after the exchange has
+// returned, and what a PE receives, another PE's slot, it reads only until
+// its own next collective.
 package arena
 
 import (
@@ -115,10 +112,9 @@ func Keep[T any](a *Arena, k Key, s []T) {
 }
 
 // Footprint reports the number of live slots and the total bytes of backing
-// capacity they hold, including the inner buckets of [][]T slots. It walks
-// the slots with reflection — a cold-path accounting method for metrics and
-// diagnostics, never called from algorithm hot paths (the hot paths stay
-// reflection- and allocation-free).
+// capacity they hold. It walks the slots with reflection — a cold-path
+// accounting method for metrics and diagnostics, never called from algorithm
+// hot paths (the hot paths stay reflection- and allocation-free).
 func (a *Arena) Footprint() (slots int, bytes int64) {
 	for _, s := range a.slots {
 		if s == nil {
@@ -126,42 +122,7 @@ func (a *Arena) Footprint() (slots int, bytes int64) {
 		}
 		slots++
 		v := reflect.ValueOf(s).Elem() // *[]T -> []T
-		bytes += sliceBytes(v)
+		bytes += int64(v.Cap()) * int64(v.Type().Elem().Size())
 	}
 	return slots, bytes
-}
-
-// sliceBytes returns the backing-capacity bytes of a slice value, recursing
-// one level into slice-of-slice (the Buckets shape).
-func sliceBytes(v reflect.Value) int64 {
-	et := v.Type().Elem()
-	b := int64(v.Cap()) * int64(et.Size())
-	if et.Kind() == reflect.Slice && v.Cap() > 0 {
-		full := v.Slice(0, v.Cap())
-		for i := 0; i < full.Len(); i++ {
-			inner := full.Index(i)
-			b += int64(inner.Cap()) * int64(inner.Type().Elem().Size())
-		}
-	}
-	return b
-}
-
-// Buckets returns a [][]T of length p in slot k with every bucket reset to
-// length zero, reusing both the outer array and each bucket's capacity —
-// the shape of a sparse all-to-all send set. Bucket capacities grow with
-// use and are retained across calls.
-func Buckets[T any](a *Arena, k Key, p int) [][]T {
-	bp := slot[[]T](a, k)
-	b := *bp
-	if cap(b) < p {
-		nb := make([][]T, p)
-		copy(nb, b[:len(b)])
-		b = nb
-	}
-	b = b[:p]
-	*bp = b
-	for i := range b {
-		b[i] = b[i][:0]
-	}
-	return b
 }

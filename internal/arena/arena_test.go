@@ -60,31 +60,6 @@ func TestGrabAppendKeep(t *testing.T) {
 	}
 }
 
-func TestBuckets(t *testing.T) {
-	a := New()
-	k := NewKey()
-	b := Buckets[int](a, k, 4)
-	if len(b) != 4 {
-		t.Fatalf("len = %d, want 4", len(b))
-	}
-	b[2] = append(b[2], 1, 2, 3)
-	b2 := Buckets[int](a, k, 4)
-	if len(b2[2]) != 0 {
-		t.Fatal("bucket not reset to zero length")
-	}
-	if cap(b2[2]) < 3 {
-		t.Fatal("bucket capacity not retained")
-	}
-	// Growing the world keeps existing buckets.
-	b3 := Buckets[int](a, k, 8)
-	if len(b3) != 8 {
-		t.Fatalf("len = %d, want 8", len(b3))
-	}
-	if cap(b3[2]) < 3 {
-		t.Fatal("bucket capacity lost on outer growth")
-	}
-}
-
 func TestDistinctKeysAndTypes(t *testing.T) {
 	a := New()
 	k1, k2 := NewKey(), NewKey()

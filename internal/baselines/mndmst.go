@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"slices"
+
 	"kamsta/internal/alltoall"
 	"kamsta/internal/comm"
 	"kamsta/internal/graph"
@@ -40,15 +42,15 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout) Result {
 
 	// Reassign shared-vertex edge ranges to the first holder so every
 	// vertex's outgoing range lives on exactly one PE.
-	send := make([][]graph.Edge, p)
+	send := alltoall.NewBuilder[graph.Edge](c, kReassign)
 	for _, e := range edges {
 		dest := c.Rank()
 		if first, last := layout.SharedSpan(e.U); last > first {
 			dest = first
 		}
-		send[dest] = append(send[dest], e)
+		send.Add(dest, e)
 	}
-	mine := flatten(alltoall.Exchange(c, a2a, send))
+	mine := slices.Concat(send.Exchange(a2a)...)
 	radix.Sort(mine, graph.KeyLex, graph.LessLex)
 	c.ChargeCompute(len(mine))
 
@@ -133,20 +135,23 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout) Result {
 		}
 		// Ship contracted graphs and contraction maps to the group leaders.
 		leader := (c.Rank() / (stride * groupSize)) * (stride * groupSize)
-		sendE := make([][]graph.Edge, p)
-		sendM := make([][]labelPair, p)
-		if active && leader != c.Rank() {
-			sendE[leader] = work
-			pairs := make([]labelPair, 0, len(cum))
-			for v, l := range cum {
-				pairs = append(pairs, labelPair{V: v, L: l})
-			}
-			sendM[leader] = pairs
+		// Each frame is built after, and read before, the other exchange.
+		ships, isLeader := active && leader != c.Rank(), active && leader == c.Rank()
+		sendE := alltoall.NewBuilder[graph.Edge](c, kShipE)
+		if ships {
+			sendE.Append(leader, work)
 		}
-		recvE := alltoall.Exchange(c, a2a, sendE)
-		recvM := alltoall.Exchange(c, a2a, sendM)
-		if active && leader == c.Rank() {
-			work = append(work, flatten(recvE)...)
+		if recvE := sendE.Exchange(a2a); isLeader {
+			work = append(work, slices.Concat(recvE...)...)
+		}
+		sendM := alltoall.NewBuilder[labelPair](c, kShipM)
+		if ships {
+			for v, l := range cum {
+				sendM.Add(leader, labelPair{V: v, L: l})
+			}
+		}
+		recvM := sendM.Exchange(a2a)
+		if isLeader {
 			for i := range recvM {
 				for _, lp := range recvM[i] {
 					cum[lp.V] = lp.L

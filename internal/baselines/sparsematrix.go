@@ -46,6 +46,10 @@ type Result struct {
 // MPI_Alltoallv.
 const a2a = alltoall.Direct
 
+// The baselines' send frames, one per exchange call site: sparseMatrix's
+// blocks, MND-MST's reassignment and each merge level's edges and maps.
+var kBlocks, kReassign, kShipE, kShipM = alltoall.NewSendKey(), alltoall.NewSendKey(), alltoall.NewSendKey(), alltoall.NewSendKey()
+
 // SparseMatrix computes the MSF in the style of Baer et al.: edges are
 // redistributed into a ⌈√p⌉×⌈√p⌉ 2D block partition of the adjacency
 // matrix, and Awerbuch–Shiloach-style rounds hook every component along
@@ -90,14 +94,13 @@ func SparseMatrix(c *comm.Comm, edges []graph.Edge, layout *graph.Layout) Result
 		}
 		return b
 	}
-	send := make([][]graph.Edge, p)
+	send := alltoall.NewBuilder[graph.Edge](c, kBlocks)
 	for _, e := range edges {
 		if e.U < e.V { // one copy per logical edge suffices here
-			blk := bucket(e.U)*side + bucket(e.V)
-			send[blk] = append(send[blk], e)
+			send.Add(bucket(e.U)*side+bucket(e.V), e)
 		}
 	}
-	mine := flatten(alltoall.Exchange(c, a2a, send))
+	mine := slices.Concat(send.Exchange(a2a)...)
 	c.ChargeCompute(len(edges))
 
 	// Replicated parent vector (the AS forest).
@@ -204,12 +207,4 @@ func finishResult(c *comm.Comm, mst []graph.Edge, rounds int) Result {
 	g := comm.Allreduce(c, local, func(a, b agg) agg { return agg{a.W + b.W, a.N + b.N} })
 	radix.Sort(mst, graph.KeyLex, graph.LessLex)
 	return Result{MSTEdges: mst, TotalWeight: g.W, NumEdges: g.N, Rounds: rounds}
-}
-
-func flatten(recv [][]graph.Edge) []graph.Edge {
-	var out []graph.Edge
-	for i := range recv {
-		out = append(out, recv[i]...)
-	}
-	return out
 }

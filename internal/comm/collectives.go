@@ -29,20 +29,15 @@ import (
 // and rank-independent (the same requirement MPI places on reduction
 // operators).
 //
-// Ownership: every collective that reads ARRAY CONTENTS from another PE
-// after the barrier's release either stages a copy at deposit time or hands
-// the reader a buffer the depositor never touches again, so callers may
-// freely mutate their inputs (and received outputs) the moment the
-// collective returns. Deposits of plain values are copied into the board by
-// interface boxing, and deposits read only by the pre-release combine step
-// are safe as-is because their owners are still blocked in the barrier when
-// the combine runs. The one remaining sharing contract: a deposited VALUE
-// type containing references (e.g. a struct with a slice field, as in
-// GroupAllreduce of a sample set) exposes the referenced memory to other
-// PEs until the depositor's next collective has returned; such referenced
-// data must not be mutated in between. AlltoallFlat deposits its caller's
-// buffer under exactly that contract (the sorter's exchange frame); every
-// other in-tree caller deposits freshly built values.
+// Ownership: deposits only the pre-release combine reads (the reducing
+// collectives) or plain values boxed into the board leave callers free to
+// mutate inputs and outputs the moment a collective returns. Everything else
+// another PE reads after release — Alltoall, RawAlltoall and PairExchange
+// frames, a GroupAllreduce value with a slice field — is under ONE rule: the
+// sender leaves it unchanged until its next collective has returned, and what
+// a PE receives aliases the sender's memory, read-only until the receiver's
+// next collective. Nothing is copied: a PE's next collective returns only
+// after every PE has entered it, which each does only after its reads.
 
 // Barrier synchronizes all PEs (and their modeled clocks).
 func Barrier(c *Comm) {
@@ -238,73 +233,51 @@ func AllgatherConcatInto[T any](c *Comm, dst []T, xs []T) []T {
 // buckets back to back in one flat buffer, with Off[j]..Off[j+1] delimiting
 // the slot for PE j. Each reader slices out exactly its own range instead of
 // unboxing and scanning a full [][]T board deposit. It is deposited as a
-// pointer, so publishing never boxes; who owns Data afterwards depends on
-// the entry point (staged: RawAlltoall, borrowed: AlltoallFlat). The fields
-// are exported only so the enc walker can carry the frame across a process
-// boundary.
+// pointer, so publishing never boxes. The fields are exported only so the
+// enc walker can carry the frame across a process boundary.
 type a2aFrame[T any] struct {
 	Data []T
 	Off  []int32
 }
 
-// Alltoall performs a direct (one-level) personalized all-to-all exchange:
-// sendTo[i] is delivered to PE i, and the result's slot j holds what PE j
-// sent here. Each PE is charged the §II-A direct cost α·(p−1) + β·ℓ with ℓ
-// its bottleneck volume (max of bytes sent and received, self excluded).
-// Received slices are owned by the caller, and the send buckets may be
-// mutated as soon as the call returns.
-func Alltoall[T any](c *Comm, sendTo [][]T) [][]T {
-	return chargeDirect(c, RawAlltoall(c, sendTo), func(i int) int { return len(sendTo[i]) })
-}
-
-// AlltoallFlat is Alltoall for buckets that already lie back to back: bucket
-// i is data[off[i]:off[i+1]]. Nothing is staged — data and off ARE the
-// deposited frame, BORROWED until the caller's next collective has returned:
-// until then the caller must not write either (as for any deposited
-// reference), and the received slices alias the senders' buffers, so they
-// are read-only and valid only that long.
-func AlltoallFlat[T any](c *Comm, data []T, off []int32) [][]T {
+// Alltoall performs a direct (one-level) personalized all-to-all exchange of
+// one flat frame: data[off[i]:off[i+1]] is delivered to PE i, and the
+// result's slot j holds what PE j sent here. Each PE is charged the §II-A
+// direct cost α·(p−1) + β·ℓ with ℓ its bottleneck volume (max of elements
+// sent and received, self excluded). Nothing is staged: data and off ARE the
+// deposit, under the package's one ownership rule.
+func Alltoall[T any](c *Comm, data []T, off []int32) [][]T {
 	recv := rawAlltoallFlat(c, &a2aFrame[T]{Data: data, Off: off})
-	return chargeDirect(c, recv, func(i int) int { return int(off[i+1] - off[i]) })
-}
-
-// chargeDirect charges the direct exchange that produced recv, given the
-// element count sent to each PE.
-func chargeDirect[T any](c *Comm, recv [][]T, sentTo func(i int) int) [][]T {
-	sent, got := 0, 0
-	for i := range recv {
-		if i != c.rank {
-			sent += sentTo(i)
-			got += len(recv[i])
-		}
+	p, r := c.P(), c.rank
+	sent, got := int(off[p]-off[0]-(off[r+1]-off[r])), -len(recv[r])
+	for _, b := range recv {
+		got += len(b)
 	}
-	c.ChargeComm(c.P()-1, sizeof.Of[T]()*max(sent, got))
+	c.ChargeComm(p-1, sizeof.Of[T]()*max(sent, got))
 	c.stats.Collectives++
 	return recv
 }
 
-// RawAlltoall moves buckets like Alltoall but charges no modeled cost.
-// It exists so routing strategies (internal/alltoall) can move data in
-// several physical rounds while self-accounting the cost of each round with
-// ChargeComm. Everything else should use Alltoall. The buckets are staged
-// into a fresh flat buffer the receivers ADOPT — the sender never touches it
-// again, so the one allocation serves as both wire and result; the frame
-// struct and its offset table are reusable per-parity staging.
+// RawAlltoall moves buckets like Alltoall but charges no modeled cost. It
+// exists so routing strategies (internal/alltoall) can move data in several
+// physical rounds while self-accounting the cost of each round with
+// ChargeComm. The buckets are copied into this PE's staging frame for the
+// epoch's parity, which the world keeps per rank and reuses: the copy is
+// rewritten two supersteps later at the earliest, when every reader is done,
+// so the buckets themselves may be mutated at once and only what is received
+// is under the ownership rule.
 func RawAlltoall[T any](c *Comm, sendTo [][]T) [][]T {
 	p := c.P()
 	if len(sendTo) != p {
 		panic(fmt.Sprintf("comm: Alltoall with %d buckets on a %d-PE world", len(sendTo), p))
 	}
-	fr, _ := c.a2aStage[c.epoch&1].(*a2aFrame[T])
+	stage := &c.w.stages[c.rank][c.epoch&1]
+	fr, _ := (*stage).(*a2aFrame[T])
 	if fr == nil || len(fr.Off) != p+1 {
 		fr = &a2aFrame[T]{Off: make([]int32, p+1)}
-		c.a2aStage[c.epoch&1] = fr
+		*stage = fr
 	}
-	total := 0
-	for i := range sendTo {
-		total += len(sendTo[i])
-	}
-	fr.Data = make([]T, 0, total)
+	fr.Data = fr.Data[:0]
 	for i, b := range sendTo {
 		fr.Off[i] = int32(len(fr.Data)) // a wrap is caught by the kernel's length check
 		fr.Data = append(fr.Data, b...)
@@ -343,17 +316,15 @@ func rawAlltoallFlat[T any](c *Comm, fr *a2aFrame[T]) [][]T {
 // PairExchange swaps a payload with a partner PE. All PEs of the world must
 // call it in the same superstep; a PE with partner < 0 or partner == rank
 // participates with no transfer and receives nil. Partnerships must be
-// symmetric. The payload is staged at deposit time and the staged buffer is
-// adopted by the partner, so xs may be mutated after the call and the
-// result is owned. Only the two partners' modeled clocks synchronize.
-// Cost: α + β·max(sent, received) per PE.
+// symmetric. xs is deposited as it lies and the result is the partner's
+// payload itself, both under the package's one ownership rule. Only the two
+// partners' modeled clocks synchronize. Cost: α + β·max(sent, received) per
+// PE.
 func PairExchange[T any](c *Comm, partner int, xs []T) []T {
 	active := partner >= 0 && partner != c.rank
 	var dep any
 	if active {
-		cp := make([]T, len(xs))
-		copy(cp, xs)
-		dep = cp
+		dep = xs
 	}
 	var out []T
 	c.exchangeSubset(mkTag(opPairExchange, 0), dep, wireCodec[[]T](c), func(boards []deposit) {
@@ -374,8 +345,8 @@ func PairExchange[T any](c *Comm, partner int, xs []T) []T {
 // sub-communicator). All PEs of the world must call it in the same
 // superstep; non-members pass members == nil and receive the zero value.
 // Groups active in the same superstep must be disjoint. If T contains
-// references (e.g. a slice field), the referenced data must stay unmutated
-// until the caller's next collective.
+// references (e.g. a slice field), the referenced data is under the package's
+// one ownership rule.
 func GroupAllreduce[T any](c *Comm, members []int, x T, op func(a, b T) T) T {
 	var out T
 	c.exchangeSubset(mkTag(opGroupAllreduce, 0), x, wireCodec[T](c), func(boards []deposit) {

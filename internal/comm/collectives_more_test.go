@@ -53,7 +53,7 @@ func TestClockMonotone(t *testing.T) {
 		step("barrier")
 		Allgather(c, c.Rank())
 		step("allgather")
-		Alltoall(c, make([][]int, 4))
+		Alltoall(c, []int(nil), make([]int32, 5))
 		step("alltoall")
 		AllreduceVec(c, []int{1, 2}, func(a, b int) int { return a + b })
 		step("allreducevec")

@@ -29,10 +29,11 @@
 // each PE reads the deposits it needs. No departure barrier is required:
 // epoch e+2 is the earliest moment board[e%2] is written again, and no PE
 // can reach epoch e+2 before every PE has passed the barrier of epoch e+1 —
-// which it can only do after finishing its epoch-e reads. Collectives whose
-// deposits reference caller-owned arrays stage a copy (or hand ownership to
-// the reader) so a caller mutating its buffers right after a collective
-// returns can never race a slower PE's read of epoch e.
+// which it can only do after finishing its epoch-e reads. The same argument
+// is the one ownership rule for deposits that reference arrays (see
+// collectives.go): the depositor leaves them unchanged until its next
+// collective has returned, and readers finish with them before entering
+// theirs.
 package comm
 
 import (
@@ -133,6 +134,12 @@ type World struct {
 	// Comm.Scratch.
 	arenas []*arena.Arena
 
+	// stages holds each rank's RawAlltoall staging frame (a *a2aFrame[T])
+	// per epoch parity. Reuse at epoch e+2 is safe for the same reason the
+	// boards are, and in the next job because a job's readers finish before
+	// its close-out barrier.
+	stages [][2]any
+
 	// pools holds each local rank's intra-PE thread pool (the paper's t
 	// OpenMP threads per MPI process), built once from WithThreads; see
 	// Comm.Pool. Remote ranks' entries stay nil.
@@ -217,6 +224,7 @@ func NewWorld(p int, opts ...Option) *World {
 		clocks:  make([]float64, p),
 		arrived: make([]arrival, p),
 		arenas:  make([]*arena.Arena, p),
+		stages:  make([][2]any, p),
 		pools:   make([]*par.Pool, p),
 		rings:   make([]*obs.Ring, p),
 	}
@@ -383,12 +391,6 @@ type Comm struct {
 	host    transport.Host
 	pending func(board []deposit) any
 	wire    bool
-
-	// a2aStage is reusable per-parity staging for the all-to-all frame and
-	// its slot array (see RawAlltoall; holds a *a2aFrame[T]). Reuse at
-	// epoch e+2 is safe for the same reason the boards are: every reader
-	// of epoch e finished before anyone passed the barrier of epoch e+1.
-	a2aStage [2]any
 
 	// obs receives phase/round events; set on rank 0 only (see newComm).
 	obs Observer
@@ -721,11 +723,9 @@ func (c *Comm) runPending(board []deposit) (val any, ok bool) {
 // before every PE has passed the NEXT barrier, and by then all reads below
 // are done).
 //
-// Deposits that reference memory the depositing caller may mutate after its
-// collective returns must be staged (copied, or handed off) by the caller —
-// unless only the pre-release combine reads them, which runs while all
-// depositors are still blocked. See the ownership notes on the individual
-// collectives.
+// Deposits that reference memory are read under the one ownership rule of
+// collectives.go — unless only the pre-release combine reads them, which
+// runs while all depositors are still blocked.
 //
 // The tag check catches SPMD divergence bugs (different PEs calling
 // different collectives) immediately instead of deadlocking.

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -240,7 +241,7 @@ func TestAlltoallRouting(t *testing.T) {
 					send[d] = append(send[d], c.Rank()*100+d)
 				}
 			}
-			recv := Alltoall(c, send)
+			recv := alltoallBuckets(c, send)
 			for s := 0; s < p; s++ {
 				if len(recv[s]) != c.Rank()+1 {
 					t.Errorf("p=%d rank=%d: from %d got %d items want %d", p, c.Rank(), s, len(recv[s]), c.Rank()+1)
@@ -256,19 +257,38 @@ func TestAlltoallRouting(t *testing.T) {
 	}
 }
 
+// alltoallBuckets packs buckets back to back, the frame layout an exchange
+// call site builds, and sends them with the charged flat exchange.
+func alltoallBuckets[T any](c *Comm, send [][]T) [][]T {
+	off := make([]int32, len(send)+1)
+	for j, b := range send {
+		off[j+1] = off[j] + int32(len(b))
+	}
+	return Alltoall(c, slices.Concat(send...), off)
+}
+
+// TestAlltoallReceivedDataIsOwned: what a PE keeps of what it received is
+// what it copied before its next collective. The received slot aliases the
+// sender's frame, which the sender poisons once that collective has
+// returned; the copy must come through untouched (and, under -race, no read
+// may race the poisoning).
 func TestAlltoallReceivedDataIsOwned(t *testing.T) {
 	w := NewWorld(2)
 	var got [2][]int
 	w.Run(func(c *Comm) {
-		send := make([][]int, 2)
-		send[1-c.Rank()] = []int{c.Rank() + 10}
-		recv := Alltoall(c, send)
-		recv[1-c.Rank()][0] += 100 // mutate received copy
-		send[1-c.Rank()][0] = -1   // mutate our send buffer after the call
-		got[c.Rank()] = recv[1-c.Rank()]
+		peer := 1 - c.Rank()
+		data, off := []int{c.Rank() + 10}, []int32{0, 1, 1}
+		if peer == 1 {
+			off[1] = 0
+		}
+		recv := Alltoall(c, data, off)
+		got[c.Rank()] = slices.Clone(recv[peer])
+		Barrier(c)
+		data[0] = -1 // the frame is the sender's again
+		got[c.Rank()][0] += 100
 	})
 	if got[0][0] != 111 || got[1][0] != 110 {
-		t.Fatalf("received data is aliased: %v %v", got[0], got[1])
+		t.Fatalf("kept copies %v %v, want [111] [110]", got[0], got[1])
 	}
 }
 
@@ -388,8 +408,7 @@ func TestAlltoallCostScalesWithP(t *testing.T) {
 		w := NewWorld(p)
 		var clk float64
 		w.Run(func(c *Comm) {
-			send := make([][]int, p)
-			Alltoall(c, send) // empty payload: pure startup cost
+			Alltoall(c, []int(nil), make([]int32, p+1)) // empty payload: pure startup cost
 			if c.Rank() == 0 {
 				clk = c.Clock()
 			}
@@ -490,7 +509,7 @@ func TestStatsAccumulate(t *testing.T) {
 		for i := range send {
 			send[i] = []byte{1, 2, 3}
 		}
-		Alltoall(c, send)
+		alltoallBuckets(c, send)
 	})
 	s := w.TotalStats()
 	if s.Collectives != 4 {
@@ -563,14 +582,13 @@ func BenchmarkBarrier8(b *testing.B) {
 
 func BenchmarkAlltoall16(b *testing.B) {
 	w := NewWorld(16)
-	payload := make([]int, 64)
+	data, off := make([]int, 16*64), make([]int32, 17)
+	for i := range off {
+		off[i] = int32(i * 64)
+	}
 	w.Run(func(c *Comm) {
-		send := make([][]int, 16)
-		for i := range send {
-			send[i] = payload
-		}
 		for i := 0; i < b.N; i++ {
-			Alltoall(c, send)
+			Alltoall(c, data, off)
 		}
 	})
 }

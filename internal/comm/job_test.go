@@ -138,7 +138,7 @@ func TestPersistentMatchesTransient(t *testing.T) {
 	prog := func(c *Comm) {
 		x := Allreduce(c, c.Rank(), func(a, b int) int { return a + b })
 		v := AllreduceVec(c, []int{c.Rank(), x}, func(a, b int) int { return a + b })
-		_ = Alltoall(c, make([][]int, c.P()))
+		_ = Alltoall(c, []int(nil), make([]int32, c.P()+1))
 		_ = v
 	}
 	run := func(persistent bool) (float64, Stats) {

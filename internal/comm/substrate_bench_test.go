@@ -56,16 +56,16 @@ func BenchmarkAlltoall(b *testing.B) {
 	b.Run(fmt.Sprintf("p=%d/bucket=256", p), func(b *testing.B) {
 		w := NewWorld(p)
 		w.Run(func(c *Comm) {
-			send := make([][]int, p)
-			for i := range send {
-				send[i] = make([]int, 256)
-				for j := range send[i] {
-					send[i][j] = c.Rank()*1000 + j
-				}
+			data, off := make([]int, p*256), make([]int32, p+1)
+			for i := range data {
+				data[i] = c.Rank()*1000 + i%256
+			}
+			for i := range off {
+				off[i] = int32(i * 256)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Alltoall(c, send)
+				Alltoall(c, data, off)
 			}
 		})
 	})

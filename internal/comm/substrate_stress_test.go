@@ -2,16 +2,14 @@ package comm
 
 import (
 	"fmt"
-	"runtime"
-	"slices"
 	"strings"
 	"testing"
 )
 
 // Stress and protocol tests for the double-buffered single-barrier exchange
 // substrate. These are written to fail loudly under -race if any of the
-// epoch-parity ownership arguments (boards, staging, adopted buffers,
-// AllreduceVec's ping-pong) is wrong.
+// epoch-parity ownership arguments (boards, staging, frames deposited as
+// they lie, AllreduceVec's ping-pong) is wrong.
 
 // TestLargeWorldMixedCollectives runs a world far wider than the core count
 // through several multi-level tree-barrier epochs with a mix of collective
@@ -41,11 +39,14 @@ func TestLargeWorldMixedCollectives(t *testing.T) {
 	})
 }
 
-// TestInputsMutableImmediatelyAfterReturn pins the ownership contract the
-// single-barrier protocol must preserve: every buffer-carrying collective
-// stages or hands off its payload, so a PE scribbling over its inputs right
-// after the call returns can never corrupt (or race with) a slower PE's
-// read of the same superstep. Run with -race to verify the "no race" half.
+// TestInputsMutableImmediatelyAfterReturn pins the ownership contracts the
+// single-barrier protocol must preserve: a collective whose deposits only the
+// combine step reads (AllgatherConcat) or that stages them (AllreduceVec)
+// leaves its inputs and outputs free the moment it returns, and the ones that
+// deposit a payload as it lies (Alltoall, PairExchange) free it one
+// collective later. A PE scribbling over its buffers at those points can
+// never corrupt (or race with) a slower PE's read of the same superstep. Run
+// with -race to verify the "no race" half.
 func TestInputsMutableImmediatelyAfterReturn(t *testing.T) {
 	const p = 8
 	w := NewWorld(p)
@@ -65,16 +66,15 @@ func TestInputsMutableImmediatelyAfterReturn(t *testing.T) {
 				}
 			}
 
-			// Alltoall: send buckets trashed right after; received buckets
-			// mutated and appended to (the 3-index clip must isolate them).
-			send := make([][]int, p)
-			for j := range send {
-				send[j] = []int{c.Rank()*1000 + j, round}
+			// Alltoall and PairExchange deposit their payloads as they lie:
+			// each is read before the reader's next collective and trashed
+			// by its sender only after its own next one. Received buckets are
+			// appended to (the 3-index clip must isolate them).
+			data, off := make([]int, 2*p), make([]int32, p+1)
+			for j := 0; j < p; j++ {
+				data[2*j], data[2*j+1], off[j+1] = c.Rank()*1000+j, round, int32(2*j+2)
 			}
-			recv := Alltoall(c, send)
-			for j := range send {
-				send[j][0], send[j][1] = -9, -9
-			}
+			recv := Alltoall(c, data, off)
 			for s := range recv {
 				recv[s] = append(recv[s], 12345) // must not spill anywhere
 				if recv[s][0] != s*1000+c.Rank() || recv[s][1] != round {
@@ -82,12 +82,12 @@ func TestInputsMutableImmediatelyAfterReturn(t *testing.T) {
 					return
 				}
 			}
-
-			// PairExchange: payload trashed right after.
 			partner := c.Rank() ^ 1
 			pay := []int{c.Rank(), round}
 			out := PairExchange(c, partner, pay)
-			pay[0], pay[1] = -7, -7
+			for i := range data {
+				data[i] = -9
+			}
 			if out[0] != partner || out[1] != round {
 				t.Errorf("round %d rank %d: pair got %v", round, c.Rank(), out)
 				return
@@ -96,6 +96,7 @@ func TestInputsMutableImmediatelyAfterReturn(t *testing.T) {
 			// AllreduceVec: the returned accumulator is scribbled over
 			// immediately; the next round must be unaffected.
 			vec := AllreduceVec(c, []int{c.Rank(), 1}, func(a, b int) int { return a + b })
+			pay[0], pay[1] = -7, -7
 			if vec[0] != p*(p-1)/2 || vec[1] != p {
 				t.Errorf("round %d rank %d: vec %v", round, c.Rank(), vec)
 				return
@@ -189,46 +190,6 @@ func TestManyCollectivesHighChurn(t *testing.T) {
 	})
 }
 
-// TestBorrowedFrameStillUntilNextCollective is AlltoallFlat's ownership rule
-// as a test: the sender's buffer IS the frame, the receivers read it in
-// place, and the sender may write it again only once its next collective
-// has returned. Every rank deposits a flat buffer, checks what it received,
-// passes a Barrier and then poisons its buffer; no receiver may ever see
-// poison (and, under -race, no read may race with the poisoning), with one
-// and with two OS threads under the PEs.
-func TestBorrowedFrameStillUntilNextCollective(t *testing.T) {
-	const p, per, poison = 8, 5, -1
-	for _, procs := range []int{1, 2} {
-		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			NewWorld(p).Run(func(c *Comm) {
-				r := c.Rank()
-				buf, off := make([]int, p*per), make([]int32, p+1)
-				for j := range off {
-					off[j] = int32(j * per)
-				}
-				for round := 0; round < 200; round++ {
-					for i := range buf {
-						buf[i] = (round*p+r)*p + i/per // (round, sender, receiver)
-					}
-					recv := AlltoallFlat(c, buf, off)
-					for s, got := range recv {
-						want := (round*p+s)*p + r
-						if len(got) != per || slices.ContainsFunc(got, func(v int) bool { return v != want }) {
-							t.Errorf("round %d: rank %d read %v from rank %d, want %d×%d", round, r, got, s, per, want)
-							return
-						}
-					}
-					Barrier(c)
-					for i := range buf {
-						buf[i] = poison
-					}
-				}
-			})
-		})
-	}
-}
-
 // TestAlltoallRefusesBadFrames: a frame its int32 offsets cannot describe,
 // or offsets that do not describe the frame, panic naming the collective
 // instead of handing receivers wrong slice bounds. 2^31 zero-size elements
@@ -249,9 +210,9 @@ func TestAlltoallRefusesBadFrames(t *testing.T) {
 		RawAlltoall(c, [][]struct{}{make([]struct{}, 1<<31)})
 	})
 	panics("flat 2^31", "overflows its int32 offsets", func(c *Comm) {
-		AlltoallFlat(c, make([]struct{}, 1<<31), []int32{0, 0})
+		Alltoall(c, make([]struct{}, 1<<31), []int32{0, 0})
 	})
 	for name, off := range map[string][]int32{"count": {0}, "decreasing": {2, 1}, "negative": {-1, 2}, "past the end": {0, 3}} {
-		panics(name, "want 2 non-decreasing ones within a frame of 2", func(c *Comm) { AlltoallFlat(c, []int{1, 2}, off) })
+		panics(name, "want 2 non-decreasing ones within a frame of 2", func(c *Comm) { Alltoall(c, []int{1, 2}, off) })
 	}
 }

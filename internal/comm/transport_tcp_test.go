@@ -2,9 +2,7 @@ package comm
 
 import (
 	"context"
-	"fmt"
 	"net"
-	"slices"
 	"testing"
 
 	"kamsta/internal/par"
@@ -98,87 +96,13 @@ func shmReference(t *testing.T, p int, body func(c *Comm)) {
 	}
 }
 
-// TestTCPTransportParity runs the collectives the algorithms lean on over
-// both backends and requires identical per-rank results and modeled clocks.
-func TestTCPTransportParity(t *testing.T) {
-	for _, g := range []struct{ p, local int }{{2, 1}, {8, 4}, {8, 7}} {
-		t.Run(fmt.Sprintf("p%d-local%d", g.p, g.local), func(t *testing.T) {
-			p := g.p
+// RunShm and RunDistributed run one SPMD body on an in-process world and on
+// a world split over loopback TCP, for the tests of package comm_test, which
+// may import the layers built on comm.
+func RunShm(t *testing.T, p int, body func(c *Comm)) { shmReference(t, p, body) }
 
-			// One body exercising the pairwise and group paths together;
-			// results and final clocks are captured per rank.
-			mkBody := func(vals []int, clocks []float64) func(c *Comm) {
-				return func(c *Comm) {
-					r := c.Rank()
-					sum := Allreduce(c, r+1, func(a, b int) int { return a + b })
-					partner := r ^ 1
-					var pair []int
-					if partner < p {
-						pair = PairExchange(c, partner, []int{r, r * 10})
-					} else {
-						Barrier(c)
-						Barrier(c)
-					}
-					members := make([]int, 0, p/2+1)
-					for q := 0; q < p; q += 2 {
-						members = append(members, q)
-					}
-					gsum := GroupAllreduce(c, members, r+7, func(a, b int) int { return a + b })
-					all := AllgatherConcat(c, []int{r * 3})
-					// The same buckets deposited both ways: staged, and as a
-					// borrowed flat frame a remote rank decodes like any
-					// other (still until the next collective has returned).
-					flat, off, send := []int(nil), make([]int32, p+1), make([][]int, p)
-					for j := range send {
-						for k := 0; k < (r+j)%3; k++ {
-							flat = append(flat, r*100+j*10+k)
-						}
-						send[j], off[j+1] = flat[off[j]:], int32(len(flat))
-					}
-					staged, borrowed := Alltoall(c, send), AlltoallFlat(c, flat, off)
-					acc := sum + gsum
-					for s := range staged {
-						if !slices.Equal(staged[s], borrowed[s]) {
-							acc = -1 << 40 // poisons the comparison below on either backend
-						}
-						for _, v := range borrowed[s] {
-							acc += v * (s + 2)
-						}
-					}
-					Barrier(c)
-					for _, v := range pair {
-						acc += v
-					}
-					for _, v := range all {
-						acc += v
-					}
-					vals[r] = acc
-					clocks[r] = c.Clock()
-				}
-			}
-
-			// PairExchange is two-sided: with an odd rank out, the
-			// partnerless rank must still match collective counts. Keep
-			// partners in range instead for simplicity.
-			wantVals := make([]int, p)
-			wantClocks := make([]float64, p)
-			shmReference(t, p, mkBody(wantVals, wantClocks))
-
-			gotVals := make([]int, p)
-			gotClocks := make([]float64, p)
-			d := newDistWorld(t, p, g.local)
-			d.run(t, mkBody(gotVals, gotClocks))
-
-			for r := 0; r < p; r++ {
-				if gotVals[r] != wantVals[r] {
-					t.Errorf("rank %d: value %d over tcp, %d over shm", r, gotVals[r], wantVals[r])
-				}
-				if gotClocks[r] != wantClocks[r] {
-					t.Errorf("rank %d: clock %v over tcp, %v over shm", r, gotClocks[r], wantClocks[r])
-				}
-			}
-		})
-	}
+func RunDistributed(t *testing.T, p, local int, body func(c *Comm)) {
+	newDistWorld(t, p, local).run(t, body)
 }
 
 // TestPoolPerLocalRank: the world builds one pool per rank it hosts, as wide

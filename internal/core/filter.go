@@ -18,8 +18,6 @@ var (
 	kResCur    = arena.NewKey() // []graph.VID: resolve cursors
 	kResDone   = arena.NewKey() // []bool: resolve completion flags
 	kResTgt    = arena.NewKey() // []graph.VID: distinct pending targets
-	kResSendQ  = arena.NewKey() // [][]graph.VID buckets (resolve queries)
-	kResSendR  = arena.NewKey() // [][]labelPair buckets (resolve replies)
 	kResAns    = arena.NewKey() // []graph.VID: replies, aligned with the targets
 	kResWin    = arena.NewKey() // []int32: the reply table's index window
 	kLabelBits = arena.NewKey() // []uint64: labelSet's bitmap over the label space
@@ -126,14 +124,13 @@ func (d *distArray) owner(c *comm.Comm, v graph.VID) int {
 // with label ≠ vertex, in table order — to their owners. Collective: all PEs
 // must call together (with possibly empty tables).
 func (d *distArray) record(c *comm.Comm, t denseLabels, opt Options) {
-	send := arena.Buckets[labelPair](c.Scratch(), kRecSend, c.P())
+	send := alltoall.NewBuilder[labelPair](c, kRecSend)
 	for i, v := range t.verts {
 		if lbl := t.labels[i]; lbl != v {
-			o := d.owner(c, v)
-			send[o] = append(send[o], labelPair{V: v, L: lbl})
+			send.Add(d.owner(c, v), labelPair{V: v, L: lbl})
 		}
 	}
-	recv := alltoall.Exchange(c, opt.A2A, send)
+	recv := send.Exchange(opt.A2A)
 	for i := range recv {
 		for _, lp := range recv[i] {
 			d.tbl[lp.V-d.lo] = lp.L
@@ -173,19 +170,18 @@ func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, dense bool, opt Option
 			}
 		}
 		tgt := set.sorted()
-		send := arena.Buckets[graph.VID](a, kResSendQ, c.P())
+		send := alltoall.NewBuilder[graph.VID](c, kResSendQ)
 		for _, t := range tgt {
-			o := d.owner(c, t)
-			send[o] = append(send[o], t)
+			send.Add(d.owner(c, t), t)
 		}
-		recvQ := alltoall.Exchange(c, opt.A2A, send)
-		sendR := arena.Buckets[labelPair](a, kResSendR, c.P())
+		recvQ := send.Exchange(opt.A2A)
+		sendR := alltoall.NewBuilder[labelPair](c, kResSendR)
 		for from := range recvQ {
 			for _, t := range recvQ[from] {
-				sendR[from] = append(sendR[from], labelPair{V: t, L: d.lookup(t)})
+				sendR.Add(from, labelPair{V: t, L: d.lookup(t)})
 			}
 		}
-		recvR := alltoall.Exchange(c, opt.A2A, sendR)
+		recvR := sendR.Exchange(opt.A2A)
 		// Every owner answers its bucket in order and the buckets concatenate
 		// in rank order, so the replies arrive aligned with the queries.
 		ans := denseLabels{vertexIndex: vertexIndex{verts: tgt}, labels: arena.Grab[graph.VID](a, kResAns, len(tgt))}

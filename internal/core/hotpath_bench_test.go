@@ -275,6 +275,7 @@ func BenchmarkExchangeLabels(b *testing.B) {
 		comm.Barrier(c)
 		for i := 0; i < b.N; i++ {
 			exchangeLabels(c, edges, l, labels, opt)
+			comm.Barrier(c) // a call site builds its next frame one collective later
 		}
 	})
 }

@@ -43,13 +43,11 @@ func makeInputCopy(c *comm.Comm, edges []graph.Edge) *inputCopy {
 // ID), where the original endpoints are recovered from the compressed
 // input. Returns the local share of the MSF with original endpoint labels.
 func redistributeMST(c *comm.Comm, mst []graph.Edge, in *inputCopy, opt Options) []graph.Edge {
-	p := c.P()
-	send := make([][]uint64, p)
+	send := alltoall.NewBuilder[uint64](c, kMSTSend)
 	for _, e := range mst {
-		home := sort.Search(p, func(i int) bool { return in.offsets[i+1] > e.ID })
-		send[home] = append(send[home], e.ID)
+		send.Add(sort.Search(c.P(), func(i int) bool { return in.offsets[i+1] > e.ID }), e.ID)
 	}
-	recv := alltoall.Exchange(c, opt.A2A, send)
+	recv := send.Exchange(opt.A2A)
 	// One forward sweep over the compressed chunk: IDs are positions in the
 	// sorted input, so decoding them in ascending order yields the local
 	// share already in lexicographic order.

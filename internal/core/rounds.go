@@ -11,7 +11,7 @@ import (
 	"kamsta/internal/graph"
 )
 
-// Arena keys of the per-round dense tables and send buckets. One set of
+// Arena keys of the per-round dense tables and send frames. One set of
 // keys per process; every PE's arena has its own storage behind them. A key
 // is re-grabbed once per round, so a slot's previous round's contents are
 // dead by the time it is reused (see the lifetime table in DESIGN.md §8.2).
@@ -22,15 +22,17 @@ var (
 	kParent     = arena.NewKey() // []parentEntry: pointer-doubling state
 	kEmit       = arena.NewKey() // []int32: candidate MST edge per vertex
 	kLabels     = arena.NewKey() // []graph.VID: component labels
-	kSendQ      = arena.NewKey() // [][]query buckets
-	kSendR      = arena.NewKey() // [][]reply buckets
-	kSendLbl    = arena.NewKey() // [][]labelPair buckets (exchangeLabels)
 	kGhost      = arena.NewKey() // []graph.VID: ghost vertices, ascending
 	kGhostLbl   = arena.NewKey() // []graph.VID: their labels
 	kGhostWin   = arena.NewKey() // []int32: the ghost table's index window
 	kRelabelOut = arena.NewKey() // []graph.Edge: the rounds' relabelled edges
-	kRecSend    = arena.NewKey() // [][]labelPair buckets (distArray.record)
 	kDirect     = arena.NewKey() // []int32: the round's vertex index window
+
+	// Send frames, one per exchange call site: contractComponents' queries
+	// and replies, exchangeLabels, distArray.record, resolve's queries and
+	// replies, redistributeMST.
+	kSendQ, kSendR, kSendLbl, kRecSend = alltoall.NewSendKey(), alltoall.NewSendKey(), alltoall.NewSendKey(), alltoall.NewSendKey()
+	kResSendQ, kResSendR, kMSTSend     = alltoall.NewSendKey(), alltoall.NewSendKey(), alltoall.NewSendKey()
 )
 
 // minEdge pairs a local vertex with its lightest incident edge's index in
@@ -204,7 +206,6 @@ func (d *denseLabels) get(v graph.VID) (graph.VID, bool) {
 func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins []minEdge,
 	opt Options, mst *[]graph.Edge) denseLabels {
 
-	p := c.P()
 	a := c.Scratch()
 	n := len(mins)
 	// Dense tables for this PE's non-shared vertices.
@@ -244,7 +245,7 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 		// Index order means a chase through an entry updated earlier in THIS
 		// pass sees the advanced pointer — the same chaining the map version
 		// performed, now in a fixed, deterministic order.
-		sendQ := arena.Buckets[query](a, kSendQ, p)
+		sendQ := alltoall.NewBuilder[query](c, kSendQ)
 		pending := 0
 		for i := range parent {
 			pe := &parent[i]
@@ -291,7 +292,7 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 				// Shared vertices are roots by fiat — no communication.
 				pe.done = true
 			} else {
-				sendQ[home] = append(sendQ[home], query{Asker: u, Target: v})
+				sendQ.Add(home, query{Asker: u, Target: v})
 				pending++
 			}
 		}
@@ -304,8 +305,8 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 			break
 		}
 
-		recvQ := alltoall.Exchange(c, opt.A2A, sendQ)
-		sendR := arena.Buckets[reply](a, kSendR, p)
+		recvQ := sendQ.Exchange(opt.A2A)
+		sendR := alltoall.NewBuilder[reply](c, kSendR)
 		for from := range recvQ {
 			for _, q := range recvQ[from] {
 				r := reply{Asker: q.Asker, Target: q.Target}
@@ -316,10 +317,10 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 				} else {
 					r.Unknown = true
 				}
-				sendR[from] = append(sendR[from], r)
+				sendR.Add(from, r)
 			}
 		}
-		recvR := alltoall.Exchange(c, opt.A2A, sendR)
+		recvR := sendR.Exchange(opt.A2A)
 		for from := range recvR {
 			for _, r := range recvR[from] {
 				i := x.find(r.Asker)
@@ -397,9 +398,8 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 func exchangeLabels(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	lab denseLabels, opt Options) denseLabels {
 
-	p := c.P()
 	a := c.Scratch()
-	send := arena.Buckets[labelPair](a, kSendLbl, p)
+	send := alltoall.NewBuilder[labelPair](c, kSendLbl)
 	var (
 		curU        graph.VID // 0 is no vertex
 		lbl         graph.VID
@@ -424,9 +424,9 @@ func exchangeLabels(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 			continue
 		}
 		last = owner
-		send[owner] = append(send[owner], labelPair{V: e.U, L: lbl})
+		send.Add(owner, labelPair{V: e.U, L: lbl})
 	}
-	recv := alltoall.Exchange(c, opt.A2A, send)
+	recv := send.Exchange(opt.A2A)
 	// Rank-ordered arrival is ascending by vertex: non-shared sources of
 	// different PEs are disjoint and rank-ordered.
 	ghost := denseLabels{

@@ -29,11 +29,11 @@
 //
 // Every local phase writes its result where the next phase reads it: the
 // caller's data is sorted INTO the local slot, that slot cut at the
-// splitters IS the exchange frame (alltoall.ExchangeFlat — borrowed, not
-// staged: the sorter next writes it after Rebalance's first collective has
-// returned, when every reader is done), the merge fills the merge slot, and
-// Rebalance moves the share that stays on this PE with one copy and sends
-// only the rest. All of it, the returned chunk included, lives in the
+// splitters IS the exchange frame (alltoall.ExchangeFlat, under comm's one
+// ownership rule: the sorter next writes it after Rebalance's first
+// collective has returned, when every reader is done), the merge fills the
+// merge slot, and Rebalance moves the share that stays on this PE with one
+// copy and packs only the rest into its send frame. All of it, the returned chunk included, lives in the
 // world-owned per-PE scratch arena (comm.Comm.Scratch), in slots keyed per
 // element type, so steady-state sorts allocate nothing beyond the
 // substrate's collective-internal floor. The flip side is a lifetime
@@ -120,24 +120,24 @@ func ByKey[T any](less func(a, b T) bool, key Key[T]) Order[T] {
 // instantiation of the sorter. Keys are process-wide; the storage behind
 // them is per-PE (each arena owns its slots).
 type typeKeys struct {
-	local     arena.Key // []T: sorted local data — the sample-sort exchange frame
-	off       arena.Key // []int32: that frame's bucket offsets
-	samples   arena.Key // []T: splitter sample staging
-	all       arena.Key // []T: gathered global sample
-	split     arena.Key // []T: the gathered sample, sorted
-	merge     arena.Key // []T: k-way merge output
-	mergeTree arena.Key // []int32: loser-tree nodes
-	mergeKeys arena.Key // []uint64: per-run cached head keys
-	mergeRest arena.Key // [][]T: per-run remaining elements
-	out       arena.Key // []T: Rebalance output (the returned chunk)
-	rebSend   arena.Key // [][]T: Rebalance bucket frame
-	hcLocal   arena.Key // []T: hypercube working set
-	hcLow     arena.Key // []T: partition low side
-	hcHigh    arena.Key // []T: partition high side
-	hcSamples arena.Key // []T: pivot sample staging
-	hcMembers arena.Key // []int: subcube member ranks
-	rxPairs   arena.Key // []radix.KV: radix (key, index) pairs
-	rxTmp     arena.Key // []radix.KV: radix ping-pong buffer
+	local     arena.Key        // []T: sorted local data — the sample-sort exchange frame
+	off       arena.Key        // []int32: that frame's bucket offsets
+	samples   arena.Key        // []T: splitter sample staging
+	all       arena.Key        // []T: gathered global sample
+	split     arena.Key        // []T: the gathered sample, sorted
+	merge     arena.Key        // []T: k-way merge output
+	mergeTree arena.Key        // []int32: loser-tree nodes
+	mergeKeys arena.Key        // []uint64: per-run cached head keys
+	mergeRest arena.Key        // [][]T: per-run remaining elements
+	out       arena.Key        // []T: Rebalance output (the returned chunk)
+	rebSend   alltoall.SendKey // Rebalance's send frame: the foreign shares
+	hcLocal   arena.Key        // []T: hypercube working set
+	hcLow     arena.Key        // []T: partition low side
+	hcHigh    arena.Key        // []T: partition high side
+	hcSamples arena.Key        // []T: pivot sample staging
+	hcMembers arena.Key        // []int: subcube member ranks
+	rxPairs   arena.Key        // []radix.KV: radix (key, index) pairs
+	rxTmp     arena.Key        // []radix.KV: radix ping-pong buffer
 }
 
 var (
@@ -158,7 +158,7 @@ func keysFor[T any]() *typeKeys {
 			local: arena.NewKey(), off: arena.NewKey(), samples: arena.NewKey(),
 			all: arena.NewKey(), split: arena.NewKey(), merge: arena.NewKey(),
 			mergeTree: arena.NewKey(), mergeKeys: arena.NewKey(), mergeRest: arena.NewKey(),
-			out: arena.NewKey(), rebSend: arena.NewKey(),
+			out: arena.NewKey(), rebSend: alltoall.NewSendKey(),
 			hcLocal: arena.NewKey(), hcLow: arena.NewKey(), hcHigh: arena.NewKey(),
 			hcSamples: arena.NewKey(), hcMembers: arena.NewKey(),
 			rxPairs: arena.NewKey(), rxTmp: arena.NewKey(),
@@ -425,10 +425,8 @@ func hypercubeQuicksort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T
 		if !inLow {
 			partner = rank - half
 		}
-		if len(gathered.Items) == 0 {
-			// Whole group is empty; exchange nothing but stay in lockstep.
-			comm.PairExchange(c, partner, []T(nil))
-		} else {
+		var keep, give []T
+		if len(gathered.Items) > 0 { // else the whole group is empty
 			pivot := gathered.Items[len(gathered.Items)/2]
 			// local is unsorted between rounds: partition by scan,
 			// alternating pivot-equal keys (first tie high).
@@ -452,19 +450,17 @@ func hypercubeQuicksort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T
 			arena.Keep(a, ks.hcLow, lowPart)
 			arena.Keep(a, ks.hcHigh, highPart)
 			c.ChargeCompute(len(local))
-			var keep, give []T
-			if inLow {
-				keep, give = lowPart, highPart
-			} else {
+			keep, give = lowPart, highPart
+			if !inLow {
 				keep, give = highPart, lowPart
 			}
-			// give is staged into the wire at deposit time; got is an owned
-			// copy, so the partition slots are free again after this call.
-			got := comm.PairExchange(c, partner, give)
-			local = arena.Grab[T](a, ks.hcLocal, len(keep)+len(got))
-			copy(local, keep)
-			copy(local[len(keep):], got)
 		}
+		// give is deposited as it lies, and got, the partner's give, is
+		// copied out before the next collective.
+		got := comm.PairExchange(c, partner, give)
+		local = arena.Grab[T](a, ks.hcLocal, len(keep)+len(got))
+		copy(local, keep)
+		copy(local[len(keep):], got)
 		if hqsLoadProbe != nil {
 			hqsLoadProbe(rank, level, len(local))
 		}
@@ -534,16 +530,18 @@ func RebalanceInto[T any](c *comm.Comm, slot arena.Key, data []T) []T {
 	// [before, before+len(data)), so data[:cut(j)] lies before PE j's range.
 	bound := func(j int) int { return rebalanceBound(j, total, p) }
 	cut := func(j int) int { return min(max(bound(j)-before, 0), len(data)) }
-	send := arena.Grab[[]T](a, keysFor[T]().rebSend, p)
-	for j := range send {
-		send[j] = data[cut(j):cut(j+1)]
+	// Only what leaves this PE enters the frame, copied there, so data is
+	// free once the exchange returns; the share it keeps never does — the
+	// modeled charge excludes the self bucket anyway.
+	send := alltoall.NewBuilder[T](c, keysFor[T]().rebSend)
+	for j := 0; j < p; j++ {
+		if j != rank {
+			send.Append(j, data[cut(j):cut(j+1)])
+		}
 	}
-	// Only what leaves this PE is deposited; the share it keeps never enters
-	// a frame — the modeled charge excludes the self bucket anyway.
-	own := send[rank]
-	send[rank] = nil
-	recv := comm.Alltoall(c, send)
-	// Grabbed only after the exchange staged what leaves, and the own share
+	own := data[cut(rank):cut(rank+1)]
+	recv := send.Exchange(alltoall.Direct)
+	// Grabbed only after the frame holds what leaves, and the own share
 	// moves before anything else is written: data may lie in this very slot,
 	// so the copy may overlap itself (or, when the slot had to grow, read
 	// the old backing) and the foreign shares land on what it has left.

@@ -1,6 +1,7 @@
 package graphio
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -54,31 +55,20 @@ func FuzzParseMetis(f *testing.F) {
 	f.Add([]byte("% c\n\n2 1 1\n2\n"), uint64(3))
 	f.Add([]byte("junk\n"), uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, firstVertex uint64) {
-		lines := splitLines(data)
-		if len(lines) == 0 {
+		if len(data) == 0 {
 			return
 		}
-		hdr, err := parseMetisHeader(string(lines[0]))
+		first, rest := data, []byte{}
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			first, rest = data[:i], data[i+1:]
+		}
+		hdr, err := parseMetisHeader(string(bytes.TrimSuffix(first, []byte{'\r'})))
 		if err != nil {
 			return
-		}
-		rest := []byte{}
-		if i := indexAfterFirstLine(data); i >= 0 {
-			rest = data[i:]
 		}
 		raws, err := parseMetisData(rest, hdr, firstVertex%(1<<33))
 		if err == nil {
 			fuzzBuild(t, raws)
 		}
 	})
-}
-
-// indexAfterFirstLine returns the offset just past the first newline, or -1.
-func indexAfterFirstLine(data []byte) int {
-	for i, b := range data {
-		if b == '\n' {
-			return i + 1
-		}
-	}
-	return -1
 }

@@ -22,7 +22,9 @@ type rawEdge struct {
 
 // forEachLine calls fn for every line of data with the absolute file
 // offset of the line's first byte (base is data[0]'s offset), terminators
-// stripped. Byte-range loading hands each PE a private slice, so parse
+// stripped. A final newline does not open an extra empty line; an empty line
+// between two newlines does count (METIS: a vertex with no neighbors).
+// Byte-range loading hands each PE a private slice, so parse
 // diagnostics carry file offsets, which stay meaningful at any PE count,
 // rather than slice-relative line numbers.
 func forEachLine(data []byte, base int64, fn func(off int64, line []byte) error) error {
@@ -38,23 +40,6 @@ func forEachLine(data []byte, base int64, fn func(off int64, line []byte) error)
 		data = data[adv:]
 	}
 	return nil
-}
-
-// splitLines returns the lines of data without their terminators. A final
-// newline does not open an extra empty line; an empty line between two
-// newlines does count (METIS: a vertex with no neighbors).
-func splitLines(data []byte) [][]byte {
-	if len(data) == 0 {
-		return nil
-	}
-	lines := bytes.Split(data, []byte{'\n'})
-	if len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	for i, ln := range lines {
-		lines[i] = bytes.TrimSuffix(ln, []byte{'\r'})
-	}
-	return lines
 }
 
 // parseUint parses a decimal from a field without a string copy — the
@@ -238,10 +223,10 @@ func parseMetisHeader(line string) (metisHeader, error) {
 // trailing-whitespace tolerance may discount (a blank line mid-file is a
 // legitimate zero-degree vertex, so only file-trailing blanks may go).
 func countMetisLines(data []byte) (n, tailBlanks int) {
-	for _, ln := range splitLines(data) {
+	forEachLine(data, 0, func(_ int64, ln []byte) error {
 		s := bytes.TrimSpace(ln)
 		if len(s) > 0 && s[0] == '%' {
-			continue
+			return nil
 		}
 		n++
 		if len(s) == 0 {
@@ -249,7 +234,8 @@ func countMetisLines(data []byte) (n, tailBlanks int) {
 		} else {
 			tailBlanks = 0
 		}
-	}
+		return nil
+	})
 	return n, tailBlanks
 }
 
@@ -263,10 +249,10 @@ func parseMetisData(data []byte, h metisHeader, firstVertex uint64) ([]rawEdge, 
 	u := firstVertex
 	// Diagnostics locate by vertex id, which is absolute at any PE count
 	// (the vertex's adjacency line is line id+1 of the file's data region).
-	for _, ln := range splitLines(data) {
+	err := forEachLine(data, 0, func(_ int64, ln []byte) error {
 		s := bytes.TrimSpace(ln)
 		if len(s) > 0 && s[0] == '%' {
-			continue
+			return nil
 		}
 		fields := bytes.Fields(s)
 		skip := 0
@@ -277,7 +263,7 @@ func parseMetisData(data []byte, h metisHeader, firstVertex uint64) ([]rawEdge, 
 			skip += h.NCon
 		}
 		if len(fields) < skip {
-			return nil, fmt.Errorf("metis vertex %d: %d fields, want at least %d vertex size/weight fields",
+			return fmt.Errorf("metis vertex %d: %d fields, want at least %d vertex size/weight fields",
 				u, len(fields), skip)
 		}
 		fields = fields[skip:]
@@ -285,7 +271,7 @@ func parseMetisData(data []byte, h metisHeader, firstVertex uint64) ([]rawEdge, 
 		if h.HasEdgeWeights {
 			step = 2
 			if len(fields)%2 != 0 {
-				return nil, fmt.Errorf("metis vertex %d: odd neighbor/weight list", u)
+				return fmt.Errorf("metis vertex %d: odd neighbor/weight list", u)
 			}
 		}
 		for j := 0; j < len(fields); j += step {
@@ -295,11 +281,15 @@ func parseMetisData(data []byte, h metisHeader, firstVertex uint64) ([]rawEdge, 
 				e.W, err = parseWeight(fields[j+1])
 			}
 			if err != nil {
-				return nil, fmt.Errorf("metis vertex %d: %v", u, err)
+				return fmt.Errorf("metis vertex %d: %v", u, err)
 			}
 			out = append(out, e)
 		}
 		u++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

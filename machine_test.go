@@ -383,7 +383,10 @@ func TestFIFOSemAbandon(t *testing.T) {
 
 // TestMachineComputeFIFO: concurrent Compute callers run in submission
 // order. The job slot is held directly while callers are enqueued one at a
-// time, so the queue order is known; completion order must match it.
+// time, so the queue order is known. The order is read where it is decided:
+// each job records itself at its first observer event, which fires while
+// that job holds the slot — not after Compute returns, where the scheduler
+// may reorder the callers.
 func TestMachineComputeFIFO(t *testing.T) {
 	m := newTestMachine(t, MachineConfig{PEs: 2})
 	defer m.Close()
@@ -399,13 +402,17 @@ func TestMachineComputeFIFO(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := m.Compute(context.Background(), FromEdges(edges)); err != nil {
+			var started sync.Once
+			running := WithObserver(func(Event) {
+				started.Do(func() {
+					mu.Lock()
+					order = append(order, i)
+					mu.Unlock()
+				})
+			})
+			if _, err := m.Compute(context.Background(), FromEdges(edges), running); err != nil {
 				t.Errorf("job %d: %v", i, err)
-				return
 			}
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
 		}(i)
 		for m.jobs.pending() != i+1 {
 			runtime.Gosched()
@@ -413,9 +420,12 @@ func TestMachineComputeFIFO(t *testing.T) {
 	}
 	m.jobs.release()
 	wg.Wait()
+	if len(order) != n {
+		t.Fatalf("%d of %d jobs reported an observer event: %v", len(order), n, order)
+	}
 	for i, got := range order {
 		if got != i {
-			t.Fatalf("completion order %v: position %d ran job %d (not FIFO)", order, i, got)
+			t.Fatalf("start order %v: position %d ran job %d (not FIFO)", order, i, got)
 		}
 	}
 }
