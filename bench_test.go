@@ -66,19 +66,6 @@ func BenchmarkAblationDedup(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLocalFilter — the §VI-B recursive edge filtering inside
-// local preprocessing.
-func BenchmarkAblationLocalFilter(b *testing.B) {
-	spec := kamsta.GraphSpec{Family: gen.RGG2D, N: 1 << 12, M: 1 << 16, Seed: 1}
-	for _, filter := range []bool{true, false} {
-		b.Run(fmt.Sprintf("localFilter=%v", filter), func(b *testing.B) {
-			opt := paperOpts()
-			opt.LocalFilter = filter
-			runSpec(b, spec, 8, 4, kamsta.AlgBoruvka, opt)
-		})
-	}
-}
-
 // BenchmarkAblationBaseCap — the base-case threshold trade-off (§VI-C).
 func BenchmarkAblationBaseCap(b *testing.B) {
 	spec := weakSpec(gen.GNM, 16)

@@ -104,29 +104,18 @@ func (cfg runCfg) runOptions() []kamsta.RunOption {
 	return []kamsta.RunOption{kamsta.WithAlgorithm(cfg.Algorithm), kamsta.WithCoreOptions(cfg.Core)}
 }
 
-// paperOptions is core.DefaultOptions() — the configuration the paper
-// evaluates — with the sorter seed DefaultOptions already resolved cleared
-// again, so input materialization (which reads Core.Sort before the
-// algorithm's defaulting) samples as it always has and table1file's load_s
-// column stays where testdata/exhibits.golden pins it.
-func paperOptions() core.Options {
-	o := core.DefaultOptions()
-	o.Sort.Seed = 0
-	return o
-}
-
 // algConfig maps the paper's series names to configurations: the two
-// headline series run paperOptions, the -nopre ablations keep only
+// headline series run core.DefaultOptions(), the -nopre ablations keep only
 // parallel-edge removal.
 func algConfig(name string, threads int, s Scale) runCfg {
 	cfg := runCfg{MachineConfig: kamsta.MachineConfig{Threads: threads}}
 	switch name {
 	case "boruvka":
 		cfg.Algorithm = kamsta.AlgBoruvka
-		cfg.Core = paperOptions()
+		cfg.Core = core.DefaultOptions()
 	case "filterBoruvka":
 		cfg.Algorithm = kamsta.AlgFilterBoruvka
-		cfg.Core = paperOptions()
+		cfg.Core = core.DefaultOptions()
 	case "boruvka-nopre":
 		cfg.Algorithm = kamsta.AlgBoruvka
 		cfg.Core.DedupParallel = true

@@ -108,10 +108,25 @@ func testSpecs() []gen.Spec {
 	}
 }
 
+// filterSpecs are testSpecs grown until Filter-Borůvka's recursion
+// partitions at minEdgesPerPE on 2 to 7 PEs after local preprocessing: 10^4
+// directed edges, far more than sparseDegree per vertex, and more for the
+// RGG, whose edges preprocessing mostly contracts, and the RMAT, whose
+// duplicates merge. The grid, at degree 4, never partitions.
+func filterSpecs() []gen.Spec {
+	return []gen.Spec{
+		{Family: gen.Grid2D, N: 120, Seed: 1},
+		{Family: gen.RGG2D, N: 300, M: 10000, Seed: 2},
+		{Family: gen.GNM, N: 500, M: 5000, Seed: 3},
+		{Family: gen.RMAT, N: 512, M: 8000, Seed: 4},
+		{Family: gen.RHG, N: 600, M: 5000, Seed: 5},
+	}
+}
+
 func TestBoruvkaMatchesKruskalAcrossFamilies(t *testing.T) {
 	for _, spec := range testSpecs() {
 		for _, p := range []int{1, 2, 4, 7} {
-			opt := Options{LocalPreprocessing: true, LocalFilter: true, DedupParallel: true, BaseCaseCap: 16}
+			opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
 			res, shares, all := runDistributed(t, p, 1, spec, opt, Boruvka)
 			checkAgainstOracle(t, spec.Label(), res, shares, all)
 		}
@@ -119,13 +134,23 @@ func TestBoruvkaMatchesKruskalAcrossFamilies(t *testing.T) {
 }
 
 func TestFilterBoruvkaMatchesKruskalAcrossFamilies(t *testing.T) {
-	for _, spec := range testSpecs() {
+	for _, spec := range filterSpecs() {
 		for _, p := range []int{1, 2, 4, 7} {
-			opt := Options{LocalPreprocessing: true, LocalFilter: true, DedupParallel: true, BaseCaseCap: 16,
-				Filter: FilterOptions{MinEdgesPerPE: 32, MergeBackFraction: 0.25}}
+			opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
 			res, shares, all := runDistributed(t, p, 1, spec, opt, FilterBoruvka)
 			checkAgainstOracle(t, spec.Label(), res, shares, all)
+			checkRecursed(t, spec, p, res)
 		}
+	}
+}
+
+// checkRecursed fails unless Filter-Borůvka partitioned a filterSpecs
+// instance that local preprocessing left distributed (p > 1) and that is not
+// the grid.
+func checkRecursed(t *testing.T, spec gen.Spec, p int, res Result) {
+	t.Helper()
+	if p > 1 && spec.Family != gen.Grid2D && res.BaseCalls < 2 {
+		t.Fatalf("%s p=%d: %d base calls: the recursion did not partition", spec.Label(), p, res.BaseCalls)
 	}
 }
 
@@ -147,7 +172,7 @@ func TestBoruvkaGridHighLocality(t *testing.T) {
 	// Grid graphs exercise the preprocessing path heavily: most edges are
 	// local, so nearly everything contracts before the distributed rounds.
 	spec := gen.Spec{Family: gen.Grid2D, N: 400, Seed: 11}
-	opt := Options{LocalPreprocessing: true, LocalFilter: true, DedupParallel: true, BaseCaseCap: 16}
+	opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
 	res, shares, all := runDistributed(t, 4, 2, spec, opt, Boruvka)
 	checkAgainstOracle(t, spec.Label(), res, shares, all)
 }
@@ -257,25 +282,23 @@ func TestResultIndependentOfWorldSize(t *testing.T) {
 }
 
 func TestFilterAgreesWithPlainBoruvka(t *testing.T) {
-	for _, spec := range testSpecs() {
-		optB := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
-		optF := optB
-		optF.Filter = FilterOptions{MinEdgesPerPE: 32}
-		b, _, _ := runDistributed(t, 4, 1, spec, optB, Boruvka)
-		f, _, _ := runDistributed(t, 4, 1, spec, optF, FilterBoruvka)
+	for _, spec := range filterSpecs() {
+		opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+		b, _, _ := runDistributed(t, 4, 1, spec, opt, Boruvka)
+		f, _, _ := runDistributed(t, 4, 1, spec, opt, FilterBoruvka)
 		if b.TotalWeight != f.TotalWeight || b.NumEdges != f.NumEdges {
 			t.Fatalf("%s: boruvka (%d,%d) vs filterBoruvka (%d,%d)",
 				spec.Label(), b.TotalWeight, b.NumEdges, f.TotalWeight, f.NumEdges)
 		}
+		checkRecursed(t, spec, 4, f)
 	}
 }
 
 func TestFilterRecursionActuallyPartitions(t *testing.T) {
-	// On a dense graph with a small MinEdgesPerPE the recursion must
-	// perform several base calls.
+	// On a dense graph of 2·minEdgesPerPE directed edges per PE the
+	// recursion must perform several base calls.
 	spec := gen.Spec{Family: gen.GNM, N: 300, M: 4000, Seed: 31}
-	opt := Options{BaseCaseCap: 16, DedupParallel: true,
-		Filter: FilterOptions{MinEdgesPerPE: 64, MergeBackFraction: 0.01}}
+	opt := Options{BaseCaseCap: 16, DedupParallel: true}
 	res, shares, all := runDistributed(t, 4, 1, spec, opt, FilterBoruvka)
 	if res.BaseCalls < 2 {
 		t.Fatalf("expected a real recursion, got %d base calls", res.BaseCalls)
@@ -289,11 +312,12 @@ func TestFilterWorkLinearOnDenseGraph(t *testing.T) {
 	// asymptotically fewer edge-units on dense inputs. We compare the
 	// edge-touch counters on a dense GNM.
 	spec := gen.Spec{Family: gen.GNM, N: 200, M: 6000, Seed: 37}
-	optB := Options{BaseCaseCap: 1, DedupParallel: false}
-	optF := optB
-	optF.Filter = FilterOptions{MinEdgesPerPE: 64, MergeBackFraction: 0.01}
-	b, _, _ := runDistributed(t, 4, 1, spec, optB, Boruvka)
-	f, _, _ := runDistributed(t, 4, 1, spec, optF, FilterBoruvka)
+	opt := Options{BaseCaseCap: 1, DedupParallel: false}
+	b, _, _ := runDistributed(t, 4, 1, spec, opt, Boruvka)
+	f, _, _ := runDistributed(t, 4, 1, spec, opt, FilterBoruvka)
+	if f.BaseCalls < 2 {
+		t.Fatalf("%d base calls: the recursion did not partition", f.BaseCalls)
+	}
 	if f.EdgesTouched >= b.EdgesTouched {
 		t.Fatalf("filtering should reduce touched edges: filter=%d plain=%d", f.EdgesTouched, b.EdgesTouched)
 	}

@@ -18,16 +18,18 @@ import (
 func TestSymmetricInvariantMaintained(t *testing.T) {
 	debugChecks = true
 	defer func() { debugChecks = false }()
-	for _, spec := range testSpecs() {
+	for _, spec := range filterSpecs() {
 		for _, p := range []int{2, 7} {
+			var res Result
 			w := comm.NewWorld(p)
 			w.Run(func(c *comm.Comm) {
 				edges, layout := gen.Build(c, spec, dsort.Options{})
-				opt := Options{LocalPreprocessing: true, LocalFilter: true,
-					DedupParallel: true, BaseCaseCap: 16,
-					Filter: FilterOptions{MinEdgesPerPE: 32, MergeBackFraction: 0.25}}
-				FilterBoruvka(c, edges, layout, opt)
+				opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+				if r := FilterBoruvka(c, edges, layout, opt); c.Rank() == 0 {
+					res = r
+				}
 			})
+			checkRecursed(t, spec, p, res)
 		}
 	}
 }

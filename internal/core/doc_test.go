@@ -1,9 +1,14 @@
 package core
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"kamsta/internal/arena"
@@ -12,8 +17,8 @@ import (
 	"kamsta/internal/par"
 )
 
-// designNumbers returns the integers DESIGN.md quotes in pattern's groups.
-func designNumbers(t *testing.T, what, pattern string) []int {
+// designQuotes returns what DESIGN.md quotes in pattern's groups.
+func designQuotes(t *testing.T, what, pattern string) []string {
 	t.Helper()
 	raw, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -23,11 +28,23 @@ func designNumbers(t *testing.T, what, pattern string) []int {
 	if m == nil {
 		t.Fatalf("DESIGN.md no longer quotes the %s (pattern %q)", what, pattern)
 	}
-	out := make([]int, len(m)-1)
+	out := make([]string, len(m)-1)
 	for i, g := range m[1:] {
-		if out[i], err = strconv.Atoi(string(g)); err != nil {
+		out[i] = string(g)
+	}
+	return out
+}
+
+// designNumbers returns the integers DESIGN.md quotes in pattern's groups.
+func designNumbers(t *testing.T, what, pattern string) []int {
+	t.Helper()
+	var out []int
+	for _, q := range designQuotes(t, what, pattern) {
+		n, err := strconv.Atoi(q)
+		if err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, n)
 	}
 	return out
 }
@@ -105,4 +122,74 @@ func TestDesignQuotesTuningConstants(t *testing.T) {
 	if n[2] != pivotSamples {
 		t.Errorf("DESIGN.md says the pivot is the median of %d samples per PE, the code %d", n[2], pivotSamples)
 	}
+	q := designQuotes(t, "recursion stops",
+		"the recursion's stop\\s+below (\\d+) directed edges per PE and its merge-back of a filtered segment\\s+left with under ([\\d.]+) of that \\(`core\\.minEdgesPerPE`,\\s+`core\\.mergeBackFraction`")
+	if q[0] != strconv.Itoa(minEdgesPerPE) {
+		t.Errorf("DESIGN.md says the recursion stops below %s edges per PE, the code %d", q[0], minEdgesPerPE)
+	}
+	if f, err := strconv.ParseFloat(q[1], 64); err != nil || f != mergeBackFraction {
+		t.Errorf("DESIGN.md says a segment under %s of the stop merges back, the code %v", q[1], mergeBackFraction)
+	}
+}
+
+// TestDesignListsSettableOptions holds DESIGN.md §4's list of settable
+// core.Options values to the struct's exported fields, a field of another
+// package's struct type through that struct's own ("Sort.Seed"), so a knob
+// cannot come back without the list saying so.
+func TestDesignListsSettableOptions(t *testing.T) {
+	code := settable(t, ".", "Options")
+	list := designQuotes(t, "settable options", "(?s)settable values: (.*?)\\s+\\(`TestDesignListsSettableOptions`")[0]
+	var doc []string
+	for _, m := range regexp.MustCompile("`([\\w.]+)`").FindAllStringSubmatch(list, -1) {
+		doc = append(doc, m[1])
+	}
+	slices.Sort(code)
+	slices.Sort(doc)
+	if !slices.Equal(code, doc) {
+		t.Errorf("DESIGN.md §4 lists the settable options %v, core.Options has %v", doc, code)
+	}
+}
+
+// settable returns the exported fields of the struct type name declared in
+// the package in dir, with a field whose type is a struct of a sibling
+// package expanded into that struct's settable fields.
+func settable(t *testing.T, dir, name string) []string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			obj := f.Scope.Lookup(name)
+			if obj == nil || obj.Kind != ast.Typ {
+				continue
+			}
+			st, ok := obj.Decl.(*ast.TypeSpec).Type.(*ast.StructType)
+			if !ok {
+				return nil
+			}
+			for _, fld := range st.Fields.List {
+				var sub []string
+				if sel, ok := fld.Type.(*ast.SelectorExpr); ok {
+					sub = settable(t, "../"+sel.X.(*ast.Ident).Name, sel.Sel.Name)
+				}
+				for _, id := range fld.Names {
+					switch {
+					case !id.IsExported():
+					case sub == nil:
+						out = append(out, id.Name)
+					default:
+						for _, s := range sub {
+							out = append(out, id.Name+"."+s)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
 }

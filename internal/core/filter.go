@@ -289,7 +289,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 			c.PhaseEnd()
 			// Merge-back (§VI-C): a segment that came out too small is not
 			// worth full processing; fold it into the next pending segment.
-			if m < int(opt.Filter.MergeBackFraction*float64(opt.Filter.MinEdgesPerPE*c.P()))+1 && len(stack) > 0 {
+			if m < int(mergeBackFraction*float64(minEdgesPerPE*c.P()))+1 && len(stack) > 0 {
 				top := &stack[len(stack)-1]
 				top.carry = append(top.carry, seg.edges...)
 				top.needsFilter = true
@@ -311,7 +311,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		n := graph.GlobalVertexCount(c, segLayout, seg.edges)
 		res.EdgesTouched += len(seg.edges)
 
-		if m <= sparseDegree*n || m < opt.Filter.MinEdgesPerPE*c.P() {
+		if m <= sparseDegree*n || m < minEdgesPerPE*c.P() {
 			solve(seg.edges, segLayout) // sparse: not worth partitioning
 			continue
 		}

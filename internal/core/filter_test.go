@@ -74,9 +74,7 @@ func runAlg(t *testing.T, p, threads int, spec gen.Spec, spread uint64, opt Opti
 // back.
 var (
 	pathSpec = gen.Spec{Family: gen.GNM, N: 2000, M: 24000, Seed: 6}
-	pathOpt  = Options{DedupParallel: true, BaseCaseCap: 16, // no preprocessing: at p = 1 it would solve everything
-
-		Filter: FilterOptions{MinEdgesPerPE: 64, MergeBackFraction: 0.25}}
+	pathOpt  = Options{DedupParallel: true, BaseCaseCap: 16} // no preprocessing: at p = 1 it would solve everything
 )
 
 // TestFilterPathsIndistinguishable drives one instance through FILTER's
@@ -153,6 +151,10 @@ func TestRoundPathsIndistinguishable(t *testing.T) {
 				forceSparseLabels = true
 				got, _ := runAlg(t, p, 1, in.spec, in.spread, opt, alg)
 				checkAgainstOracle(t, label, want.res, want.shares, all)
+				// The RGG's preprocessing leaves too few edges to partition.
+				if name == "filterBoruvka" && in.spec.Family == gen.GNM && want.res.BaseCalls < 2 {
+					t.Fatalf("%s: %d base calls: the recursion did not partition", label, want.res.BaseCalls)
+				}
 				if in.spread == 1 && want.windows == 0 || got.windows != 0 {
 					t.Fatalf("%s: %d index windows grabbed with the rule, %d forced off", label, want.windows, got.windows)
 				}
@@ -190,6 +192,9 @@ func TestFilterSparseLabelSpace(t *testing.T) {
 		}
 		got, all := runFilter(t, p, 2, pathSpec, spread, pathOpt)
 		checkAgainstOracle(t, fmt.Sprintf("spread p=%d", p), got.res, got.shares, all)
+		if got.res.BaseCalls < 2 {
+			t.Fatalf("spread p=%d: %d base calls: the recursion did not partition", p, got.res.BaseCalls)
+		}
 		dense, _ := runFilter(t, p, 2, pathSpec, 1, pathOpt)
 		if got.res.TotalWeight != dense.res.TotalWeight || got.res.NumEdges != dense.res.NumEdges {
 			t.Errorf("p=%d: spread labels give weight %d over %d edges, the compact ones %d over %d",

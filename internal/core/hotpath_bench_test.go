@@ -70,14 +70,14 @@ func BenchmarkDsortSampleSortP8(b *testing.B) {
 		edges, _ := gen.Build(c, gen.Spec{Family: gen.GNM, N: 1 << 12, M: 1 << 15, Seed: 42}, dsort.Options{})
 		local := shuffleEdges(edges[:min(len(edges), 1<<13)], uint64(c.Rank()))
 		ord := dsort.ByKey(graph.LessLex, graph.KeyLex)
-		dsort.Sort(c, local, ord, dsort.Options{Alg: dsort.SampleSort})
+		dsort.Sort(c, local, ord, dsort.Options{})
 		if c.Rank() == 0 {
 			b.ReportAllocs()
 			b.ResetTimer()
 		}
 		comm.Barrier(c)
 		for i := 0; i < b.N; i++ {
-			dsort.Sort(c, local, ord, dsort.Options{Alg: dsort.SampleSort})
+			dsort.Sort(c, local, ord, dsort.Options{})
 		}
 	})
 }

@@ -23,44 +23,30 @@ import (
 
 // Options configures the distributed MST algorithms. Zero numeric fields
 // take the defaults documented per field, but the zero value is NOT the
-// paper's configuration: it leaves the three enhancement booleans
-// (LocalPreprocessing, LocalFilter, DedupParallel) off. Start
-// from DefaultOptions() for the configuration the paper evaluates.
+// paper's configuration: it leaves the two enhancement booleans
+// (LocalPreprocessing, DedupParallel) off. Start from DefaultOptions() for
+// the configuration the paper evaluates.
 type Options struct {
 	// A2A is the sparse all-to-all strategy for label exchange and pointer
 	// doubling (default Auto: direct for large, two-level grid for small
 	// messages, §VI-A).
 	A2A alltoall.Strategy
-	// Sort configures the distributed sorter used by REDISTRIBUTE.
+	// Sort configures the distributed sorter used by REDISTRIBUTE (default
+	// seed: Seed ^ 0x50F7).
 	Sort dsort.Options
 	// BaseCaseCap: the distributed rounds stop when the global number of
 	// vertices is at most max(2·p, BaseCaseCap) (§VI-C; the paper uses
 	// 35000 — scaled down here by default to keep simulator runs quick).
 	BaseCaseCap int
 	// LocalPreprocessing enables the §IV-A contraction of provably-local
-	// MST edges before the distributed rounds.
+	// MST edges before the distributed rounds, with the §VI-B recursive
+	// edge filtering inside it.
 	LocalPreprocessing bool
-	// LocalFilter applies the recursive edge-filtering enhancement inside
-	// local preprocessing (§VI-B).
-	LocalFilter bool
 	// DedupParallel removes parallel edges during REDISTRIBUTE (keeping
 	// the lightest); the paper notes this is optional for correctness.
 	DedupParallel bool
-	// Filter configures Filter-Borůvka's recursion (ignored by Boruvka).
-	Filter FilterOptions
 	// Seed drives pivot sampling and sorter sampling.
 	Seed uint64
-}
-
-// FilterOptions tunes the Filter-Borůvka recursion (§V, §VI-C).
-type FilterOptions struct {
-	// MinEdgesPerPE stops partitioning when the graph has fewer than this
-	// many directed edges per PE (paper: 1000).
-	MinEdgesPerPE int
-	// MergeBackFraction: if a filtered segment retains fewer than this
-	// fraction of MinEdgesPerPE·p edges, it is merged into the next
-	// pending segment instead of being processed alone (§VI-C merge-back).
-	MergeBackFraction float64
 }
 
 // Tuning constants the paper fixes rather than sweeps.
@@ -73,6 +59,13 @@ const (
 	// directed edges per vertex fall to it or below (§VI-C: average degree
 	// 4).
 	sparseDegree = 4
+	// minEdgesPerPE: the recursion also stops partitioning when the graph
+	// has fewer directed edges than this per PE (§VI-C: 1000).
+	minEdgesPerPE = 1000
+	// mergeBackFraction: a filtered segment that retains fewer than this
+	// fraction of minEdgesPerPE·p edges is merged into the next pending
+	// segment instead of being processed alone (§VI-C merge-back).
+	mergeBackFraction = 0.25
 	// pivotSamples is Filter-Borůvka's pivot sample size per PE.
 	pivotSamples = 16
 )
@@ -82,27 +75,16 @@ func (o Options) withDefaults() Options {
 	if o.BaseCaseCap <= 0 {
 		o.BaseCaseCap = 2048
 	}
-	if o.Filter.MinEdgesPerPE == 0 {
-		o.Filter.MinEdgesPerPE = 1000
-	}
-	if o.Filter.MergeBackFraction == 0 {
-		o.Filter.MergeBackFraction = 0.25
-	}
 	if o.Sort.Seed == 0 {
 		o.Sort.Seed = o.Seed ^ 0x50F7
 	}
 	return o
 }
 
-// DefaultOptions returns the paper's default configuration (local
-// preprocessing with local filtering on, parallel-edge removal on, auto
-// all-to-all).
+// DefaultOptions returns the paper's configuration: local preprocessing
+// and parallel-edge removal on, every other field at its default.
 func DefaultOptions() Options {
-	return Options{
-		LocalPreprocessing: true,
-		LocalFilter:        true,
-		DedupParallel:      true,
-	}.withDefaults()
+	return Options{LocalPreprocessing: true, DedupParallel: true}
 }
 
 // Phase names as reported in the paper's running-time breakdown (Fig. 6).

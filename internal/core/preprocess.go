@@ -47,7 +47,7 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	res := localmst.Run(edges, isLocal, localmst.Config{
 		Pool:    c.Pool(),
 		Scratch: c.Scratch(),
-		Filter:  opt.LocalFilter,
+		Filter:  true,
 	})
 	*mst = append(*mst, res.MSTEdges...)
 	// Charge the contraction's actual edge touches (rounds compact the

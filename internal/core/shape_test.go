@@ -45,10 +45,7 @@ func TestFilterBaseCallsBounded(t *testing.T) {
 	var calls int
 	w.Run(func(c *comm.Comm) {
 		edges, layout := gen.Build(c, spec, dsort.Options{})
-		r := FilterBoruvka(c, edges, layout, Options{
-			BaseCaseCap: 16, DedupParallel: true,
-			Filter: FilterOptions{MinEdgesPerPE: 64, MergeBackFraction: 0.01},
-		})
+		r := FilterBoruvka(c, edges, layout, Options{BaseCaseCap: 16, DedupParallel: true})
 		if c.Rank() == 0 {
 			calls = r.BaseCalls
 		}

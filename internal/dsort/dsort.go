@@ -5,12 +5,12 @@
 // — PE i holds a contiguous chunk, chunks ordered by rank — and perfectly
 // balanced (sizes differing by at most one).
 //
-// Sample sort delivers its data through a configurable sparse all-to-all
-// strategy; with alltoall.Grid this is the "two-level" data delivery that
-// makes the sorter scale on large machines. Splitters are selected from a
-// gathered random sample (the paper sorts the samples with the hypercube
-// algorithm; gathering them gives identical splitters, a documented
-// simplification).
+// Sample sort delivers its data through alltoall.Auto, which picks the
+// "two-level" grid delivery for small messages — what makes the sorter scale
+// on large machines — and the direct exchange otherwise. Splitters are
+// selected from a gathered random sample (the paper sorts the samples with
+// the hypercube algorithm; gathering them gives identical splitters, a
+// documented simplification).
 //
 // # Keys and local sorting
 //
@@ -57,34 +57,17 @@ import (
 	"kamsta/internal/rng"
 )
 
-// Algorithm selects a sorter.
-type Algorithm int
-
-const (
-	// Auto follows the paper's rule: hypercube quicksort below
-	// hypercubeBelow elements per PE on average (if the world is a power of
-	// two), sample sort otherwise.
-	Auto Algorithm = iota
-	// SampleSort forces the two-level sample sort.
-	SampleSort
-	// HypercubeQS forces hypercube quicksort (requires a power-of-two
-	// world; other sizes fall back to sample sort).
-	HypercubeQS
-)
-
 // Options configures Sort.
 type Options struct {
-	Alg Algorithm
-	// A2A is the all-to-all strategy for the sample-sort data exchange.
-	A2A alltoall.Strategy
 	// Seed drives sampling and pivot selection.
 	Seed uint64
 }
 
 // The sorter's fixed tuning constants.
 const (
-	// hypercubeBelow is the average per-PE element count below which Auto
-	// uses hypercube quicksort (§VI-C: "fewer than 512 elements per PE").
+	// hypercubeBelow is the average per-PE element count below which Sort
+	// uses hypercube quicksort on a power-of-two world (§VI-C: "fewer than
+	// 512 elements per PE").
 	hypercubeBelow = 512
 	// splitterSamples is the number of splitter samples sample sort draws
 	// per PE.
@@ -169,7 +152,9 @@ func keysFor[T any]() *typeKeys {
 }
 
 // Sort globally sorts the union of all PEs' local data under ord and
-// returns this PE's balanced, contiguous chunk. The result is arena-backed:
+// returns this PE's balanced, contiguous chunk: by hypercube quicksort when
+// the world is a power of two holding fewer than hypercubeBelow elements per
+// PE on average, by sample sort otherwise. The result is arena-backed:
 // valid until the next dsort collective with the same element type on this
 // world (see the package ownership notes); data itself is not mutated.
 func Sort[T any](c *comm.Comm, data []T, ord Order[T], opt Options) []T {
@@ -181,23 +166,10 @@ func Sort[T any](c *comm.Comm, data []T, ord Order[T], opt Options) []T {
 		return out
 	}
 	total := comm.Allreduce(c, len(data), func(a, b int) int { return a + b })
-	alg := opt.Alg
-	if alg == Auto {
-		if total/p < hypercubeBelow && p&(p-1) == 0 {
-			alg = HypercubeQS
-		} else {
-			alg = SampleSort
-		}
-	}
-	if alg == HypercubeQS && p&(p-1) != 0 {
-		alg = SampleSort
-	}
-	switch alg {
-	case HypercubeQS:
+	if total/p < hypercubeBelow && p&(p-1) == 0 {
 		return hypercubeQuicksort(c, ks, data, ord, opt)
-	default:
-		return sampleSort(c, ks, data, ord, opt)
 	}
+	return sampleSort(c, ks, data, ord, opt)
 }
 
 // sortInto sorts src into dst (same length, no overlap) without charging
@@ -277,7 +249,7 @@ func sampleSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T], opt O
 	off[p] = int32(len(local))
 	c.ChargeCompute(len(local))
 
-	recv := alltoall.ExchangeFlat(c, opt.A2A, local, off)
+	recv := alltoall.ExchangeFlat(c, alltoall.Auto, local, off)
 	merged := kwayMerge(c, ks, recv, ord)
 	c.ChargeCompute(len(merged) * Log2Ceil(p+1))
 	return Rebalance(c, merged)

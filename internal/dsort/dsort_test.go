@@ -9,6 +9,11 @@ import (
 	"kamsta/internal/rng"
 )
 
+// The per-rank sizes that put makeLocal's skewed input on either side of the
+// hypercubeBelow rule: sampleSortPer averages above it on every world, and
+// hypercubePer below it, where a power-of-two world takes hypercube quicksort.
+const sampleSortPer, hypercubePer = 1000, 100
+
 func intLess(a, b int) bool { return a < b }
 
 // makeLocal builds deterministic per-rank data with duplicates and skew.
@@ -76,16 +81,39 @@ func checkSorted(t *testing.T, p int, outs [][]int, want []int) {
 	}
 }
 
+// hypercubeRan runs f with the hypercube recursion's load probe armed and
+// reports whether the recursion ran.
+func hypercubeRan(f func()) bool {
+	ran := make(chan struct{}, 1)
+	hqsLoadProbe = func(rank, level, n int) {
+		select {
+		case ran <- struct{}{}:
+		default:
+		}
+	}
+	defer func() { hqsLoadProbe = nil }()
+	f()
+	return len(ran) > 0
+}
+
 func TestSampleSort(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8, 13} {
-		outs, want := runSort(t, p, 300, Options{Alg: SampleSort})
+		var outs [][]int
+		var want []int
+		if hypercubeRan(func() { outs, want = runSort(t, p, sampleSortPer, Options{}) }) {
+			t.Fatalf("p=%d: %d per PE took hypercube quicksort", p, sampleSortPer)
+		}
 		checkSorted(t, p, outs, want)
 	}
 }
 
 func TestHypercubeQuicksort(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		outs, want := runSort(t, p, 100, Options{Alg: HypercubeQS})
+		var outs [][]int
+		var want []int
+		if !hypercubeRan(func() { outs, want = runSort(t, p, hypercubePer, Options{}) }) && p > 1 {
+			t.Fatalf("p=%d: %d per PE did not take hypercube quicksort", p, hypercubePer)
+		}
 		checkSorted(t, p, outs, want)
 	}
 }
@@ -93,36 +121,53 @@ func TestHypercubeQuicksort(t *testing.T) {
 // TestComparatorOnlyOrder runs both sorters through the keyless fallback
 // path; results must match the keyed runs bit for bit.
 func TestComparatorOnlyOrder(t *testing.T) {
-	for _, alg := range []Algorithm{SampleSort, HypercubeQS} {
-		outs, want := runSortOrd(t, 8, 300, Options{Alg: alg}, ByLess(intLess))
+	for _, per := range []int{sampleSortPer, hypercubePer} {
+		outs, want := runSortOrd(t, 8, per, Options{}, ByLess(intLess))
 		checkSorted(t, 8, outs, want)
-		keyed, _ := runSort(t, 8, 300, Options{Alg: alg})
+		keyed, _ := runSort(t, 8, per, Options{})
 		for r := range outs {
 			for i := range outs[r] {
 				if outs[r][i] != keyed[r][i] {
-					t.Fatalf("alg %d rank %d pos %d: keyed %d != keyless %d", alg, r, i, keyed[r][i], outs[r][i])
+					t.Fatalf("%d per PE, rank %d pos %d: keyed %d != keyless %d", per, r, i, keyed[r][i], outs[r][i])
 				}
 			}
 		}
 	}
 }
 
+// TestHypercubeFallsBackOnOddWorld: input small enough for hypercube
+// quicksort on a world that is not a power of two goes to sample sort.
 func TestHypercubeFallsBackOnOddWorld(t *testing.T) {
-	outs, want := runSort(t, 6, 50, Options{Alg: HypercubeQS})
+	var outs [][]int
+	var want []int
+	if hypercubeRan(func() { outs, want = runSort(t, 6, 50, Options{}) }) {
+		t.Fatal("hypercube quicksort ran on a 6-PE world")
+	}
 	checkSorted(t, 6, outs, want)
 }
 
 func TestAutoSelection(t *testing.T) {
 	// Small input on a power-of-two world → hypercube path; large → sample.
 	for _, per := range []int{20, 2000} {
-		outs, want := runSort(t, 8, per, Options{})
+		var outs [][]int
+		var want []int
+		if hypercubeRan(func() { outs, want = runSort(t, 8, per, Options{}) }) != (per == 20) {
+			t.Fatalf("%d per PE on 8 PEs took the other sorter", per)
+		}
 		checkSorted(t, 8, outs, want)
 	}
 }
 
+// TestSortWithGridAlltoall: on an odd world, sample sort's delivery of an
+// input this small averages under alltoall.DefaultGridThreshold bytes per PE
+// pair even if every element left its PE, so Auto routes it over the grid.
 func TestSortWithGridAlltoall(t *testing.T) {
-	outs, want := runSort(t, 9, 400, Options{Alg: SampleSort, A2A: alltoall.Grid})
-	checkSorted(t, 9, outs, want)
+	const p, per = 9, 400
+	if bytes := p * per * 8 / (p * (p - 1)); bytes >= alltoall.DefaultGridThreshold {
+		t.Fatalf("%d bytes per PE pair: too large for the grid delivery", bytes)
+	}
+	outs, want := runSort(t, p, per, Options{})
+	checkSorted(t, p, outs, want)
 }
 
 func TestSortEmptyInput(t *testing.T) {
@@ -153,14 +198,14 @@ func TestSortSingleElementTotal(t *testing.T) {
 func TestSortAllEqualKeys(t *testing.T) {
 	w := comm.NewWorld(8)
 	w.Run(func(c *comm.Comm) {
-		local := make([]int, 100)
+		local := make([]int, sampleSortPer)
 		for i := range local {
 			local[i] = 7
 		}
-		out := Sort(c, local, ByKey(intLess, intKey), Options{Alg: SampleSort})
+		out := Sort(c, local, ByKey(intLess, intKey), Options{})
 		total := comm.Allreduce(c, len(out), func(a, b int) int { return a + b })
-		if total != 800 {
-			t.Errorf("lost elements: total %d want 800", total)
+		if total != 8*sampleSortPer {
+			t.Errorf("lost elements: total %d want %d", total, 8*sampleSortPer)
 		}
 		for _, v := range out {
 			if v != 7 {
@@ -175,11 +220,11 @@ func TestSortAlreadySorted(t *testing.T) {
 	w := comm.NewWorld(p)
 	outs := make([][]int, p)
 	w.Run(func(c *comm.Comm) {
-		local := make([]int, 100)
+		local := make([]int, sampleSortPer)
 		for i := range local {
-			local[i] = c.Rank()*100 + i
+			local[i] = c.Rank()*sampleSortPer + i
 		}
-		outs[c.Rank()] = Sort(c, local, ByKey(intLess, intKey), Options{Alg: SampleSort})
+		outs[c.Rank()] = Sort(c, local, ByKey(intLess, intKey), Options{})
 	})
 	k := 0
 	for _, o := range outs {
@@ -197,11 +242,11 @@ func TestSortReverseSorted(t *testing.T) {
 	w := comm.NewWorld(p)
 	outs := make([][]int, p)
 	w.Run(func(c *comm.Comm) {
-		local := make([]int, 100)
+		local := make([]int, sampleSortPer)
 		for i := range local {
-			local[i] = 10000 - (c.Rank()*100 + i)
+			local[i] = p*sampleSortPer - (c.Rank()*sampleSortPer + i)
 		}
-		outs[c.Rank()] = Sort(c, local, ByKey(intLess, intKey), Options{Alg: SampleSort})
+		outs[c.Rank()] = Sort(c, local, ByKey(intLess, intKey), Options{})
 	})
 	var got []int
 	for _, o := range outs {
@@ -221,7 +266,7 @@ func TestSortStructsByCustomOrder(t *testing.T) {
 	outs := make([][]kv, p)
 	w.Run(func(c *comm.Comm) {
 		r := rng.New(9).Split(uint64(c.Rank()))
-		local := make([]kv, 50)
+		local := make([]kv, sampleSortPer)
 		for i := range local {
 			local[i] = kv{K: r.Intn(100), V: c.Rank()}
 		}
@@ -230,7 +275,7 @@ func TestSortStructsByCustomOrder(t *testing.T) {
 				return a.K < b.K
 			}
 			return a.V < b.V
-		}), Options{Alg: SampleSort})
+		}), Options{})
 	})
 	prev := kv{-1, -1}
 	for _, o := range outs {
@@ -325,7 +370,7 @@ func BenchmarkSampleSort8x10k(b *testing.B) {
 	w.Run(func(c *comm.Comm) {
 		local := makeLocal(8, c.Rank(), 10000, 1)
 		for i := 0; i < b.N; i++ {
-			Sort(c, local, ByKey(intLess, intKey), Options{Alg: SampleSort})
+			Sort(c, local, ByKey(intLess, intKey), Options{})
 		}
 	})
 }
@@ -335,7 +380,7 @@ func BenchmarkHypercube8x500(b *testing.B) {
 	w.Run(func(c *comm.Comm) {
 		local := makeLocal(8, c.Rank(), 500, 1)
 		for i := 0; i < b.N; i++ {
-			Sort(c, local, ByKey(intLess, intKey), Options{Alg: HypercubeQS})
+			Sort(c, local, ByKey(intLess, intKey), Options{})
 		}
 	})
 }

@@ -34,14 +34,14 @@ func makeDupEdges(rank, per int, weights []graph.Weight) []graph.Edge {
 	return out
 }
 
-// runDupSort sorts duplicate-heavy edges on a fresh p-PE world and returns
-// the per-rank chunk sizes, each rank's output, and the modeled makespan.
-func runDupSort(t *testing.T, p int, weights []graph.Weight, ord Order[graph.Edge], opt Options) ([][]graph.Edge, float64) {
+// runDupSort sorts per duplicate-heavy edges per PE on a fresh p-PE world and
+// returns each rank's output and the modeled makespan.
+func runDupSort(t *testing.T, p, per int, weights []graph.Weight, ord Order[graph.Edge], opt Options) ([][]graph.Edge, float64) {
 	t.Helper()
 	w := comm.NewWorld(p)
 	outs := make([][]graph.Edge, p)
 	w.Run(func(c *comm.Comm) {
-		local := makeDupEdges(c.Rank(), 200, weights)
+		local := makeDupEdges(c.Rank(), per, weights)
 		outs[c.Rank()] = Sort(c, local, ord, opt)
 		if !IsGloballySorted(c, outs[c.Rank()], ord.Less) {
 			t.Errorf("p=%d: not globally sorted", p)
@@ -51,9 +51,10 @@ func runDupSort(t *testing.T, p int, weights []graph.Weight, ord Order[graph.Edg
 }
 
 // TestDuplicateKeyRegression pushes all-equal-weight and two-distinct-
-// weight inputs through both sorters at p ∈ {2, 8, 16}: the result must be
-// globally sorted, perfectly balanced, lossless, and the modeled clock must
-// be bit-identical across runs.
+// weight inputs through both sorters at p ∈ {2, 8, 16} (hypercube quicksort
+// at hypercubePer edges per PE, sample sort at sampleSortPer): the result
+// must be globally sorted, perfectly balanced, lossless, and the modeled
+// clock must be bit-identical across runs.
 func TestDuplicateKeyRegression(t *testing.T) {
 	weightSets := map[string][]graph.Weight{
 		"all-equal":    {7},
@@ -64,10 +65,14 @@ func TestDuplicateKeyRegression(t *testing.T) {
 		"keyless": ByLess(weightOnlyLess),
 	}
 	for _, p := range []int{2, 8, 16} {
-		for _, alg := range []Algorithm{SampleSort, HypercubeQS} {
+		for _, per := range []int{sampleSortPer, hypercubePer} {
 			for wname, ws := range weightSets {
 				for oname, ord := range orders {
-					outs, clk := runDupSort(t, p, ws, ord, Options{Alg: alg, Seed: 11})
+					var outs [][]graph.Edge
+					var clk float64
+					if hypercubeRan(func() { outs, clk = runDupSort(t, p, per, ws, ord, Options{Seed: 11}) }) != (per == hypercubePer) {
+						t.Errorf("p=%d per=%d %s/%s: the other sorter ran", p, per, wname, oname)
+					}
 					total, lo := 0, math.MaxInt
 					hi := 0
 					for _, o := range outs {
@@ -75,20 +80,20 @@ func TestDuplicateKeyRegression(t *testing.T) {
 						lo = min(lo, len(o))
 						hi = max(hi, len(o))
 					}
-					if total != 200*p {
-						t.Errorf("p=%d alg=%d %s/%s: lost elements: %d of %d", p, alg, wname, oname, total, 200*p)
+					if total != per*p {
+						t.Errorf("p=%d per=%d %s/%s: lost elements: %d of %d", p, per, wname, oname, total, per*p)
 					}
 					if hi-lo > 1 {
-						t.Errorf("p=%d alg=%d %s/%s: final chunks unbalanced: %d..%d", p, alg, wname, oname, lo, hi)
+						t.Errorf("p=%d per=%d %s/%s: final chunks unbalanced: %d..%d", p, per, wname, oname, lo, hi)
 					}
-					outs2, clk2 := runDupSort(t, p, ws, ord, Options{Alg: alg, Seed: 11})
+					outs2, clk2 := runDupSort(t, p, per, ws, ord, Options{Seed: 11})
 					if math.Float64bits(clk) != math.Float64bits(clk2) {
-						t.Errorf("p=%d alg=%d %s/%s: modeled clock not bit-identical: %x vs %x",
-							p, alg, wname, oname, math.Float64bits(clk), math.Float64bits(clk2))
+						t.Errorf("p=%d per=%d %s/%s: modeled clock not bit-identical: %x vs %x",
+							p, per, wname, oname, math.Float64bits(clk), math.Float64bits(clk2))
 					}
 					for r := range outs {
 						if len(outs[r]) != len(outs2[r]) {
-							t.Errorf("p=%d alg=%d %s/%s: rank %d chunk size differs across runs", p, alg, wname, oname, r)
+							t.Errorf("p=%d per=%d %s/%s: rank %d chunk size differs across runs", p, per, wname, oname, r)
 						}
 					}
 				}
@@ -123,7 +128,7 @@ func TestHypercubeDuplicateLoadBalance(t *testing.T) {
 			w := comm.NewWorld(p)
 			w.Run(func(c *comm.Comm) {
 				local := makeDupEdges(c.Rank(), per, tc.weights)
-				Sort(c, local, ByKey(weightOnlyLess, weightOnlyKey), Options{Alg: HypercubeQS, Seed: 3})
+				Sort(c, local, ByKey(weightOnlyLess, weightOnlyKey), Options{Seed: 3})
 			})
 			hqsLoadProbe = nil
 			maxLoad := 0
@@ -151,7 +156,7 @@ func TestHypercubeDistinctKeysUnchanged(t *testing.T) {
 		for i := range local {
 			local[i] = r.Intn(1<<20)<<4 | c.Rank() // distinct across the world
 		}
-		outs[c.Rank()] = Sort(c, local, ByKey(intLess, intKey), Options{Alg: HypercubeQS})
+		outs[c.Rank()] = Sort(c, local, ByKey(intLess, intKey), Options{})
 	})
 	k := 0
 	prev := -1

@@ -46,7 +46,11 @@ type Config struct {
 	// partitioned at a pivot weight, the light part is contracted first,
 	// and heavy intra-component edges are dropped before a second pass.
 	// It activates above FilterThreshold edges (default 4096).
-	Filter          bool
+	Filter bool
+	// FilterThreshold is set only by tests, and it stays a field for them:
+	// TestRunResultsPinned's thirty rows are reference data recorded at
+	// threshold 200 on a former representation, and a constant 4096 would
+	// force re-recording them.
 	FilterThreshold int
 }
 

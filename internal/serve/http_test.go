@@ -177,21 +177,9 @@ func TestHTTPMalformedRequests(t *testing.T) {
 // hint over the wire, and a resubmission lands once the queue has drained.
 func TestHTTPRetryAfter(t *testing.T) {
 	s, c := newHTTPPair(t, Config{Pool: []PoolShape{{PEs: 2}}, QueueBound: 1})
-	warm, err := s.Submit(Request{
-		Tenant: "web",
-		Spec:   &kamsta.GraphSpec{Family: kamsta.GNM, N: 1500, M: 6000, Seed: 11},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the worker to pick the warm job up, so the one-slot queue is
-	// free for exactly one more admission.
-	for warm.Status() != "running" {
-		if _, _, done := warm.Result(); done {
-			t.Fatal("warm job finished before the queue could fill")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Park a job on the one machine, so the one-slot queue is free for
+	// exactly one more admission.
+	held, release := hold(t, s, 2, false)
 	queued, err := s.Submit(Request{Tenant: "web", Edges: testEdges(16, 20, 60)})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +192,8 @@ func TestHTTPRetryAfter(t *testing.T) {
 	if hint, ok := retryAfterOf(err); !ok || hint <= 0 {
 		t.Fatalf("429 carried no Retry-After hint: %v", err)
 	}
-	for _, j := range []*Job{warm, queued} {
+	release()
+	for _, j := range []*Job{held, queued} {
 		if _, err := j.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}

@@ -140,14 +140,10 @@ func (s *Server) redispatch(id uint64) {
 	if pr == nil {
 		return // flushed by drainRetries
 	}
-	if pr.j.ctx.Err() != nil || s.live(pr.j.req.PEs) == 0 {
-		// The deadline burned out during the backoff, or quarantine took
-		// the last machine that could serve it: report the original fault
-		// rather than queue a job nothing will run.
-		s.finishJob(pr.j, nil, pr.orig)
-		return
-	}
-	if err := s.sched.resubmit(pr.j); err != nil {
+	// The deadline burned out during the backoff, or quarantine took the
+	// last machine that could serve it (resubmit refuses): report the
+	// original fault rather than queue a job nothing will run.
+	if pr.j.ctx.Err() != nil || s.sched.resubmit(pr.j) != nil {
 		s.finishJob(pr.j, nil, pr.orig)
 	}
 }

@@ -57,6 +57,11 @@ type scheduler struct {
 	defaultWeight int // weight for auto-registered tenants; 0 rejects unknown
 	state         int32
 	global        uint64 // virtual time: pass of the last dispatched tenant
+	// servable, when set, reports whether a live machine can still run a
+	// job. Enqueueing and failUnservable's sweep both consult it under mu,
+	// so a job racing the quarantine of its last machine is either refused
+	// or swept, never stranded in a queue no worker serves.
+	servable func(*Job) bool
 }
 
 func newScheduler(bound, tenantBound, defaultWeight int) *scheduler {
@@ -88,6 +93,12 @@ func (s *scheduler) submit(j *Job) error {
 	defer s.mu.Unlock()
 	if s.state != schedRunning {
 		return ErrDraining
+	}
+	if !s.canServe(j) {
+		if t := s.tenants[j.tenant]; t != nil {
+			t.rejected.Add(1)
+		}
+		return ErrShapeQuarantined
 	}
 	t := s.tenants[j.tenant]
 	if t == nil {
@@ -130,12 +141,16 @@ func (s *scheduler) lookup(name string) *tenant {
 // resubmit re-queues an already-admitted job after a retry backoff. It
 // bypasses admission control — the job was admitted once and its tenant's
 // counters already reflect it — but still refuses once the scheduler has
-// stopped running, so retries cannot strand jobs past a drain.
+// stopped running or no live machine can run the job, so retries cannot
+// strand jobs past a drain or a quarantine.
 func (s *scheduler) resubmit(j *Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != schedRunning {
 		return ErrDraining
+	}
+	if !s.canServe(j) {
+		return ErrShapeQuarantined
 	}
 	j.ten.q = append(j.ten.q, j)
 	s.queued++
@@ -162,18 +177,23 @@ func (s *scheduler) remove(j *Job) bool {
 	return true
 }
 
-// failUnservable removes and returns every queued job for which servable
-// reports false — called when quarantine shrinks the live pool, so jobs
-// whose shape has no live machine left fail immediately instead of
-// waiting forever.
-func (s *scheduler) failUnservable(servable func(*Job) bool) []*Job {
+// canServe reports whether servable admits j (any job, when unset). Caller
+// holds the lock.
+func (s *scheduler) canServe(j *Job) bool {
+	return s.servable == nil || s.servable(j)
+}
+
+// failUnservable removes and returns every queued job servable rejects —
+// called when quarantine shrinks the live pool, so jobs whose shape has no
+// live machine left fail immediately instead of waiting forever.
+func (s *scheduler) failUnservable() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var failed []*Job
 	for _, t := range s.order {
 		kept := t.q[:0]
 		for _, j := range t.q {
-			if servable(j) {
+			if s.canServe(j) {
 				kept = append(kept, j)
 			} else {
 				failed = append(failed, j)

@@ -328,6 +328,7 @@ func New(cfg Config) (*Server, error) {
 		pending: make(map[uint64]*pendingRetry),
 		jobs:    make(map[uint64]*Job),
 	}
+	s.sched.servable = func(j *Job) bool { return s.live(j.req.PEs) > 0 }
 	s.brownoutHi = int(cfg.BrownoutFraction * float64(cfg.QueueBound))
 	if s.brownoutHi < 1 {
 		s.brownoutHi = 1
@@ -609,7 +610,7 @@ func (s *Server) quarantine(pm *poolMachine) {
 	if !pm.quarantined.CompareAndSwap(false, true) {
 		return
 	}
-	for _, j := range s.sched.failUnservable(func(j *Job) bool { return s.live(j.req.PEs) > 0 }) {
+	for _, j := range s.sched.failUnservable() {
 		s.finishJob(j, nil, ErrShapeQuarantined)
 	}
 }
