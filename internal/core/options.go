@@ -32,7 +32,9 @@ type Options struct {
 	// messages, §VI-A).
 	A2A alltoall.Strategy
 	// Sort configures the distributed sorter used by REDISTRIBUTE (default
-	// seed: Seed ^ 0x50F7).
+	// seed: Seed ^ 0x50F7) and by input materialization (seed 0 unless
+	// set). Nothing in the program sets it; the benchmark's layer
+	// microcalls (benchmark/layers) read DefaultOptions().Sort.
 	Sort dsort.Options
 	// BaseCaseCap: the distributed rounds stop when the global number of
 	// vertices is at most max(2·p, BaseCaseCap) (§VI-C; the paper uses

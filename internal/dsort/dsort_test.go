@@ -161,6 +161,9 @@ func TestAutoSelection(t *testing.T) {
 // TestSortWithGridAlltoall: on an odd world, sample sort's delivery of an
 // input this small averages under alltoall.DefaultGridThreshold bytes per PE
 // pair even if every element left its PE, so Auto routes it over the grid.
+// On the 3×3 grid each PE pays (3-1)+(3+1) message startups for the delivery
+// where the direct exchange a sampleSortPer input takes pays p-1; the two
+// sorts charge the same startups everywhere else.
 func TestSortWithGridAlltoall(t *testing.T) {
 	const p, per = 9, 400
 	if bytes := p * per * 8 / (p * (p - 1)); bytes >= alltoall.DefaultGridThreshold {
@@ -168,6 +171,14 @@ func TestSortWithGridAlltoall(t *testing.T) {
 	}
 	outs, want := runSort(t, p, per, Options{})
 	checkSorted(t, p, outs, want)
+	messages := func(per int) int64 {
+		w := comm.NewWorld(p)
+		w.Run(func(c *comm.Comm) { Sort(c, makeLocal(p, c.Rank(), per, 5), ByKey(intLess, intKey), Options{}) })
+		return w.TotalStats().Messages
+	}
+	if grid, direct := messages(per), messages(sampleSortPer); direct-grid != p*((p-1)-(2+4)) {
+		t.Fatalf("%d per PE: %d messages, %d per PE: %d; want the grid's %d fewer", per, grid, sampleSortPer, direct, p*((p-1)-(2+4)))
+	}
 }
 
 func TestSortEmptyInput(t *testing.T) {

@@ -135,6 +135,9 @@ func TestHypercubeDuplicateLoadBalance(t *testing.T) {
 			for _, n := range perRank {
 				maxLoad = max(maxLoad, n)
 			}
+			if maxLoad == 0 {
+				t.Fatalf("p=%d %s: hypercube quicksort did not run", p, tc.name)
+			}
 			if limit := tc.factor*per + 64; maxLoad > limit {
 				t.Errorf("p=%d %s: mid-recursion load %d exceeds %d×average+64 = %d", p, tc.name, maxLoad, tc.factor, limit)
 			}
@@ -150,14 +153,18 @@ func TestHypercubeDistinctKeysUnchanged(t *testing.T) {
 	p := 8
 	w := comm.NewWorld(p)
 	outs := make([][]int, p)
-	w.Run(func(c *comm.Comm) {
-		r := rng.New(77).Split(uint64(c.Rank()))
-		local := make([]int, 100)
-		for i := range local {
-			local[i] = r.Intn(1<<20)<<4 | c.Rank() // distinct across the world
-		}
-		outs[c.Rank()] = Sort(c, local, ByKey(intLess, intKey), Options{})
-	})
+	if !hypercubeRan(func() {
+		w.Run(func(c *comm.Comm) {
+			r := rng.New(77).Split(uint64(c.Rank()))
+			local := make([]int, 100)
+			for i := range local {
+				local[i] = r.Intn(1<<20)<<4 | c.Rank() // distinct across the world
+			}
+			outs[c.Rank()] = Sort(c, local, ByKey(intLess, intKey), Options{})
+		})
+	}) {
+		t.Fatal("hypercube quicksort did not run")
+	}
 	k := 0
 	prev := -1
 	for _, o := range outs {

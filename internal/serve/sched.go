@@ -57,19 +57,20 @@ type scheduler struct {
 	defaultWeight int // weight for auto-registered tenants; 0 rejects unknown
 	state         int32
 	global        uint64 // virtual time: pass of the last dispatched tenant
-	// servable, when set, reports whether a live machine can still run a
-	// job. Enqueueing and failUnservable's sweep both consult it under mu,
-	// so a job racing the quarantine of its last machine is either refused
-	// or swept, never stranded in a queue no worker serves.
+	// servable reports whether a live machine can still run a job.
+	// Enqueueing and failUnservable's sweep both consult it under mu, so a
+	// job racing the quarantine of its last machine is either refused or
+	// swept, never stranded in a queue no worker serves.
 	servable func(*Job) bool
 }
 
-func newScheduler(bound, tenantBound, defaultWeight int) *scheduler {
+func newScheduler(bound, tenantBound, defaultWeight int, servable func(*Job) bool) *scheduler {
 	s := &scheduler{
 		tenants:       make(map[string]*tenant),
 		bound:         bound,
 		tenantBound:   tenantBound,
 		defaultWeight: defaultWeight,
+		servable:      servable,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -94,7 +95,7 @@ func (s *scheduler) submit(j *Job) error {
 	if s.state != schedRunning {
 		return ErrDraining
 	}
-	if !s.canServe(j) {
+	if !s.servable(j) {
 		if t := s.tenants[j.tenant]; t != nil {
 			t.rejected.Add(1)
 		}
@@ -149,7 +150,7 @@ func (s *scheduler) resubmit(j *Job) error {
 	if s.state != schedRunning {
 		return ErrDraining
 	}
-	if !s.canServe(j) {
+	if !s.servable(j) {
 		return ErrShapeQuarantined
 	}
 	j.ten.q = append(j.ten.q, j)
@@ -177,12 +178,6 @@ func (s *scheduler) remove(j *Job) bool {
 	return true
 }
 
-// canServe reports whether servable admits j (any job, when unset). Caller
-// holds the lock.
-func (s *scheduler) canServe(j *Job) bool {
-	return s.servable == nil || s.servable(j)
-}
-
 // failUnservable removes and returns every queued job servable rejects —
 // called when quarantine shrinks the live pool, so jobs whose shape has no
 // live machine left fail immediately instead of waiting forever.
@@ -193,7 +188,7 @@ func (s *scheduler) failUnservable() []*Job {
 	for _, t := range s.order {
 		kept := t.q[:0]
 		for _, j := range t.q {
-			if s.canServe(j) {
+			if s.servable(j) {
 				kept = append(kept, j)
 			} else {
 				failed = append(failed, j)

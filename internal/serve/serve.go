@@ -323,12 +323,12 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:     cfg,
-		sched:   newScheduler(cfg.QueueBound, cfg.TenantQueueBound, cfg.DefaultWeight),
 		shed:    newShedder(cfg),
 		pending: make(map[uint64]*pendingRetry),
 		jobs:    make(map[uint64]*Job),
 	}
-	s.sched.servable = func(j *Job) bool { return s.live(j.req.PEs) > 0 }
+	s.sched = newScheduler(cfg.QueueBound, cfg.TenantQueueBound, cfg.DefaultWeight,
+		func(j *Job) bool { return s.live(j.req.PEs) > 0 })
 	s.brownoutHi = int(cfg.BrownoutFraction * float64(cfg.QueueBound))
 	if s.brownoutHi < 1 {
 		s.brownoutHi = 1
@@ -477,6 +477,9 @@ func (s *Server) admit(req Request) (*Job, error) {
 // estimated queue wait alone would burn the whole deadline).
 func (s *Server) overloadCheck(j *Job, d time.Duration) error {
 	machines := s.live(j.req.PEs)
+	// Refused here first so a quarantined shape is not shed with a retry
+	// hint no machine will honour; the scheduler's admission re-checks
+	// under its lock, for a quarantine that lands in between.
 	if machines == 0 {
 		return ErrShapeQuarantined
 	}

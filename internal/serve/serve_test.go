@@ -107,10 +107,53 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// anyJob is the census of a scheduler tested with no machine behind it:
+// every job is servable.
+func anyJob(*Job) bool { return true }
+
+// TestSchedulerRefusesUnservable: once the census says no live machine can
+// run a job, admission and a retry's resubmission refuse it under the
+// scheduler lock and queue nothing, and the quarantine sweep takes out what
+// was queued before — so no job can enter the queue after the sweep.
+func TestSchedulerRefusesUnservable(t *testing.T) {
+	live := true
+	sched := newScheduler(4, 4, 1, func(*Job) bool { return live })
+	defer sched.close()
+	mkJob := func() *Job {
+		ctx, cancel := context.WithCancel(context.Background())
+		return &Job{tenant: "a", ctx: ctx, cancel: cancel, done: make(chan struct{})}
+	}
+	retried, swept := mkJob(), mkJob()
+	for _, j := range []*Job{retried, swept} {
+		if err := sched.submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sched.next(0, BatchConfig{}); len(got) != 1 || got[0] != retried {
+		t.Fatalf("dispatched %d jobs, want the first one", len(got))
+	}
+	live = false
+	if err := sched.submit(mkJob()); !errors.Is(err, ErrShapeQuarantined) {
+		t.Fatalf("submit: err = %v, want ErrShapeQuarantined", err)
+	}
+	if err := sched.resubmit(retried); !errors.Is(err, ErrShapeQuarantined) {
+		t.Fatalf("resubmit: err = %v, want ErrShapeQuarantined", err)
+	}
+	if got := sched.failUnservable(); len(got) != 1 || got[0] != swept {
+		t.Fatalf("the sweep failed %d jobs, want the queued one", len(got))
+	}
+	if d := sched.depth(); d != 0 {
+		t.Fatalf("%d jobs queued behind a quarantined pool", d)
+	}
+	if rej := sched.snapshot()[0].Rejected; rej != 1 {
+		t.Fatalf("tenant rejected %d, want the refused submission", rej)
+	}
+}
+
 // TestSchedulerBounds exercises admission bounds on the scheduler directly,
 // with no machine behind it.
 func TestSchedulerBounds(t *testing.T) {
-	sched := newScheduler(4, 2, 1)
+	sched := newScheduler(4, 2, 1, anyJob)
 	mkJob := func(tenant string) *Job {
 		ctx, cancel := context.WithCancel(context.Background())
 		return &Job{tenant: tenant, ctx: ctx, cancel: cancel, done: make(chan struct{})}
@@ -141,7 +184,7 @@ func TestSchedulerBounds(t *testing.T) {
 // TestSchedulerWeightedFairness checks the stride scheduler's long-run
 // shares: weight 3 vs weight 1 under constant backlog must dispatch 3:1.
 func TestSchedulerWeightedFairness(t *testing.T) {
-	sched := newScheduler(1024, 1024, 0)
+	sched := newScheduler(1024, 1024, 0, anyJob)
 	sched.register("heavy", 3)
 	sched.register("light", 1)
 	mkJob := func(tenant string) *Job {
@@ -174,7 +217,7 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 // TestSchedulerBatchCollection checks that next coalesces batch-compatible
 // jobs across tenants and leaves incompatible ones queued.
 func TestSchedulerBatchCollection(t *testing.T) {
-	sched := newScheduler(1024, 1024, 1)
+	sched := newScheduler(1024, 1024, 1, anyJob)
 	bc := BatchConfig{MaxJobs: 4, MaxEdges: 100}
 	mkJob := func(tenant string, edges []kamsta.InputEdge, noBatch bool) *Job {
 		ctx, cancel := context.WithCancel(context.Background())
