@@ -22,13 +22,6 @@ func weakSpec(f gen.Family, p int) kamsta.GraphSpec {
 	return kamsta.GraphSpec{Family: f, N: vppe * uint64(p), M: eppe * uint64(p), Seed: 1}
 }
 
-// paperOpts is the paper's default configuration at bench scale.
-func paperOpts() core.Options {
-	o := core.DefaultOptions()
-	o.BaseCaseCap = 1 << 6
-	return o
-}
-
 // runSpec builds one p-PE machine, executes one job per iteration on it and
 // reports modeled time and modeled throughput alongside the wall time.
 func runSpec(b *testing.B, spec kamsta.GraphSpec, p, threads int, alg kamsta.Algorithm, opt core.Options) {
@@ -53,27 +46,12 @@ func runSpec(b *testing.B, spec kamsta.GraphSpec, p, threads int, alg kamsta.Alg
 	}
 }
 
-// BenchmarkAblationDedup — REDISTRIBUTE's optional parallel-edge removal
-// (§IV-C says it is optional; DESIGN.md calls out the choice).
-func BenchmarkAblationDedup(b *testing.B) {
-	spec := weakSpec(gen.GNM, 16)
-	for _, dedup := range []bool{true, false} {
-		b.Run(fmt.Sprintf("dedup=%v", dedup), func(b *testing.B) {
-			opt := paperOpts()
-			opt.DedupParallel = dedup
-			runSpec(b, spec, 16, 1, kamsta.AlgBoruvka, opt)
-		})
-	}
-}
-
 // BenchmarkAblationBaseCap — the base-case threshold trade-off (§VI-C).
 func BenchmarkAblationBaseCap(b *testing.B) {
 	spec := weakSpec(gen.GNM, 16)
 	for _, cap := range []int{1, 1 << 6, 1 << 10, 1 << 14} {
 		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
-			opt := paperOpts()
-			opt.BaseCaseCap = cap
-			runSpec(b, spec, 16, 1, kamsta.AlgBoruvka, opt)
+			runSpec(b, spec, 16, 1, kamsta.AlgBoruvka, core.Options{BaseCaseCap: cap})
 		})
 	}
 }

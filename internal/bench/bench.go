@@ -105,23 +105,21 @@ func (cfg runCfg) runOptions() []kamsta.RunOption {
 }
 
 // algConfig maps the paper's series names to configurations: the two
-// headline series run core.DefaultOptions(), the -nopre ablations keep only
-// parallel-edge removal.
+// headline series run the zero core.Options, the -nopre ablations opt out of
+// local preprocessing.
 func algConfig(name string, threads int, s Scale) runCfg {
 	cfg := runCfg{MachineConfig: kamsta.MachineConfig{Threads: threads}}
 	switch name {
 	case "boruvka":
 		cfg.Algorithm = kamsta.AlgBoruvka
-		cfg.Core = core.DefaultOptions()
 	case "filterBoruvka":
 		cfg.Algorithm = kamsta.AlgFilterBoruvka
-		cfg.Core = core.DefaultOptions()
 	case "boruvka-nopre":
 		cfg.Algorithm = kamsta.AlgBoruvka
-		cfg.Core.DedupParallel = true
+		cfg.Core.NoLocalPreprocessing = true
 	case "filterBoruvka-nopre":
 		cfg.Algorithm = kamsta.AlgFilterBoruvka
-		cfg.Core.DedupParallel = true
+		cfg.Core.NoLocalPreprocessing = true
 	case "MND-MST":
 		cfg.Algorithm = kamsta.AlgMNDMST
 	case "sparseMatrix":
@@ -133,9 +131,10 @@ func algConfig(name string, threads int, s Scale) runCfg {
 	return cfg
 }
 
-// seriesOf names the figure series a public algorithm runs as in a
-// file-backed run, where the caller picks algorithms with -alg: the paper's
-// two get their default enhancements, the baselines run as published.
+// seriesOf names the figure series a public algorithm runs as where the
+// caller picks algorithms with -alg, in a file-backed run and in a
+// verification sweep: the paper's two as their headline series, the
+// baselines as published.
 var seriesOf = map[kamsta.Algorithm]string{
 	kamsta.AlgBoruvka: "boruvka", kamsta.AlgFilterBoruvka: "filterBoruvka",
 	kamsta.AlgMNDMST: "MND-MST", kamsta.AlgSparseMatrix: "sparseMatrix",

@@ -78,18 +78,19 @@ func (mp *machinePool) oracle(w io.Writer, threads int, insts []instance) error 
 	return nil
 }
 
-// crossCheck runs every algorithm on every instance at every PE count and
-// compares MSF weight and size with the instance's oracle report. The PE
-// count is the outermost loop, so the pool's one warm machine is rebuilt
-// once per PE count, not once per check. A job that fails (a contained
-// fault, -timeout) is a failed check; only cancellation of the sweep's
-// context stops it.
+// crossCheck runs every algorithm on every instance at every PE count, in
+// the configuration its figure series runs (algConfig), and compares MSF
+// weight and size with the instance's oracle report. The PE count is the
+// outermost loop, so the pool's one warm machine is rebuilt once per PE
+// count, not once per check. A job that fails (a contained fault, -timeout)
+// is a failed check; only cancellation of the sweep's context stops it.
 func (mp *machinePool) crossCheck(w io.Writer, threads int, algs []kamsta.Algorithm, insts []instance) (checks, failures int, err error) {
 	for _, p := range mp.s.Ps {
 		for _, in := range insts {
 			failed := 0
 			for _, alg := range algs {
-				cfg := runCfg{MachineConfig: kamsta.MachineConfig{PEs: p, Threads: threads}, Algorithm: alg}
+				cfg := algConfig(seriesOf[alg], threads, mp.s)
+				cfg.PEs = p
 				got, err := mp.measureSourceErr(in.src, cfg, 1)
 				if cerr := mp.ctx.Err(); cerr != nil {
 					return checks, failures, cerr

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"kamsta"
+	"kamsta/internal/core"
+	"kamsta/internal/obs"
 )
 
 // TestVerifySweep runs cmd/mstverify's generated sweep at tiny scale: all
@@ -29,6 +31,30 @@ func TestVerifySweep(t *testing.T) {
 		if !strings.Contains(out, "oracle "+fam) || !strings.Contains(out, "ok   p=4   "+fam) {
 			t.Errorf("family %s missing from the sweep:\n%s", fam, out)
 		}
+	}
+}
+
+// TestVerifyRunsTheExhibitsConfiguration: the sweep checks the paper's
+// algorithms as the exhibits run them (algConfig), not at the bare defaults.
+// On one seed of mstverify's default instances, Borůvka's jobs must have
+// preprocessed locally and run distributed rounds.
+func TestVerifyRunsTheExhibitsConfiguration(t *testing.T) {
+	tr := kamsta.NewTrace()
+	s := Scale{Ps: []int{4}, Trace: tr}
+	if err := Verify(context.Background(), io.Discard, s, 1, []kamsta.Algorithm{kamsta.AlgBoruvka}, 600, 3000, 1); err != nil {
+		t.Fatal(err)
+	}
+	rounds, pre := 0, 0
+	for _, sp := range tr.Spans() {
+		switch {
+		case sp.Kind == obs.SpanRound:
+			rounds++
+		case sp.Kind == obs.SpanPhaseBegin && sp.Name == core.PhasePreprocess:
+			pre++
+		}
+	}
+	if rounds == 0 || pre == 0 {
+		t.Fatalf("the sweep's Borůvka jobs left %d round spans and %d %s phases, want both", rounds, pre, core.PhasePreprocess)
 	}
 }
 

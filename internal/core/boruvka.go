@@ -43,7 +43,7 @@ func Boruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options
 	res := Result{}
 	work, l := edges, layout
 
-	if opt.LocalPreprocessing {
+	if opt.preprocess(l) {
 		c.PhaseBegin(PhasePreprocess)
 		work, l = localPreprocess(c, work, l, opt, &mst, nil)
 		c.PhaseEnd()
@@ -74,10 +74,7 @@ func (res Result) finish(c *comm.Comm, mst []graph.Edge, in *inputCopy, opt Opti
 func distributedRounds(c *comm.Comm, work *[]graph.Edge, l **graph.Layout,
 	opt Options, mst *[]graph.Edge, rec *distArray) (int, int, []int) {
 
-	threshold := opt.BaseCaseCap
-	if t := 2 * c.P(); t > threshold {
-		threshold = t
-	}
+	threshold := opt.baseThreshold(c.P())
 	rounds, touched := 0, 0
 	var vertexCounts []int
 	for {

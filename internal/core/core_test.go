@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"kamsta/internal/comm"
@@ -126,7 +127,7 @@ func filterSpecs() []gen.Spec {
 func TestBoruvkaMatchesKruskalAcrossFamilies(t *testing.T) {
 	for _, spec := range testSpecs() {
 		for _, p := range []int{1, 2, 4, 7} {
-			opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+			opt := Options{BaseCaseCap: 16}
 			res, shares, all := runDistributed(t, p, 1, spec, opt, Boruvka)
 			checkAgainstOracle(t, spec.Label(), res, shares, all)
 		}
@@ -136,7 +137,7 @@ func TestBoruvkaMatchesKruskalAcrossFamilies(t *testing.T) {
 func TestFilterBoruvkaMatchesKruskalAcrossFamilies(t *testing.T) {
 	for _, spec := range filterSpecs() {
 		for _, p := range []int{1, 2, 4, 7} {
-			opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+			opt := Options{BaseCaseCap: 16}
 			res, shares, all := runDistributed(t, p, 1, spec, opt, FilterBoruvka)
 			checkAgainstOracle(t, spec.Label(), res, shares, all)
 			checkRecursed(t, spec, p, res)
@@ -156,13 +157,50 @@ func checkRecursed(t *testing.T, spec gen.Spec, p int, res Result) {
 
 func TestBoruvkaOptionMatrix(t *testing.T) {
 	spec := gen.Spec{Family: gen.GNM, N: 200, M: 900, Seed: 7}
-	for _, pre := range []bool{false, true} {
-		for _, dedup := range []bool{false, true} {
-			for _, threads := range []int{1, 4} {
-				opt := Options{LocalPreprocessing: pre, DedupParallel: dedup, BaseCaseCap: 16}
-				res, shares, all := runDistributed(t, 4, threads, spec, opt, Boruvka)
-				label := spec.Label()
-				checkAgainstOracle(t, label, res, shares, all)
+	for _, nopre := range []bool{false, true} {
+		for _, threads := range []int{1, 4} {
+			opt := Options{NoLocalPreprocessing: nopre, BaseCaseCap: 16}
+			res, shares, all := runDistributed(t, 4, threads, spec, opt, Boruvka)
+			checkAgainstOracle(t, spec.Label(), res, shares, all)
+		}
+	}
+}
+
+// TestPreprocessingDeclinesAtTheBaseCase pins the decline rule on both
+// sides. At a base-case threshold equal to the input's label span local
+// preprocessing leaves no trace: no phase, and the opt-out's traffic, phases
+// and clock to the bit. One below it, the phase runs.
+func TestPreprocessingDeclinesAtTheBaseCase(t *testing.T) {
+	spec := gen.Spec{Family: gen.RGG2D, N: 600, M: 3000, Seed: 12}
+	algs := map[string]func(*comm.Comm, []graph.Edge, *graph.Layout, Options) Result{
+		"boruvka": Boruvka, "filterBoruvka": FilterBoruvka,
+	}
+	for name, alg := range algs {
+		_, all := runAlg(t, 4, 1, spec, 1, Options{NoLocalPreprocessing: true}, alg)
+		lo, hi := all[0].U, all[0].U
+		for _, e := range all {
+			lo, hi = min(lo, e.U), max(hi, e.U)
+		}
+		span := int(hi - lo + 1)
+		for _, cap := range []int{span, span - 1} {
+			label := fmt.Sprintf("%s span=%d cap=%d", name, span, cap)
+			got, _ := runAlg(t, 4, 1, spec, 1, Options{BaseCaseCap: cap}, alg)
+			want, _ := runAlg(t, 4, 1, spec, 1, Options{NoLocalPreprocessing: true, BaseCaseCap: cap}, alg)
+			checkAgainstOracle(t, label, got.res, got.shares, all)
+			_, ran := got.phases[PhasePreprocess]
+			if ran != (cap < span) {
+				t.Errorf("%s: preprocessing phase recorded: %v", label, ran)
+			}
+			if cap < span {
+				continue
+			}
+			if got.clock != want.clock || got.stats != want.stats || len(got.phases) != len(want.phases) {
+				t.Errorf("%s: declined job %v %+v, opt-out %v %+v", label, got.clock, got.stats, want.clock, want.stats)
+			}
+			for ph, wp := range want.phases {
+				if gp := got.phases[ph]; gp.Modeled != wp.Modeled || gp.Stats != wp.Stats {
+					t.Errorf("%s: phase %s declined %v %+v, opt-out %v %+v", label, ph, gp.Modeled, gp.Stats, wp.Modeled, wp.Stats)
+				}
 			}
 		}
 	}
@@ -172,7 +210,7 @@ func TestBoruvkaGridHighLocality(t *testing.T) {
 	// Grid graphs exercise the preprocessing path heavily: most edges are
 	// local, so nearly everything contracts before the distributed rounds.
 	spec := gen.Spec{Family: gen.Grid2D, N: 400, Seed: 11}
-	opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+	opt := Options{BaseCaseCap: 16}
 	res, shares, all := runDistributed(t, 4, 2, spec, opt, Boruvka)
 	checkAgainstOracle(t, spec.Label(), res, shares, all)
 }
@@ -192,7 +230,7 @@ func TestBoruvkaLargeBaseCaseShortCircuit(t *testing.T) {
 func TestBoruvkaTinyBaseCaseManyRounds(t *testing.T) {
 	// A tiny threshold forces many distributed rounds.
 	spec := gen.Spec{Family: gen.GNM, N: 300, M: 1200, Seed: 17}
-	opt := Options{BaseCaseCap: 1, DedupParallel: true}
+	opt := Options{BaseCaseCap: 1, NoLocalPreprocessing: true}
 	res, shares, all := runDistributed(t, 4, 1, spec, opt, Boruvka)
 	if res.Rounds == 0 {
 		t.Fatal("expected several distributed rounds")
@@ -205,7 +243,7 @@ func TestDisconnectedMSF(t *testing.T) {
 	// grid: the generator yields one component, so use GNM sparse enough to
 	// be disconnected).
 	spec := gen.Spec{Family: gen.GNM, N: 400, M: 300, Seed: 19} // m < n → many components
-	opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+	opt := Options{BaseCaseCap: 16}
 	for _, alg := range []func(*comm.Comm, []graph.Edge, *graph.Layout, Options) Result{Boruvka, FilterBoruvka} {
 		res, shares, all := runDistributed(t, 4, 1, spec, opt, alg)
 		checkAgainstOracle(t, spec.Label(), res, shares, all)
@@ -250,7 +288,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	spec := gen.Spec{Family: gen.RMAT, N: 256, M: 1000, Seed: 23}
-	opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+	opt := Options{BaseCaseCap: 16}
 	a, sharesA, _ := runDistributed(t, 4, 2, spec, opt, Boruvka)
 	b, sharesB, _ := runDistributed(t, 4, 2, spec, opt, Boruvka)
 	if a.TotalWeight != b.TotalWeight || a.NumEdges != b.NumEdges {
@@ -270,7 +308,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestResultIndependentOfWorldSize(t *testing.T) {
 	spec := gen.Spec{Family: gen.RGG2D, N: 200, M: 900, Seed: 29}
-	opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+	opt := Options{BaseCaseCap: 16}
 	ref, _, _ := runDistributed(t, 1, 1, spec, opt, Boruvka)
 	for _, p := range []int{2, 3, 5, 8} {
 		got, _, _ := runDistributed(t, p, 1, spec, opt, Boruvka)
@@ -283,7 +321,7 @@ func TestResultIndependentOfWorldSize(t *testing.T) {
 
 func TestFilterAgreesWithPlainBoruvka(t *testing.T) {
 	for _, spec := range filterSpecs() {
-		opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+		opt := Options{BaseCaseCap: 16}
 		b, _, _ := runDistributed(t, 4, 1, spec, opt, Boruvka)
 		f, _, _ := runDistributed(t, 4, 1, spec, opt, FilterBoruvka)
 		if b.TotalWeight != f.TotalWeight || b.NumEdges != f.NumEdges {
@@ -298,7 +336,7 @@ func TestFilterRecursionActuallyPartitions(t *testing.T) {
 	// On a dense graph of 2·minEdgesPerPE directed edges per PE the
 	// recursion must perform several base calls.
 	spec := gen.Spec{Family: gen.GNM, N: 300, M: 4000, Seed: 31}
-	opt := Options{BaseCaseCap: 16, DedupParallel: true}
+	opt := Options{BaseCaseCap: 16, NoLocalPreprocessing: true}
 	res, shares, all := runDistributed(t, 4, 1, spec, opt, FilterBoruvka)
 	if res.BaseCalls < 2 {
 		t.Fatalf("expected a real recursion, got %d base calls", res.BaseCalls)
@@ -307,19 +345,30 @@ func TestFilterRecursionActuallyPartitions(t *testing.T) {
 }
 
 func TestFilterWorkLinearOnDenseGraph(t *testing.T) {
-	// Theorem 1: Filter-Borůvka does O(m) work. Plain Borůvka touches all
-	// m edges every round (log n rounds); the filter variant must touch
-	// asymptotically fewer edge-units on dense inputs. We compare the
-	// edge-touch counters on a dense GNM.
-	spec := gen.Spec{Family: gen.GNM, N: 200, M: 6000, Seed: 37}
-	opt := Options{BaseCaseCap: 1, DedupParallel: false}
-	b, _, _ := runDistributed(t, 4, 1, spec, opt, Boruvka)
-	f, _, _ := runDistributed(t, 4, 1, spec, opt, FilterBoruvka)
-	if f.BaseCalls < 2 {
-		t.Fatalf("%d base calls: the recursion did not partition", f.BaseCalls)
-	}
-	if f.EdgesTouched >= b.EdgesTouched {
-		t.Fatalf("filtering should reduce touched edges: filter=%d plain=%d", f.EdgesTouched, b.EdgesTouched)
+	// Theorem 1: Filter-Borůvka does O(m) work. Its edge-touch counter,
+	// summed over the PEs, must stay under one constant times the m directed
+	// input edges as the dense GNM grows denser, and the recursion must
+	// really partition each instance.
+	const bound = 4
+	for _, m := range []uint64{6000, 12000, 24000, 48000} {
+		spec := gen.Spec{Family: gen.GNM, N: 600, M: m, Seed: 37}
+		var dirM, sum, calls int
+		comm.NewWorld(4).Run(func(c *comm.Comm) {
+			edges, layout := gen.Build(c, spec, dsort.Options{})
+			r := FilterBoruvka(c, edges, layout, Options{BaseCaseCap: 1, NoLocalPreprocessing: true})
+			add := func(a, b int) int { return a + b }
+			n, touched := comm.Allreduce(c, len(edges), add), comm.Allreduce(c, r.EdgesTouched, add)
+			if c.Rank() == 0 {
+				dirM, sum, calls = n, touched, r.BaseCalls
+			}
+		})
+		t.Logf("m=%d: %d directed edges, %d touched (%.2f per edge), %d base calls", m, dirM, sum, float64(sum)/float64(dirM), calls)
+		if calls < 2 {
+			t.Fatalf("m=%d: %d base calls: the recursion did not partition", m, calls)
+		}
+		if sum >= bound*dirM {
+			t.Fatalf("m=%d: %d edge-units touched for %d directed edges, want under %d per edge", m, sum, dirM, bound)
+		}
 	}
 }
 
@@ -328,7 +377,7 @@ func TestPhaseTimesRecorded(t *testing.T) {
 	w := comm.NewWorld(4)
 	w.Run(func(c *comm.Comm) {
 		edges, layout := gen.Build(c, spec, dsort.Options{})
-		Boruvka(c, edges, layout, Options{BaseCaseCap: 16, DedupParallel: true})
+		Boruvka(c, edges, layout, Options{BaseCaseCap: 16, NoLocalPreprocessing: true})
 	})
 	ph := w.Phases()
 	for _, name := range []string{PhaseMinEdges, PhaseContract, PhaseLabels, PhaseRedistribute, PhaseBaseCase} {

@@ -24,7 +24,7 @@ func TestSymmetricInvariantMaintained(t *testing.T) {
 			w := comm.NewWorld(p)
 			w.Run(func(c *comm.Comm) {
 				edges, layout := gen.Build(c, spec, dsort.Options{})
-				opt := Options{LocalPreprocessing: true, DedupParallel: true, BaseCaseCap: 16}
+				opt := Options{BaseCaseCap: 16}
 				if r := FilterBoruvka(c, edges, layout, opt); c.Rank() == 0 {
 					res = r
 				}

@@ -255,7 +255,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 	res := Result{}
 	work, l := edges, layout
 
-	if opt.LocalPreprocessing {
+	if opt.preprocess(l) {
 		c.PhaseBegin(PhasePreprocess)
 		work, l = localPreprocess(c, work, l, opt, &mst, P)
 		c.PhaseEnd()
@@ -300,9 +300,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		} else {
 			// An unfiltered light segment is already a sorted subsequence per
 			// PE; parallel copies may remain from its parent.
-			if opt.DedupParallel {
-				seg.edges = dedupSorted(c, seg.edges)
-			}
+			seg.edges = dedupSorted(c, seg.edges)
 			segLayout = graph.BuildLayout(c, seg.edges)
 		}
 

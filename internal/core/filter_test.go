@@ -74,7 +74,7 @@ func runAlg(t *testing.T, p, threads int, spec gen.Spec, spread uint64, opt Opti
 // back.
 var (
 	pathSpec = gen.Spec{Family: gen.GNM, N: 2000, M: 24000, Seed: 6}
-	pathOpt  = Options{DedupParallel: true, BaseCaseCap: 16} // no preprocessing: at p = 1 it would solve everything
+	pathOpt  = Options{NoLocalPreprocessing: true, BaseCaseCap: 16} // no preprocessing: at p = 1 it would solve everything
 )
 
 // TestFilterPathsIndistinguishable drives one instance through FILTER's
@@ -141,7 +141,7 @@ func TestRoundPathsIndistinguishable(t *testing.T) {
 		"boruvka": Boruvka, "filterBoruvka": FilterBoruvka,
 	}
 	opt := pathOpt
-	opt.LocalPreprocessing = true
+	opt.NoLocalPreprocessing = false
 	for _, in := range instances {
 		for _, p := range []int{3, 8, 16} {
 			for name, alg := range algs {
@@ -336,7 +336,7 @@ func filterFixture(c *comm.Comm, edges []graph.Edge, opt Options) (P *distArray,
 	owned = slices.Clone(edges)
 	pivot, _ = pivotSelect(c, owned, opt)
 	light, hv := partitionAtPivot(c, owned, pivot)
-	light = dedupSorted(c, light) // every caller passes DefaultOptions: DedupParallel is on
+	light = dedupSorted(c, light) // as FilterBoruvka does with a light segment
 	l := graph.BuildLayout(c, light)
 	var mst []graph.Edge
 	distributedRounds(c, &light, &l, opt, &mst, P)
@@ -353,7 +353,7 @@ func TestFilterSteadyStateAllocs(t *testing.T) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
 		edges, _ := gen.Build(c, gen.Spec{Family: gen.GNM, N: 1 << 11, M: 1 << 16, Seed: 42}, dsort.Options{})
-		opt := DefaultOptions()
+		opt := Options{}
 		P, owned, pivot, heavy := filterFixture(c, edges, opt)
 		filterSegment(c, heavy, P, opt) // warm the arena
 		var before, after runtime.MemStats

@@ -93,7 +93,7 @@ func BenchmarkGenFinishP16(b *testing.B) {
 		raw := gen.Generate(c, spec)
 		in := make([]graph.Edge, len(raw))
 		copy(in, raw)
-		gen.Finish(c, in, DefaultOptions().Sort)
+		gen.Finish(c, in, dsort.Options{})
 		if c.Rank() == 0 {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -101,7 +101,7 @@ func BenchmarkGenFinishP16(b *testing.B) {
 		comm.Barrier(c)
 		for i := 0; i < b.N; i++ {
 			copy(in, raw)
-			gen.Finish(c, in, DefaultOptions().Sort)
+			gen.Finish(c, in, dsort.Options{})
 		}
 	})
 }
@@ -160,7 +160,7 @@ func BenchmarkLocalPreprocess(b *testing.B) {
 	w := comm.NewWorld(4)
 	w.Run(func(c *comm.Comm) {
 		edges, l := gen.Build(c, gen.Spec{Family: gen.RGG2D, N: 1 << 14, M: 1 << 17, Seed: 42}, dsort.Options{})
-		opt := DefaultOptions().withDefaults()
+		opt := Options{}.withDefaults()
 		var mst []graph.Edge
 		localPreprocess(c, edges, l, opt, &mst, nil)
 		if c.Rank() == 0 {
@@ -228,7 +228,7 @@ func BenchmarkPartitionAtPivot(b *testing.B) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
 		edges, _ := gen.Build(c, filterShape, dsort.Options{})
-		_, owned, pivot, _ := filterFixture(c, edges, DefaultOptions())
+		_, owned, pivot, _ := filterFixture(c, edges, Options{})
 		b.ReportAllocs()
 		b.SetBytes(int64(len(owned)) * 40)
 		b.ResetTimer()
@@ -242,7 +242,7 @@ func BenchmarkFilterSegment(b *testing.B) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
 		edges, _ := gen.Build(c, filterShape, dsort.Options{})
-		opt := DefaultOptions()
+		opt := Options{}
 		P, _, _, heavy := filterFixture(c, edges, opt)
 		filterSegment(c, heavy, P, opt)
 		b.ReportAllocs()
@@ -264,7 +264,7 @@ var boruvkaShape = gen.Spec{Family: gen.GNM, N: 1 << 15, M: 1 << 19, Seed: 42}
 func BenchmarkExchangeLabels(b *testing.B) {
 	comm.NewWorld(16).Run(func(c *comm.Comm) {
 		edges, l := gen.Build(c, boruvkaShape, dsort.Options{})
-		opt := DefaultOptions().withDefaults()
+		opt := Options{}.withDefaults()
 		var mst []graph.Edge
 		labels := contractComponents(c, edges, l, minEdges(c, edges, l), opt, &mst)
 		exchangeLabels(c, edges, l, labels, opt)
@@ -287,7 +287,7 @@ func BenchmarkExchangeLabels(b *testing.B) {
 func BenchmarkBaseCase(b *testing.B) {
 	comm.NewWorld(16).Run(func(c *comm.Comm) {
 		work, l := gen.Build(c, boruvkaShape, dsort.Options{})
-		opt := DefaultOptions().withDefaults()
+		opt := Options{}.withDefaults()
 		var mst []graph.Edge
 		distributedRounds(c, &work, &l, opt, &mst, nil)
 		baseCase(c, work, l, &mst, nil, opt)
@@ -312,7 +312,7 @@ func TestBaseCaseSteadyStateAllocs(t *testing.T) {
 	w := comm.NewWorld(1)
 	var edges []graph.Edge
 	var l *graph.Layout
-	opt := DefaultOptions().withDefaults()
+	opt := Options{}.withDefaults()
 	mst := make([]graph.Edge, 0, benchSpec.N)
 	w.Run(func(c *comm.Comm) {
 		edges, l = gen.Build(c, benchSpec, dsort.Options{})

@@ -19,13 +19,13 @@ package core
 import (
 	"kamsta/internal/alltoall"
 	"kamsta/internal/dsort"
+	"kamsta/internal/graph"
 )
 
-// Options configures the distributed MST algorithms. Zero numeric fields
-// take the defaults documented per field, but the zero value is NOT the
-// paper's configuration: it leaves the two enhancement booleans
-// (LocalPreprocessing, DedupParallel) off. Start from DefaultOptions() for
-// the configuration the paper evaluates.
+// Options configures the distributed MST algorithms. The zero value is the
+// paper's configuration (§VII): local preprocessing on, parallel edges
+// removed wherever the edge set is re-sorted, every threshold at the default
+// documented per field.
 type Options struct {
 	// A2A is the sparse all-to-all strategy for label exchange and pointer
 	// doubling (default Auto: direct for large, two-level grid for small
@@ -40,13 +40,10 @@ type Options struct {
 	// vertices is at most max(2·p, BaseCaseCap) (§VI-C; the paper uses
 	// 35000 — scaled down here by default to keep simulator runs quick).
 	BaseCaseCap int
-	// LocalPreprocessing enables the §IV-A contraction of provably-local
-	// MST edges before the distributed rounds, with the §VI-B recursive
-	// edge filtering inside it.
-	LocalPreprocessing bool
-	// DedupParallel removes parallel edges during REDISTRIBUTE (keeping
-	// the lightest); the paper notes this is optional for correctness.
-	DedupParallel bool
+	// NoLocalPreprocessing skips the §IV-A contraction of provably-local
+	// MST edges before the distributed rounds: the -nopre ablations of
+	// Fig. 2 and Fig. 4. Unset, preprocess may still decline.
+	NoLocalPreprocessing bool
 	// Seed drives pivot sampling and sorter sampling.
 	Seed uint64
 }
@@ -83,11 +80,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DefaultOptions returns the paper's configuration: local preprocessing
-// and parallel-edge removal on, every other field at its default.
-func DefaultOptions() Options {
-	return Options{LocalPreprocessing: true, DedupParallel: true}
+// baseThreshold is the global vertex count at which the distributed rounds
+// stop on p PEs: max(2·p, BaseCaseCap).
+func (o Options) baseThreshold(p int) int { return max(2*p, o.BaseCaseCap) }
+
+// preprocess reports whether LOCALPREPROCESSING runs on the input layout l:
+// not when opted out, and not when the input's label span is at most the
+// base-case threshold, where the rounds it would shrink cannot run. The span,
+// first source to the last non-empty PE's last source (an empty PE's Last is
+// the zero edge), bounds n from above without communication.
+func (o Options) preprocess(l *graph.Layout) bool {
+	lo, hi := l.First[0].U, graph.VID(0)
+	for _, e := range l.Last {
+		hi = max(hi, e.U)
+	}
+	return !o.NoLocalPreprocessing && hi >= lo && hi-lo >= uint64(o.baseThreshold(l.P))
 }
+
+// DefaultOptions returns the zero value, which is the paper's
+// configuration. It stays only because the benchmark module calls it.
+func DefaultOptions() Options { return Options{} }
 
 // Phase names as reported in the paper's running-time breakdown (Fig. 6).
 const (

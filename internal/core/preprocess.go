@@ -84,9 +84,7 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	radix.Sort(work, graph.KeyLex, graph.LessLex)
 	c.ChargeCompute(len(work) * dsort.Log2Ceil(len(work)+1))
 	if dsort.IsGloballySorted(c, work, graph.LessLex) {
-		if opt.DedupParallel {
-			work = dedupSorted(c, work)
-		}
+		work = dedupSorted(c, work)
 		return work, graph.BuildLayout(c, work)
 	}
 	return redistribute(c, work, opt)

@@ -505,17 +505,14 @@ func relabelPack(c *comm.Comm, dst, src []graph.Edge, t *relabelTable) int {
 }
 
 // redistribute implements REDISTRIBUTE (§IV-C): sort the relabeled edges
-// lexicographically with the distributed sorter, optionally reduce parallel
-// edges to their lightest representative, rebalance, and rebuild the
-// replicated layout with an allgather. The result is arena-backed (dsort's
-// output slot): it is the round's working edge set and is consumed before
-// the next round's redistribute re-sorts.
+// lexicographically with the distributed sorter, reduce parallel edges to
+// their lightest representative, rebalance, and rebuild the replicated
+// layout with an allgather. The result is arena-backed (dsort's output
+// slot): it is the round's working edge set and is consumed before the next
+// round's redistribute re-sorts.
 func redistribute(c *comm.Comm, edges []graph.Edge, opt Options) ([]graph.Edge, *graph.Layout) {
 	sorted := dsort.Sort(c, edges, dsort.ByKey(graph.LessLex, graph.KeyLex), opt.Sort)
-	if opt.DedupParallel {
-		sorted = dedupSorted(c, sorted)
-		sorted = dsort.Rebalance(c, sorted)
-	}
+	sorted = dsort.Rebalance(c, dedupSorted(c, sorted))
 	return sorted, graph.BuildLayout(c, sorted)
 }
 

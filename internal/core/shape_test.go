@@ -19,7 +19,7 @@ func TestVertexCountHalvesPerRound(t *testing.T) {
 	var counts []int
 	w.Run(func(c *comm.Comm) {
 		edges, layout := gen.Build(c, spec, dsort.Options{})
-		r := Boruvka(c, edges, layout, Options{BaseCaseCap: 8, DedupParallel: true})
+		r := Boruvka(c, edges, layout, Options{BaseCaseCap: 8, NoLocalPreprocessing: true})
 		if c.Rank() == 0 {
 			counts = r.VertexCounts
 		}
@@ -45,7 +45,7 @@ func TestFilterBaseCallsBounded(t *testing.T) {
 	var calls int
 	w.Run(func(c *comm.Comm) {
 		edges, layout := gen.Build(c, spec, dsort.Options{})
-		r := FilterBoruvka(c, edges, layout, Options{BaseCaseCap: 16, DedupParallel: true})
+		r := FilterBoruvka(c, edges, layout, Options{BaseCaseCap: 16, NoLocalPreprocessing: true})
 		if c.Rank() == 0 {
 			calls = r.BaseCalls
 		}

@@ -25,10 +25,7 @@ func TestBoruvkaUnderAllCommunicationStrategies(t *testing.T) {
 	}
 	var want uint64
 	for i, cb := range combos {
-		opt := Options{
-			LocalPreprocessing: true, DedupParallel: true,
-			BaseCaseCap: 16, A2A: cb.a2a,
-		}
+		opt := Options{BaseCaseCap: 16, A2A: cb.a2a}
 		res, shares, all := runDistributed(t, cb.p, 1, spec, opt, Boruvka)
 		checkAgainstOracle(t, cb.name, res, shares, all)
 		if i == 0 {
@@ -44,7 +41,7 @@ func TestBoruvkaUnderAllCommunicationStrategies(t *testing.T) {
 // grid too once the contracted rounds' messages fall small.
 func TestFilterBoruvkaWithGridEverything(t *testing.T) {
 	spec := gen.Spec{Family: gen.GNM, N: 600, M: 6000, Seed: 9}
-	opt := Options{DedupParallel: true, BaseCaseCap: 16, A2A: alltoall.Grid}
+	opt := Options{NoLocalPreprocessing: true, BaseCaseCap: 16, A2A: alltoall.Grid}
 	res, shares, all := runDistributed(t, 9, 2, spec, opt, FilterBoruvka)
 	checkAgainstOracle(t, "filter/grid-everything", res, shares, all)
 	if res.BaseCalls < 2 {

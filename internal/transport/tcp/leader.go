@@ -18,7 +18,8 @@ import (
 // payloads cross the wire as raw memory, so both ends must agree.
 const wordSize = uint8(bits.UintSize / 8)
 
-// Defaults for LeaderConfig's zero values.
+// Defaults for LeaderConfig's zero values, and the superstep I/O timeout
+// before a job sets its own (SetIOTimeout).
 const (
 	defaultDialTimeout = 5 * time.Second
 	defaultDialRetries = 20
@@ -54,9 +55,6 @@ type LeaderConfig struct {
 	DialTimeout time.Duration
 	DialRetries int
 	DialBackoff time.Duration
-	// IOTimeout bounds every superstep read/write; SetIOTimeout overrides it
-	// per job from the job's stall budget. Zero defaults to 60s.
-	IOTimeout time.Duration
 	// Reg, when non-nil, receives per-link transport counters (frames,
 	// bytes, dials, retries) labeled by worker address.
 	Reg *obs.Registry
@@ -194,9 +192,6 @@ func NewLeader(cfg LeaderConfig) (*Leader, error) {
 	}
 
 	l := &Leader{}
-	if cfg.IOTimeout > 0 {
-		l.ioTimeout.Store(int64(cfg.IOTimeout))
-	}
 	l.Substrate = shm.NewSubstrate(cfg.P, 0, cfg.LocalRanks, l.netSync)
 
 	base, extra := remote/nw, remote%nw

@@ -3,6 +3,7 @@ package kamsta
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -286,10 +287,41 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
+// TestZeroCoreOptionsAreThePapers: a job without WithCoreOptions and one
+// with core.DefaultOptions() return the same Report — forest, modeled clock,
+// traffic, structure and every phase but its wall time — on an instance
+// large enough that local preprocessing, distributed rounds and their
+// parallel-edge removal all run at the default base case.
+func TestZeroCoreOptionsAreThePapers(t *testing.T) {
+	m := newTestMachine(t, MachineConfig{PEs: 4})
+	src := FromSpec(GraphSpec{Family: GNM, N: 1 << 13, M: 1 << 15, Seed: 5})
+	for _, alg := range []Algorithm{AlgBoruvka, AlgFilterBoruvka} {
+		var reps [2]*Report
+		for i, opts := range [][]RunOption{{WithAlgorithm(alg)}, {WithAlgorithm(alg), WithCoreOptions(core.DefaultOptions())}} {
+			rep, err := m.Compute(context.Background(), src, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", alg, err)
+			}
+			if rep.Rounds == 0 || rep.Phases[core.PhasePreprocess].Modeled == 0 || rep.Phases[core.PhaseRedistribute].Modeled == 0 {
+				t.Fatalf("%s: %d rounds, phases %v: want preprocessing, rounds and redistribution", alg, rep.Rounds, rep.Phases)
+			}
+			rep.WallSeconds = 0
+			for name, ph := range rep.Phases {
+				ph.Wall = 0
+				rep.Phases[name] = ph
+			}
+			reps[i] = rep
+		}
+		if !reflect.DeepEqual(reps[0], reps[1]) {
+			t.Errorf("%s: the zero core.Options and DefaultOptions() differ:\n%+v\n%+v", alg, reps[0], reps[1])
+		}
+	}
+}
+
 // coreOptionsTinyBase shrinks the base case so even small test instances
 // run several distributed rounds (round events, cancellation windows).
 func coreOptionsTinyBase() core.Options {
-	return core.Options{BaseCaseCap: 1, DedupParallel: true}
+	return core.Options{BaseCaseCap: 1, NoLocalPreprocessing: true}
 }
 
 // TestFIFOSemOrder: waiters are granted the job slot in strict arrival

@@ -69,10 +69,8 @@ func WithSeed(seed uint64) RunOption {
 }
 
 // WithCoreOptions tunes the paper's algorithms for this job. Without it a
-// job runs core.Options' zero value: default thresholds, but the paper's
-// two switchable enhancements (local preprocessing, which always filters,
-// and parallel-edge removal) off. Pass core.DefaultOptions() for the
-// configuration the paper evaluates.
+// job runs core.Options' zero value, which is the configuration the paper
+// evaluates.
 func WithCoreOptions(o core.Options) RunOption {
 	return func(rs *runSettings) { rs.core = o }
 }
