@@ -214,7 +214,7 @@ func TestNoStallOnHealthyJob(t *testing.T) {
 			if Allreduce(c, more, add) == 0 {
 				break
 			}
-			time.Sleep(5 * time.Millisecond)
+			time.Sleep(5 * time.Millisecond) // slow but progressing: the job under test
 		}
 	})
 	if err != nil {

@@ -127,7 +127,7 @@ func TestPersistentWorldReuse(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines alive, want <= %d", runtime.NumGoroutine(), baseline)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // goroutine exit has no event to wait on
 	}
 }
 

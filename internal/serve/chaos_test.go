@@ -1,223 +1,246 @@
-package serve
+package serve_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"maps"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"kamsta"
-	"kamsta/internal/faultinject"
+	"kamsta/internal/bench"
+	"kamsta/internal/obs"
+	"kamsta/internal/serve"
+	"kamsta/internal/serve/loadgen"
 )
 
-// chaosPEs is the pool shape width the sweep's schedules run against.
+// chaosPEs is the width of each seed's one pool machine: pinned tenants pin
+// to it, and injected faults are drawn over its ranks.
 const chaosPEs = 2
 
-// isTypedRejection reports whether a Submit error is one of the documented
-// admission sentinels — the only way the server may refuse work.
-func isTypedRejection(err error) bool {
-	for _, sentinel := range []error{
-		ErrQueueFull, ErrTenantQueueFull, ErrDeadlineUnattainable,
-		ErrBrownout, ErrShapeQuarantined,
-	} {
-		if errors.Is(err, sentinel) {
-			return true
-		}
-	}
-	return false
+// chaosTally is what the sweep saw across its seeds: the outcome of every
+// admitted job and the code of every rejection.
+type chaosTally struct {
+	mu       sync.Mutex
+	outcomes map[string]int
+	rejected map[string]int
 }
 
-// chaosConfig translates a schedule's server-side knobs into a Config.
-func chaosConfig(sch faultinject.ServiceSchedule) Config {
-	cfg := Config{
-		Pool:            []PoolShape{{PEs: chaosPEs, Threads: 1, Count: 1}},
-		QueueBound:      sch.QueueBound,
-		QuarantineAfter: sch.QuarantineAfter,
-	}
-	if sch.RetryAttempts > 0 {
-		cfg.Retry = RetryConfig{
-			MaxAttempts: sch.RetryAttempts,
-			BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond,
-		}
-	}
-	if sch.Batch {
-		cfg.Batch = BatchConfig{MaxJobs: 4, MaxEdges: 1 << 16}
-	}
-	return cfg
+func (ct *chaosTally) add(m map[string]int, key string) {
+	ct.mu.Lock()
+	m[key]++
+	ct.mu.Unlock()
 }
 
-// chaosRequest translates one scripted job into a Request, attaching the
-// fault plan for world-killing jobs. The returned reference is non-nil for
-// jobs that may legitimately finish ok (clean, cancelled-too-late, or a
-// fault retried to success) — any ok result must match it.
-func chaosRequest(t *testing.T, sj faultinject.ServiceJob) (Request, *kamsta.Report) {
-	t.Helper()
-	n := max(4, sj.Edges)
-	edges := testEdges(int64(sj.Seed%(1<<31)), n, 3*n)
-	req := Request{
-		Tenant:   fmt.Sprintf("t%d", sj.Tenant),
-		Edges:    edges,
-		Deadline: sj.Deadline,
-		NoBatch:  sj.NoBatch,
-	}
-	if sj.Pin {
-		req.PEs = chaosPEs
-	}
-	switch sj.Fault {
-	case faultinject.SvcPanic:
-		req.Options = []kamsta.RunOption{kamsta.WithFaultInjection(faultinject.NewPlan(&faultinject.Rule{
-			Site: faultinject.SiteCollective, Rank: sj.Rank, Occurrence: sj.Occurrence,
-			Action: faultinject.ActPanic,
-		}))}
-	case faultinject.SvcStall:
-		req.Options = []kamsta.RunOption{
-			kamsta.WithFaultInjection(faultinject.NewPlan(&faultinject.Rule{
-				Site: faultinject.SiteCollective, Rank: sj.Rank, Occurrence: sj.Occurrence,
-				Action: faultinject.ActDelay, Delay: 50 * time.Millisecond,
-			})),
-			kamsta.WithStallTimeout(5 * time.Millisecond),
-		}
-	}
-	// Faulting jobs may still succeed via server-side retry; every fault
-	// class except the storm can legitimately produce an ok result.
-	if sj.Fault == faultinject.SvcExpiredDeadline {
-		return req, nil
-	}
-	return req, reference(t, edges)
+// chaosTarget submits in-process — chaos rides in Request.Options — cancels
+// a seeded share of the jobs it gets admitted, and holds every rejection and
+// every result to the sweep's contract.
+type chaosTarget struct {
+	t         *testing.T
+	seed      uint64
+	s         *serve.Server
+	cancelPct uint32
+	tally     *chaosTally
 }
 
-// runServiceSchedule replays one seeded scenario against a fresh server and
-// asserts the exactly-once contract: every admitted job resolves exactly
-// once — ok results match sequential Kruskal, failures are typed — every
-// rejection is a documented sentinel, per-tenant accounting balances, and
-// Drain completes within its bound.
-func runServiceSchedule(t *testing.T, seed uint64) {
-	t.Helper()
-	sch := faultinject.RandomServiceSchedule(seed, faultinject.ServiceSpec{PEs: chaosPEs, MaxJobs: 8})
-	s, err := New(chaosConfig(sch))
+func (tg chaosTarget) Submit(_ context.Context, req serve.Request) (loadgen.Handle, error) {
+	j, err := tg.s.Submit(req)
+	if err != nil {
+		row := serve.RejectionOf(err)
+		if !errors.Is(err, row.Err) {
+			tg.t.Errorf("seed %d: untyped rejection %v", tg.seed, err)
+		}
+		tg.tally.add(tg.tally.rejected, row.Code)
+		return nil, err
+	}
+	h := chaosJob{tg: tg, j: j}
+	h.class, h.allowed = chaosClass(req)
+	// The draw rides on the job's instance, so it is deterministic in
+	// (seed, tenant, index) like the chaos loadgen put into the request.
+	if req.Edges[0].W%100 < tg.cancelPct {
+		j.Cancel()
+		h.class += "+cancel"
+		h.allowed = append(h.allowed, "cancelled")
+	}
+	return h, nil
+}
+
+// chaosClass reads the chaos loadgen drew into a request and returns the
+// outcomes a job of that class may end in: a hopeless deadline is a storm,
+// fault-plan options are a panic or a stall, anything else is clean. Any
+// job may find its last machine quarantined.
+func chaosClass(req serve.Request) (string, []string) {
+	switch {
+	case req.Deadline > 0 && req.Deadline < time.Millisecond:
+		return "storm", []string{"deadline", "quarantined"}
+	case len(req.Options) > 0:
+		return "fault", []string{"ok", "fault", "quarantined"}
+	}
+	return "clean", []string{"ok", "quarantined"}
+}
+
+// chaosJob is one admitted job: it must resolve within a minute, with an
+// outcome its class allows.
+type chaosJob struct {
+	tg      chaosTarget
+	j       *serve.Job
+	class   string
+	allowed []string
+}
+
+func (h chaosJob) Wait(context.Context) (*kamsta.Report, error) {
+	lost := time.NewTimer(time.Minute)
+	defer lost.Stop()
+	select {
+	case <-h.j.Done():
+	case <-lost.C:
+		h.tg.t.Errorf("seed %d: %s job %d unresolved after a minute: lost", h.tg.seed, h.class, h.j.ID())
+		return nil, errors.New("job lost")
+	}
+	rep, err, _ := h.j.Result()
+	outcome := serve.Outcome(err)
+	if !slices.Contains(h.allowed, outcome) {
+		h.tg.t.Errorf("seed %d: %s job %d ended %v (%s), want one of %v",
+			h.tg.seed, h.class, h.j.ID(), err, outcome, h.allowed)
+	}
+	h.tg.tally.add(h.tg.tally.outcomes, outcome)
+	return rep, err
+}
+
+// runChaosSeed draws one server configuration and one load plan from the
+// seed, runs the plan to completion and checks the exactly-once contract:
+// one result per admitted job, ok results equal to Kruskal, and loadgen's
+// per-tenant histogram equal to the server's counter and its Stats.
+func runChaosSeed(t *testing.T, seed uint64, tally *chaosTally) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	reg := obs.NewRegistry()
+	cfg := serve.Config{
+		Pool:       []serve.PoolShape{{PEs: chaosPEs, Threads: 1, Count: 1}},
+		QueueBound: 8 + rng.Intn(25),
+		Metrics:    reg,
+	}
+	if rng.Intn(2) == 0 {
+		cfg.Retry.MaxAttempts = 2 + rng.Intn(3)
+	}
+	if rng.Intn(3) == 0 {
+		cfg.QuarantineAfter = 2 + rng.Intn(3)
+	}
+	if rng.Intn(2) == 0 {
+		cfg.Batch.MaxJobs = 4
+	}
+	plan := loadgen.Plan{Seed: seed}
+	for i := range 1 + rng.Intn(3) {
+		tl := loadgen.TenantLoad{
+			Name: fmt.Sprintf("t%d", i),
+			Jobs: 3 + rng.Intn(8),
+			Template: loadgen.Template{
+				EdgeCount: 12 + rng.Intn(61),
+				NoBatch:   rng.Intn(4) == 0,
+				Verify:    true,
+				Chaos: &loadgen.ChaosSpec{
+					FaultFraction: 0.3 * rng.Float64(),
+					StallFraction: 0.1 * rng.Float64(),
+					StormFraction: 0.3 * rng.Float64(),
+					PEs:           chaosPEs,
+				},
+			},
+		}
+		if rng.Intn(5) == 0 {
+			tl.Template.PEs = chaosPEs
+		}
+		if rng.Intn(2) == 0 {
+			tl.Workers = 1 + rng.Intn(3)
+		} else {
+			tl.RateHz = 1000 + 3000*rng.Float64()
+		}
+		plan.Tenants = append(plan.Tenants, tl)
+	}
+
+	s, err := serve.New(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: New: %v", seed, err)
 	}
 	defer s.Close()
-	allowQuarantine := sch.QuarantineAfter > 0
-
-	type admission struct {
-		j    *Job
-		sj   faultinject.ServiceJob
-		want *kamsta.Report
+	target := chaosTarget{t: t, seed: seed, s: s, cancelPct: uint32(rng.Intn(30)), tally: tally}
+	res, err := loadgen.Run(context.Background(), target, plan)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
-	var admitted []admission
-	for i, sj := range sch.Jobs {
-		if sj.Gap > 0 {
-			time.Sleep(sj.Gap)
-		}
-		req, want := chaosRequest(t, sj)
-		j, err := s.Submit(req)
-		if err != nil {
-			if !isTypedRejection(err) {
-				t.Fatalf("seed %d job %d (%v): untyped rejection %v", seed, i, sj.Fault, err)
-			}
-			continue
-		}
-		if sj.Fault == faultinject.SvcCancel {
-			j.Cancel()
-		}
-		admitted = append(admitted, admission{j, sj, want})
+	if err := res.Verify(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
-
-	waitCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	for i, a := range admitted {
-		rep, err := a.j.Wait(waitCtx)
-		if waitCtx.Err() != nil {
-			t.Fatalf("seed %d job %d (%v): result never arrived — job lost", seed, i, a.sj.Fault)
-		}
-		if err == nil {
-			if a.want == nil {
-				t.Fatalf("seed %d job %d (%v): succeeded but may not (hopeless deadline)", seed, i, a.sj.Fault)
-			}
-			if rep.TotalWeight != a.want.TotalWeight || rep.NumEdges != a.want.NumEdges {
-				t.Fatalf("seed %d job %d (%v): weight %d/%d edges, want %d/%d",
-					seed, i, a.sj.Fault, rep.TotalWeight, rep.NumEdges, a.want.TotalWeight, a.want.NumEdges)
-			}
-			continue
-		}
-		var je *kamsta.JobError
-		quarantined := allowQuarantine && errors.Is(err, ErrShapeQuarantined)
-		valid := false
-		switch a.sj.Fault {
-		case faultinject.SvcNone:
-			valid = quarantined
-		case faultinject.SvcPanic, faultinject.SvcStall:
-			valid = errors.As(err, &je) || quarantined
-		case faultinject.SvcExpiredDeadline:
-			valid = errors.Is(err, context.DeadlineExceeded) || quarantined
-		case faultinject.SvcCancel:
-			valid = errors.Is(err, context.Canceled) || quarantined
-		}
-		if !valid {
-			t.Fatalf("seed %d job %d (%v): unexpected terminal error %v", seed, i, a.sj.Fault, err)
-		}
-	}
-
 	st := s.Stats()
-	var submitted, completed, queued int64
-	for _, ts := range st.Tenants {
-		submitted += ts.Submitted
-		completed += ts.Completed
-		queued += int64(ts.Queued)
+	for _, tr := range res.Tenants {
+		var ts serve.TenantStat // zero for a tenant shed before it registered
+		for _, x := range st.Tenants {
+			if x.Name == tr.Name {
+				ts = x
+			}
+		}
+		counted := map[string]int{}
+		for outcome := range tr.Outcomes {
+			counted[outcome] = int(reg.Counter("serve_jobs_completed_total", "",
+				obs.L("tenant", tr.Name), obs.L("outcome", outcome)).Value())
+		}
+		if !maps.Equal(tr.Outcomes, counted) || int(ts.Submitted) != tr.Submitted ||
+			int(ts.Completed) != tr.Completed() || ts.Queued != 0 {
+			t.Fatalf("seed %d tenant %s: loadgen tallied %d admitted, %v; the server counted %v and %+v",
+				seed, tr.Name, tr.Submitted, tr.Outcomes, counted, ts)
+		}
 	}
-	if submitted != int64(len(admitted)) || completed != submitted || queued != 0 {
-		t.Fatalf("seed %d: accounting broke: admitted %d, submitted %d, completed %d, queued %d",
-			seed, len(admitted), submitted, completed, queued)
-	}
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), time.Minute)
-	defer cancelDrain()
+	drainCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	if err := s.Drain(drainCtx); err != nil {
 		t.Fatalf("seed %d: Drain: %v", seed, err)
 	}
 }
 
-// TestServiceChaosSweep replays ≥100 seeded service-level chaos schedules —
-// machine-killing panics and stalls mid-job, client cancels, deadline
-// storms, across randomized retry/quarantine/batching configs — and then
-// proves the modeled clock still produces the pinned golden bits: no state
-// leaks out of any amount of service-level chaos. Run under -race in CI;
-// -short keeps a representative prefix for local runs.
+// TestServiceChaosSweep drives 104 seeded loadgen plans — panics and stalls
+// mid-job, client cancels, deadline storms, closed and open loops, across
+// randomized retry, quarantine, batching and queue-bound configurations —
+// through a live server, then proves the modeled clock still produces the
+// golden cases: no state leaks out of any amount of service-level chaos.
+// Across its seeds the sweep must see every outcome chaos can cause and at
+// least one typed rejection, or it has stopped testing what it claims to.
+// Run under -race in CI; -short keeps a representative prefix.
 func TestServiceChaosSweep(t *testing.T) {
 	n := 104
 	if testing.Short() {
 		n = 24
 	}
+	tally := &chaosTally{outcomes: map[string]int{}, rejected: map[string]int{}}
 	for seed := uint64(1); seed <= uint64(n); seed++ {
-		runServiceSchedule(t, seed)
+		runChaosSeed(t, seed, tally)
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	t.Logf("%d seeds: outcomes %v, rejections %v", n, tally.outcomes, tally.rejected)
+	for _, want := range []string{"ok", "fault", "deadline", "cancelled", "quarantined"} {
+		if tally.outcomes[want] == 0 {
+			t.Errorf("no job ended %q across %d seeds: %v", want, n, tally.outcomes)
+		}
+	}
+	if len(tally.rejected) == 0 {
+		t.Errorf("no submission was rejected across %d seeds", n)
 	}
 
-	// The golden coda: the same references chaos_test.go (kamsta package)
-	// pins. A fresh machine must reproduce them bit-exactly after the sweep.
-	golden := []struct {
-		name string
-		spec kamsta.GraphSpec
-		alg  kamsta.Algorithm
-		bits uint64
-	}{
-		{"gnm-boruvka", kamsta.GraphSpec{Family: kamsta.GNM, N: 1 << 10, M: 1 << 13, Seed: 42}, kamsta.AlgBoruvka, 0x3f453980b2cb7769},
-		{"rgg2d-filter", kamsta.GraphSpec{Family: kamsta.RGG2D, N: 1 << 10, M: 1 << 13, Seed: 7}, kamsta.AlgFilterBoruvka, 0x3f69ca79e9d980a0},
-	}
-	m, err := kamsta.NewMachine(kamsta.MachineConfig{PEs: 8, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for _, gc := range golden {
-		rep, err := m.Compute(context.Background(), kamsta.FromSpec(gc.spec), kamsta.WithAlgorithm(gc.alg))
+	for _, gc := range bench.GoldenCases() {
+		m, err := kamsta.NewMachine(kamsta.MachineConfig{PEs: gc.PEs})
 		if err != nil {
-			t.Fatalf("golden %s: %v", gc.name, err)
+			t.Fatal(err)
 		}
-		if got := math.Float64bits(rep.ModeledSeconds); got != gc.bits {
-			t.Fatalf("golden %s clock bits %#x, want %#x", gc.name, got, gc.bits)
+		rep, err := m.Compute(context.Background(), kamsta.FromSpec(gc.Spec), kamsta.WithAlgorithm(gc.Alg))
+		m.Close()
+		if err == nil {
+			err = gc.Check(rep)
+		}
+		if err != nil {
+			t.Errorf("golden %s after the sweep: %v", gc.Name, err)
 		}
 	}
 }

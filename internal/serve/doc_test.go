@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tableSource parses outcome.go and returns, per table row, the source text
@@ -139,6 +140,27 @@ func TestCodesSpelledOnce(t *testing.T) {
 		}
 		if spelled[code]["outcome.go"] == 0 {
 			t.Errorf("%q is not spelled in outcome.go", code)
+		}
+	}
+}
+
+// TestDesignQuotesRetryBackoff checks the two backoff constants DESIGN.md
+// §11.3 quotes against retry.go.
+func TestDesignQuotesRetryBackoff(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]time.Duration{
+		"retryBackoffBase": retryBackoffBase, "retryBackoffMax": retryBackoffMax,
+	} {
+		m := regexp.MustCompile("`" + name + "` = (\\w+)").FindSubmatch(raw)
+		if m == nil {
+			t.Errorf("DESIGN.md no longer quotes %s", name)
+			continue
+		}
+		if got, err := time.ParseDuration(string(m[1])); err != nil || got != want {
+			t.Errorf("DESIGN.md quotes %s = %s, the code says %v", name, m[1], want)
 		}
 	}
 }

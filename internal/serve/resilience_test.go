@@ -226,7 +226,7 @@ func persistentPlan(n int) *faultinject.Plan {
 func TestRetryToSuccess(t *testing.T) {
 	s := newTestServer(t, Config{
 		Pool:  []PoolShape{{PEs: 2}},
-		Retry: RetryConfig{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
+		Retry: RetryConfig{MaxAttempts: 3},
 	})
 	edges := testEdges(21, 40, 120)
 	want := reference(t, edges)
@@ -257,7 +257,7 @@ func TestRetryToSuccess(t *testing.T) {
 func TestRetryAttemptsExhausted(t *testing.T) {
 	s := newTestServer(t, Config{
 		Pool:  []PoolShape{{PEs: 2}},
-		Retry: RetryConfig{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond},
+		Retry: RetryConfig{MaxAttempts: 3},
 	})
 	j, err := s.Submit(Request{
 		Tenant: "a", Edges: testEdges(22, 40, 120),
@@ -281,8 +281,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	s := newTestServer(t, Config{
 		Pool: []PoolShape{{PEs: 2}},
 		Retry: RetryConfig{
-			MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond,
-			BudgetRate: 0.001, BudgetBurst: 0.5, // the bucket can never reach one token
+			MaxAttempts: 3, BudgetRate: 0.001, BudgetBurst: 0.5, // the bucket can never reach one token
 		},
 	})
 	j, err := s.Submit(Request{

@@ -24,11 +24,6 @@ type RetryConfig struct {
 	// server-side retries — the default, so fault-injection tests observe
 	// raw *JobErrors unless they opt in).
 	MaxAttempts int
-	// BackoffBase seeds the exponential backoff between attempts (default
-	// 10ms); BackoffMax caps it (default 1s). Full jitter: each delay is
-	// uniform in (0, min(BackoffMax, BackoffBase·2^attempt)].
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// BudgetRate refills a tenant's retry budget in tokens/second (default
 	// 1); BudgetBurst caps the bucket (default 10). Each retry takes one
 	// token.
@@ -37,12 +32,6 @@ type RetryConfig struct {
 }
 
 func (rc RetryConfig) withDefaults() RetryConfig {
-	if rc.BackoffBase <= 0 {
-		rc.BackoffBase = 10 * time.Millisecond
-	}
-	if rc.BackoffMax <= 0 {
-		rc.BackoffMax = time.Second
-	}
 	if rc.BudgetRate <= 0 {
 		rc.BudgetRate = 1
 	}
@@ -52,12 +41,19 @@ func (rc RetryConfig) withDefaults() RetryConfig {
 	return rc
 }
 
-// backoff returns the full-jittered delay before attempt n's dispatch
-// (n ≥ 1: the first retry).
-func (rc RetryConfig) backoff(n int) time.Duration {
-	d := rc.BackoffBase << min(n, 20)
-	if d <= 0 || d > rc.BackoffMax {
-		d = rc.BackoffMax
+// Retries back off exponentially from retryBackoffBase, capped at
+// retryBackoffMax, with full jitter.
+const (
+	retryBackoffBase = 10 * time.Millisecond
+	retryBackoffMax  = time.Second
+)
+
+// backoff returns the delay before attempt n's dispatch (n ≥ 1: the first
+// retry), uniform in (0, min(retryBackoffMax, retryBackoffBase·2^n)].
+func backoff(n int) time.Duration {
+	d := retryBackoffBase << min(n, 20)
+	if d <= 0 || d > retryBackoffMax {
+		d = retryBackoffMax
 	}
 	return 1 + time.Duration(rand.Int63n(int64(d)))
 }
@@ -103,7 +99,7 @@ func (s *Server) maybeRetry(j *Job, rep *kamsta.Report, err error) {
 		s.finishJob(j, nil, err)
 		return
 	}
-	delay := s.cfg.Retry.backoff(j.attempts)
+	delay := backoff(j.attempts)
 	s.retryMu.Lock()
 	if s.retryStopped {
 		// Drain/Close already flushed the pending set; a new timer would

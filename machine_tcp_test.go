@@ -52,6 +52,8 @@ func tcpMachine(t *testing.T, pes, workers int) *Machine {
 // and the MSF edge lists must match edge for edge. The wire may change wall
 // time only.
 func TestTCPGoldenBits(t *testing.T) {
+	// A copy of bench.GoldenCases' rows: a package kamsta test cannot import
+	// internal/bench, which imports kamsta.
 	cases := []struct {
 		name        string
 		spec        GraphSpec

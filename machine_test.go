@@ -122,7 +122,7 @@ func waitForGoroutines(t *testing.T, want int) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines still alive, want <= %d", n, want)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // goroutine exit has no event to wait on
 	}
 }
 

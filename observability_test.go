@@ -20,6 +20,8 @@ import (
 // bit-identical to the golden references captured with observation off
 // (golden_test.go).
 func TestObservationPreservesGoldenBits(t *testing.T) {
+	// A copy of bench.GoldenCases' rows: a package kamsta test cannot import
+	// internal/bench, which imports kamsta.
 	cases := []struct {
 		name  string
 		spec  GraphSpec
@@ -162,6 +164,7 @@ func (o *silentObserver) observe(ev Event) {
 func (o *silentObserver) finish(t *testing.T, path string) []Event {
 	t.Helper()
 	o.done.Store(true)
+	// No event says a zombie will never notify: a late one gets this window.
 	time.Sleep(30 * time.Millisecond)
 	if n := o.late.Load(); n != 0 {
 		t.Errorf("%s: %d observer events delivered after Compute returned", path, n)
