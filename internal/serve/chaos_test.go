@@ -7,7 +7,6 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -22,29 +21,16 @@ import (
 // to it, and injected faults are drawn over its ranks.
 const chaosPEs = 2
 
-// chaosTally is what the sweep saw across its seeds: the outcome of every
-// admitted job and the code of every rejection.
-type chaosTally struct {
-	mu       sync.Mutex
-	outcomes map[string]int
-	rejected map[string]int
-}
-
-func (ct *chaosTally) add(m map[string]int, key string) {
-	ct.mu.Lock()
-	m[key]++
-	ct.mu.Unlock()
-}
-
 // chaosTarget submits in-process — chaos rides in Request.Options — cancels
 // a seeded share of the jobs it gets admitted, and holds every rejection and
-// every result to the sweep's contract.
+// every result to the sweep's contract. quarantine is whether the seed
+// switched quarantine on: only then may a job find its machine quarantined.
 type chaosTarget struct {
-	t         *testing.T
-	seed      uint64
-	s         *serve.Server
-	cancelPct uint32
-	tally     *chaosTally
+	t          *testing.T
+	seed       uint64
+	s          *serve.Server
+	cancelPct  uint32
+	quarantine bool
 }
 
 func (tg chaosTarget) Submit(_ context.Context, req serve.Request) (loadgen.Handle, error) {
@@ -54,11 +40,10 @@ func (tg chaosTarget) Submit(_ context.Context, req serve.Request) (loadgen.Hand
 		if !errors.Is(err, row.Err) {
 			tg.t.Errorf("seed %d: untyped rejection %v", tg.seed, err)
 		}
-		tg.tally.add(tg.tally.rejected, row.Code)
 		return nil, err
 	}
 	h := chaosJob{tg: tg, j: j}
-	h.class, h.allowed = chaosClass(req)
+	h.class, h.allowed = chaosClass(req, tg.quarantine)
 	// The draw rides on the job's instance, so it is deterministic in
 	// (seed, tenant, index) like the chaos loadgen put into the request.
 	if req.Edges[0].W%100 < tg.cancelPct {
@@ -71,16 +56,22 @@ func (tg chaosTarget) Submit(_ context.Context, req serve.Request) (loadgen.Hand
 
 // chaosClass reads the chaos loadgen drew into a request and returns the
 // outcomes a job of that class may end in: a hopeless deadline is a storm,
-// fault-plan options are a panic or a stall, anything else is clean. Any
-// job may find its last machine quarantined.
-func chaosClass(req serve.Request) (string, []string) {
+// fault-plan options are a panic or a stall, anything else is clean. With
+// quarantine on, any job may also find its last machine quarantined; with it
+// off, a contained fault must leave the machine in service.
+func chaosClass(req serve.Request, quarantine bool) (class string, allowed []string) {
 	switch {
 	case req.Deadline > 0 && req.Deadline < time.Millisecond:
-		return "storm", []string{"deadline", "quarantined"}
+		class, allowed = "storm", []string{"deadline"}
 	case len(req.Options) > 0:
-		return "fault", []string{"ok", "fault", "quarantined"}
+		class, allowed = "fault", []string{"ok", "fault"}
+	default:
+		class, allowed = "clean", []string{"ok"}
 	}
-	return "clean", []string{"ok", "quarantined"}
+	if quarantine {
+		allowed = append(allowed, "quarantined")
+	}
+	return class, allowed
 }
 
 // chaosJob is one admitted job: it must resolve within a minute, with an
@@ -107,15 +98,15 @@ func (h chaosJob) Wait(context.Context) (*kamsta.Report, error) {
 		h.tg.t.Errorf("seed %d: %s job %d ended %v (%s), want one of %v",
 			h.tg.seed, h.class, h.j.ID(), err, outcome, h.allowed)
 	}
-	h.tg.tally.add(h.tg.tally.outcomes, outcome)
 	return rep, err
 }
 
 // runChaosSeed draws one server configuration and one load plan from the
 // seed, runs the plan to completion and checks the exactly-once contract:
 // one result per admitted job, ok results equal to Kruskal, and loadgen's
-// per-tenant histogram equal to the server's counter and its Stats.
-func runChaosSeed(t *testing.T, seed uint64, tally *chaosTally) {
+// per-tenant histogram equal to the server's counter and its Stats. It
+// returns loadgen's per-tenant results.
+func runChaosSeed(t *testing.T, seed uint64) []*loadgen.TenantResult {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	reg := obs.NewRegistry()
 	cfg := serve.Config{
@@ -165,7 +156,8 @@ func runChaosSeed(t *testing.T, seed uint64, tally *chaosTally) {
 		t.Fatalf("seed %d: New: %v", seed, err)
 	}
 	defer s.Close()
-	target := chaosTarget{t: t, seed: seed, s: s, cancelPct: uint32(rng.Intn(30)), tally: tally}
+	target := chaosTarget{t: t, seed: seed, s: s, cancelPct: uint32(rng.Intn(30)),
+		quarantine: cfg.QuarantineAfter > 0}
 	res, err := loadgen.Run(context.Background(), target, plan)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -197,6 +189,7 @@ func runChaosSeed(t *testing.T, seed uint64, tally *chaosTally) {
 	if err := s.Drain(drainCtx); err != nil {
 		t.Fatalf("seed %d: Drain: %v", seed, err)
 	}
+	return res.Tenants
 }
 
 // TestServiceChaosSweep drives 104 seeded loadgen plans — panics and stalls
@@ -212,20 +205,25 @@ func TestServiceChaosSweep(t *testing.T) {
 	if testing.Short() {
 		n = 24
 	}
-	tally := &chaosTally{outcomes: map[string]int{}, rejected: map[string]int{}}
+	outcomes, rejected := map[string]int{}, 0
 	for seed := uint64(1); seed <= uint64(n); seed++ {
-		runChaosSeed(t, seed, tally)
+		for _, tr := range runChaosSeed(t, seed) {
+			for outcome, c := range tr.Outcomes {
+				outcomes[outcome] += c
+			}
+			rejected += max(tr.Rejected, tr.Attempted-tr.Submitted)
+		}
 		if t.Failed() {
 			t.FailNow()
 		}
 	}
-	t.Logf("%d seeds: outcomes %v, rejections %v", n, tally.outcomes, tally.rejected)
+	t.Logf("%d seeds: outcomes %v, %d rejections", n, outcomes, rejected)
 	for _, want := range []string{"ok", "fault", "deadline", "cancelled", "quarantined"} {
-		if tally.outcomes[want] == 0 {
-			t.Errorf("no job ended %q across %d seeds: %v", want, n, tally.outcomes)
+		if outcomes[want] == 0 {
+			t.Errorf("no job ended %q across %d seeds: %v", want, n, outcomes)
 		}
 	}
-	if len(tally.rejected) == 0 {
+	if rejected == 0 {
 		t.Errorf("no submission was rejected across %d seeds", n)
 	}
 
