@@ -261,16 +261,34 @@ func sampleSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T], opt O
 // where keys tie (a keyless order caches nothing, so it decides every node).
 // What still ties goes to the lowest run index, so the output is the stable
 // merge of the runs in rank order for any input, weak orders included.
+//
+// Runs that already follow one another — no non-empty run's head below the
+// last element of the non-empty run before it, as when the input was
+// globally sorted before the exchange — are copied in rank order instead:
+// that is the sequence the tree would produce.
 func kwayMerge[T any](c *comm.Comm, ks *typeKeys, runs [][]T, ord Order[T]) []T {
 	a := c.Scratch()
 	total, K := 0, 1
+	inOrder := true
+	var prev []T // the last non-empty run so far
 	for _, r := range runs {
 		total += len(r)
+		if len(r) > 0 {
+			inOrder = inOrder && (prev == nil || !ord.Less(r[0], prev[len(prev)-1]))
+			prev = r
+		}
+	}
+	out := arena.Grab[T](a, ks.merge, total)
+	if inOrder {
+		pos := 0
+		for _, r := range runs {
+			pos += copy(out[pos:], r)
+		}
+		return out
 	}
 	for K < len(runs) {
 		K <<= 1
 	}
-	out := arena.Grab[T](a, ks.merge, total)
 	// Leaf i is run i, padded with empty runs up to the power of two K. A
 	// run's cached key is its head's (0 under a keyless order), or exhausted
 	// once it is empty, so an empty run loses on the integer comparison.

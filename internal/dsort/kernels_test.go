@@ -6,6 +6,7 @@ import (
 
 	"kamsta/internal/arena"
 	"kamsta/internal/comm"
+	"kamsta/internal/graph"
 	"kamsta/internal/radix"
 	"kamsta/internal/rng"
 )
@@ -39,11 +40,54 @@ func makeRuns(r *rng.RNG, k int, less func(a, b rec) bool) [][]rec {
 	return runs
 }
 
+// makeInOrderRuns cuts one sorted sequence of k·10 records into k runs at
+// random points, about a third of them empty, so the runs already follow one
+// another and equal keys straddle the cuts. With overlap, the head of one
+// non-empty run after the first is lowered just below the last element of
+// the non-empty run before it: that boundary is out of order and the merge
+// must not concatenate.
+func makeInOrderRuns(r *rng.RNG, k int, less func(a, b rec) bool, overlap bool) [][]rec {
+	all := make([]rec, 10*k)
+	for i := range all {
+		all[i] = rec{K: 1 + r.Intn(4), Tag: r.Intn(3)}
+	}
+	slices.SortStableFunc(all, radix.CmpOf(less))
+	runs := make([][]rec, k)
+	var nonEmpty []int
+	for i := range runs {
+		n := 0
+		if r.Intn(3) != 0 {
+			n = r.Intn(21)
+		}
+		if i == k-1 {
+			n = len(all)
+		}
+		n = min(n, len(all))
+		runs[i], all = all[:n:n], all[n:]
+		for j := range runs[i] {
+			runs[i][j].Run, runs[i][j].Pos = i, j
+		}
+		if n > 0 {
+			nonEmpty = append(nonEmpty, i)
+		}
+	}
+	if overlap && len(nonEmpty) > 1 {
+		at := 1 + r.Intn(len(nonEmpty)-1)
+		before := runs[nonEmpty[at-1]]
+		runs[nonEmpty[at]][0].K = before[len(before)-1].K - 1
+	}
+	return runs
+}
+
 // TestKwayMerge holds the loser tree to its reference — a stable sort of the
 // runs' concatenation, which is "ties to the lowest run, then run order" —
 // for 0 to 33 runs (powers of two and not, empty runs, nothing but empty
 // runs), keys shared across runs and finished by the comparator, a keyless
-// order, and a weak order in which everything ties.
+// order, and a weak order in which everything ties. Runs that already
+// follow one another (equal elements across a boundary under the weak
+// orders, empty runs in between) merge to their concatenation, which is
+// then the reference; one overlapping boundary among them falls back to
+// the tree.
 func TestKwayMerge(t *testing.T) {
 	orders := map[string]Order[rec]{
 		"keyed":     ByKey(recTotal, recKey),
@@ -54,20 +98,85 @@ func TestKwayMerge(t *testing.T) {
 	comm.NewWorld(1).Run(func(c *comm.Comm) {
 		ks := keysFor[rec]()
 		r := rng.New(17)
+		check := func(name string, runs [][]rec, ord Order[rec]) {
+			t.Helper()
+			want := slices.Concat(runs...)
+			slices.SortStableFunc(want, radix.CmpOf(ord.Less))
+			if got := kwayMerge(c, ks, runs, ord); !slices.Equal(got, want) {
+				t.Fatalf("%s, %d runs: merged\n%v\nwant\n%v", name, len(runs), got, want)
+			}
+		}
 		for name, ord := range orders {
 			for k := 0; k <= 33; k++ {
 				runs := makeRuns(r, k, ord.Less)
 				if k%11 == 5 {
 					runs = make([][]rec, k) // all empty
 				}
-				want := slices.Concat(runs...)
-				slices.SortStableFunc(want, radix.CmpOf(ord.Less))
-				if got := kwayMerge(c, ks, runs, ord); !slices.Equal(got, want) {
-					t.Fatalf("%s, %d runs: merged\n%v\nwant\n%v", name, k, got, want)
+				check(name, runs, ord)
+				if k == 0 {
+					continue
 				}
+				runs = makeInOrderRuns(r, k, ord.Less, false)
+				if concat := slices.Concat(runs...); !slices.IsSortedFunc(concat, radix.CmpOf(ord.Less)) {
+					t.Fatalf("%s, %d runs: in-order runs out of order", name, k)
+				}
+				check(name+", in order", runs, ord)
+				check(name+", one overlap", makeInOrderRuns(r, k, ord.Less, true), ord)
 			}
 		}
 	})
+}
+
+// TestPartitionedInputSortsLikeShuffled: under sample sort, a globally
+// partitioned input — every PE's elements sorted and after the previous
+// PE's, parallel edges straddling the PE boundaries — and the same elements
+// shuffled within each PE sort to identical chunks with identical modeled
+// clocks: the radix sort's sorted exit and the merge's concatenation change
+// no element and no charge. (Hypercube quicksort draws its pivots from
+// positions of the unsorted local data, so its clock depends on the order.)
+func TestPartitionedInputSortsLikeShuffled(t *testing.T) {
+	ord := ByKey(graph.LessLex, graph.KeyLex)
+	for _, p := range []int{2, 3, 5, 8} {
+		for _, per := range []int{sampleSortPer, 3 * sampleSortPer} {
+			// Three parallel copies of each edge, so copies straddle the
+			// cuts at multiples of per.
+			sorted := make([]graph.Edge, p*per)
+			r := rng.New(uint64(p))
+			for i := range sorted {
+				u := graph.VID(i/3 + 1)
+				sorted[i] = graph.NewEdge(u, u+1, graph.Weight(1+r.Intn(200)))
+				sorted[i].ID = uint64(i)
+			}
+			slices.SortFunc(sorted, radix.CmpOf(graph.LessLex))
+			local := func(rank int, shuffle bool) []graph.Edge {
+				out := slices.Clone(sorted[rank*per : (rank+1)*per])
+				sr := rng.New(uint64(rank))
+				for i := len(out) - 1; shuffle && i > 0; i-- {
+					j := sr.Intn(i + 1)
+					out[i], out[j] = out[j], out[i]
+				}
+				return out
+			}
+			var outs [2][][]graph.Edge
+			var clocks [2][]float64
+			for s, shuffle := range []bool{false, true} {
+				w := comm.NewWorld(p)
+				outs[s] = make([][]graph.Edge, p)
+				w.Run(func(c *comm.Comm) {
+					outs[s][c.Rank()] = slices.Clone(Sort(c, local(c.Rank(), shuffle), ord, Options{Seed: 3}))
+				})
+				clocks[s] = w.Clocks()
+			}
+			for rank := range outs[0] {
+				if !slices.Equal(outs[0][rank], outs[1][rank]) {
+					t.Errorf("p=%d per=%d rank %d: partitioned and shuffled inputs sort to different chunks", p, per, rank)
+				}
+			}
+			if !slices.Equal(clocks[0], clocks[1]) {
+				t.Errorf("p=%d per=%d: modeled clocks %v (partitioned) vs %v (shuffled)", p, per, clocks[0], clocks[1])
+			}
+		}
+	}
 }
 
 // TestRebalanceKeepsOwnShare checks Rebalance against gather-and-cut: the

@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -197,23 +198,78 @@ func TestRGGEdgesRespectRadius(t *testing.T) {
 	spec := Spec{Family: RGG2D, N: 200, M: 800, Seed: 9}
 	all, _ := buildAll(t, 3, spec)
 	// Regenerate the geometry to obtain point positions.
-	deg := float64(2*spec.M) / float64(spec.N)
-	radius := math.Sqrt(deg / (math.Pi * float64(spec.N)))
+	radius := rggRadius(spec, 2)
 	g := newRGGGeom(spec.N, radius, 2)
-	pos := map[graph.VID][3]float64{}
-	for cell := uint64(0); cell < g.totalCells; cell++ {
-		for _, pt := range g.cellPoints(spec.Seed, cell) {
-			pos[pt.id] = pt.pos
-		}
-	}
+	pos := g.points(spec.Seed, 0, g.totalCells) // vertex v at pos[v-1]
 	if len(pos) != int(spec.N) {
 		t.Fatalf("geometry generated %d points, want %d", len(pos), spec.N)
 	}
 	for _, e := range all {
-		a, b := pos[e.U], pos[e.V]
+		a, b := pos[e.U-1], pos[e.V-1]
 		d := math.Hypot(a[0]-b[0], a[1]-b[1])
 		if d > radius*1.0000001 {
 			t.Fatalf("edge %v spans distance %.4f > radius %.4f", e, d, radius)
+		}
+	}
+}
+
+// TestRGGEmitsEveryPairInOrder holds genRGG to brute force: over all PEs the
+// directed edges are exactly the ordered point pairs within the radius, each
+// with its hashed weight, and each PE's output is strictly KeyLex-ascending.
+// The small grids give PEs that own no cells at p = 16 and halos that reach
+// both grid ends; TestRGGEdgesRespectRadius alone would not notice a halo
+// that is too short.
+func TestRGGEmitsEveryPairInOrder(t *testing.T) {
+	type pair struct{ U, V graph.VID }
+	for _, tc := range []struct {
+		spec Spec
+		dims int
+	}{
+		{Spec{Family: RGG2D, N: 20, M: 60, Seed: 4}, 2},
+		{Spec{Family: RGG2D, N: 300, M: 1500, Seed: 5}, 2},
+		{Spec{Family: RGG3D, N: 40, M: 200, Seed: 6}, 3},
+		{Spec{Family: RGG3D, N: 500, M: 3000, Seed: 7}, 3},
+	} {
+		radius := rggRadius(tc.spec, tc.dims)
+		g := newRGGGeom(tc.spec.N, radius, tc.dims)
+		pts := g.points(tc.spec.Seed, 0, g.totalCells)
+		var want []pair
+		for i := range pts {
+			for j := range pts {
+				d := 0.0
+				for k := 0; k < tc.dims; k++ {
+					dx := pts[i][k] - pts[j][k]
+					d += dx * dx
+				}
+				if i != j && d <= radius*radius {
+					want = append(want, pair{graph.VID(i + 1), graph.VID(j + 1)})
+				}
+			}
+		}
+		for _, p := range []int{1, 3, 7, 16} {
+			raw := make([][]graph.Edge, p)
+			comm.NewWorld(p).Run(func(c *comm.Comm) {
+				raw[c.Rank()] = Generate(c, tc.spec)
+			})
+			var got []pair
+			for rank, edges := range raw {
+				for i, e := range edges {
+					if i > 0 && graph.KeyLex(e) <= graph.KeyLex(edges[i-1]) {
+						t.Fatalf("%s p=%d PE %d: edge %d %v after %v, want strictly KeyLex-ascending", tc.spec.Label(), p, rank, i, e, edges[i-1])
+					}
+					if e.W != graph.RandomWeight(tc.spec.Seed, e.U, e.V) {
+						t.Fatalf("%s p=%d PE %d: edge %v has weight %d, want the hashed one", tc.spec.Label(), p, rank, e, e.W)
+					}
+					got = append(got, pair{e.U, e.V})
+				}
+			}
+			sort.Slice(got, func(i, j int) bool { return got[i].U < got[j].U || (got[i].U == got[j].U && got[i].V < got[j].V) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s p=%d: %d directed edges, want the %d ordered pairs within the radius", tc.spec.Label(), p, len(got), len(want))
+			}
+		}
+		if tc.spec.N < 100 && g.totalCells >= 16 {
+			t.Fatalf("%s: %d cells, want fewer than 16 so some PE owns none", tc.spec.Label(), g.totalCells)
 		}
 	}
 }
@@ -400,8 +456,8 @@ func BenchmarkBuildRGG2D(b *testing.B) {
 
 // TestGenerateFillsOnePresizedSlice: every generator sizes its output from
 // the spec, so generating allocates about one copy of the edges it returns
-// (plus, for RGG, the regenerated cell points) instead of the several a
-// slice grown from nil goes through; the grid's size is exact.
+// instead of the several a slice grown from nil goes through; the grid's
+// size is exact.
 func TestGenerateFillsOnePresizedSlice(t *testing.T) {
 	for _, tc := range []struct {
 		spec  Spec
@@ -412,8 +468,8 @@ func TestGenerateFillsOnePresizedSlice(t *testing.T) {
 		{Spec{Family: GNM, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.05},
 		{Spec{Family: RMAT, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.05},
 		{Spec{Family: RHG, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.3},
-		{Spec{Family: RGG2D, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.9},
-		{Spec{Family: RGG3D, N: 1 << 13, M: 1 << 16, Seed: 1}, 3.2},
+		{Spec{Family: RGG2D, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.4},
+		{Spec{Family: RGG3D, N: 1 << 13, M: 1 << 16, Seed: 1}, 1.6},
 	} {
 		for _, p := range []int{1, 4} {
 			ratio := make([]float64, p)

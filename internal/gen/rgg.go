@@ -15,28 +15,27 @@ import (
 //
 // Generation is communication-free exactly as in KaGen: the domain is
 // divided into grid cells of side ≥ radius, a point's position is a pure
-// hash of (seed, cell, index-within-cell), and every PE regenerates the
-// points of the cells neighboring its own. Vertex labels are assigned in
-// cell order, which is what gives this family its high locality under the
-// contiguous 1D edge partition.
+// hash of (seed, cell, index-within-cell), and every PE decodes the points
+// of its own cells plus a halo of the cells around them. Vertex labels are
+// assigned in cell order, which is what gives this family its high locality
+// under the contiguous 1D edge partition.
+//
+// Each cell is decoded once. The neighbours of cell k lie within
+// 1 + cp (+ cp² in 3D) cell indices of k, so the owned cell range widened by
+// that much on each side, clipped to the grid, holds every point an owned
+// point can reach, in one flat slice indexed by label. Edges come out in
+// (U, V) order: owned points ascending, and for each the rows of adjacent
+// cells ascending — a row of up to three adjacent cells is one run of
+// consecutive labels. Each PE's output is therefore strictly KeyLex-ascending
+// and, as owned ranges ascend with rank, the world's is globally sorted
+// before Finish sees it: the local radix sort takes its O(n) exit and the
+// sample sort's merge concatenates its runs.
 func genRGG(c *comm.Comm, spec Spec, dims int) []graph.Edge {
 	n := spec.N
 	if n == 0 {
 		return nil
 	}
-	deg := float64(2*spec.M) / float64(n)
-	var radius float64
-	if dims == 2 {
-		radius = math.Sqrt(deg / (math.Pi * float64(n)))
-	} else {
-		radius = math.Cbrt(3 * deg / (4 * math.Pi * float64(n)))
-	}
-	if radius <= 0 || math.IsNaN(radius) {
-		radius = 1
-	}
-	if radius > 1 {
-		radius = 1
-	}
+	radius := rggRadius(spec, dims)
 	g := newRGGGeom(n, radius, dims)
 
 	loCell, hiCell := ownedRange(c.Rank(), c.P(), g.totalCells)
@@ -44,45 +43,67 @@ func genRGG(c *comm.Comm, spec Spec, dims int) []graph.Edge {
 	// pairs, plus an eighth of slack.
 	share := float64(2*spec.M) * float64(g.pairsBefore(hiCell)-g.pairsBefore(loCell)) / float64(g.pairsBefore(g.totalCells))
 	edges := make([]graph.Edge, 0, uint64(share*1.125))
+	reach := 1 + g.cellsPer
+	if dims == 3 {
+		reach += g.cellsPer * g.cellsPer
+	}
+	haloLo, haloHi := loCell-min(loCell, reach), min(hiCell+reach, g.totalCells)
+	pts := g.points(spec.Seed, haloLo, haloHi)
+	first := g.cellOffset(haloLo) // pts[i] is the point labelled first+i+1
 	r2 := radius * radius
 	work := 0
+	var rows [9][2]uint64
 	for cell := loCell; cell < hiCell; cell++ {
-		own := g.cellPoints(spec.Seed, cell)
-		g.forNeighborCells(cell, func(nb uint64) {
-			var other []rggPoint
-			if nb == cell {
-				other = own
-			} else {
-				other = g.cellPoints(spec.Seed, nb)
-			}
-			for _, a := range own {
-				for _, b := range other {
-					if a.id == b.id {
+		// The neighbour rows as ranges of pts, and the points they hold.
+		nrows := g.neighborRows(cell, &rows)
+		span := 0
+		for k, r := range rows[:nrows] {
+			rows[k] = [2]uint64{g.cellOffset(r[0]) - first, g.cellOffset(r[1]) - first}
+			span += int(rows[k][1] - rows[k][0])
+		}
+		lo, hi := g.cellOffset(cell)-first, g.cellOffset(cell+1)-first
+		for i := lo; i < hi; i++ {
+			a := &pts[i]
+			u := graph.VID(first + i + 1)
+			for _, r := range rows[:nrows] {
+				for j := r[0]; j < r[1]; j++ {
+					if j == i {
 						continue
 					}
-					d := 0.0
-					for k := 0; k < dims; k++ {
-						dx := a.pos[k] - b.pos[k]
-						d += dx * dx
-					}
-					work++
+					b := &pts[j]
+					dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
+					d := dx * dx
+					d += dy * dy
+					d += dz * dz
 					if d <= r2 {
 						// One direction per (owner-of-a, b) pair; the other
 						// direction is emitted by b's cell owner.
-						edges = append(edges, graph.NewEdge(a.id, b.id, graph.RandomWeight(spec.Seed, a.id, b.id)))
+						v := graph.VID(first + j + 1)
+						edges = append(edges, graph.NewEdge(u, v, graph.RandomWeight(spec.Seed, u, v)))
 					}
 				}
 			}
-		})
+		}
+		work += int(hi-lo) * (span - 1)
 	}
 	c.ChargeCompute(work)
 	return edges
 }
 
-// rggPoint is a generated point with its global vertex label.
-type rggPoint struct {
-	id  graph.VID
-	pos [3]float64
+// rggRadius is the connection radius giving the target average degree 2M/N:
+// the disk (ball) of that radius holds 2M/N points in expectation.
+func rggRadius(spec Spec, dims int) float64 {
+	deg := float64(2*spec.M) / float64(spec.N)
+	var radius float64
+	if dims == 2 {
+		radius = math.Sqrt(deg / (math.Pi * float64(spec.N)))
+	} else {
+		radius = math.Cbrt(3 * deg / (4 * math.Pi * float64(spec.N)))
+	}
+	if radius <= 0 || math.IsNaN(radius) {
+		radius = 1
+	}
+	return min(radius, 1)
 }
 
 // rggGeom captures the cell grid of the communication-free generator.
@@ -151,53 +172,58 @@ func (g rggGeom) pairsBefore(k uint64) uint64 {
 	return dense*(g.base+1)*(g.base+1) + (k-dense)*g.base*g.base
 }
 
-// cellPoints regenerates the points of cell k purely from the seed.
-func (g rggGeom) cellPoints(seed, k uint64) []rggPoint {
-	cnt := g.cellCount(k)
-	pts := make([]rggPoint, cnt)
-	// Cell coordinates.
+// coords returns the grid coordinates of cell k, lowest dimension first;
+// the unused third one of a 2D grid is 0.
+func (g rggGeom) coords(k uint64) [3]uint64 {
 	var cc [3]uint64
-	rest := k
 	for d := 0; d < g.dims; d++ {
-		cc[d] = rest % g.cellsPer
-		rest /= g.cellsPer
+		cc[d] = k % g.cellsPer
+		k /= g.cellsPer
 	}
-	off := g.cellOffset(k)
-	for j := uint64(0); j < cnt; j++ {
-		p := rggPoint{id: graph.VID(off + j + 1)}
-		for d := 0; d < g.dims; d++ {
-			h := rng.Hash64(seed, 0x4667, k, j, uint64(d))
-			frac := float64(h>>11) / (1 << 53)
-			p.pos[d] = (float64(cc[d]) + frac) * g.side
+	return cc
+}
+
+// points decodes the points of cells [lo, hi) into one slice in label
+// order, the point labelled cellOffset(lo)+i+1 at index i (the coordinates
+// past dims stay 0). A position is a pure hash of (seed, cell, index within
+// the cell).
+func (g rggGeom) points(seed, lo, hi uint64) [][3]float64 {
+	pts := make([][3]float64, g.cellOffset(hi)-g.cellOffset(lo))
+	i := 0
+	for k := lo; k < hi; k++ {
+		cc := g.coords(k)
+		for j := uint64(0); j < g.cellCount(k); j++ {
+			for d := 0; d < g.dims; d++ {
+				h := rng.Hash64(seed, 0x4667, k, j, uint64(d))
+				frac := float64(h>>11) / (1 << 53)
+				pts[i][d] = (float64(cc[d]) + frac) * g.side
+			}
+			i++
 		}
-		pts[j] = p
 	}
 	return pts
 }
 
-// forNeighborCells invokes f for cell k and all existing cells adjacent to
-// it (8 in 2D, 26 in 3D).
-func (g rggGeom) forNeighborCells(k uint64, f func(uint64)) {
-	var cc [3]int64
-	rest := k
-	for d := 0; d < g.dims; d++ {
-		cc[d] = int64(rest % g.cellsPer)
-		rest /= g.cellsPer
+// neighborRows writes cell k and its existing neighbours (8 in 2D, 26 in 3D)
+// into rows as half-open cell ranges, one per row along the lowest
+// dimension, in ascending cell order, and returns how many it wrote.
+func (g rggGeom) neighborRows(k uint64, rows *[9][2]uint64) int {
+	cp := g.cellsPer
+	cc := g.coords(k)
+	near := func(x uint64) (uint64, uint64) { return x - min(x, 1), min(x+2, cp) }
+	xlo, xhi := near(cc[0])
+	ylo, yhi := near(cc[1])
+	zlo, zhi := uint64(0), uint64(1)
+	if g.dims == 3 {
+		zlo, zhi = near(cc[2])
 	}
-	var visit func(d int, acc uint64, mult uint64)
-	deltas := []int64{-1, 0, 1}
-	visit = func(d int, acc uint64, mult uint64) {
-		if d == g.dims {
-			f(acc)
-			return
-		}
-		for _, dd := range deltas {
-			nc := cc[d] + dd
-			if nc < 0 || nc >= int64(g.cellsPer) {
-				continue
-			}
-			visit(d+1, acc+uint64(nc)*mult, mult*g.cellsPer)
+	n := 0
+	for z := zlo; z < zhi; z++ {
+		for y := ylo; y < yhi; y++ {
+			row := (z*cp + y) * cp
+			rows[n] = [2]uint64{row + xlo, row + xhi}
+			n++
 		}
 	}
-	visit(0, 0, 1)
+	return n
 }

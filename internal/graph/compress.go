@@ -9,6 +9,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // blockSize is the number of edges between index checkpoints; random access
@@ -37,12 +38,13 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Encode compresses a sorted edge slice. firstID is the global ID of
+// CompressEdges compresses a sorted edge slice. firstID is the global ID of
 // edges[0]; the i-th stored edge is reproduced with ID firstID+i, so IDs
 // must be consecutive (which holds for the input sequence by construction).
+// A first pass checks both and sizes the data and the index exactly; the
+// second writes them.
 func CompressEdges(edges []Edge, firstID uint64) *CompressedEdges {
-	c := &CompressedEdges{n: len(edges), firstID: firstID}
-	var buf [3 * binary.MaxVarintLen64]byte
+	size := 0
 	var prevU, prevV VID
 	for i, e := range edges {
 		if i > 0 && LessLex(e, edges[i-1]) {
@@ -51,17 +53,31 @@ func CompressEdges(edges []Edge, firstID uint64) *CompressedEdges {
 		if e.ID != firstID+uint64(i) {
 			panic(fmt.Sprintf("graph: edge %d has ID %d, want consecutive %d", i, e.ID, firstID+uint64(i)))
 		}
+		size += uvarintLen(e.U-prevU) + uvarintLen(zigzag(int64(e.V)-int64(prevV))) + uvarintLen(uint64(e.W))
+		prevU, prevV = e.U, e.V
+	}
+	c := &CompressedEdges{
+		data:    make([]byte, size),
+		index:   make([]checkpoint, 0, (len(edges)+blockSize-1)/blockSize),
+		n:       len(edges),
+		firstID: firstID,
+	}
+	pos := 0
+	prevU, prevV = 0, 0
+	for i, e := range edges {
 		if i%blockSize == 0 {
-			c.index = append(c.index, checkpoint{offset: len(c.data), prevU: prevU, prevV: prevV})
+			c.index = append(c.index, checkpoint{offset: pos, prevU: prevU, prevV: prevV})
 		}
-		k := binary.PutUvarint(buf[:], e.U-prevU) // non-negative by sortedness
-		k += binary.PutUvarint(buf[k:], zigzag(int64(e.V)-int64(prevV)))
-		k += binary.PutUvarint(buf[k:], uint64(e.W))
-		c.data = append(c.data, buf[:k]...)
+		pos += binary.PutUvarint(c.data[pos:], e.U-prevU) // non-negative by sortedness
+		pos += binary.PutUvarint(c.data[pos:], zigzag(int64(e.V)-int64(prevV)))
+		pos += binary.PutUvarint(c.data[pos:], uint64(e.W))
 		prevU, prevV = e.U, e.V
 	}
 	return c
 }
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Len reports the number of stored edges.
 func (c *CompressedEdges) Len() int { return c.n }

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -139,8 +142,52 @@ func TestLenAndFirstID(t *testing.T) {
 	}
 }
 
+// TestCompressEdgesSizedExactly: the counting pass sizes data and index to
+// exactly what the encoder writes, and the bytes are those of appending each
+// edge's three varints in turn — the encoding is unchanged. The deltas span
+// every varint length, one byte to ten.
+func TestCompressEdgesSizedExactly(t *testing.T) {
+	for _, x := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		var buf [binary.MaxVarintLen64]byte
+		if got, want := uvarintLen(x), binary.PutUvarint(buf[:], x); got != want {
+			t.Errorf("uvarintLen(%d) = %d, want %d", x, got, want)
+		}
+	}
+	wide := make([]Edge, 3*blockSize)
+	for i := range wide {
+		shift := uint(i % 64)
+		wide[i] = Edge{U: VID(i) << (shift % 56), V: VID(1) << shift, W: Weight(i), ID: uint64(i)}
+	}
+	sort.Slice(wide, func(i, j int) bool { return LessLex(wide[i], wide[j]) })
+	for i := range wide {
+		wide[i].ID = uint64(i)
+	}
+	for _, edges := range [][]Edge{nil, makeSortedEdges(1, 1), makeSortedEdges(blockSize, 2), makeSortedEdges(5*blockSize+3, 3), wide} {
+		var want []byte
+		var prevU, prevV VID
+		for _, e := range edges {
+			want = binary.AppendUvarint(want, e.U-prevU)
+			want = binary.AppendUvarint(want, zigzag(int64(e.V)-int64(prevV)))
+			want = binary.AppendUvarint(want, uint64(e.W))
+			prevU, prevV = e.U, e.V
+		}
+		firstID := uint64(0)
+		if len(edges) > 0 {
+			firstID = edges[0].ID
+		}
+		c := CompressEdges(edges, firstID)
+		if !bytes.Equal(c.data, want) {
+			t.Errorf("%d edges: encoded bytes differ from the reference encoding", len(edges))
+		}
+		if cap(c.data) != len(c.data) || cap(c.index) != len(c.index) || len(c.index) != (len(edges)+blockSize-1)/blockSize {
+			t.Errorf("%d edges: data %d/%d bytes, index %d/%d checkpoints: not sized exactly", len(edges), len(c.data), cap(c.data), len(c.index), cap(c.index))
+		}
+	}
+}
+
 func BenchmarkCompressEdges(b *testing.B) {
 	edges := makeSortedEdges(100000, 4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CompressEdges(edges, 100)
