@@ -8,6 +8,7 @@ import (
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
 	"kamsta/internal/seqmst"
+	"kamsta/internal/sizeof"
 )
 
 type algFunc func(*comm.Comm, []graph.Edge, *graph.Layout) Result
@@ -150,5 +151,13 @@ func TestSparseMatrixRoundsLogarithmic(t *testing.T) {
 	res, _, _ := runBaseline(t, 4, 1, spec, SparseMatrix)
 	if res.Rounds > 12 {
 		t.Fatalf("AS hooking took %d rounds on n=512; expected logarithmic", res.Rounds)
+	}
+}
+
+// TestCandModeledBytes: sparseMatrix's allgathered candidate charges its
+// edge at the declared 40 bytes, 56 in all as before the record was packed.
+func TestCandModeledBytes(t *testing.T) {
+	if got := sizeof.Of[cand](); got != 56 {
+		t.Errorf("sizeof.Of[cand] = %d, want 56", got)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"kamsta/internal/comm"
 	"kamsta/internal/graph"
 	"kamsta/internal/radix"
+	"kamsta/internal/sizeof"
 )
 
 // Result is a baseline MSF outcome.
@@ -49,6 +50,18 @@ const a2a = alltoall.Direct
 // The baselines' send frames, one per exchange call site: sparseMatrix's
 // blocks, MND-MST's reassignment and each merge level's edges and maps.
 var kBlocks, kReassign, kShipE, kShipM = alltoall.NewSendKey(), alltoall.NewSendKey(), alltoall.NewSendKey(), alltoall.NewSendKey()
+
+// cand is sparseMatrix's allgathered candidate: the lightest edge this
+// PE's block knows out of component Root.
+type cand struct {
+	Root graph.VID
+	E    graph.Edge
+	Rank int32
+}
+
+// ModeledBytes charges E at its declared size: Root, Rank and padding take
+// 16 bytes beside it, 56 in all.
+func (*cand) ModeledBytes() int { return 16 + sizeof.Of[graph.Edge]() }
 
 // SparseMatrix computes the MSF in the style of Baer et al.: edges are
 // redistributed into a ⌈√p⌉×⌈√p⌉ 2D block partition of the adjacency
@@ -115,11 +128,6 @@ func SparseMatrix(c *comm.Comm, edges []graph.Edge, layout *graph.Layout) Result
 		return v
 	}
 
-	type cand struct {
-		Root graph.VID
-		E    graph.Edge
-		Rank int32
-	}
 	var mst []graph.Edge
 	rounds := 0
 	for {

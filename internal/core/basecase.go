@@ -23,11 +23,14 @@ var (
 	kBaseRoots  = arena.NewKey() // []graph.VID: component roots recorded in P
 )
 
-// dEdge is a base-case working edge: dense endpoints packed beside the
-// original.
+// dEdge is a base-case working edge: dense endpoints, the weight class, and
+// i, the edge's index into the base case's input, which the winning PE
+// reads the MST edge from.
 type dEdge struct {
 	u, v int32
-	e    graph.Edge
+	w    graph.Weight
+	i    int32
+	tb   uint64
 }
 
 // cand is the base case's allreduce element: the lightest known edge into a
@@ -75,7 +78,7 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 	}
 	x.index(a, kBaseWin, 2*len(edges))
 
-	// Working copy with dense endpoints packed beside the edge. The charge is
+	// Working copy with dense endpoints and the edge's index. The charge is
 	// the paper's binary search per endpoint, whatever x does.
 	work := arena.Grab[dEdge](a, kBaseWork, len(edges))
 	for i, e := range edges {
@@ -87,7 +90,7 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 			}
 			panic(fmt.Sprintf("core: base case: rank %d: no dense index for vertex %d", c.Rank(), miss))
 		}
-		work[i] = dEdge{u: int32(u), v: int32(v), e: e}
+		work[i] = dEdge{u: int32(u), v: int32(v), w: e.W, i: int32(i), tb: e.TB}
 	}
 	c.ChargeCompute(len(edges) * dsort.Log2Ceil(n+1))
 
@@ -112,11 +115,11 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 			if de.u == de.v {
 				continue
 			}
-			cd := cand{W: de.e.W, TB: de.e.TB, Dst: de.v, Rank: int32(c.Rank()), Idx: int32(i)}
+			cd := cand{W: de.w, TB: de.tb, Dst: de.v, Rank: int32(c.Rank()), Idx: int32(i)}
 			if less(cd, vec[de.u]) {
 				vec[de.u] = cd
 			}
-			rd := cand{W: de.e.W, TB: de.e.TB, Dst: de.u, Rank: int32(c.Rank()), Idx: int32(i)}
+			rd := cand{W: de.w, TB: de.tb, Dst: de.u, Rank: int32(c.Rank()), Idx: int32(i)}
 			if less(rd, vec[de.v]) {
 				vec[de.v] = rd
 			}
@@ -149,7 +152,7 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 			merged = true
 			// The PE owning the winning copy emits the MST edge.
 			if g.Rank == int32(c.Rank()) {
-				*mst = append(*mst, work[g.Idx].e)
+				*mst = append(*mst, edges[work[g.Idx].i])
 			}
 		}
 		if !merged {

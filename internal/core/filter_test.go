@@ -277,7 +277,7 @@ func TestPartitionAtPivotProperties(t *testing.T) {
 				seg := make([]graph.Edge, n, n+8) // spare capacity: a neighbour's memory
 				for i := range seg {
 					tb := uint64(r.Intn(6)) // few classes, so ties with the pivot abound
-					seg[i] = graph.Edge{U: graph.VID(i + 1), V: graph.VID(r.Intn(n) + 1), W: graph.Weight(r.Intn(5)), TB: tb, ID: uint64(i)}
+					seg[i] = graph.Edge{U: graph.VID(i + 1), V: graph.VID(r.Intn(n) + 1), W: graph.Weight(r.Intn(5)), TB: tb, ID: uint32(i)}
 				}
 				in := slices.Clone(seg)
 				pivot := graph.Edge{W: 2, TB: 3, U: 999, V: 999, ID: 999}
@@ -313,8 +313,8 @@ func TestPartitionAtPivotProperties(t *testing.T) {
 				if n > 0 && (len(light) > 0 && &light[0] != &seg[0] || len(heavy) > 0 && &heavy[0] != &seg[len(light)]) {
 					t.Fatalf("threads=%d n=%d: the halves are not seg's own storage", threads, n)
 				}
-				grownL := append(light, graph.Edge{ID: 1 << 40})
-				grownH := append(heavy, graph.Edge{ID: 1 << 41})
+				grownL := append(light, graph.Edge{ID: 1 << 30})
+				grownH := append(heavy, graph.Edge{ID: 1 << 31})
 				if !slices.Equal(heavy, wantH) || !slices.Equal(light, wantL) ||
 					!slices.Equal(grownL[:len(light)], wantL) || !slices.Equal(grownH[:len(heavy)], wantH) {
 					t.Fatalf("threads=%d n=%d: an append to one half reached the other", threads, n)

@@ -84,7 +84,7 @@ func BenchmarkDsortSampleSortP8(b *testing.B) {
 
 // BenchmarkGenFinishP16 finishes the gnm-filter workload's instance (GNM,
 // n = 2^14, m = 2^20: 2.1 M directed edges) on 16 PEs: one sample sort, a
-// dedup and two rebalances of 40-byte edges — the input path of every
+// dedup and two rebalances of 32-byte edges — the input path of every
 // compute workload. Each iteration finishes a fresh copy of the raw edges
 // (Finish filters its input in place); the copy is inside the timer.
 func BenchmarkGenFinishP16(b *testing.B) {

@@ -24,7 +24,7 @@ type inputCopy struct {
 func makeInputCopy(c *comm.Comm, edges []graph.Edge) *inputCopy {
 	firstID := uint64(0)
 	if len(edges) > 0 {
-		firstID = edges[0].ID
+		firstID = uint64(edges[0].ID)
 	}
 	comp := graph.CompressEdges(edges, firstID)
 	counts := comm.Allgather(c, len(edges))
@@ -45,7 +45,8 @@ func makeInputCopy(c *comm.Comm, edges []graph.Edge) *inputCopy {
 func redistributeMST(c *comm.Comm, mst []graph.Edge, in *inputCopy, opt Options) []graph.Edge {
 	send := alltoall.NewBuilder[uint64](c, kMSTSend)
 	for _, e := range mst {
-		send.Add(sort.Search(c.P(), func(i int) bool { return in.offsets[i+1] > e.ID }), e.ID)
+		id := uint64(e.ID)
+		send.Add(sort.Search(c.P(), func(i int) bool { return in.offsets[i+1] > id }), id)
 	}
 	recv := send.Exchange(opt.A2A)
 	// One forward sweep over the compressed chunk: IDs are positions in the

@@ -64,7 +64,7 @@ func relabelChunk(r *rng.RNG, rank, n int) []graph.Edge {
 		if i == 0 {
 			u = sharedV
 		}
-		edges[i] = graph.Edge{U: u, V: graph.VID(1 + r.Intn(2*sharedV)), W: graph.Weight(r.Intn(1 << 20)), ID: uint64(i)}
+		edges[i] = graph.Edge{U: u, V: graph.VID(1 + r.Intn(2*sharedV)), W: graph.Weight(r.Intn(1 << 20)), ID: uint32(i)}
 	}
 	slices.SortFunc(edges, func(x, y graph.Edge) int {
 		return cmp.Or(cmp.Compare(x.U, y.U), cmp.Compare(x.V, y.V), cmp.Compare(x.ID, y.ID))
@@ -135,7 +135,7 @@ func TestRelabelPack(t *testing.T) {
 								if !inPlace {
 									dst = make([]graph.Edge, n, n+4)
 								}
-								guard := graph.Edge{ID: 1 << 50}
+								guard := graph.Edge{ID: 1 << 31}
 								for i := n; i < n+4; i++ {
 									in[:n+4][i], dst[:n+4][i] = guard, guard
 								}

@@ -49,12 +49,14 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"kamsta/internal/alltoall"
 	"kamsta/internal/arena"
 	"kamsta/internal/comm"
 	"kamsta/internal/radix"
 	"kamsta/internal/rng"
+	"kamsta/internal/sizeof"
 )
 
 // Options configures Sort.
@@ -548,6 +550,20 @@ func RebalanceInto[T any](c *comm.Comm, slot arena.Key, data []T) []T {
 	return out
 }
 
+// boundary is IsGloballySorted's allgathered element: a PE's first and last
+// element, if it has any.
+type boundary[T any] struct {
+	Has         bool
+	First, Last T
+}
+
+// ModeledBytes is boundary's in-memory size with First and Last counted at
+// T's modeled size (8 + 2·sizeof.Of[T] for an 8-aligned T).
+func (*boundary[T]) ModeledBytes() int {
+	var z T
+	return int(unsafe.Sizeof(boundary[T]{})) + 2*(sizeof.Of[T]()-int(unsafe.Sizeof(z)))
+}
+
 // IsGloballySorted reports (on every PE) whether the distributed data is
 // globally sorted under less. Intended for tests and verification runs.
 func IsGloballySorted[T any](c *comm.Comm, data []T, less func(a, b T) bool) bool {
@@ -558,11 +574,7 @@ func IsGloballySorted[T any](c *comm.Comm, data []T, less func(a, b T) bool) boo
 			break
 		}
 	}
-	type boundary struct {
-		Has         bool
-		First, Last T
-	}
-	b := boundary{Has: len(data) > 0}
+	b := boundary[T]{Has: len(data) > 0}
 	if b.Has {
 		b.First, b.Last = data[0], data[len(data)-1]
 	}

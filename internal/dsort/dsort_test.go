@@ -6,7 +6,9 @@ import (
 
 	"kamsta/internal/alltoall"
 	"kamsta/internal/comm"
+	"kamsta/internal/graph"
 	"kamsta/internal/rng"
+	"kamsta/internal/sizeof"
 )
 
 // The per-rank sizes that put makeLocal's skewed input on either side of the
@@ -394,4 +396,19 @@ func BenchmarkHypercube8x500(b *testing.B) {
 			Sort(c, local, ByKey(intLess, intKey), Options{})
 		}
 	})
+}
+
+// TestBoundaryModeledBytes: IsGloballySorted's allgather element charges
+// First and Last at their declared size, 88 bytes for graph.Edge as before
+// the record was packed, and its in-memory size for a plain T.
+func TestBoundaryModeledBytes(t *testing.T) {
+	for name, c := range map[string]struct{ got, want int }{
+		"graph.Edge": {sizeof.Of[boundary[graph.Edge]](), 88},
+		"uint32":     {sizeof.Of[boundary[uint32]](), 12},
+		"int":        {sizeof.Of[boundary[int]](), 24},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof.Of[boundary[%s]] = %d, want %d", name, c.got, c.want)
+		}
+	}
 }

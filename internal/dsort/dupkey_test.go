@@ -29,7 +29,7 @@ func makeDupEdges(rank, per int, weights []graph.Weight) []graph.Edge {
 			v = u + 1
 		}
 		out[i] = graph.NewEdge(u, v, weights[(rank+i)%len(weights)])
-		out[i].ID = uint64(rank*per + i)
+		out[i].ID = uint32(rank*per + i)
 	}
 	return out
 }

@@ -145,7 +145,7 @@ func TestPartitionedInputSortsLikeShuffled(t *testing.T) {
 			for i := range sorted {
 				u := graph.VID(i/3 + 1)
 				sorted[i] = graph.NewEdge(u, u+1, graph.Weight(1+r.Intn(200)))
-				sorted[i].ID = uint64(i)
+				sorted[i].ID = uint32(i)
 			}
 			slices.SortFunc(sorted, radix.CmpOf(graph.LessLex))
 			local := func(rank int, shuffle bool) []graph.Edge {

@@ -215,8 +215,11 @@ func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge
 
 	// Assign consecutive global IDs in sort order.
 	offset := comm.ExScan(c, len(dedup), 0, func(a, b int) int { return a + b })
+	if uint64(offset)+uint64(len(dedup)) > 1<<32 {
+		panic(fmt.Sprintf("gen: Finish: at least %d directed edges, but edge IDs are 32-bit (at most 2^32 edges)", uint64(offset)+uint64(len(dedup))))
+	}
 	for i := range dedup {
-		dedup[i].ID = uint64(offset + i)
+		dedup[i].ID = uint32(offset + i)
 	}
 	balanced := dsort.RebalanceInto(c, kFinish, dedup)
 	return balanced, graph.BuildLayout(c, balanced)

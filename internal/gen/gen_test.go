@@ -49,7 +49,7 @@ func checkInputFormat(t *testing.T, spec Spec, all []graph.Edge, chunks [][]grap
 		if e.U == 0 || e.V == 0 {
 			t.Fatalf("%s: zero label in %v", spec.Label(), e)
 		}
-		if e.ID != uint64(i) {
+		if e.ID != uint32(i) {
 			t.Fatalf("%s: edge %d has ID %d", spec.Label(), i, e.ID)
 		}
 		if _, dup := seen[pair{e.U, e.V}]; dup {
@@ -506,7 +506,7 @@ func TestGenerateFillsOnePresizedSlice(t *testing.T) {
 func edgeSum(edges []graph.Edge) uint64 {
 	h := uint64(len(edges))
 	for _, e := range edges {
-		h = h*0x9E3779B97F4A7C15 + e.U<<40 + e.V<<16 + uint64(e.W) + e.TB + e.ID
+		h = h*0x9E3779B97F4A7C15 + e.U<<40 + e.V<<16 + uint64(e.W) + e.TB + uint64(e.ID)
 	}
 	return h
 }

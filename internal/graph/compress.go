@@ -50,7 +50,7 @@ func CompressEdges(edges []Edge, firstID uint64) *CompressedEdges {
 		if i > 0 && LessLex(e, edges[i-1]) {
 			panic("graph: edges must be sorted lexicographically")
 		}
-		if e.ID != firstID+uint64(i) {
+		if uint64(e.ID) != firstID+uint64(i) {
 			panic(fmt.Sprintf("graph: edge %d has ID %d, want consecutive %d", i, e.ID, firstID+uint64(i)))
 		}
 		size += uvarintLen(e.U-prevU) + uvarintLen(zigzag(int64(e.V)-int64(prevV))) + uvarintLen(uint64(e.W))
@@ -111,7 +111,7 @@ func (c *CompressedEdges) DecodeIDs(ids []uint64) []Edge {
 			pos += k1 + k2 + k3
 			prevU += du
 			prevV = VID(int64(prevV) + unzigzag(dv))
-			e = Edge{U: prevU, V: prevV, W: Weight(w), TB: MakeTB(prevU, prevV), ID: c.firstID + uint64(next)}
+			e = Edge{U: prevU, V: prevV, W: Weight(w), TB: MakeTB(prevU, prevV), ID: uint32(c.firstID + uint64(next))}
 		}
 		out = append(out, e)
 	}

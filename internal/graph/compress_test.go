@@ -24,7 +24,7 @@ func makeSortedEdges(n int, seed uint64) []Edge {
 	}
 	sort.Slice(edges, func(i, j int) bool { return LessLex(edges[i], edges[j]) })
 	for i := range edges {
-		edges[i].ID = 100 + uint64(i)
+		edges[i].ID = 100 + uint32(i)
 	}
 	return edges
 }
@@ -112,17 +112,17 @@ func TestEncodePanicsOnNonConsecutiveIDs(t *testing.T) {
 
 func TestCompressionSavesSpace(t *testing.T) {
 	// Locality-friendly input (small deltas) should compress far below the
-	// 40-byte in-memory representation.
+	// 32-byte in-memory representation.
 	n := 10000
 	edges := make([]Edge, n)
 	for i := range edges {
 		u := VID(i/4 + 1)
 		v := u + VID(i%4) + 1
 		edges[i] = NewEdge(u, v, Weight(i%254+1))
-		edges[i].ID = uint64(i)
+		edges[i].ID = uint32(i)
 	}
 	c := CompressEdges(edges, 0)
-	raw := n * 40
+	raw := n * 32
 	if len(c.data)*4 > raw {
 		t.Fatalf("compressed %d bytes vs raw %d: expected at least 4x saving", len(c.data), raw)
 	}
@@ -156,11 +156,11 @@ func TestCompressEdgesSizedExactly(t *testing.T) {
 	wide := make([]Edge, 3*blockSize)
 	for i := range wide {
 		shift := uint(i % 64)
-		wide[i] = Edge{U: VID(i) << (shift % 56), V: VID(1) << shift, W: Weight(i), ID: uint64(i)}
+		wide[i] = Edge{U: VID(i) << (shift % 56), V: VID(1) << shift, W: Weight(i), ID: uint32(i)}
 	}
 	sort.Slice(wide, func(i, j int) bool { return LessLex(wide[i], wide[j]) })
 	for i := range wide {
-		wide[i].ID = uint64(i)
+		wide[i].ID = uint32(i)
 	}
 	for _, edges := range [][]Edge{nil, makeSortedEdges(1, 1), makeSortedEdges(blockSize, 2), makeSortedEdges(5*blockSize+3, 3), wide} {
 		var want []byte
@@ -173,7 +173,7 @@ func TestCompressEdgesSizedExactly(t *testing.T) {
 		}
 		firstID := uint64(0)
 		if len(edges) > 0 {
-			firstID = edges[0].ID
+			firstID = uint64(edges[0].ID)
 		}
 		c := CompressEdges(edges, firstID)
 		if !bytes.Equal(c.data, want) {

@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -35,12 +36,38 @@ type Weight = uint32
 //
 // TB packing assumes original vertex labels below 2^32, which holds for
 // every instance in this repository and in the paper.
+//
+// ID is a uint32 because IDs are consecutive positions in the directed
+// input sequence and ingestion refuses 2^32 or more directed edges
+// (CheckEdgeCount at the sources and the kamsta header, a panic in
+// gen.Finish behind them). It fills the padding after W, so the record is
+// 32 bytes and never straddles a 64-byte cache line. Collectives still
+// charge 40 bytes per edge (ModeledBytes), the padded record with a 64-bit
+// ID, so the modeled clock does not depend on the in-memory layout.
 type Edge struct {
 	U, V VID
-	W    Weight
 	TB   uint64
-	ID   uint64
+	W    Weight
+	ID   uint32
 }
+
+// ErrTooManyEdges refuses an input of 2^32 or more directed edges, whose
+// IDs would not fit Edge.ID.
+var ErrTooManyEdges = errors.New("graph: 2^32 or more directed edges; edge IDs are 32-bit")
+
+// CheckEdgeCount returns ErrTooManyEdges, wrapped with the count, unless
+// the 2·m directed copies of m undirected edges fit below 2^32.
+func CheckEdgeCount(m uint64) error {
+	if m >= 1<<31 {
+		return fmt.Errorf("%w: %d undirected edges", ErrTooManyEdges, m)
+	}
+	return nil
+}
+
+// ModeledBytes is the size every collective charges per Edge: the 40
+// bytes of the padded record with a 64-bit ID. sizeof.Of reads it before
+// unsafe.Sizeof.
+func (*Edge) ModeledBytes() int { return 40 }
 
 // MakeTB builds the symmetric tie-break key for original endpoints u and v.
 func MakeTB(u, v VID) uint64 {
@@ -75,7 +102,7 @@ func (e Edge) String() string {
 func LessLex(a, b Edge) bool { return lessLex(&a, &b) }
 
 // lessLex is LessLex through pointers: the layout's searches compare in
-// place instead of copying two 40-byte records per step.
+// place instead of copying two records per step.
 func lessLex(a, b *Edge) bool {
 	if a.U != b.U {
 		return a.U < b.U
@@ -147,7 +174,7 @@ func SameWeightClass(a, b Edge) bool {
 }
 
 // maxEdge is a sentinel greater than every real edge.
-var maxEdge = Edge{U: math.MaxUint64, V: math.MaxUint64, W: math.MaxUint32, TB: math.MaxUint64, ID: math.MaxUint64}
+var maxEdge = Edge{U: math.MaxUint64, V: math.MaxUint64, W: math.MaxUint32, TB: math.MaxUint64, ID: math.MaxUint32}
 
 // MaxEdge returns the sentinel edge that compares greater than all real
 // edges under LessLex.

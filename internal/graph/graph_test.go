@@ -1,10 +1,47 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"kamsta/internal/sizeof"
 )
+
+var sizeSink int
+
+// TestEdgeSizes pins the record and what the cost model charges for it: 32
+// bytes in memory, but 40 per Edge and 88 per layout entry in every
+// collective, the sizes of the record with a 64-bit ID, and the
+// per-collective size lookup allocates nothing.
+func TestEdgeSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Edge{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Edge{}) = %d, want 32", got)
+	}
+	if got := sizeof.Of[Edge](); got != 40 {
+		t.Errorf("sizeof.Of[Edge] = %d, want the declared 40", got)
+	}
+	if got := sizeof.Of[entry](); got != 88 {
+		t.Errorf("sizeof.Of[entry] = %d, want the declared 88", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sizeSink += sizeof.Of[Edge]() }); allocs != 0 {
+		t.Errorf("sizeof.Of[Edge] allocates %.1f times per call", allocs)
+	}
+}
+
+// TestCheckEdgeCount: m undirected edges are accepted exactly while their
+// 2·m directed copies have 32-bit IDs.
+func TestCheckEdgeCount(t *testing.T) {
+	for m, ok := range map[uint64]bool{0: true, 1<<31 - 1: true, 1 << 31: false, math.MaxUint64: false} {
+		err := CheckEdgeCount(m)
+		if ok != (err == nil) || !ok && !errors.Is(err, ErrTooManyEdges) {
+			t.Errorf("CheckEdgeCount(%d) = %v, want accepted %v", m, err, ok)
+		}
+	}
+}
 
 func TestMakeTBSymmetric(t *testing.T) {
 	f := func(u, v uint32) bool {

@@ -16,7 +16,7 @@ func TestRadixKeysOrderConsistent(t *testing.T) {
 		u := VID(1 + r.Intn(1<<20))
 		v := VID(1 + r.Intn(1<<20))
 		e := NewEdge(u, v, Weight(1+r.Intn(254)))
-		e.ID = uint64(r.Intn(1 << 16))
+		e.ID = uint32(r.Intn(1 << 16))
 		if i%5 == 0 { // exercise relabeled endpoints too
 			e.U = VID(1 + r.Intn(1<<10))
 			e.V = VID(1 + r.Intn(1<<10))

@@ -33,6 +33,10 @@ type entry struct {
 	Count       int
 }
 
+// ModeledBytes counts both edges at Edge's declared 40 bytes, so the layout
+// allgather charges 88 whatever Edge's in-memory packing.
+func (*entry) ModeledBytes() int { return 88 }
+
 // BuildLayout constructs the replicated layout from each PE's sorted local
 // edges using one allgather, as in §II-B / §IV-C.
 func BuildLayout(c *comm.Comm, local []Edge) *Layout {

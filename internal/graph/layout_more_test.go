@@ -15,7 +15,7 @@ func TestOwnerOfReverse(t *testing.T) {
 	// multigraph needs distinct TBs, which MakeTB cannot give for one
 	// pair; emulate parallels with distinct weights instead (distinct
 	// LessLex positions).
-	mk := func(u, v VID, w Weight, id uint64) Edge {
+	mk := func(u, v VID, w Weight, id uint32) Edge {
 		e := NewEdge(u, v, w)
 		e.ID = id
 		return e

@@ -30,7 +30,7 @@ func makeGlobalEdges(n, m int, seed uint64) []Edge {
 	}
 	sortEdges(edges)
 	for i := range edges {
-		edges[i].ID = uint64(i)
+		edges[i].ID = uint32(i)
 	}
 	return edges
 }
@@ -298,7 +298,7 @@ func randomDistribution(r *rng.RNG, trial int) (edges []Edge, cuts []int) {
 	edges = append(edges, base...)
 	sort.Slice(edges, func(i, j int) bool { return LessLex(edges[i], edges[j]) })
 	for i := range edges {
-		edges[i].ID = uint64(i)
+		edges[i].ID = uint32(i)
 	}
 	p := 2 + r.Intn(11)
 	cuts = make([]int, p+1)

@@ -131,6 +131,9 @@ func readKamstaHeader(r io.ReaderAt, fileSize int64) (kamstaHeader, error) {
 				h.NumChunks, h.Records, h.ChunkSize, want)
 		}
 	}
+	if err := graph.CheckEdgeCount(h.Records); err != nil {
+		return h, fmt.Errorf("graphio: kamsta header: %w", err)
+	}
 	if h.Records > math.MaxInt64/kamstaRecordSize {
 		return h, fmt.Errorf("graphio: corrupt kamsta header: implausible record count %d", h.Records)
 	}

@@ -74,15 +74,20 @@ func Load(c *comm.Comm, path string, opt Options) ([]graph.Edge, *graph.Layout, 
 }
 
 // shareErr agrees on one error across the world: the lowest-ranked PE's
-// error wins and every PE returns the same value (or nil). Every PE must
-// call it at the same point, with or without a local error.
+// error wins and every PE returns the same message (or nil); a PE that had
+// that error itself returns it wrapped, so errors.Is still sees it. Every
+// PE must call it at the same point, with or without a local error.
 func shareErr(c *comm.Comm, err error) error {
 	msg := ""
 	if err != nil {
 		msg = err.Error()
 	}
 	for r, m := range comm.Allgather(c, msg) {
-		if m != "" {
+		switch m {
+		case "":
+		case msg: // this PE's own error: keep its type
+			return fmt.Errorf("graphio: %w (PE %d)", err, r)
+		default:
 			return fmt.Errorf("graphio: %s (PE %d)", m, r)
 		}
 	}

@@ -38,7 +38,7 @@ func randomEdges(n, m int, seed uint64) []graph.Edge {
 		edges = append(edges, graph.NewEdge(u, v, graph.RandomWeight(seed, u, v)))
 	}
 	for i := range edges {
-		edges[i].ID = uint64(i)
+		edges[i].ID = uint32(i)
 	}
 	return edges
 }

@@ -35,7 +35,7 @@ func hashEdges(edges []graph.Edge) uint64 {
 		binary.LittleEndian.PutUint64(b[8:], e.V)
 		binary.LittleEndian.PutUint32(b[16:], e.W)
 		binary.LittleEndian.PutUint64(b[20:], e.TB)
-		binary.LittleEndian.PutUint64(b[28:], e.ID)
+		binary.LittleEndian.PutUint64(b[28:], uint64(e.ID))
 		h.Write(b[:])
 	}
 	return h.Sum64()
@@ -189,7 +189,7 @@ func messyInstance() pinnedInstance {
 		e := &edges[i]
 		e.U, e.V = e.U*7919, e.V*7919
 		e.TB = graph.MakeTB(e.U, e.V)
-		e.ID = uint64(i)
+		e.ID = uint32(i)
 	}
 	return pinnedInstance{name: "messy/mod3", edges: edges, isLocal: func(v graph.VID) bool { return v%3 != 0 }}
 }

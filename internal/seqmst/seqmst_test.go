@@ -139,7 +139,7 @@ func randomGraph(n, extra int, seed uint64) []graph.Edge {
 		edges = append(edges, graph.NewEdge(u, v, graph.RandomWeight(seed, u, v)))
 	}
 	for i := range edges {
-		edges[i].ID = uint64(i)
+		edges[i].ID = uint32(i)
 	}
 	return edges
 }

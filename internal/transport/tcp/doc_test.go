@@ -12,9 +12,9 @@ import (
 )
 
 // TestDesignQuotesWireConstants parses the wire constants DESIGN.md quotes —
-// magic, protocol version, frame header size, the six frame kinds and
-// MaxFrameSize — and compares each with the code, so the document cannot
-// drift from the protocol it describes.
+// magic, frame header size, the six frame kinds and MaxFrameSize — and
+// compares each with the code, so the document cannot drift from the
+// protocol it describes.
 func TestDesignQuotesWireConstants(t *testing.T) {
 	raw, err := os.ReadFile("../../../DESIGN.md")
 	if err != nil {
@@ -43,9 +43,6 @@ func TestDesignQuotesWireConstants(t *testing.T) {
 	if got := quoted("magic", `magic \("([A-Z]{4})"\)`); got != string(magic[:]) {
 		t.Errorf("DESIGN.md magic %q, code %q", got, magic[:])
 	}
-	if got := atoi(quoted("protocol version", `protocol\s+version\s+(\d+)`)); uint32(got) != protoVersion {
-		t.Errorf("DESIGN.md protocol version %d, code %d", got, protoVersion)
-	}
 	var frame bytes.Buffer
 	if err := enc.WriteFrame(&frame, kStep, nil); err != nil {
 		t.Fatal(err)
@@ -66,5 +63,22 @@ func TestDesignQuotesWireConstants(t *testing.T) {
 		if want, ok := kinds[m[1]]; !ok || atoi(m[2]) != int(want) {
 			t.Errorf("DESIGN.md frame kind %s=%s, code %v (known %v)", m[1], m[2], want, ok)
 		}
+	}
+}
+
+// TestDesignQuotesProtoVersion checks the protocol version DESIGN.md §7.6
+// quotes against protoVersion: a change that moves the wire dialect bumps
+// both.
+func TestDesignQuotesProtoVersion(t *testing.T) {
+	raw, err := os.ReadFile("../../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?s)### 7\.6 .*?protocol\s+version\s+(\d+).*?\n### 7\.7 `).FindSubmatch(raw)
+	if m == nil {
+		t.Fatal("DESIGN.md §7.6 no longer quotes the protocol version")
+	}
+	if got, err := strconv.Atoi(string(m[1])); err != nil || uint32(got) != protoVersion {
+		t.Errorf("DESIGN.md §7.6 quotes protocol version %s, the code says %d", m[1], protoVersion)
 	}
 }

@@ -36,7 +36,7 @@ func FromSpec(spec GraphSpec) Source { return specSource{spec} }
 type specSource struct{ spec gen.Spec }
 
 func (s specSource) Label() string   { return s.spec.Label() }
-func (s specSource) validate() error { return nil }
+func (s specSource) validate() error { return graph.CheckEdgeCount(s.spec.M) }
 
 func (s specSource) provide(c *comm.Comm, rs runSettings) ([]graph.Edge, *graph.Layout, error) {
 	spec := s.spec
@@ -85,7 +85,8 @@ func (f fileSource) provide(c *comm.Comm, rs runSettings) ([]graph.Edge, *graph.
 }
 
 // FromEdges makes a Source from a user-supplied undirected edge list.
-// Vertex labels must be in [1, 2^32).
+// Vertex labels must be in [1, 2^32), and there must be fewer than 2^31
+// edges.
 func FromEdges(edges []InputEdge) Source { return edgesSource{edges} }
 
 type edgesSource struct{ edges []InputEdge }
@@ -95,6 +96,9 @@ func (s edgesSource) Label() string {
 }
 
 func (s edgesSource) validate() error {
+	if err := graph.CheckEdgeCount(uint64(len(s.edges))); err != nil {
+		return fmt.Errorf("kamsta: %w", err)
+	}
 	for _, e := range s.edges {
 		if e.U == 0 || e.V == 0 || e.U >= 1<<32 || e.V >= 1<<32 {
 			return fmt.Errorf("kamsta: vertex labels must be in [1, 2^32): edge (%d,%d)", e.U, e.V)

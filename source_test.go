@@ -2,6 +2,8 @@ package kamsta
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 
 	"kamsta/internal/comm"
 	"kamsta/internal/gen"
+	"kamsta/internal/graph"
 	"kamsta/internal/graphio"
 )
 
@@ -90,5 +93,34 @@ func TestFileErrors(t *testing.T) {
 	}
 	if _, err := m.Compute(ctx, FromFile(bad), WithAlgorithm(AlgKruskal)); err == nil {
 		t.Fatal("malformed file should error through the Kruskal path too")
+	}
+}
+
+// TestTooManyEdgesRefused: an input of 2^32 or more directed edges, whose
+// IDs would not fit the 32-bit Edge.ID, is refused with
+// graph.ErrTooManyEdges before any edge is generated or read — from a spec
+// and from a kamsta file's header alike.
+func TestTooManyEdgesRefused(t *testing.T) {
+	m := newTestMachine(t, MachineConfig{PEs: 3})
+	ctx := context.Background()
+	if _, err := m.Compute(ctx, FromSpec(GraphSpec{Family: GNM, N: 1 << 20, M: 1 << 31})); !errors.Is(err, graph.ErrTooManyEdges) {
+		t.Errorf("GNM with M = 2^31: got %v, want graph.ErrTooManyEdges", err)
+	}
+	if err := (specSource{GraphSpec{Family: GNM, N: 1 << 20, M: 1<<31 - 1}}).validate(); err != nil {
+		t.Errorf("GNM with M = 2^31 - 1: %v, want accepted", err)
+	}
+	// A header alone, promising 2^31 records in 2^17 chunks of 2^14.
+	header := make([]byte, 32)
+	copy(header, "KMSG")
+	binary.LittleEndian.PutUint32(header[4:], 1)
+	binary.LittleEndian.PutUint64(header[16:], 1<<31)
+	binary.LittleEndian.PutUint32(header[24:], 1<<14)
+	binary.LittleEndian.PutUint32(header[28:], 1<<17)
+	path := filepath.Join(t.TempDir(), "huge.kg")
+	if err := os.WriteFile(path, header, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Compute(ctx, FromFile(path)); !errors.Is(err, graph.ErrTooManyEdges) {
+		t.Errorf("kamsta header with 2^31 records: got %v, want graph.ErrTooManyEdges", err)
 	}
 }
