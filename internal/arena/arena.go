@@ -90,10 +90,7 @@ func Grab[T any](a *Arena, k Key, n int) []T {
 // GrabZeroed is Grab with every element set to T's zero value.
 func GrabZeroed[T any](a *Arena, k Key, n int) []T {
 	s := Grab[T](a, k, n)
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
+	clear(s) // a memclr, which a loop storing a type parameter's zero is not
 	return s
 }
 

@@ -157,9 +157,20 @@ func TestDsortSteadyStateAllocsFloorObserved(t *testing.T) {
 // stay in them; what still allocates per call is the MST append, radix.Sort's
 // scratch and the collectives.
 func BenchmarkLocalPreprocess(b *testing.B) {
-	w := comm.NewWorld(4)
+	benchPreprocess(b, 4, gen.Spec{Family: gen.RGG2D, N: 1 << 14, M: 1 << 17, Seed: 42})
+}
+
+// BenchmarkLocalPreprocessP16 is the same at the rgg-boruvka workload's
+// per-PE shape: 16 PEs, 2^17 vertices and 2^20 edges, about 123k directed
+// edges per PE.
+func BenchmarkLocalPreprocessP16(b *testing.B) {
+	benchPreprocess(b, 16, gen.Spec{Family: gen.RGG2D, N: 1 << 17, M: 1 << 20, Seed: 42})
+}
+
+func benchPreprocess(b *testing.B, p int, spec gen.Spec) {
+	w := comm.NewWorld(p)
 	w.Run(func(c *comm.Comm) {
-		edges, l := gen.Build(c, gen.Spec{Family: gen.RGG2D, N: 1 << 14, M: 1 << 17, Seed: 42}, dsort.Options{})
+		edges, l := gen.Build(c, spec, dsort.Options{})
 		opt := Options{}.withDefaults()
 		var mst []graph.Edge
 		localPreprocess(c, edges, l, opt, &mst, nil)

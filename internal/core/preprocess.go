@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"kamsta/internal/comm"
 	"kamsta/internal/dsort"
 	"kamsta/internal/graph"
@@ -79,13 +81,43 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	work := res.Remaining[:relabelPack(c, res.Remaining, res.Remaining, &tbl)]
 	c.ChargeCompute(len(res.Remaining))
 
-	// Re-establish the sorted distributed sequence: a local (U, V)-keyed
-	// radix pass first.
-	radix.Sort(work, graph.KeyLex, graph.LessLex)
+	// Re-establish the sorted distributed sequence: a local sort first.
+	sortRenamedTargets(work)
 	c.ChargeCompute(len(work) * dsort.Log2Ceil(len(work)+1))
 	if dsort.IsGloballySorted(c, work, graph.LessLex) {
 		work = dedupSorted(c, work)
 		return work, graph.BuildLayout(c, work)
 	}
 	return redistribute(c, work, opt)
+}
+
+// sortRenamedTargets sorts edges that were sorted by graph.LessLex until
+// RELABEL renamed ghost endpoints. A ghost is another PE's vertex, never a
+// source here, so the sources still ascend and each source's run is sorted
+// on its own; should they not, the whole slice is radix-sorted.
+func sortRenamedTargets(edges []graph.Edge) {
+	for lo, hi := 0, 0; lo < len(edges); lo = hi {
+		sorted := true
+		for hi = lo + 1; hi < len(edges) && edges[hi].U == edges[lo].U; hi++ {
+			sorted = sorted && !graph.LessLex(edges[hi], edges[hi-1])
+		}
+		if hi < len(edges) && edges[hi].U < edges[lo].U {
+			radix.Sort(edges, graph.KeyLex, graph.LessLex)
+			return
+		}
+		if !sorted {
+			slices.SortFunc(edges[lo:hi], cmpLex)
+		}
+	}
+}
+
+// cmpLex is graph.LessLex in slices.SortFunc's form.
+func cmpLex(a, b graph.Edge) int {
+	if graph.LessLex(a, b) {
+		return -1
+	}
+	if graph.LessLex(b, a) {
+		return 1
+	}
+	return 0
 }

@@ -212,3 +212,28 @@ func TestBaseCaseMissPanics(t *testing.T) {
 		}
 	})
 }
+
+// TestSortRenamedTargets holds preprocessing's re-sort to a full sort under
+// graph.LessLex: on sorted edges whose targets were renamed (runs of one
+// source out of order, ties broken by W, TB and ID), and on sources that no
+// longer ascend, where it falls back to the whole-slice sort.
+func TestSortRenamedTargets(t *testing.T) {
+	r := rng.New(3)
+	var edges []graph.Edge
+	for u := graph.VID(1); u <= 200; u++ {
+		for k := 0; k < r.Intn(12); k++ {
+			v := graph.VID(r.Intn(40) + 1)
+			edges = append(edges, graph.Edge{U: u, V: v, W: graph.Weight(r.Intn(3)), TB: uint64(r.Intn(2)), ID: uint32(len(edges))})
+		}
+	}
+	shuffledSources := slices.Clone(edges)
+	slices.Reverse(shuffledSources)
+	for name, in := range map[string][]graph.Edge{"renamed targets": edges, "descending sources": shuffledSources} {
+		got, want := slices.Clone(in), slices.Clone(in)
+		sortRenamedTargets(got)
+		slices.SortFunc(want, cmpLex)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: not in graph.LessLex order", name)
+		}
+	}
+}

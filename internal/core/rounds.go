@@ -394,33 +394,45 @@ func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins 
 // source vertex's sorted edge range the reverse copies (v, u, W, TB) ascend,
 // so the owner is found once per range and then only walked forward
 // (Layout.NextOwnerOfReverse), and duplicates per (owner, u) are adjacent —
-// remembering the last owner suffices.
+// remembering the last owner suffices. The sources ascend, so the source's
+// label is found by a cursor over lab, and an edge into this PE's own
+// vertex range needs no owner at all: its reverse copy is here.
 func exchangeLabels(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	lab denseLabels, opt Options) denseLabels {
 
 	a := c.Scratch()
 	send := alltoall.NewBuilder[labelPair](c, kSendLbl)
+	lo, hi := l.LocalRange(c.Rank())
 	var (
 		curU        graph.VID // 0 is no vertex
 		lbl         graph.VID
 		has         bool
-		owner, last int
+		next        int // lab.verts[next] is the first label source ≥ curU
+		owner, last int // owner < 0: not yet located in this range
 	)
 	for _, e := range edges {
-		switch {
-		case e.U != curU:
-			curU, last = e.U, -1
-			if lbl, has = lab.get(e.U); has {
-				// Probing with the full weight class pins the exact copy even
-				// among parallels.
-				owner = l.OwnerOfReverse(e)
+		if e.U != curU {
+			curU, owner, last = e.U, -1, -1
+			for next < len(lab.verts) && lab.verts[next] < e.U {
+				next++
 			}
-		case has:
-			owner = l.NextOwnerOfReverse(owner, e)
+			if has = next < len(lab.verts) && lab.verts[next] == e.U; has {
+				lbl = lab.labels[next]
+			}
 		}
 		// A shared source keeps its label and the receiver knows; a reverse
 		// edge of ours is resolved locally by RELABEL.
-		if !has || owner == c.Rank() || owner == last {
+		if !has || lo <= e.V && e.V < hi {
+			continue
+		}
+		if owner < 0 {
+			// Probing with the full weight class pins the exact copy even
+			// among parallels.
+			owner = l.OwnerOfReverse(e)
+		} else {
+			owner = l.NextOwnerOfReverse(owner, e)
+		}
+		if owner == c.Rank() || owner == last {
 			continue
 		}
 		last = owner

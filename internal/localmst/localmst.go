@@ -18,7 +18,8 @@
 //
 // Endpoints are translated once to dense int32 ids that ascend with the
 // vertex labels, and the rounds run over 16-byte records that index the
-// caller's edge slice, which is never written (DESIGN.md §8.3). Every
+// caller's edge slice, which is never written (DESIGN.md §8.3). On a
+// one-thread pool the min-priority-write is a plain min table. Every
 // buffer comes from Config.Scratch, the Result's MSTEdges, Verts, Roots and
 // Remaining included: they are valid until the next Run on the same arena.
 // With a nil Scratch a call has its own arena and the Result owns them.
@@ -26,9 +27,11 @@ package localmst
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"kamsta/internal/arena"
 	"kamsta/internal/graph"
@@ -78,7 +81,7 @@ var (
 	kRecs, kPairs   = arena.NewKey(), arena.NewKey() // []rec working records; []uint32 endpoint-pair hash table
 	kDirect, kLabel = arena.NewKey(), arena.NewKey() // []int32 label window → id+1; []graph.VID id → label
 	kParent, kFlag  = arena.NewKey(), arena.NewKey() // []int32 contraction forest; []uint8 vertex flags
-	kSlots          = arena.NewKey()                 // []atomic.Uint32 min-priority-write table
+	kSlots          = arena.NewKey()                 // []atomic.Uint32 min table, read as []uint32 at one thread
 	kMST, kRem      = arena.NewKey(), arena.NewKey() // []graph.Edge Result.MSTEdges, Result.Remaining
 	kVerts, kRoots  = arena.NewKey(), arena.NewKey() // []graph.VID Result.Verts, Result.Roots
 )
@@ -93,8 +96,9 @@ type rec struct {
 }
 
 // Vertex flags: a foreign vertex may not be contracted here (not isLocal), a
-// frozen root may no longer contract within the current contract call.
-const frozen, foreign = 1, 2
+// frozen root may no longer contract within the current contract call, and
+// a root hooked this round still has to be pointed at its new root.
+const frozen, foreign, hooked = 1, 2, 4
 
 // state is one Run: the id translation and the component structure over
 // all endpoints. Ids ascend with labels, so comparing ids compares labels.
@@ -107,8 +111,10 @@ type state struct {
 	label  []graph.VID // id → label
 	parent []int32     // roots: parent[i] == i
 	flag   []uint8
-	slots  par.MinIndex
-	work   []rec // the active records of the current round
+	slots  par.MinIndex // the min table for offer on more than one thread
+	min    []uint32     // the same memory, for offerSeq, the reset and hook
+	best   []uint32     // offerSeq: the weight of min's record
+	work   []rec        // the active records of the current round
 	less   func(a, b uint32) bool
 	offer  func(lo, hi int)
 	res    Result
@@ -128,19 +134,21 @@ func Run(edges []graph.Edge, isLocal func(graph.VID) bool, cfg Config) Result {
 	st := &state{edges: edges, a: a, pool: cfg.Pool}
 	st.res.MSTEdges = arena.GrabAppend[graph.Edge](a, kMST)
 	st.number(isLocal)
-	st.less = func(x, y uint32) bool { return st.lighter(st.work[x], st.work[y]) }
-	// Min-priority-write [15]: every edge offers itself to the slots of BOTH
-	// endpoints, which makes the selection correct for undirected edges
-	// regardless of which directed copies this PE holds.
-	st.offer = func(lo, hi int) {
-		work, flag, slots, less := st.work, st.flag, st.slots, st.less
-		for k := lo; k < hi; k++ {
-			r := work[k]
-			if flag[r.u] == 0 {
-				slots.Write(int(r.u), uint32(k), less)
-			}
-			if flag[r.v] == 0 {
-				slots.Write(int(r.v), uint32(k), less)
+	if cfg.Pool.Threads() > 1 {
+		st.less = func(x, y uint32) bool { return st.lighter(st.work[x], st.work[y]) }
+		// Min-priority-write [15]: every edge offers itself to the slots of
+		// BOTH endpoints, which makes the selection correct for undirected
+		// edges regardless of which directed copies this PE holds.
+		st.offer = func(lo, hi int) {
+			work, flag, slots, less := st.work, st.flag, st.slots, st.less
+			for k := lo; k < hi; k++ {
+				r := work[k]
+				if flag[r.u] == 0 {
+					slots.Write(int(r.u), uint32(k), less)
+				}
+				if flag[r.v] == 0 {
+					slots.Write(int(r.v), uint32(k), less)
+				}
 			}
 		}
 	}
@@ -154,23 +162,36 @@ func Run(edges []graph.Edge, isLocal func(graph.VID) bool, cfg Config) Result {
 	}
 	recs := arena.Grab[rec](a, kRecs, len(edges))
 	n, heavy := 0, len(recs)
+	curU, u := graph.VID(0), int32(-1) // U is looked up once per run of equal sources
 	for k := range edges {
 		e := &edges[k]
 		if e.U == e.V {
 			continue
 		}
-		r := rec{u: st.id(e.U), v: st.id(e.V), w: e.W, orig: uint32(k)}
-		if filter && graph.LessWeight(pivot, *e) {
-			heavy--
-			recs[heavy] = r
-		} else {
-			recs[n] = r
-			n++
+		if e.U != curU || u < 0 {
+			curU, u = e.U, st.id(e.U)
 		}
+		r := rec{u: u, v: st.id(e.V), w: e.W, orig: uint32(k)}
+		// Light or heavy is a coin toss, so both ends are written and the
+		// choice is arithmetic; recs[heavy-1] is at or past recs[n].
+		h := 0
+		if filter {
+			if e.W > pivot.W {
+				h = 1
+			}
+			if e.W == pivot.W && graph.LessWeight(pivot, *e) {
+				h = 1
+			}
+		}
+		recs[n], recs[heavy-1] = r, r
+		n, heavy = n+1-h, heavy-h
 	}
 	if filter {
 		// Contract the light part and filter the heavy edges through its labels.
 		n = st.contract(recs[:n])
+		for i := range st.parent {
+			st.root(int32(i))
+		}
 		_, n = st.relabel(recs, n, heavy, len(recs))
 	}
 	n = st.contract(recs[:n])
@@ -213,7 +234,12 @@ func (st *state) number(isLocal func(graph.VID) bool) {
 	st.label = label
 	st.parent = arena.Grab[int32](a, kParent, len(label))
 	st.flag = arena.Grab[uint8](a, kFlag, len(label))
-	st.slots = par.MinIndex(arena.Grab[atomic.Uint32](a, kSlots, len(label)))
+	slots := arena.Grab[atomic.Uint32](a, kSlots, 2*len(label))
+	st.slots = par.MinIndex(slots[:len(label)])
+	// An atomic.Uint32 is one uint32. Reads and the reset go through the
+	// plain view; pool.For orders them against the CAS writers.
+	both := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(slots))), len(slots))
+	st.min, st.best = both[:len(label)], both[len(label):]
 	for i, v := range label {
 		st.parent[i], st.flag[i] = int32(i), 0
 		if !isLocal(v) {
@@ -222,11 +248,17 @@ func (st *state) number(isLocal func(graph.VID) bool) {
 	}
 }
 
-// id returns the dense id of an endpoint label.
+// id returns the dense id of an endpoint label. It inlines into the
+// translation loop; the search stays out of line so that it can.
 func (st *state) id(v graph.VID) int32 {
-	if st.direct != nil {
-		return st.direct[v-st.base] - 1
+	if d := st.direct; d != nil {
+		return d[v-st.base] - 1
 	}
+	return st.search(v)
+}
+
+//go:noinline
+func (st *state) search(v graph.VID) int32 {
 	i, _ := slices.BinarySearch(st.label, v)
 	return int32(i)
 }
@@ -284,14 +316,25 @@ func (st *state) contract(w []rec) int {
 	for {
 		st.work = w[rt:n]
 		st.res.Work += n - rt
-		st.slots.Reset()
-		st.pool.For(n-rt, st.offer)
+		for i := range st.min {
+			st.min[i], st.best[i] = par.None, math.MaxUint32
+		}
+		if st.offer == nil {
+			st.offerSeq()
+		} else {
+			st.pool.For(n-rt, st.offer)
+		}
 		if !st.hook() {
 			return n
 		}
-		// Flatten; then relabel, drop self-loops, retire: one compaction.
-		for i := range st.parent {
-			st.root(int32(i))
+		// Point this round's hooked roots at their new roots, which is all
+		// the active records see; then relabel, drop self-loops, retire:
+		// one compaction.
+		for i, f := range st.flag {
+			if f == hooked {
+				st.root(int32(i))
+				st.flag[i] = 0
+			}
 		}
 		from := rt
 		rt, n = st.relabel(w, from, from, n)
@@ -308,13 +351,32 @@ func (st *state) contract(w []rec) int {
 	}
 }
 
+// offerSeq is offer on a one-thread pool: the same minimum per slot, kept
+// in a plain table with the comparison inlined. best holds each minimum's
+// weight, so only a weight tie reads the record it holds.
+func (st *state) offerSeq() {
+	work, flag, slot, best := st.work, st.flag, st.min, st.best
+	for k, r := range work {
+		if flag[r.u] == 0 {
+			if b := best[r.u]; r.w < b || r.w == b && (slot[r.u] == par.None || st.lighter(r, work[slot[r.u]])) {
+				slot[r.u], best[r.u] = uint32(k), r.w
+			}
+		}
+		if flag[r.v] == 0 {
+			if b := best[r.v]; r.w < b || r.w == b && (slot[r.v] == par.None || st.lighter(r, work[slot[r.v]])) {
+				slot[r.v], best[r.v] = uint32(k), r.w
+			}
+		}
+	}
+}
+
 // hook hangs every root that can still contract under the other end of its
 // lightest edge and emits that edge, freezes components whose lightest edge
 // leaves the local vertex set, and reports whether anything merged.
 func (st *state) hook() bool {
 	merged := false
 	for i := range st.parent {
-		k := st.slots.Get(i)
+		k := st.min[i]
 		switch {
 		case st.flag[i] != 0 || st.parent[i] != int32(i):
 			continue
@@ -330,11 +392,11 @@ func (st *state) hook() bool {
 		switch {
 		case st.flag[j] == foreign:
 			st.flag[i] = frozen // lightest edge is a cut edge
-		case j > int32(i) && st.slots.Get(int(j)) == k:
+		case j > int32(i) && st.min[j] == k:
 			// 2-cycle (under a strict order both ends chose the same
 			// record): the smaller label stays root, the larger emits.
 		default:
-			st.parent[i] = j
+			st.parent[i], st.flag[i] = j, hooked
 			st.res.MSTEdges = append(st.res.MSTEdges, st.edge(r))
 			merged = true
 		}
@@ -343,9 +405,10 @@ func (st *state) hook() bool {
 	return merged
 }
 
-// relabel rewrites w[from:to] to current roots (the forest must be flat)
-// and drops self-loops, compacting the survivors to w[dst:n], dst ≤ from:
-// edges frozen or foreign at both ends to w[dst:rt], the others to w[rt:n].
+// relabel rewrites w[from:to] to current roots (each endpoint's parent must
+// be its root) and drops self-loops, compacting the survivors to w[dst:n],
+// dst ≤ from: edges frozen or foreign at both ends to w[dst:rt], the others
+// to w[rt:n].
 func (st *state) relabel(w []rec, dst, from, to int) (rt, n int) {
 	rt, n = dst, dst
 	for k := from; k < to; k++ {
@@ -403,13 +466,32 @@ func medianWeight(edges []graph.Edge) graph.Edge {
 
 // emit fills the Result from the survivors w: Remaining is the lightest
 // copy per endpoint pair (the hash-table parallel-edge removal of §VI-B) in
-// lexicographic order.
+// lexicographic order. Ids ascend with labels, so two stable counting sorts
+// give that order: by v into the spent hash table, then by u into Remaining,
+// counting in the min table.
 func (st *state) emit(w []rec) {
 	w = w[:st.reducePairs(w)]
-	slices.SortFunc(w, func(x, y rec) int { return cmp.Or(cmp.Compare(x.u, y.u), cmp.Compare(x.v, y.v)) })
-	rem := arena.Grab[graph.Edge](st.a, kRem, len(w))
+	pos := st.min
+	clear(pos)
+	for _, r := range w {
+		pos[r.v]++
+	}
+	startOffsets(pos)
+	order := arena.Grab[uint32](st.a, kPairs, len(w))
 	for i, r := range w {
-		rem[i] = st.edge(r)
+		order[pos[r.v]] = uint32(i)
+		pos[r.v]++
+	}
+	clear(pos)
+	for _, r := range w {
+		pos[r.u]++
+	}
+	startOffsets(pos)
+	rem := arena.Grab[graph.Edge](st.a, kRem, len(w))
+	for _, i := range order {
+		r := w[i]
+		rem[pos[r.u]] = st.edge(r)
+		pos[r.u]++
 	}
 	verts := arena.Grab[graph.VID](st.a, kVerts, len(st.label))[:0]
 	roots := arena.Grab[graph.VID](st.a, kRoots, len(st.label))[:0]
@@ -421,6 +503,14 @@ func (st *state) emit(w []rec) {
 	}
 	arena.Keep(st.a, kMST, st.res.MSTEdges)
 	st.res.Remaining, st.res.Verts, st.res.Roots = rem, verts, roots
+}
+
+// startOffsets turns counts into their exclusive prefix sums, in place.
+func startOffsets(c []uint32) {
+	sum := uint32(0)
+	for i, x := range c {
+		c[i], sum = sum, sum+x
+	}
 }
 
 // MSF computes the full minimum spanning forest of an in-memory graph with

@@ -1,9 +1,13 @@
 package localmst
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"kamsta/internal/comm"
+	"kamsta/internal/dsort"
+	"kamsta/internal/gen"
 	"kamsta/internal/graph"
 	"kamsta/internal/par"
 	"kamsta/internal/rng"
@@ -299,12 +303,70 @@ func TestRoundsLogarithmic(t *testing.T) {
 	}
 }
 
+// tieHeavy makes an input whose weight ties reach every tie-break of the
+// record order (W, TB, V, ID): three distinct weights, both directed copies
+// of every edge (equal TB, different V) and a repeated copy of every
+// seventh edge under a new ID (equal TB and V).
+func tieHeavy(edges []graph.Edge) []graph.Edge {
+	var out []graph.Edge
+	for i, e := range edges {
+		e.W = e.W%3 + 1
+		e.TB = graph.MakeTB(e.U, e.V)
+		r := e
+		r.U, r.V = e.V, e.U
+		out = append(out, e, r)
+		if i%7 == 0 {
+			out = append(out, e)
+		}
+	}
+	for i := range out {
+		out[i].ID = uint32(i)
+	}
+	return out
+}
+
+// TestThreadCountsAgree holds the one-thread path (a plain min table) to
+// the CAS path of par.MinIndex: every field of the Result, MST edges in
+// order, on inputs with more than 2·512 active records, so that t > 1 fans
+// out, and with ties at every level of the order.
 func TestThreadCountsAgree(t *testing.T) {
-	edges := randomEdges(120, 600, 12)
-	w1 := Run(edges, allLocal, Config{Pool: par.NewPool(1)})
-	w8 := Run(edges, allLocal, Config{Pool: par.NewPool(8)})
-	if totalWeight(w1.MSTEdges) != totalWeight(w8.MSTEdges) {
-		t.Fatalf("thread counts disagree: %d vs %d", totalWeight(w1.MSTEdges), totalWeight(w8.MSTEdges))
+	var rgg []graph.Edge
+	comm.NewWorld(1).Run(func(c *comm.Comm) {
+		rgg, _ = gen.Build(c, gen.Spec{Family: gen.RGG2D, N: 1 << 11, M: 1 << 13, Seed: 5}, dsort.Options{})
+	})
+	inputs := map[string][]graph.Edge{
+		"rgg": tieHeavy(rgg),
+		"gnm": tieHeavy(randomEdges(1500, 6000, 12)),
+	}
+	locality := map[string]func(graph.VID) bool{
+		"all-local": allLocal,
+		"mod7":      func(v graph.VID) bool { return v%7 != 0 },
+	}
+	for name, edges := range inputs {
+		if len(edges) < 8*1024 { // the filter's light half still fans out
+			t.Fatalf("%s: %d edges; the pool would not fan out", name, len(edges))
+		}
+		for lname, isLocal := range locality {
+			for _, filter := range []bool{false, true} {
+				cfg := Config{Filter: filter, FilterThreshold: 200}
+				want := Run(edges, isLocal, cfg)
+				for _, threads := range []int{2, 4, 8} {
+					cfg.Pool = par.NewPool(threads)
+					got := Run(edges, isLocal, cfg)
+					where := fmt.Sprintf("%s/%s/filter=%v threads=%d", name, lname, filter, threads)
+					switch {
+					case !slices.Equal(got.MSTEdges, want.MSTEdges):
+						t.Errorf("%s: MSTEdges differ from one thread's (%d against %d edges)", where, len(got.MSTEdges), len(want.MSTEdges))
+					case !slices.Equal(got.Verts, want.Verts) || !slices.Equal(got.Roots, want.Roots):
+						t.Errorf("%s: Verts or Roots differ from one thread's", where)
+					case !slices.Equal(got.Remaining, want.Remaining):
+						t.Errorf("%s: Remaining differs from one thread's (%d against %d edges)", where, len(got.Remaining), len(want.Remaining))
+					case got.Rounds != want.Rounds || got.Work != want.Work:
+						t.Errorf("%s: %d rounds and %d work, one thread %d and %d", where, got.Rounds, got.Work, want.Rounds, want.Work)
+					}
+				}
+			}
+		}
 	}
 }
 

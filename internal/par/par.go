@@ -6,9 +6,10 @@
 //
 // A Pool models the paper's "OpenMP threads per MPI process": the world
 // builds one with t workers for every PE it hosts (comm.Comm.Pool). With
-// t == 1 all primitives degenerate to their sequential forms with no
-// goroutine or synchronization overhead, which keeps the 1-thread
-// configurations honest.
+// t == 1 the loops run inline, with no goroutine. MinIndex is the
+// exception: its CAS loop and its comparison closure cost the same at any
+// width, so a caller that knows it runs alone keeps a plain table instead
+// (localmst does).
 package par
 
 import (
