@@ -119,7 +119,7 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout) Result {
 				}
 				return (o/s)*s == c.Rank()
 			}
-			res := localmst.Run(work, isLocal, localmst.Config{Pool: c.Pool()})
+			res := localmst.Run(work, isLocal, localmst.Config{})
 			mst = append(mst, res.MSTEdges...)
 			work = res.Remaining
 			for i, v := range res.Verts {

@@ -46,11 +46,7 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 		return edges, l
 	}
 
-	res := localmst.Run(edges, isLocal, localmst.Config{
-		Pool:    c.Pool(),
-		Scratch: c.Scratch(),
-		Filter:  true,
-	})
+	res := localmst.Run(edges, isLocal, localmst.Config{Scratch: c.Scratch(), Filter: true})
 	*mst = append(*mst, res.MSTEdges...)
 	// Charge the contraction's actual edge touches (rounds compact the
 	// edge set, so this is far below m·rounds).

@@ -1,7 +1,7 @@
-// Package localmst implements the intra-PE shared-memory MST machinery of
-// the paper: Borůvka rounds with min-priority-write minimum-edge selection
-// (the building block taken from the GBBS algorithm of Dhulipala et al.
-// [15]), specialized for two uses:
+// Package localmst implements the intra-PE MST machinery of the paper:
+// Borůvka rounds with min-priority-write minimum-edge selection (the
+// building block taken from the GBBS algorithm of Dhulipala et al. [15]),
+// specialized for two uses:
 //
 //   - Local preprocessing (§IV-A): contract local edges that are provably
 //     MST edges using only locally available information. A vertex is only
@@ -9,8 +9,8 @@
 //     when the lightest edge is a cut edge, the vertex freezes and stays
 //     for the distributed rounds.
 //   - Shared-memory MSF: with every vertex local and no freezing, the same
-//     rounds compute the full MSF of a graph on one node with t threads
-//     (the single-node baseline of §VII-C).
+//     rounds compute the full MSF of a graph on one node (the single-node
+//     baseline of §VII-C).
 //
 // It also provides the engineering refinements of §VI-B: the hash-table
 // based removal of parallel edges, and a one-level variant of the recursive
@@ -18,9 +18,10 @@
 //
 // Endpoints are translated once to dense int32 ids that ascend with the
 // vertex labels, and the rounds run over 16-byte records that index the
-// caller's edge slice, which is never written (DESIGN.md §8.3). On a
-// one-thread pool the min-priority-write is a plain min table. Every
-// buffer comes from Config.Scratch, the Result's MSTEdges, Verts, Roots and
+// caller's edge slice, which is never written (DESIGN.md §8.3). The rounds
+// are sequential per PE, the min-priority-write a plain min table; the
+// thread count t reaches them only through the model. Every buffer comes
+// from Config.Scratch, the Result's MSTEdges, Verts, Roots and
 // Remaining included: they are valid until the next Run on the same arena.
 // With a nil Scratch a call has its own arena and the Result owns them.
 package localmst
@@ -30,8 +31,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
-	"unsafe"
 
 	"kamsta/internal/arena"
 	"kamsta/internal/graph"
@@ -40,8 +39,6 @@ import (
 
 // Config controls a local contraction run.
 type Config struct {
-	// Pool provides intra-PE threads (nil = sequential).
-	Pool *par.Pool
 	// Scratch is the arena all working memory and the Result are taken
 	// from (nil = a private arena for this call).
 	Scratch *arena.Arena
@@ -81,7 +78,7 @@ var (
 	kRecs, kPairs   = arena.NewKey(), arena.NewKey() // []rec working records; []uint32 endpoint-pair hash table
 	kDirect, kLabel = arena.NewKey(), arena.NewKey() // []int32 label window → id+1; []graph.VID id → label
 	kParent, kFlag  = arena.NewKey(), arena.NewKey() // []int32 contraction forest; []uint8 vertex flags
-	kSlots          = arena.NewKey()                 // []atomic.Uint32 min table, read as []uint32 at one thread
+	kSlots          = arena.NewKey()                 // []uint32 min table: the minima, then their weights
 	kMST, kRem      = arena.NewKey(), arena.NewKey() // []graph.Edge Result.MSTEdges, Result.Remaining
 	kVerts, kRoots  = arena.NewKey(), arena.NewKey() // []graph.VID Result.Verts, Result.Roots
 )
@@ -105,18 +102,14 @@ const frozen, foreign, hooked = 1, 2, 4
 type state struct {
 	edges  []graph.Edge // the caller's slice, read-only
 	a      *arena.Arena // Config.Scratch, or this call's own
-	pool   *par.Pool
 	base   graph.VID
 	direct []int32     // direct[label-base] = id+1, 0 = absent; nil = search label
 	label  []graph.VID // id → label
 	parent []int32     // roots: parent[i] == i
 	flag   []uint8
-	slots  par.MinIndex // the min table for offer on more than one thread
-	min    []uint32     // the same memory, for offerSeq, the reset and hook
-	best   []uint32     // offerSeq: the weight of min's record
-	work   []rec        // the active records of the current round
-	less   func(a, b uint32) bool
-	offer  func(lo, hi int)
+	min    []uint32 // the min table: per id, its lightest active record, or none
+	best   []uint32 // the weight of min's record
+	work   []rec    // the active records of the current round
 	res    Result
 }
 
@@ -131,27 +124,9 @@ func Run(edges []graph.Edge, isLocal func(graph.VID) bool, cfg Config) Result {
 	if a == nil {
 		a = arena.New()
 	}
-	st := &state{edges: edges, a: a, pool: cfg.Pool}
+	st := &state{edges: edges, a: a}
 	st.res.MSTEdges = arena.GrabAppend[graph.Edge](a, kMST)
 	st.number(isLocal)
-	if cfg.Pool.Threads() > 1 {
-		st.less = func(x, y uint32) bool { return st.lighter(st.work[x], st.work[y]) }
-		// Min-priority-write [15]: every edge offers itself to the slots of
-		// BOTH endpoints, which makes the selection correct for undirected
-		// edges regardless of which directed copies this PE holds.
-		st.offer = func(lo, hi int) {
-			work, flag, slots, less := st.work, st.flag, st.slots, st.less
-			for k := lo; k < hi; k++ {
-				r := work[k]
-				if flag[r.u] == 0 {
-					slots.Write(int(r.u), uint32(k), less)
-				}
-				if flag[r.v] == 0 {
-					slots.Write(int(r.v), uint32(k), less)
-				}
-			}
-		}
-	}
 
 	// Translate once, dropping self-loops; with filtering, light records
 	// fill the buffer from the front and heavy ones from the back.
@@ -234,12 +209,8 @@ func (st *state) number(isLocal func(graph.VID) bool) {
 	st.label = label
 	st.parent = arena.Grab[int32](a, kParent, len(label))
 	st.flag = arena.Grab[uint8](a, kFlag, len(label))
-	slots := arena.Grab[atomic.Uint32](a, kSlots, 2*len(label))
-	st.slots = par.MinIndex(slots[:len(label)])
-	// An atomic.Uint32 is one uint32. Reads and the reset go through the
-	// plain view; pool.For orders them against the CAS writers.
-	both := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(slots))), len(slots))
-	st.min, st.best = both[:len(label)], both[len(label):]
+	slots := arena.Grab[uint32](a, kSlots, 2*len(label))
+	st.min, st.best = slots[:len(label)], slots[len(label):]
 	for i, v := range label {
 		st.parent[i], st.flag[i] = int32(i), 0
 		if !isLocal(v) {
@@ -317,13 +288,9 @@ func (st *state) contract(w []rec) int {
 		st.work = w[rt:n]
 		st.res.Work += n - rt
 		for i := range st.min {
-			st.min[i], st.best[i] = par.None, math.MaxUint32
+			st.min[i], st.best[i] = none, math.MaxUint32
 		}
-		if st.offer == nil {
-			st.offerSeq()
-		} else {
-			st.pool.For(n-rt, st.offer)
-		}
+		st.offer()
 		if !st.hook() {
 			return n
 		}
@@ -351,19 +318,24 @@ func (st *state) contract(w []rec) int {
 	}
 }
 
-// offerSeq is offer on a one-thread pool: the same minimum per slot, kept
-// in a plain table with the comparison inlined. best holds each minimum's
-// weight, so only a weight tie reads the record it holds.
-func (st *state) offerSeq() {
+// none marks an empty min-table slot.
+const none = ^uint32(0)
+
+// offer is the min-priority-write [15]: every active record offers itself
+// to the slots of BOTH endpoints, which makes the selection correct for
+// undirected edges regardless of which directed copies this PE holds. best
+// holds each minimum's weight, so only a weight tie reads the record it
+// holds.
+func (st *state) offer() {
 	work, flag, slot, best := st.work, st.flag, st.min, st.best
 	for k, r := range work {
 		if flag[r.u] == 0 {
-			if b := best[r.u]; r.w < b || r.w == b && (slot[r.u] == par.None || st.lighter(r, work[slot[r.u]])) {
+			if b := best[r.u]; r.w < b || r.w == b && (slot[r.u] == none || st.lighter(r, work[slot[r.u]])) {
 				slot[r.u], best[r.u] = uint32(k), r.w
 			}
 		}
 		if flag[r.v] == 0 {
-			if b := best[r.v]; r.w < b || r.w == b && (slot[r.v] == par.None || st.lighter(r, work[slot[r.v]])) {
+			if b := best[r.v]; r.w < b || r.w == b && (slot[r.v] == none || st.lighter(r, work[slot[r.v]])) {
 				slot[r.v], best[r.v] = uint32(k), r.w
 			}
 		}
@@ -380,7 +352,7 @@ func (st *state) hook() bool {
 		switch {
 		case st.flag[i] != 0 || st.parent[i] != int32(i):
 			continue
-		case k == par.None:
+		case k == none:
 			st.flag[i] = frozen // isolated component
 			continue
 		}
@@ -513,8 +485,9 @@ func startOffsets(c []uint32) {
 	}
 }
 
-// MSF computes the full minimum spanning forest of an in-memory graph with
-// t threads: the shared-memory baseline (§VII-C). All vertices are local.
-func MSF(edges []graph.Edge, pool *par.Pool) Result {
-	return Run(edges, func(graph.VID) bool { return true }, Config{Pool: pool})
+// MSF computes the full minimum spanning forest of an in-memory graph: the
+// shared-memory baseline (§VII-C). All vertices are local. The pool is
+// unused; the parameter stays only because the benchmark module passes one.
+func MSF(edges []graph.Edge, _ *par.Pool) Result {
+	return Run(edges, func(graph.VID) bool { return true }, Config{})
 }

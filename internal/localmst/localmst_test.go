@@ -1,7 +1,6 @@
 package localmst
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
-	"kamsta/internal/par"
 	"kamsta/internal/rng"
 	"kamsta/internal/seqmst"
 	"kamsta/internal/unionfind"
@@ -60,42 +58,69 @@ func TestMSFMatchesKruskalAllLocal(t *testing.T) {
 		n := 60 + int(seed)*10
 		edges := randomEdges(n, n*4, seed)
 		want := seqmst.Kruskal(n, edges)
-		for _, threads := range []int{1, 4} {
-			for _, filter := range []bool{false, true} {
-				got := Run(edges, allLocal, Config{
-					Pool: par.NewPool(threads), Filter: filter, FilterThreshold: 64,
-				})
-				if w := totalWeight(got.MSTEdges); w != want.TotalWeight {
-					t.Fatalf("seed=%d threads=%d filter=%v: weight %d want %d",
-						seed, threads, filter, w, want.TotalWeight)
-				}
-				if len(got.MSTEdges) != len(want.Edges) {
-					t.Fatalf("seed=%d: %d MST edges want %d", seed, len(got.MSTEdges), len(want.Edges))
-				}
-				if len(got.Remaining) != 0 {
-					t.Fatalf("seed=%d: %d edges remain after full MSF", seed, len(got.Remaining))
-				}
+		for _, filter := range []bool{false, true} {
+			got := Run(edges, allLocal, Config{Filter: filter, FilterThreshold: 64})
+			if w := totalWeight(got.MSTEdges); w != want.TotalWeight {
+				t.Fatalf("seed=%d filter=%v: weight %d want %d", seed, filter, w, want.TotalWeight)
+			}
+			if len(got.MSTEdges) != len(want.Edges) {
+				t.Fatalf("seed=%d: %d MST edges want %d", seed, len(got.MSTEdges), len(want.Edges))
+			}
+			if len(got.Remaining) != 0 {
+				t.Fatalf("seed=%d: %d edges remain after full MSF", seed, len(got.Remaining))
 			}
 		}
 	}
 }
 
+// TestMSFEdgeSetMatchesKruskal: MSF picks Kruskal's edges under
+// graph.LessWeight, and of each its least copy under the labels it was
+// emitted with. The tie-heavy inputs reach every level of that order.
 func TestMSFEdgeSetMatchesKruskal(t *testing.T) {
-	n := 100
-	edges := randomEdges(n, 400, 5)
-	want := seqmst.Kruskal(n, edges)
-	got := MSF(edges, par.NewPool(2))
-	wantTB := map[uint64]bool{}
-	for _, e := range want.Edges {
-		wantTB[e.TB] = true
+	var rgg []graph.Edge
+	comm.NewWorld(1).Run(func(c *comm.Comm) {
+		rgg, _ = gen.Build(c, gen.Spec{Family: gen.RGG2D, N: 1 << 11, M: 1 << 13, Seed: 5}, dsort.Options{})
+	})
+	inputs := map[string][]graph.Edge{
+		"random":   randomEdges(100, 400, 5),
+		"rgg-ties": tieHeavy(rgg),
+		"gnm-ties": tieHeavy(randomEdges(1500, 6000, 12)),
 	}
-	for _, e := range got.MSTEdges {
-		if !wantTB[e.TB] {
-			t.Fatalf("MSF picked non-MST edge %v", e)
+	for name, edges := range inputs {
+		n := graph.VID(0)
+		copies := map[uint64][]graph.Edge{}
+		for _, e := range edges {
+			n = max(n, e.U, e.V)
+			copies[e.TB] = append(copies[e.TB], e)
 		}
-	}
-	if len(got.MSTEdges) != len(want.Edges) {
-		t.Fatalf("%d edges want %d", len(got.MSTEdges), len(want.Edges))
+		want := seqmst.Kruskal(int(n), edges)
+		got := MSF(edges, nil)
+		wantTB := map[uint64]bool{}
+		for _, e := range want.Edges {
+			wantTB[e.TB] = true
+		}
+		if len(got.MSTEdges) != len(want.Edges) {
+			t.Fatalf("%s: %d edges want %d", name, len(got.MSTEdges), len(want.Edges))
+		}
+		for _, e := range got.MSTEdges {
+			if !wantTB[e.TB] {
+				t.Fatalf("%s: MSF picked non-MST edge %v", name, e)
+			}
+			// Every copy of e's edge is still active when e wins: the same
+			// direction carries e's labels, the other direction them swapped.
+			orig := edges[e.ID]
+			for _, c := range copies[e.TB] {
+				if c.U == orig.U {
+					c.U, c.V = e.U, e.V
+				} else {
+					c.U, c.V = e.V, e.U
+				}
+				if graph.LessWeight(c, e) {
+					t.Fatalf("%s: MSF emitted copy %d of edge %v (labels %d→%d), copy %d is lighter",
+						name, e.ID, orig, e.U, e.V, c.ID)
+				}
+			}
+		}
 	}
 }
 
@@ -197,7 +222,7 @@ func TestPreprocessingEdgesAreGlobalMSTEdges(t *testing.T) {
 		}
 		// Vertices 1..n/2 are "local".
 		isLocal := func(v graph.VID) bool { return int(v) <= n/2 }
-		got := Run(edges, isLocal, Config{Pool: par.NewPool(2)})
+		got := Run(edges, isLocal, Config{})
 		for _, e := range got.MSTEdges {
 			if !wantTB[e.TB] {
 				t.Fatalf("seed=%d: preprocessing contracted non-MST edge %v", seed, e)
@@ -294,7 +319,7 @@ func TestRoundsLogarithmic(t *testing.T) {
 	for i := 1; i < 1024; i++ {
 		edges = append(edges, graph.NewEdge(graph.VID(i), graph.VID(i+1), graph.RandomWeight(7, graph.VID(i), graph.VID(i+1))))
 	}
-	got := MSF(edges, par.NewPool(4))
+	got := MSF(edges, nil)
 	if len(got.MSTEdges) != 1023 {
 		t.Fatalf("path MSF has %d edges", len(got.MSTEdges))
 	}
@@ -325,59 +350,10 @@ func tieHeavy(edges []graph.Edge) []graph.Edge {
 	return out
 }
 
-// TestThreadCountsAgree holds the one-thread path (a plain min table) to
-// the CAS path of par.MinIndex: every field of the Result, MST edges in
-// order, on inputs with more than 2·512 active records, so that t > 1 fans
-// out, and with ties at every level of the order.
-func TestThreadCountsAgree(t *testing.T) {
-	var rgg []graph.Edge
-	comm.NewWorld(1).Run(func(c *comm.Comm) {
-		rgg, _ = gen.Build(c, gen.Spec{Family: gen.RGG2D, N: 1 << 11, M: 1 << 13, Seed: 5}, dsort.Options{})
-	})
-	inputs := map[string][]graph.Edge{
-		"rgg": tieHeavy(rgg),
-		"gnm": tieHeavy(randomEdges(1500, 6000, 12)),
-	}
-	locality := map[string]func(graph.VID) bool{
-		"all-local": allLocal,
-		"mod7":      func(v graph.VID) bool { return v%7 != 0 },
-	}
-	for name, edges := range inputs {
-		if len(edges) < 8*1024 { // the filter's light half still fans out
-			t.Fatalf("%s: %d edges; the pool would not fan out", name, len(edges))
-		}
-		for lname, isLocal := range locality {
-			for _, filter := range []bool{false, true} {
-				cfg := Config{Filter: filter, FilterThreshold: 200}
-				want := Run(edges, isLocal, cfg)
-				for _, threads := range []int{2, 4, 8} {
-					cfg.Pool = par.NewPool(threads)
-					got := Run(edges, isLocal, cfg)
-					where := fmt.Sprintf("%s/%s/filter=%v threads=%d", name, lname, filter, threads)
-					switch {
-					case !slices.Equal(got.MSTEdges, want.MSTEdges):
-						t.Errorf("%s: MSTEdges differ from one thread's (%d against %d edges)", where, len(got.MSTEdges), len(want.MSTEdges))
-					case !slices.Equal(got.Verts, want.Verts) || !slices.Equal(got.Roots, want.Roots):
-						t.Errorf("%s: Verts or Roots differ from one thread's", where)
-					case !slices.Equal(got.Remaining, want.Remaining):
-						t.Errorf("%s: Remaining differs from one thread's (%d against %d edges)", where, len(got.Remaining), len(want.Remaining))
-					case got.Rounds != want.Rounds || got.Work != want.Work:
-						t.Errorf("%s: %d rounds and %d work, one thread %d and %d", where, got.Rounds, got.Work, want.Rounds, want.Work)
-					}
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkMSF1Thread(b *testing.B) { benchMSF(b, 1) }
-func BenchmarkMSF8Thread(b *testing.B) { benchMSF(b, 8) }
-
-func benchMSF(b *testing.B, threads int) {
+func BenchmarkMSF1Thread(b *testing.B) {
 	edges := randomEdges(20000, 100000, 1)
-	pool := par.NewPool(threads)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MSF(edges, pool)
+		MSF(edges, nil)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"kamsta/internal/dsort"
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
-	"kamsta/internal/par"
 	"kamsta/internal/rng"
 )
 
@@ -247,17 +246,11 @@ func TestRunResultsPinned(t *testing.T) {
 			key := fmt.Sprintf("%s/filter=%v", in.name, filter)
 			want, ok := pinnedWant[key]
 			seen++
-			for _, threads := range []int{1, 4} {
-				got := fingerprint(Run(in.edges, in.isLocal, Config{
-					Pool: par.NewPool(threads), Filter: filter, FilterThreshold: 200,
-				}))
-				if !ok {
-					t.Errorf("no pinned row; recorded:\n\t%q: %#v,", key, got)
-					ok, want = true, got
-				}
-				if got != want {
-					t.Errorf("%s threads=%d:\n got %+v\nwant %+v", key, threads, got, want)
-				}
+			got := fingerprint(Run(in.edges, in.isLocal, Config{Filter: filter, FilterThreshold: 200}))
+			if !ok {
+				t.Errorf("no pinned row; recorded:\n\t%q: %#v,", key, got)
+			} else if got != want {
+				t.Errorf("%s:\n got %+v\nwant %+v", key, got, want)
 			}
 		}
 	}
@@ -266,21 +259,19 @@ func TestRunResultsPinned(t *testing.T) {
 	}
 }
 
-// TestRunSteadyStateAllocs: on a warm arena a Run allocates a small constant
-// number of objects (its state and two closures), however many edges and
-// rounds it has — every buffer, the Result's slices included, is recycled.
+// TestRunSteadyStateAllocs: on a warm arena a Run allocates nothing, however
+// many edges and rounds it has — every buffer, the Result's slices included,
+// is recycled, and its state stays on the stack.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	isLocal := func(v graph.VID) bool { return v%5 != 0 }
 	for _, filter := range []bool{false, true} {
-		var perSize []float64
 		for _, m := range []int{2000, 40000} {
 			edges := randomEdges(m/4, m, 31)
 			cfg := Config{Scratch: arena.New(), Filter: filter, FilterThreshold: 500}
 			Run(edges, isLocal, cfg) // warm the arena
-			perSize = append(perSize, testing.AllocsPerRun(5, func() { Run(edges, isLocal, cfg) }))
-		}
-		if perSize[0] != perSize[1] || perSize[0] > 4 {
-			t.Errorf("filter=%v: %v allocations per warm Run at 2 000 and 40 000 edges, want equal and ≤ 4", filter, perSize)
+			if n := testing.AllocsPerRun(5, func() { Run(edges, isLocal, cfg) }); n != 0 {
+				t.Errorf("filter=%v: %v allocations per warm Run at %d edges, want 0", filter, n, m)
+			}
 		}
 	}
 }

@@ -1,21 +1,13 @@
 // Package par provides the intra-PE shared-memory parallel primitives the
 // paper takes from the parlay library: parallel for over index ranges,
-// blocked reductions, parallel prefix sums, parallel filtering, and the
-// min-priority-write used by the shared-memory Borůvka variant of
-// Dhulipala et al. that the local preprocessing step builds on.
+// blocked reductions, parallel prefix sums and parallel filtering.
 //
 // A Pool models the paper's "OpenMP threads per MPI process": the world
 // builds one with t workers for every PE it hosts (comm.Comm.Pool). With
-// t == 1 the loops run inline, with no goroutine. MinIndex is the
-// exception: its CAS loop and its comparison closure cost the same at any
-// width, so a caller that knows it runs alone keeps a plain table instead
-// (localmst does).
+// t == 1 the loops run inline, with no goroutine.
 package par
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Pool executes data-parallel loops on up to Threads concurrent workers.
 // The zero value behaves like a single-threaded pool.
@@ -173,43 +165,4 @@ func Filter[T any](p *Pool, xs []T, keep func(T) bool) []T {
 		}
 	})
 	return out
-}
-
-// None marks an empty MinIndex slot.
-const None = ^uint32(0)
-
-// MinIndex is a concurrent min-priority-write table: slot s holds the index
-// of the best candidate written so far under a caller-supplied total order.
-// It is the core primitive of the min-priority-write Borůvka variant: each
-// edge is written to the slots of both endpoints, and each slot retains the
-// index of the lightest edge. Writers may race freely; the CAS loop
-// guarantees the winner is the minimum under less. A table is a plain
-// slice — make one, or convert recycled memory — and must be Reset before use.
-type MinIndex []atomic.Uint32
-
-// Reset empties all slots.
-func (m MinIndex) Reset() {
-	for i := range m {
-		m[i].Store(None)
-	}
-}
-
-// Write offers candidate index idx to slot s; the slot keeps whichever of
-// the current holder and idx is smaller under less. less(a, b) must define a
-// strict total order on candidate indices and must be pure.
-func (m MinIndex) Write(s int, idx uint32, less func(a, b uint32) bool) {
-	for {
-		cur := m[s].Load()
-		if cur != None && !less(idx, cur) {
-			return
-		}
-		if m[s].CompareAndSwap(cur, idx) {
-			return
-		}
-	}
-}
-
-// Get returns the current holder of slot s, or None.
-func (m MinIndex) Get(s int) uint32 {
-	return m[s].Load()
 }

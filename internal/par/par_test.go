@@ -185,92 +185,6 @@ func TestFilterAllocatesExactly(t *testing.T) {
 	}
 }
 
-func TestMinIndexSequential(t *testing.T) {
-	weights := []int{5, 3, 8, 3, 1}
-	less := func(a, b uint32) bool {
-		if weights[a] != weights[b] {
-			return weights[a] < weights[b]
-		}
-		return a < b
-	}
-	m := make(MinIndex, 2)
-	m.Reset()
-	for i := range weights {
-		m.Write(0, uint32(i), less)
-	}
-	if got := m.Get(0); got != 4 {
-		t.Fatalf("slot 0 holds %d, want 4 (weight 1)", got)
-	}
-	if m.Get(1) != None {
-		t.Fatal("untouched slot should be None")
-	}
-}
-
-func TestMinIndexTieBreak(t *testing.T) {
-	weights := []int{3, 3, 3}
-	less := func(a, b uint32) bool {
-		if weights[a] != weights[b] {
-			return weights[a] < weights[b]
-		}
-		return a < b
-	}
-	m := make(MinIndex, 1)
-	m.Reset()
-	m.Write(0, 2, less)
-	m.Write(0, 0, less)
-	m.Write(0, 1, less)
-	if got := m.Get(0); got != 0 {
-		t.Fatalf("tie should resolve to smallest index, got %d", got)
-	}
-}
-
-func TestMinIndexConcurrent(t *testing.T) {
-	const n = 1 << 14
-	weights := make([]int, n)
-	for i := range weights {
-		weights[i] = (i * 2654435761) % 9973
-	}
-	less := func(a, b uint32) bool {
-		if weights[a] != weights[b] {
-			return weights[a] < weights[b]
-		}
-		return a < b
-	}
-	m := make(MinIndex, 16)
-	m.Reset()
-	p := NewPool(8)
-	p.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m.Write(i%16, uint32(i), less)
-		}
-	})
-	// Verify each slot holds the true minimum of its residue class.
-	for s := 0; s < 16; s++ {
-		best := uint32(None)
-		for i := s; i < n; i += 16 {
-			if best == None || less(uint32(i), best) {
-				best = uint32(i)
-			}
-		}
-		if got := m.Get(s); got != best {
-			t.Fatalf("slot %d holds %d (w=%d), want %d (w=%d)", s, got, weights[got], best, weights[best])
-		}
-	}
-}
-
-func TestMinIndexReset(t *testing.T) {
-	m := make(MinIndex, 4)
-	m.Reset()
-	less := func(a, b uint32) bool { return a < b }
-	m.Write(2, 7, less)
-	m.Reset()
-	for s := 0; s < 4; s++ {
-		if m.Get(s) != None {
-			t.Fatalf("slot %d not empty after Reset", s)
-		}
-	}
-}
-
 func BenchmarkPrefixSum(b *testing.B) {
 	p := NewPool(8)
 	xs := make([]int, 1<<20)
@@ -281,19 +195,5 @@ func BenchmarkPrefixSum(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PrefixSum(p, xs, out)
-	}
-}
-
-func BenchmarkMinIndexWrite(b *testing.B) {
-	weights := make([]int, 1<<16)
-	for i := range weights {
-		weights[i] = i * 31 % 1009
-	}
-	less := func(x, y uint32) bool { return weights[x] < weights[y] || (weights[x] == weights[y] && x < y) }
-	m := make(MinIndex, 1024)
-	m.Reset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Write(i%1024, uint32(i%(1<<16)), less)
 	}
 }
