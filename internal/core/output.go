@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -9,39 +10,48 @@ import (
 	"kamsta/internal/graph"
 )
 
-// inputCopy is the compressed copy of this PE's original input chunk plus
-// the replicated ID offsets of all chunks, kept to output original MST
-// endpoints (§VI-C: stored 7-bit variable-length encoded because node
-// memory is scarce; decoded once before and once after the computation,
-// which we account in modeled time).
+// inputCopy is this PE's original input chunk, read in place, plus the
+// replicated ID offsets of all chunks, kept to output original MST
+// endpoints (§VI-C). The chunk stays resident and unwritten for the whole
+// job (DESIGN §8.2, kFinish), so it stands in for the paper's compressed
+// copy; the model still charges that copy's two decode passes.
 type inputCopy struct {
-	comp    *graph.CompressedEdges
+	edges   []graph.Edge
+	firstID uint64   // global ID of edges[0]
 	offsets []uint64 // offsets[i] = first global ID on PE i; len p+1
 }
 
-// makeInputCopy compresses the local input chunk and gathers the global ID
-// layout.
+// makeInputCopy checks the local chunk's input format — lexicographically
+// sorted, consecutive IDs — and gathers the global ID layout.
 func makeInputCopy(c *comm.Comm, edges []graph.Edge) *inputCopy {
 	firstID := uint64(0)
 	if len(edges) > 0 {
 		firstID = uint64(edges[0].ID)
 	}
-	comp := graph.CompressEdges(edges, firstID)
+	for i := range edges {
+		if i > 0 && graph.LessLex(edges[i], edges[i-1]) {
+			panic("core: input edges must be sorted lexicographically")
+		}
+		if want := firstID + uint64(i); uint64(edges[i].ID) != want {
+			panic(fmt.Sprintf("core: input edge %d has ID %d, want consecutive %d", i, edges[i].ID, want))
+		}
+	}
 	counts := comm.Allgather(c, len(edges))
 	offsets := make([]uint64, c.P()+1)
 	for i, n := range counts {
 		offsets[i+1] = offsets[i] + uint64(n)
 	}
-	// Account one decode pass now (the paper charges decoding twice but
-	// not encoding); the second pass is charged in redistributeMST.
+	// Account the paper's first decode pass now (it charges decoding twice
+	// but not encoding); the second is charged in redistributeMST.
 	c.ChargeCompute(len(edges))
-	return &inputCopy{comp: comp, offsets: offsets}
+	return &inputCopy{edges: edges, firstID: firstID, offsets: offsets}
 }
 
 // redistributeMST implements REDISTRIBUTEMST: every identified MST edge is
 // routed back to the home PE of its original input copy (by global edge
-// ID), where the original endpoints are recovered from the compressed
-// input. Returns the local share of the MSF with original endpoint labels.
+// ID), where the original endpoints are read from the input chunk. Returns
+// the local share of the MSF with original endpoint labels, in
+// lexicographic order: IDs are positions in the sorted input.
 func redistributeMST(c *comm.Comm, mst []graph.Edge, in *inputCopy, opt Options) []graph.Edge {
 	send := alltoall.NewBuilder[uint64](c, kMSTSend)
 	for _, e := range mst {
@@ -49,16 +59,21 @@ func redistributeMST(c *comm.Comm, mst []graph.Edge, in *inputCopy, opt Options)
 		send.Add(sort.Search(c.P(), func(i int) bool { return in.offsets[i+1] > id }), id)
 	}
 	recv := send.Exchange(opt.A2A)
-	// One forward sweep over the compressed chunk: IDs are positions in the
-	// sorted input, so decoding them in ascending order yields the local
-	// share already in lexicographic order.
 	var ids []uint64
 	for i := range recv {
 		ids = append(ids, recv[i]...)
 	}
 	slices.Sort(ids)
-	out := in.comp.DecodeIDs(ids)
-	// Second decode pass of the compressed copy (§VI-C accounting).
-	c.ChargeCompute(in.comp.Len())
+	out := make([]graph.Edge, len(ids))
+	for k, id := range ids {
+		i := id - in.firstID // an ID below firstID wraps past len(edges)
+		if i >= uint64(len(in.edges)) || uint64(in.edges[i].ID) != id {
+			panic(fmt.Sprintf("core: MST edge ID %d not found in the input chunk [%d,%d): was it overwritten?",
+				id, in.firstID, in.firstID+uint64(len(in.edges))))
+		}
+		out[k] = in.edges[i]
+	}
+	// The paper's second decode pass of the compressed copy (§VI-C).
+	c.ChargeCompute(len(in.edges))
 	return out
 }

@@ -33,7 +33,6 @@
 package kamsta
 
 import (
-	"slices"
 	"time"
 
 	"kamsta/internal/comm"
@@ -103,9 +102,11 @@ func canonicalEdgeLess(a, b InputEdge) bool {
 	return a.W < b.W
 }
 
-// sortMSTEdges puts a Report's forest into the canonical order.
+// sortMSTEdges puts a Report's forest into the canonical order: a radix
+// sort on the endpoints (labels are below 2^32), canonicalEdgeLess finishing
+// equal (U, V) runs by weight.
 func sortMSTEdges(es []InputEdge) {
-	slices.SortFunc(es, radix.CmpOf(canonicalEdgeLess))
+	radix.Sort(es, func(e InputEdge) uint64 { return e.U<<32 | e.V }, canonicalEdgeLess)
 }
 
 // Report is the outcome of a computation.

@@ -2,10 +2,12 @@ package kamsta
 
 import (
 	"context"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"kamsta/internal/comm"
+	"kamsta/internal/radix"
 )
 
 // mustCompute runs one job on m with a background context or fails the
@@ -80,6 +82,61 @@ func TestReportOrderingCanonical(t *testing.T) {
 					alg, i-1, i, rep.MSTEdges[i-1], rep.MSTEdges[i])
 			}
 		}
+	}
+}
+
+// randomCanonicalEdges draws n canonical (U < V) edges with labels below
+// span, so a small span gives equal endpoint pairs and exact duplicates.
+func randomCanonicalEdges(r *rand.Rand, n int, span uint64) []InputEdge {
+	es := make([]InputEdge, n)
+	for i := range es {
+		u, v := 1+r.Uint64N(span-1), 1+r.Uint64N(span-1)
+		for u == v {
+			v = 1 + r.Uint64N(span-1)
+		}
+		es[i] = InputEdge{U: min(u, v), V: max(u, v), W: r.Uint32N(4)}
+	}
+	return es
+}
+
+// TestSortMSTEdgesMatchesComparator: the radix sort puts a forest in the
+// order the comparator sort gives, with weight breaking equal (U, V), exact
+// duplicates, labels up to 2^32 − 1 and the smallest inputs.
+func TestSortMSTEdgesMatchesComparator(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	top := InputEdge{U: 1<<32 - 2, V: 1<<32 - 1, W: 7}
+	cases := [][]InputEdge{
+		nil,
+		{top},
+		{top, {U: 1, V: 1<<32 - 1, W: 1}},
+		{{U: 3, V: 4, W: 2}, {U: 3, V: 4, W: 1}},
+		{{U: 3, V: 4, W: 2}, {U: 3, V: 4, W: 2}, {U: 1, V: 2, W: 9}, {U: 3, V: 4, W: 2}},
+		{top, {U: 1<<32 - 2, V: 1<<32 - 1, W: 0}, {U: 1 << 31, V: 1<<32 - 1}, top},
+	}
+	for _, span := range []uint64{8, 1 << 12, 1 << 32} {
+		cases = append(cases, randomCanonicalEdges(r, 5000, span))
+	}
+	for i, es := range cases {
+		want := slices.Clone(es)
+		slices.SortFunc(want, radix.CmpOf(canonicalEdgeLess))
+		got := slices.Clone(es)
+		sortMSTEdges(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("case %d (%d edges): radix order differs from the comparator's", i, len(es))
+		}
+	}
+}
+
+// BenchmarkSortMSTEdges: the end-of-job sort of a Report's forest, 2^17
+// canonical edges with random labels (the copy into the sorted slice is
+// inside the timing).
+func BenchmarkSortMSTEdges(b *testing.B) {
+	es := randomCanonicalEdges(rand.New(rand.NewPCG(3, 4)), 1<<17, 1<<20)
+	buf := make([]InputEdge, len(es))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, es)
+		sortMSTEdges(buf)
 	}
 }
 

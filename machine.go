@@ -509,6 +509,7 @@ func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report,
 	}
 	rep.Phases = w.Phases()
 	rep.Stats = w.TotalStats()
+	rep.MSTEdges = make([]InputEdge, 0, rep.NumEdges)
 	for _, sh := range j.shares {
 		for _, e := range sh {
 			u, v := e.OrigPair()
