@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -16,26 +15,14 @@ import (
 // job (DESIGN §8.2, kFinish), so it stands in for the paper's compressed
 // copy; the model still charges that copy's two decode passes.
 type inputCopy struct {
-	edges   []graph.Edge
-	firstID uint64   // global ID of edges[0]
+	chunk   graph.Chunk
 	offsets []uint64 // offsets[i] = first global ID on PE i; len p+1
 }
 
 // makeInputCopy checks the local chunk's input format — lexicographically
 // sorted, consecutive IDs — and gathers the global ID layout.
 func makeInputCopy(c *comm.Comm, edges []graph.Edge) *inputCopy {
-	firstID := uint64(0)
-	if len(edges) > 0 {
-		firstID = uint64(edges[0].ID)
-	}
-	for i := range edges {
-		if i > 0 && graph.LessLex(edges[i], edges[i-1]) {
-			panic("core: input edges must be sorted lexicographically")
-		}
-		if want := firstID + uint64(i); uint64(edges[i].ID) != want {
-			panic(fmt.Sprintf("core: input edge %d has ID %d, want consecutive %d", i, edges[i].ID, want))
-		}
-	}
+	chunk := graph.NewChunk(edges)
 	counts := comm.Allgather(c, len(edges))
 	offsets := make([]uint64, c.P()+1)
 	for i, n := range counts {
@@ -44,7 +31,7 @@ func makeInputCopy(c *comm.Comm, edges []graph.Edge) *inputCopy {
 	// Account the paper's first decode pass now (it charges decoding twice
 	// but not encoding); the second is charged in redistributeMST.
 	c.ChargeCompute(len(edges))
-	return &inputCopy{edges: edges, firstID: firstID, offsets: offsets}
+	return &inputCopy{chunk: chunk, offsets: offsets}
 }
 
 // redistributeMST implements REDISTRIBUTEMST: every identified MST edge is
@@ -64,16 +51,8 @@ func redistributeMST(c *comm.Comm, mst []graph.Edge, in *inputCopy, opt Options)
 		ids = append(ids, recv[i]...)
 	}
 	slices.Sort(ids)
-	out := make([]graph.Edge, len(ids))
-	for k, id := range ids {
-		i := id - in.firstID // an ID below firstID wraps past len(edges)
-		if i >= uint64(len(in.edges)) || uint64(in.edges[i].ID) != id {
-			panic(fmt.Sprintf("core: MST edge ID %d not found in the input chunk [%d,%d): was it overwritten?",
-				id, in.firstID, in.firstID+uint64(len(in.edges))))
-		}
-		out[k] = in.edges[i]
-	}
+	out := in.chunk.DecodeIDs(ids)
 	// The paper's second decode pass of the compressed copy (§VI-C).
-	c.ChargeCompute(len(in.edges))
+	c.ChargeCompute(in.chunk.Len())
 	return out
 }

@@ -57,9 +57,9 @@ func TestRedistributeMSTReadsTheChunk(t *testing.T) {
 		edges, _ := gen.Build(c, spec, dsort.Options{})
 		in := makeInputCopy(c, edges)
 		all := comm.AllgatherConcat(c, edges)
-		if lo := in.offsets[c.Rank()]; in.firstID != lo || in.offsets[c.Rank()+1]-lo != uint64(len(edges)) {
+		if lo := in.offsets[c.Rank()]; in.chunk.FirstID() != lo || in.offsets[c.Rank()+1]-lo != uint64(len(edges)) {
 			t.Errorf("rank %d: chunk at ID %d of %d edges, offsets say [%d,%d)",
-				c.Rank(), in.firstID, len(edges), lo, in.offsets[c.Rank()+1])
+				c.Rank(), in.chunk.FirstID(), len(edges), lo, in.offsets[c.Rank()+1])
 		}
 		// Rank r claims every p-th edge of the whole graph, in reverse:
 		// together the ranks claim each edge once.
@@ -91,43 +91,15 @@ func TestRedistributeMSTPanicsOnBadID(t *testing.T) {
 			return
 		}
 		k := len(edges) / 2
-		in.edges = edges[:k]
+		in.chunk = graph.NewChunk(edges[:k])
 		if msg := panicMsg(edges[k : k+1]); !strings.Contains(msg, fmt.Sprintf("ID %d not found", edges[k].ID)) {
 			t.Errorf("an ID past the chunk said %q", msg)
 		}
-		in.edges = edges
+		in.chunk = graph.NewChunk(edges)
 		mst := []graph.Edge{edges[k]}
 		edges[k].ID++
 		if msg := panicMsg(mst); !strings.Contains(msg, fmt.Sprintf("ID %d not found", mst[0].ID)) {
 			t.Errorf("an overwritten input edge said %q", msg)
 		}
 	})
-}
-
-// TestMakeInputCopyChecksFormat: the input chunk must be sorted
-// lexicographically and carry consecutive IDs.
-func TestMakeInputCopyChecksFormat(t *testing.T) {
-	unsorted := []graph.Edge{graph.NewEdge(5, 1, 2), graph.NewEdge(1, 2, 3)}
-	unsorted[0].ID, unsorted[1].ID = 0, 1
-	gap := []graph.Edge{graph.NewEdge(1, 2, 3), graph.NewEdge(1, 3, 4)}
-	gap[0].ID, gap[1].ID = 0, 5
-	for _, tc := range []struct {
-		name  string
-		edges []graph.Edge
-		want  string
-	}{
-		{"unsorted", unsorted, "core: input edges must be sorted lexicographically"},
-		{"non-consecutive IDs", gap, "core: input edge 1 has ID 5, want consecutive 1"},
-	} {
-		comm.NewWorld(1).Run(func(c *comm.Comm) {
-			msg := func() (msg string) {
-				defer func() { msg = fmt.Sprint(recover()) }()
-				makeInputCopy(c, tc.edges)
-				return
-			}()
-			if msg != tc.want {
-				t.Errorf("%s: makeInputCopy said %q, want %q", tc.name, msg, tc.want)
-			}
-		})
-	}
 }

@@ -32,7 +32,7 @@ type Weight = uint32
 //     (§II-C) — an edge and its back edge share the same TB.
 //   - ID is the edge's global index in the input sequence, used to route
 //     the MST edge back to its home PE at the end (RedistributeMST) and to
-//     look it up in the compressed original edge list (§VI-C).
+//     read its original endpoints from the input chunk (Chunk, §VI-C).
 //
 // TB packing assumes original vertex labels below 2^32, which holds for
 // every instance in this repository and in the paper.
