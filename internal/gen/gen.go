@@ -6,11 +6,13 @@
 //
 // Generation is deterministic and communication-free per PE (KaGen style):
 // point positions, degrees and weights are pure hash functions of the seed,
-// so two PEs independently derive identical values for shared objects. A
-// final Finish step sorts the edges globally, removes duplicates and
-// self-loops, assigns consecutive global IDs, and builds the replicated
-// layout — establishing exactly the input format of §II-B (KaGen also hands
-// the paper's implementation globally sorted edges).
+// so two PEs independently derive identical values for shared objects.
+// Finish establishes the input format of §II-B: edges globally sorted,
+// duplicates and self-loops removed, consecutive global IDs, the replicated
+// layout. Build generates into the arena slot Finish's result occupies, and
+// where the generator already emits in global order (the grids, RGG — as
+// KaGen hands the paper's implementation sorted edges) it verifies that
+// order instead of sorting.
 //
 // Edge weights are uniform in [1, 255) and symmetric per undirected edge,
 // following the experimental setup.
@@ -160,31 +162,38 @@ func (s Spec) Label() string {
 	return fmt.Sprintf("%s(n=%d,m=%d)", s.Family, s.N, s.M)
 }
 
-// Generate produces this PE's share of raw directed edges (unsorted; both
-// directions of every undirected edge are emitted across the world).
+// Generate returns this PE's share of raw directed edges (both directions
+// of every undirected edge are emitted across the world) in a slice of its
+// own, valid for as long as the caller holds it.
 func Generate(c *comm.Comm, spec Spec) []graph.Edge {
-	spec = spec.withDefaults()
+	return generate(c, spec.withDefaults(), nil)
+}
+
+// generate fills dst[:0] with this PE's raw edges, in dst's backing when it
+// holds the family's presize.
+func generate(c *comm.Comm, spec Spec, dst []graph.Edge) []graph.Edge {
 	switch spec.Family {
 	case Grid2D:
-		return genGrid2D(c, spec, false)
+		return genGrid2D(c, spec, false, dst)
 	case RoadLike:
-		return genGrid2D(c, spec, true)
+		return genGrid2D(c, spec, true, dst)
 	case RGG2D:
-		return genRGG(c, spec, 2)
+		return genRGG(c, spec, 2, dst)
 	case RGG3D:
-		return genRGG(c, spec, 3)
+		return genRGG(c, spec, 3, dst)
 	case RHG:
-		return genRHG(c, spec)
+		return genRHG(c, spec, dst)
 	case GNM:
-		return genGNM(c, spec)
+		return genGNM(c, spec, dst)
 	case RMAT:
-		return genRMAT(c, spec)
+		return genRMAT(c, spec, dst)
 	}
 	panic("gen: unknown family " + spec.Family.String())
 }
 
-// kFinish is the arena slot of Finish's result: its own, so that no dsort
-// call of the job that consumes the result grabs it.
+// kFinish is the arena slot of Finish's result, and of Build's raw edges
+// before it: its own, so that no dsort call of the job that consumes the
+// result grabs it.
 var kFinish = arena.NewKey()
 
 // Finish turns raw per-PE edges into the distributed graph input format:
@@ -193,12 +202,32 @@ var kFinish = arena.NewKey()
 // replicated layout built. raw is filtered in place.
 //
 // The returned edges live in this PE's scratch arena, in a slot only Finish
-// grabs: they stay valid — across every sort, round and collective of the
-// job that consumes them — until the next Finish on the same world. The job
-// that called Finish may hold them to its end; whoever needs them after the
-// job returns (the world then belongs to the next job) clones them inside
-// the job body, as Collect does.
+// and Build grab: they stay valid — across every sort, round and collective
+// of the job that consumes them — until the next Finish or Build on the same
+// world. The job that called Finish may hold them to its end; whoever needs
+// them after the job returns (the world then belongs to the next job) clones
+// them inside the job body, as Collect does.
 func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge, *graph.Layout) {
+	return finish(c, raw, false, sortOpt)
+}
+
+// Build generates an instance straight into Finish's slot and finishes it
+// there, with Finish's result and lifetime. The families whose generators
+// emit in global (U, V) order — the grids and RGG — are verified instead of
+// sorted (dsort.IsGloballySorted: one local pass, two small collectives),
+// and sorted only if that check fails.
+func Build(c *comm.Comm, spec Spec, sortOpt dsort.Options) ([]graph.Edge, *graph.Layout) {
+	spec = spec.withDefaults()
+	a := c.Scratch()
+	raw := generate(c, spec, arena.GrabAppend[graph.Edge](a, kFinish))
+	arena.Keep(a, kFinish, raw)
+	ordered := spec.Family == Grid2D || spec.Family == RoadLike || spec.Family == RGG2D || spec.Family == RGG3D
+	return finish(c, raw, ordered, sortOpt)
+}
+
+// finish is Finish; ordered says raw is expected in global LessLex order,
+// which is then verified and, if it holds, not sorted again.
+func finish(c *comm.Comm, raw []graph.Edge, ordered bool, sortOpt dsort.Options) ([]graph.Edge, *graph.Layout) {
 	// Drop self-loops locally first.
 	kept := raw[:0]
 	for _, e := range raw {
@@ -206,7 +235,12 @@ func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge
 			kept = append(kept, e)
 		}
 	}
-	sorted := dsort.Sort(c, kept, dsort.ByKey(graph.LessLex, graph.KeyLex), sortOpt)
+	sorted := kept
+	if ordered && dsort.IsGloballySorted(c, kept, graph.LessLex) {
+		c.ChargeCompute(len(kept)) // the verifying pass
+	} else {
+		sorted = dsort.Sort(c, kept, dsort.ByKey(graph.LessLex, graph.KeyLex), sortOpt)
+	}
 
 	// Remove duplicates: runs of equal (U,V) are consecutive after the
 	// lexicographic sort and the lightest copy leads each run.
@@ -225,17 +259,21 @@ func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge
 	return balanced, graph.BuildLayout(c, balanced)
 }
 
-// Build generates and finishes an instance in one call.
-func Build(c *comm.Comm, spec Spec, sortOpt dsort.Options) ([]graph.Edge, *graph.Layout) {
-	return Finish(c, Generate(c, spec), sortOpt)
-}
-
 // ownedRange splits 0..total-1 contiguously among PEs; returns this PE's
 // half-open range.
 func ownedRange(rank, p int, total uint64) (uint64, uint64) {
 	lo := uint64(rank) * total / uint64(p)
 	hi := uint64(rank+1) * total / uint64(p)
 	return lo, hi
+}
+
+// presized returns dst emptied, with room for n edges: dst's own backing if
+// it has the room, otherwise exactly n new ones.
+func presized(dst []graph.Edge, n int) []graph.Edge {
+	if cap(dst) < n {
+		return make([]graph.Edge, 0, n)
+	}
+	return dst[:0]
 }
 
 // emitBoth appends both directions of the undirected edge {u, v} with its

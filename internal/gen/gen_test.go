@@ -1,13 +1,16 @@
 package gen
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
 	"testing"
 	"unsafe"
 
+	"kamsta/internal/arena"
 	"kamsta/internal/comm"
 	"kamsta/internal/dsort"
 	"kamsta/internal/graph"
@@ -560,5 +563,147 @@ func TestFinishSteadyStateAllocs(t *testing.T) {
 	t.Logf("second Finish allocated %d bytes for %d bytes of edges: %.3f×", allocated, returned, ratio)
 	if ratio >= 0.25 {
 		t.Errorf("a warm Finish allocated %.2f× the edges it returns, want < 0.25×", ratio)
+	}
+}
+
+// onWorld runs body on a fresh p-PE world and returns each rank's edges and
+// the world's modeled makespan.
+func onWorld(p int, body func(c *comm.Comm) []graph.Edge) ([][]graph.Edge, float64) {
+	w := comm.NewWorld(p)
+	out := make([][]graph.Edge, p)
+	w.Run(func(c *comm.Comm) { out[c.Rank()] = body(c) })
+	return out, w.MaxClock()
+}
+
+// generated returns every rank's Generate output on a p-PE world.
+func generated(p int, spec Spec) [][]graph.Edge {
+	raw, _ := onWorld(p, func(c *comm.Comm) []graph.Edge { return Generate(c, spec) })
+	return raw
+}
+
+// inSlot copies edges into this PE's kFinish slot, where Build generates.
+func inSlot(c *comm.Comm, edges []graph.Edge) []graph.Edge {
+	buf := append(arena.GrabAppend[graph.Edge](c.Scratch(), kFinish), edges...)
+	arena.Keep(c.Scratch(), kFinish, buf)
+	return buf
+}
+
+// sortedFromShuffle is Finish's output for raw's edges dealt to the PEs in a
+// seeded random order.
+func sortedFromShuffle(raw [][]graph.Edge) [][]graph.Edge {
+	var all []graph.Edge
+	for _, r := range raw {
+		all = append(all, r...)
+	}
+	rand.New(rand.NewSource(int64(len(all)))).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	p := len(raw)
+	sorted, _ := onWorld(p, func(c *comm.Comm) []graph.Edge {
+		lo, hi := ownedRange(c.Rank(), p, uint64(len(all)))
+		out, _ := Finish(c, all[lo:hi], dsort.Options{})
+		return out
+	})
+	return sorted
+}
+
+// TestBuildVerifiedMatchesSorted: for the families generated in order, Build
+// verifies instead of sorting, charges less than generating and sorting, and
+// hands out byte for byte what Finish makes of the same edges in any order.
+// Raw chunks out of order anywhere take the sort and still match; self-loops
+// are dropped before the check, so one out of place keeps the verified path.
+func TestBuildVerifiedMatchesSorted(t *testing.T) {
+	same := func(label string, got, want [][]graph.Edge) {
+		t.Helper()
+		for r := range want {
+			if !slices.Equal(got[r], want[r]) {
+				t.Errorf("%s: rank %d holds %d edges unlike the sorted %d", label, r, len(got[r]), len(want[r]))
+			}
+		}
+	}
+	for _, spec := range []Spec{
+		{Family: RGG2D, N: 600, M: 2400, Seed: 2},
+		{Family: RGG3D, N: 600, M: 3000, Seed: 3},
+		{Family: Grid2D, N: 400, Seed: 1},
+		{Family: RoadLike, N: 400, Seed: 7},
+	} {
+		for _, p := range []int{1, 4, 16} {
+			label := fmt.Sprintf("%s p=%d", spec.Label(), p)
+			built, verified := onWorld(p, func(c *comm.Comm) []graph.Edge {
+				out, _ := Build(c, spec, dsort.Options{})
+				return out
+			})
+			_, sorted := onWorld(p, func(c *comm.Comm) []graph.Edge {
+				out, _ := Finish(c, Generate(c, spec), dsort.Options{})
+				return out
+			})
+			same(label, built, sortedFromShuffle(generated(p, spec)))
+			if verified >= sorted {
+				t.Errorf("%s: Build charged %.3g s, generate+sort %.3g s: the order was not verified", label, verified, sorted)
+			}
+		}
+	}
+
+	const p = 4
+	raw := generated(p, Spec{Family: RGG2D, N: 600, M: 2400, Seed: 2})
+	last := raw[1][len(raw[1])-1]
+	lighter, heavier := last, last
+	lighter.W--
+	heavier.W++
+	for _, tc := range []struct {
+		name     string
+		plant    func(r [][]graph.Edge)
+		verified bool
+	}{
+		{"as generated", func([][]graph.Edge) {}, true},
+		{"one local inversion", func(r [][]graph.Edge) { r[2][3], r[2][4] = r[2][4], r[2][3] }, false},
+		{"two chunks swapped", func(r [][]graph.Edge) { r[1], r[2] = r[2], r[1] }, false},
+		{"empty middle PE, inverted across it", func(r [][]graph.Edge) { r[0], r[1], r[2] = append(r[0], r[2]...), nil, r[1] }, false},
+		{"empty middle PE, in order", func(r [][]graph.Edge) { r[0], r[1] = append(r[0], r[1]...), nil }, true},
+		{"lighter duplicate after a boundary", func(r [][]graph.Edge) { r[2] = append([]graph.Edge{lighter}, r[2]...) }, false},
+		{"heavier duplicate after a boundary", func(r [][]graph.Edge) { r[2] = append([]graph.Edge{heavier}, r[2]...) }, true},
+		{"self-loops at chunk edges", func(r [][]graph.Edge) {
+			r[1] = append(r[1], graph.NewEdge(1<<31, 1<<31, 1))
+			r[2] = append([]graph.Edge{graph.NewEdge(1, 1, 1)}, r[2]...)
+		}, true},
+	} {
+		planted := make([][]graph.Edge, p)
+		for r := range raw {
+			planted[r] = slices.Clone(raw[r])
+		}
+		tc.plant(planted)
+		got, checked := onWorld(p, func(c *comm.Comm) []graph.Edge {
+			out, _ := finish(c, inSlot(c, planted[c.Rank()]), true, dsort.Options{})
+			return out
+		})
+		_, sorted := onWorld(p, func(c *comm.Comm) []graph.Edge {
+			out, _ := Finish(c, slices.Clone(planted[c.Rank()]), dsort.Options{})
+			return out
+		})
+		same(tc.name, got, sortedFromShuffle(planted))
+		// The verified path charges less than the sort; the fallback is the
+		// sort plus the check.
+		if (checked < sorted) != tc.verified {
+			t.Errorf("%s: verified path taken = %v, want %v (modeled %.3g s, sort %.3g s)", tc.name, checked < sorted, tc.verified, checked, sorted)
+		}
+	}
+}
+
+// TestGenerateSurvivesBuild: Generate's slice is the caller's own, so a later
+// Build or Finish on the same world, which work in Finish's slot, leaves it
+// as it was (benchmark/layers holds it across both).
+func TestGenerateSurvivesBuild(t *testing.T) {
+	for _, spec := range []Spec{
+		{Family: RGG2D, N: 1 << 10, M: 1 << 13, Seed: 3},
+		{Family: GNM, N: 1 << 10, M: 1 << 13, Seed: 3},
+	} {
+		comm.NewWorld(4).Run(func(c *comm.Comm) {
+			Build(c, spec, dsort.Options{}) // Finish's slot now has room
+			raw := Generate(c, spec)
+			want := edgeSum(raw)
+			Build(c, spec, dsort.Options{})
+			Finish(c, slices.Clone(raw), dsort.Options{})
+			if got := edgeSum(raw); got != want {
+				t.Errorf("%s PE %d: Generate's edges changed under Build and Finish", spec.Label(), c.Rank())
+			}
+		})
 	}
 }

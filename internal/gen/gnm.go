@@ -12,13 +12,13 @@ import (
 // sampling-based G(n,m) generator). Edge e of the global edge index space
 // is a pure function of (seed, e), so the instance is independent of the
 // number of PEs generating it.
-func genGNM(c *comm.Comm, spec Spec) []graph.Edge {
+func genGNM(c *comm.Comm, spec Spec, dst []graph.Edge) []graph.Edge {
 	n := spec.N
 	if n < 2 {
-		return nil
+		return dst[:0]
 	}
 	lo, hi := ownedRange(c.Rank(), c.P(), spec.M)
-	edges := make([]graph.Edge, 0, 2*(hi-lo))
+	edges := presized(dst, int(2*(hi-lo)))
 	for e := lo; e < hi; e++ {
 		r := rng.Seeded(rng.Hash64(spec.Seed, 0x6E6D, e))
 		u := graph.VID(r.Uint64n(n) + 1)

@@ -25,39 +25,42 @@ func gridShape(n uint64) (rows, cols uint64) {
 // stand-in: about 10% of mesh edges are deleted and sparse diagonals are
 // added, giving the low, near-constant degree and long paths typical of
 // road graphs.
-func genGrid2D(c *comm.Comm, spec Spec, road bool) []graph.Edge {
+//
+// Each PE emits the out-edges of its owned vertices, ascending, and each
+// vertex's neighbours in ascending label order, so the world's output is
+// globally sorted (Build verifies it). Whether an edge exists and its weight
+// are functions of its (min, max) endpoints, so both directions agree.
+func genGrid2D(c *comm.Comm, spec Spec, road bool, dst []graph.Edge) []graph.Edge {
 	rows, cols := gridShape(spec.N)
 	if rows == 0 {
-		return nil
+		return dst[:0]
 	}
 	loRow, hiRow := ownedRange(c.Rank(), c.P(), rows)
-	id := func(r, col uint64) graph.VID { return graph.VID(r*cols + col + 1) }
-	// Presized: the mesh's exact directed count for the owned rows (the
+	// Presized: the mesh's exact out-degree sum over the owned rows (the
 	// road variant deletes more than its diagonals add).
-	down := hiRow - loRow
-	if hiRow == rows && down > 0 {
-		down--
+	vertical := 2 * (hiRow - loRow)
+	if loRow == 0 && hiRow > 0 {
+		vertical-- // the top row has no up edges
 	}
-	edges := make([]graph.Edge, 0, 2*((hiRow-loRow)*(cols-1)+down*cols))
+	if hiRow == rows && hiRow > loRow {
+		vertical-- // the bottom row has no down edges
+	}
+	edges := presized(dst, int(2*(hiRow-loRow)*(cols-1)+vertical*cols))
 	for r := loRow; r < hiRow; r++ {
 		for col := uint64(0); col < cols; col++ {
-			u := id(r, col)
-			if col+1 < cols {
-				v := id(r, col+1)
-				if !road || !roadDrop(spec.Seed, u, v) {
-					edges = emitBoth(edges, spec.Seed, u, v)
-				}
-			}
-			if r+1 < rows {
-				v := id(r+1, col)
-				if !road || !roadDrop(spec.Seed, u, v) {
-					edges = emitBoth(edges, spec.Seed, u, v)
-				}
-			}
-			if road && col+1 < cols && r+1 < rows {
-				v := id(r+1, col+1)
-				if rng.Hash64(spec.Seed, 0xD1A6, uint64(u), uint64(v))%100 < 5 {
-					edges = emitBoth(edges, spec.Seed, u, v)
+			u := graph.VID(r*cols + col + 1)
+			// up-left (road), up, left, right, down, down-right (road)
+			nbs := [6]graph.VID{u - cols - 1, u - cols, u - 1, u + 1, u + cols, u + cols + 1}
+			have := [6]bool{road && r > 0 && col > 0, r > 0, col > 0, col+1 < cols, r+1 < rows, road && r+1 < rows && col+1 < cols}
+			for k, v := range nbs {
+				lo, hi := min(u, v), max(u, v)
+				diagonal := k == 0 || k == 5
+				switch {
+				case !have[k]:
+				case diagonal && rng.Hash64(spec.Seed, 0xD1A6, uint64(lo), uint64(hi))%100 >= 5:
+				case !diagonal && road && roadDrop(spec.Seed, lo, hi):
+				default:
+					edges = append(edges, graph.NewEdge(u, v, graph.RandomWeight(spec.Seed, lo, hi)))
 				}
 			}
 		}

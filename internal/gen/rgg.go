@@ -27,13 +27,12 @@ import (
 // (U, V) order: owned points ascending, and for each the rows of adjacent
 // cells ascending — a row of up to three adjacent cells is one run of
 // consecutive labels. Each PE's output is therefore strictly KeyLex-ascending
-// and, as owned ranges ascend with rank, the world's is globally sorted
-// before Finish sees it: the local radix sort takes its O(n) exit and the
-// sample sort's merge concatenates its runs.
-func genRGG(c *comm.Comm, spec Spec, dims int) []graph.Edge {
+// and, as owned ranges ascend with rank, the world's is globally sorted:
+// Build verifies that instead of sorting.
+func genRGG(c *comm.Comm, spec Spec, dims int, dst []graph.Edge) []graph.Edge {
 	n := spec.N
 	if n == 0 {
-		return nil
+		return dst[:0]
 	}
 	radius := rggRadius(spec, dims)
 	g := newRGGGeom(n, radius, dims)
@@ -42,7 +41,7 @@ func genRGG(c *comm.Comm, spec Spec, dims int) []graph.Edge {
 	// Presized: the 2·M directed edges spread over the cells like the point
 	// pairs, plus an eighth of slack.
 	share := float64(2*spec.M) * float64(g.pairsBefore(hiCell)-g.pairsBefore(loCell)) / float64(g.pairsBefore(g.totalCells))
-	edges := make([]graph.Edge, 0, uint64(share*1.125))
+	edges := presized(dst, int(share*1.125))
 	reach := 1 + g.cellsPer
 	if dims == 3 {
 		reach += g.cellsPer * g.cellsPer

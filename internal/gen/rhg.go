@@ -20,10 +20,10 @@ import (
 // two properties the evaluation depends on — skewed power-law degrees and
 // locality "somewhere in between" the grid and GNM families (§VII) — without
 // the hyperbolic metric machinery. Documented in DESIGN.md.
-func genRHG(c *comm.Comm, spec Spec) []graph.Edge {
+func genRHG(c *comm.Comm, spec Spec, dst []graph.Edge) []graph.Edge {
 	n := spec.N
 	if n < 2 {
-		return nil
+		return dst[:0]
 	}
 	alpha := 1 / (spec.PLExp - 1) // γ=3 → α=0.5
 	if alpha <= 0 || alpha >= 1 {
@@ -37,7 +37,7 @@ func genRHG(c *comm.Comm, spec Spec) []graph.Edge {
 	// Presized: Σ w_u over the owned labels lo+1..hi directed edges, plus an
 	// eighth of slack.
 	share := scale * (math.Pow(float64(hi), 1-alpha) - math.Pow(float64(lo), 1-alpha)) / (1 - alpha)
-	edges := make([]graph.Edge, 0, uint64(share*1.125)+64)
+	edges := presized(dst, int(share*1.125)+64)
 	work := 0
 	for u0 := lo; u0 < hi; u0++ {
 		u := graph.VID(u0 + 1)

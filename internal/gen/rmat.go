@@ -21,17 +21,17 @@ const (
 // giving the family its "almost exclusively cut-edges" character (§VII).
 // Spec.RMATKeepLocality skips the scrambling; the web-graph stand-ins use
 // this to retain the locality real crawl orderings have.
-func genRMAT(c *comm.Comm, spec Spec) []graph.Edge {
+func genRMAT(c *comm.Comm, spec Spec, dst []graph.Edge) []graph.Edge {
 	n := spec.N
 	if n < 2 {
-		return nil
+		return dst[:0]
 	}
 	levels := 0
 	for v := uint64(1); v < n; v <<= 1 {
 		levels++
 	}
 	lo, hi := ownedRange(c.Rank(), c.P(), spec.M)
-	edges := make([]graph.Edge, 0, 2*(hi-lo))
+	edges := presized(dst, int(2*(hi-lo)))
 	for e := lo; e < hi; e++ {
 		r := rng.Seeded(rng.Hash64(spec.Seed, 0x52A7, e))
 		var u, v uint64

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"kamsta/internal/comm"
@@ -122,5 +124,46 @@ func TestTooManyEdgesRefused(t *testing.T) {
 	}
 	if _, err := m.Compute(ctx, FromFile(path)); !errors.Is(err, graph.ErrTooManyEdges) {
 		t.Errorf("kamsta header with 2^31 records: got %v, want graph.ErrTooManyEdges", err)
+	}
+}
+
+// TestWarmComputeAllocsPerEdge pins where a generated input is built: in
+// the world's arena slot its finished edges occupy, verified instead of
+// sorted when the family emits in order. Each bound is half the bytes per
+// directed input edge a warm 4-PE job allocated when every job generated
+// into a fresh slice and Build sorted RGG's ordered output (56.4 and 41.8).
+func TestWarmComputeAllocsPerEdge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six jobs of a quarter-million undirected edges each")
+	}
+	for _, tc := range []struct {
+		spec  GraphSpec
+		bound float64 // bytes allocated per directed input edge
+	}{
+		{GraphSpec{Family: RGG2D, N: 1 << 15, M: 1 << 18, Seed: 2}, 28.2},
+		{GraphSpec{Family: GNM, N: 1 << 14, M: 1 << 18, Seed: 1}, 20.9},
+	} {
+		m, err := NewMachine(MachineConfig{PEs: 4, Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := math.Inf(1)
+		for job := 0; job < 3; job++ { // the first job warms the arena
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep, err := m.Compute(context.Background(), FromSpec(tc.spec))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if job > 0 {
+				best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/float64(rep.InputEdges))
+			}
+		}
+		m.Close()
+		t.Logf("%s: %.1f B allocated per directed input edge", tc.spec.Family, best)
+		if best > tc.bound {
+			t.Errorf("%s: a warm job allocated %.1f B per directed input edge, want ≤ %.1f", tc.spec.Family, best, tc.bound)
+		}
 	}
 }
