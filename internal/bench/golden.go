@@ -39,12 +39,12 @@ func GoldenCases() []GoldenCase {
 			Spec:        kamsta.GraphSpec{Family: kamsta.GNM, N: 1 << 10, M: 1 << 13, Seed: 42},
 			Alg:         kamsta.AlgBoruvka,
 			PEs:         8,
-			ModeledBits: 0x3f453980b2cb7769, // 0.0006477239999999998 s
-			Weight:      19837,
+			ModeledBits: 0x3f477e5d0e5f2490, // 0.0007169680000000001 s
+			Weight:      20394,
 			MSFEdges:    1023,
-			Msgs:        312,
-			Bytes:       1377024,
-			Collectives: 88,
+			Msgs:        336,
+			Bytes:       1639168,
+			Collectives: 96,
 		},
 		{
 			Name:        "rgg2d-filter",

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"kamsta/internal/sizeof"
@@ -77,20 +78,33 @@ func Allreduce[T any](c *Comm, x T, op func(a, b T) T) T {
 // (the same double-buffering argument the boards rely on). The buffer
 // returned to the caller was last deposited in the final butterfly round,
 // and the unfold superstep after it is the "one more barrier" that makes
-// handing it to the caller safe.
+// handing it to the caller safe. Only that buffer is allocated per call:
+// the other is the rank's world-owned vector (World.arv), and the
+// ping-pong starts on whichever of the two leaves the result in the fresh
+// one.
 func AllreduceVec[T any](c *Comm, xs []T, op func(a, b T) T) []T {
 	p, rank := c.P(), c.Rank()
 	n := len(xs)
 	acc := make([]T, n)
-	copy(acc, xs)
-	if p > 1 {
+	if p == 1 {
+		copy(acc, xs)
+	} else {
 		arvCd := wireCodec[[]T](c)
-		scratch := make([]T, n)
 		// Fold ranks beyond the largest power of two into the cube first.
 		k := 1
 		for k*2 <= p {
 			k *= 2
 		}
+		var scratch []T
+		if rank < k {
+			scratch = arvVector[T](c, n)
+			if bits.TrailingZeros(uint(k))%2 == 1 {
+				// An odd number of butterfly rounds swaps the two an odd
+				// number of times.
+				acc, scratch = scratch, acc
+			}
+		}
+		copy(acc, xs)
 		// All ranks pass through the same exchanges to stay SPMD; ranks
 		// without a contribution (or partner) deposit nil.
 		foldTag := mkTag(opARVFold, 0)
@@ -154,6 +168,19 @@ func AllreduceVec[T any](c *Comm, xs []T, op func(a, b T) T) []T {
 	c.ChargeComm(log2Ceil(p), n*sizeof.Of[T]())
 	c.stats.Collectives++
 	return acc
+}
+
+// arvVector returns this rank's AllreduceVec ping-pong vector, length n.
+func arvVector[T any](c *Comm, n int) []T {
+	v, _ := c.w.arv[c.rank].(*[]T)
+	if v == nil {
+		v = new([]T)
+		c.w.arv[c.rank] = v
+	}
+	if cap(*v) < n {
+		*v = make([]T, n)
+	}
+	return (*v)[:n]
 }
 
 // ExScan returns the exclusive prefix combination of x over ranks: rank r

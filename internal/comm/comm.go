@@ -140,6 +140,12 @@ type World struct {
 	// its close-out barrier.
 	stages [][2]any
 
+	// arv holds each rank's AllreduceVec ping-pong vector (a *[]T): the
+	// butterfly's second buffer, never handed to the caller. Reuse in the
+	// next call is safe because every reader of its deposits is done once
+	// the call's closing unfold superstep has returned.
+	arv []any
+
 	// pools holds each local rank's intra-PE thread pool (the paper's t
 	// OpenMP threads per MPI process), built once from WithThreads; see
 	// Comm.Pool. Remote ranks' entries stay nil.
@@ -225,6 +231,7 @@ func NewWorld(p int, opts ...Option) *World {
 		arrived: make([]arrival, p),
 		arenas:  make([]*arena.Arena, p),
 		stages:  make([][2]any, p),
+		arv:     make([]any, p),
 		pools:   make([]*par.Pool, p),
 		rings:   make([]*obs.Ring, p),
 	}

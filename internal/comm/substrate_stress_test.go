@@ -125,6 +125,22 @@ func TestAllreduceVecOwnershipOddWorlds(t *testing.T) {
 	}
 }
 
+// TestAllreduceVecResultsOutliveNextCall: the vector AllreduceVec returns is
+// the caller's, not the rank's reused ping-pong vector, so it survives the
+// next reduction, at odd and even butterfly depths and with folded ranks.
+func TestAllreduceVecResultsOutliveNextCall(t *testing.T) {
+	for _, p := range []int{2, 3, 4, 8, 12} {
+		NewWorld(p).Run(func(c *Comm) {
+			sum := func(a, b int) int { return a + b }
+			first := AllreduceVec(c, []int{1, c.Rank()}, sum)
+			second := AllreduceVec(c, []int{2, c.Rank()}, sum)
+			if first[0] != p || first[1] != p*(p-1)/2 || second[0] != 2*p || second[1] != p*(p-1)/2 {
+				t.Errorf("p=%d rank %d: first %v, second %v", p, c.Rank(), first, second)
+			}
+		})
+	}
+}
+
 // TestRunReusesParityCleanly reuses one world for several Runs with an odd
 // number of supersteps each, so consecutive Runs start on opposite board
 // parities; deposits from a previous Run must never bleed through.

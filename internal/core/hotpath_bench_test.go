@@ -82,15 +82,34 @@ func BenchmarkDsortSampleSortP8(b *testing.B) {
 	})
 }
 
-// BenchmarkGenFinishP16 finishes the gnm-filter workload's instance (GNM,
-// n = 2^14, m = 2^20: 2.1 M directed edges) on 16 PEs: one sample sort, a
-// dedup and two rebalances of 32-byte edges — the input path of every
-// compute workload. Each iteration finishes a fresh copy of the raw edges
-// (Finish filters its input in place); the copy is inside the timer.
+// gnmFilterSpec is the gnm-filter workload's instance: GNM, n = 2^14,
+// m = 2^20, 2.1 M directed edges.
+var gnmFilterSpec = gen.Spec{Family: gen.GNM, N: 1 << 14, M: 1 << 20, Seed: 42}
+
+// BenchmarkGenFinishP16 finishes gnmFilterSpec's edges on 16 PEs: one
+// sample sort, a dedup and two rebalances of 32-byte edges, the input path
+// of file-backed instances. GNM is generated in order, so every PE takes
+// every 16th edge of the whole sequence, shuffled: an unsorted input whose
+// keys span the range, as generation in edge-index order gave. Each
+// iteration finishes a fresh copy of that input (Finish filters its input
+// in place); the copy is inside the timer.
 func BenchmarkGenFinishP16(b *testing.B) {
-	spec := gen.Spec{Family: gen.GNM, N: 1 << 14, M: 1 << 20, Seed: 42}
-	comm.NewWorld(16).Run(func(c *comm.Comm) {
-		raw := gen.Generate(c, spec)
+	const p = 16
+	generated := make([][]graph.Edge, p)
+	comm.NewWorld(p).Run(func(c *comm.Comm) {
+		generated[c.Rank()] = gen.Generate(c, gnmFilterSpec)
+		comm.Barrier(c)
+		var raw []graph.Edge
+		k := 0
+		for _, chunk := range generated {
+			for _, e := range chunk {
+				if k%p == c.Rank() {
+					raw = append(raw, e)
+				}
+				k++
+			}
+		}
+		raw = shuffleEdges(raw, uint64(c.Rank()))
 		in := make([]graph.Edge, len(raw))
 		copy(in, raw)
 		gen.Finish(c, in, dsort.Options{})
@@ -102,6 +121,24 @@ func BenchmarkGenFinishP16(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(in, raw)
 			gen.Finish(c, in, dsort.Options{})
+		}
+	})
+}
+
+// BenchmarkBuildGNMP16 builds gnmFilterSpec on 16 PEs as the gnm-filter
+// workload does: gen.Build generates each chunk in (U, V) order into
+// Finish's slot, verifies the order, dedups, numbers, rebalances and builds
+// the layout.
+func BenchmarkBuildGNMP16(b *testing.B) {
+	comm.NewWorld(16).Run(func(c *comm.Comm) {
+		gen.Build(c, gnmFilterSpec, dsort.Options{})
+		if c.Rank() == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		comm.Barrier(c)
+		for i := 0; i < b.N; i++ {
+			gen.Build(c, gnmFilterSpec, dsort.Options{})
 		}
 	})
 }

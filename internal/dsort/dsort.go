@@ -565,7 +565,9 @@ func (*boundary[T]) ModeledBytes() int {
 }
 
 // IsGloballySorted reports (on every PE) whether the distributed data is
-// globally sorted under less. Intended for tests and verification runs.
+// globally sorted under less: one local pass, then one Allgather of each
+// PE's first and last element and one Allreduce. gen.Build runs it on the
+// families generated in order, in place of a sort.
 func IsGloballySorted[T any](c *comm.Comm, data []T, less func(a, b T) bool) bool {
 	okLocal := true
 	for i := 1; i < len(data); i++ {

@@ -10,8 +10,8 @@
 // Finish establishes the input format of §II-B: edges globally sorted,
 // duplicates and self-loops removed, consecutive global IDs, the replicated
 // layout. Build generates into the arena slot Finish's result occupies, and
-// where the generator already emits in global order (the grids, RGG — as
-// KaGen hands the paper's implementation sorted edges) it verifies that
+// where the generator already emits in global order (the grids, RGG, GNM —
+// as KaGen hands the paper's implementation sorted edges) it verifies that
 // order instead of sorting.
 //
 // Edge weights are uniform in [1, 255) and symmetric per undirected edge,
@@ -213,15 +213,15 @@ func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge
 
 // Build generates an instance straight into Finish's slot and finishes it
 // there, with Finish's result and lifetime. The families whose generators
-// emit in global (U, V) order — the grids and RGG — are verified instead of
-// sorted (dsort.IsGloballySorted: one local pass, two small collectives),
-// and sorted only if that check fails.
+// emit in global (U, V) order — the grids, RGG and GNM — are verified
+// instead of sorted (dsort.IsGloballySorted: one local pass, two small
+// collectives), and sorted only if that check fails.
 func Build(c *comm.Comm, spec Spec, sortOpt dsort.Options) ([]graph.Edge, *graph.Layout) {
 	spec = spec.withDefaults()
 	a := c.Scratch()
 	raw := generate(c, spec, arena.GrabAppend[graph.Edge](a, kFinish))
 	arena.Keep(a, kFinish, raw)
-	ordered := spec.Family == Grid2D || spec.Family == RoadLike || spec.Family == RGG2D || spec.Family == RGG3D
+	ordered := spec.Family == Grid2D || spec.Family == RoadLike || spec.Family == RGG2D || spec.Family == RGG3D || spec.Family == GNM
 	return finish(c, raw, ordered, sortOpt)
 }
 

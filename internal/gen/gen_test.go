@@ -325,6 +325,65 @@ func TestGNMEdgeCountNearTarget(t *testing.T) {
 	}
 }
 
+// TestGNMIndependentOfP: GNM's instance is a function of the spec, so
+// Build's global output is byte for byte the same at every p, also where p
+// exceeds the block count (PEs that own no block) and where n is not a
+// power of two (blocks of two sizes).
+func TestGNMIndependentOfP(t *testing.T) {
+	for _, spec := range []Spec{
+		{Family: GNM, N: 30, M: 200, Seed: 9},
+		{Family: GNM, N: 1000, M: 8000, Seed: 5},
+		{Family: GNM, N: 1 << 10, M: 1 << 13, Seed: 42},
+	} {
+		ref, _ := buildAll(t, 1, spec)
+		for _, p := range []int{3, 4, 16} {
+			if got, _ := buildAll(t, p, spec); !slices.Equal(got, ref) {
+				t.Errorf("%s: p=%d builds %d edges unlike p=1's %d", spec.Label(), p, len(got), len(ref))
+			}
+		}
+	}
+	if b := newGNMGrid(30).b; b >= 16 {
+		t.Fatalf("n=30 has %d blocks: p=16 leaves no PE empty", b)
+	}
+}
+
+// TestGNMCellCountsMultinomial: the binomial splits deal the M draws over
+// the B × B cells as the multinomial with cell probabilities |I|·|J|/n²
+// does. A χ² test of the counts per seed of a fixed set: the statistic must
+// be neither too large nor too small (z = ±4.75, Wilson–Hilferty). n is off
+// a power of two, so block sizes differ: by half at n = 10 (2 or 3
+// vertices), by one vertex in 31 at n = 1000.
+func TestGNMCellCountsMultinomial(t *testing.T) {
+	for _, tc := range []struct{ n, m uint64 }{{10, 1 << 16}, {1000, 1 << 16}} {
+		g := newGNMGrid(tc.n)
+		size := func(i uint64) float64 { return float64(g.start(i+1) - g.start(i)) }
+		df := float64(g.b*g.b - 1)
+		quantile := func(z float64) float64 {
+			x := 1 - 2/(9*df) + z*math.Sqrt(2/(9*df))
+			return df * x * x * x
+		}
+		rows, cells := make([]uint32, g.b), make([]uint32, g.b)
+		for seed := uint64(1); seed <= 20; seed++ {
+			g.split(seed, 0, 0, g.b, tc.m, 0, g.b, rows)
+			chi2, sum := 0.0, uint64(0)
+			for i := uint64(0); i < g.b; i++ {
+				g.split(seed, i+1, 0, g.b, uint64(rows[i]), 0, g.b, cells)
+				for j, k := range cells {
+					want := float64(tc.m) * size(i) * size(uint64(j)) / float64(tc.n*tc.n)
+					chi2 += (float64(k) - want) * (float64(k) - want) / want
+					sum += uint64(k)
+				}
+			}
+			if sum != tc.m {
+				t.Fatalf("n=%d seed %d: the cells hold %d draws, want %d", tc.n, seed, sum, tc.m)
+			}
+			if lo, hi := quantile(-4.75), quantile(4.75); chi2 < lo || chi2 > hi {
+				t.Errorf("n=%d seed %d: χ² = %.1f over %.0f degrees of freedom, want within [%.1f, %.1f]", tc.n, seed, chi2, df, lo, hi)
+			}
+		}
+	}
+}
+
 func TestRMATSkewedDegrees(t *testing.T) {
 	spec := Spec{Family: RMAT, N: 1 << 11, M: 16000, Seed: 41}
 	all, _ := buildAll(t, 4, spec)
@@ -538,13 +597,16 @@ func TestFinishOutputSurvivesLaterSorts(t *testing.T) {
 // of what Rebalance moves between PEs and the layout. (Before the sorter
 // sorted into its exchange frame, deposited that frame as it lay and kept
 // its own share in Rebalance, and Finish copied its result out: about 4×.
-// Generate's one presized copy is TestGenerateFillsOnePresizedSlice's.)
+// Generate's one presized copy is TestGenerateFillsOnePresizedSlice's.) The
+// generated edges are dealt to the PEs shuffled, since GNM's come out
+// sorted.
 func TestFinishSteadyStateAllocs(t *testing.T) {
 	spec := Spec{Family: GNM, N: 1 << 13, M: 1 << 17, Seed: 1}
+	dealt := dealShuffled(generated(4, spec))
 	var allocated, returned uint64
 	comm.NewWorld(4).Run(func(c *comm.Comm) {
-		Build(c, spec, dsort.Options{}) // warm the arena
-		raw := Generate(c, spec)
+		raw := dealt[c.Rank()]
+		Finish(c, slices.Clone(raw), dsort.Options{}) // warm the arena
 		var before, after runtime.MemStats
 		comm.Barrier(c)
 		if c.Rank() == 0 {
@@ -588,18 +650,27 @@ func inSlot(c *comm.Comm, edges []graph.Edge) []graph.Edge {
 	return buf
 }
 
-// sortedFromShuffle is Finish's output for raw's edges dealt to the PEs in a
-// seeded random order.
-func sortedFromShuffle(raw [][]graph.Edge) [][]graph.Edge {
+// dealShuffled deals raw's edges to as many PEs in a seeded random order.
+func dealShuffled(raw [][]graph.Edge) [][]graph.Edge {
 	var all []graph.Edge
 	for _, r := range raw {
 		all = append(all, r...)
 	}
 	rand.New(rand.NewSource(int64(len(all)))).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	p := len(raw)
-	sorted, _ := onWorld(p, func(c *comm.Comm) []graph.Edge {
-		lo, hi := ownedRange(c.Rank(), p, uint64(len(all)))
-		out, _ := Finish(c, all[lo:hi], dsort.Options{})
+	dealt := make([][]graph.Edge, len(raw))
+	for r := range dealt {
+		lo, hi := ownedRange(r, len(raw), uint64(len(all)))
+		dealt[r] = all[lo:hi]
+	}
+	return dealt
+}
+
+// sortedFromShuffle is Finish's output for raw's edges dealt to the PEs in a
+// seeded random order.
+func sortedFromShuffle(raw [][]graph.Edge) [][]graph.Edge {
+	dealt := dealShuffled(raw)
+	sorted, _ := onWorld(len(raw), func(c *comm.Comm) []graph.Edge {
+		out, _ := Finish(c, dealt[c.Rank()], dsort.Options{})
 		return out
 	})
 	return sorted
@@ -624,6 +695,8 @@ func TestBuildVerifiedMatchesSorted(t *testing.T) {
 		{Family: RGG3D, N: 600, M: 3000, Seed: 3},
 		{Family: Grid2D, N: 400, Seed: 1},
 		{Family: RoadLike, N: 400, Seed: 7},
+		{Family: GNM, N: 1000, M: 6000, Seed: 5},
+		{Family: GNM, N: 30, M: 200, Seed: 9},
 	} {
 		for _, p := range []int{1, 4, 16} {
 			label := fmt.Sprintf("%s p=%d", spec.Label(), p)

@@ -202,7 +202,9 @@ func pinnedInstances(t *testing.T) []pinnedInstance {
 
 // pinnedWant was recorded on the commit before localmst moved to dense ids
 // (PR 16's parent, db2de6d): one row per instance × Filter. The thread
-// count does not change a result, so each row is asserted for 1 and 4.
+// count does not change a result, so each row is asserted for 1 and 4. The
+// gnm rows were re-recorded when GNM became a block-cell generator: its
+// instance moved, Run did not.
 var pinnedWant = map[string]pinned{
 	"rgg2d/pe0/filter=false":        {Work: 12437, Rounds: 6, MST: 631, MSTWeight: 0x335b, MSTHash: 0xa868097474027958, Rem: 426, RemHash: 0xe5d4217585edf87e, LabelHash: 0xdd4858eb0638289a},
 	"rgg2d/pe0/filter=true":         {Work: 8383, Rounds: 7, MST: 631, MSTWeight: 0x335b, MSTHash: 0xa868097474027958, Rem: 426, RemHash: 0xe5d4217585edf87e, LabelHash: 0xdd4858eb0638289a},
@@ -228,8 +230,8 @@ var pinnedWant = map[string]pinned{
 	"grid2d/pe4/filter=true":        {Work: 0, Rounds: 1, MST: 0, MSTWeight: 0x0, MSTHash: 0xcbf29ce484222325, Rem: 0, RemHash: 0xcbf29ce484222325, LabelHash: 0xcbf29ce484222325},
 	"grid2d/pe5/filter=false":       {Work: 8213, Rounds: 6, MST: 1344, MSTWeight: 0x16882, MSTHash: 0x39cd777e4832dd12, Rem: 150, RemHash: 0xe4829788a4abcced, LabelHash: 0x99e6f7d62473156b},
 	"grid2d/pe5/filter=true":        {Work: 5802, Rounds: 9, MST: 1344, MSTWeight: 0x16882, MSTHash: 0x64c77c0e608c17dd, Rem: 150, RemHash: 0xe4829788a4abcced, LabelHash: 0x99e6f7d62473156b},
-	"gnm/owner-modulo/filter=false": {Work: 4744, Rounds: 3, MST: 54, MSTWeight: 0x4da, MSTHash: 0x66c0a2f1bc939630, Rem: 3903, RemHash: 0xc1a54c4b1a1b95bc, LabelHash: 0x2eb0613ff3e41d89},
-	"gnm/owner-modulo/filter=true":  {Work: 6220, Rounds: 4, MST: 54, MSTWeight: 0x4da, MSTHash: 0x66c0a2f1bc939630, Rem: 3903, RemHash: 0xc1a54c4b1a1b95bc, LabelHash: 0x2eb0613ff3e41d89},
+	"gnm/owner-modulo/filter=false": {Work: 4780, Rounds: 3, MST: 54, MSTWeight: 0x3fa, MSTHash: 0x9d947427279db7e0, Rem: 3921, RemHash: 0x35c0e3b6232feb32, LabelHash: 0x9d1dfd28183e4dc0},
+	"gnm/owner-modulo/filter=true":  {Work: 6368, Rounds: 4, MST: 54, MSTWeight: 0x3fa, MSTHash: 0x9d947427279db7e0, Rem: 3921, RemHash: 0x35c0e3b6232feb32, LabelHash: 0x9d1dfd28183e4dc0},
 	"messy/mod3/filter=false":       {Work: 3570, Rounds: 3, MST: 105, MSTWeight: 0x862, MSTHash: 0xf8d5d4e1973341b7, Rem: 2156, RemHash: 0x55b5766e4e535e2c, LabelHash: 0x6675389dcd85e5fa},
 	"messy/mod3/filter=true":        {Work: 4353, Rounds: 4, MST: 105, MSTWeight: 0x862, MSTHash: 0xf8d5d4e1973341b7, Rem: 2156, RemHash: 0x55b5766e4e535e2c, LabelHash: 0x6675389dcd85e5fa},
 	"random/all-local/filter=false": {Work: 19817, Rounds: 6, MST: 1499, MSTWeight: 0x949e, MSTHash: 0xd1b30cb8c813033f, Rem: 0, RemHash: 0xcbf29ce484222325, LabelHash: 0xe82b12b8c2d669c6},

@@ -4,8 +4,9 @@
 // Two building blocks are exposed:
 //
 //   - RNG: a xoshiro256** generator seeded through SplitMix64, suitable as a
-//     general-purpose stream. It is deliberately not safe for concurrent use;
-//     every PE/worker derives its own stream with Split or New.
+//     general-purpose stream (uniform integers and floats, permutations,
+//     exact binomial variates). It is deliberately not safe for concurrent
+//     use; every PE/worker derives its own stream with Split or New.
 //   - Stateless hashing (Hash64, EdgeWeight): pure functions of their inputs,
 //     used whenever two PEs must agree on a random value without
 //     communicating (e.g. the weight of edge {u,v} seen from both sides).

@@ -69,15 +69,15 @@ func TestTCPGoldenBits(t *testing.T) {
 			name: "gnm-boruvka-1worker",
 			spec: GraphSpec{Family: GNM, N: 1 << 10, M: 1 << 13, Seed: 42},
 			alg:  AlgBoruvka, workers: 1,
-			modeledBits: 0x3f453980b2cb7769,
-			weight:      19837, msgs: 312, bytes: 1377024, collectives: 88,
+			modeledBits: 0x3f477e5d0e5f2490,
+			weight:      20394, msgs: 336, bytes: 1639168, collectives: 96,
 		},
 		{
 			name: "gnm-boruvka-2workers",
 			spec: GraphSpec{Family: GNM, N: 1 << 10, M: 1 << 13, Seed: 42},
 			alg:  AlgBoruvka, workers: 2,
-			modeledBits: 0x3f453980b2cb7769,
-			weight:      19837, msgs: 312, bytes: 1377024, collectives: 88,
+			modeledBits: 0x3f477e5d0e5f2490,
+			weight:      20394, msgs: 336, bytes: 1639168, collectives: 96,
 		},
 		{
 			name: "rgg2d-filter-1worker",
