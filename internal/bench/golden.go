@@ -51,12 +51,12 @@ func GoldenCases() []GoldenCase {
 			Spec:        kamsta.GraphSpec{Family: kamsta.RGG2D, N: 1 << 10, M: 1 << 13, Seed: 7},
 			Alg:         kamsta.AlgFilterBoruvka,
 			PEs:         8,
-			ModeledBits: 0x3f69ca79e9d980a0, // 0.0031483060000000035 s
+			ModeledBits: 0x3f5d6c924f786342, // 0.0017959050000000009 s
 			Weight:      22137,
 			MSFEdges:    1023,
-			Msgs:        2288,
-			Bytes:       1888008,
-			Collectives: 504,
+			Msgs:        1224,
+			Bytes:       1718504,
+			Collectives: 352,
 		},
 	}
 }

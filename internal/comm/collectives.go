@@ -66,26 +66,30 @@ func Allreduce[T any](c *Comm, x T, op func(a, b T) T) T {
 }
 
 // AllreduceVec combines equal-length vectors element-wise with op and
-// returns the result on all PEs. This is the workhorse of the replicated
-// base case (§IV-D): an allreduce with vector length n′. The reduction runs
-// as a hypercube butterfly so local work is O(ℓ·log p), while the modeled
-// charge is the pipelined-tree bound α·log p + β·ℓ from §II-A.
+// returns the result on all PEs, in dst[:len(xs)] — dst grown when it is
+// shorter, so the result is the caller's memory either way; dst may be xs.
+// This is the workhorse of the replicated base case (§IV-D): an allreduce
+// with vector length n′. The reduction runs as a hypercube butterfly so
+// local work is O(ℓ·log p), while the modeled charge is the pipelined-tree
+// bound α·log p + β·ℓ from §II-A.
 //
-// The butterfly is allocation-free per round: each PE ping-pongs between an
-// accumulator and one scratch vector. Depositing acc for round r is safe
-// because the owner only writes the OTHER buffer until it has passed the
-// barrier of round r+1 — by which point every reader of round r is done
-// (the same double-buffering argument the boards rely on). The buffer
-// returned to the caller was last deposited in the final butterfly round,
-// and the unfold superstep after it is the "one more barrier" that makes
-// handing it to the caller safe. Only that buffer is allocated per call:
-// the other is the rank's world-owned vector (World.arv), and the
-// ping-pong starts on whichever of the two leaves the result in the fresh
-// one.
-func AllreduceVec[T any](c *Comm, xs []T, op func(a, b T) T) []T {
+// The butterfly is allocation-free: each PE ping-pongs between the result
+// vector and one scratch vector. Depositing one for round r is safe because
+// the owner only writes the OTHER buffer until it has passed the barrier of
+// round r+1 — by which point every reader of round r is done (the same
+// double-buffering argument the boards rely on). The result was last
+// deposited in the final butterfly round, and the unfold superstep after it
+// is the "one more barrier" that hands it back to the caller free to write.
+// The scratch vector is the rank's world-owned one (World.arv), and the
+// ping-pong starts on whichever of the two leaves the result in dst. Only
+// the unfold's copy for a folded rank (p not a power of two) is allocated.
+func AllreduceVec[T any](c *Comm, dst, xs []T, op func(a, b T) T) []T {
 	p, rank := c.P(), c.Rank()
 	n := len(xs)
-	acc := make([]T, n)
+	if cap(dst) < n {
+		dst = make([]T, n)
+	}
+	acc := dst[:n]
 	if p == 1 {
 		copy(acc, xs)
 	} else {

@@ -29,7 +29,7 @@ func TestAllreduceVecOddWorld(t *testing.T) {
 		w := NewWorld(p)
 		w.Run(func(c *Comm) {
 			xs := []int{c.Rank() + 1, 2 * (c.Rank() + 1)}
-			got := AllreduceVec(c, xs, func(a, b int) int { return a + b })
+			got := AllreduceVec(c, nil, xs, func(a, b int) int { return a + b })
 			sum := p * (p + 1) / 2
 			if got[0] != sum || got[1] != 2*sum {
 				t.Errorf("p=%d rank=%d: got %v want [%d %d]", p, c.Rank(), got, sum, 2*sum)
@@ -55,7 +55,7 @@ func TestClockMonotone(t *testing.T) {
 		step("allgather")
 		Alltoall(c, []int(nil), make([]int32, 5))
 		step("alltoall")
-		AllreduceVec(c, []int{1, 2}, func(a, b int) int { return a + b })
+		AllreduceVec(c, nil, []int{1, 2}, func(a, b int) int { return a + b })
 		step("allreducevec")
 		ExScan(c, 1, 0, func(a, b int) int { return a + b })
 		step("exscan")

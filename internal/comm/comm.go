@@ -851,8 +851,8 @@ func (c *Comm) drainAbort() bool {
 
 // faultPoint visits one injection site; a no-op unless the job carries an
 // armed injector whose rule matches. ActPanic raises an InjectedPanic —
-// contained exactly like a real PE panic; ActDelay sleeps, modelling a
-// straggler (pair it with a stall timeout); ActIOError returns the
+// contained exactly like a real PE panic; ActDelay models a straggler
+// (see straggle); ActIOError returns the
 // synthetic error for sites that can surface one (collective sites have no
 // error path and ignore it).
 func (c *Comm) faultPoint(site faultinject.Site) error {
@@ -864,11 +864,34 @@ func (c *Comm) faultPoint(site faultinject.Site) error {
 	case faultinject.ActPanic:
 		panic(faultinject.InjectedPanic{Site: site, Rank: c.rank, Occurrence: r.Occurrence})
 	case faultinject.ActDelay:
-		time.Sleep(r.Delay)
+		c.straggle(r.Delay)
 	case faultinject.ActIOError:
 		return fmt.Errorf("%w at %v site, rank %d, occurrence %d", faultinject.ErrInjected, site, c.rank, r.Occurrence)
 	}
 	return nil
+}
+
+// straggle holds this rank for an injected delay. A delay of at least the
+// armed stall watchdog's timeout is a stall by construction, so the rank
+// waits until the watchdog has declared it or the job is aborting: it holds
+// the progress counter still however late the watchdog goroutine is
+// scheduled, and the outcome does not depend on the scheduler. A shorter
+// delay, or one without a watchdog, sleeps.
+func (c *Comm) straggle(d time.Duration) {
+	jb := c.jb
+	if jb.stalled == nil || d < jb.stallTimeout {
+		time.Sleep(d)
+		return
+	}
+	tick := time.NewTicker(jb.stallTimeout)
+	defer tick.Stop()
+	for !jb.abortReq.Load() {
+		select {
+		case <-jb.stalled:
+			return
+		case <-tick.C:
+		}
+	}
 }
 
 // FaultPoint exposes the job's injection points to the packages that host

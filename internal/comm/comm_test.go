@@ -92,7 +92,7 @@ func TestAllreduceVec(t *testing.T) {
 				for j := range xs {
 					xs[j] = c.Rank() + j
 				}
-				got := AllreduceVec(c, xs, func(a, b int) int { return a + b })
+				got := AllreduceVec(c, nil, xs, func(a, b int) int { return a + b })
 				for j := range got {
 					want := p*j + p*(p-1)/2
 					if got[j] != want {
@@ -113,7 +113,7 @@ func TestAllreduceVecMin(t *testing.T) {
 			for j := range xs {
 				xs[j] = slot{W: (c.Rank()*7+j*3)%13 + 1, Owner: c.Rank()}
 			}
-			got := AllreduceVec(c, xs, func(a, b slot) slot {
+			got := AllreduceVec(c, nil, xs, func(a, b slot) slot {
 				if a.W < b.W || (a.W == b.W && a.Owner < b.Owner) {
 					return a
 				}

@@ -287,6 +287,45 @@ func TestInjectedDelayHarmless(t *testing.T) {
 	}
 }
 
+// TestInjectedStallWaitsForWatchdog: an injected delay at least the stall
+// timeout is a stall whatever the scheduler does — the delayed rank holds
+// the job until the watchdog declares it, names that rank missing, and then
+// unwinds at once instead of sleeping out its hour. A delay under the
+// timeout still only sleeps, and the job completes.
+func TestInjectedStallWaitsForWatchdog(t *testing.T) {
+	const p = 4
+	baseline := runtime.NumGoroutine()
+	job := func(delay time.Duration) error {
+		plan := faultinject.NewPlan(&faultinject.Rule{
+			Site: faultinject.SiteCollective, Rank: 2, Occurrence: 1,
+			Action: faultinject.ActDelay, Delay: delay,
+		})
+		return NewWorld(p).RunJobCfg(context.Background(), JobConfig{Inject: plan, StallTimeout: 20 * time.Millisecond}, func(c *Comm) {
+			for i := 0; i < 4; i++ {
+				Allreduce(c, 1, add)
+			}
+		})
+	}
+	if err := job(time.Millisecond); err != nil {
+		t.Fatalf("delay under the stall timeout: %v", err)
+	}
+	err := job(time.Hour)
+	var je *JobError
+	if !errors.As(err, &je) || je.Kind != FaultStall {
+		t.Fatalf("delay past the stall timeout: err = %v, want a FaultStall", err)
+	}
+	if len(je.Missing) != 1 || je.Missing[0] != 2 {
+		t.Fatalf("Missing = %v, want the delayed rank [2]", je.Missing)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, want <= %d: the delayed rank is still asleep", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond) // goroutine exit has no event to wait on
+	}
+}
+
 // TestMultiRankFaultsKeepFirst: when two ranks panic in the same superstep,
 // the job reports the total fault count and still unwinds everyone.
 func TestMultiRankFaultsKeepFirst(t *testing.T) {

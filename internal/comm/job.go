@@ -190,8 +190,10 @@ type worldJob struct {
 	nCancelled atomic.Int32
 	nAborted   atomic.Int32
 
-	// stalled is closed by the watchdog when it fires (nil without one).
-	stalled chan struct{}
+	// stalled is closed by the watchdog when it fires (nil without one);
+	// stallTimeout is the watchdog's timeout.
+	stalled      chan struct{}
+	stallTimeout time.Duration
 
 	faultMu sync.Mutex
 	faults  []*JobError
@@ -318,7 +320,7 @@ func (w *World) RunJobCfg(ctx context.Context, cfg JobConfig, f func(*Comm)) err
 	}
 	var watchStop, watchDone chan struct{}
 	if cfg.StallTimeout > 0 {
-		jb.stalled = make(chan struct{})
+		jb.stalled, jb.stallTimeout = make(chan struct{}), cfg.StallTimeout
 		watchStop = make(chan struct{})
 		watchDone = make(chan struct{})
 		// base is each rank's arrival count at job start: arrivals are

@@ -137,7 +137,7 @@ func TestPersistentWorldReuse(t *testing.T) {
 func TestPersistentMatchesTransient(t *testing.T) {
 	prog := func(c *Comm) {
 		x := Allreduce(c, c.Rank(), func(a, b int) int { return a + b })
-		v := AllreduceVec(c, []int{c.Rank(), x}, func(a, b int) int { return a + b })
+		v := AllreduceVec(c, nil, []int{c.Rank(), x}, func(a, b int) int { return a + b })
 		_ = Alltoall(c, []int(nil), make([]int32, c.P()+1))
 		_ = v
 	}

@@ -38,13 +38,13 @@ func BenchmarkAllreduceVec(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d/n=256", p), func(b *testing.B) {
 			w := NewWorld(p)
 			w.Run(func(c *Comm) {
-				xs := make([]int, 256)
+				xs, dst := make([]int, 256), make([]int, 256)
 				for j := range xs {
 					xs[j] = c.Rank() + j
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					AllreduceVec(c, xs, func(x, y int) int { return x + y })
+					AllreduceVec(c, dst, xs, func(x, y int) int { return x + y })
 				}
 			})
 		})

@@ -95,7 +95,7 @@ func TestInputsMutableImmediatelyAfterReturn(t *testing.T) {
 
 			// AllreduceVec: the returned accumulator is scribbled over
 			// immediately; the next round must be unaffected.
-			vec := AllreduceVec(c, []int{c.Rank(), 1}, func(a, b int) int { return a + b })
+			vec := AllreduceVec(c, nil, []int{c.Rank(), 1}, func(a, b int) int { return a + b })
 			pay[0], pay[1] = -7, -7
 			if vec[0] != p*(p-1)/2 || vec[1] != p {
 				t.Errorf("round %d rank %d: vec %v", round, c.Rank(), vec)
@@ -113,7 +113,7 @@ func TestAllreduceVecOwnershipOddWorlds(t *testing.T) {
 		w := NewWorld(p)
 		w.Run(func(c *Comm) {
 			for round := 0; round < 20; round++ {
-				vec := AllreduceVec(c, []int{c.Rank() + round, 2}, func(a, b int) int { return a + b })
+				vec := AllreduceVec(c, nil, []int{c.Rank() + round, 2}, func(a, b int) int { return a + b })
 				want0 := p*round + p*(p-1)/2
 				if vec[0] != want0 || vec[1] != 2*p {
 					t.Errorf("p=%d round %d rank %d: %v want [%d %d]", p, round, c.Rank(), vec, want0, 2*p)
@@ -128,14 +128,40 @@ func TestAllreduceVecOwnershipOddWorlds(t *testing.T) {
 // TestAllreduceVecResultsOutliveNextCall: the vector AllreduceVec returns is
 // the caller's, not the rank's reused ping-pong vector, so it survives the
 // next reduction, at odd and even butterfly depths and with folded ranks.
+// A destination the caller reuses for every call — written over the moment
+// each call returns, as the base case's arena slot is — never leaks into
+// another rank's result (-race sees a partner still reading it).
 func TestAllreduceVecResultsOutliveNextCall(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 8, 12} {
 		NewWorld(p).Run(func(c *Comm) {
 			sum := func(a, b int) int { return a + b }
-			first := AllreduceVec(c, []int{1, c.Rank()}, sum)
-			second := AllreduceVec(c, []int{2, c.Rank()}, sum)
+			first := AllreduceVec(c, nil, []int{1, c.Rank()}, sum)
+			second := AllreduceVec(c, nil, []int{2, c.Rank()}, sum)
 			if first[0] != p || first[1] != p*(p-1)/2 || second[0] != 2*p || second[1] != p*(p-1)/2 {
 				t.Errorf("p=%d rank %d: first %v, second %v", p, c.Rank(), first, second)
+			}
+			dst := make([]int, 0, 3)
+			for round := 0; round < 20; round++ {
+				xs := []int{round, c.Rank(), 1}
+				got := AllreduceVec(c, dst, xs, sum)
+				if &got[0] != &dst[:1][0] {
+					t.Errorf("p=%d rank %d round %d: the result is not in the destination", p, c.Rank(), round)
+					return
+				}
+				if got[0] != p*round || got[1] != p*(p-1)/2 || got[2] != p {
+					t.Errorf("p=%d rank %d round %d: %v", p, c.Rank(), round, got)
+					return
+				}
+				for i := range got {
+					got[i] = -1 - round
+				}
+				if round%2 == 1 {
+					// dst may be xs: the result replaces the contribution.
+					if got := AllreduceVec(c, xs, xs, sum); &got[0] != &xs[0] || got[2] != p {
+						t.Errorf("p=%d rank %d round %d: in place gave %v", p, c.Rank(), round, got)
+						return
+					}
+				}
 			}
 		})
 	}

@@ -19,8 +19,9 @@ var (
 	kBaseWin    = arena.NewKey() // []int32: its index window
 	kBaseWork   = arena.NewKey() // []dEdge: local edges with dense endpoints
 	kBaseVec    = arena.NewKey() // []cand: per-round allreduce input vector
+	kBaseGlobal = arena.NewKey() // []cand: the allreduce's result
 	kBaseParent = arena.NewKey() // []int32: replicated contraction forest
-	kBaseRoots  = arena.NewKey() // []graph.VID: component roots recorded in P
+	kBaseComp   = arena.NewKey() // []int32: each vertex's root across rounds, recorded in P
 )
 
 // dEdge is a base-case working edge: dense endpoints, the weight class, and
@@ -49,9 +50,11 @@ type cand struct {
 // found with an allreduce of vector length n′, and the contraction itself
 // is a replicated local computation — edges stay distributed, unsorted.
 // Identified MST edges are appended to mst on the PE that owns the winning
-// edge. When rec is non-nil, every contraction is recorded in the
-// distributed representative array (Filter-Borůvka's P).
-func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Edge, rec *distArray, opt Options) {
+// edge. When rec is non-nil, each vertex's final root — the rounds'
+// contractions composed, which the replicated forest allows without a
+// message — is recorded once in the distributed representative array
+// (Filter-Borůvka's P).
+func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Edge, rec *distArray) {
 	a := c.Scratch()
 	// Dense remap: gather the distinct live labels. Each PE contributes its
 	// distinct sources, skipping a first run continued from the previous
@@ -106,6 +109,13 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 	}
 
 	parent := arena.Grab[int32](a, kBaseParent, n)
+	var comp []int32 // nil unless recording
+	if rec != nil {
+		comp = arena.Grab[int32](a, kBaseComp, n)
+		for i := range comp {
+			comp[i] = int32(i)
+		}
+	}
 	for round := 0; ; round++ {
 		vec := arena.Grab[cand](a, kBaseVec, n)
 		for i := range vec {
@@ -125,12 +135,13 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 			}
 		}
 		c.ChargeCompute(len(work))
-		global := comm.AllreduceVec(c, vec, func(a, b cand) cand {
+		global := comm.AllreduceVec(c, arena.GrabAppend[cand](a, kBaseGlobal), vec, func(a, b cand) cand {
 			if less(a, b) {
 				return a
 			}
 			return b
 		})
+		arena.Keep(a, kBaseGlobal, global)
 
 		// Replicated contraction: identical on every PE.
 		merged := false
@@ -169,12 +180,8 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 			}
 		}
 		c.ChargeCompute(n)
-		if rec != nil {
-			roots := arena.Grab[graph.VID](a, kBaseRoots, n)
-			for i, r := range parent {
-				roots[i] = x.verts[r]
-			}
-			rec.record(c, denseLabels{vertexIndex: x, labels: roots}, opt)
+		for i, r := range comp {
+			comp[i] = parent[r]
 		}
 		// Relabel the local edges and drop self-loops.
 		kept := work[:0]
@@ -192,5 +199,8 @@ func baseCase(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mst *[]graph.Ed
 		if round > 64 {
 			panic("core: base case failed to converge")
 		}
+	}
+	if rec != nil {
+		rec.recordReplicated(x.verts, comp)
 	}
 }

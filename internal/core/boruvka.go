@@ -52,7 +52,7 @@ func Boruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options
 	res.Rounds, res.EdgesTouched, res.VertexCounts = distributedRounds(c, &work, &l, opt, &mst, nil)
 
 	c.PhaseBegin(PhaseBaseCase)
-	baseCase(c, work, l, &mst, nil, opt)
+	baseCase(c, work, l, &mst, nil)
 	res.BaseCalls = 1
 	return res.finish(c, mst, in, opt)
 }

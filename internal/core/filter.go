@@ -15,11 +15,10 @@ import (
 // Arena keys of the Filter-Borůvka working set.
 var (
 	kDistTbl   = arena.NewKey() // []graph.VID: dense owned slice of P
-	kResCur    = arena.NewKey() // []graph.VID: resolve cursors
-	kResDone   = arena.NewKey() // []bool: resolve completion flags
-	kResTgt    = arena.NewKey() // []graph.VID: distinct pending targets
-	kResAns    = arena.NewKey() // []graph.VID: replies, aligned with the targets
-	kResWin    = arena.NewKey() // []int32: the reply table's index window
+	kFlatPend  = arena.NewKey() // []graph.VID: owned labels flatten has not settled
+	kResTgt    = arena.NewKey() // []graph.VID: a flatten round's distinct targets
+	kResAns    = arena.NewKey() // []graph.VID: replies, aligned with the queries
+	kResWin    = arena.NewKey() // []int32: flatten's reply table's index window
 	kLabelBits = arena.NewKey() // []uint64: labelSet's bitmap over the label space
 	kFilterVs  = arena.NewKey() // []graph.VID: distinct endpoints of a segment
 	kFilterWin = arena.NewKey() // []int32: the rename table's index window
@@ -31,7 +30,7 @@ var (
 )
 
 // labelSet collects labels of [0, n) and hands them back ascending and
-// duplicate-free — the order every resolve message sequence is built from.
+// duplicate-free — the order every query sequence to P is built from.
 // Dense label spaces (denseWindow over the whole space) mark a bitmap and
 // scan it; sparse ones append, sort and compact. Both yield the same slice.
 type labelSet struct {
@@ -79,16 +78,30 @@ func (s *labelSet) sorted() []graph.VID {
 // over the PEs by label range. Each PE stores its owned range as a dense
 // slice — Θ(n/p) words, the paper's own array representation — with label 0
 // (reserved, vertices are 1-based) marking identity entries. Contractions
-// recorded over time form shallow trees; resolve follows them to the roots
-// with batched query rounds (the paper contracts them with O(log log n)
-// pointer-doubling rounds at the end — we resolve on demand at each filter
-// step, which needs the same machinery; ROADMAP item 11 Stage B).
+// recorded over time form shallow trees, which §V contracts by pointer
+// doubling so that FILTER needs one lookup per endpoint. Here P is
+// flattened lazily, when resolve is called and something was recorded since
+// the last flatten: no flatten runs after the recursion's last solve, and a
+// plain Borůvka job has no P at all. resolve itself is then one query/reply
+// hop.
 type distArray struct {
-	n   uint64      // label space is [1, n]
-	tbl []graph.VID // owned range [lo, hi), tbl[v-lo]; 0 = identity
-	lo  uint64
-	hi  uint64
+	n     uint64      // label space is [1, n]
+	tbl   []graph.VID // owned range [lo, hi), tbl[v-lo]; 0 = identity
+	lo    uint64
+	hi    uint64
+	dirty bool // recorded since the last flatten (the same on every PE)
+	hops  int  // query/reply hops made so far
 }
+
+// flatBit marks an entry that points at an identity entry. flatten sets it
+// on every entry it settles, and an owner's reply carries it, so a querier
+// whose target is settled takes the root without another hop. Labels stay
+// far below it.
+const flatBit = graph.VID(1) << 63
+
+// traceResolve, when set (tests only), is told the query/reply hops of
+// every resolve on every PE: those of the flatten it ran first, then its own.
+var traceResolve func(flatten, resolve int)
 
 // newDistArray creates P over the label space [1, maxLabel], identity
 // everywhere. The dense slice is arena-backed: recycled across jobs, zeroed
@@ -136,89 +149,126 @@ func (d *distArray) record(c *comm.Comm, t denseLabels, opt Options) {
 			d.tbl[lp.V-d.lo] = lp.L
 		}
 	}
+	d.dirty = true
 }
 
-// lookup returns the recorded representative of owned label v (identity if
-// none recorded).
-func (d *distArray) lookup(v graph.VID) graph.VID {
-	if next := d.tbl[v-d.lo]; next != 0 {
-		return next
+// recordReplicated writes the contractions of a forest every PE holds whole
+// — the base case's: verts[i] is contracted into verts[root[i]] — into the
+// owned range directly, with no message. All PEs must call it together,
+// with the same forest.
+func (d *distArray) recordReplicated(verts []graph.VID, root []int32) {
+	i, _ := slices.BinarySearch(verts, d.lo)
+	for ; i < len(verts) && verts[i] < d.hi; i++ {
+		if r := int(root[i]); r != i {
+			d.tbl[verts[i]-d.lo] = verts[r]
+		}
 	}
-	return v
+	d.dirty = true
 }
 
-// resolve returns the fully-resolved representative for every queried
-// label, following chains across PEs in batched rounds. vs must be sorted
-// ascending and duplicate-free; the result is aligned with vs and is
-// arena-backed (valid until the next resolve on this PE). dense is the
-// caller's denseWindow verdict on the label space: it picks how a round's
-// distinct targets are found, never what is sent; the replies are read
-// through an index sized for the len(vs) lookups. Collective.
-func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, dense bool, opt Options) []graph.VID {
+// ask sends every label of qs — ascending and duplicate-free — to its owner
+// and returns the owner's entries for them as they lie (0 for identity, a
+// settled root with flatBit), aligned with qs, in slot kResAns. Every owner
+// answers its bucket in order and the buckets concatenate in rank order, so
+// the replies arrive aligned with the queries. Collective.
+func (d *distArray) ask(c *comm.Comm, qs []graph.VID, opt Options) []graph.VID {
+	send := alltoall.NewBuilder[graph.VID](c, kResSendQ)
+	for _, q := range qs {
+		send.Add(d.owner(c, q), q)
+	}
+	recvQ := send.Exchange(opt.A2A)
+	sendR := alltoall.NewBuilder[graph.VID](c, kResSendR)
+	for from := range recvQ {
+		for _, q := range recvQ[from] {
+			sendR.Add(from, d.tbl[q-d.lo])
+		}
+	}
+	recvR := sendR.Exchange(opt.A2A)
+	d.hops++
+	ans := arena.Grab[graph.VID](c.Scratch(), kResAns, len(qs))[:0]
+	for i := range recvR {
+		ans = append(ans, recvR[i]...)
+	}
+	if len(ans) != len(qs) {
+		panic(fmt.Sprintf("core: distributed array: %d replies to %d queries", len(ans), len(qs)))
+	}
+	return ans
+}
+
+// flatten pointer-jumps the owned non-identity entries of P until each one
+// points at an identity entry. A round asks the owner of every pending
+// entry's target for the target's own entry: identity settles the entry
+// where it points, a settled entry settles it on that entry's root, and
+// anything else is the next pointer, so every pending chain at least halves
+// per round. The owners answer from the round's start, before any of their
+// own entries move. Collective.
+func (d *distArray) flatten(c *comm.Comm, opt Options) {
 	a := c.Scratch()
-	cur := arena.Grab[graph.VID](a, kResCur, len(vs))
-	copy(cur, vs)
-	done := arena.GrabZeroed[bool](a, kResDone, len(vs))
-	for iter := 0; ; iter++ {
-		// Distinct pending targets, ascending: owners are monotone in the
-		// label, so the buckets fill in rank order and every PE's query
-		// sequence — and with it the reply concatenation below — is sorted.
-		set := newLabelSet(a, kResTgt, d.n, dense)
-		for i, v := range cur {
-			if !done[i] {
-				set.add(v)
-			}
-		}
-		tgt := set.sorted()
-		send := alltoall.NewBuilder[graph.VID](c, kResSendQ)
-		for _, t := range tgt {
-			send.Add(d.owner(c, t), t)
-		}
-		recvQ := send.Exchange(opt.A2A)
-		sendR := alltoall.NewBuilder[labelPair](c, kResSendR)
-		for from := range recvQ {
-			for _, t := range recvQ[from] {
-				sendR.Add(from, labelPair{V: t, L: d.lookup(t)})
-			}
-		}
-		recvR := sendR.Exchange(opt.A2A)
-		// Every owner answers its bucket in order and the buckets concatenate
-		// in rank order, so the replies arrive aligned with the queries.
-		ans := denseLabels{vertexIndex: vertexIndex{verts: tgt}, labels: arena.Grab[graph.VID](a, kResAns, len(tgt))}
-		k := 0
-		for i := range recvR {
-			for _, lp := range recvR[i] {
-				if k == len(tgt) || lp.V != tgt[k] {
-					panic(fmt.Sprintf("core: distributed array resolution: reply %d answers label %d, not the query", k, lp.V))
-				}
-				ans.labels[k] = lp.L
-				k++
-			}
-		}
-		if k != len(tgt) {
-			panic(fmt.Sprintf("core: distributed array resolution: %d replies to %d queries", k, len(tgt)))
-		}
-		ans.index(a, kResWin, len(cur))
-		progress := false
-		for i, v := range cur {
-			if done[i] {
-				continue
-			}
-			if next, _ := ans.get(v); next == v {
-				done[i] = true
-			} else {
-				cur[i] = next
-				progress = true
-			}
-		}
-		if !comm.Allreduce(c, progress, func(a, b bool) bool { return a || b }) {
-			break
-		}
-		if iter > 128 {
-			panic("core: distributed array resolution failed to converge")
+	pend := arena.GrabAppend[graph.VID](a, kFlatPend)
+	for i, t := range d.tbl {
+		if t != 0 {
+			d.tbl[i] = t &^ flatBit // a settled root may have been contracted since
+			pend = append(pend, d.lo+uint64(i))
 		}
 	}
-	return cur
+	arena.Keep(a, kFlatPend, pend)
+	c.ChargeCompute(len(d.tbl))
+	for rounds := 1; ; rounds++ {
+		set := newLabelSet(a, kResTgt, d.n, denseWindow(d.n, len(pend)))
+		for _, v := range pend {
+			set.add(d.tbl[v-d.lo])
+		}
+		tgt := denseLabels{vertexIndex: vertexIndex{verts: set.sorted()}}
+		tgt.labels = d.ask(c, tgt.verts, opt)
+		tgt.index(a, kResWin, len(pend))
+		kept := pend[:0]
+		for _, v := range pend {
+			e := &d.tbl[v-d.lo]
+			switch r, _ := tgt.get(*e); {
+			case r == 0:
+				*e |= flatBit
+			case r&flatBit != 0:
+				*e = r
+			default:
+				*e = r
+				kept = append(kept, v)
+			}
+		}
+		c.ChargeCompute(len(pend))
+		pend = kept
+		if !comm.Allreduce(c, len(pend) > 0, func(a, b bool) bool { return a || b }) {
+			d.dirty = false
+			return
+		}
+		if rounds > 64 {
+			panic("core: distributed array flatten failed to converge")
+		}
+	}
+}
+
+// resolve returns the representative of every queried label: its root in
+// P. vs must be sorted ascending and duplicate-free; the result is aligned
+// with vs and is arena-backed (valid until the next resolve or flatten on
+// this PE). P is flattened first if anything was recorded since the last
+// flatten; the lookup itself is one query/reply hop. Collective.
+func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, opt Options) []graph.VID {
+	h0 := d.hops
+	if d.dirty {
+		d.flatten(c, opt)
+	}
+	h1 := d.hops
+	ans := d.ask(c, vs, opt)
+	for i, r := range ans {
+		if r == 0 {
+			ans[i] = vs[i]
+		} else {
+			ans[i] = r &^ flatBit
+		}
+	}
+	if traceResolve != nil {
+		traceResolve(h1-h0, d.hops-h1)
+	}
+	return ans
 }
 
 // segment is one pending edge set of the Filter-Borůvka recursion: edges,
@@ -269,7 +319,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		res.Rounds += r
 		res.EdgesTouched += t
 		c.PhaseBegin(PhaseBaseCase)
-		baseCase(c, w, wl, &mst, P, opt)
+		baseCase(c, w, wl, &mst, P)
 		c.PhaseEnd()
 		res.BaseCalls++
 	}
@@ -436,7 +486,7 @@ func filterSegment(c *comm.Comm, seg segment, P *distArray, opt Options) ([]grap
 		}
 	}
 	ren := denseLabels{vertexIndex: vertexIndex{verts: set.sorted()}}
-	ren.labels = P.resolve(c, ren.verts, dense, opt)
+	ren.labels = P.resolve(c, ren.verts, opt)
 	ren.index(a, kFilterWin, 2*m)
 	out := arena.Grab[graph.Edge](a, kFilterOut, m)
 	tbl := relabelTable{lab: ren}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"kamsta/internal/arena"
@@ -203,14 +204,12 @@ func TestFilterSparseLabelSpace(t *testing.T) {
 	}
 }
 
-// TestResolveChasesRandomForest records a random forest in P — one chain 40
-// deep, the rest random parents below the vertex — and checks resolve
-// against a sequential chase, on both paths, with some ranks asking nothing
-// while still calling collectively, twice over so recycled slots are seen.
-func TestResolveChasesRandomForest(t *testing.T) {
-	const n = 600
+// randomForest is the P of the resolve tests over labels [1, n]: one chain
+// 40 deep, the rest random parents below the vertex. parent[v] == v is a
+// root.
+func randomForest(n int) (parent []graph.VID, root func(graph.VID) graph.VID) {
 	r := rng.New(11)
-	parent := make([]graph.VID, n+1) // parent[v] == v: a root
+	parent = make([]graph.VID, n+1)
 	for v := 1; v <= n; v++ {
 		switch {
 		case v > 1 && v <= 40:
@@ -221,24 +220,42 @@ func TestResolveChasesRandomForest(t *testing.T) {
 			parent[v] = graph.VID(v)
 		}
 	}
-	root := func(v graph.VID) graph.VID {
+	return parent, func(v graph.VID) graph.VID {
 		for parent[v] != v {
 			v = parent[v]
 		}
 		return v
 	}
+}
+
+// recordForest records parent in P from wherever (rank r sends every p-th
+// vertex), routed to the owners; roots are skipped. Collective.
+func recordForest(c *comm.Comm, parent []graph.VID) *distArray {
+	P := newDistArray(c, uint64(len(parent)-1))
+	var tbl denseLabels
+	for v := 1 + c.Rank(); v < len(parent); v += c.P() {
+		tbl.verts = append(tbl.verts, graph.VID(v))
+		tbl.labels = append(tbl.labels, parent[v])
+	}
+	P.record(c, tbl, Options{}.withDefaults())
+	return P
+}
+
+// TestResolveChasesRandomForest records a random forest in P and checks
+// resolve against a sequential chase, with flatten's targets found on both
+// label-set paths, with some ranks asking nothing while still calling
+// collectively, twice over so recycled slots are seen.
+func TestResolveChasesRandomForest(t *testing.T) {
+	const n = 600
+	parent, root := randomForest(n)
+	defer func() { forceSparseLabels = false }()
 	for _, p := range []int{1, 3, 8} {
 		for _, dense := range []bool{true, false} {
+			forceSparseLabels = !dense
 			w := comm.NewWorld(p)
 			w.Run(func(c *comm.Comm) {
 				opt := Options{}.withDefaults()
-				P := newDistArray(c, n)
-				var tbl denseLabels // recorded from wherever, routed to the owners; roots are skipped
-				for v := 1 + c.Rank(); v <= n; v += p {
-					tbl.verts = append(tbl.verts, graph.VID(v))
-					tbl.labels = append(tbl.labels, parent[v])
-				}
-				P.record(c, tbl, opt)
+				P := recordForest(c, parent)
 				rr := rng.New(5).Split(uint64(c.Rank()))
 				for round := 0; round < 2; round++ {
 					var vs []graph.VID
@@ -249,7 +266,7 @@ func TestResolveChasesRandomForest(t *testing.T) {
 							}
 						}
 					}
-					got := P.resolve(c, vs, dense, opt)
+					got := P.resolve(c, vs, opt)
 					if len(got) != len(vs) {
 						t.Errorf("p=%d dense=%v rank %d: %d answers to %d labels", p, dense, c.Rank(), len(got), len(vs))
 						continue
@@ -261,6 +278,114 @@ func TestResolveChasesRandomForest(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestFlattenLeavesPFlat: after flatten every owned entry of the random
+// forest's P is identity or points at an identity entry — its root — and a
+// second record (the roots of the 40-deep chain hung under one more vertex)
+// makes the next flatten settle the entries it made stale.
+func TestFlattenLeavesPFlat(t *testing.T) {
+	const n = 600
+	parent, root := randomForest(n)
+	for _, p := range []int{1, 3, 4, 16} {
+		got := make([]graph.VID, n+1) // P as the owners hold it, gathered
+		check := func(stage string, want func(graph.VID) graph.VID) {
+			t.Helper()
+			for v := 1; v <= n; v++ {
+				if got[v] != want(graph.VID(v)) {
+					t.Fatalf("p=%d %s: P[%d] = %d, want its root %d", p, stage, v, got[v], want(graph.VID(v)))
+				}
+				if r := got[v]; got[r] != r {
+					t.Fatalf("p=%d %s: P[%d] = %d, which is not an identity entry (P[%d] = %d)", p, stage, v, r, r, got[r])
+				}
+			}
+		}
+		gather := func(P *distArray) {
+			for i, e := range P.tbl {
+				v := graph.VID(P.lo) + graph.VID(i)
+				if got[v] = v; e != 0 {
+					got[v] = e &^ flatBit
+				}
+			}
+		}
+		w := comm.NewWorld(p)
+		var P []*distArray
+		w.Run(func(c *comm.Comm) {
+			d := recordForest(c, parent)
+			d.flatten(c, Options{}.withDefaults())
+			if d.dirty {
+				t.Errorf("p=%d rank %d: P still dirty after flatten", p, c.Rank())
+			}
+			gather(d)
+			if c.Rank() == 0 {
+				P = make([]*distArray, p)
+			}
+			comm.Barrier(c)
+			P[c.Rank()] = d
+		})
+		check("first flatten", root)
+		// Root 1 of the chain is contracted into vertex n's root, so every
+		// entry that pointed at 1 is one hop short of its root again.
+		top := root(n)
+		if top == 1 {
+			t.Fatalf("p=%d: vertex %d hangs under the chain; pick another", p, n)
+		}
+		w.Run(func(c *comm.Comm) {
+			d := P[c.Rank()]
+			var tbl denseLabels
+			if c.Rank() == 0 {
+				tbl = denseLabels{vertexIndex: vertexIndex{verts: []graph.VID{1}}, labels: []graph.VID{top}}
+			}
+			d.record(c, tbl, Options{}.withDefaults())
+			d.flatten(c, Options{}.withDefaults())
+			gather(d)
+		})
+		check("second flatten", func(v graph.VID) graph.VID {
+			if r := root(v); r != 1 {
+				return r
+			}
+			return top
+		})
+	}
+}
+
+// TestResolveOneHopOnDenseGNM runs Filter-Borůvka on the dense-GNM
+// instance (GNM n = 2^14, m = 2^20, seed 3, 16 PEs, the file run's
+// base-case cap) and counts the query/reply hops of every resolve through
+// traceResolve: each takes at most two, every one finds P flattened within
+// a few rounds, and the forest is Kruskal's.
+func TestResolveOneHopOnDenseGNM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 2 M-edge job")
+	}
+	const p = 16
+	var mu sync.Mutex
+	var calls, flattens []int // per resolve call on any PE
+	traceResolve = func(flatten, resolve int) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls = append(calls, resolve)
+		flattens = append(flattens, flatten)
+	}
+	defer func() { traceResolve = nil }()
+	spec := gen.Spec{Family: gen.GNM, N: 1 << 14, M: 1 << 20, Seed: 3}
+	got, all := runFilter(t, p, 1, spec, 1, Options{BaseCaseCap: 128})
+	checkAgainstOracle(t, "dense GNM", got.res, got.shares, all)
+	if len(calls) == 0 || len(calls)%p != 0 {
+		t.Fatalf("%d resolve calls over %d PEs", len(calls), p)
+	}
+	if slices.Max(flattens) == 0 {
+		t.Fatalf("no resolve flattened P first")
+	}
+	t.Logf("%d resolves per PE; at most %d hops each, after flattens of at most %d rounds", len(calls)/p, slices.Max(calls), slices.Max(flattens))
+	for i, h := range calls {
+		if h > 2 {
+			t.Errorf("resolve %d took %d query rounds, want at most 2", i, h)
+		}
+		if f := flattens[i]; f > 8 {
+			t.Errorf("resolve %d found P flattened in %d rounds, want at most 8", i, f)
 		}
 	}
 }
@@ -328,11 +453,11 @@ func TestPartitionAtPivotProperties(t *testing.T) {
 // directed edges.
 var filterShape = gen.Spec{Family: gen.GNM, N: 1 << 14, M: 1 << 16, Seed: 42}
 
-// filterFixture takes a 1-PE world to the first FILTER step of a job: the
-// input partitioned at the sampled pivot, the light half solved with its
+// filterFixture takes a world to the first FILTER step of a job: the input
+// partitioned at the sampled pivot, the light half solved with its
 // contractions recorded in P, the heavy half pending.
 func filterFixture(c *comm.Comm, edges []graph.Edge, opt Options) (P *distArray, owned []graph.Edge, pivot graph.Edge, heavy segment) {
-	P = newDistArray(c, edges[len(edges)-1].U)
+	P = newDistArray(c, comm.Allreduce(c, edges[len(edges)-1].U, func(a, b uint64) uint64 { return max(a, b) }))
 	owned = slices.Clone(edges)
 	pivot, _ = pivotSelect(c, owned, opt)
 	light, hv := partitionAtPivot(c, owned, pivot)
@@ -340,7 +465,7 @@ func filterFixture(c *comm.Comm, edges []graph.Edge, opt Options) (P *distArray,
 	l := graph.BuildLayout(c, light)
 	var mst []graph.Edge
 	distributedRounds(c, &light, &l, opt, &mst, P)
-	baseCase(c, light, l, &mst, P, opt)
+	baseCase(c, light, l, &mst, P)
 	return P, owned, pivot, segment{edges: hv, needsFilter: true, owned: true}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"kamsta/internal/arena"
@@ -301,6 +302,36 @@ func BenchmarkFilterSegment(b *testing.B) {
 	})
 }
 
+// BenchmarkResolveDenseGNM times FILTER's lookup through P on the dense-GNM
+// instance (GNM n = 2^14, m = 2^20, 16 PEs): the first filter step's
+// resolve of the heavy half's distinct endpoints, with P as the light
+// half's solve left it, so every call flattens P first and then asks one
+// hop.
+func BenchmarkResolveDenseGNM(b *testing.B) {
+	comm.NewWorld(16).Run(func(c *comm.Comm) {
+		edges, _ := gen.Build(c, gen.Spec{Family: gen.GNM, N: 1 << 14, M: 1 << 20, Seed: 3}, dsort.Options{})
+		opt := Options{BaseCaseCap: 128}.withDefaults()
+		P, _, _, heavy := filterFixture(c, edges, opt)
+		set := newLabelSet(c.Scratch(), kFilterVs, P.n, denseWindow(P.n, 2*len(heavy.edges)))
+		for _, e := range heavy.edges {
+			set.add(e.U)
+			set.add(e.V)
+		}
+		vs := slices.Clone(set.sorted())
+		recorded := slices.Clone(P.tbl)
+		comm.Barrier(c)
+		if c.Rank() == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			copy(P.tbl, recorded)
+			P.dirty = true
+			P.resolve(c, vs, opt)
+		}
+	})
+}
+
 // boruvkaShape is the gnm-boruvka workload's instance: GNM, n = 2^15,
 // m = 2^19 (1 M directed edges, 65 k per PE at p = 16), the input where
 // EXCHANGELABELS and the base case do the most lookups per message.
@@ -338,7 +369,7 @@ func BenchmarkBaseCase(b *testing.B) {
 		opt := Options{}.withDefaults()
 		var mst []graph.Edge
 		distributedRounds(c, &work, &l, opt, &mst, nil)
-		baseCase(c, work, l, &mst, nil, opt)
+		baseCase(c, work, l, &mst, nil)
 		if c.Rank() == 0 {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -346,7 +377,7 @@ func BenchmarkBaseCase(b *testing.B) {
 		comm.Barrier(c)
 		for i := 0; i < b.N; i++ {
 			mst = mst[:0]
-			baseCase(c, work, l, &mst, nil, opt)
+			baseCase(c, work, l, &mst, nil)
 		}
 	})
 }
@@ -360,11 +391,10 @@ func TestBaseCaseSteadyStateAllocs(t *testing.T) {
 	w := comm.NewWorld(1)
 	var edges []graph.Edge
 	var l *graph.Layout
-	opt := Options{}.withDefaults()
 	mst := make([]graph.Edge, 0, benchSpec.N)
 	w.Run(func(c *comm.Comm) {
 		edges, l = gen.Build(c, benchSpec, dsort.Options{})
-		baseCase(c, edges, l, &mst, nil, opt) // warm the arena
+		baseCase(c, edges, l, &mst, nil) // warm the arena
 	})
 	w.ResetMetrics()
 	const runs = 10 // an average: a stray allocation of the runtime's does not count whole
@@ -372,14 +402,14 @@ func TestBaseCaseSteadyStateAllocs(t *testing.T) {
 	w.Run(func(c *comm.Comm) {
 		allocs = testing.AllocsPerRun(runs, func() {
 			mst = mst[:0]
-			baseCase(c, edges, l, &mst, nil, opt)
+			baseCase(c, edges, l, &mst, nil)
 		})
 	})
 	rounds := int(w.TotalStats().Collectives)/(runs+1) - 1 // AllocsPerRun adds one unmeasured call
 	w.Run(func(c *comm.Comm) {
-		verts, dst, vec := []graph.VID{1, 2, 3}, []graph.VID(nil), make([]cand, 8)
+		verts, dst, vec, out := []graph.VID{1, 2, 3}, []graph.VID(nil), make([]cand, 8), make([]cand, 8)
 		gather = testing.AllocsPerRun(runs, func() { dst = comm.AllgatherConcatInto(c, dst[:0], verts) })
-		reduce = testing.AllocsPerRun(runs, func() { comm.AllreduceVec(c, vec, func(a, _ cand) cand { return a }) })
+		reduce = testing.AllocsPerRun(runs, func() { comm.AllreduceVec(c, out, vec, func(a, _ cand) cand { return a }) })
 	})
 	floor := gather + float64(rounds)*reduce
 	t.Logf("%v allocations in a warm base case of %d rounds; collective floor %v", allocs, rounds, floor)

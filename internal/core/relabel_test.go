@@ -204,7 +204,7 @@ func TestBaseCaseMissPanics(t *testing.T) {
 		msg := func() (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
 			var mst []graph.Edge
-			baseCase(c, edges, graph.BuildLayout(c, edges), &mst, nil, Options{}.withDefaults())
+			baseCase(c, edges, graph.BuildLayout(c, edges), &mst, nil)
 			return
 		}()
 		if want := "core: base case: rank 0: no dense index for vertex 5"; msg != want {

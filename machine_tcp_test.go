@@ -83,8 +83,8 @@ func TestTCPGoldenBits(t *testing.T) {
 			name: "rgg2d-filter-1worker",
 			spec: GraphSpec{Family: RGG2D, N: 1 << 10, M: 1 << 13, Seed: 7},
 			alg:  AlgFilterBoruvka, workers: 1,
-			modeledBits: 0x3f69ca79e9d980a0,
-			weight:      22137, msgs: 2288, bytes: 1888008, collectives: 504,
+			modeledBits: 0x3f5d6c924f786342,
+			weight:      22137, msgs: 1224, bytes: 1718504, collectives: 352,
 		},
 	}
 	for _, tc := range cases {

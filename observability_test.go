@@ -42,9 +42,9 @@ func TestObservationPreservesGoldenBits(t *testing.T) {
 			name: "rgg2d-filter",
 			spec: GraphSpec{Family: RGG2D, N: 1 << 10, M: 1 << 13, Seed: 7},
 			alg:  AlgFilterBoruvka,
-			bits: 0x3f69ca79e9d980a0,
+			bits: 0x3f5d6c924f786342,
 			stats: comm.Stats{
-				Messages: 2288, Bytes: 1888008, Collectives: 504,
+				Messages: 1224, Bytes: 1718504, Collectives: 352,
 			},
 		},
 	}
