@@ -50,7 +50,6 @@ func main() {
 	dense := flag.Uint64("dense-eppe", def.DenseEPerPE, "Fig. 4: denser edges per PE")
 	rwScale := flag.Uint64("rw-scale", def.RealWorldScale, "real-world stand-in downscale divisor")
 	seed := flag.Uint64("seed", def.Seed, "instance seed")
-	reps := flag.Int("reps", def.Reps, "repetitions per measurement (min modeled time kept)")
 	cap := flag.Int("basecap", 0, "base-case vertex threshold (0 = VPerPE/4)")
 	golden := flag.Bool("golden", false,
 		"run the pinned golden cases instead of an experiment and verify their modeled bits (the multi-process smoke check)")
@@ -63,7 +62,7 @@ func main() {
 			return err
 		}
 		scale.VPerPE, scale.EPerPE, scale.DenseEPerPE = *vppe, *eppe, *dense
-		scale.RealWorldScale, scale.Seed, scale.Reps, scale.BaseCaseCap = *rwScale, *seed, *reps, *cap
+		scale.RealWorldScale, scale.Seed, scale.BaseCaseCap = *rwScale, *seed, *cap
 		switch {
 		case *golden:
 			return bench.RunGolden(ctx, os.Stdout, scale)

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	mstworker -listen 127.0.0.1:9021
-//	mstworker -listen :9021 -quiet -metrics metrics.json -pprof localhost:6060
+//	mstworker -listen :9021 -quiet -metrics metrics.txt -pprof localhost:6060
 //
 // SIGINT/SIGTERM stops accepting, severs live connections (their leaders
 // observe a transport fault), and exits.

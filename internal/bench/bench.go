@@ -41,10 +41,6 @@ type Scale struct {
 	RealWorldScale uint64
 	// Seed for all instances.
 	Seed uint64
-	// Reps repeats each measurement, keeping the minimum modeled time
-	// (the paper reports means of ≥3 runs with warm-up; with a
-	// deterministic cost model the minimum of a few runs is equivalent).
-	Reps int
 	// BaseCaseCap is the base-case vertex threshold. The paper uses 35000
 	// with 2^17 vertices per core (~1/4 of a PE's vertices); 0 derives the
 	// same ratio from VPerPE.
@@ -86,7 +82,6 @@ func DefaultScale() Scale {
 		DenseEPerPE:    1 << 14,
 		RealWorldScale: 1 << 14,
 		Seed:           1,
-		Reps:           1,
 	}
 }
 
@@ -213,43 +208,29 @@ func (mp *machinePool) compute(m *kamsta.Machine, src kamsta.Source, opts ...kam
 	return m.Compute(ctx, src, opts...)
 }
 
-// measure runs one configuration, repeating per Scale.Reps and keeping the
-// run with minimum modeled time.
-func (mp *machinePool) measure(spec gen.Spec, cfg runCfg, reps int) *kamsta.Report {
-	return mp.measureSource(kamsta.FromSpec(spec), cfg, reps)
+// measure runs one configuration once: the modeled clock is deterministic
+// (TestModeledClockDeterminism), so a repeat would report the same bits.
+func (mp *machinePool) measure(spec gen.Spec, cfg runCfg) *kamsta.Report {
+	return mp.measureSource(kamsta.FromSpec(spec), cfg)
 }
 
 // measureSource is measure for any input source (generated or file-backed).
-func (mp *machinePool) measureSource(src kamsta.Source, cfg runCfg, reps int) *kamsta.Report {
-	best, err := mp.measureSourceErr(src, cfg, reps)
+func (mp *machinePool) measureSource(src kamsta.Source, cfg runCfg) *kamsta.Report {
+	rep, err := mp.measureSourceErr(src, cfg)
 	if err != nil {
 		panic(benchFailure{err})
 	}
-	return best
+	return rep
 }
 
-// measureSourceErr is the error-returning measurement core: reps runs on
-// the pooled machine, keeping the one with minimum modeled time.
-func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg runCfg, reps int) (*kamsta.Report, error) {
-	var best *kamsta.Report
-	if reps < 1 {
-		reps = 1
-	}
+// measureSourceErr is the error-returning measurement core: one job on the
+// pooled machine.
+func (mp *machinePool) measureSourceErr(src kamsta.Source, cfg runCfg) (*kamsta.Report, error) {
 	m, err := mp.get(cfg)
 	if err != nil {
 		return nil, err
 	}
-	opts := append(cfg.runOptions(), kamsta.WithTrace(mp.s.Trace))
-	for i := 0; i < reps; i++ {
-		rep, err := mp.compute(m, src, opts...)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || rep.ModeledSeconds < best.ModeledSeconds {
-			best = rep
-		}
-	}
-	return best, nil
+	return mp.compute(m, src, append(cfg.runOptions(), kamsta.WithTrace(mp.s.Trace))...)
 }
 
 // collectEdges materializes a spec in a small world and returns the full
@@ -293,7 +274,7 @@ func Fig3(ctx context.Context, w io.Writer, s Scale) {
 					spec := weakSpec(f, s, p)
 					cfg := algConfig(alg, t, s)
 					cfg.PEs = p
-					rep := mp.measure(spec, cfg, s.Reps)
+					rep := mp.measure(spec, cfg)
 					fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.4e\t%.3f\t%.4e\n",
 						f, alg, t, p, rep.InputVertices, rep.InputEdges,
 						rep.ModeledSeconds, rep.WallSeconds, rep.EdgesPerSecond)
@@ -322,7 +303,7 @@ func Fig2(ctx context.Context, w io.Writer, s Scale) {
 			cfg := algConfig("boruvka-nopre", 1, s)
 			cfg.PEs = p
 			cfg.Core.A2A = variant.a2a
-			rep := mp.measure(spec, cfg, s.Reps)
+			rep := mp.measure(spec, cfg)
 			contract := rep.Phases[core.PhaseContract]
 			fmt.Fprintf(tw, "%d\t%s\t%.4e\t%.4e\n", p, variant.name, contract.Modeled, rep.ModeledSeconds)
 		}
@@ -354,7 +335,7 @@ func Fig4(ctx context.Context, w io.Writer, s Scale) {
 				spec := gen.Spec{Family: f, N: s.VPerPE * uint64(p), M: s.DenseEPerPE * uint64(p), Seed: s.Seed}
 				cfg := algConfig(sr.name, sr.threads, s)
 				cfg.PEs = p
-				rep := mp.measure(spec, cfg, s.Reps)
+				rep := mp.measure(spec, cfg)
 				label := sr.name
 				if sr.name == "boruvka" {
 					label = "local-boruvka"
@@ -385,7 +366,7 @@ func Fig5(ctx context.Context, w io.Writer, s Scale) {
 				for _, p := range s.Ps {
 					cfg := algConfig(alg, t, s)
 					cfg.PEs = p
-					rep := mp.measure(spec, cfg, s.Reps)
+					rep := mp.measure(spec, cfg)
 					fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.4e\t%.3f\n",
 						name, alg, t, p, rep.ModeledSeconds, rep.WallSeconds)
 				}
@@ -426,7 +407,7 @@ func Fig6(ctx context.Context, w io.Writer, s Scale) {
 			for _, v := range variants {
 				cfg := algConfig(v.alg, v.threads, s)
 				cfg.PEs = p
-				rep := mp.measure(spec, cfg, s.Reps)
+				rep := mp.measure(spec, cfg)
 				total := rep.ModeledSeconds
 				fmt.Fprintf(tw, "%s\t%d\t%s\t%.4e", f, p, v.label, total)
 				accounted := 0.0
@@ -472,7 +453,7 @@ func Table1(ctx context.Context, w io.Writer, s Scale) {
 		}
 		cfg := algConfig("boruvka", 1, s)
 		cfg.PEs = 4
-		rep := mp.measure(spec, cfg, 1)
+		rep := mp.measure(spec, cfg)
 		fmt.Fprintf(tw, "%s\t%s\t%.3e\t%.3e\t%s\t%d\t%d\n",
 			name, info.Type, float64(info.PaperN), float64(info.PaperM),
 			spec.Family, rep.InputVertices, rep.InputEdges)
@@ -508,12 +489,12 @@ func SharedMemory(ctx context.Context, w io.Writer, s Scale) {
 		// only; the modeled time has no communication terms).
 		cfg := algConfig("boruvka", 8, s)
 		cfg.PEs = 1
-		rep := mp.measure(it.spec, cfg, s.Reps)
+		rep := mp.measure(it.spec, cfg)
 		fmt.Fprintf(tw, "%s\tshared-memory-8t\t%.4e\t%.3f\n", it.name, rep.ModeledSeconds, rep.WallSeconds)
 		for _, p := range s.Ps {
 			cfg := algConfig("boruvka", 8, s)
 			cfg.PEs = p
-			rep := mp.measure(it.spec, cfg, s.Reps)
+			rep := mp.measure(it.spec, cfg)
 			fmt.Fprintf(tw, "%s\tboruvka-8 p=%d\t%.4e\t%.3f\n", it.name, p, rep.ModeledSeconds, rep.WallSeconds)
 		}
 	}
@@ -556,7 +537,7 @@ func FileBackedTable1(ctx context.Context, w io.Writer, s Scale) {
 			for _, p := range s.Ps {
 				cfg := algConfig(alg, 1, s)
 				cfg.PEs = p
-				rep := mp.measureSource(src, cfg, s.Reps)
+				rep := mp.measureSource(src, cfg)
 				fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%.4e\t%.4e\t%.3f\n",
 					name, st.Size(), alg, p, rep.InputModeledSeconds, rep.ModeledSeconds, rep.WallSeconds)
 			}
@@ -591,7 +572,7 @@ func RunFile(ctx context.Context, w io.Writer, path, format string, algs []kamst
 		for _, p := range s.Ps {
 			cfg := algConfig(seriesOf[alg], 1, s)
 			cfg.PEs = p
-			rep, err := mp.measureSourceErr(src, cfg, s.Reps)
+			rep, err := mp.measureSourceErr(src, cfg)
 			if err != nil {
 				return err
 			}

@@ -25,7 +25,6 @@ func tinyScale() Scale {
 		DenseEPerPE:    1 << 10,
 		RealWorldScale: 1 << 17,
 		Seed:           1,
-		Reps:           1,
 	}
 }
 
@@ -271,7 +270,7 @@ func TestShapeHeadlines(t *testing.T) {
 		cfg := algConfig(series, threads, s)
 		cfg.PEs = p
 		cfg.Cost = regime
-		return mp.measure(spec, cfg, 1).ModeledSeconds
+		return mp.measure(spec, cfg).ModeledSeconds
 	}
 
 	// Fig. 3 headline on the grid family: locality exploitation wins big.

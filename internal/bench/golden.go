@@ -71,7 +71,7 @@ func RunGolden(ctx context.Context, w io.Writer, s Scale) error {
 	var firstErr error
 	for _, gc := range GoldenCases() {
 		cfg := runCfg{MachineConfig: kamsta.MachineConfig{PEs: gc.PEs}, Algorithm: gc.Alg}
-		rep, err := mp.measureSourceErr(kamsta.FromSpec(gc.Spec), cfg, 1)
+		rep, err := mp.measureSourceErr(kamsta.FromSpec(gc.Spec), cfg)
 		if err == nil {
 			err = gc.Check(rep)
 		}

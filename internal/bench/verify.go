@@ -67,7 +67,7 @@ func (mp *machinePool) oracle(w io.Writer, threads int, insts []instance) error 
 	cfg := runCfg{MachineConfig: kamsta.MachineConfig{PEs: mp.s.Ps[0], Threads: threads}, Algorithm: kamsta.AlgKruskal}
 	for i := range insts {
 		in := &insts[i]
-		rep, err := mp.measureSourceErr(in.src, cfg, 1)
+		rep, err := mp.measureSourceErr(in.src, cfg)
 		if err != nil {
 			return fmt.Errorf("oracle failed on %s: %w", in.label, err)
 		}
@@ -91,7 +91,7 @@ func (mp *machinePool) crossCheck(w io.Writer, threads int, algs []kamsta.Algori
 			for _, alg := range algs {
 				cfg := algConfig(seriesOf[alg], threads, mp.s)
 				cfg.PEs = p
-				got, err := mp.measureSourceErr(in.src, cfg, 1)
+				got, err := mp.measureSourceErr(in.src, cfg)
 				if cerr := mp.ctx.Err(); cerr != nil {
 					return checks, failures, cerr
 				}

@@ -102,7 +102,7 @@ type Flags struct {
 func Register() *Flags {
 	f := &Flags{}
 	flag.StringVar(&f.MetricsPath, "metrics", "",
-		"write metrics on exit: a path (.json = JSON, else Prometheus text) or - for stdout")
+		"write metrics on exit as Prometheus text: a path or - for stdout")
 	flag.StringVar(&f.TracePath, "trace", "",
 		"record a span trace and write it on exit: a path (.json = Chrome trace_event, else text summary) or - for stdout")
 	flag.StringVar(&f.PprofAddr, "pprof", "",
@@ -138,17 +138,21 @@ func (f *Flags) Activate() error {
 // it once on the way out, after the body's jobs have completed.
 func (f *Flags) Flush() error {
 	if f.MetricsPath != "" {
-		if err := writeOut(f.MetricsPath, f.Registry.WriteJSON, f.Registry.WritePrometheus); err != nil {
+		if err := writeOut(f.MetricsPath, f.Registry.WritePrometheus); err != nil {
 			return fmt.Errorf("-metrics: %w", err)
 		}
 	}
 	if f.TracePath != "" {
-		if err := writeOut(f.TracePath, f.Trace.WriteChromeJSON, f.Trace.WriteSummary); err != nil {
+		emit := f.Trace.WriteSummary
+		if strings.HasSuffix(f.TracePath, ".json") {
+			emit = f.Trace.WriteChromeJSON
+		}
+		if err := writeOut(f.TracePath, emit); err != nil {
 			return fmt.Errorf("-trace: %w", err)
 		}
 		if n := f.Trace.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "trace: %d spans dropped (ring capacity %d per rank; raise obs.Trace.CapPerRank)\n",
-				n, f.Trace.RingCap())
+			fmt.Fprintf(os.Stderr, "trace: %d spans dropped (ring capacity %d spans per rank and job; trace a smaller job)\n",
+				n, obs.DefaultRingCap)
 		}
 	}
 	return nil
@@ -237,13 +241,8 @@ func (f *SweepFlags) Scale() (bench.Scale, []kamsta.Algorithm, error) {
 	}, algs, nil
 }
 
-// writeOut writes one output to path ("-" = stdout): in the JSON form when
-// the path ends in .json, else in the text form.
-func writeOut(path string, json, text func(io.Writer) error) error {
-	emit := text
-	if strings.HasSuffix(path, ".json") {
-		emit = json
-	}
+// writeOut writes one output to path ("-" = stdout).
+func writeOut(path string, emit func(io.Writer) error) error {
 	if path == "-" {
 		return emit(os.Stdout)
 	}

@@ -4,7 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kamsta"
@@ -93,6 +98,43 @@ func TestSweepScale(t *testing.T) {
 		f.ps, f.algs = bad[0], bad[1]
 		if _, _, err := f.Scale(); ExitCode(err) != 2 {
 			t.Errorf("-ps %q -alg %q: %v, want a usage error", bad[0], bad[1], err)
+		}
+	}
+}
+
+// TestMetricsAreAlwaysPrometheusText: metrics leave in one format. A
+// -metrics path ending in .json and a /metrics request asking for JSON both
+// get the Prometheus text that CI greps and benchmark/ parses.
+func TestMetricsAreAlwaysPrometheusText(t *testing.T) {
+	f := &Flags{MetricsPath: filepath.Join(t.TempDir(), "out.json")}
+	if err := f.Activate(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := kamsta.NewMachine(kamsta.MachineConfig{PEs: 2, Metrics: f.Registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Compute(context.Background(), kamsta.FromSpec(kamsta.GraphSpec{Family: kamsta.GNM, N: 64, M: 256, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(f.MetricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/metrics?format=json", nil)
+	req.Header.Set("Accept", "application/json")
+	rec := httptest.NewRecorder()
+	f.Registry.Handler().ServeHTTP(rec, req)
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("/metrics asked for JSON answers Content-Type %q", ct)
+	}
+	for name, out := range map[string]string{"-metrics out.json": string(file), "/metrics, Accept: application/json": rec.Body.String()} {
+		if !strings.Contains(out, "\n# TYPE kamsta_") || !strings.Contains(out, "\nkamsta_") {
+			t.Errorf("%s is not Prometheus text with # TYPE and kamsta_ lines:\n%.300s", name, out)
 		}
 	}
 }

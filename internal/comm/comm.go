@@ -277,19 +277,18 @@ func (w *World) newComm(rank int, jb *worldJob) *Comm {
 		c.m = &w.wm.ranks[rank]
 	}
 	if jb.tr != nil {
-		c.ring = w.ringFor(rank, jb.tr.RingCap())
+		c.ring = w.ringFor(rank)
 		c.traceEpoch = jb.traceEpoch
 	}
 	return c
 }
 
 // ringFor returns rank's span ring, reset for a new job; created on first
-// use (or when the requested capacity changed). Called from the PE's own
-// goroutine only.
-func (w *World) ringFor(rank, capacity int) *obs.Ring {
+// use. Called from the PE's own goroutine only.
+func (w *World) ringFor(rank int) *obs.Ring {
 	r := w.rings[rank]
-	if r == nil || r.Cap() != capacity {
-		r = obs.NewRing(capacity)
+	if r == nil {
+		r = obs.NewRing(obs.DefaultRingCap)
 		w.rings[rank] = r
 	}
 	r.Reset()

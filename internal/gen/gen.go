@@ -136,25 +136,9 @@ type Spec struct {
 	M uint64
 	// Seed makes the instance reproducible.
 	Seed uint64
-	// PLExp is the power-law exponent for RHG (default 3.0, the paper's
-	// setting).
-	PLExp float64
-	// LocalityMix is the fraction of RHG edges drawn from the geometric
-	// locality kernel (default 0.5).
-	LocalityMix float64
 	// RMATKeepLocality skips the Graph500 label scrambling; the web-graph
 	// stand-ins use this to retain crawl-order locality.
 	RMATKeepLocality bool
-}
-
-func (s Spec) withDefaults() Spec {
-	if s.PLExp == 0 {
-		s.PLExp = 3.0
-	}
-	if s.LocalityMix == 0 {
-		s.LocalityMix = 0.5
-	}
-	return s
 }
 
 // Label renders the spec like the paper, e.g. "GNM(2^17,2^21)".
@@ -166,7 +150,7 @@ func (s Spec) Label() string {
 // of every undirected edge are emitted across the world) in a slice of its
 // own, valid for as long as the caller holds it.
 func Generate(c *comm.Comm, spec Spec) []graph.Edge {
-	return generate(c, spec.withDefaults(), nil)
+	return generate(c, spec, nil)
 }
 
 // generate fills dst[:0] with this PE's raw edges, in dst's backing when it
@@ -217,7 +201,6 @@ func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge
 // instead of sorted (dsort.IsGloballySorted: one local pass, two small
 // collectives), and sorted only if that check fails.
 func Build(c *comm.Comm, spec Spec, sortOpt dsort.Options) ([]graph.Edge, *graph.Layout) {
-	spec = spec.withDefaults()
 	a := c.Scratch()
 	raw := generate(c, spec, arena.GrabAppend[graph.Edge](a, kFinish))
 	arena.Keep(a, kFinish, raw)

@@ -119,16 +119,27 @@ func TestInstanceIndependentOfWorldSize(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossRuns: an instance is a function of its spec, the
+// same from run to run and from commit to commit. Each row's edgeSum of
+// Build's global output is pinned; the RHG row was recorded while γ and the
+// locality mix were still Spec fields defaulting to 3 and ½.
 func TestDeterministicAcrossRuns(t *testing.T) {
-	spec := Spec{Family: GNM, N: 100, M: 400, Seed: 11}
-	a, _ := buildAll(t, 4, spec)
-	b, _ := buildAll(t, 4, spec)
-	if len(a) != len(b) {
-		t.Fatal("nondeterministic edge count")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic edge %d", i)
+	for _, tc := range []struct {
+		spec Spec
+		sum  uint64
+	}{
+		{Spec{Family: GNM, N: 100, M: 400, Seed: 11}, 0x809219e45999feac},
+		{Spec{Family: RHG, N: 1 << 12, M: 1 << 15, Seed: 4}, 0xaafbb60e99dedc6e},
+	} {
+		for _, p := range []int{1, 4} {
+			a, _ := buildAll(t, p, tc.spec)
+			b, _ := buildAll(t, p, tc.spec)
+			if !slices.Equal(a, b) {
+				t.Errorf("%s p=%d: two builds differ", tc.spec.Label(), p)
+			}
+			if got := edgeSum(a); got != tc.sum {
+				t.Errorf("%s p=%d: edge checksum %#x, pinned %#x", tc.spec.Label(), p, got, tc.sum)
+			}
 		}
 	}
 }

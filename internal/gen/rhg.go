@@ -8,10 +8,18 @@ import (
 	"kamsta/internal/rng"
 )
 
+// The RHG family's two shape parameters: the power-law exponent γ the
+// paper evaluates (§VII) and the fraction of edges drawn from the locality
+// kernel.
+const (
+	rhgGamma       = 3.0
+	rhgLocalityMix = 0.5
+)
+
 // genRHG emits the hyperbolic-like family: a Chung–Lu power-law graph with
 // a geometric locality kernel. Vertex u carries weight w_u ∝ u^(−1/(γ−1))
-// (γ = spec.PLExp, default 3.0), so low labels are hubs. Each vertex emits
-// w_u/2 undirected edges; a LocalityMix fraction picks the partner at a
+// (γ = rhgGamma), so low labels are hubs. Each vertex emits w_u/2
+// undirected edges; an rhgLocalityMix fraction picks the partner at a
 // log-uniform label distance (locality, mimicking the angular adjacency of
 // true RHGs), the rest pick a weight-biased global partner (power-law
 // degrees, mimicking the radial hubs).
@@ -25,10 +33,7 @@ func genRHG(c *comm.Comm, spec Spec, dst []graph.Edge) []graph.Edge {
 	if n < 2 {
 		return dst[:0]
 	}
-	alpha := 1 / (spec.PLExp - 1) // γ=3 → α=0.5
-	if alpha <= 0 || alpha >= 1 {
-		alpha = 0.5
-	}
+	const alpha = 1 / (rhgGamma - 1) // 0.5
 	// Normalize weights so Σ w_u ≈ 2M: Σ u^-α ≈ (n^(1-α) - 1)/(1-α) + 1.
 	s := (math.Pow(float64(n), 1-alpha)-1)/(1-alpha) + 1
 	scale := float64(2*spec.M) / s
@@ -49,7 +54,7 @@ func genRHG(c *comm.Comm, spec Spec, dst []graph.Edge) []graph.Edge {
 		}
 		for i := 0; i < k; i++ {
 			var v graph.VID
-			if r.Float64() < spec.LocalityMix {
+			if r.Float64() < rhgLocalityMix {
 				// Log-uniform label distance in [1, n/2].
 				maxDist := float64(n) / 2
 				dist := uint64(math.Exp(r.Float64() * math.Log(maxDist)))

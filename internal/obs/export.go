@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -90,86 +89,10 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteJSON renders every series as a flat expvar-style JSON object keyed
-// by `name{labels}`. Scalars render as numbers; histograms as
-// {"count":n,"sum":s,"buckets":{"le":cumulative,...}}. Keys are sorted.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{")
-	first := true
-	for _, f := range r.snapshot() {
-		// Families are name-sorted; series within a family sort by label.
-		srt := append([]*series(nil), f.series...)
-		sort.Slice(srt, func(i, j int) bool { return srt[i].labels < srt[j].labels })
-		for _, s := range srt {
-			if !first {
-				bw.WriteString(",")
-			}
-			first = false
-			bw.WriteString("\n  ")
-			bw.WriteString(strconv.Quote(f.name + s.labels))
-			bw.WriteString(": ")
-			switch inst := s.inst.(type) {
-			case *Counter:
-				bw.WriteString(strconv.FormatInt(inst.Value(), 10))
-			case *FloatCounter:
-				bw.WriteString(jsonFloat(inst.Value()))
-			case *Gauge:
-				bw.WriteString(strconv.FormatInt(inst.Value(), 10))
-			case *FloatGauge:
-				bw.WriteString(jsonFloat(inst.Value()))
-			case *gaugeFunc:
-				bw.WriteString(jsonFloat(inst.value()))
-			case *Histogram:
-				bw.WriteString(`{"count":`)
-				bw.WriteString(strconv.FormatInt(inst.Count(), 10))
-				bw.WriteString(`,"sum":`)
-				bw.WriteString(jsonFloat(inst.Sum()))
-				bw.WriteString(`,"buckets":{`)
-				cum := int64(0)
-				for i, bound := range inst.bounds {
-					cum += inst.counts[i].Load()
-					if i > 0 {
-						bw.WriteString(",")
-					}
-					bw.WriteString(strconv.Quote(formatFloat(bound)))
-					bw.WriteString(":")
-					bw.WriteString(strconv.FormatInt(cum, 10))
-				}
-				if len(inst.bounds) > 0 {
-					bw.WriteString(",")
-				}
-				bw.WriteString(`"+Inf":`)
-				bw.WriteString(strconv.FormatInt(inst.Count(), 10))
-				bw.WriteString("}}")
-			}
-		}
-	}
-	bw.WriteString("\n}\n")
-	return bw.Flush()
-}
-
-// jsonFloat renders a float as valid JSON (NaN/Inf are not representable;
-// they become null, which consumers must treat as absent).
-func jsonFloat(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "null"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Handler returns an http.Handler serving the registry: Prometheus text by
-// default, JSON when the request has ?format=json or an Accept header
-// preferring application/json.
+// Handler returns an http.Handler serving the registry as Prometheus text,
+// whatever the request asks for.
 func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		wantJSON := req.URL.Query().Get("format") == "json" ||
-			strings.Contains(req.Header.Get("Accept"), "application/json")
-		if wantJSON {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			r.WriteJSON(w)
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})

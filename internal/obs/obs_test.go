@@ -90,24 +90,6 @@ func TestPrometheusExport(t *testing.T) {
 	}
 }
 
-func TestJSONExportParses(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "", L("rank", "0")).Add(5)
-	r.Histogram("h", "", []float64{1}).Observe(0.5)
-	r.FloatGauge("clock", "").Set(2.25)
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &m); err != nil {
-		t.Fatalf("JSON export does not parse: %v\n%s", err, sb.String())
-	}
-	if m[`a_total{rank="0"}`] != float64(5) {
-		t.Fatalf("counter in JSON = %v", m[`a_total{rank="0"}`])
-	}
-}
-
 func TestRingOverflowKeepsTail(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {

@@ -66,15 +66,7 @@ type Ring struct {
 }
 
 // NewRing returns a ring holding up to capacity spans.
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{spans: make([]Span, capacity)}
-}
-
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.spans) }
+func NewRing(capacity int) *Ring { return &Ring{spans: make([]Span, capacity)} }
 
 // Reset discards all records. Called by the owning PE at job start.
 func (r *Ring) Reset() { r.n = 0 }
@@ -108,10 +100,6 @@ func (r *Ring) drain(dst []Span) []Span {
 // path never touches it. A single Trace can span a whole benchmark sweep —
 // the epoch is set at the first job and all timestamps share it.
 type Trace struct {
-	// CapPerRank bounds each PE's ring (default 1<<14 spans ≈ 1.1 MiB/PE).
-	// Set before the first job.
-	CapPerRank int
-
 	mu      sync.Mutex
 	epoch   time.Time
 	p       int
@@ -120,19 +108,12 @@ type Trace struct {
 	dropped int64
 }
 
-// DefaultRingCap is the per-PE span ring capacity when CapPerRank is 0.
+// DefaultRingCap is each PE's span ring capacity per job (≈ 1.1 MiB/PE);
+// past it the oldest spans are overwritten and counted as dropped.
 const DefaultRingCap = 1 << 14
 
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
-
-// RingCap returns the configured per-rank ring capacity.
-func (t *Trace) RingCap() int {
-	if t.CapPerRank > 0 {
-		return t.CapPerRank
-	}
-	return DefaultRingCap
-}
 
 // StartJob records that a job over p PEs is starting and returns the trace
 // epoch (set on first use) that all span timestamps are relative to.
@@ -196,16 +177,16 @@ func (t *Trace) WriteChromeJSON(w io.Writer) error {
 		switch s.Kind {
 		case SpanPhaseBegin:
 			emit(fmt.Sprintf(`{"name":%s,"cat":"phase","ph":"B","pid":0,"tid":%d,"ts":%s,"args":{"clock_s":%s}}`,
-				strconv.Quote(s.Name), s.Rank, formatFloat(ts), jsonFloat(s.Clock)))
+				strconv.Quote(s.Name), s.Rank, formatFloat(ts), formatFloat(s.Clock)))
 		case SpanPhaseEnd:
 			emit(fmt.Sprintf(`{"name":%s,"cat":"phase","ph":"E","pid":0,"tid":%d,"ts":%s,"args":{"clock_s":%s}}`,
-				strconv.Quote(s.Name), s.Rank, formatFloat(ts), jsonFloat(s.Clock)))
+				strconv.Quote(s.Name), s.Rank, formatFloat(ts), formatFloat(s.Clock)))
 		case SpanRound:
 			emit(fmt.Sprintf(`{"name":"round %d","cat":"round","ph":"i","s":"t","pid":0,"tid":%d,"ts":%s,"args":{"vertices":%d,"clock_s":%s}}`,
-				s.Round, s.Rank, formatFloat(ts), s.Vertices, jsonFloat(s.Clock)))
+				s.Round, s.Rank, formatFloat(ts), s.Vertices, formatFloat(s.Clock)))
 		case SpanCollective:
 			emit(fmt.Sprintf(`{"name":%s,"cat":"collective","ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s,"args":{"round":%d,"clock_s":%s}}`,
-				strconv.Quote(s.Name), s.Rank, formatFloat(ts), formatFloat(float64(s.Dur)/1e3), s.Round, jsonFloat(s.Clock)))
+				strconv.Quote(s.Name), s.Rank, formatFloat(ts), formatFloat(float64(s.Dur)/1e3), s.Round, formatFloat(s.Clock)))
 		}
 	}
 	bw.WriteString("\n]}\n")

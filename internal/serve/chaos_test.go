@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,20 +193,76 @@ func runChaosSeed(t *testing.T, seed uint64) []*loadgen.TenantResult {
 	return res.Tenants
 }
 
+// runQuarantineScenario is the sweep's one fixed plan: QuarantineAfter 2 on
+// a one-machine pool, and two faulting jobs that are consecutive by
+// construction. The first parks the machine in its observer while the
+// second and a clean job queue behind it in one tenant's FIFO; its release
+// lets both faults run back to back, which takes the machine out of service
+// with the clean job still queued. Whichever way goroutines are scheduled,
+// the jobs end fault, fault, quarantined — unlike a seed's open-loop
+// tenants, whose arrival order decides whether a clean job runs between two
+// faults. It returns the outcomes.
+func runQuarantineScenario(t *testing.T) map[string]int {
+	s, err := serve.New(serve.Config{
+		Pool:            []serve.PoolShape{{PEs: chaosPEs, Threads: 1, Count: 1}},
+		QueueBound:      8,
+		QuarantineAfter: 2,
+	})
+	if err != nil {
+		t.Fatalf("quarantine scenario: New: %v", err)
+	}
+	defer s.Close()
+	edges := []kamsta.InputEdge{{U: 1, V: 2, W: 3}, {U: 2, V: 3, W: 1}, {U: 1, V: 3, W: 2}}
+	submit := func(opts ...kamsta.RunOption) *serve.Job {
+		j, err := s.Submit(serve.Request{Tenant: "q", Edges: edges, Options: opts})
+		if err != nil {
+			t.Fatalf("quarantine scenario: %v", err)
+		}
+		return j
+	}
+	parked, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	first := submit(kamsta.WithObserver(func(kamsta.Event) {
+		once.Do(func() { close(parked); <-gate })
+		panic("chaos_test: first of two consecutive faults")
+	}))
+	select {
+	case <-parked:
+	case <-first.Done():
+		t.Fatal("quarantine scenario: the first job ended before it held the machine")
+	}
+	jobs := []*serve.Job{first,
+		submit(kamsta.WithObserver(func(kamsta.Event) { panic("chaos_test: second of two consecutive faults") })),
+		submit()}
+	close(gate)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	outcomes := map[string]int{}
+	for i, want := range []string{"fault", "fault", "quarantined"} {
+		_, err := jobs[i].Wait(ctx)
+		outcomes[serve.Outcome(err)]++
+		if got := serve.Outcome(err); got != want {
+			t.Errorf("quarantine scenario: job %d ended %v (%s), want %s", i, err, got, want)
+		}
+	}
+	return outcomes
+}
+
 // TestServiceChaosSweep drives 104 seeded loadgen plans — panics and stalls
 // mid-job, client cancels, deadline storms, closed and open loops, across
 // randomized retry, quarantine, batching and queue-bound configurations —
 // through a live server, then proves the modeled clock still produces the
 // golden cases: no state leaks out of any amount of service-level chaos.
-// Across its seeds the sweep must see every outcome chaos can cause and at
-// least one typed rejection, or it has stopped testing what it claims to.
-// Run under -race in CI; -short keeps a representative prefix.
+// Across its seeds and its fixed quarantine scenario the sweep must see
+// every outcome chaos can cause and at least one typed rejection, or it has
+// stopped testing what it claims to. Run under -race in CI; -short keeps a
+// representative prefix.
 func TestServiceChaosSweep(t *testing.T) {
 	n := 104
 	if testing.Short() {
 		n = 24
 	}
-	outcomes, rejected := map[string]int{}, 0
+	outcomes, rejected := runQuarantineScenario(t), 0
 	for seed := uint64(1); seed <= uint64(n); seed++ {
 		for _, tr := range runChaosSeed(t, seed) {
 			for outcome, c := range tr.Outcomes {
@@ -217,10 +274,10 @@ func TestServiceChaosSweep(t *testing.T) {
 			t.FailNow()
 		}
 	}
-	t.Logf("%d seeds: outcomes %v, %d rejections", n, outcomes, rejected)
+	t.Logf("%d seeds and the quarantine scenario: outcomes %v, %d rejections", n, outcomes, rejected)
 	for _, want := range []string{"ok", "fault", "deadline", "cancelled", "quarantined"} {
 		if outcomes[want] == 0 {
-			t.Errorf("no job ended %q across %d seeds: %v", want, n, outcomes)
+			t.Errorf("no job ended %q across %d seeds and the quarantine scenario: %v", want, n, outcomes)
 		}
 	}
 	if rejected == 0 {

@@ -60,14 +60,7 @@ func (c *Client) Submit(ctx context.Context, req Request) (*RemoteJob, error) {
 		FileFormat: req.FileFormat,
 	}
 	if req.Spec != nil {
-		wr.Spec = &wireSpec{
-			Family:      req.Spec.Family.Name(),
-			N:           req.Spec.N,
-			M:           req.Spec.M,
-			Seed:        req.Spec.Seed,
-			PLExp:       req.Spec.PLExp,
-			LocalityMix: req.Spec.LocalityMix,
-		}
+		wr.Spec = &wireSpec{Family: req.Spec.Family.Name(), N: req.Spec.N, M: req.Spec.M, Seed: req.Spec.Seed}
 	}
 	if req.Edges != nil {
 		wr.Edges = make([]wireEdge, len(req.Edges))

@@ -33,12 +33,10 @@ type wireEdge [3]uint64
 
 // wireSpec mirrors kamsta.GraphSpec with a string family name.
 type wireSpec struct {
-	Family      string  `json:"family"`
-	N           uint64  `json:"n"`
-	M           uint64  `json:"m,omitempty"`
-	Seed        uint64  `json:"seed,omitempty"`
-	PLExp       float64 `json:"pl_exp,omitempty"`
-	LocalityMix float64 `json:"locality_mix,omitempty"`
+	Family string `json:"family"`
+	N      uint64 `json:"n"`
+	M      uint64 `json:"m,omitempty"`
+	Seed   uint64 `json:"seed,omitempty"`
 }
 
 // wireRequest is the POST /v1/jobs body.
@@ -220,14 +218,7 @@ func (wr wireRequest) toRequest() (Request, error) {
 		if err != nil {
 			return Request{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		req.Spec = &kamsta.GraphSpec{
-			Family:      fam,
-			N:           wr.Spec.N,
-			M:           wr.Spec.M,
-			Seed:        wr.Spec.Seed,
-			PLExp:       wr.Spec.PLExp,
-			LocalityMix: wr.Spec.LocalityMix,
-		}
+		req.Spec = &kamsta.GraphSpec{Family: fam, N: wr.Spec.N, M: wr.Spec.M, Seed: wr.Spec.Seed}
 	}
 	if wr.Edges != nil {
 		req.Edges = make([]kamsta.InputEdge, len(wr.Edges))

@@ -33,7 +33,7 @@ func TestHelloRejectsMismatch(t *testing.T) {
 		"word size":  appendHello(nil, hello{p: 8, lo: 4, hi: 8, threads: 1, wordSize: wordSize + 1}),
 		"bad magic":  append(enc.AppendU32(nil, 0xdeadbeef), appendHello(nil, base)[4:]...),
 		"bad probe":  flipByte(appendHello(nil, base), 10),
-		"version 6":  version6(appendHello(nil, base)),
+		"version 7":  version7(appendHello(nil, base)),
 		"empty":      nil,
 		"extra junk": append(appendHello(nil, base), 0xff),
 	}
@@ -52,10 +52,10 @@ func TestHelloRejectsMismatch(t *testing.T) {
 	}
 }
 
-// version6 rewrites a handshake payload's protocol version to 6, whose POD
-// frames carry 40-byte edges.
-func version6(b []byte) []byte {
-	binary.LittleEndian.PutUint32(b[4:], 6)
+// version7 rewrites a handshake payload's protocol version to 7, whose POD
+// job spec still carries the RHG exponent and locality mix.
+func version7(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[4:], 7)
 	return b
 }
 
@@ -75,8 +75,8 @@ func TestWelcomeRoundTrip(t *testing.T) {
 	if err := checkWelcome(appendWelcome(nil)[:7]); !errors.Is(err, ErrHandshake) {
 		t.Fatalf("short welcome: got %v, want ErrHandshake", err)
 	}
-	if err := checkWelcome(version6(appendWelcome(nil))); !errors.Is(err, ErrHandshake) {
-		t.Fatalf("version-6 welcome: got %v, want ErrHandshake", err)
+	if err := checkWelcome(version7(appendWelcome(nil))); !errors.Is(err, ErrHandshake) {
+		t.Fatalf("version-7 welcome: got %v, want ErrHandshake", err)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // Metrics is a process-local metrics registry: typed counters, gauges and
-// histograms with Prometheus-text (WritePrometheus), JSON (WriteJSON) and
-// HTTP (Handler) exporters. Share one registry between any number of
-// Machines and worlds — instruments are resolved get-or-create by name and
-// labels, so totals stay monotone across world rebuilds.
+// histograms, exported as Prometheus text (WritePrometheus, and over HTTP by
+// Handler). Share one registry between any number of Machines and worlds —
+// instruments are resolved get-or-create by name and labels, so totals stay
+// monotone across world rebuilds.
 //
 //	reg := kamsta.NewMetrics()
 //	m, _ := kamsta.NewMachine(kamsta.MachineConfig{PEs: 8, Metrics: reg})
