@@ -45,7 +45,7 @@ func Boruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options
 
 	if opt.preprocess(l) {
 		c.PhaseBegin(PhasePreprocess)
-		work, l = localPreprocess(c, work, l, opt, &mst, nil)
+		work, l, _ = localPreprocess(c, work, l, opt, &mst, nil)
 		c.PhaseEnd()
 	}
 

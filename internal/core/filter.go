@@ -24,6 +24,7 @@ var (
 	kFilterWin = arena.NewKey() // []int32: the rename table's index window
 	kFilterOut = arena.NewKey() // []graph.Edge: relabeled survivors of a segment
 	kPartHeavy = arena.NewKey() // []graph.Edge: heavy half staged by a partition
+	kSegments  = arena.NewKey() // []graph.Edge: the stack segments' own memory
 	kPartRuns  = arena.NewKey() // []int: per-block run bookkeeping of the pack loops
 	kPivotSmp  = arena.NewKey() // []graph.Edge: this PE's pivot sample
 	kPivotAll  = arena.NewKey() // []graph.Edge: the gathered sample
@@ -272,16 +273,25 @@ func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, opt Options) []graph.V
 }
 
 // segment is one pending edge set of the Filter-Borůvka recursion: edges,
-// then carry. All segments on the stack are sub-slices of one owned buffer
-// that partitionAtPivot splits in place, with capacities clipped so nothing
-// appended to one can reach its neighbour; carry is the segment's own small
-// slice for the survivors merged back into it (§VI-C), which arrive
-// arena-backed and must be copied anyway.
+// then carry. The segments on the stack are the recursion's own memory —
+// sub-slices of slot kSegments, or of localmst's slot when preprocessing
+// left the first segment there — that partitionAtPivot splits in place, with
+// capacities clipped so nothing appended to one can reach its neighbour;
+// carry is the segment's own small slice for the survivors merged back into
+// it (§VI-C), which arrive arena-backed and must be copied anyway.
+//
+// kSegments is used as a stack: a segment that is not the recursion's own
+// memory (the caller's input, a filter output in the sorter's slot) is
+// partitioned out of place into the slot from the height the segments below
+// it keep (top), and the two halves keep that height plus its length. A
+// segment is popped only after everything above it, so the memory it frees
+// is always at the top.
 type segment struct {
 	edges       []graph.Edge
 	carry       []graph.Edge
 	needsFilter bool // must be filtered through P before processing
 	owned       bool // edges is this recursion's memory: partition in place
+	top         int  // kSegments' height this segment and those below it keep
 }
 
 // FilterBoruvka computes the minimum spanning forest with Algorithm 2: one
@@ -295,19 +305,22 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 	opt = opt.withDefaults()
 	in := makeInputCopy(c, edges)
 
+	// The input is sorted, so its last edge holds the largest source label,
+	// and every label is a source (the edges are symmetric).
 	maxLabel := uint64(0)
-	for _, e := range edges {
-		maxLabel = max(maxLabel, e.U)
+	if len(edges) > 0 {
+		maxLabel = edges[len(edges)-1].U
 	}
 	P := newDistArray(c, comm.Allreduce(c, maxLabel, func(a, b uint64) uint64 { return max(a, b) }))
 
 	var mst []graph.Edge
 	res := Result{}
 	work, l := edges, layout
+	owned := false // work is the caller's input
 
 	if opt.preprocess(l) {
 		c.PhaseBegin(PhasePreprocess)
-		work, l = localPreprocess(c, work, l, opt, &mst, P)
+		work, l, owned = localPreprocess(c, work, l, opt, &mst, P)
 		c.PhaseEnd()
 	}
 	// solve is a leaf of the recursion: the distributed Borůvka base (no
@@ -324,11 +337,15 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		res.BaseCalls++
 	}
 
-	stack := []segment{{edges: work}}
+	stack := []segment{{edges: work, owned: owned}}
 	first := true
 	for len(stack) > 0 {
 		seg := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		top := 0 // the height of kSegments the pending segments keep
+		if len(stack) > 0 {
+			top = stack[len(stack)-1].top
+		}
 
 		var segLayout *graph.Layout
 		if seg.needsFilter {
@@ -348,9 +365,15 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		} else if first {
 			segLayout, first = l, false
 		} else {
-			// An unfiltered light segment is already a sorted subsequence per
-			// PE; parallel copies may remain from its parent.
+			// An unfiltered light segment is a sorted subsequence of a
+			// deduplicated sequence, per PE and across PEs, so nothing drops
+			// here: dedupSorted only keeps the boundary allgather and the scan
+			// the modeled clock has always charged.
+			n := len(seg.edges)
 			seg.edges = dedupSorted(c, seg.edges)
+			if debugChecks && len(seg.edges) != n {
+				panic(fmt.Sprintf("core: a light segment held %d parallel copies (rank %d)", n-len(seg.edges), c.Rank()))
+			}
 			segLayout = graph.BuildLayout(c, seg.edges)
 		}
 
@@ -368,12 +391,14 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 		pivot, ok := pivotSelect(c, seg.edges, opt)
 		var light, heavy []graph.Edge
 		if ok {
+			dst := seg.edges
 			if !seg.owned {
-				// The caller's input or a sorter slot: the one copy the
-				// recursion below this segment lives in.
-				seg.edges = slices.Clone(seg.edges)
+				// The caller's input or a sorter slot: split out of place onto
+				// the top of kSegments, which the halves then keep.
+				seg.top = top + len(seg.edges)
+				dst = arena.Grab[graph.Edge](c.Scratch(), kSegments, seg.top)[top:]
 			}
-			light, heavy = partitionAtPivot(c, seg.edges, pivot)
+			light, heavy = partitionAtPivot(c, dst, seg.edges, pivot)
 			c.ChargeCompute(len(seg.edges))
 		}
 		heavyM := comm.Allreduce(c, len(heavy), func(a, b int) int { return a + b })
@@ -383,8 +408,8 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 			continue
 		}
 		// Heavy first onto the stack so the light half is processed first.
-		stack = append(stack, segment{edges: heavy, needsFilter: true, owned: true})
-		stack = append(stack, segment{edges: light, owned: true})
+		stack = append(stack, segment{edges: heavy, needsFilter: true, owned: true, top: seg.top})
+		stack = append(stack, segment{edges: light, owned: true, top: seg.top})
 	}
 
 	c.PhaseBegin(PhaseBaseCase)
@@ -412,27 +437,29 @@ func pivotSelect(c *comm.Comm, edges []graph.Edge, opt Options) (graph.Edge, boo
 	return all[len(all)/2], true
 }
 
-// partitionAtPivot splits seg in place into (≤ pivot, > pivot) under the
+// partitionAtPivot splits src into (≤ pivot, > pivot) under the
 // weight-class order (W, TB) — a strict total order on logical undirected
 // edges under which an edge and its back edge compare equal. The partition
 // MUST use this order: the finer LessWeight breaks ties by current endpoint
 // and ID, which would send the two directed copies of the pivot's own weight
 // class to different sides and destroy the symmetric-representation
-// invariant. The split is stable, so both halves stay locally sorted. One
-// pass per pool block packs the light edges to the front of the block and
+// invariant. The split is stable, so both halves stay locally sorted. The
+// halves land in dst, which has src's length and is either src itself (in
+// place) or memory disjoint from it; src is only read. One pass per pool
+// block packs the light edges to the front of the block's range of dst and
 // the heavy ones into an arena stage; the runs are then closed up, light to
-// the front of seg and heavy behind it. light's capacity is clipped to its
-// length and heavy runs to the end of seg, so appending to either reallocates
-// instead of writing into the other (or into seg's own right neighbour).
-func partitionAtPivot(c *comm.Comm, seg []graph.Edge, pivot graph.Edge) (light, heavy []graph.Edge) {
+// the front of dst and heavy behind it. light's capacity is clipped to its
+// length and heavy runs to the end of dst, so appending to either reallocates
+// instead of writing into the other (or into dst's own right neighbour).
+func partitionAtPivot(c *comm.Comm, dst, src []graph.Edge, pivot graph.Edge) (light, heavy []graph.Edge) {
 	a := c.Scratch()
-	stage := arena.Grab[graph.Edge](a, kPartHeavy, len(seg))
+	stage := arena.Grab[graph.Edge](a, kPartHeavy, len(src))
 	lo, nl, nh := blockRuns(a, c.Pool().Threads())
-	t := c.Pool().ForBlocks(len(seg), func(w, blo, bhi int) {
+	t := c.Pool().ForBlocks(len(src), func(w, blo, bhi int) {
 		l, h := blo, blo
 		for i := blo; i < bhi; i++ {
-			if e := &seg[i]; e.W < pivot.W || e.W == pivot.W && e.TB <= pivot.TB {
-				seg[l] = *e
+			if e := &src[i]; e.W < pivot.W || e.W == pivot.W && e.TB <= pivot.TB {
+				dst[l] = *e
 				l++
 			} else {
 				stage[h] = *e
@@ -441,9 +468,9 @@ func partitionAtPivot(c *comm.Comm, seg []graph.Edge, pivot graph.Edge) (light, 
 		}
 		lo[w], nl[w], nh[w] = blo, l-blo, h-blo
 	})
-	k := closeUp(seg, seg, lo[:t], nl)
-	closeUp(seg[k:], stage, lo[:t], nh)
-	return seg[:k:k], seg[k:len(seg):len(seg)]
+	k := closeUp(dst, dst, lo[:t], nl)
+	closeUp(dst[k:], stage, lo[:t], nh)
+	return dst[:k:k], dst[k:len(dst):len(dst)]
 }
 
 // blockRuns hands out the bookkeeping of a pack loop over pool blocks: block

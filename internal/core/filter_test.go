@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"kamsta/internal/arena"
 	"kamsta/internal/comm"
@@ -390,62 +391,166 @@ func TestResolveOneHopOnDenseGNM(t *testing.T) {
 	}
 }
 
-// TestPartitionAtPivotProperties: the in-place split is the stable two-way
-// filter under (W, TB), exact in its complement, keeps a weight class on one
-// side, and hands out halves whose appends cannot reach each other.
+// TestPartitionAtPivotProperties: the split, in place or out of place, is
+// the stable two-way filter under (W, TB), exact in its complement, keeps a
+// weight class on one side, leaves an out-of-place source unwritten, and
+// hands out halves of dst whose appends cannot reach each other.
 func TestPartitionAtPivotProperties(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
 		for _, n := range []int{0, 1, 37, 5000} {
-			w := comm.NewWorld(1, comm.WithThreads(threads))
-			w.Run(func(c *comm.Comm) {
-				r := rng.New(uint64(n + threads))
-				seg := make([]graph.Edge, n, n+8) // spare capacity: a neighbour's memory
-				for i := range seg {
-					tb := uint64(r.Intn(6)) // few classes, so ties with the pivot abound
-					seg[i] = graph.Edge{U: graph.VID(i + 1), V: graph.VID(r.Intn(n) + 1), W: graph.Weight(r.Intn(5)), TB: tb, ID: uint32(i)}
-				}
-				in := slices.Clone(seg)
-				pivot := graph.Edge{W: 2, TB: 3, U: 999, V: 999, ID: 999}
-				isLight := func(e graph.Edge) bool { return e.W < pivot.W || e.W == pivot.W && e.TB <= pivot.TB }
-				var wantL, wantH []graph.Edge
-				for _, e := range in {
-					if isLight(e) {
-						wantL = append(wantL, e)
-					} else {
-						wantH = append(wantH, e)
+			for _, inPlace := range []bool{true, false} {
+				w := comm.NewWorld(1, comm.WithThreads(threads))
+				w.Run(func(c *comm.Comm) {
+					r := rng.New(uint64(n + threads))
+					seg := make([]graph.Edge, n, n+8) // spare capacity: a neighbour's memory
+					for i := range seg {
+						tb := uint64(r.Intn(6)) // few classes, so ties with the pivot abound
+						seg[i] = graph.Edge{U: graph.VID(i + 1), V: graph.VID(r.Intn(n) + 1), W: graph.Weight(r.Intn(5)), TB: tb, ID: uint32(i)}
 					}
-				}
-				light, heavy := partitionAtPivot(c, seg, pivot)
-				if !slices.Equal(light, wantL) || !slices.Equal(heavy, wantH) {
-					t.Fatalf("threads=%d n=%d: not the stable split (%d+%d edges, want %d+%d)", threads, n, len(light), len(heavy), len(wantL), len(wantH))
-				}
-				type class struct {
-					w  graph.Weight
-					tb uint64
-				}
-				side := map[class]bool{}
-				for _, e := range light {
-					side[class{e.W, e.TB}] = true
-				}
-				for _, e := range heavy {
-					if side[class{e.W, e.TB}] {
-						t.Fatalf("threads=%d n=%d: weight class (%d, %d) is on both sides", threads, n, e.W, e.TB)
+					in := slices.Clone(seg)
+					pivot := graph.Edge{W: 2, TB: 3, U: 999, V: 999, ID: 999}
+					isLight := func(e graph.Edge) bool { return e.W < pivot.W || e.W == pivot.W && e.TB <= pivot.TB }
+					var wantL, wantH []graph.Edge
+					for _, e := range in {
+						if isLight(e) {
+							wantL = append(wantL, e)
+						} else {
+							wantH = append(wantH, e)
+						}
 					}
-				}
-				if cap(light) != len(light) || cap(heavy) != len(heavy) {
-					t.Fatalf("threads=%d n=%d: capacities %d/%d beyond lengths %d/%d", threads, n, cap(light), cap(heavy), len(light), len(heavy))
-				}
-				if n > 0 && (len(light) > 0 && &light[0] != &seg[0] || len(heavy) > 0 && &heavy[0] != &seg[len(light)]) {
-					t.Fatalf("threads=%d n=%d: the halves are not seg's own storage", threads, n)
-				}
-				grownL := append(light, graph.Edge{ID: 1 << 30})
-				grownH := append(heavy, graph.Edge{ID: 1 << 31})
-				if !slices.Equal(heavy, wantH) || !slices.Equal(light, wantL) ||
-					!slices.Equal(grownL[:len(light)], wantL) || !slices.Equal(grownH[:len(heavy)], wantH) {
-					t.Fatalf("threads=%d n=%d: an append to one half reached the other", threads, n)
-				}
-			})
+					dst := seg
+					if !inPlace {
+						dst = make([]graph.Edge, n, n+8)
+					}
+					light, heavy := partitionAtPivot(c, dst, seg, pivot)
+					if !slices.Equal(light, wantL) || !slices.Equal(heavy, wantH) {
+						t.Fatalf("threads=%d n=%d: not the stable split (%d+%d edges, want %d+%d)", threads, n, len(light), len(heavy), len(wantL), len(wantH))
+					}
+					if !inPlace && !slices.Equal(seg, in) {
+						t.Fatalf("threads=%d n=%d: the out-of-place split wrote its source", threads, n)
+					}
+					type class struct {
+						w  graph.Weight
+						tb uint64
+					}
+					side := map[class]bool{}
+					for _, e := range light {
+						side[class{e.W, e.TB}] = true
+					}
+					for _, e := range heavy {
+						if side[class{e.W, e.TB}] {
+							t.Fatalf("threads=%d n=%d: weight class (%d, %d) is on both sides", threads, n, e.W, e.TB)
+						}
+					}
+					if cap(light) != len(light) || cap(heavy) != len(heavy) {
+						t.Fatalf("threads=%d n=%d: capacities %d/%d beyond lengths %d/%d", threads, n, cap(light), cap(heavy), len(light), len(heavy))
+					}
+					if n > 0 && (len(light) > 0 && &light[0] != &dst[0] || len(heavy) > 0 && &heavy[0] != &dst[len(light)]) {
+						t.Fatalf("threads=%d n=%d: the halves are not dst's own storage", threads, n)
+					}
+					grownL := append(light, graph.Edge{ID: 1 << 30})
+					grownH := append(heavy, graph.Edge{ID: 1 << 31})
+					if !slices.Equal(heavy, wantH) || !slices.Equal(light, wantL) ||
+						!slices.Equal(grownL[:len(light)], wantL) || !slices.Equal(grownH[:len(heavy)], wantH) {
+						t.Fatalf("threads=%d n=%d: an append to one half reached the other", threads, n)
+					}
+				})
+			}
 		}
+	}
+}
+
+// denseGNM is the dense-GNM shape of TestFilterBoruvkaDoesNotCopyInput and
+// BenchmarkFilterBoruvkaDenseGNM: 2^18 directed edges (8 MB) on 2^11
+// vertices, the gnm-filter workload's density, 64 k edges per PE at p = 4.
+var denseGNM = gen.Spec{Family: gen.GNM, N: 1 << 11, M: 1 << 17, Seed: 7}
+
+// TestFilterBoruvkaDoesNotCopyInput: the recursion partitions the caller's
+// input out of place into the world's kSegments slot, so a warm run
+// allocates far less than one copy of the input — what is left is the MST,
+// the collectives' results and the layouts. (When the first partition
+// cloned its segment, a run allocated more than the input's bytes.)
+func TestFilterBoruvkaDoesNotCopyInput(t *testing.T) {
+	const runs = 3
+	var perRun, input uint64
+	comm.NewWorld(4).Run(func(c *comm.Comm) {
+		edges, layout := gen.Build(c, denseGNM, dsort.Options{})
+		FilterBoruvka(c, edges, layout, Options{}) // warm the world
+		var before, after runtime.MemStats
+		comm.Barrier(c)
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		comm.Barrier(c)
+		for i := 0; i < runs; i++ {
+			FilterBoruvka(c, edges, layout, Options{})
+		}
+		total := comm.Allreduce(c, len(edges), func(a, b int) int { return a + b })
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+			perRun = (after.TotalAlloc - before.TotalAlloc) / runs
+			input = uint64(total) * uint64(unsafe.Sizeof(graph.Edge{}))
+		}
+	})
+	t.Logf("a warm run allocated %d bytes against %d bytes of input: %.3f×", perRun, input, float64(perRun)/float64(input))
+	if perRun >= input/8 {
+		t.Errorf("a warm FilterBoruvka allocated %d bytes, want under 1/8 of its input's %d", perRun, input)
+	}
+}
+
+// TestFilterBoruvkaSplitsAFilterOutputAboveAPendingSegment: a filter output
+// that is still dense is split again, out of place onto kSegments above the
+// segments still pending (at p = 1 here), and the forest is still
+// Kruskal's. The instance is built for it: 128 clusters of 16 vertices; the lightest quarter of the
+// edges is every pair inside a cluster, the next quarter random pairs
+// between clusters, the heavy half more of those. The light half splits into
+// the clusters, solved, and the pairs between them, which survive the
+// filter as a dense graph on 128 vertices while the heavy half waits below.
+func TestFilterBoruvkaSplitsAFilterOutputAboveAPendingSegment(t *testing.T) {
+	const clusters, size = 128, 16
+	r := rng.New(11)
+	seen := map[[2]graph.VID]bool{}
+	var raw []graph.Edge
+	add := func(u, v graph.VID, w graph.Weight) {
+		if u == v || seen[[2]graph.VID{min(u, v), max(u, v)}] {
+			return
+		}
+		seen[[2]graph.VID{min(u, v), max(u, v)}] = true
+		raw = append(raw, graph.NewEdge(u, v, w), graph.NewEdge(v, u, w))
+	}
+	for k := 0; k < clusters; k++ {
+		for i := 1; i <= size; i++ {
+			for j := i + 1; j <= size; j++ {
+				add(graph.VID(k*size+i), graph.VID(k*size+j), graph.Weight(1+r.Intn(59)))
+			}
+		}
+	}
+	intra := len(raw) / 2
+	between := func(lo, hi, count int) {
+		for added := len(raw)/2 + count; len(raw)/2 < added; {
+			u, v := r.Intn(clusters*size), r.Intn(clusters*size)
+			if u/size != v/size {
+				add(graph.VID(u+1), graph.VID(v+1), graph.Weight(lo+r.Intn(hi-lo)))
+			}
+		}
+	}
+	between(60, 120, intra)
+	between(120, 255, 2*intra)
+	for _, p := range []int{1, 4} {
+		var res Result
+		shares := make([][]graph.Edge, p)
+		inputs := make([][]graph.Edge, p)
+		comm.NewWorld(p).Run(func(c *comm.Comm) {
+			lo, hi := c.Rank()*len(raw)/p, (c.Rank()+1)*len(raw)/p
+			edges, layout := gen.Finish(c, slices.Clone(raw[lo:hi]), dsort.Options{})
+			inputs[c.Rank()] = edges
+			r := FilterBoruvka(c, edges, layout, Options{NoLocalPreprocessing: true})
+			shares[c.Rank()] = r.MSTEdges
+			if c.Rank() == 0 {
+				res = r
+			}
+		})
+		checkAgainstOracle(t, fmt.Sprintf("clustered p=%d", p), res, shares, slices.Concat(inputs...))
 	}
 }
 
@@ -460,7 +565,7 @@ func filterFixture(c *comm.Comm, edges []graph.Edge, opt Options) (P *distArray,
 	P = newDistArray(c, comm.Allreduce(c, edges[len(edges)-1].U, func(a, b uint64) uint64 { return max(a, b) }))
 	owned = slices.Clone(edges)
 	pivot, _ = pivotSelect(c, owned, opt)
-	light, hv := partitionAtPivot(c, owned, pivot)
+	light, hv := partitionAtPivot(c, owned, owned, pivot)
 	light = dedupSorted(c, light) // as FilterBoruvka does with a light segment
 	l := graph.BuildLayout(c, light)
 	var mst []graph.Edge
@@ -485,7 +590,7 @@ func TestFilterSteadyStateAllocs(t *testing.T) {
 		const runs = 5
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			partitionAtPivot(c, owned, pivot)
+			partitionAtPivot(c, owned, owned, pivot)
 			filterSegment(c, heavy, P, opt)
 		}
 		runtime.ReadMemStats(&after)

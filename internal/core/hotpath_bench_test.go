@@ -282,7 +282,7 @@ func BenchmarkPartitionAtPivot(b *testing.B) {
 		b.SetBytes(int64(len(owned)) * 40)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			partitionAtPivot(c, owned, pivot)
+			partitionAtPivot(c, owned, owned, pivot)
 		}
 	})
 }
@@ -298,6 +298,25 @@ func BenchmarkFilterSegment(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			filterSegment(c, heavy, P, opt)
+		}
+	})
+}
+
+// BenchmarkFilterBoruvkaDenseGNM times a warm FilterBoruvka on denseGNM at
+// p = 4, whole: preprocessing's check, the partition, the light half's
+// solve, the filter and the MST's way home. Its B/op is what a job of the
+// algorithm allocates; a copy of the input would show as 8 MB more.
+func BenchmarkFilterBoruvkaDenseGNM(b *testing.B) {
+	comm.NewWorld(4).Run(func(c *comm.Comm) {
+		edges, layout := gen.Build(c, denseGNM, dsort.Options{})
+		FilterBoruvka(c, edges, layout, Options{})
+		comm.Barrier(c)
+		if c.Rank() == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			FilterBoruvka(c, edges, layout, Options{})
 		}
 	})
 }

@@ -23,8 +23,13 @@ import (
 // When the global fraction of local edges is below minLocalEdgeFrac the
 // step is skipped entirely (§VI-B: the paper skips after a quick check when
 // cut edges exceed 90%).
+//
+// inPlace reports (the same on every PE) that the result lies in localmst's
+// Remaining slot, which nothing grabs again before the next job's
+// localmst.Run: the caller may write it. Otherwise it is the caller's edges
+// or the sorter's slot.
 func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
-	opt Options, mst *[]graph.Edge, rec *distArray) ([]graph.Edge, *graph.Layout) {
+	opt Options, mst *[]graph.Edge, rec *distArray) (_ []graph.Edge, _ *graph.Layout, inPlace bool) {
 
 	// A vertex is contractible here iff its whole neighborhood is on this
 	// PE: it appears as a source here and is not shared — a range test.
@@ -43,7 +48,7 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	})
 	c.ChargeCompute(len(edges))
 	if tot.Total == 0 || float64(tot.Local)/float64(tot.Total) < minLocalEdgeFrac {
-		return edges, l
+		return edges, l, false
 	}
 
 	res := localmst.Run(edges, isLocal, localmst.Config{Scratch: c.Scratch(), Filter: true})
@@ -82,9 +87,10 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	c.ChargeCompute(len(work) * dsort.Log2Ceil(len(work)+1))
 	if dsort.IsGloballySorted(c, work, graph.LessLex) {
 		work = dedupSorted(c, work)
-		return work, graph.BuildLayout(c, work)
+		return work, graph.BuildLayout(c, work), true
 	}
-	return redistribute(c, work, opt)
+	work, l = redistribute(c, work, opt)
+	return work, l, false
 }
 
 // sortRenamedTargets sorts edges that were sorted by graph.LessLex until

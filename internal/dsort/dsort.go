@@ -550,7 +550,7 @@ func RebalanceInto[T any](c *comm.Comm, slot arena.Key, data []T) []T {
 	return out
 }
 
-// boundary is IsGloballySorted's allgathered element: a PE's first and last
+// boundary is BoundariesSorted's allgathered element: a PE's first and last
 // element, if it has any.
 type boundary[T any] struct {
 	Has         bool
@@ -565,9 +565,8 @@ func (*boundary[T]) ModeledBytes() int {
 }
 
 // IsGloballySorted reports (on every PE) whether the distributed data is
-// globally sorted under less: one local pass, then one Allgather of each
-// PE's first and last element and one Allreduce. gen.Build runs it on the
-// families generated in order, in place of a sort.
+// globally sorted under less: one local pass, then BoundariesSorted's two
+// small collectives.
 func IsGloballySorted[T any](c *comm.Comm, data []T, less func(a, b T) bool) bool {
 	okLocal := true
 	for i := 1; i < len(data); i++ {
@@ -576,6 +575,14 @@ func IsGloballySorted[T any](c *comm.Comm, data []T, less func(a, b T) bool) boo
 			break
 		}
 	}
+	return BoundariesSorted(c, data, okLocal, less)
+}
+
+// BoundariesSorted is IsGloballySorted taking each PE's verdict on its own
+// order from the caller, who made it in a pass of its own (gen.Build's
+// verified path): one Allgather of each PE's first and last element checks
+// the order across PEs, and one Allreduce combines every verdict.
+func BoundariesSorted[T any](c *comm.Comm, data []T, okLocal bool, less func(a, b T) bool) bool {
 	b := boundary[T]{Has: len(data) > 0}
 	if b.Has {
 		b.First, b.Last = data[0], data[len(data)-1]

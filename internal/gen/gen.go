@@ -198,8 +198,9 @@ func Finish(c *comm.Comm, raw []graph.Edge, sortOpt dsort.Options) ([]graph.Edge
 // Build generates an instance straight into Finish's slot and finishes it
 // there, with Finish's result and lifetime. The families whose generators
 // emit in global (U, V) order — the grids, RGG and GNM — are verified
-// instead of sorted (dsort.IsGloballySorted: one local pass, two small
-// collectives), and sorted only if that check fails.
+// instead of sorted (the local order checked in finish's one read pass, the
+// boundaries by dsort.BoundariesSorted's two small collectives), and sorted
+// only if that check fails.
 func Build(c *comm.Comm, spec Spec, sortOpt dsort.Options) ([]graph.Edge, *graph.Layout) {
 	a := c.Scratch()
 	raw := generate(c, spec, arena.GrabAppend[graph.Edge](a, kFinish))
@@ -209,37 +210,76 @@ func Build(c *comm.Comm, spec Spec, sortOpt dsort.Options) ([]graph.Edge, *graph
 }
 
 // finish is Finish; ordered says raw is expected in global LessLex order,
-// which is then verified and, if it holds, not sorted again.
+// which is then verified and, if it holds, not sorted again. That verified
+// path reads raw once (scanRaw) and writes it once (compactAndNumber); the
+// sorting path dedups the sorter's output first.
 func finish(c *comm.Comm, raw []graph.Edge, ordered bool, sortOpt dsort.Options) ([]graph.Edge, *graph.Layout) {
-	// Drop self-loops locally first.
-	kept := raw[:0]
-	for _, e := range raw {
-		if e.U != e.V {
-			kept = append(kept, e)
-		}
-	}
-	sorted := kept
-	if ordered && dsort.IsGloballySorted(c, kept, graph.LessLex) {
+	kept, inOrder, dups := scanRaw(raw)
+	var head, n int // the head run another PE keeps; the edges left here
+	if ordered && dsort.BoundariesSorted(c, kept, inOrder, graph.LessLex) {
 		c.ChargeCompute(len(kept)) // the verifying pass
+		c.ChargeCompute(len(kept)) // the duplicate scan
+		head = graph.DedupHead(c, kept)
+		n = len(kept) - dups - min(head, 1) // a head run compacts to one edge
 	} else {
-		sorted = dsort.Sort(c, kept, dsort.ByKey(graph.LessLex, graph.KeyLex), sortOpt)
+		sorted := dsort.Sort(c, kept, dsort.ByKey(graph.LessLex, graph.KeyLex), sortOpt)
+		// Remove duplicates: runs of equal (U,V) are consecutive after the
+		// lexicographic sort and the lightest copy leads each run.
+		c.ChargeCompute(len(sorted))
+		kept = graph.DedupSorted(c, sorted)
+		n = len(kept)
 	}
-
-	// Remove duplicates: runs of equal (U,V) are consecutive after the
-	// lexicographic sort and the lightest copy leads each run.
-	c.ChargeCompute(len(sorted))
-	dedup := graph.DedupSorted(c, sorted)
-
 	// Assign consecutive global IDs in sort order.
-	offset := comm.ExScan(c, len(dedup), 0, func(a, b int) int { return a + b })
-	if uint64(offset)+uint64(len(dedup)) > 1<<32 {
-		panic(fmt.Sprintf("gen: Finish: at least %d directed edges, but edge IDs are 32-bit (at most 2^32 edges)", uint64(offset)+uint64(len(dedup))))
+	offset := comm.ExScan(c, n, 0, func(a, b int) int { return a + b })
+	if uint64(offset)+uint64(n) > 1<<32 {
+		panic(fmt.Sprintf("gen: Finish: at least %d directed edges, but edge IDs are 32-bit (at most 2^32 edges)", uint64(offset)+uint64(n)))
 	}
-	for i := range dedup {
-		dedup[i].ID = uint32(offset + i)
-	}
-	balanced := dsort.RebalanceInto(c, kFinish, dedup)
+	balanced := dsort.RebalanceInto(c, kFinish, compactAndNumber(kept, head, offset))
 	return balanced, graph.BuildLayout(c, balanced)
+}
+
+// scanRaw drops raw's self-loops in place, writing nothing before the first
+// one, and reports in the same pass whether what is kept is in local LessLex
+// order and how many kept edges repeat their predecessor's (U, V).
+func scanRaw(raw []graph.Edge) (kept []graph.Edge, inOrder bool, dups int) {
+	inOrder = true
+	n := 0
+	for i := range raw {
+		e := &raw[i]
+		if e.U == e.V {
+			continue
+		}
+		if n > 0 {
+			if prev := &raw[n-1]; graph.LessLex(*e, *prev) {
+				inOrder = false
+			} else if e.U == prev.U && e.V == prev.V {
+				dups++
+			}
+		}
+		if n != i {
+			raw[n] = *e
+		}
+		n++
+	}
+	return raw[:n], inOrder, dups
+}
+
+// compactAndNumber is graph.DedupSorted's local step and the ID loop in one
+// write pass over a sorted run: it drops the head run another PE keeps and
+// every edge repeating its predecessor's (U, V), in place, and numbers the
+// rest from offset.
+func compactAndNumber(sorted []graph.Edge, head, offset int) []graph.Edge {
+	out := sorted[:0]
+	var u, v graph.VID // the last pair kept; (0, 0) is a self-loop, never kept
+	for _, e := range sorted[head:] {
+		if e.U == u && e.V == v {
+			continue
+		}
+		u, v = e.U, e.V
+		e.ID = uint32(offset + len(out))
+		out = append(out, e)
+	}
+	return out
 }
 
 // ownedRange splits 0..total-1 contiguously among PEs; returns this PE's

@@ -744,6 +744,21 @@ func TestBuildVerifiedMatchesSorted(t *testing.T) {
 		{"empty middle PE, in order", func(r [][]graph.Edge) { r[0], r[1] = append(r[0], r[1]...), nil }, true},
 		{"lighter duplicate after a boundary", func(r [][]graph.Edge) { r[2] = append([]graph.Edge{lighter}, r[2]...) }, false},
 		{"heavier duplicate after a boundary", func(r [][]graph.Edge) { r[2] = append([]graph.Edge{heavier}, r[2]...) }, true},
+		{"a whole PE continues a duplicate run", func(r [][]graph.Edge) {
+			run := make([]graph.Edge, 5)
+			for i := range run {
+				run[i] = last
+				run[i].W += graph.Weight(i + 1)
+			}
+			r[2] = run
+		}, true},
+		{"duplicates inside a PE, one more across", func(r [][]graph.Edge) {
+			e := r[2][len(r[2])/2]
+			twin := e
+			twin.W++
+			r[2] = slices.Insert(r[2], len(r[2])/2+1, twin)
+			r[2] = append([]graph.Edge{heavier}, r[2]...)
+		}, true},
 		{"self-loops at chunk edges", func(r [][]graph.Edge) {
 			r[1] = append(r[1], graph.NewEdge(1<<31, 1<<31, 1))
 			r[2] = append([]graph.Edge{graph.NewEdge(1, 1, 1)}, r[2]...)
@@ -767,6 +782,40 @@ func TestBuildVerifiedMatchesSorted(t *testing.T) {
 		// sort plus the check.
 		if (checked < sorted) != tc.verified {
 			t.Errorf("%s: verified path taken = %v, want %v (modeled %.3g s, sort %.3g s)", tc.name, checked < sorted, tc.verified, checked, sorted)
+		}
+	}
+}
+
+// TestBuildClockPinned pins, bit for bit, the modeled seconds Build charges
+// for the input (a job's InputModeledSeconds) on the families it verifies
+// instead of sorting. The values were recorded before Build's verified path
+// read and wrote each chunk once instead of three times: the model charges
+// the passes the format needs, not the ones the code makes.
+func TestBuildClockPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		p    int
+		bits uint64
+	}{
+		{Spec{Family: GNM, N: 1000, M: 6000, Seed: 5}, 1, 0x3f2039bc97d3fa46},
+		{Spec{Family: GNM, N: 1000, M: 6000, Seed: 5}, 4, 0x3f2ae5f09b6f42eb},
+		{Spec{Family: GNM, N: 1000, M: 6000, Seed: 5}, 16, 0x3f3d2da2d07a0077},
+		{Spec{Family: GNM, N: 30, M: 200, Seed: 9}, 1, 0x3ed214e6a8266078},
+		{Spec{Family: GNM, N: 30, M: 200, Seed: 9}, 4, 0x3f269119a0ee802f},
+		{Spec{Family: GNM, N: 30, M: 200, Seed: 9}, 16, 0x3f3c8506649e0f4b},
+		{Spec{Family: RGG2D, N: 600, M: 2400, Seed: 2}, 1, 0x3f06303a7ccaf92f},
+		{Spec{Family: RGG2D, N: 600, M: 2400, Seed: 2}, 4, 0x3f2ac643b57b3b50},
+		{Spec{Family: RGG2D, N: 600, M: 2400, Seed: 2}, 16, 0x3f3d7593a256231a},
+		{Spec{Family: Grid2D, N: 400, Seed: 1}, 1, 0x3ee238df111471ca},
+		{Spec{Family: Grid2D, N: 400, Seed: 1}, 4, 0x3f26b9d5cf29f447},
+		{Spec{Family: Grid2D, N: 400, Seed: 1}, 16, 0x3f3ca273c40335d2},
+	} {
+		_, clk := onWorld(tc.p, func(c *comm.Comm) []graph.Edge {
+			out, _ := Build(c, tc.spec, dsort.Options{})
+			return out
+		})
+		if got := math.Float64bits(clk); got != tc.bits {
+			t.Errorf("%s p=%d: Build charged %v s (%#x), pinned %v s (%#x)", tc.spec.Label(), tc.p, clk, got, math.Float64frombits(tc.bits), tc.bits)
 		}
 	}
 }

@@ -24,7 +24,8 @@ type Layout struct {
 	Last   []Edge // Last[i] = lexicographically largest edge on PE i
 	Counts []int  // local edge counts
 
-	next []int // next[i] = index of the first non-empty PE >= i, len P+1
+	next    []int // next[i] = index of the first non-empty PE >= i, len P+1
+	sources int   // GlobalVertexCount's local count + 1, once made (0: not yet)
 }
 
 // entry is the per-PE contribution to the layout.
@@ -180,46 +181,48 @@ func (l *Layout) IsSharedOn(v VID, rank int) bool {
 
 // GlobalVertexCount counts the distinct source vertices of the whole
 // distributed edge sequence, counting shared vertices once. localEdges must
-// be this PE's sorted local edges (consistent with the layout).
+// be this PE's sorted local edges, the ones l was built for: the local count
+// is made once per layout and remembered, so a job and the algorithm it runs
+// scan the input for it once. The Allreduce runs on every call.
 func GlobalVertexCount(c *comm.Comm, l *Layout, localEdges []Edge) int {
-	distinct := 0
-	for lo := 0; lo < len(localEdges); {
-		hi := lo + 1
-		for hi < len(localEdges) && localEdges[hi].U == localEdges[lo].U {
-			hi++
+	if l.sources == 0 {
+		distinct := 0
+		for i := range localEdges {
+			if i == 0 || localEdges[i].U != localEdges[i-1].U {
+				distinct++
+			}
 		}
-		distinct++
-		lo = hi
+		// Subtract one if our first vertex is already counted by an earlier PE.
+		if len(localEdges) > 0 && l.HomePE(localEdges[0].U) < c.Rank() {
+			distinct--
+		}
+		l.sources = distinct + 1
 	}
-	// Subtract one if our first vertex is already counted by an earlier PE.
-	if len(localEdges) > 0 && l.HomePE(localEdges[0].U) < c.Rank() {
-		distinct--
-	}
-	return comm.Allreduce(c, distinct, func(a, b int) int { return a + b })
+	return comm.Allreduce(c, l.sources-1, func(a, b int) int { return a + b })
 }
 
 // DedupSorted removes directed duplicates (same U and V) from a globally
 // lexicographically sorted distribution, in place, keeping the first of
 // each run — the lightest, since the sort key continues with (W, TB). Runs
-// crossing a PE boundary are resolved with one allgather of boundary keys:
-// a PE drops its head run if the previous non-empty PE ends on the same
-// pair. It charges no compute; each caller charges its scan of len(sorted)
-// where its modeled clock has always had it.
+// crossing a PE boundary are resolved by DedupHead's allgather. Nothing is
+// written when nothing drops. It charges no compute; each caller charges its
+// scan of len(sorted) where its modeled clock has always had it.
 func DedupSorted(c *comm.Comm, sorted []Edge) []Edge {
-	dedup := sorted[:0]
-	for i, e := range sorted {
-		if i > 0 && e.U == sorted[i-1].U && e.V == sorted[i-1].V {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
+	return compactSorted(sorted[DedupHead(c, sorted):])
+}
+
+// DedupHead is DedupSorted's boundary step, on input that need not be
+// compacted yet: one allgather of each PE's last (U, V), and the number of
+// leading edges of sorted that continue the previous non-empty PE's last
+// pair — the head run that PE keeps the first of. Collective.
+func DedupHead(c *comm.Comm, sorted []Edge) int {
 	type key struct {
 		Has  bool
 		U, V VID
 	}
 	mine := key{}
-	if len(dedup) > 0 {
-		last := dedup[len(dedup)-1]
+	if len(sorted) > 0 {
+		last := sorted[len(sorted)-1]
 		mine = key{Has: true, U: last.U, V: last.V}
 	}
 	lasts := comm.Allgather(c, mine)
@@ -229,12 +232,28 @@ func DedupSorted(c *comm.Comm, sorted []Edge) []Edge {
 			prev = lasts[i]
 		}
 	}
-	if prev.Has {
-		drop := 0
-		for drop < len(dedup) && dedup[drop].U == prev.U && dedup[drop].V == prev.V {
-			drop++
-		}
-		dedup = dedup[drop:]
+	head := 0
+	for prev.Has && head < len(sorted) && sorted[head].U == prev.U && sorted[head].V == prev.V {
+		head++
 	}
-	return dedup
+	return head
+}
+
+// compactSorted drops every edge of the sorted local run s that repeats its
+// predecessor's (U, V), in place, and writes nothing before the first one.
+func compactSorted(s []Edge) []Edge {
+	k := 1
+	for k < len(s) && (s[k].U != s[k-1].U || s[k].V != s[k-1].V) {
+		k++
+	}
+	if k >= len(s) {
+		return s
+	}
+	out := s[:k]
+	for _, e := range s[k+1:] {
+		if last := &out[len(out)-1]; e.U != last.U || e.V != last.V {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -265,8 +265,74 @@ func TestGlobalVertexCount(t *testing.T) {
 				if got != len(distinct) {
 					t.Errorf("p=%d pat=%d rank=%d: GlobalVertexCount=%d want %d", p, pattern, c.Rank(), got, len(distinct))
 				}
+				if again := GlobalVertexCount(c, l, chunks[c.Rank()]); again != got {
+					t.Errorf("p=%d pat=%d rank=%d: the remembered count gives %d, the first %d", p, pattern, c.Rank(), again, got)
+				}
 			})
 		}
+	}
+}
+
+// TestDedupSortedAcrossBoundaries: DedupSorted keeps the first edge of every
+// (U, V) run of the global sequence, whatever the chunks cut — a run split
+// over several PEs, a PE holding nothing but the continuation of one — and
+// on a duplicate-free chunk it returns the chunk itself.
+func TestDedupSortedAcrossBoundaries(t *testing.T) {
+	r := rng.New(5)
+	var seq, want []Edge
+	for _, e := range makeGlobalEdges(40, 120, 3) {
+		want = append(want, e)
+		for k := r.Intn(7) - 2; k > 0; k-- { // runs of 1 to 5
+			e.W++
+			seq = append(seq, e)
+		}
+		seq = append(seq, want[len(want)-1])
+	}
+	sort.Slice(seq, func(i, j int) bool { return LessLex(seq[i], seq[j]) })
+	for _, p := range []int{1, 3, 8} {
+		for cut := 0; cut < 4; cut++ {
+			// Chunk boundaries at seeded positions; some chunks are empty or
+			// lie inside one run.
+			bounds := []int{0}
+			for i := 1; i < p; i++ {
+				bounds = append(bounds, bounds[i-1]+r.Intn(2*len(seq)/p+1))
+			}
+			bounds = append(bounds, len(seq))
+			if p == 3 && cut == 0 {
+				// The middle PE holds the inside of the first run of 5.
+				a := 0
+				for seq[a].U != seq[a+4].U || seq[a].V != seq[a+4].V {
+					a++
+				}
+				bounds = []int{0, a + 1, a + 4, len(seq)}
+			}
+			chunks := make([][]Edge, p)
+			for i := range chunks {
+				lo, hi := min(bounds[i], len(seq)), min(max(bounds[i+1], bounds[i]), len(seq))
+				chunks[i] = append([]Edge(nil), seq[lo:hi]...)
+			}
+			got := make([][]Edge, p)
+			comm.NewWorld(p).Run(func(c *comm.Comm) { got[c.Rank()] = DedupSorted(c, chunks[c.Rank()]) })
+			var all []Edge
+			for _, g := range got {
+				all = append(all, g...)
+			}
+			if len(all) != len(want) {
+				t.Fatalf("p=%d cut %d: %d edges kept, want %d", p, cut, len(all), len(want))
+			}
+			for i := range all {
+				if all[i] != want[i] {
+					t.Fatalf("p=%d cut %d: edge %d is %v, want %v", p, cut, i, all[i], want[i])
+				}
+			}
+		}
+		chunks := partition(want, p, 0)
+		comm.NewWorld(p).Run(func(c *comm.Comm) {
+			in := chunks[c.Rank()]
+			if out := DedupSorted(c, in); len(out) != len(in) || len(in) > 0 && &out[0] != &in[0] {
+				t.Errorf("p=%d rank %d: a duplicate-free chunk of %d came back as %d edges elsewhere", p, c.Rank(), len(in), len(out))
+			}
+		})
 	}
 }
 

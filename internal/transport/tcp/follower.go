@@ -56,8 +56,9 @@ func AcceptFollower(conn net.Conn, reg *obs.Registry) (*Follower, Handshake, err
 	}
 	h, err := parseHello(payload, wordSize)
 	if err != nil {
-		// Best-effort: tell the leader why before hanging up.
-		_ = lk.writeFrame(kWelcome, nil, handshakeTimeout)
+		// Best-effort: answer with this side's own magic, version and probe
+		// before hanging up, so the leader can name what differs.
+		_ = lk.writeFrame(kWelcome, appendWelcome(nil), handshakeTimeout)
 		return nil, Handshake{}, err
 	}
 	if err := lk.writeFrame(kWelcome, appendWelcome(nil), handshakeTimeout); err != nil {

@@ -125,8 +125,13 @@ func checkWelcome(payload []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
-	if magic != protoMagic || version != protoVersion || probe != endianProbe {
-		return fmt.Errorf("%w: welcome magic %#x version %d probe %#x", ErrHandshake, magic, version, probe)
+	switch {
+	case magic != protoMagic:
+		return fmt.Errorf("%w: welcome magic %#x", ErrHandshake, magic)
+	case version != protoVersion:
+		return fmt.Errorf("%w: version %d, want %d", ErrHandshake, version, protoVersion)
+	case probe != endianProbe:
+		return fmt.Errorf("%w: byte order or word size differs (welcome probe %#x)", ErrHandshake, probe)
 	}
 	return nil
 }

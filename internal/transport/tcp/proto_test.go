@@ -3,8 +3,12 @@ package tcp
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"kamsta/internal/enc"
 	"kamsta/internal/transport"
@@ -77,6 +81,41 @@ func TestWelcomeRoundTrip(t *testing.T) {
 	}
 	if err := checkWelcome(version7(appendWelcome(nil))); !errors.Is(err, ErrHandshake) {
 		t.Fatalf("version-7 welcome: got %v, want ErrHandshake", err)
+	}
+}
+
+// TestWelcomeNamesBothVersions: a worker refusing a HELLO answers with its
+// own WELCOME, not an empty one, so the leader's error names both protocol
+// versions rather than a truncated frame.
+func TestWelcomeNamesBothVersions(t *testing.T) {
+	err := checkWelcome(version7(appendWelcome(nil)))
+	want := fmt.Sprintf("version 7, want %d", protoVersion)
+	if !errors.Is(err, ErrHandshake) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("version-7 welcome: got %v, want ErrHandshake naming %q", err, want)
+	}
+
+	leader, worker := net.Pipe()
+	defer leader.Close()
+	defer worker.Close()
+	refused := make(chan error, 1)
+	go func() {
+		_, _, err := AcceptFollower(worker, nil)
+		refused <- err
+	}()
+	lk := newLink(leader, "pipe", nil)
+	h := hello{p: 2, lo: 1, hi: 2, threads: 1, wordSize: wordSize}
+	if err := lk.writeFrame(kHello, version7(appendHello(nil, h)), time.Minute); err != nil {
+		t.Fatalf("writing HELLO: %v", err)
+	}
+	kind, payload, err := lk.readFrame(time.Minute)
+	if err != nil || kind != kWelcome {
+		t.Fatalf("answer to a version-7 HELLO: kind %d, %v; want a WELCOME", kind, err)
+	}
+	if err := checkWelcome(payload); err != nil {
+		t.Fatalf("the refusing worker's WELCOME is not its own: %v", err)
+	}
+	if err := <-refused; !errors.Is(err, ErrHandshake) {
+		t.Fatalf("AcceptFollower on a version-7 HELLO: got %v, want ErrHandshake", err)
 	}
 }
 
