@@ -10,7 +10,10 @@ import (
 type Result struct {
 	// MSTEdges is this PE's share of the minimum spanning forest, with
 	// original endpoint labels, routed back to the home PEs of the original
-	// input copies and sorted lexicographically.
+	// input copies and sorted lexicographically. It lives in the world's
+	// arena (slot kMST) and is valid until the next Boruvka or
+	// FilterBoruvka on the same world: a caller that keeps it longer clones
+	// it.
 	MSTEdges []graph.Edge
 	// TotalWeight is the global MSF weight (identical on all PEs).
 	TotalWeight uint64
@@ -39,7 +42,7 @@ func Boruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt Options
 	opt = opt.withDefaults()
 	in := makeInputCopy(c, edges)
 
-	var mst []graph.Edge
+	mst := newForest(c)
 	res := Result{}
 	work, l := edges, layout
 

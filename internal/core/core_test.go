@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"kamsta/internal/comm"
@@ -383,6 +384,53 @@ func TestPhaseTimesRecorded(t *testing.T) {
 	for _, name := range []string{PhaseMinEdges, PhaseContract, PhaseLabels, PhaseRedistribute, PhaseBaseCase} {
 		if ph[name].Modeled <= 0 {
 			t.Fatalf("phase %q not recorded: %+v", name, ph)
+		}
+	}
+}
+
+// TestForestSlotReusedAcrossJobs: Result.MSTEdges lives in the world's slot
+// kMST until the next job on that world. A warm job's share reuses the
+// slot's memory instead of allocating, and equals what the same job gave
+// before — also after a job of the other algorithm on another instance
+// has rewritten the slot in between. A caller that keeps a share across
+// jobs must clone it, as this test does.
+func TestForestSlotReusedAcrossJobs(t *testing.T) {
+	const p = 4
+	w := comm.NewWorld(p)
+	run := func(spec gen.Spec, alg func(*comm.Comm, []graph.Edge, *graph.Layout, Options) Result) [][]graph.Edge {
+		shares := make([][]graph.Edge, p)
+		w.Run(func(c *comm.Comm) {
+			edges, layout := gen.Build(c, spec, dsort.Options{})
+			shares[c.Rank()] = alg(c, edges, layout, Options{BaseCaseCap: 2}).MSTEdges
+		})
+		return shares
+	}
+	rgg := gen.Spec{Family: gen.RGG2D, N: 600, M: 3000, Seed: 8}
+	dense := gen.Spec{Family: gen.GNM, N: 300, M: 6000, Seed: 9}
+	for _, tc := range []struct {
+		name       string
+		spec       gen.Spec
+		alg, other func(*comm.Comm, []graph.Edge, *graph.Layout, Options) Result
+	}{
+		{"Boruvka", rgg, Boruvka, FilterBoruvka},
+		{"FilterBoruvka", dense, FilterBoruvka, Boruvka},
+	} {
+		first := run(tc.spec, tc.alg)
+		kept := make([][]graph.Edge, p)
+		for r := range first {
+			kept[r] = slices.Clone(first[r])
+		}
+		again := run(tc.spec, tc.alg)
+		for r := range again {
+			if len(again[r]) > 0 && &again[r][0] != &first[r][0] {
+				t.Errorf("%s rank %d: a warm job's share is new memory, not slot kMST", tc.name, r)
+			}
+		}
+		run(dense, tc.other)
+		for r, sh := range run(tc.spec, tc.alg) {
+			if !slices.Equal(sh, kept[r]) {
+				t.Errorf("%s rank %d: the share differs from the first job's", tc.name, r)
+			}
 		}
 	}
 }

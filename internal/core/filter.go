@@ -25,6 +25,7 @@ var (
 	kFilterOut = arena.NewKey() // []graph.Edge: relabeled survivors of a segment
 	kPartHeavy = arena.NewKey() // []graph.Edge: heavy half staged by a partition
 	kSegments  = arena.NewKey() // []graph.Edge: the stack segments' own memory
+	kCarry     = arena.NewKey() // []graph.Edge: survivors merged back into the next segment
 	kPartRuns  = arena.NewKey() // []int: per-block run bookkeeping of the pack loops
 	kPivotSmp  = arena.NewKey() // []graph.Edge: this PE's pivot sample
 	kPivotAll  = arena.NewKey() // []graph.Edge: the gathered sample
@@ -276,9 +277,11 @@ func (d *distArray) resolve(c *comm.Comm, vs []graph.VID, opt Options) []graph.V
 // then carry. The segments on the stack are the recursion's own memory —
 // sub-slices of slot kSegments, or of localmst's slot when preprocessing
 // left the first segment there — that partitionAtPivot splits in place, with
-// capacities clipped so nothing appended to one can reach its neighbour;
-// carry is the segment's own small slice for the survivors merged back into
-// it (§VI-C), which arrive arena-backed and must be copied anyway.
+// capacities clipped so nothing appended to one can reach its neighbour.
+// carry holds the survivors merged back into the segment (§VI-C), copied out
+// of the sorter's slot into slot kCarry. Only the top of the stack receives
+// a merge-back, and it is popped and filtered next, so at most one carry is
+// live and the slot is free again once filterSegment has read it.
 //
 // kSegments is used as a stack: a segment that is not the recursion's own
 // memory (the caller's input, a filter output in the sorter's slot) is
@@ -313,7 +316,7 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 	}
 	P := newDistArray(c, comm.Allreduce(c, maxLabel, func(a, b uint64) uint64 { return max(a, b) }))
 
-	var mst []graph.Edge
+	mst := newForest(c)
 	res := Result{}
 	work, l := edges, layout
 	owned := false // work is the caller's input
@@ -358,7 +361,8 @@ func FilterBoruvka(c *comm.Comm, edges []graph.Edge, layout *graph.Layout, opt O
 			// worth full processing; fold it into the next pending segment.
 			if m < int(mergeBackFraction*float64(minEdgesPerPE*c.P()))+1 && len(stack) > 0 {
 				top := &stack[len(stack)-1]
-				top.carry = append(top.carry, seg.edges...)
+				top.carry = append(arena.GrabAppend[graph.Edge](c.Scratch(), kCarry), seg.edges...)
+				arena.Keep(c.Scratch(), kCarry, top.carry)
 				top.needsFilter = true
 				continue
 			}

@@ -214,7 +214,7 @@ func TestRGGEdgesRespectRadius(t *testing.T) {
 	// Regenerate the geometry to obtain point positions.
 	radius := rggRadius(spec, 2)
 	g := newRGGGeom(spec.N, radius, 2)
-	pos := g.points(spec.Seed, 0, g.totalCells) // vertex v at pos[v-1]
+	pos := g.points(nil, spec.Seed, 0, g.totalCells) // vertex v at pos[v-1]
 	if len(pos) != int(spec.N) {
 		t.Fatalf("geometry generated %d points, want %d", len(pos), spec.N)
 	}
@@ -246,7 +246,7 @@ func TestRGGEmitsEveryPairInOrder(t *testing.T) {
 	} {
 		radius := rggRadius(tc.spec, tc.dims)
 		g := newRGGGeom(tc.spec.N, radius, tc.dims)
-		pts := g.points(tc.spec.Seed, 0, g.totalCells)
+		pts := g.points(nil, tc.spec.Seed, 0, g.totalCells)
 		var want []pair
 		for i := range pts {
 			for j := range pts {

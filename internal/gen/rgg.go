@@ -2,7 +2,9 @@ package gen
 
 import (
 	"math"
+	"slices"
 
+	"kamsta/internal/arena"
 	"kamsta/internal/comm"
 	"kamsta/internal/graph"
 	"kamsta/internal/rng"
@@ -47,7 +49,8 @@ func genRGG(c *comm.Comm, spec Spec, dims int, dst []graph.Edge) []graph.Edge {
 		reach += g.cellsPer * g.cellsPer
 	}
 	haloLo, haloHi := loCell-min(loCell, reach), min(hiCell+reach, g.totalCells)
-	pts := g.points(spec.Seed, haloLo, haloHi)
+	pts := g.points(arena.GrabAppend[[3]float64](c.Scratch(), kRGGPoints), spec.Seed, haloLo, haloHi)
+	arena.Keep(c.Scratch(), kRGGPoints, pts)
 	first := g.cellOffset(haloLo) // pts[i] is the point labelled first+i+1
 	r2 := radius * radius
 	work := 0
@@ -182,16 +185,22 @@ func (g rggGeom) coords(k uint64) [3]uint64 {
 	return cc
 }
 
+// kRGGPoints is the arena slot of genRGG's decoded points, which live only
+// while it generates.
+var kRGGPoints = arena.NewKey()
+
 // points decodes the points of cells [lo, hi) into one slice in label
 // order, the point labelled cellOffset(lo)+i+1 at index i (the coordinates
-// past dims stay 0). A position is a pure hash of (seed, cell, index within
-// the cell).
-func (g rggGeom) points(seed, lo, hi uint64) [][3]float64 {
-	pts := make([][3]float64, g.cellOffset(hi)-g.cellOffset(lo))
+// past dims are 0), in dst's backing when it has room. A position is a pure
+// hash of (seed, cell, index within the cell).
+func (g rggGeom) points(dst [][3]float64, seed, lo, hi uint64) [][3]float64 {
+	n := int(g.cellOffset(hi) - g.cellOffset(lo))
+	pts := slices.Grow(dst[:0], n)[:n]
 	i := 0
 	for k := lo; k < hi; k++ {
 		cc := g.coords(k)
 		for j := uint64(0); j < g.cellCount(k); j++ {
+			pts[i] = [3]float64{}
 			for d := 0; d < g.dims; d++ {
 				h := rng.Hash64(seed, 0x4667, k, j, uint64(d))
 				frac := float64(h>>11) / (1 << 53)

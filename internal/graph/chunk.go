@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Chunk is one PE's original input chunk, read in place by global edge ID
 // to output the original endpoints of MST edges (§VI-C). The paper keeps a
@@ -35,15 +38,16 @@ func (c Chunk) Len() int { return len(c.edges) }
 // FirstID is the global ID of the chunk's first edge.
 func (c Chunk) FirstID() uint64 { return c.firstID }
 
-// DecodeIDs returns the edges with the given global IDs, which must be
-// ascending (repeats allowed), so the result is in input order. It panics
-// on an ID outside the chunk, or one whose edge no longer carries it (the
-// chunk was overwritten).
-func (c Chunk) DecodeIDs(ids []uint64) []Edge {
-	out := make([]Edge, len(ids))
+// DecodeIDsInto returns the edges with the given global IDs, which must be
+// ascending (repeats allowed), so the result is in input order. It is
+// written into dst's backing when that has room, and into a new slice
+// otherwise; dst must not overlap the chunk. It panics on an ID outside the
+// chunk, or one whose edge no longer carries it (the chunk was overwritten).
+func (c Chunk) DecodeIDsInto(dst []Edge, ids []uint64) []Edge {
+	out := slices.Grow(dst[:0], len(ids))[:len(ids)]
 	for k, id := range ids {
 		if k > 0 && id < ids[k-1] {
-			panic(fmt.Sprintf("graph: DecodeIDs: ID %d after %d, want ascending", id, ids[k-1]))
+			panic(fmt.Sprintf("graph: DecodeIDsInto: ID %d after %d, want ascending", id, ids[k-1]))
 		}
 		i := id - c.firstID // an ID below firstID wraps past len(edges)
 		if i >= uint64(len(c.edges)) || uint64(c.edges[i].ID) != id {

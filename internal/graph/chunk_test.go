@@ -38,7 +38,7 @@ func TestRoundTripDecodeAll(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 255, 256, 257, 1031} {
 		edges := makeSortedEdges(n, uint64(n))
 		c := NewChunk(edges)
-		got := c.DecodeIDs(allIDs(c))
+		got := c.DecodeIDsInto(nil, allIDs(c))
 		if len(got) != n {
 			t.Fatalf("n=%d: decoded %d edges", n, len(got))
 		}
@@ -54,7 +54,7 @@ func TestRandomAccessAt(t *testing.T) {
 	edges := makeSortedEdges(785, 9)
 	c := NewChunk(edges)
 	for _, i := range []int{0, 1, 255, 256, 517, len(edges) - 1} {
-		if got := c.DecodeIDs([]uint64{100 + uint64(i)})[0]; got != edges[i] {
+		if got := c.DecodeIDsInto(nil, []uint64{100 + uint64(i)})[0]; got != edges[i] {
 			t.Fatalf("position %d: got %+v want %+v", i, got, edges[i])
 		}
 	}
@@ -64,7 +64,7 @@ func TestByID(t *testing.T) {
 	edges := makeSortedEdges(50, 3)
 	c := NewChunk(edges)
 	for i, e := range edges {
-		if got := c.DecodeIDs([]uint64{100 + uint64(i)})[0]; got != e {
+		if got := c.DecodeIDsInto(nil, []uint64{100 + uint64(i)})[0]; got != e {
 			t.Fatalf("ID %d mismatch", 100+i)
 		}
 	}
@@ -79,7 +79,7 @@ func TestByIDPanicsOutOfRange(t *testing.T) {
 					t.Errorf("ID %d should panic", id)
 				}
 			}()
-			c.DecodeIDs([]uint64{id})
+			c.DecodeIDsInto(nil, []uint64{id})
 		}()
 	}
 }
@@ -116,10 +116,11 @@ func TestLenAndFirstID(t *testing.T) {
 	}
 }
 
-// TestDecodeIDsMatchesByID: DecodeIDs returns the input edge for every ID
+// TestDecodeIDsMatchesByID: DecodeIDsInto returns the input edge for every ID
 // of ascending subsets that are empty, sparse, dense, hit the first and
-// last edge or repeat an ID; descending and out-of-range IDs panic, and so
-// does an ID whose edge was overwritten.
+// last edge or repeat an ID, into the destination's memory when it has
+// room; descending and out-of-range IDs panic, and so does an ID whose edge
+// was overwritten.
 func TestDecodeIDsMatchesByID(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -146,8 +147,12 @@ func TestDecodeIDsMatchesByID(t *testing.T) {
 			}
 			subsets = append(subsets, ids)
 		}
+		room := make([]Edge, 1, n+2) // holds every subset, {last, last} too
 		for _, ids := range subsets {
-			got := c.DecodeIDs(ids)
+			got := c.DecodeIDsInto(room, ids)
+			if len(ids) > 0 && &got[0] != &room[0] {
+				t.Fatalf("n=%d: %d IDs decoded into new memory, with room for %d", n, len(ids), cap(room))
+			}
 			if len(got) != len(ids) {
 				t.Fatalf("n=%d: %d IDs decoded to %d edges", n, len(ids), len(got))
 			}
@@ -157,13 +162,13 @@ func TestDecodeIDsMatchesByID(t *testing.T) {
 				}
 			}
 		}
-		mustPanic("below range", func() { c.DecodeIDs([]uint64{first - 1}) })
-		mustPanic("above range", func() { c.DecodeIDs([]uint64{first, last + 1}) })
+		mustPanic("below range", func() { c.DecodeIDsInto(nil, []uint64{first - 1}) })
+		mustPanic("above range", func() { c.DecodeIDsInto(nil, []uint64{first, last + 1}) })
 		if n > 1 {
-			mustPanic("descending", func() { c.DecodeIDs([]uint64{last, first}) })
+			mustPanic("descending", func() { c.DecodeIDsInto(nil, []uint64{last, first}) })
 		}
 		edges[n-1].ID++
-		mustPanic("overwritten", func() { c.DecodeIDs([]uint64{last}) })
+		mustPanic("overwritten", func() { c.DecodeIDsInto(nil, []uint64{last}) })
 	}
-	mustPanic("empty chunk", func() { NewChunk(nil).DecodeIDs([]uint64{0}) })
+	mustPanic("empty chunk", func() { NewChunk(nil).DecodeIDsInto(nil, []uint64{0}) })
 }

@@ -48,7 +48,8 @@ type job struct {
 	w   *comm.World
 
 	// shares[r] is rank r's share of the MSF (msf; each local rank writes
-	// its own entry).
+	// its own entry, core.Result.MSTEdges: it lies in the rank's arena and
+	// is read — by Machine.run or jobEndOf — before the next job starts).
 	shares [][]graph.Edge
 	// Rank 0 only: the algorithm's summary (msf), the canonical edges
 	// (collect), the Allreduce sum (probe).

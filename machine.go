@@ -172,6 +172,9 @@ type Machine struct {
 	// mm holds the machine's resolved job-level metric instruments (nil
 	// without MachineConfig.Metrics).
 	mm *machineMetrics
+
+	// report is the memory run puts each Report's forest in order with.
+	report reportScratch
 }
 
 // NewMachine builds a machine and parks its PE goroutines, ready for jobs.
@@ -509,14 +512,9 @@ func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report,
 	}
 	rep.Phases = w.Phases()
 	rep.Stats = w.TotalStats()
-	rep.MSTEdges = make([]InputEdge, 0, rep.NumEdges)
-	for _, sh := range j.shares {
-		for _, e := range sh {
-			u, v := e.OrigPair()
-			rep.MSTEdges = append(rep.MSTEdges, InputEdge{U: u, V: v, W: e.W})
-		}
-	}
-	sortMSTEdges(rep.MSTEdges)
+	// The local shares lie in the PEs' arenas until the next job, which
+	// cannot start while this caller holds the job slot.
+	rep.MSTEdges = reportFromShares(j.shares, rep.NumEdges, &m.report)
 	return rep, nil
 }
 
