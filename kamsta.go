@@ -33,7 +33,6 @@
 package kamsta
 
 import (
-	"slices"
 	"time"
 
 	"kamsta/internal/comm"
@@ -103,72 +102,41 @@ func canonicalEdgeLess(a, b InputEdge) bool {
 	return a.W < b.W
 }
 
-// sortMSTEdges puts a Report's forest into the canonical order: a radix
-// sort on the endpoints (labels are below 2^32), canonicalEdgeLess finishing
-// equal (U, V) runs by weight.
-func sortMSTEdges(es []InputEdge) {
-	radix.Sort(es, func(e InputEdge) uint64 { return e.U<<32 | e.V }, canonicalEdgeLess)
-}
+// mstKey is the report order's radix key: the endpoints (labels are below
+// 2^32), canonicalEdgeLess finishing equal (U, V) runs by weight.
+func mstKey(e InputEdge) uint64 { return e.U<<32 | e.V }
+
+// sortMSTEdges puts a Report's forest into the canonical order.
+func sortMSTEdges(es []InputEdge) { radix.Sort(es, mstKey, canonicalEdgeLess) }
 
 // reportScratch is a Machine's memory for putting a forest into report
-// order: the flipped entries, their sorted copy and the radix sort's pairs.
-// Only the job slot's holder uses it.
+// order: the canonical entries and the radix sort's pairs. Only the job
+// slot's holder uses it.
 type reportScratch struct {
-	flip, sorted []InputEdge
-	pairs, tmp   []radix.KV
+	all        []InputEdge
+	pairs, tmp []radix.KV
 }
 
 // reportFromShares returns the forest the PEs' shares hold, in canonical
-// (U < V) orientation and canonicalEdgeLess order, in a new slice of
-// capacity n. The core algorithms' shares, concatenated in rank order, are
-// input edges in lexicographic order: an entry whose directed edge runs
-// from its smaller endpoint is already in report order among its kind, and
-// one that runs the other way (flipped) is sorted by its smaller endpoint
-// alone — a stable radix sort, canonicalEdgeLess finishing the runs — and
-// merged in. Shares whose unflipped entries are out of order (the
-// baselines') are sorted whole by sortMSTEdges.
-func reportFromShares(shares [][]graph.Edge, n int, s *reportScratch) []InputEdge {
-	out := make([]InputEdge, 0, n)
-	flip := s.flip[:0]
-	ordered := true
+// (U < V) orientation and canonicalEdgeLess order, in a new slice: the
+// entries are gathered into s and radix-sorted from there into the result.
+func reportFromShares(shares [][]graph.Edge, s *reportScratch) []InputEdge {
+	all := s.all[:0]
 	for _, sh := range shares {
 		for _, e := range sh {
 			u, v := e.OrigPair()
-			r := InputEdge{U: u, V: v, W: e.W}
-			if e.U > e.V {
-				flip = append(flip, r)
-				continue
-			}
-			if len(out) > 0 && canonicalEdgeLess(r, out[len(out)-1]) {
-				ordered = false
-			}
-			out = append(out, r)
+			all = append(all, InputEdge{U: u, V: v, W: e.W})
 		}
 	}
-	s.flip = flip
-	if !ordered {
-		out = append(out, flip...)
-		sortMSTEdges(out)
-		return out
+	n := len(all)
+	if cap(s.pairs) < n {
+		s.pairs, s.tmp = make([]radix.KV, n), make([]radix.KV, n)
 	}
-	k := len(flip)
-	s.sorted, s.pairs, s.tmp = resize(s.sorted, k), resize(s.pairs, k), resize(s.tmp, k)
-	radix.SortInto(s.sorted, flip, func(e InputEdge) uint64 { return e.U }, canonicalEdgeLess, s.pairs, s.tmp)
-	// Merge from the back: the unflipped entries already lie at the front.
-	i, j := len(out)-1, k-1
-	out = out[:len(out)+k]
-	for at := len(out) - 1; j >= 0; at-- {
-		if i >= 0 && canonicalEdgeLess(s.sorted[j], out[i]) {
-			out[at], i = out[i], i-1
-		} else {
-			out[at], j = s.sorted[j], j-1
-		}
-	}
+	s.all = all
+	out := make([]InputEdge, n)
+	radix.SortInto(out, all, mstKey, canonicalEdgeLess, s.pairs[:n], s.tmp[:n])
 	return out
 }
-
-// resize returns a slice of length n in s's backing when it has room.
-func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Report is the outcome of a computation.
 type Report struct {

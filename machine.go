@@ -514,7 +514,7 @@ func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report,
 	rep.Stats = w.TotalStats()
 	// The local shares lie in the PEs' arenas until the next job, which
 	// cannot start while this caller holds the job slot.
-	rep.MSTEdges = reportFromShares(j.shares, rep.NumEdges, &m.report)
+	rep.MSTEdges = reportFromShares(j.shares, &m.report)
 	return rep, nil
 }
 

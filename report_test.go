@@ -26,14 +26,11 @@ func sharesInReportOrder(shares [][]graph.Edge) []InputEdge {
 	return want
 }
 
-// TestReportFromSharesMatchesSort: the Report's forest, split into its
-// unflipped and flipped entries, the flipped half radix-sorted and merged
-// in, equals the shares sorted by canonicalEdgeLess — on random multigraphs
-// with parallel edges and tied weights and on generated instances, at
-// p ∈ {1, 2, 4, 16}, over shm and loopback TCP, for both core algorithms
-// and a baseline. The core algorithms' shares, concatenated in rank order,
-// must be in directed lexicographic order, which is what lets their Reports
-// skip the general sort; the baseline's are not and take sortMSTEdges.
+// TestReportFromSharesMatchesSort: the Report's forest equals the shares
+// sorted by canonicalEdgeLess — on random multigraphs with parallel edges
+// and tied weights and on generated instances, at p ∈ {1, 2, 4, 16}, over
+// shm and loopback TCP, for both core algorithms and a baseline, and with
+// the entries of each case reversed.
 func TestReportFromSharesMatchesSort(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewPCG(5, 6))
@@ -64,20 +61,16 @@ func TestReportFromSharesMatchesSort(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					directed := slices.Concat(j.shares...)
-					if alg != AlgMNDMST && !slices.IsSortedFunc(directed, radix.CmpOf(graph.LessLex)) {
-						t.Errorf("%s: the shares are not in directed lexicographic order", label)
-					}
 					want := sharesInReportOrder(j.shares)
 					if len(want) != j.rep.NumEdges {
 						t.Fatalf("%s: %d share entries, %d forest edges", label, len(want), j.rep.NumEdges)
 					}
-					if got := reportFromShares(j.shares, j.rep.NumEdges, &s); !slices.Equal(got, want) {
+					if got := reportFromShares(j.shares, &s); !slices.Equal(got, want) {
 						t.Errorf("%s: the assembled forest differs from the sorted shares", label)
 					}
-					// The same entries backwards take the fallback.
-					slices.Reverse(directed)
-					if got := reportFromShares([][]graph.Edge{directed}, len(want), &s); !slices.Equal(got, want) {
+					reversed := slices.Concat(j.shares...)
+					slices.Reverse(reversed)
+					if got := reportFromShares([][]graph.Edge{reversed}, &s); !slices.Equal(got, want) {
 						t.Errorf("%s: the forest assembled from reversed shares differs from the sorted shares", label)
 					}
 				}
@@ -133,16 +126,15 @@ func directedShares(r *rand.Rand, n, p int) [][]graph.Edge {
 }
 
 // TestReportFromSharesAllocatesOnlyTheReport: with the Machine's scratch
-// warm, assembling a forest in core order makes one allocation, the
-// Report's slice.
+// warm, assembling a forest makes one allocation, the Report's slice.
 func TestReportFromSharesAllocatesOnlyTheReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	shares := directedShares(rand.New(rand.NewPCG(7, 8)), 1<<12, 4)
 	var s reportScratch
-	reportFromShares(shares, 1<<12, &s)
-	if a := testing.AllocsPerRun(5, func() { reportFromShares(shares, 1<<12, &s) }); a != 1 {
+	reportFromShares(shares, &s)
+	if a := testing.AllocsPerRun(5, func() { reportFromShares(shares, &s) }); a != 1 {
 		t.Errorf("a warm assembly made %v allocations, want 1", a)
 	}
 }
@@ -153,9 +145,9 @@ func TestReportFromSharesAllocatesOnlyTheReport(t *testing.T) {
 func BenchmarkReportFromShares(b *testing.B) {
 	shares := directedShares(rand.New(rand.NewPCG(3, 4)), 1<<17, 16)
 	var s reportScratch
-	reportFromShares(shares, 1<<17, &s)
+	reportFromShares(shares, &s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reportFromShares(shares, 1<<17, &s)
+		reportFromShares(shares, &s)
 	}
 }
