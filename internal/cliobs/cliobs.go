@@ -281,8 +281,8 @@ func ParsePEs(s string) ([]int, error) {
 // ParseDistributedAlgs resolves an -alg value before any world is started;
 // unknown names error out listing the valid ones, and empty means the
 // caller's default set. The sequential reference is refused: it is the
-// oracle mstverify checks against and has no modeled machine for mstbench
-// to report.
+// oracle mstverify checks against, and its modeled time, the gather alone,
+// is nothing for mstbench to report.
 func ParseDistributedAlgs(s string) ([]kamsta.Algorithm, error) {
 	out, err := kamsta.ParseAlgorithmList(s)
 	if err != nil {
@@ -290,7 +290,7 @@ func ParseDistributedAlgs(s string) ([]kamsta.Algorithm, error) {
 	}
 	for _, a := range out {
 		if a == kamsta.AlgKruskal {
-			return nil, fmt.Errorf("kruskal is the sequential reference (the oracle, no modeled machine); pick distributed algorithms")
+			return nil, fmt.Errorf("kruskal is the sequential reference (the oracle; only its gather is modeled); pick distributed algorithms")
 		}
 	}
 	return out, nil

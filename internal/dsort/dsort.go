@@ -14,16 +14,15 @@
 //
 // # Keys and local sorting
 //
-// The sorter is built around sortable integer keys (Order): when the caller
+// The sorter is built around sortable integer keys (Order): the caller
 // supplies a Key — a uint64 extraction that is order-consistent with the
-// comparator, like graph.KeyLex/graph.KeyWeight — every local sort runs as
-// an LSD radix pass (internal/radix) instead of a comparison sort, and the
-// p received runs are merged with a loser tree that caches each run's head
-// key (O(log p) integer comparisons per element; the comparator only breaks
-// key ties). Without a key the local sorts fall back to slices.SortFunc and
-// the comparator decides every node of the same tree. The modeled compute
-// charges remain the paper's comparison-sort model (n·log n), so the modeled
-// clock is independent of which local algorithm runs.
+// comparator, like graph.KeyLex/graph.KeyWeight — so every local sort runs
+// as an LSD radix pass (internal/radix) instead of a comparison sort, and
+// the p received runs are merged with a loser tree that caches each run's
+// head key (O(log p) integer comparisons per element; the comparator only
+// breaks key ties). The modeled compute charges remain the paper's
+// comparison-sort model (n·log n), so the modeled clock is independent of
+// the local algorithm.
 //
 // # Memory ownership
 //
@@ -82,21 +81,18 @@ const (
 // encode only a prefix of the order.
 type Key[T any] func(T) uint64
 
-// Order bundles the comparator that defines the global sort order with an
-// optional integer key that accelerates the local phases.
+// Order bundles the comparator that defines the global sort order with the
+// integer key the local phases sort by.
 type Order[T any] struct {
 	// Less is the strict weak order to sort by; for fully deterministic
 	// splits it should be a total order.
 	Less func(a, b T) bool
-	// Key, when non-nil, enables radix local sorts. See Key for the
+	// Key drives the radix local sorts and the merge. See Key for the
 	// consistency contract.
 	Key Key[T]
 }
 
-// ByLess builds a comparator-only Order.
-func ByLess[T any](less func(a, b T) bool) Order[T] { return Order[T]{Less: less} }
-
-// ByKey builds an Order with a radix key.
+// ByKey builds an Order.
 func ByKey[T any](less func(a, b T) bool, key Key[T]) Order[T] {
 	return Order[T]{Less: less, Key: key}
 }
@@ -174,25 +170,16 @@ func Sort[T any](c *comm.Comm, data []T, ord Order[T], opt Options) []T {
 	return sampleSort(c, ks, data, ord, opt)
 }
 
-// sortInto sorts src into dst (same length, no overlap) without charging
-// modeled time and without writing src: radix when a key is available,
-// pdqsort on a copy otherwise.
+// sortInto radix-sorts src into dst (same length, no overlap) without
+// charging modeled time and without writing src.
 func sortInto[T any](c *comm.Comm, ks *typeKeys, dst, src []T, ord Order[T]) {
-	n := len(src)
-	if ord.Key != nil && uint64(n) < 1<<32 {
-		a := c.Scratch()
-		radix.SortInto(dst, src, ord.Key, ord.Less,
-			arena.Grab[radix.KV](a, ks.rxPairs, n), arena.Grab[radix.KV](a, ks.rxTmp, n))
-		return
-	}
-	copy(dst, src)
-	slices.SortFunc(dst, radix.CmpOf(ord.Less))
+	n, a := len(src), c.Scratch()
+	radix.SortInto(dst, src, ord.Key, ord.Less,
+		arena.Grab[radix.KV](a, ks.rxPairs, n), arena.Grab[radix.KV](a, ks.rxTmp, n))
 }
 
 // localSortInto is sortInto plus the modeled n·log n comparison charge — the
-// paper's cost model for the local phase, kept independent of whether the
-// radix or the comparison path ran so modeled clocks do not depend on the
-// presence of a key.
+// paper's cost model for the local phase, not the radix sort's.
 func localSortInto[T any](c *comm.Comm, ks *typeKeys, dst, src []T, ord Order[T]) {
 	sortInto(c, ks, dst, src, ord)
 	if n := len(src); n > 1 {
@@ -260,9 +247,9 @@ func sampleSort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T], opt O
 // kwayMerge merges the already-sorted received runs with a loser tree over
 // each run's remaining elements: one pass from the winner's leaf to the root
 // per element, comparing cached head keys and calling the comparator only
-// where keys tie (a keyless order caches nothing, so it decides every node).
-// What still ties goes to the lowest run index, so the output is the stable
-// merge of the runs in rank order for any input, weak orders included.
+// where keys tie. What still ties goes to the lowest run index, so the
+// output is the stable merge of the runs in rank order for any input, weak
+// orders included.
 //
 // Runs that already follow one another — no non-empty run's head below the
 // last element of the non-empty run before it, as when the input was
@@ -292,16 +279,14 @@ func kwayMerge[T any](c *comm.Comm, ks *typeKeys, runs [][]T, ord Order[T]) []T 
 		K <<= 1
 	}
 	// Leaf i is run i, padded with empty runs up to the power of two K. A
-	// run's cached key is its head's (0 under a keyless order), or exhausted
-	// once it is empty, so an empty run loses on the integer comparison.
+	// run's cached key is its head's, or exhausted once it is empty, so an
+	// empty run loses on the integer comparison.
 	const exhausted = math.MaxUint64
 	rest := arena.Grab[[]T](a, ks.mergeRest, K)
 	keys := arena.Grab[uint64](a, ks.mergeKeys, K)
 	continueAt := func(i int32, r []T) {
-		rest[i], keys[i] = r, 0
-		if len(r) == 0 {
-			keys[i] = exhausted
-		} else if ord.Key != nil {
+		rest[i], keys[i] = r, exhausted
+		if len(r) > 0 {
 			keys[i] = ord.Key(r[0])
 		}
 	}

@@ -35,13 +35,9 @@ func makeLocal(p, rank, per int, seed uint64) []int {
 // intKey is the full-order radix key for the non-negative test ints.
 func intKey(v int) uint64 { return uint64(v) }
 
-// runSort executes Sort on a p-PE world and returns the per-rank outputs.
-// It runs the keyed (radix) path; runSortOrd selects the order explicitly.
+// runSort executes Sort on a p-PE world and returns the per-rank outputs
+// and the sorted union of the inputs.
 func runSort(t *testing.T, p, per int, opt Options) ([][]int, []int) {
-	return runSortOrd(t, p, per, opt, ByKey(intLess, intKey))
-}
-
-func runSortOrd(t *testing.T, p, per int, opt Options, ord Order[int]) ([][]int, []int) {
 	t.Helper()
 	w := comm.NewWorld(p)
 	outs := make([][]int, p)
@@ -52,7 +48,7 @@ func runSortOrd(t *testing.T, p, per int, opt Options, ord Order[int]) ([][]int,
 	sort.Ints(want)
 	w.Run(func(c *comm.Comm) {
 		local := makeLocal(p, c.Rank(), per, 5)
-		outs[c.Rank()] = Sort(c, local, ord, opt)
+		outs[c.Rank()] = Sort(c, local, ByKey(intLess, intKey), opt)
 		if !IsGloballySorted(c, outs[c.Rank()], intLess) {
 			t.Errorf("p=%d: IsGloballySorted=false after Sort", p)
 		}
@@ -120,23 +116,6 @@ func TestHypercubeQuicksort(t *testing.T) {
 	}
 }
 
-// TestComparatorOnlyOrder runs both sorters through the keyless fallback
-// path; results must match the keyed runs bit for bit.
-func TestComparatorOnlyOrder(t *testing.T) {
-	for _, per := range []int{sampleSortPer, hypercubePer} {
-		outs, want := runSortOrd(t, 8, per, Options{}, ByLess(intLess))
-		checkSorted(t, 8, outs, want)
-		keyed, _ := runSort(t, 8, per, Options{})
-		for r := range outs {
-			for i := range outs[r] {
-				if outs[r][i] != keyed[r][i] {
-					t.Fatalf("%d per PE, rank %d pos %d: keyed %d != keyless %d", per, r, i, keyed[r][i], outs[r][i])
-				}
-			}
-		}
-	}
-}
-
 // TestHypercubeFallsBackOnOddWorld: input small enough for hypercube
 // quicksort on a world that is not a power of two goes to sample sort.
 func TestHypercubeFallsBackOnOddWorld(t *testing.T) {
@@ -200,7 +179,7 @@ func TestSortSingleElementTotal(t *testing.T) {
 		if c.Rank() == 2 {
 			local = []int{42}
 		}
-		out := Sort(c, local, ByLess(intLess), Options{})
+		out := Sort(c, local, ByKey(intLess, intKey), Options{})
 		n := comm.Allreduce(c, len(out), func(a, b int) int { return a + b })
 		if n != 1 {
 			t.Errorf("total elements %d want 1", n)
@@ -283,12 +262,12 @@ func TestSortStructsByCustomOrder(t *testing.T) {
 		for i := range local {
 			local[i] = kv{K: r.Intn(100), V: c.Rank()}
 		}
-		outs[c.Rank()] = Sort(c, local, ByLess(func(a, b kv) bool {
+		outs[c.Rank()] = Sort(c, local, ByKey(func(a, b kv) bool {
 			if a.K != b.K {
 				return a.K < b.K
 			}
 			return a.V < b.V
-		}), Options{})
+		}, func(x kv) uint64 { return uint64(x.K) }), Options{})
 	})
 	prev := kv{-1, -1}
 	for _, o := range outs {

@@ -60,41 +60,36 @@ func TestDuplicateKeyRegression(t *testing.T) {
 		"all-equal":    {7},
 		"two-distinct": {3, 200},
 	}
-	orders := map[string]Order[graph.Edge]{
-		"keyed":   ByKey(weightOnlyLess, weightOnlyKey),
-		"keyless": ByLess(weightOnlyLess),
-	}
+	ord := ByKey(weightOnlyLess, weightOnlyKey)
 	for _, p := range []int{2, 8, 16} {
 		for _, per := range []int{sampleSortPer, hypercubePer} {
 			for wname, ws := range weightSets {
-				for oname, ord := range orders {
-					var outs [][]graph.Edge
-					var clk float64
-					if hypercubeRan(func() { outs, clk = runDupSort(t, p, per, ws, ord, Options{Seed: 11}) }) != (per == hypercubePer) {
-						t.Errorf("p=%d per=%d %s/%s: the other sorter ran", p, per, wname, oname)
-					}
-					total, lo := 0, math.MaxInt
-					hi := 0
-					for _, o := range outs {
-						total += len(o)
-						lo = min(lo, len(o))
-						hi = max(hi, len(o))
-					}
-					if total != per*p {
-						t.Errorf("p=%d per=%d %s/%s: lost elements: %d of %d", p, per, wname, oname, total, per*p)
-					}
-					if hi-lo > 1 {
-						t.Errorf("p=%d per=%d %s/%s: final chunks unbalanced: %d..%d", p, per, wname, oname, lo, hi)
-					}
-					outs2, clk2 := runDupSort(t, p, per, ws, ord, Options{Seed: 11})
-					if math.Float64bits(clk) != math.Float64bits(clk2) {
-						t.Errorf("p=%d per=%d %s/%s: modeled clock not bit-identical: %x vs %x",
-							p, per, wname, oname, math.Float64bits(clk), math.Float64bits(clk2))
-					}
-					for r := range outs {
-						if len(outs[r]) != len(outs2[r]) {
-							t.Errorf("p=%d per=%d %s/%s: rank %d chunk size differs across runs", p, per, wname, oname, r)
-						}
+				var outs [][]graph.Edge
+				var clk float64
+				if hypercubeRan(func() { outs, clk = runDupSort(t, p, per, ws, ord, Options{Seed: 11}) }) != (per == hypercubePer) {
+					t.Errorf("p=%d per=%d %s: the other sorter ran", p, per, wname)
+				}
+				total, lo := 0, math.MaxInt
+				hi := 0
+				for _, o := range outs {
+					total += len(o)
+					lo = min(lo, len(o))
+					hi = max(hi, len(o))
+				}
+				if total != per*p {
+					t.Errorf("p=%d per=%d %s: lost elements: %d of %d", p, per, wname, total, per*p)
+				}
+				if hi-lo > 1 {
+					t.Errorf("p=%d per=%d %s: final chunks unbalanced: %d..%d", p, per, wname, lo, hi)
+				}
+				outs2, clk2 := runDupSort(t, p, per, ws, ord, Options{Seed: 11})
+				if math.Float64bits(clk) != math.Float64bits(clk2) {
+					t.Errorf("p=%d per=%d %s: modeled clock not bit-identical: %x vs %x",
+						p, per, wname, math.Float64bits(clk), math.Float64bits(clk2))
+				}
+				for r := range outs {
+					if len(outs[r]) != len(outs2[r]) {
+						t.Errorf("p=%d per=%d %s: rank %d chunk size differs across runs", p, per, wname, r)
 					}
 				}
 			}

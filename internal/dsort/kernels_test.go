@@ -82,8 +82,8 @@ func makeInOrderRuns(r *rng.RNG, k int, less func(a, b rec) bool, overlap bool) 
 // TestKwayMerge holds the loser tree to its reference — a stable sort of the
 // runs' concatenation, which is "ties to the lowest run, then run order" —
 // for 0 to 33 runs (powers of two and not, empty runs, nothing but empty
-// runs), keys shared across runs and finished by the comparator, a keyless
-// order, and a weak order in which everything ties. Runs that already
+// runs), keys shared across runs and finished by the comparator, and a
+// weak order in which everything ties. Runs that already
 // follow one another (equal elements across a boundary under the weak
 // orders, empty runs in between) merge to their concatenation, which is
 // then the reference; one overlapping boundary among them falls back to
@@ -91,7 +91,6 @@ func makeInOrderRuns(r *rng.RNG, k int, less func(a, b rec) bool, overlap bool) 
 func TestKwayMerge(t *testing.T) {
 	orders := map[string]Order[rec]{
 		"keyed":     ByKey(recTotal, recKey),
-		"keyless":   ByLess(recTotal),
 		"weak":      ByKey(func(a, b rec) bool { return a.K < b.K }, recKey),
 		"all-equal": ByKey(func(a, b rec) bool { return false }, func(rec) uint64 { return 9 }),
 	}

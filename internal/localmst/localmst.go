@@ -27,7 +27,6 @@
 package localmst
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -45,14 +44,12 @@ type Config struct {
 	// Filter enables the §VI-B edge-filtering enhancement: the edge set is
 	// partitioned at a pivot weight, the light part is contracted first,
 	// and heavy intra-component edges are dropped before a second pass.
-	// It activates above FilterThreshold edges (default 4096).
+	// It activates above filterAbove edges.
 	Filter bool
-	// FilterThreshold is set only by tests, and it stays a field for them:
-	// TestRunResultsPinned's thirty rows are reference data recorded at
-	// threshold 200 on a former representation, and a constant 4096 would
-	// force re-recording them.
-	FilterThreshold int
 }
+
+// filterAbove is the edge count above which Config.Filter splits the input.
+const filterAbove = 4096
 
 // Result of a local contraction.
 type Result struct {
@@ -130,7 +127,7 @@ func Run(edges []graph.Edge, isLocal func(graph.VID) bool, cfg Config) Result {
 
 	// Translate once, dropping self-loops; with filtering, light records
 	// fill the buffer from the front and heavy ones from the back.
-	filter := cfg.Filter && len(edges) > cmp.Or(max(cfg.FilterThreshold, 0), 4096)
+	filter := cfg.Filter && len(edges) > filterAbove
 	var pivot graph.Edge
 	if filter {
 		pivot = medianWeight(edges)

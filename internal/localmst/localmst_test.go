@@ -53,13 +53,25 @@ func totalWeight(edges []graph.Edge) uint64 {
 	return t
 }
 
+// TestMSFMatchesKruskalAllLocal: a full MSF with and without the filtered
+// split equals Kruskal's; the last instance is above filterAbove, where the
+// split must run and save work.
 func TestMSFMatchesKruskalAllLocal(t *testing.T) {
-	for seed := uint64(0); seed < 10; seed++ {
+	for seed := uint64(0); seed <= 10; seed++ {
 		n := 60 + int(seed)*10
+		if seed == 10 {
+			n = 1500
+		}
 		edges := randomEdges(n, n*4, seed)
 		want := seqmst.Kruskal(n, edges)
+		unfiltered := 0
 		for _, filter := range []bool{false, true} {
-			got := Run(edges, allLocal, Config{Filter: filter, FilterThreshold: 64})
+			got := Run(edges, allLocal, Config{Filter: filter})
+			if !filter {
+				unfiltered = got.Work
+			} else if len(edges) > filterAbove && got.Work >= unfiltered {
+				t.Fatalf("seed=%d: %d edges: filtered work %d, unfiltered %d: the split did not run", seed, len(edges), got.Work, unfiltered)
+			}
 			if w := totalWeight(got.MSTEdges); w != want.TotalWeight {
 				t.Fatalf("seed=%d filter=%v: weight %d want %d", seed, filter, w, want.TotalWeight)
 			}
@@ -254,38 +266,46 @@ func TestRemainingIsSortedAndDeduped(t *testing.T) {
 
 // TestHashAndSortDedupAgree checks Run's hash-table parallel-edge removal
 // against the sort-based one, spelled here: relabel every input edge through
-// the returned roots, drop self-loops, sort, keep the lightest per pair.
+// the returned roots, drop self-loops, sort, keep the lightest per pair. The
+// larger instance is above filterAbove, where the filtered split must run.
 func TestHashAndSortDedupAgree(t *testing.T) {
-	edges := randomEdges(70, 400, 8)
 	isLocal := func(v graph.VID) bool { return v%2 == 0 }
-	for _, filter := range []bool{false, true} {
-		got := Run(edges, isLocal, Config{Filter: filter, FilterThreshold: 64})
-		root := map[graph.VID]graph.VID{}
-		for i, v := range got.Verts {
-			root[v] = got.Roots[i]
-		}
-		relabel := func(v graph.VID) graph.VID {
-			if r, ok := root[v]; ok {
-				return r
+	for _, edges := range [][]graph.Edge{randomEdges(70, 400, 8), randomEdges(1200, 6000, 8)} {
+		unfiltered := 0
+		for _, filter := range []bool{false, true} {
+			got := Run(edges, isLocal, Config{Filter: filter})
+			if !filter {
+				unfiltered = got.Work
+			} else if len(edges) > filterAbove && got.Work == unfiltered {
+				t.Fatalf("%d edges: filtered and unfiltered work both %d: the split did not run", len(edges), unfiltered)
 			}
-			return v
-		}
-		var want []graph.Edge
-		for _, e := range edges {
-			if e.U, e.V = relabel(e.U), relabel(e.V); e.U != e.V {
-				want = append(want, e)
+			root := map[graph.VID]graph.VID{}
+			for i, v := range got.Verts {
+				root[v] = got.Roots[i]
 			}
-		}
-		slices.SortFunc(want, func(a, b graph.Edge) int {
-			if graph.LessLex(a, b) {
-				return -1
+			relabel := func(v graph.VID) graph.VID {
+				if r, ok := root[v]; ok {
+					return r
+				}
+				return v
 			}
-			return 1
-		})
-		want = slices.CompactFunc(want, func(a, b graph.Edge) bool { return a.U == b.U && a.V == b.V })
-		if !slices.Equal(got.Remaining, want) {
-			t.Fatalf("filter=%v: Remaining has %d edges, the sort-based reduction %d (or they differ)",
-				filter, len(got.Remaining), len(want))
+			var want []graph.Edge
+			for _, e := range edges {
+				if e.U, e.V = relabel(e.U), relabel(e.V); e.U != e.V {
+					want = append(want, e)
+				}
+			}
+			slices.SortFunc(want, func(a, b graph.Edge) int {
+				if graph.LessLex(a, b) {
+					return -1
+				}
+				return 1
+			})
+			want = slices.CompactFunc(want, func(a, b graph.Edge) bool { return a.U == b.U && a.V == b.V })
+			if !slices.Equal(got.Remaining, want) {
+				t.Fatalf("%d edges, filter=%v: Remaining has %d edges, the sort-based reduction %d (or they differ)",
+					len(edges), filter, len(got.Remaining), len(want))
+			}
 		}
 	}
 }

@@ -201,10 +201,12 @@ func pinnedInstances(t *testing.T) []pinnedInstance {
 }
 
 // pinnedWant was recorded on the commit before localmst moved to dense ids
-// (PR 16's parent, db2de6d): one row per instance × Filter. The thread
-// count does not change a result, so each row is asserted for 1 and 4. The
-// gnm rows were re-recorded when GNM became a block-cell generator: its
-// instance moved, Run did not.
+// (db2de6d), at a filter threshold of 200 edges: one row per instance ×
+// Filter. The gnm rows were re-recorded when GNM became a block-cell
+// generator: its instance moved, Run did not. At the fixed threshold of
+// filterAbove edges the two filter=true rows below it (gnm/owner-modulo,
+// messy/mod3) no longer split and equal their filter=false rows; every
+// other row held.
 var pinnedWant = map[string]pinned{
 	"rgg2d/pe0/filter=false":        {Work: 12437, Rounds: 6, MST: 631, MSTWeight: 0x335b, MSTHash: 0xa868097474027958, Rem: 426, RemHash: 0xe5d4217585edf87e, LabelHash: 0xdd4858eb0638289a},
 	"rgg2d/pe0/filter=true":         {Work: 8383, Rounds: 7, MST: 631, MSTWeight: 0x335b, MSTHash: 0xa868097474027958, Rem: 426, RemHash: 0xe5d4217585edf87e, LabelHash: 0xdd4858eb0638289a},
@@ -231,9 +233,9 @@ var pinnedWant = map[string]pinned{
 	"grid2d/pe5/filter=false":       {Work: 8213, Rounds: 6, MST: 1344, MSTWeight: 0x16882, MSTHash: 0x39cd777e4832dd12, Rem: 150, RemHash: 0xe4829788a4abcced, LabelHash: 0x99e6f7d62473156b},
 	"grid2d/pe5/filter=true":        {Work: 5802, Rounds: 9, MST: 1344, MSTWeight: 0x16882, MSTHash: 0x64c77c0e608c17dd, Rem: 150, RemHash: 0xe4829788a4abcced, LabelHash: 0x99e6f7d62473156b},
 	"gnm/owner-modulo/filter=false": {Work: 4780, Rounds: 3, MST: 54, MSTWeight: 0x3fa, MSTHash: 0x9d947427279db7e0, Rem: 3921, RemHash: 0x35c0e3b6232feb32, LabelHash: 0x9d1dfd28183e4dc0},
-	"gnm/owner-modulo/filter=true":  {Work: 6368, Rounds: 4, MST: 54, MSTWeight: 0x3fa, MSTHash: 0x9d947427279db7e0, Rem: 3921, RemHash: 0x35c0e3b6232feb32, LabelHash: 0x9d1dfd28183e4dc0},
+	"gnm/owner-modulo/filter=true":  {Work: 4780, Rounds: 3, MST: 54, MSTWeight: 0x3fa, MSTHash: 0x9d947427279db7e0, Rem: 3921, RemHash: 0x35c0e3b6232feb32, LabelHash: 0x9d1dfd28183e4dc0},
 	"messy/mod3/filter=false":       {Work: 3570, Rounds: 3, MST: 105, MSTWeight: 0x862, MSTHash: 0xf8d5d4e1973341b7, Rem: 2156, RemHash: 0x55b5766e4e535e2c, LabelHash: 0x6675389dcd85e5fa},
-	"messy/mod3/filter=true":        {Work: 4353, Rounds: 4, MST: 105, MSTWeight: 0x862, MSTHash: 0xf8d5d4e1973341b7, Rem: 2156, RemHash: 0x55b5766e4e535e2c, LabelHash: 0x6675389dcd85e5fa},
+	"messy/mod3/filter=true":        {Work: 3570, Rounds: 3, MST: 105, MSTWeight: 0x862, MSTHash: 0xf8d5d4e1973341b7, Rem: 2156, RemHash: 0x55b5766e4e535e2c, LabelHash: 0x6675389dcd85e5fa},
 	"random/all-local/filter=false": {Work: 19817, Rounds: 6, MST: 1499, MSTWeight: 0x949e, MSTHash: 0xd1b30cb8c813033f, Rem: 0, RemHash: 0xcbf29ce484222325, LabelHash: 0xe82b12b8c2d669c6},
 	"random/all-local/filter=true":  {Work: 10286, Rounds: 8, MST: 1499, MSTWeight: 0x949e, MSTHash: 0x783e88fcc2a1d2ca, Rem: 0, RemHash: 0xcbf29ce484222325, LabelHash: 0xe82b12b8c2d669c6},
 }
@@ -248,7 +250,7 @@ func TestRunResultsPinned(t *testing.T) {
 			key := fmt.Sprintf("%s/filter=%v", in.name, filter)
 			want, ok := pinnedWant[key]
 			seen++
-			got := fingerprint(Run(in.edges, in.isLocal, Config{Filter: filter, FilterThreshold: 200}))
+			got := fingerprint(Run(in.edges, in.isLocal, Config{Filter: filter}))
 			if !ok {
 				t.Errorf("no pinned row; recorded:\n\t%q: %#v,", key, got)
 			} else if got != want {
@@ -269,7 +271,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	for _, filter := range []bool{false, true} {
 		for _, m := range []int{2000, 40000} {
 			edges := randomEdges(m/4, m, 31)
-			cfg := Config{Scratch: arena.New(), Filter: filter, FilterThreshold: 500}
+			cfg := Config{Scratch: arena.New(), Filter: filter}
 			Run(edges, isLocal, cfg) // warm the arena
 			if n := testing.AllocsPerRun(5, func() { Run(edges, isLocal, cfg) }); n != 0 {
 				t.Errorf("filter=%v: %v allocations per warm Run at %d edges, want 0", filter, n, m)

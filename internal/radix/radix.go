@@ -9,8 +9,8 @@
 // (U, V) endpoints and leaves (W, TB, ID) to the comparator). The sort is
 // performed on (key, index) pairs — 16 bytes moved per pass instead of the
 // full element — followed by one gather of the elements into the
-// destination (SortInto: a buffer of the caller's; the in-place entry points
-// gather into scratch and copy back), and counting passes whose byte is
+// destination (SortInto: a buffer of the caller's; Sort gathers into a
+// fresh buffer and copies back), and counting passes whose byte is
 // constant across all keys are skipped entirely, so narrow key distributions
 // (a 14-bit vertex range, a 8-bit weight) pay only for the bytes that vary.
 package radix
@@ -33,24 +33,16 @@ type KV struct {
 const insertionMax = 32
 
 // Sort sorts data by key (ties finished with less), allocating its own
-// scratch. For hot paths with recycled buffers use SortScratch or SortInto.
+// scratch: the into-kernel with a fresh destination, plus the copy back.
+// Like SortInto it refuses 2^32 elements or more. Hot paths with recycled
+// buffers use SortInto.
 func Sort[T any](data []T, key func(T) uint64, less func(a, b T) bool) {
 	n := len(data)
 	if n < 2 {
 		return
 	}
-	if uint64(n) >= 1<<32 { // indices are uint32
-		slices.SortFunc(data, CmpOf(less))
-		return
-	}
-	SortScratch(data, key, less, make([]KV, n), make([]KV, n), make([]T, n))
-}
-
-// SortScratch sorts data in place using the caller's scratch buffers: the
-// into-kernel with perm as its destination, plus the copy back. pairs, tmp
-// and perm must each have length len(data); their contents are overwritten.
-func SortScratch[T any](data []T, key func(T) uint64, less func(a, b T) bool, pairs, tmp []KV, perm []T) {
-	if SortInto(perm, data, key, less, pairs, tmp) {
+	perm := make([]T, n)
+	if SortInto(perm, data, key, less, make([]KV, n), make([]KV, n)) {
 		copy(data, perm)
 	}
 }
@@ -159,7 +151,7 @@ func finishRun[T any](run []T, less func(a, b T) bool) {
 }
 
 // CmpOf adapts a strict order to the slices.SortFunc contract — the shared
-// comparator bridge for every keyless fallback path.
+// comparator bridge for every comparison sort.
 func CmpOf[T any](less func(a, b T) bool) func(a, b T) int {
 	return func(a, b T) int {
 		switch {

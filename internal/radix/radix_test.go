@@ -82,10 +82,10 @@ func TestSortFullWidthKeys(t *testing.T) {
 	}
 }
 
-func TestSortScratchReuse(t *testing.T) {
+func TestSortIntoReusesScratch(t *testing.T) {
 	pairs := make([]KV, 100)
 	tmp := make([]KV, 100)
-	perm := make([]int, 100)
+	dst := make([]int, 100)
 	r := rand.New(rand.NewSource(4))
 	for round := 0; round < 5; round++ {
 		data := make([]int, 100)
@@ -94,18 +94,18 @@ func TestSortScratchReuse(t *testing.T) {
 		}
 		want := slices.Clone(data)
 		sort.Ints(want)
-		SortScratch(data, intKey, intLess, pairs, tmp, perm)
-		checkInts(t, data, want)
+		SortInto(dst, data, intKey, intLess, pairs, tmp)
+		checkInts(t, dst, want)
 	}
 }
 
-func TestSortScratchLengthMismatchPanics(t *testing.T) {
+func TestSortIntoLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on scratch length mismatch")
 		}
 	}()
-	SortScratch([]int{3, 1, 2}, intKey, intLess, make([]KV, 2), make([]KV, 3), make([]int, 3))
+	SortInto(make([]int, 3), []int{3, 1, 2}, intKey, intLess, make([]KV, 2), make([]KV, 3))
 }
 
 func TestSortStableWithinEqualKeysBeforeFinish(t *testing.T) {

@@ -42,7 +42,7 @@ const (
 // memory. A mismatch is a typed handshake error, never a silent corruption.
 const (
 	protoMagic   uint32 = 0x4b4d5450 // "KMTP"
-	protoVersion uint32 = 8
+	protoVersion uint32 = 9
 	endianProbe  uint64 = 0x0102030405060708
 )
 

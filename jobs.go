@@ -9,6 +9,7 @@ import (
 	"kamsta/internal/comm"
 	"kamsta/internal/core"
 	"kamsta/internal/graph"
+	"kamsta/internal/seqmst"
 )
 
 // This file defines the jobs a Machine runs, once for both sides of the
@@ -20,9 +21,8 @@ import (
 
 // Job kinds a leader dispatches.
 const (
-	jobMSF     = "msf"     // one MSF computation
-	jobCollect = "collect" // gather canonical edges to rank 0 (sequential path)
-	jobProbe   = "probe"   // post-fault health probe (one tiny Allreduce)
+	jobMSF   = "msf"   // one MSF computation
+	jobProbe = "probe" // post-fault health probe (one tiny Allreduce)
 )
 
 // jobKind is one entry of the kind table.
@@ -34,9 +34,8 @@ type jobKind struct {
 }
 
 var jobKinds = map[string]jobKind{
-	jobMSF:     {needsSource: true, body: (*job).msf},
-	jobCollect: {needsSource: true, body: (*job).collect},
-	jobProbe:   {body: (*job).probe},
+	jobMSF:   {needsSource: true, body: (*job).msf},
+	jobProbe: {body: (*job).probe},
 }
 
 // job is one process's state of one running job: its inputs and what the
@@ -48,14 +47,13 @@ type job struct {
 	w   *comm.World
 
 	// shares[r] is rank r's share of the MSF (msf; each local rank writes
-	// its own entry, core.Result.MSTEdges: it lies in the rank's arena and
-	// is read — by Machine.run or jobEndOf — before the next job starts).
+	// its own entry, core.Result.MSTEdges: it may lie in the rank's arena,
+	// so it is read — by Machine.run or jobEndOf — before the next job
+	// starts).
 	shares [][]graph.Edge
-	// Rank 0 only: the algorithm's summary (msf), the canonical edges
-	// (collect), the Allreduce sum (probe).
-	rep       Report
-	collected []InputEdge
-	probeSum  int
+	// Rank 0 only: the algorithm's summary (msf), the Allreduce sum (probe).
+	rep      Report
+	probeSum int
 	// inputErr, rank 0 only, is the input error every rank left the program
 	// early on: Source.provide returns the same error on every PE, so the
 	// world agrees on it without a collective and no rank is left behind.
@@ -81,12 +79,13 @@ func runKind(ctx context.Context, w *comm.World, kind string, src Source, rs run
 	return j, w.RunJobCfg(ctx, cfg, func(c *comm.Comm) { k.body(j, c) })
 }
 
-// msfAlgorithms maps each distributed algorithm to its SPMD entry point.
+// msfAlgorithms maps each algorithm to its SPMD entry point.
 var msfAlgorithms = map[Algorithm]func(*comm.Comm, []graph.Edge, *graph.Layout, core.Options) core.Result{
 	AlgBoruvka:       core.Boruvka,
 	AlgFilterBoruvka: core.FilterBoruvka,
 	AlgMNDMST:        baseline(baselines.MNDMST),
 	AlgSparseMatrix:  baseline(baselines.SparseMatrix),
+	AlgKruskal:       kruskal,
 }
 
 // baseline adapts a competitor to the paper algorithms' signature: the
@@ -96,6 +95,39 @@ func baseline(f func(*comm.Comm, []graph.Edge, *graph.Layout) baselines.Result) 
 		r := f(c, edges, layout)
 		return core.Result{MSTEdges: r.MSTEdges, TotalWeight: r.TotalWeight, NumEdges: r.NumEdges, Rounds: r.Rounds}
 	}
+}
+
+// kruskal is the sequential reference: every PE sends its whole chunk to
+// rank 0 (one all-to-all frame with everything in bucket 0), and rank 0
+// runs seqmst.Kruskal on the canonical (U < V) copies and returns the whole
+// forest as its share. It charges no compute: its modeled time is the
+// gather's.
+func kruskal(c *comm.Comm, edges []graph.Edge, _ *graph.Layout, _ core.Options) core.Result {
+	off := make([]int32, c.P()+1)
+	for i := 1; i < len(off); i++ {
+		off[i] = int32(len(edges))
+	}
+	recv := comm.Alltoall(c, edges, off)
+	if c.Rank() != 0 {
+		return core.Result{}
+	}
+	// What arrived is readable only until the next collective: copy it out.
+	n := 0
+	for _, chunk := range recv {
+		n += len(chunk)
+	}
+	canon := make([]graph.Edge, 0, n/2)
+	maxV := graph.VID(0)
+	for _, chunk := range recv {
+		for _, e := range chunk {
+			if e.U < e.V {
+				canon = append(canon, e)
+				maxV = max(maxV, e.V)
+			}
+		}
+	}
+	res := seqmst.Kruskal(int(maxV), canon)
+	return core.Result{MSTEdges: res.Edges, TotalWeight: res.TotalWeight, NumEdges: len(res.Edges)}
 }
 
 // msf is one MSF computation: materialize the source, measure the
@@ -136,26 +168,6 @@ func (j *job) msf(c *comm.Comm) {
 			TotalWeight: r.TotalWeight, NumEdges: r.NumEdges,
 			Rounds: r.Rounds, BaseCalls: r.BaseCalls,
 			InputVertices: nv, InputEdges: ne, InputModeledSeconds: iclk,
-		}
-	}
-}
-
-// collect materializes a source and gathers the canonical (U < V)
-// undirected edges to rank 0, for the sequential reference path.
-func (j *job) collect(c *comm.Comm) {
-	edges, _, err := j.src.provide(c, j.rs)
-	if err != nil {
-		if c.Rank() == 0 {
-			j.inputErr = err
-		}
-		return
-	}
-	all := comm.AllgatherConcat(c, edges)
-	if c.Rank() == 0 {
-		for _, e := range all {
-			if e.U < e.V {
-				j.collected = append(j.collected, InputEdge{U: e.U, V: e.V, W: e.W})
-			}
 		}
 	}
 }

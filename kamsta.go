@@ -33,13 +33,10 @@
 package kamsta
 
 import (
-	"time"
-
 	"kamsta/internal/comm"
 	"kamsta/internal/gen"
 	"kamsta/internal/graph"
 	"kamsta/internal/radix"
-	"kamsta/internal/seqmst"
 )
 
 // Algorithm selects the MST algorithm.
@@ -57,7 +54,9 @@ const (
 	// AlgSparseMatrix is the Awerbuch–Shiloach sparse-matrix competitor
 	// baseline.
 	AlgSparseMatrix Algorithm = "sparseMatrix"
-	// AlgKruskal computes the MSF sequentially (ground truth; ignores PEs).
+	// AlgKruskal is the sequential reference (the ground truth): every PE
+	// sends its input to PE 0, which runs Kruskal's algorithm. Its modeled
+	// time is the gather's; the sequential computation is not charged.
 	AlgKruskal Algorithm = "kruskal"
 )
 
@@ -105,9 +104,6 @@ func canonicalEdgeLess(a, b InputEdge) bool {
 // mstKey is the report order's radix key: the endpoints (labels are below
 // 2^32), canonicalEdgeLess finishing equal (U, V) runs by weight.
 func mstKey(e InputEdge) uint64 { return e.U<<32 | e.V }
-
-// sortMSTEdges puts a Report's forest into the canonical order.
-func sortMSTEdges(es []InputEdge) { radix.Sort(es, mstKey, canonicalEdgeLess) }
 
 // reportScratch is a Machine's memory for putting a forest into report
 // order: the canonical entries and the radix sort's pairs. Only the job
@@ -166,46 +162,10 @@ type Report struct {
 	// per phase, the traffic charged during it (PhaseTime.Stats: messages,
 	// bytes and collectives, excluding nested phases, summed over PEs).
 	Phases map[string]comm.PhaseTime
-	// Stats aggregates communication traffic over all PEs. For AlgKruskal
-	// jobs whose input is materialized through the machine (specs, files),
-	// it covers the materialization and the gather of edges to rank 0; for
-	// AlgKruskal on FromEdges no simulated machine runs at all and Stats is
-	// zero — there was genuinely no substrate traffic.
+	// Stats aggregates the algorithm's communication traffic over all PEs;
+	// for AlgKruskal that is the gather of the input to PE 0.
 	Stats comm.Stats
 	// Rounds and BaseCalls report algorithm structure when available.
 	Rounds    int
 	BaseCalls int
-}
-
-// sequentialReport runs the Kruskal reference.
-func sequentialReport(edges []InputEdge) *Report {
-	work := make([]graph.Edge, 0, len(edges))
-	maxV := graph.VID(0)
-	verts := map[uint64]struct{}{}
-	for _, e := range edges {
-		work = append(work, graph.NewEdge(e.U, e.V, e.W))
-		if e.U > maxV {
-			maxV = e.U
-		}
-		if e.V > maxV {
-			maxV = e.V
-		}
-		verts[e.U] = struct{}{}
-		verts[e.V] = struct{}{}
-	}
-	start := time.Now()
-	res := seqmst.Kruskal(int(maxV), work)
-	rep := &Report{
-		TotalWeight:   res.TotalWeight,
-		NumEdges:      len(res.Edges),
-		InputVertices: len(verts),
-		InputEdges:    2 * len(edges),
-		WallSeconds:   time.Since(start).Seconds(),
-	}
-	for _, e := range res.Edges {
-		u, v := e.OrigPair()
-		rep.MSTEdges = append(rep.MSTEdges, InputEdge{U: u, V: v, W: e.W})
-	}
-	sortMSTEdges(rep.MSTEdges)
-	return rep
 }

@@ -99,6 +99,10 @@ func randomCanonicalEdges(r *rand.Rand, n int, span uint64) []InputEdge {
 	return es
 }
 
+// sortMSTEdges puts a forest into report order by radix sort with the
+// Report's own key: the report tests' reference sort.
+func sortMSTEdges(es []InputEdge) { radix.Sort(es, mstKey, canonicalEdgeLess) }
+
 // TestSortMSTEdgesMatchesComparator: the radix sort puts a forest in the
 // order the comparator sort gives, with weight breaking equal (U, V), exact
 // duplicates, labels up to 2^32 − 1 and the smallest inputs.
@@ -124,19 +128,6 @@ func TestSortMSTEdgesMatchesComparator(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("case %d (%d edges): radix order differs from the comparator's", i, len(es))
 		}
-	}
-}
-
-// BenchmarkSortMSTEdges: the end-of-job sort of a Report's forest, 2^17
-// canonical edges with random labels (the copy into the sorted slice is
-// inside the timing).
-func BenchmarkSortMSTEdges(b *testing.B) {
-	es := randomCanonicalEdges(rand.New(rand.NewPCG(3, 4)), 1<<17, 1<<20)
-	buf := make([]InputEdge, len(es))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, es)
-		sortMSTEdges(buf)
 	}
 }
 
@@ -199,21 +190,39 @@ func TestModeledTimeExcludesGeneration(t *testing.T) {
 	}
 }
 
+// TestSequentialMatchesDistributedOnUserEdges: the Kruskal reference and
+// Filter-Borůvka report the same forest and the same instance on user edges
+// with parallel copies (of equal and of different weights) and tied
+// weights, in shared memory and over loopback TCP.
 func TestSequentialMatchesDistributedOnUserEdges(t *testing.T) {
-	// A small deterministic graph through both paths.
 	var edges []InputEdge
 	for i := uint64(1); i < 60; i++ {
 		edges = append(edges, InputEdge{U: i, V: i + 1, W: uint32(i*7%13 + 1)})
 		if i%3 == 0 {
 			edges = append(edges, InputEdge{U: i, V: i + 2, W: uint32(i*5%17 + 1)})
 		}
+		if i%4 == 0 {
+			edges = append(edges, InputEdge{U: i + 1, V: i, W: uint32(i*7%13 + 1)}, InputEdge{U: i, V: i + 1, W: 3})
+		}
+		if i%5 == 0 {
+			edges = append(edges, InputEdge{U: i, V: i + 3, W: 2}, InputEdge{U: i + 3, V: i, W: 2})
+		}
 	}
-	m := newTestMachine(t, MachineConfig{PEs: 5})
-	seq := mustCompute(t, m, FromEdges(edges), WithAlgorithm(AlgKruskal))
-	dist := mustCompute(t, m, FromEdges(edges), WithAlgorithm(AlgFilterBoruvka))
-	if seq.TotalWeight != dist.TotalWeight || seq.NumEdges != dist.NumEdges {
-		t.Fatalf("sequential (%d,%d) vs distributed (%d,%d)",
-			seq.TotalWeight, seq.NumEdges, dist.TotalWeight, dist.NumEdges)
+	for name, m := range map[string]*Machine{
+		"shm": newTestMachine(t, MachineConfig{PEs: 5}),
+		"tcp": tcpMachine(t, 5, 2),
+	} {
+		seq := mustCompute(t, m, FromEdges(edges), WithAlgorithm(AlgKruskal))
+		dist := mustCompute(t, m, FromEdges(edges), WithAlgorithm(AlgFilterBoruvka))
+		if seq.TotalWeight != dist.TotalWeight || seq.NumEdges != dist.NumEdges ||
+			seq.InputVertices != dist.InputVertices || seq.InputEdges != dist.InputEdges {
+			t.Errorf("%s: sequential weight %d, %d edges, input %d/%d; distributed %d, %d edges, input %d/%d", name,
+				seq.TotalWeight, seq.NumEdges, seq.InputVertices, seq.InputEdges,
+				dist.TotalWeight, dist.NumEdges, dist.InputVertices, dist.InputEdges)
+		}
+		if !slices.Equal(seq.MSTEdges, dist.MSTEdges) {
+			t.Errorf("%s: forests differ:\nsequential  %v\ndistributed %v", name, seq.MSTEdges, dist.MSTEdges)
+		}
 	}
 }
 

@@ -285,7 +285,7 @@ func (m *Machine) Compute(ctx context.Context, src Source, opts ...RunOption) (r
 			o(&rs)
 		}
 	}
-	if !validAlgorithm(rs.alg) {
+	if _, ok := msfAlgorithms[rs.alg]; !ok {
 		return nil, fmt.Errorf("kamsta: unknown algorithm %q", rs.alg)
 	}
 	if src == nil {
@@ -478,27 +478,6 @@ func (m *Machine) probeWorld() bool {
 // run executes one Compute on the machine's current world. The caller holds
 // the job slot.
 func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report, error) {
-	if rs.alg == AlgKruskal {
-		if es, ok := src.(edgesSource); ok {
-			// No world is involved: the edges are already in memory, so the
-			// report's Stats and InputModeledSeconds are legitimately zero
-			// (no substrate traffic occurred; see Report.Stats).
-			return sequentialReport(es.edges), nil
-		}
-		rs.obs = nil // no algorithm phases to observe on this path
-		j, err := m.runJob(ctx, jobCollect, src, rs)
-		if err != nil {
-			return nil, err
-		}
-		rep := sequentialReport(j.collected)
-		// The substrate DID run for this job — materializing the source and
-		// gathering the canonical edges to rank 0 — so report that traffic
-		// and modeled time instead of a silent zero.
-		rep.Stats = j.w.TotalStats()
-		rep.InputModeledSeconds = j.w.MaxClock()
-		return rep, nil
-	}
-
 	start := time.Now()
 	j, err := m.runJob(ctx, jobMSF, src, rs)
 	if err != nil {

@@ -127,9 +127,9 @@ func TestTCPGoldenBits(t *testing.T) {
 	}
 }
 
-// TestTCPMachineReuse runs several jobs — including the sequential-reference
-// path, which dispatches a collect job — on one distributed machine, pinning
-// the job-control stream synchronization between jobs.
+// TestTCPMachineReuse runs several jobs — the sequential reference among
+// them — on one distributed machine, pinning the job-control stream
+// synchronization between jobs.
 func TestTCPMachineReuse(t *testing.T) {
 	m := tcpMachine(t, 4, 1)
 	spec := GraphSpec{Family: GNM, N: 1 << 8, M: 1 << 10, Seed: 3}

@@ -149,9 +149,9 @@ func ParseAlgorithmList(s string) ([]Algorithm, error) {
 	return out, nil
 }
 
-// DistributedAlgorithms lists the algorithms that run on the simulated
-// machine — Algorithms() minus the sequential reference. It is the default
-// sweep set of the benchmarking and verification commands.
+// DistributedAlgorithms lists the distributed algorithms — Algorithms()
+// minus the sequential reference. It is the default sweep set of the
+// benchmarking and verification commands.
 func DistributedAlgorithms() []Algorithm {
 	out := make([]Algorithm, 0, len(Algorithms())-1)
 	for _, a := range Algorithms() {
@@ -160,11 +160,4 @@ func DistributedAlgorithms() []Algorithm {
 		}
 	}
 	return out
-}
-
-// validAlgorithm reports whether a job can run a: the sequential reference
-// or an entry of the MSF body's algorithm table.
-func validAlgorithm(a Algorithm) bool {
-	_, distributed := msfAlgorithms[a]
-	return distributed || a == AlgKruskal
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // sharesInReportOrder is what reportFromShares must return: every share
-// entry in canonical orientation, sorted by the comparator.
+// entry in canonical orientation, in report order.
 func sharesInReportOrder(shares [][]graph.Edge) []InputEdge {
 	var want []InputEdge
 	for _, sh := range shares {
@@ -22,7 +22,7 @@ func sharesInReportOrder(shares [][]graph.Edge) []InputEdge {
 			want = append(want, InputEdge{U: u, V: v, W: e.W})
 		}
 	}
-	slices.SortFunc(want, radix.CmpOf(canonicalEdgeLess))
+	sortMSTEdges(want)
 	return want
 }
 
