@@ -540,9 +540,9 @@ func log2Ceil(n int) int {
 
 // opTag identifies which collective (and, where needed, which internal
 // round of it) a deposit belongs to: the low byte is the opcode, the rest an
-// opcode-specific argument. Tags used to be strings; a word-sized tag keeps
-// the SPMD divergence check off the allocator (the butterfly rounds of
-// AllreduceVec previously fmt.Sprintf'd a fresh tag per round per PE).
+// opcode-specific argument. A word-sized tag keeps the SPMD divergence check
+// off the allocator, even where a collective names each of its rounds (the
+// butterfly rounds of AllreduceVec).
 type opTag uint32
 
 const (

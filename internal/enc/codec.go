@@ -25,14 +25,20 @@ package enc
 //     found the first time the collective runs — while malformed BYTES always
 //     surface as typed errors, never panics.
 //
+// The TCP transport's own frames are codec values too (see
+// internal/transport/tcp): the handshake, the slot heads and the REPLY's
+// verdict are POD.
+//
 // Audit of what leaves the POD case today: string (graphio.shareErr), the
 // two METIS stage structs (Err string + POD), dsort's sampleSet{Items []T},
-// the job-control frames wireJobSpec and wireJobEnd, and comm's
-// *a2aFrame[T]; every other deposit is POD or []POD. Explicit per-type
+// the job-control frames wireJobSpec and wireJobEnd, comm's *a2aFrame[T],
+// and the transport's STEP head (epoch plus transport.Flags, whose faults
+// carry strings); every other value is POD or []POD. Explicit per-type
 // codecs for these would need a registration hook through the generic
 // collectives, so the walker stays and serves exactly these shapes.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sync"
@@ -148,14 +154,15 @@ func encValue(dst []byte, rv reflect.Value) []byte {
 		}
 		return append(dst, 0)
 	case reflect.String:
-		return AppendString(dst, rv.String())
+		dst = binary.AppendUvarint(dst, uint64(rv.Len()))
+		return append(dst, rv.String()...)
 	case reflect.Slice:
 		if rv.IsNil() {
 			return append(dst, 0)
 		}
 		dst = append(dst, 1)
 		n := rv.Len()
-		dst = AppendUvarint(dst, uint64(n))
+		dst = binary.AppendUvarint(dst, uint64(n))
 		if et := rt.Elem(); rawPOD(et) {
 			return append(dst, podBytes(rv.UnsafePointer(), n, et)...)
 		}
@@ -189,6 +196,15 @@ func decFlag(b []byte, what string) (bool, []byte, error) {
 	return b[0] == 1, b[1:], nil
 }
 
+// decCount reads the uvarint length that prefixes strings and slices.
+func decCount(b []byte) (uint64, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
+	}
+	return n, b[k:], nil
+}
+
 // decValue decodes one value into the addressable rv, returning the
 // remaining bytes. Malformed input is a typed error; counts are checked
 // against the remaining byte budget before any allocation, so a corrupt
@@ -209,25 +225,25 @@ func decValue(b []byte, rv reflect.Value) ([]byte, error) {
 		rv.SetBool(set)
 		return rest, err
 	case reflect.String:
-		r := NewReader(b)
-		s := r.String()
-		if err := r.Err(); err != nil {
+		n, b, err := decCount(b)
+		if err != nil {
 			return nil, err
 		}
-		rv.SetString(s)
-		return b[len(b)-r.Len():], nil
+		if n > uint64(len(b)) {
+			return nil, fmt.Errorf("%w: %d-byte string in %d bytes", ErrOversized, n, len(b))
+		}
+		rv.SetString(string(b[:n]))
+		return b[n:], nil
 	case reflect.Slice:
 		set, b, err := decFlag(b, "slice")
 		if err != nil || !set {
 			rv.SetZero()
 			return b, err
 		}
-		r := NewReader(b)
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
+		n, b, err := decCount(b)
+		if err != nil {
 			return nil, err
 		}
-		b = b[len(b)-r.Len():]
 		// Elements occupy their size (POD) or at least one byte (walked).
 		et := rt.Elem()
 		pod, per := rawPOD(et), uint64(1)

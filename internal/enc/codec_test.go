@@ -2,6 +2,7 @@ package enc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -130,15 +131,15 @@ func TestCodecPODNestedIsTopLevel(t *testing.T) {
 	if len(top) != 16 {
 		t.Fatalf("top-level podEdge is %d bytes, want its 16-byte memory image", len(top))
 	}
-	want := AppendString(nil, "x")
+	want := []byte{1, 'x'} // uvarint length, then the string's bytes
 	want = append(want, top...)
-	want = AppendU32(want, 0xfffffffe) // int32(-2): 4 raw bytes
+	want = binary.LittleEndian.AppendUint32(want, 0xfffffffe) // int32(-2): 4 raw bytes
 	got := CodecFor[outer]().Append(nil, outer{Name: "x", Pod: e, N: -2})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("nested POD:\n got %x\nwant %x", got, want)
 	}
 	// The []POD layout: non-nil flag, uvarint count, the elements' memory.
-	want = append(AppendUvarint([]byte{1}, 2), top...)
+	want = append([]byte{1, 2}, top...)
 	want = append(want, top...)
 	if got := CodecFor[[]podEdge]().Append(nil, []podEdge{e, e}); !bytes.Equal(got, want) {
 		t.Fatalf("[]POD:\n got %x\nwant %x", got, want)
@@ -213,7 +214,7 @@ func TestCodecDecodeMalformed(t *testing.T) {
 	}
 	// A corrupt element count must be rejected before allocation.
 	b := []byte{1} // non-nil slice
-	b = AppendUvarint(b, 1<<40)
+	b = binary.AppendUvarint(b, 1<<40)
 	_, _, err := CodecFor[[]float64]().Decode(b)
 	if !errors.Is(err, ErrOversized) {
 		t.Fatalf("huge count: %v", err)
@@ -221,6 +222,16 @@ func TestCodecDecodeMalformed(t *testing.T) {
 	_, _, err = CodecFor[[]string]().Decode(b)
 	if !errors.Is(err, ErrOversized) {
 		t.Fatalf("huge count (walker): %v", err)
+	}
+}
+
+// TestCodecStringOversized: a string length beyond the remaining bytes is
+// refused before the string is built.
+func TestCodecStringOversized(t *testing.T) {
+	b := binary.AppendUvarint(nil, 1000) // declares 1000 bytes, supplies 2
+	b = append(b, 1, 2)
+	if _, _, err := CodecFor[string]().Decode(b); !errors.Is(err, ErrOversized) {
+		t.Fatalf("got %v, want ErrOversized", err)
 	}
 }
 

@@ -3,17 +3,15 @@ package enc
 // Wire framing for the transport layer (see internal/transport/tcp): every
 // message between a leader and a worker process is one length-prefixed frame
 // — a 4-byte little-endian payload length, a 1-byte frame kind, and the
-// payload. Payloads are built with the append-style primitives below and
-// decoded with the sticky-error Reader, so malformed input surfaces as a
-// typed error (ErrTruncated, ErrOversized, ErrCorrupt) instead of a panic or
-// an out-of-range slice.
+// payload. Every payload is a sequence of Codec encodings (codec.go), so
+// malformed input surfaces as a typed error (ErrTruncated, ErrOversized,
+// ErrCorrupt) instead of a panic or an out-of-range slice.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 // MaxFrameSize bounds one frame's payload. It is far above anything the
@@ -93,142 +91,3 @@ func ReadFrame(r io.Reader, buf []byte) (kind uint8, payload []byte, err error) 
 	}
 	return kind, payload, nil
 }
-
-// Append-style payload builders. All little-endian, fixed width unless named
-// otherwise; AppendBytes/AppendString carry a uvarint length prefix.
-
-// AppendU8 appends one byte.
-func AppendU8(b []byte, v uint8) []byte { return append(b, v) }
-
-// AppendU32 appends v little-endian.
-func AppendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-// AppendU64 appends v little-endian.
-func AppendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-// AppendI64 appends v as its two's-complement little-endian bits.
-func AppendI64(b []byte, v int64) []byte { return AppendU64(b, uint64(v)) }
-
-// AppendF64 appends v's IEEE-754 bits little-endian — bit-exact round trip,
-// which the modeled-clock parity between transports depends on.
-func AppendF64(b []byte, v float64) []byte { return AppendU64(b, math.Float64bits(v)) }
-
-// AppendUvarint appends v in the standard varint encoding.
-func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-// AppendBytes appends a uvarint length prefix and the bytes.
-func AppendBytes(b []byte, v []byte) []byte {
-	b = AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
-// AppendString appends a uvarint length prefix and the string bytes.
-func AppendString(b []byte, v string) []byte {
-	b = AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
-// Reader decodes a frame payload with a sticky error: the first malformed
-// field latches Err and every later read returns a zero value, so decoders
-// read a whole layout linearly and check Err once at the end.
-type Reader struct {
-	b   []byte
-	err error
-}
-
-// NewReader wraps a payload for decoding.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
-
-// Err returns the first decode error, or nil.
-func (r *Reader) Err() error { return r.err }
-
-// Len reports the bytes not yet consumed.
-func (r *Reader) Len() int { return len(r.b) }
-
-// fail latches the reader's first error.
-func (r *Reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
-func (r *Reader) take(n int, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b) {
-		r.fail(fmt.Errorf("%w: %s needs %d bytes, %d left", ErrTruncated, what, n, len(r.b)))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1, "u8")
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4, "u32")
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8, "u64")
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 reads a little-endian two's-complement int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// F64 reads IEEE-754 bits little-endian.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Uvarint reads a standard varint.
-func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(fmt.Errorf("%w: bad uvarint", ErrCorrupt))
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// Bytes reads a uvarint length prefix and returns a view of that many bytes
-// (valid as long as the underlying payload buffer).
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(fmt.Errorf("%w: %d-byte field in %d-byte remainder", ErrOversized, n, len(r.b)))
-		return nil
-	}
-	return r.take(int(n), "bytes")
-}
-
-// String reads a uvarint length prefix and that many bytes as a string.
-func (r *Reader) String() string { return string(r.Bytes()) }

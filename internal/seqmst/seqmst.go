@@ -16,13 +16,11 @@ import (
 	"kamsta/internal/unionfind"
 )
 
-// Result is a minimum spanning forest: its edges (sorted canonically), its
-// total weight, and the number of connected components of the input
-// (isolated vertices not counted — only vertices incident to input edges).
+// Result is a minimum spanning forest: its edges (sorted canonically) and
+// its total weight.
 type Result struct {
 	Edges       []graph.Edge
 	TotalWeight uint64
-	Components  int
 }
 
 // sortCanonical puts MSF edges into a deterministic order for comparison.
@@ -38,37 +36,6 @@ func sortCanonical(edges []graph.Edge) {
 	})
 }
 
-func finish(n int, picked []graph.Edge, uf *unionfind.UF, touched []bool) Result {
-	total := uint64(0)
-	for _, e := range picked {
-		total += uint64(e.W)
-	}
-	sortCanonical(picked)
-	comps := 0
-	seen := map[int]bool{}
-	for v := 1; v <= n; v++ {
-		if !touched[v] {
-			continue
-		}
-		r := uf.Find(v)
-		if !seen[r] {
-			seen[r] = true
-			comps++
-		}
-	}
-	return Result{Edges: picked, TotalWeight: total, Components: comps}
-}
-
-// markTouched flags every vertex incident to an edge.
-func markTouched(n int, edges []graph.Edge) []bool {
-	touched := make([]bool, n+1)
-	for _, e := range edges {
-		touched[e.U] = true
-		touched[e.V] = true
-	}
-	return touched
-}
-
 // UndirectedFromDirected keeps one canonical copy (U < V) of every logical
 // edge from a symmetric directed edge list, dropping self-loops.
 func UndirectedFromDirected(directed []graph.Edge) []graph.Edge {
@@ -82,20 +49,21 @@ func UndirectedFromDirected(directed []graph.Edge) []graph.Edge {
 }
 
 // Kruskal computes the MSF of the undirected edges over vertices 1..n by
-// sorting all edges and growing a forest with union-find.
+// sorting all edges and growing a forest with union-find. It leaves edges
+// as it was: callers reuse their input after it.
 func Kruskal(n int, edges []graph.Edge) Result {
-	sorted := make([]graph.Edge, len(edges))
-	copy(sorted, edges)
-	radix.Sort(sorted, graph.KeyWeight, graph.LessWeight)
+	m := len(edges)
+	sorted := make([]graph.Edge, m)
+	radix.SortInto(sorted, edges, graph.KeyWeight, graph.LessWeight, make([]radix.KV, m), make([]radix.KV, m))
 	uf := unionfind.New(n + 1)
 	var picked []graph.Edge
+	var total uint64
 	for _, e := range sorted {
-		if e.U == e.V {
-			continue
-		}
-		if uf.Union(int(e.U), int(e.V)) {
+		if uf.Union(int(e.U), int(e.V)) { // false on a self-loop
 			picked = append(picked, e)
+			total += uint64(e.W)
 		}
 	}
-	return finish(n, picked, uf, markTouched(n, edges))
+	sortCanonical(picked)
+	return Result{Edges: picked, TotalWeight: total}
 }

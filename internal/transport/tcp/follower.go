@@ -8,21 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kamsta/internal/enc"
 	"kamsta/internal/obs"
 	"kamsta/internal/transport"
 	"kamsta/internal/transport/shm"
 )
-
-// Handshake is the world geometry and cost model a worker learns from the
-// leader's HELLO; the worker builds its comm.World from it.
-type Handshake struct {
-	P, Lo, Hi int
-	Threads   int
-	Alpha     float64
-	Beta      float64
-	Compute   float64
-}
 
 // Follower is a worker process's side of a distributed world: it hosts
 // ranks [Lo, Hi) on the embedded shared-memory substrate and completes
@@ -54,24 +43,19 @@ func AcceptFollower(conn net.Conn, reg *obs.Registry) (*Follower, Handshake, err
 	if kind != kHello {
 		return nil, Handshake{}, fmt.Errorf("%w: frame kind %d, want HELLO", ErrProtocol, kind)
 	}
-	h, err := parseHello(payload, wordSize)
+	h, err := parseHello(payload)
+	// Answer with this side's own preamble even when refusing, so the
+	// leader can name what differs.
+	if werr := lk.writeFrame(kWelcome, preambleCodec.Append(nil, ours), handshakeTimeout); err == nil {
+		err = werr
+	}
 	if err != nil {
-		// Best-effort: answer with this side's own magic, version and probe
-		// before hanging up, so the leader can name what differs.
-		_ = lk.writeFrame(kWelcome, appendWelcome(nil), handshakeTimeout)
 		return nil, Handshake{}, err
 	}
-	if err := lk.writeFrame(kWelcome, appendWelcome(nil), handshakeTimeout); err != nil {
-		return nil, Handshake{}, err
-	}
-	lk.lo, lk.hi = h.lo, h.hi
+	lk.lo, lk.hi = h.Lo, h.Hi
 	f := &Follower{lk: lk}
-	f.Substrate = shm.NewSubstrate(h.p, h.lo, h.hi, f.netSync)
-	return f, Handshake{
-		P: h.p, Lo: h.lo, Hi: h.hi,
-		Threads: h.threads,
-		Alpha:   h.alpha, Beta: h.beta, Compute: h.compute,
-	}, nil
+	f.Substrate = shm.NewSubstrate(h.P, h.Lo, h.Hi, f.netSync)
+	return f, h, nil
 }
 
 // SetIOTimeout bounds every subsequent superstep read and write; the
@@ -91,10 +75,8 @@ func (f *Follower) Failed() bool { return f.failed.Load() }
 
 // netSync is the embedded substrate's completion hook: ship the local
 // block and control flags as one STEP frame, then apply the leader's
-// REPLY — verdict plus every slot outside the local block. A short REPLY
-// (verdict only) carries a leader-side abort; the board's remote slots are
-// then stale, which an abort superstep never reads. Any wire failure
-// becomes a TransportFault and an abort slot.
+// REPLY — verdict plus every slot outside the local block (parseReply).
+// Any wire failure becomes a TransportFault and an abort slot.
 func (f *Follower) netSync(epoch uint64, board []transport.Deposit, h transport.Host) (slot transport.Slot) {
 	if f.failed.Load() {
 		return transport.Slot{Verdict: transport.VerdictAbort}
@@ -108,9 +90,7 @@ func (f *Follower) netSync(epoch uint64, board []transport.Deposit, h transport.
 	}()
 
 	lo, hi := f.Local()
-	buf := f.frameBuf[:0]
-	buf = enc.AppendU64(buf, epoch)
-	buf = appendFlags(buf, h.Flags())
+	buf := stepCodec.Append(f.frameBuf[:0], stepHead{Epoch: epoch, Flags: h.Flags()})
 	for r := lo; r < hi; r++ {
 		buf = appendSlot(buf, &board[r])
 	}
@@ -126,30 +106,11 @@ func (f *Follower) netSync(epoch uint64, board []transport.Deposit, h transport.
 	if kind != kReply {
 		return f.fault(h, fmt.Errorf("%w: frame kind %d, want REPLY", ErrProtocol, kind))
 	}
-	r := enc.NewReader(payload)
-	verdict := r.U8()
-	if err := r.Err(); err != nil {
+	// The local block's deposits all carry this superstep's codec (or none,
+	// on valueless supersteps — remote values then stay nil).
+	verdict, err := parseReply(payload, board, lo, hi, board[lo].Codec)
+	if err != nil {
 		return f.fault(h, fmt.Errorf("tcp: REPLY: %w", err))
-	}
-	if r.Len() > 0 {
-		// The local block's deposits all carry this superstep's codec (or
-		// none, on valueless supersteps — remote values then stay nil).
-		cd := board[lo].Codec
-		for rank := 0; rank < f.P(); rank++ {
-			if rank >= lo && rank < hi {
-				continue
-			}
-			d := &board[rank]
-			d.Val, d.Codec = nil, nil
-			if _, _, err := readSlot(r, d, cd); err != nil {
-				return f.fault(h, fmt.Errorf("tcp: REPLY rank %d: %w", rank, err))
-			}
-		}
-		if r.Len() != 0 {
-			return f.fault(h, fmt.Errorf("%w: %d bytes after REPLY", enc.ErrCorrupt, r.Len()))
-		}
-	} else if verdict != transport.VerdictAbort {
-		return f.fault(h, fmt.Errorf("%w: slotless REPLY with verdict %d", ErrProtocol, verdict))
 	}
 	return h.CompleteWith(board, verdict)
 }

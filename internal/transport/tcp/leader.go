@@ -71,7 +71,7 @@ type link struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	rbuf   []byte // ReadFrame reuse buffer
-	seg    []byte // this worker's relayed slot segment for the current superstep
+	seg    []byte // view of this worker's slots in its last STEP, for relay
 
 	// dead is atomic because Close may be called from a shutdown goroutine
 	// while the superstep goroutine is inside readFrame/writeFrame; all
@@ -244,13 +244,12 @@ func (l *Leader) dial(addr string, lo, hi int, cfg LeaderConfig) (*link, error) 
 	}
 	lk := newLink(conn, addr, cfg.Reg)
 	lk.lo, lk.hi = lo, hi
-	h := hello{
-		p: cfg.P, lo: lo, hi: hi,
-		threads: cfg.Threads,
-		alpha:   cfg.Alpha, beta: cfg.Beta, compute: cfg.Compute,
-		wordSize: wordSize,
-	}
-	if err := lk.writeFrame(kHello, appendHello(nil, h), cfg.DialTimeout); err != nil {
+	h := hello{ours, wordSize, Handshake{
+		P: cfg.P, Lo: lo, Hi: hi,
+		Threads: cfg.Threads,
+		Alpha:   cfg.Alpha, Beta: cfg.Beta, Compute: cfg.Compute,
+	}}
+	if err := lk.writeFrame(kHello, helloCodec.Append(nil, h), cfg.DialTimeout); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -263,7 +262,7 @@ func (l *Leader) dial(addr string, lo, hi int, cfg LeaderConfig) (*link, error) 
 		conn.Close()
 		return nil, fmt.Errorf("%w: frame kind %d from %s, want WELCOME", ErrProtocol, kind, addr)
 	}
-	if err := checkWelcome(payload); err != nil {
+	if err := checkPreamble(payload); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%s: %w", addr, err)
 	}
@@ -333,7 +332,7 @@ func (l *Leader) netSync(epoch uint64, board []transport.Deposit, h transport.Ho
 	}
 	for _, lk := range l.links {
 		buf := l.frameBuf[:0]
-		buf = enc.AppendU8(buf, slot.Verdict)
+		buf = verdictCodec.Append(buf, slot.Verdict)
 		buf = append(buf, l.leaderSeg...)
 		for _, other := range l.links {
 			if other != lk {
@@ -352,9 +351,9 @@ func (l *Leader) netSync(epoch uint64, board []transport.Deposit, h transport.Ho
 }
 
 // readStep reads one worker's STEP frame: epoch check, flag/fault union,
-// and the worker's rank block decoded into the board. The still-encoded
-// payload bytes are re-framed into lk.seg so other workers' REPLYs can
-// relay them without re-encoding.
+// and the worker's rank block decoded into the board. lk.seg keeps the
+// frame's slot section as a view, valid until lk's next read, so the other
+// workers' REPLYs relay it without re-encoding.
 func (l *Leader) readStep(lk *link, epoch uint64, board []transport.Deposit, cd *enc.Codec, remote *transport.Flags) error {
 	kind, payload, err := lk.readFrame(l.timeout())
 	if err != nil {
@@ -363,35 +362,17 @@ func (l *Leader) readStep(lk *link, epoch uint64, board []transport.Deposit, cd 
 	if kind != kStep {
 		return fmt.Errorf("%w: frame kind %d from %s, want STEP", ErrProtocol, kind, lk.addr)
 	}
-	r := enc.NewReader(payload)
-	e := r.U64()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("tcp: STEP from %s: %w", lk.addr, err)
-	}
-	if e != epoch {
-		return fmt.Errorf("%w: STEP epoch %d from %s at superstep %d", ErrProtocol, e, lk.addr, epoch)
-	}
-	fl, err := readFlags(r)
+	head, slots, err := parseStep(payload, board, lk.lo, lk.hi, cd)
 	if err != nil {
 		return fmt.Errorf("tcp: STEP from %s: %w", lk.addr, err)
 	}
-	remote.Cancel = remote.Cancel || fl.Cancel
-	remote.Abort = remote.Abort || fl.Abort
-	remote.Faults = append(remote.Faults, fl.Faults...)
-
-	lk.seg = lk.seg[:0]
-	for rank := lk.lo; rank < lk.hi; rank++ {
-		d := &board[rank]
-		d.Val, d.Codec = nil, nil // clear the slot's stale same-parity value
-		raw, present, err := readSlot(r, d, cd)
-		if err != nil {
-			return fmt.Errorf("tcp: STEP rank %d from %s: %w", rank, lk.addr, err)
-		}
-		lk.seg = appendRawSlot(lk.seg, d, raw, present)
+	if head.Epoch != epoch {
+		return fmt.Errorf("%w: STEP epoch %d from %s at superstep %d", ErrProtocol, head.Epoch, lk.addr, epoch)
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d bytes after STEP from %s", enc.ErrCorrupt, r.Len(), lk.addr)
-	}
+	remote.Cancel = remote.Cancel || head.Flags.Cancel
+	remote.Abort = remote.Abort || head.Flags.Abort
+	remote.Faults = append(remote.Faults, head.Flags.Faults...)
+	lk.seg = slots
 	return nil
 }
 
@@ -402,7 +383,7 @@ func (l *Leader) readStep(lk *link, epoch uint64, board []transport.Deposit, cd 
 func (l *Leader) abortAll() {
 	for _, lk := range l.links {
 		if !lk.dead.Load() {
-			_ = lk.writeFrame(kReply, []byte{transport.VerdictAbort}, l.timeout())
+			_ = lk.writeFrame(kReply, verdictCodec.Append(nil, transport.VerdictAbort), l.timeout())
 		}
 	}
 }
@@ -457,9 +438,6 @@ func (l *Leader) FinishJob() ([][]byte, error) {
 // scratch buffers.
 func (l *Leader) Drop() {
 	l.Substrate.Drop()
-	for _, lk := range l.links {
-		lk.seg = nil
-	}
 	l.leaderSeg, l.frameBuf = nil, nil
 }
 

@@ -42,7 +42,7 @@ const (
 // memory. A mismatch is a typed handshake error, never a silent corruption.
 const (
 	protoMagic   uint32 = 0x4b4d5450 // "KMTP"
-	protoVersion uint32 = 9
+	protoVersion uint32 = 10
 	endianProbe  uint64 = 0x0102030405060708
 )
 
@@ -56,208 +56,199 @@ var (
 	ErrProtocol = errors.New("tcp: protocol violation")
 )
 
-// hello is the leader's per-connection opening frame: the world geometry
-// this worker must host and the cost model it must run.
+// preamble opens both handshake frames: a WELCOME is exactly this, and a
+// HELLO starts with it, so a peer on another protocol version still decodes
+// it and the error names both versions.
+type preamble struct {
+	Magic, Version uint32
+	Probe          uint64
+}
+
+// ours is this process's preamble.
+var ours = preamble{Magic: protoMagic, Version: protoVersion, Probe: endianProbe}
+
+// Handshake is the world geometry and cost model a worker learns from the
+// leader's HELLO; the worker builds its comm.World from it.
+type Handshake struct {
+	P, Lo, Hi int
+	Threads   int
+	Alpha     float64
+	Beta      float64
+	Compute   float64
+}
+
+// hello is the leader's per-connection opening frame: the world this worker
+// must host and the cost model it must run.
 type hello struct {
-	p, lo, hi int
-	threads   int
-	alpha     float64
-	beta      float64
-	compute   float64
-	wordSize  uint8
+	preamble
+	WordSize uint8
+	Handshake
 }
 
-func appendHello(b []byte, h hello) []byte {
-	b = enc.AppendU32(b, protoMagic)
-	b = enc.AppendU32(b, protoVersion)
-	b = enc.AppendU64(b, endianProbe)
-	b = enc.AppendU8(b, h.wordSize)
-	b = enc.AppendI64(b, int64(h.p))
-	b = enc.AppendI64(b, int64(h.lo))
-	b = enc.AppendI64(b, int64(h.hi))
-	b = enc.AppendI64(b, int64(h.threads))
-	b = enc.AppendF64(b, h.alpha)
-	b = enc.AppendF64(b, h.beta)
-	b = enc.AppendF64(b, h.compute)
-	return b
+// stepHead opens a STEP frame: the superstep and the worker's job-control
+// flags and not-yet-shipped faults.
+type stepHead struct {
+	Epoch uint64
+	Flags transport.Flags
 }
 
-func parseHello(payload []byte, wordSize uint8) (hello, error) {
-	r := enc.NewReader(payload)
-	magic, version, probe := r.U32(), r.U32(), r.U64()
-	ws := r.U8()
-	h := hello{wordSize: ws}
-	h.p = int(r.I64())
-	h.lo = int(r.I64())
-	h.hi = int(r.I64())
-	h.threads = int(r.I64())
-	h.alpha = r.F64()
-	h.beta = r.F64()
-	h.compute = r.F64()
-	if err := r.Err(); err != nil {
-		return hello{}, fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	if magic != protoMagic {
-		return hello{}, fmt.Errorf("%w: magic %#x", ErrHandshake, magic)
-	}
-	if version != protoVersion {
-		return hello{}, fmt.Errorf("%w: version %d, want %d", ErrHandshake, version, protoVersion)
-	}
-	if probe != endianProbe || ws != wordSize {
-		return hello{}, fmt.Errorf("%w: byte order or word size differs (probe %#x, word %d)", ErrHandshake, probe, ws)
-	}
-	if h.p < 1 || h.lo < 0 || h.hi <= h.lo || h.hi > h.p {
-		return hello{}, fmt.Errorf("%w: rank block [%d,%d) of %d", ErrHandshake, h.lo, h.hi, h.p)
-	}
-	return h, nil
+// slotHead precedes each rank's deposit in STEP and REPLY frames: the
+// deposit's tag and clock, and the length of the value's codec encoding that
+// follows it (-1: no value).
+type slotHead struct {
+	Tag   uint32
+	Len   int32
+	Clock float64
 }
 
-func appendWelcome(b []byte) []byte {
-	b = enc.AppendU32(b, protoMagic)
-	b = enc.AppendU32(b, protoVersion)
-	b = enc.AppendU64(b, endianProbe)
-	return b
-}
+// Every frame payload is a sequence of these codecs' encodings. All but the
+// STEP head are POD, so their encoding is their memory image.
+var (
+	preambleCodec = enc.CodecFor[preamble]()
+	helloCodec    = enc.CodecFor[hello]()
+	stepCodec     = enc.CodecFor[stepHead]()
+	slotCodec     = enc.CodecFor[slotHead]()
+	verdictCodec  = enc.CodecFor[uint8]()
+)
 
-func checkWelcome(payload []byte) error {
-	r := enc.NewReader(payload)
-	magic, version, probe := r.U32(), r.U32(), r.U64()
-	if err := r.Err(); err != nil {
+// checkPreamble decodes the preamble a HELLO or WELCOME starts with and
+// names what differs from this process's.
+func checkPreamble(payload []byte) error {
+	v, _, err := preambleCodec.Decode(payload)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
-	switch {
-	case magic != protoMagic:
-		return fmt.Errorf("%w: welcome magic %#x", ErrHandshake, magic)
-	case version != protoVersion:
-		return fmt.Errorf("%w: version %d, want %d", ErrHandshake, version, protoVersion)
-	case probe != endianProbe:
-		return fmt.Errorf("%w: byte order or word size differs (welcome probe %#x)", ErrHandshake, probe)
+	switch p := v.(preamble); {
+	case p.Magic != protoMagic:
+		return fmt.Errorf("%w: magic %#x", ErrHandshake, p.Magic)
+	case p.Version != protoVersion:
+		return fmt.Errorf("%w: version %d, want %d", ErrHandshake, p.Version, protoVersion)
+	case p.Probe != endianProbe:
+		return fmt.Errorf("%w: byte order or word size differs (probe %#x)", ErrHandshake, p.Probe)
 	}
 	return nil
 }
 
-// Flag bits of a STEP frame.
-const (
-	flagCancel uint8 = 1 << 0
-	flagAbort  uint8 = 1 << 1
-)
+// parseHello checks a HELLO against this process and returns the world it
+// describes. Bytes after the hello are ignored: the frame length bounds the
+// payload.
+func parseHello(payload []byte) (Handshake, error) {
+	if err := checkPreamble(payload); err != nil {
+		return Handshake{}, err
+	}
+	v, _, err := helloCodec.Decode(payload)
+	if err != nil {
+		return Handshake{}, fmt.Errorf("%w: %v", ErrHandshake, err)
+	}
+	h := v.(hello)
+	if h.WordSize != wordSize {
+		return Handshake{}, fmt.Errorf("%w: byte order or word size differs (word %d)", ErrHandshake, h.WordSize)
+	}
+	if hs := h.Handshake; hs.P < 1 || hs.Lo < 0 || hs.Hi <= hs.Lo || hs.Hi > hs.P {
+		return Handshake{}, fmt.Errorf("%w: rank block [%d,%d) of %d", ErrHandshake, hs.Lo, hs.Hi, hs.P)
+	}
+	return h.Handshake, nil
+}
 
-// appendFlags encodes the control half of a STEP frame: flag bits and the
-// not-yet-shipped faults.
-func appendFlags(b []byte, fl transport.Flags) []byte {
-	var bits uint8
-	if fl.Cancel {
-		bits |= flagCancel
+// appendSlot appends one rank's deposit: its slotHead, then, when the slot
+// has a value and a codec, the value's encoding. A nil codec or nil value
+// (barriers, drains) travels as Len -1 and decodes back to a nil Val.
+func appendSlot(b []byte, d *transport.Deposit) []byte {
+	head := slotHead{Tag: d.Tag, Len: -1, Clock: d.Clock}
+	at := len(b)
+	b = slotCodec.Append(b, head)
+	if d.Codec == nil || d.Val == nil {
+		return b
 	}
-	if fl.Abort {
-		bits |= flagAbort
-	}
-	b = enc.AppendU8(b, bits)
-	b = enc.AppendUvarint(b, uint64(len(fl.Faults)))
-	for i := range fl.Faults {
-		f := &fl.Faults[i]
-		b = enc.AppendU8(b, f.Kind)
-		b = enc.AppendU32(b, uint32(f.Rank))
-		b = enc.AppendU32(b, uint32(f.Superstep))
-		b = enc.AppendU32(b, uint32(f.Round))
-		b = enc.AppendString(b, f.Phase)
-		b = enc.AppendString(b, f.Panic)
-		b = enc.AppendString(b, f.Stack)
-	}
+	start := len(b)
+	b = d.Codec.Append(b, d.Val)
+	head.Len = int32(len(b) - start)
+	slotCodec.Append(b[at:at], head) // rewrites the head where it lies
 	return b
 }
 
-func readFlags(r *enc.Reader) (transport.Flags, error) {
-	var fl transport.Flags
-	bits := r.U8()
-	fl.Cancel = bits&flagCancel != 0
-	fl.Abort = bits&flagAbort != 0
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return fl, err
-	}
-	if n > uint64(r.Len()) { // each fault occupies well over one byte
-		return fl, fmt.Errorf("%w: %d faults in %d bytes", enc.ErrOversized, n, r.Len())
-	}
-	for i := uint64(0); i < n; i++ {
-		var f transport.RemoteFault
-		f.Kind = r.U8()
-		f.Rank = int32(r.U32())
-		f.Superstep = int32(r.U32())
-		f.Round = int32(r.U32())
-		f.Phase = r.String()
-		f.Panic = r.String()
-		f.Stack = r.String()
-		if err := r.Err(); err != nil {
-			return fl, err
+// readSlots decodes the slots of ranks [lo, hi) from b into board and
+// returns the bytes after them. Values are decoded with cd, the receiver's
+// codec for the current superstep; if cd is nil (the receiver deposited no
+// codec: a drain or a valueless collective) the value bytes are skipped and
+// Val stays nil, which is safe because such supersteps never read values.
+func readSlots(b []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec) ([]byte, error) {
+	for rank := lo; rank < hi; rank++ {
+		v, rest, err := slotCodec.Decode(b)
+		if err != nil {
+			return nil, fmt.Errorf("rank %d: %w", rank, err)
 		}
-		fl.Faults = append(fl.Faults, f)
+		h := v.(slotHead)
+		board[rank] = transport.Deposit{Tag: h.Tag, Clock: h.Clock}
+		if h.Len == -1 {
+			b = rest
+			continue
+		}
+		if h.Len < 0 {
+			return nil, fmt.Errorf("%w: rank %d: value length %d", enc.ErrCorrupt, rank, h.Len)
+		}
+		if int(h.Len) > len(rest) {
+			return nil, fmt.Errorf("%w: rank %d: %d-byte value in %d bytes", enc.ErrTruncated, rank, h.Len, len(rest))
+		}
+		raw := rest[:h.Len]
+		b = rest[h.Len:]
+		if cd == nil {
+			continue
+		}
+		val, left, err := cd.Decode(raw)
+		if err != nil {
+			return nil, fmt.Errorf("rank %d: %w", rank, err)
+		}
+		if len(left) != 0 {
+			return nil, fmt.Errorf("%w: rank %d: %d bytes after %s value", enc.ErrCorrupt, rank, len(left), cd.Name())
+		}
+		board[rank].Val = val
 	}
-	return fl, nil
+	return b, nil
 }
 
-// appendSlot encodes one rank's deposit for the wire: tag, clock bits, a
-// presence flag, and — when the slot has a value and a codec — the
-// length-prefixed codec encoding. A nil codec or nil value (barriers,
-// drains) travels as absent and decodes back to a nil Val.
-func appendSlot(b []byte, d *transport.Deposit) []byte {
-	b = enc.AppendU32(b, d.Tag)
-	b = enc.AppendF64(b, d.Clock)
-	if d.Codec == nil || d.Val == nil {
-		return enc.AppendU8(b, 0)
-	}
-	b = enc.AppendU8(b, 1)
-	// Length prefix so a relaying process can forward the bytes without
-	// owning the codec.
-	val := d.Codec.Append(nil, d.Val)
-	return enc.AppendBytes(b, val)
-}
-
-// readSlot decodes one wire slot into d, returning the raw (still encoded)
-// payload view for relaying. Val is decoded with cd — the receiver's codec
-// for the current superstep; if cd is nil (the receiver deposited no codec:
-// a drain or a valueless collective) the payload is skipped and Val stays
-// nil, which is safe because such supersteps never read values.
-func readSlot(r *enc.Reader, d *transport.Deposit, cd *enc.Codec) (raw []byte, present bool, err error) {
-	d.Tag = r.U32()
-	d.Clock = r.F64()
-	pf := r.U8()
-	if err := r.Err(); err != nil {
-		return nil, false, err
-	}
-	switch pf {
-	case 0:
-		return nil, false, nil
-	case 1:
-	default:
-		return nil, false, fmt.Errorf("%w: slot presence flag %d", enc.ErrCorrupt, pf)
-	}
-	raw = r.Bytes()
-	if err := r.Err(); err != nil {
-		return nil, false, err
-	}
-	if cd == nil {
-		return raw, true, nil
-	}
-	v, rest, err := cd.Decode(raw)
+// parseStep decodes a STEP payload: its head, then the slots of ranks
+// [lo, hi) into board. It returns the head and the slot section, which the
+// leader relays to the other workers as it lies.
+func parseStep(payload []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec) (stepHead, []byte, error) {
+	v, slots, err := stepCodec.Decode(payload)
 	if err != nil {
-		return nil, false, err
+		return stepHead{}, nil, err
+	}
+	rest, err := readSlots(slots, board, lo, hi, cd)
+	if err != nil {
+		return stepHead{}, nil, err
 	}
 	if len(rest) != 0 {
-		return nil, false, fmt.Errorf("%w: %d bytes after %s payload", enc.ErrCorrupt, len(rest), cd.Name())
+		return stepHead{}, nil, fmt.Errorf("%w: %d bytes after the slots", enc.ErrCorrupt, len(rest))
 	}
-	d.Val = v
-	return raw, true, nil
+	return v.(stepHead), slots, nil
 }
 
-// appendRawSlot re-frames an already-encoded payload (a readSlot raw view)
-// for relay to another process, without owning the codec.
-func appendRawSlot(b []byte, d *transport.Deposit, raw []byte, present bool) []byte {
-	b = enc.AppendU32(b, d.Tag)
-	b = enc.AppendF64(b, d.Clock)
-	if !present {
-		return enc.AppendU8(b, 0)
+// parseReply decodes a REPLY payload: the verdict, then the slot of every
+// rank outside [lo, hi) into board. A REPLY of the verdict alone is the
+// leader's abort; the board's remote slots are then stale, which an abort
+// superstep never reads.
+func parseReply(payload []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec) (uint8, error) {
+	v, rest, err := verdictCodec.Decode(payload)
+	if err != nil {
+		return 0, err
 	}
-	b = enc.AppendU8(b, 1)
-	return enc.AppendBytes(b, raw)
+	verdict := v.(uint8)
+	if len(rest) == 0 {
+		if verdict != transport.VerdictAbort {
+			return 0, fmt.Errorf("%w: slotless REPLY with verdict %d", ErrProtocol, verdict)
+		}
+		return verdict, nil
+	}
+	if rest, err = readSlots(rest, board, 0, lo, cd); err == nil {
+		rest, err = readSlots(rest, board, hi, len(board), cd)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if len(rest) != 0 {
+		return 0, fmt.Errorf("%w: %d bytes after the slots", enc.ErrCorrupt, len(rest))
+	}
+	return verdict, nil
 }

@@ -336,11 +336,11 @@ func (m *Machine) Compute(ctx context.Context, src Source, opts ...RunOption) (r
 }
 
 // fifoSem is a 1-slot semaphore whose waiters are granted the slot in
-// strict arrival order. The previous implementation — a buffered channel
-// raced by every waiter's select — woke waiters in whatever order the
-// runtime picked, so under load a job could be overtaken arbitrarily often
-// and the queue-wait histogram measured scheduler luck, not queue depth.
-// Here release hands the slot directly to the oldest waiter.
+// strict arrival order: release hands the slot directly to the oldest
+// waiter. A buffered channel raced by every waiter's select would wake
+// waiters in whatever order the runtime picked, so under load a job could be
+// overtaken arbitrarily often and the queue-wait histogram would measure
+// scheduler luck, not queue depth.
 type fifoSem struct {
 	mu   sync.Mutex
 	held bool

@@ -1,18 +1,23 @@
 package kamsta
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+
+	"kamsta/internal/core"
 )
 
 // startTestWorker serves an in-process worker on a loopback listener and
 // returns its address. The worker is torn down (and waited for) when the
 // test ends.
-func startTestWorker(t *testing.T) string {
+func startTestWorker(t testing.TB, opts WorkerOptions) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -22,7 +27,7 @@ func startTestWorker(t *testing.T) string {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ServeWorker(ctx, lis, WorkerOptions{})
+		ServeWorker(ctx, lis, opts)
 	}()
 	t.Cleanup(func() {
 		cancel()
@@ -36,7 +41,7 @@ func tcpMachine(t *testing.T, pes, workers int) *Machine {
 	t.Helper()
 	addrs := make([]string, workers)
 	for i := range addrs {
-		addrs[i] = startTestWorker(t)
+		addrs[i] = startTestWorker(t, WorkerOptions{})
 	}
 	m, err := NewMachine(MachineConfig{PEs: pes, Transport: TransportTCP, Workers: addrs})
 	if err != nil {
@@ -159,7 +164,7 @@ func TestTCPMachineReuse(t *testing.T) {
 // TestTCPConcurrentWorkers pins that one worker process serves several
 // leaders at once: each connection gets its own world.
 func TestTCPConcurrentWorkers(t *testing.T) {
-	addr := startTestWorker(t)
+	addr := startTestWorker(t, WorkerOptions{})
 	spec := GraphSpec{Family: GNM, N: 1 << 8, M: 1 << 10, Seed: 5}
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
@@ -300,4 +305,46 @@ func (l *connCaptureListener) Accept() (net.Conn, error) {
 		}
 	}
 	return conn, err
+}
+
+// BenchmarkTCPJob runs gnm-boruvka's job (GNM, 2^15 vertices, 2^19 edges,
+// Borůvka) warm on 16 PEs, ranks 8-15 behind one in-process loopback
+// worker: what the wire costs per job in allocation (B/op, allocs/op) and
+// in frame payload bytes sent by leader and worker (wire-B/job, from
+// transport_tcp_bytes_total).
+func BenchmarkTCPJob(b *testing.B) {
+	reg := NewMetrics()
+	m, err := NewMachine(MachineConfig{PEs: 16, Threads: 1, Metrics: reg,
+		Transport: TransportTCP, Workers: []string{startTestWorker(b, WorkerOptions{Metrics: reg})}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	src := FromSpec(GraphSpec{Family: GNM, N: 1 << 15, M: 1 << 19, Seed: 1})
+	opts := []RunOption{WithAlgorithm(AlgBoruvka), WithCoreOptions(core.DefaultOptions())}
+	if _, err := m.Compute(context.Background(), src, opts...); err != nil {
+		b.Fatal(err)
+	}
+	sent := func() float64 {
+		var buf bytes.Buffer
+		_ = reg.WritePrometheus(&buf) // a bytes.Buffer cannot fail
+		total := 0.0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "transport_tcp_bytes_total{") && strings.Contains(line, `dir="tx"`) {
+				v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+				total += v
+			}
+		}
+		return total
+	}
+	before := sent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Compute(context.Background(), src, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric((sent()-before)/float64(b.N), "wire-B/job")
 }
