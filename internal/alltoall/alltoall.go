@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"kamsta/internal/arena"
 	"kamsta/internal/comm"
@@ -192,12 +193,16 @@ func direct[T any](c *comm.Comm, s Strategy, off []int32) bool {
 	case Auto:
 		p, r := c.P(), c.Rank()
 		local := int(off[p]-off[0]-(off[r+1]-off[r])) * sizeof.Of[T]()
-		total := comm.Allreduce(c, local, func(a, b int) int { return a + b })
+		total := comm.Allreduce(c, local, sum)
 		pairs := p * (p - 1)
 		return pairs == 0 || total/pairs >= DefaultGridThreshold
 	}
 	panic("alltoall: unknown strategy " + s.String())
 }
+
+// sum is direct's reduction: a func literal in a generic function would
+// carry the instantiation's dictionary, so each call would allocate it.
+func sum(a, b int) int { return a + b }
 
 // gridGeom captures the logical grid of §VI-A: c = ⌊√p⌋ columns and
 // r = ⌈p/c⌉ rows, PE i at (row i/c, column i mod c).
@@ -242,6 +247,58 @@ func (g gridGeom) colSize(k int) int {
 	return n
 }
 
+// gridKeys are the arena slots of one element type's grid exchanges.
+type gridKeys struct {
+	next   arena.Key // []nextHop[T]: one phase's hops in sending order
+	hops   arena.Key // []hop[T]: the same hops grouped by the PE they go to
+	table  arena.Key // [][]hop[T]: one phase's send table, views into hops
+	start  arena.Key // []int32: where each PE's group starts in hops
+	result arena.Key // [][]T: the result headers
+}
+
+// gridKeysByType maps each element type, as a nil *T, to its gridKeys.
+var gridKeysByType sync.Map
+
+func gridKeysFor[T any]() *gridKeys {
+	id := any((*T)(nil))
+	ks, ok := gridKeysByType.Load(id)
+	if !ok {
+		ks, _ = gridKeysByType.LoadOrStore(id, &gridKeys{arena.NewKey(), arena.NewKey(),
+			arena.NewKey(), arena.NewKey(), arena.NewKey()})
+	}
+	return ks.(*gridKeys)
+}
+
+// nextHop is a hop and the PE it goes to in this phase.
+type nextHop[T any] struct {
+	to int32
+	h  hop[T]
+}
+
+// hopTable groups one phase's hops by the PE they go to, keeping their
+// order within a group: the send table RawAlltoall takes, built with one
+// counting pass in the slots of ks.
+func hopTable[T any](c *comm.Comm, ks *gridKeys, next []nextHop[T]) [][]hop[T] {
+	p, a := c.P(), c.Scratch()
+	arena.Keep(a, ks.next, next)
+	start := arena.GrabZeroed[int32](a, ks.start, p+1)
+	for _, x := range next {
+		start[x.to+1]++
+	}
+	for d := 1; d <= p; d++ {
+		start[d] += start[d-1]
+	}
+	hops := arena.Grab[hop[T]](a, ks.hops, len(next))
+	table := arena.Grab[[]hop[T]](a, ks.table, p)
+	for d := range table {
+		table[d] = hops[start[d]:start[d]:start[d+1]]
+	}
+	for _, x := range next {
+		table[x.to] = append(table[x.to], x.h)
+	}
+	return table
+}
+
 // gridExchange implements the two-level indirect all-to-all. Phase 1 moves
 // every message to the intermediate in the sender's column; phase 2 moves
 // it to the final destination along the intermediate's row. Each phase is
@@ -249,10 +306,13 @@ func (g gridGeom) colSize(k int) int {
 // twice that of a direct exchange, which is exactly the trade the paper
 // makes. Only the hop headers travel through comm.RawAlltoall's staging: a
 // hop's Items is the sender's bucket itself, and the receiver's result slot
-// is that same slice.
+// is that same slice. The send tables and the result headers live in arena
+// slots of the element type (gridKeysFor), so a warm exchange allocates
+// nothing.
 func gridExchange[T any](c *comm.Comm, data []T, off []int32) [][]T {
 	p, rank := c.P(), c.Rank()
 	g := newGridGeom(p)
+	ks, a := gridKeysFor[T](), c.Scratch()
 	// route moves hops one physical round and charges it msgs startups plus
 	// the larger of the bytes leaving and entering this PE.
 	route := func(send [][]hop[T], msgs int) [][]hop[T] {
@@ -272,26 +332,27 @@ func gridExchange[T any](c *comm.Comm, data []T, off []int32) [][]T {
 	}
 
 	// Phase 1: sender → intermediate (within the sender's column).
-	send := make([][]hop[T], p)
+	next := arena.GrabAppend[nextHop[T]](a, ks.next)
 	for j := 0; j < p; j++ {
 		if b := data[off[j]:off[j+1]:off[j+1]]; len(b) > 0 {
-			t := g.intermediate(rank, j)
-			send[t] = append(send[t], hop[T]{Src: int32(rank), Dst: int32(j), Items: b})
+			next = append(next, nextHop[T]{int32(g.intermediate(rank, j)), hop[T]{Src: int32(rank), Dst: int32(j), Items: b}})
 		}
 	}
-	recv := route(send, g.colSize(g.col(rank))-1)
+	recv := route(hopTable(c, ks, next), g.colSize(g.col(rank))-1)
 
 	// Phase 2: intermediate → destination (within the intermediate's row,
 	// plus virtually appended members of an incomplete last row). Every
 	// source sends at most one hop here, so its Items is the result slot.
-	send = make([][]hop[T], p)
+	// RawAlltoall copied the phase-1 table into its staging, so the slots
+	// are free again.
+	next = arena.GrabAppend[nextHop[T]](a, ks.next)
 	for _, hs := range recv {
 		for _, h := range hs {
-			send[h.Dst] = append(send[h.Dst], h)
+			next = append(next, nextHop[T]{h.Dst, h})
 		}
 	}
-	result := make([][]T, p)
-	for _, hs := range route(send, g.c+1) {
+	result := arena.GrabZeroed[[]T](a, ks.result, p)
+	for _, hs := range route(hopTable(c, ks, next), g.c+1) {
 		for _, h := range hs {
 			result[h.Src] = h.Items
 		}

@@ -2,6 +2,7 @@ package alltoall
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -212,66 +213,87 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
-// TestWarmExchangesAllocateOnlyHeaders: once its slots are warm, an exchange
-// moves its data without allocating any. A builder exchange (scattered, so
-// both of its slots are used), a RawAlltoall and a PairExchange on a 4-PE
-// world allocate no more per call than the same exchange of empty payloads
-// does — the collective's header floor, measured on the same world — while a
-// copy of the data would cost 32 KiB per call or more.
-func TestWarmExchangesAllocateOnlyHeaders(t *testing.T) {
-	const p, per, calls, slack = 4, 1024, 50, 1 << 10
+// TestWarmCollectivesAllocateNothing: once a rank's slots are warm, a
+// collective allocates nothing — neither its bookkeeping (deposits, hop
+// tables, result headers, combine results) nor a copy of the data it moves.
+// Each exchange carries 1 Ki elements per destination, so a copy would cost
+// 8 KiB per call or more. A call's bytes are the difference between a run
+// of 2n calls and one of n, which leaves the run's own set-up out, at best
+// of three; the bound leaves room for the barrier's wake-up channel, which a
+// superstep makes when some PE had to park in it. It holds at p = 4 and at
+// p = 16: nothing grows with p.
+func TestWarmCollectivesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const per, calls, bound = 1024, 40, 512 // bound: bytes per warm call
 	k := NewSendKey()
-	buckets := make([][][]int, p) // per rank: one bucket of per elements per PE
-	for r := range buckets {
-		buckets[r] = make([][]int, p)
-		for d := range buckets[r] {
-			buckets[r][d] = make([]int, per)
-		}
-	}
-	ops := []struct {
-		name string
-		call func(c *comm.Comm, n int)
-	}{
-		{"builder", func(c *comm.Comm, n int) {
-			b := NewBuilder[int](c, k)
-			for d := p - 1; d >= 0; d-- {
-				for i := 0; i < n; i++ {
-					b.Add(d, i)
-				}
+	sum := func(a, b int) int { return a + b }
+	for _, p := range []int{4, 16} {
+		buckets := make([][][]int, p) // per rank: one bucket of per elements per PE
+		cat := make([][]int, p)       // per rank: AllgatherConcatInto's destination
+		for r := range buckets {
+			buckets[r] = make([][]int, p)
+			for d := range buckets[r] {
+				buckets[r][d] = make([]int, per)
 			}
-			b.Exchange(Direct)
-			comm.Barrier(c) // the frame's slots are the call site's again
-		}},
-		{"rawalltoall", func(c *comm.Comm, n int) {
-			send := buckets[c.Rank()]
-			for d := range send {
-				send[d] = send[d][:n]
-			}
-			comm.RawAlltoall(c, send)
-		}},
-		{"pairexchange", func(c *comm.Comm, n int) {
-			comm.PairExchange(c, c.Rank()^1, buckets[c.Rank()][0][:n])
-			comm.Barrier(c)
-		}},
-	}
-	for _, op := range ops {
-		w := comm.NewWorld(p)
-		bytesPerCall := func(n int) float64 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			w.Run(func(c *comm.Comm) {
-				for i := 0; i < calls; i++ {
-					op.call(c, n)
-				}
-			})
-			runtime.ReadMemStats(&after)
-			return float64(after.TotalAlloc-before.TotalAlloc) / calls
+			cat[r] = make([]int, 0, p*per)
 		}
-		bytesPerCall(per) // warm the slots and the staging
-		floor, loaded := bytesPerCall(0), bytesPerCall(per)
-		t.Logf("%s: %.0f bytes per warm call, %.0f with empty payloads", op.name, loaded, floor)
-		if loaded > floor+slack {
-			t.Errorf("%s: a warm call allocates %.0f bytes, the header floor %.0f", op.name, loaded, floor)
+		halves := [2][]int{} // GroupAllreduce's groups: the two halves of the world
+		for r := 0; r < p; r++ {
+			halves[2*r/p] = append(halves[2*r/p], r)
+		}
+		builder := func(s Strategy) func(c *comm.Comm) {
+			return func(c *comm.Comm) {
+				b := NewBuilder[int](c, k)
+				for d := p - 1; d >= 0; d-- { // scattered: both frame slots are used
+					b.Append(d, buckets[c.Rank()][d])
+				}
+				b.Exchange(s)
+				comm.Barrier(c) // the frame's slots are the call site's again
+			}
+		}
+		ops := []struct {
+			name string
+			call func(c *comm.Comm)
+		}{
+			{"builder/direct", builder(Direct)},
+			{"builder/grid", builder(Grid)},
+			{"rawalltoall", func(c *comm.Comm) { comm.RawAlltoall(c, buckets[c.Rank()]) }},
+			{"pairexchange", func(c *comm.Comm) {
+				comm.PairExchange(c, c.Rank()^1, buckets[c.Rank()][0])
+				comm.Barrier(c)
+			}},
+			{"allreduce", func(c *comm.Comm) { comm.Allreduce(c, c.Rank()+1000, sum) }},
+			{"allgather", func(c *comm.Comm) { comm.Allgather(c, c.Rank()+1000) }},
+			{"allgatherconcatinto", func(c *comm.Comm) {
+				comm.AllgatherConcatInto(c, cat[c.Rank()][:0], buckets[c.Rank()][0])
+			}},
+			{"groupallreduce", func(c *comm.Comm) { comm.GroupAllreduce(c, halves[2*c.Rank()/p], c.Rank()+1000, sum) }},
+			{"exscan", func(c *comm.Comm) { comm.ExScan(c, c.Rank()+1000, 0, sum) }},
+		}
+		for _, op := range ops {
+			w := comm.NewWorld(p)
+			run := func(n int) uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				w.Run(func(c *comm.Comm) {
+					for i := 0; i < n; i++ {
+						op.call(c)
+					}
+				})
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			run(calls) // warm the slots
+			perCall := math.Inf(1)
+			for range 3 {
+				perCall = min(perCall, (float64(run(2*calls))-float64(run(calls)))/calls)
+			}
+			t.Logf("p=%d %s: %.0f bytes per warm call", p, op.name, perCall)
+			if perCall > bound {
+				t.Errorf("p=%d %s: a warm call allocates %.0f bytes, want ≤ %d", p, op.name, perCall, bound)
+			}
 		}
 	}
 }

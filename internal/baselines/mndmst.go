@@ -56,8 +56,8 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout) Result {
 
 	// Vertex ownership after the reassignment: the first source vertex per
 	// PE, replicated; owner0(v) = last PE whose range starts at or below v.
-	// (Allgather of a plain value struct — copied into the board by
-	// boxing, so no ownership caveats apply.)
+	// Allgather's list is valid until this PE's next collective, and the
+	// merge hierarchy below runs many, so it is copied.
 	type bound struct {
 		Has   bool
 		First graph.VID
@@ -66,7 +66,7 @@ func MNDMST(c *comm.Comm, edges []graph.Edge, layout *graph.Layout) Result {
 	if len(mine) > 0 {
 		b = bound{Has: true, First: mine[0].U}
 	}
-	bounds := comm.Allgather(c, b)
+	bounds := slices.Clone(comm.Allgather(c, b))
 	owner0 := func(v graph.VID) int {
 		own := 0
 		for i := 0; i < p; i++ {

@@ -131,20 +131,10 @@ type World struct {
 	// arenas holds each rank's scratch arena. Owned by the world (not the
 	// per-job Comm) so the algorithms' per-round working memory survives
 	// across rounds AND across jobs on a persistent machine; see
-	// Comm.Scratch.
+	// Comm.Scratch. The collectives keep their per-type slots there too
+	// (slotsFor): reuse in the next job is safe because a job's readers
+	// finish before its close-out barrier.
 	arenas []*arena.Arena
-
-	// stages holds each rank's RawAlltoall staging frame (a *a2aFrame[T])
-	// per epoch parity. Reuse at epoch e+2 is safe for the same reason the
-	// boards are, and in the next job because a job's readers finish before
-	// its close-out barrier.
-	stages [][2]any
-
-	// arv holds each rank's AllreduceVec ping-pong vector (a *[]T): the
-	// butterfly's second buffer, never handed to the caller. Reuse in the
-	// next call is safe because every reader of its deposits is done once
-	// the call's closing unfold superstep has returned.
-	arv []any
 
 	// pools holds each local rank's intra-PE thread pool (the paper's t
 	// OpenMP threads per MPI process), built once from WithThreads; see
@@ -230,8 +220,6 @@ func NewWorld(p int, opts ...Option) *World {
 		clocks:  make([]float64, p),
 		arrived: make([]arrival, p),
 		arenas:  make([]*arena.Arena, p),
-		stages:  make([][2]any, p),
-		arv:     make([]any, p),
 		pools:   make([]*par.Pool, p),
 		rings:   make([]*obs.Ring, p),
 	}
@@ -395,7 +383,7 @@ type Comm struct {
 	// world's flag: collectives attach value codecs to deposits only when
 	// some rank is remote.
 	host    transport.Host
-	pending func(board []deposit) any
+	pending combiner
 	wire    bool
 
 	// obs receives phase/round events; set on rank 0 only (see newComm).
@@ -409,6 +397,13 @@ type Comm struct {
 	m          *rankMetrics
 	ring       *obs.Ring
 	traceEpoch time.Time
+}
+
+// combiner is a reducing collective's pre-release step: run once per
+// superstep, by whichever PE completes the barrier, over every deposit. Its
+// result lives in that PE's slots and is published as a pointer.
+type combiner interface {
+	combine(board []deposit) any
 }
 
 type phaseFrame struct {
@@ -715,53 +710,53 @@ func (c *Comm) runPending(board []deposit) (val any, ok bool) {
 			val, ok = nil, false
 		}
 	}()
-	return c.pending(board), true
+	return c.pending.combine(board), true
 }
 
 // exchange runs one collective superstep: it deposits (tag, val, clock) on
 // this PE's slot of the current epoch's board, waits for everyone at the
 // single arrival barrier (whose root-completer runs the pre-release combine
 // — see preRelease), synchronizes this PE's modeled clock to the combined
-// global maximum, and invokes read with the combined value and the full
-// board. The board is valid only during the call; exchange advances the
+// global maximum, and returns the full board and the combined value. The
+// board is valid only until this PE's next collective; exchange advances the
 // epoch so the next collective writes the other buffer, which is what makes
 // the missing departure barrier safe (no slot of this board is rewritten
-// before every PE has passed the NEXT barrier, and by then all reads below
+// before every PE has passed the NEXT barrier, and by then all reads of it
 // are done).
 //
-// Deposits that reference memory are read under the one ownership rule of
-// collectives.go — unless only the pre-release combine reads them, which
-// runs while all depositors are still blocked.
+// val is nil or a pointer into the depositing rank's slots (a *T, with cd
+// the codec of T when some rank is remote). Deposits that reference memory
+// are read under the one ownership rule of collectives.go — unless only the
+// pre-release combine reads them, which runs while all depositors are still
+// blocked.
 //
 // The tag check catches SPMD divergence bugs (different PEs calling
 // different collectives) immediately instead of deadlocking.
-func (c *Comm) exchange(tag opTag, val any, cd *enc.Codec, combine func(board []deposit) any, read func(res any, board []deposit)) {
-	board, slot := c.deposit(tag, val, cd, combine)
+func (c *Comm) exchange(tag opTag, val any, cd *enc.Codec, comb combiner) ([]deposit, any) {
+	board, slot := c.deposit(tag, val, cd, comb)
 	if slot.ClockMax > c.clock {
 		c.clock = slot.ClockMax
 	}
-	if read != nil {
-		read(slot.Val, board)
-	}
+	return board, slot.Val
 }
 
 // exchangeSubset is exchange for collectives that synchronize only a subset
 // of the world (pair exchanges, group reductions): it skips the global
-// clock synchronization and never combines; read inspects deposit clocks
-// itself.
-func (c *Comm) exchangeSubset(tag opTag, val any, cd *enc.Codec, read func(board []deposit)) {
+// clock synchronization and never combines; the caller inspects deposit
+// clocks itself.
+func (c *Comm) exchangeSubset(tag opTag, val any, cd *enc.Codec) []deposit {
 	board, _ := c.deposit(tag, val, cd, nil)
-	read(board)
+	return board
 }
 
 // deposit publishes (tag, val, clock) through the transport — which meets
 // the world at the barrier and returns the fully populated board plus the
 // combined slot — acts on the superstep's published verdict, checks SPMD
 // agreement and advances the epoch.
-func (c *Comm) deposit(tag opTag, val any, cd *enc.Codec, combine func(board []deposit) any) ([]deposit, transport.Slot) {
+func (c *Comm) deposit(tag opTag, val any, cd *enc.Codec, comb combiner) ([]deposit, transport.Slot) {
 	c.faultPoint(faultinject.SiteCollective)
 	w := c.w
-	c.pending = combine
+	c.pending = comb
 	dep := deposit{Tag: uint32(tag), Clock: c.clock, Val: val, Codec: cd}
 	// Wall-side instrumentation of the superstep: entry timestamp taken
 	// only when someone is looking, recorded after release. Never touches

@@ -90,9 +90,9 @@ func (o Options) baseThreshold(p int) int { return max(2*p, o.BaseCaseCap) }
 // first source to the last non-empty PE's last source (an empty PE's Last is
 // the zero edge), bounds n from above without communication.
 func (o Options) preprocess(l *graph.Layout) bool {
-	lo, hi := l.First[0].U, graph.VID(0)
-	for _, e := range l.Last {
-		hi = max(hi, e.U)
+	lo, hi := l.First(0).U, graph.VID(0)
+	for i := range l.P {
+		hi = max(hi, l.Last(i).U)
 	}
 	return !o.NoLocalPreprocessing && hi >= lo && hi-lo >= uint64(o.baseThreshold(l.P))
 }

@@ -116,6 +116,7 @@ type typeKeys struct {
 	hcLow     arena.Key        // []T: partition low side
 	hcHigh    arena.Key        // []T: partition high side
 	hcSamples arena.Key        // []T: pivot sample staging
+	hcMerged  arena.Key        // []T: the group's samples, merged and sorted
 	hcMembers arena.Key        // []int: subcube member ranks
 	rxPairs   arena.Key        // []radix.KV: radix (key, index) pairs
 	rxTmp     arena.Key        // []radix.KV: radix ping-pong buffer
@@ -141,7 +142,7 @@ func keysFor[T any]() *typeKeys {
 			mergeTree: arena.NewKey(), mergeKeys: arena.NewKey(), mergeRest: arena.NewKey(),
 			out: arena.NewKey(), rebSend: alltoall.NewSendKey(),
 			hcLocal: arena.NewKey(), hcLow: arena.NewKey(), hcHigh: arena.NewKey(),
-			hcSamples: arena.NewKey(), hcMembers: arena.NewKey(),
+			hcSamples: arena.NewKey(), hcMerged: arena.NewKey(), hcMembers: arena.NewKey(),
 			rxPairs: arena.NewKey(), rxTmp: arena.NewKey(),
 		}
 		keysByType[id] = ks
@@ -389,12 +390,19 @@ func hypercubeQuicksort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T
 		}
 		arena.Keep(a, ks.hcSamples, items)
 		mySamples := sampleSet{Items: items}
-		gathered := comm.GroupAllreduce(c, members, mySamples, func(a, b sampleSet) sampleSet {
-			merged := make([]T, 0, len(a.Items)+len(b.Items))
-			merged = append(merged, a.Items...)
-			merged = append(merged, b.Items...)
+		// The fold runs left to right over the members (GroupAllreduce), so
+		// x is the first member's set on the first call and the merge so far
+		// on every later one: the merge appends to its own slot, and only
+		// while it is still empty does x need copying in.
+		merged := arena.GrabAppend[T](a, ks.hcMerged)
+		gathered := comm.GroupAllreduce(c, members, mySamples, func(x, y sampleSet) sampleSet {
+			if len(merged) == 0 {
+				merged = append(merged, x.Items...)
+			}
+			merged = append(merged, y.Items...)
 			return sampleSet{Items: merged}
 		})
+		arena.Keep(a, ks.hcMerged, merged)
 		slices.SortFunc(gathered.Items, radix.CmpOf(less))
 
 		inLow := rank < base+half
@@ -498,8 +506,8 @@ func RebalanceInto[T any](c *comm.Comm, slot arena.Key, data []T) []T {
 		copy(out, data)
 		return out
 	}
-	before := comm.ExScan(c, len(data), 0, func(a, b int) int { return a + b })
-	total := comm.Allreduce(c, len(data), func(a, b int) int { return a + b })
+	before := comm.ExScan(c, len(data), 0, sum)
+	total := comm.Allreduce(c, len(data), sum)
 	if total == 0 {
 		return nil
 	}
@@ -574,16 +582,21 @@ func BoundariesSorted[T any](c *comm.Comm, data []T, okLocal bool, less func(a, 
 	}
 	all := comm.Allgather(c, b)
 	okGlobal := okLocal
-	var prev *T
+	var prev boundary[T] // the last non-empty PE's, Has false before it
 	for i := range all {
 		if !all[i].Has {
 			continue
 		}
-		if prev != nil && less(all[i].First, *prev) {
+		if prev.Has && less(all[i].First, prev.Last) {
 			okGlobal = false
 		}
-		last := all[i].Last
-		prev = &last
+		prev = all[i]
 	}
-	return comm.Allreduce(c, okGlobal, func(a, b bool) bool { return a && b })
+	return comm.Allreduce(c, okGlobal, both)
 }
+
+// sum and both are the reductions of the generic functions above: a func
+// literal there would carry the instantiation's dictionary, so each call
+// would allocate it.
+func sum(a, b int) int    { return a + b }
+func both(a, b bool) bool { return a && b }

@@ -46,22 +46,41 @@ import (
 )
 
 // Codec serializes one concrete value type for wire transport.
-type Codec struct{ rt reflect.Type }
+type Codec struct {
+	rt  reflect.Type
+	ptr reflect.Type // *rt: the in-place form Append reads and DecodeInto fills
+}
 
 // Name reports the codec's type name, for diagnostics.
 func (c *Codec) Name() string { return c.rt.String() }
 
-// Append encodes v (which must hold the codec's type) onto dst.
+// Append encodes v onto dst. v holds the codec's type T or points to one
+// (*T); either way the value is read where it lies.
 func (c *Codec) Append(dst []byte, v any) []byte {
-	// An addressable copy, so POD subtrees can be viewed as bytes.
-	rv := reflect.New(c.rt).Elem()
-	rv.Set(reflect.ValueOf(v))
-	return encValue(dst, rv)
+	return encValue(dst, c.view(v))
 }
 
-// Decode decodes one value from b, returning the value, the remaining
-// bytes, and a typed error (ErrTruncated/ErrOversized/ErrCorrupt) on
-// malformed input.
+// view returns a reflect.Value of the T that v holds or points to, read
+// where it lies: addressable, so POD subtrees can be viewed as bytes, except
+// for a pointer-shaped T, which the walker only follows.
+func (c *Codec) view(v any) reflect.Value {
+	rv := reflect.ValueOf(v)
+	switch rv.Type() {
+	case c.ptr:
+		return rv.Elem()
+	case c.rt:
+		if c.rt.Size() == unsafe.Sizeof(v)/2 && !isPOD(c.rt) {
+			return rv // a pointer, or a struct of one: its box is the pointer
+		}
+		// The interface's data word addresses the boxed copy.
+		return reflect.NewAt(c.rt, (*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1]).Elem()
+	}
+	panic(fmt.Sprintf("enc: %s codec given a %s", c.rt, rv.Type()))
+}
+
+// Decode decodes one value from b into a fresh T, returning it, the
+// remaining bytes, and a typed error (ErrTruncated/ErrOversized/ErrCorrupt)
+// on malformed input.
 func (c *Codec) Decode(b []byte) (any, []byte, error) {
 	rv := reflect.New(c.rt).Elem()
 	rest, err := decValue(b, rv)
@@ -70,6 +89,22 @@ func (c *Codec) Decode(b []byte) (any, []byte, error) {
 	}
 	return rv.Interface(), rest, nil
 }
+
+// DecodeInto decodes one value from b into *v, v being a *T, and returns the
+// remaining bytes. The slices and pointees already in *v are reused where
+// they have the room, so a receiver that decodes into the same target every
+// superstep allocates only while its values grow; on a typed error *v holds
+// a partial value.
+func (c *Codec) DecodeInto(b []byte, v any) ([]byte, error) {
+	rv := reflect.ValueOf(v)
+	if rv.Type() != c.ptr {
+		panic(fmt.Sprintf("enc: %s codec decoding into a %s", c.rt, rv.Type()))
+	}
+	return decValue(b, rv.Elem())
+}
+
+// New returns a pointer to a new zero T: a target for DecodeInto.
+func (c *Codec) New() any { return reflect.New(c.rt).Interface() }
 
 // CodecFor returns the cached codec for T, building it on first use. It
 // panics if T is not wire-encodable (chan, func, map, interface, non-POD
@@ -81,7 +116,7 @@ func CodecFor[T any]() *Codec {
 		return c.(*Codec)
 	}
 	validateWireType(rt, rt)
-	c, _ := codecCache.LoadOrStore(rt, &Codec{rt: rt})
+	c, _ := codecCache.LoadOrStore(rt, &Codec{rt: rt, ptr: reflect.PointerTo(rt)})
 	return c.(*Codec)
 }
 
@@ -145,6 +180,9 @@ func validateWireType(root, rt reflect.Type) {
 func encValue(dst []byte, rv reflect.Value) []byte {
 	rt := rv.Type()
 	if rawPOD(rt) {
+		if rt.Size() == 0 {
+			return dst // nothing to copy, and perhaps no address to copy from
+		}
 		return append(dst, podBytes(rv.Addr().UnsafePointer(), 1, rt)...)
 	}
 	switch rt.Kind() {
@@ -206,9 +244,10 @@ func decCount(b []byte) (uint64, []byte, error) {
 }
 
 // decValue decodes one value into the addressable rv, returning the
-// remaining bytes. Malformed input is a typed error; counts are checked
-// against the remaining byte budget before any allocation, so a corrupt
-// length cannot reserve unbounded memory.
+// remaining bytes. It writes every field of rv, reusing the room of the
+// slices and pointees rv already holds. Malformed input is a typed error;
+// counts are checked against the remaining byte budget before any
+// allocation, so a corrupt length cannot reserve unbounded memory.
 func decValue(b []byte, rv reflect.Value) ([]byte, error) {
 	rt := rv.Type()
 	if rawPOD(rt) {
@@ -253,17 +292,19 @@ func decValue(b []byte, rv reflect.Value) ([]byte, error) {
 		if per > 0 && n > uint64(len(b))/per {
 			return nil, fmt.Errorf("%w: %d %s elements in %d bytes", ErrOversized, n, et, len(b))
 		}
-		sl := reflect.MakeSlice(rt, int(n), int(n))
-		if pod {
-			b = b[copy(podBytes(sl.UnsafePointer(), int(n), et), b):]
+		if rv.IsNil() || rv.Cap() < int(n) {
+			rv.Set(reflect.MakeSlice(rt, int(n), int(n)))
 		} else {
-			for i := 0; i < int(n); i++ {
-				if b, err = decValue(b, sl.Index(i)); err != nil {
-					return nil, err
-				}
+			rv.SetLen(int(n)) // decoded in place: every element is rewritten
+		}
+		if pod {
+			return b[copy(podBytes(rv.UnsafePointer(), int(n), et), b):], nil
+		}
+		for i := 0; i < int(n); i++ {
+			if b, err = decValue(b, rv.Index(i)); err != nil {
+				return nil, err
 			}
 		}
-		rv.Set(sl)
 		return b, nil
 	case reflect.Pointer:
 		set, b, err := decFlag(b, "pointer")
@@ -271,9 +312,10 @@ func decValue(b []byte, rv reflect.Value) ([]byte, error) {
 			rv.SetZero()
 			return b, err
 		}
-		nv := reflect.New(rt.Elem())
-		rv.Set(nv)
-		return decValue(b, nv.Elem())
+		if rv.IsNil() {
+			rv.Set(reflect.New(rt.Elem()))
+		}
+		return decValue(b, rv.Elem())
 	case reflect.Struct:
 		var err error
 		for i := 0; i < rv.NumField(); i++ {

@@ -225,6 +225,60 @@ func TestCodecDecodeMalformed(t *testing.T) {
 	}
 }
 
+// TestCodecInPlace: a value and a pointer to it encode to the same bytes,
+// and decoding into a reused target yields exactly the new value — shorter
+// and longer slices, a nil slice after a full one, a nil pointer after a
+// set one — while a target with the room keeps its arrays. Neither side
+// allocates for a POD value or, once the target is warm, a []POD.
+func TestCodecInPlace(t *testing.T) {
+	n := int64(9)
+	vals := []walked{
+		{Name: "a", Vals: []float64{1, 2, 3}, Edges: []podEdge{{1, 2, 3}}, Ptr: &n, Flag: true},
+		{Name: "bb", Vals: []float64{4}, Edges: nil, Ptr: nil, Pod: podEdge{4, 5, 6}},
+		{Vals: []float64{}, Edges: []podEdge{{7, 8, 9}, {1, 1, 1}}, Ptr: &n},
+	}
+	cd := CodecFor[walked]()
+	target := cd.New().(*walked)
+	for i := range vals {
+		b := cd.Append(nil, vals[i])
+		if pb := cd.Append(nil, &vals[i]); !bytes.Equal(b, pb) {
+			t.Fatalf("value %d: %x by value, %x by pointer", i, b, pb)
+		}
+		rest, err := cd.DecodeInto(b, target)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("value %d: %v, %d bytes left", i, err, len(rest))
+		}
+		if !reflect.DeepEqual(*target, vals[i]) {
+			t.Fatalf("value %d: decoded %+v, want %+v", i, *target, vals[i])
+		}
+	}
+	arr := &target.Vals[:1][0]
+	if _, err := cd.DecodeInto(cd.Append(nil, &vals[1]), target); err != nil || &target.Vals[0] != arr {
+		t.Fatalf("a target with the room got a new array (%v)", err)
+	}
+
+	pc, e := CodecFor[podEdge](), podEdge{1, 2, 3}
+	var got podEdge
+	buf := make([]byte, 0, 64)
+	sc, xs := CodecFor[[]podEdge](), make([]podEdge, 100)
+	var dst []podEdge
+	if _, err := sc.DecodeInto(sc.Append(nil, &xs), &dst); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		buf = pc.Append(buf[:0], &e)
+		if _, err := pc.DecodeInto(buf, &got); err != nil || got != e {
+			t.Fatalf("POD round trip: %v %v", got, err)
+		}
+		buf = sc.Append(buf[:0], &xs)
+		if _, err := sc.DecodeInto(buf, &dst); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("warm in-place round trips made %v allocations, want 0", a)
+	}
+}
+
 // TestCodecStringOversized: a string length beyond the remaining bytes is
 // refused before the string is built.
 func TestCodecStringOversized(t *testing.T) {
@@ -236,19 +290,30 @@ func TestCodecStringOversized(t *testing.T) {
 }
 
 // FuzzCodecDecode feeds arbitrary bytes to codecs covering every shape the
-// walker serves: decoding must return a value or a typed error — no panics,
-// no unbounded allocation.
+// walker serves, into fresh values and into targets reused across inputs:
+// decoding must return a value or a typed error — no panics, no unbounded
+// allocation.
 func FuzzCodecDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(CodecFor[walked]().Append(nil, walked{Name: "seed", Vals: []float64{1, 2}}))
 	f.Add(CodecFor[podNested]().Append(nil, podNested{ok: true}))
+	codecs := []*Codec{CodecFor[walked](), CodecFor[podNested](), CodecFor[[]podEdge](), CodecFor[[]string]()}
+	targets := make([]any, len(codecs)) // reused across inputs, as a receiver's are
+	for i, cd := range codecs {
+		targets[i] = cd.New()
+	}
+	typed := func(t *testing.T, cd *Codec, err error) {
+		if err != nil &&
+			!errors.Is(err, ErrTruncated) && !errors.Is(err, ErrOversized) && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: untyped error %v", cd.Name(), err)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, cd := range []*Codec{CodecFor[walked](), CodecFor[podNested](), CodecFor[[]podEdge](), CodecFor[[]string]()} {
+		for i, cd := range codecs {
 			_, _, err := cd.Decode(data)
-			if err != nil &&
-				!errors.Is(err, ErrTruncated) && !errors.Is(err, ErrOversized) && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s: untyped error %v", cd.Name(), err)
-			}
+			typed(t, cd, err)
+			_, err = cd.DecodeInto(data, targets[i])
+			typed(t, cd, err)
 		}
 	})
 }

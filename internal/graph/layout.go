@@ -17,22 +17,35 @@ import "kamsta/internal/comm"
 //   - LocalRange(rank): the label range of the vertices only PE rank holds.
 //
 // Empty PEs are handled by back-filling their First entry with the next
-// non-empty PE's first edge, keeping the array monotone.
+// non-empty PE's first edge, keeping the sequence monotone. Every PE's
+// entries are one row, so a layout is its header and one row array.
 type Layout struct {
-	P      int
-	First  []Edge // First[i] = minlex(E_i), back-filled for empty PEs
-	Last   []Edge // Last[i] = lexicographically largest edge on PE i
-	Counts []int  // local edge counts
+	P       int
+	pes     []pe // pes[i] for PE i, and pes[P], whose next is P, ends every walk
+	sources int  // GlobalVertexCount's local count + 1, once made (0: not yet)
+}
 
-	next    []int // next[i] = index of the first non-empty PE >= i, len P+1
-	sources int   // GlobalVertexCount's local count + 1, once made (0: not yet)
+// pe is one PE's row of the layout.
+type pe struct {
+	entry
+	next int // the first non-empty PE >= this one
 }
 
 // entry is the per-PE contribution to the layout.
 type entry struct {
-	First, Last Edge
-	Count       int
+	First, Last Edge // minlex(E_i), back-filled when empty; maxlex(E_i)
+	Count       int  // local edge count
 }
+
+// First is minlex(E_i), back-filled for an empty PE i.
+func (l *Layout) First(i int) Edge { return l.pes[i].First }
+
+// Last is the lexicographically largest edge on PE i (the zero edge when it
+// holds none).
+func (l *Layout) Last(i int) Edge { return l.pes[i].Last }
+
+// Count is PE i's local edge count.
+func (l *Layout) Count(i int) int { return l.pes[i].Count }
 
 // ModeledBytes counts both edges at Edge's declared 40 bytes, so the layout
 // allgather charges 88 whatever Edge's in-memory packing.
@@ -52,28 +65,19 @@ func BuildLayout(c *comm.Comm, local []Edge) *Layout {
 
 func assembleLayout(all []entry) *Layout {
 	p := len(all)
-	l := &Layout{
-		P:      p,
-		First:  make([]Edge, p),
-		Last:   make([]Edge, p),
-		Counts: make([]int, p),
-		next:   make([]int, p+1),
-	}
-	for i, e := range all {
-		l.First[i] = e.First
-		l.Last[i] = e.Last
-		l.Counts[i] = e.Count
-	}
+	l := &Layout{P: p, pes: make([]pe, p+1)}
 	// Back-fill empties from the right; trailing empties get the sentinel.
 	fill := MaxEdge()
-	l.next[p] = p
+	l.pes[p].next = p
 	for i := p - 1; i >= 0; i-- {
-		if l.Counts[i] == 0 {
-			l.First[i] = fill
-			l.next[i] = l.next[i+1]
+		r := &l.pes[i]
+		r.entry = all[i]
+		if r.Count == 0 {
+			r.First = fill
+			r.next = l.pes[i+1].next
 		} else {
-			fill = l.First[i]
-			l.next[i] = i
+			fill = r.First
+			r.next = i
 		}
 	}
 	return l
@@ -87,7 +91,7 @@ func (l *Layout) locate(probe *Edge) int {
 	lo, hi := 0, l.P
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if n := l.next[m+1]; n < l.P && !lessLex(probe, &l.First[n]) {
+		if n := l.pes[m+1].next; n < l.P && !lessLex(probe, &l.pes[n].First) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -96,14 +100,14 @@ func (l *Layout) locate(probe *Edge) int {
 	// The probe may fall in the value gap between PE i's last edge and the
 	// next non-empty PE's first edge; the first edge >= probe then lives on
 	// that next PE.
-	return l.advance(l.next[lo], probe)
+	return l.advance(l.pes[lo].next, probe)
 }
 
 // advance walks forward from PE i, which must be P or at most the first
 // non-empty PE holding an edge >= *probe, to that PE (P-1 if none).
 func (l *Layout) advance(i int, probe *Edge) int {
-	for i < l.P && lessLex(&l.Last[i], probe) {
-		i = l.next[i+1]
+	for i < l.P && lessLex(&l.pes[i].Last, probe) {
+		i = l.pes[i+1].next
 	}
 	return min(i, l.P-1)
 }
@@ -145,8 +149,8 @@ func (l *Layout) SharedSpan(v VID) (int, int) {
 	first := l.HomePE(v)
 	last := first
 	for {
-		n := l.next[last+1]
-		if n >= l.P || l.First[n].U != v {
+		n := l.pes[last+1].next
+		if n >= l.P || l.pes[n].First.U != v {
 			break
 		}
 		last = n
@@ -159,14 +163,15 @@ func (l *Layout) SharedSpan(v VID) (int, int) {
 // last source, minus a first source the previous non-empty PE ends on and a
 // last source the next one starts with (lo ≥ hi when nothing is left).
 func (l *Layout) LocalRange(rank int) (lo, hi VID) {
-	if l.Counts[rank] == 0 {
+	r := &l.pes[rank]
+	if r.Count == 0 {
 		return 0, 0
 	}
-	lo, hi = l.First[rank].U, l.Last[rank].U+1
+	lo, hi = r.First.U, r.Last.U+1
 	if l.HomePE(lo) < rank {
 		lo++
 	}
-	if n := l.next[rank+1]; n < l.P && l.First[n].U == hi-1 {
+	if n := l.pes[rank+1].next; n < l.P && l.pes[n].First.U == hi-1 {
 		hi--
 	}
 	return lo, hi

@@ -154,8 +154,8 @@ func TestLayoutAgainstBruteForce(t *testing.T) {
 			w := comm.NewWorld(p)
 			w.Run(func(c *comm.Comm) {
 				l := BuildLayout(c, chunks[c.Rank()])
-				for i, n := range l.Counts {
-					if n != len(chunks[i]) {
+				for i := range l.P {
+					if n := l.Count(i); n != len(chunks[i]) {
 						t.Errorf("p=%d pat=%d: Counts[%d]=%d want %d", p, pattern, i, n, len(chunks[i]))
 						return
 					}
@@ -211,7 +211,7 @@ func TestSharedSpanCoversAllHolders(t *testing.T) {
 						break
 					}
 				}
-				inSpan := i >= first && i <= last && l.Counts[i] > 0
+				inSpan := i >= first && i <= last && l.Count(i) > 0
 				if holds != inSpan {
 					t.Errorf("v=%d PE=%d: holds=%v but span=[%d,%d]", v, i, holds, first, last)
 				}
@@ -340,8 +340,8 @@ func TestLayoutAllEmpty(t *testing.T) {
 	w := comm.NewWorld(3)
 	w.Run(func(c *comm.Comm) {
 		l := BuildLayout(c, nil)
-		for i, n := range l.Counts {
-			if n != 0 {
+		for i := range l.P {
+			if n := l.Count(i); n != 0 {
 				t.Errorf("empty layout has %d edges on PE %d", n, i)
 			}
 		}
@@ -439,11 +439,11 @@ func TestReverseOwnerCursor(t *testing.T) {
 // first non-empty PE holding an edge >= probe, or P when none.
 func locateRef(l *Layout, probe Edge) int {
 	i := sort.Search(l.P, func(i int) bool {
-		n := l.next[i+1]
-		return n >= l.P || LessLex(probe, l.First[n])
+		n := l.pes[i+1].next
+		return n >= l.P || LessLex(probe, l.First(n))
 	})
-	if i = l.next[min(i, l.P)]; i < l.P && LessLex(l.Last[i], probe) {
-		i = l.next[i+1]
+	if i = l.pes[min(i, l.P)].next; i < l.P && LessLex(l.Last(i), probe) {
+		i = l.pes[i+1].next
 	}
 	return i
 }
@@ -463,11 +463,11 @@ func TestLocateMatchesReference(t *testing.T) {
 			probes = append(probes, e, Edge{U: e.U}, Edge{U: e.V, V: e.U, W: e.W, TB: e.TB})
 		}
 		for i := 0; i < l.P; i++ {
-			if l.Counts[i] > 0 {
-				past := l.Last[i]
+			if l.Count(i) > 0 {
+				past := l.Last(i)
 				past.ID++
 				probes = append(probes, past)
-				if n := l.next[i+1]; n < l.P && LessLex(past, l.First[n]) && locateRef(l, past) == n {
+				if n := l.pes[i+1].next; n < l.P && LessLex(past, l.First(n)) && locateRef(l, past) == n {
 					gaps++
 				}
 			}

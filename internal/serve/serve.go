@@ -18,6 +18,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -504,9 +505,10 @@ func (s *Server) live(pes int) int {
 }
 
 // profileEdges validates labels the way kamsta.FromEdges will and returns
-// the max label and distinct vertex count (the batch planner's inputs).
+// the max label and distinct vertex count (the batch planner's inputs): the
+// runs of the sorted endpoints.
 func profileEdges(edges []kamsta.InputEdge) (maxV uint64, verts int, err error) {
-	seen := make(map[uint64]struct{}, 2*len(edges))
+	ends := make([]uint64, 0, 2*len(edges))
 	for _, e := range edges {
 		if e.U == 0 || e.V == 0 || e.U >= 1<<32 || e.V >= 1<<32 {
 			return 0, 0, fmt.Errorf("vertex labels must be in [1, 2^32): edge (%d,%d)", e.U, e.V)
@@ -514,11 +516,16 @@ func profileEdges(edges []kamsta.InputEdge) (maxV uint64, verts int, err error) 
 		if e.U == e.V {
 			return 0, 0, fmt.Errorf("self-loop on vertex %d", e.U)
 		}
-		seen[e.U] = struct{}{}
-		seen[e.V] = struct{}{}
+		ends = append(ends, e.U, e.V)
 		maxV = max(maxV, e.U, e.V)
 	}
-	return maxV, len(seen), nil
+	slices.Sort(ends)
+	for i, v := range ends {
+		if i == 0 || v != ends[i-1] {
+			verts++
+		}
+	}
+	return maxV, verts, nil
 }
 
 // worker serves one pool machine until the scheduler tells it to exit or

@@ -420,3 +420,29 @@ func TestStats(t *testing.T) {
 		t.Fatalf("alpha stats = %+v", alpha)
 	}
 }
+
+// TestProfileEdges: the distinct-label count and the max label match a
+// set's, and a bad edge is refused with its own message, the first bad edge
+// in input order.
+func TestProfileEdges(t *testing.T) {
+	edges := append(testEdges(7, 40, 90), kamsta.InputEdge{U: 1000, V: 3, W: 1})
+	seen := map[uint64]bool{}
+	for _, e := range edges {
+		seen[e.U], seen[e.V] = true, true
+	}
+	maxV, verts, err := profileEdges(edges)
+	if err != nil || maxV != 1000 || verts != len(seen) {
+		t.Fatalf("profileEdges: max %d, %d labels, %v; want 1000, %d", maxV, verts, err, len(seen))
+	}
+	if _, verts, _ := profileEdges(nil); verts != 0 {
+		t.Fatalf("no edges: %d labels", verts)
+	}
+	bad := append(edges[:3:3], kamsta.InputEdge{U: 5, V: 5}, kamsta.InputEdge{U: 0, V: 2})
+	if _, _, err := profileEdges(bad); err == nil || err.Error() != "self-loop on vertex 5" {
+		t.Fatalf("self-loop first: got %v", err)
+	}
+	bad[3] = kamsta.InputEdge{U: 1 << 32, V: 2}
+	if _, _, err := profileEdges(bad); err == nil || err.Error() != "vertex labels must be in [1, 2^32): edge (4294967296,2)" {
+		t.Fatalf("label range: got %v", err)
+	}
+}

@@ -35,6 +35,10 @@ type barrier struct {
 	// cycling through the scheduler; with many PEs per core this keeps the
 	// run queue short while stragglers finish their pre-barrier work.
 	doors [2]atomic.Value // of chan struct{}
+	// parked[e%2] is set by a party before it parks on doors[e%2]. The
+	// completer closes and re-arms a door only when it is set, so a
+	// superstep in which nobody parked allocates no channel.
+	parked [2]atomic.Bool
 	// poisoned is the barrier's terminal state: once set (Poison), every
 	// current and future Wait returns immediately with poisoned=true and
 	// the counters/epoch are no longer coherent. Poisoning is the hard
@@ -167,14 +171,19 @@ func (b *barrier) Wait(li int, pre func(int)) (poisoned bool) {
 			// (sequentially consistent atomics), so it can never park on a
 			// door nobody will close, and the next same-parity completer
 			// cannot observe the old door because it can only run after
-			// this PE passed the next barrier.
+			// this PE passed the next barrier. A party parks only after
+			// setting parked and then still reading epoch e, so either the
+			// load below sees the flag or the party sees the flip.
 			if pre != nil {
 				pre(li)
 			}
 			door := b.doors[e&1].Load().(chan struct{})
 			b.epoch.Add(1)
-			close(door)
-			b.doors[e&1].Store(make(chan struct{}))
+			if b.parked[e&1].Load() {
+				b.parked[e&1].Store(false)
+				close(door)
+				b.doors[e&1].Store(make(chan struct{}))
+			}
 			return false
 		}
 		ni = n.parent
@@ -195,6 +204,7 @@ func (b *barrier) Wait(li int, pre func(int)) (poisoned bool) {
 			// it is this epoch's door (see the completer's ordering) and
 			// its close is guaranteed — unless the barrier is poisoned, in
 			// which case poisonCh wakes the parked party instead.
+			b.parked[e&1].Store(true)
 			door := b.doors[e&1].Load().(chan struct{})
 			if b.epoch.Load() != e {
 				return false

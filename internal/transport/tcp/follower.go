@@ -23,7 +23,7 @@ type Follower struct {
 	lk        *link
 	ioTimeout atomic.Int64
 	failed    atomic.Bool
-	frameBuf  []byte
+	frameBuf  []byte // STEP scratch, kept across jobs
 }
 
 // handshakeTimeout bounds the HELLO/WELCOME exchange on a fresh
@@ -108,7 +108,7 @@ func (f *Follower) netSync(epoch uint64, board []transport.Deposit, h transport.
 	}
 	// The local block's deposits all carry this superstep's codec (or none,
 	// on valueless supersteps — remote values then stay nil).
-	verdict, err := parseReply(payload, board, lo, hi, board[lo].Codec)
+	verdict, err := f.lk.in.parseReply(payload, board, lo, hi, board[lo].Codec, epoch)
 	if err != nil {
 		return f.fault(h, fmt.Errorf("tcp: REPLY: %w", err))
 	}
@@ -148,12 +148,9 @@ func (f *Follower) EndJob(report []byte) error {
 	return f.lk.writeFrame(kJobEnd, report, f.timeout())
 }
 
-// Drop releases the embedded substrate's retained values plus the wire
-// scratch buffer.
-func (f *Follower) Drop() {
-	f.Substrate.Drop()
-	f.frameBuf = nil
-}
+// Drop releases the embedded substrate's retained values. The wire scratch
+// buffer and the link's decode targets stay for the next job.
+func (f *Follower) Drop() { f.Substrate.Drop() }
 
 // Close closes the leader connection.
 func (f *Follower) Close() error {

@@ -72,6 +72,7 @@ type link struct {
 	bw     *bufio.Writer
 	rbuf   []byte // ReadFrame reuse buffer
 	seg    []byte // view of this worker's slots in its last STEP, for relay
+	in     inbox  // decode targets of the values this link carries
 
 	// dead is atomic because Close may be called from a shutdown goroutine
 	// while the superstep goroutine is inside readFrame/writeFrame; all
@@ -164,7 +165,7 @@ type Leader struct {
 	ioTimeout atomic.Int64 // nanoseconds; see SetIOTimeout
 	failed    atomic.Bool  // a link failed: the world must be rebuilt
 
-	// Superstep scratch, serialized by the barrier.
+	// Superstep scratch, serialized by the barrier and kept across jobs.
 	leaderSeg []byte // leader-local slots, encoded once per superstep
 	frameBuf  []byte
 }
@@ -362,7 +363,7 @@ func (l *Leader) readStep(lk *link, epoch uint64, board []transport.Deposit, cd 
 	if kind != kStep {
 		return fmt.Errorf("%w: frame kind %d from %s, want STEP", ErrProtocol, kind, lk.addr)
 	}
-	head, slots, err := parseStep(payload, board, lk.lo, lk.hi, cd)
+	head, slots, err := lk.in.parseStep(payload, board, lk.lo, lk.hi, cd, epoch)
 	if err != nil {
 		return fmt.Errorf("tcp: STEP from %s: %w", lk.addr, err)
 	}
@@ -434,12 +435,10 @@ func (l *Leader) FinishJob() ([][]byte, error) {
 	return outs, nil
 }
 
-// Drop releases the embedded substrate's retained values plus the wire
-// scratch buffers.
-func (l *Leader) Drop() {
-	l.Substrate.Drop()
-	l.leaderSeg, l.frameBuf = nil, nil
-}
+// Drop releases the embedded substrate's retained values. The wire scratch
+// buffers and the links' decode targets stay for the next job, which would
+// otherwise regrow them.
+func (l *Leader) Drop() { l.Substrate.Drop() }
 
 // Close closes every worker connection; workers observe EOF on their idle
 // job wait and shut the world down.

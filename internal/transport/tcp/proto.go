@@ -151,8 +151,9 @@ func parseHello(payload []byte) (Handshake, error) {
 }
 
 // appendSlot appends one rank's deposit: its slotHead, then, when the slot
-// has a value and a codec, the value's encoding. A nil codec or nil value
-// (barriers, drains) travels as Len -1 and decodes back to a nil Val.
+// has a value and a codec, the value's encoding, read where the *T points. A
+// nil codec or nil value (barriers, drains) travels as Len -1 and decodes
+// back to a nil Val.
 func appendSlot(b []byte, d *transport.Deposit) []byte {
 	head := slotHead{Tag: d.Tag, Len: -1, Clock: d.Clock}
 	at := len(b)
@@ -167,18 +168,53 @@ func appendSlot(b []byte, d *transport.Deposit) []byte {
 	return b
 }
 
+// inbox is one link's receive side: scratch for the frame heads, and the
+// decode targets of the remote ranks' values the link carries, one *T per
+// codec, epoch parity and rank. A target is decoded into again by every
+// superstep of its parity, reusing the room its slices already have: comm's
+// ownership rule makes that safe, since a value received at epoch e is read
+// only until its reader's next collective, and epoch e+2 completes only
+// after every local rank has entered e+1.
+type inbox struct {
+	vals    map[inboxKey]any
+	slot    slotHead
+	step    stepHead
+	verdict uint8
+}
+
+type inboxKey struct {
+	cd     *enc.Codec
+	rank   int32
+	parity uint8
+}
+
+// target returns the decode target of rank's value at epoch's parity.
+func (in *inbox) target(cd *enc.Codec, rank int, epoch uint64) any {
+	k := inboxKey{cd, int32(rank), uint8(epoch & 1)}
+	v := in.vals[k]
+	if v == nil {
+		if in.vals == nil {
+			in.vals = make(map[inboxKey]any)
+		}
+		v = cd.New()
+		in.vals[k] = v
+	}
+	return v
+}
+
 // readSlots decodes the slots of ranks [lo, hi) from b into board and
 // returns the bytes after them. Values are decoded with cd, the receiver's
-// codec for the current superstep; if cd is nil (the receiver deposited no
-// codec: a drain or a valueless collective) the value bytes are skipped and
-// Val stays nil, which is safe because such supersteps never read values.
-func readSlots(b []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec) ([]byte, error) {
+// codec for superstep epoch, into the inbox's targets, so a slot's Val is a
+// *T like a local deposit's; if cd is nil (the receiver deposited no codec:
+// a drain or a valueless collective) the value bytes are skipped and Val
+// stays nil, which is safe because such supersteps never read values.
+func (in *inbox) readSlots(b []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec, epoch uint64) ([]byte, error) {
 	for rank := lo; rank < hi; rank++ {
-		v, rest, err := slotCodec.Decode(b)
+		rest, err := slotCodec.DecodeInto(b, &in.slot)
 		if err != nil {
 			return nil, fmt.Errorf("rank %d: %w", rank, err)
 		}
-		h := v.(slotHead)
+		h := in.slot
 		board[rank] = transport.Deposit{Tag: h.Tag, Clock: h.Clock}
 		if h.Len == -1 {
 			b = rest
@@ -195,7 +231,8 @@ func readSlots(b []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec) (
 		if cd == nil {
 			continue
 		}
-		val, left, err := cd.Decode(raw)
+		val := in.target(cd, rank, epoch)
+		left, err := cd.DecodeInto(raw, val)
 		if err != nil {
 			return nil, fmt.Errorf("rank %d: %w", rank, err)
 		}
@@ -207,42 +244,43 @@ func readSlots(b []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec) (
 	return b, nil
 }
 
-// parseStep decodes a STEP payload: its head, then the slots of ranks
-// [lo, hi) into board. It returns the head and the slot section, which the
-// leader relays to the other workers as it lies.
-func parseStep(payload []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec) (stepHead, []byte, error) {
-	v, slots, err := stepCodec.Decode(payload)
+// parseStep decodes a STEP payload of superstep epoch: its head, then the
+// slots of ranks [lo, hi) into board. It returns the head and the slot
+// section, which the leader relays to the other workers as it lies. The
+// head's faults are the inbox's, valid until its next parseStep.
+func (in *inbox) parseStep(payload []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec, epoch uint64) (stepHead, []byte, error) {
+	slots, err := stepCodec.DecodeInto(payload, &in.step)
 	if err != nil {
 		return stepHead{}, nil, err
 	}
-	rest, err := readSlots(slots, board, lo, hi, cd)
+	rest, err := in.readSlots(slots, board, lo, hi, cd, epoch)
 	if err != nil {
 		return stepHead{}, nil, err
 	}
 	if len(rest) != 0 {
 		return stepHead{}, nil, fmt.Errorf("%w: %d bytes after the slots", enc.ErrCorrupt, len(rest))
 	}
-	return v.(stepHead), slots, nil
+	return in.step, slots, nil
 }
 
-// parseReply decodes a REPLY payload: the verdict, then the slot of every
-// rank outside [lo, hi) into board. A REPLY of the verdict alone is the
-// leader's abort; the board's remote slots are then stale, which an abort
-// superstep never reads.
-func parseReply(payload []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec) (uint8, error) {
-	v, rest, err := verdictCodec.Decode(payload)
+// parseReply decodes a REPLY payload of superstep epoch: the verdict, then
+// the slot of every rank outside [lo, hi) into board. A REPLY of the verdict
+// alone is the leader's abort; the board's remote slots are then stale,
+// which an abort superstep never reads.
+func (in *inbox) parseReply(payload []byte, board []transport.Deposit, lo, hi int, cd *enc.Codec, epoch uint64) (uint8, error) {
+	rest, err := verdictCodec.DecodeInto(payload, &in.verdict)
 	if err != nil {
 		return 0, err
 	}
-	verdict := v.(uint8)
+	verdict := in.verdict
 	if len(rest) == 0 {
 		if verdict != transport.VerdictAbort {
 			return 0, fmt.Errorf("%w: slotless REPLY with verdict %d", ErrProtocol, verdict)
 		}
 		return verdict, nil
 	}
-	if rest, err = readSlots(rest, board, 0, lo, cd); err == nil {
-		rest, err = readSlots(rest, board, hi, len(board), cd)
+	if rest, err = in.readSlots(rest, board, 0, lo, cd, epoch); err == nil {
+		rest, err = in.readSlots(rest, board, hi, len(board), cd, epoch)
 	}
 	if err != nil {
 		return 0, err

@@ -163,16 +163,19 @@ func TestFlagsRejectsOversizedFaultCount(t *testing.T) {
 	b := binary.LittleEndian.AppendUint64(nil, 1) // epoch
 	b = append(b, 0, 0, 1)                        // cancel, abort, non-nil faults
 	b = binary.AppendUvarint(b, 1<<40)
-	if _, _, err := parseStep(b, nil, 0, 0, nil); !errors.Is(err, enc.ErrOversized) {
+	if _, _, err := new(inbox).parseStep(b, nil, 0, 0, nil, 0); !errors.Is(err, enc.ErrOversized) {
 		t.Fatalf("got %v, want ErrOversized", err)
 	}
 }
 
+// TestSlotRoundTrip: a deposit's value, a *T, decodes into the inbox's
+// target for its rank and parity, and the next superstep of that parity
+// decodes into the same target.
 func TestSlotRoundTrip(t *testing.T) {
 	cd := enc.CodecFor[[]int64]()
 	want := []transport.Deposit{
-		{Tag: 7, Clock: 1.25, Val: []int64{3, -4, 5}},
-		{Tag: 7, Clock: 0.5, Val: []int64{}},
+		{Tag: 7, Clock: 1.25, Val: &[]int64{3, -4, 5}},
+		{Tag: 7, Clock: 0.5, Val: &[]int64{}},
 	}
 	var b []byte
 	for i := range want {
@@ -180,13 +183,18 @@ func TestSlotRoundTrip(t *testing.T) {
 		d.Codec = cd
 		b = appendSlot(b, &d)
 	}
+	var in inbox
 	got := make([]transport.Deposit, 2)
-	rest, err := readSlots(b, got, 0, 2, cd)
+	rest, err := in.readSlots(b, got, 0, 2, cd, 4)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("readSlots: %d bytes left, %v", len(rest), err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	first := got[0].Val
+	if _, err := in.readSlots(b, got, 0, 2, cd, 6); err != nil || got[0].Val != first {
+		t.Fatalf("the same parity decoded into a new target (%v)", err)
 	}
 	// Each slot is a 16-byte head, then its value's own codec encoding.
 	if n := len(appendSlot(nil, &transport.Deposit{Tag: 1})); n != 16 {
@@ -203,7 +211,8 @@ func TestSlotRoundTrip(t *testing.T) {
 func TestSlotAbsentAndNilCodec(t *testing.T) {
 	// Valueless deposits (barriers, drains) travel as absent.
 	got := make([]transport.Deposit, 1)
-	rest, err := readSlots(appendSlot(nil, &transport.Deposit{Tag: 3, Clock: 2}), got, 0, 1, nil)
+	var in inbox
+	rest, err := in.readSlots(appendSlot(nil, &transport.Deposit{Tag: 3, Clock: 2}), got, 0, 1, nil, 0)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("absent slot: %d bytes left, %v", len(rest), err)
 	}
@@ -214,8 +223,8 @@ func TestSlotAbsentAndNilCodec(t *testing.T) {
 	// A present value read with a nil codec (receiver deposited none) is
 	// skipped, not decoded.
 	cd := enc.CodecFor[[]int64]()
-	src := transport.Deposit{Tag: 9, Clock: 4, Val: []int64{1}, Codec: cd}
-	rest, err = readSlots(appendSlot(nil, &src), got, 0, 1, nil)
+	src := transport.Deposit{Tag: 9, Clock: 4, Val: &[]int64{1}, Codec: cd}
+	rest, err = in.readSlots(appendSlot(nil, &src), got, 0, 1, nil, 0)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("nil-codec read: %d bytes left, %v", len(rest), err)
 	}
@@ -226,17 +235,18 @@ func TestSlotAbsentAndNilCodec(t *testing.T) {
 
 func TestSlotRejectsCorruption(t *testing.T) {
 	cd := enc.CodecFor[[]int64]()
-	good := appendSlot(nil, &transport.Deposit{Tag: 1, Clock: 1, Val: []int64{42}, Codec: cd})
+	good := appendSlot(nil, &transport.Deposit{Tag: 1, Clock: 1, Val: &[]int64{42}, Codec: cd})
 	d := make([]transport.Deposit, 1)
-	if _, err := readSlots(good[:5], d, 0, 1, cd); !errors.Is(err, enc.ErrTruncated) {
+	var in inbox
+	if _, err := in.readSlots(good[:5], d, 0, 1, cd, 0); !errors.Is(err, enc.ErrTruncated) {
 		t.Fatalf("truncated head: got %v, want ErrTruncated", err)
 	}
-	if _, err := readSlots(good[:len(good)-1], d, 0, 1, cd); !errors.Is(err, enc.ErrTruncated) {
+	if _, err := in.readSlots(good[:len(good)-1], d, 0, 1, cd, 0); !errors.Is(err, enc.ErrTruncated) {
 		t.Fatalf("truncated value: got %v, want ErrTruncated", err)
 	}
 	bad := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(bad[4:], uint32(0xfffffff9)) // Len -7
-	if _, err := readSlots(bad, d, 0, 1, cd); !errors.Is(err, enc.ErrCorrupt) {
+	if _, err := in.readSlots(bad, d, 0, 1, cd, 0); !errors.Is(err, enc.ErrCorrupt) {
 		t.Fatalf("negative length: got %v, want ErrCorrupt", err)
 	}
 }
@@ -252,11 +262,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(welcome())
 	step := stepCodec.Append(nil, stepHead{Epoch: 9, Flags: transport.Flags{Abort: true,
 		Faults: []transport.RemoteFault{{Kind: 1, Rank: 2, Phase: "contract", Panic: "boom"}}}})
-	step = append(step, slot(transport.Deposit{Tag: 3, Clock: 1, Val: []int64{5, 6}})...)
+	step = append(step, slot(transport.Deposit{Tag: 3, Clock: 1, Val: &[]int64{5, 6}})...)
 	f.Add(append(step, slot(transport.Deposit{Tag: 3, Clock: 2})...))
 	reply := verdictCodec.Append(nil, transport.VerdictRun)
-	reply = append(reply, slot(transport.Deposit{Tag: 3, Clock: 1, Val: []int64{7}})...)
-	f.Add(append(reply, slot(transport.Deposit{Tag: 3, Clock: 2, Val: []int64{}})...))
+	reply = append(reply, slot(transport.Deposit{Tag: 3, Clock: 1, Val: &[]int64{7}})...)
+	f.Add(append(reply, slot(transport.Deposit{Tag: 3, Clock: 2, Val: &[]int64{}})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typed := func(what string, err error, allowed ...error) {
 			if err == nil {
@@ -273,10 +283,11 @@ func FuzzFrameDecode(f *testing.F) {
 		typed("HELLO", err, ErrHandshake)
 		typed("WELCOME", checkPreamble(data), ErrHandshake)
 		for _, c := range []*enc.Codec{cd, nil} {
+			var in inbox
 			board := make([]transport.Deposit, 4)
-			_, _, err = parseStep(data, board, 1, 3, c)
+			_, _, err = in.parseStep(data, board, 1, 3, c, 0)
 			typed("STEP", err)
-			_, err = parseReply(data, board, 1, 3, c)
+			_, err = in.parseReply(data, board, 1, 3, c, 0)
 			typed("REPLY", err, ErrProtocol)
 		}
 	})

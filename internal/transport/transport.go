@@ -27,10 +27,12 @@ const (
 )
 
 // Deposit is one rank's contribution to a superstep: the collective tag,
-// the rank's modeled clock at entry, and the deposited value. Codec names
-// how Val crosses a process boundary; it is nil on purely local paths and
-// for valueless deposits (barriers). The padding keeps neighbouring ranks'
-// deposits on distinct cache lines on the shared-memory backend.
+// the rank's modeled clock at entry, and the deposited value, nil or a *T.
+// Codec, the codec of T, names how the value crosses a process boundary; it
+// is nil on purely local paths and for valueless deposits (barriers). A
+// remote rank's value arrives as a *T too, decoded into the receiving
+// link's memory. The padding keeps neighbouring ranks' deposits on distinct
+// cache lines on the shared-memory backend.
 type Deposit struct {
 	Tag   uint32
 	Clock float64

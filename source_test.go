@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"kamsta/internal/comm"
 	"kamsta/internal/gen"
@@ -169,6 +170,65 @@ func TestWarmComputeAllocsPerEdge(t *testing.T) {
 		t.Logf("%s: %.1f B allocated per directed input edge", tc.spec.Family, best)
 		if best > tc.bound {
 			t.Errorf("%s: a warm job allocated %.1f B per directed input edge, want ≤ %.1f", tc.spec.Family, best, tc.bound)
+		}
+	}
+}
+
+// TestWarmJobAllocatesItsReport: a warm job allocates its Report and a small
+// fixed floor, on shared memory and over loopback TCP. Each algorithm runs on
+// a small GNM and a small RGG instance, on a 4-PE machine and on a 4-PE
+// machine whose ranks 2-3 live behind one in-process worker; after two
+// warm-up jobs, the best of three jobs allocates at most the Report's edge
+// list plus floorShm, or plus floorTCP over the wire, which also carries the
+// job's spec, the worker's end-of-job report and its edge shares (both
+// sides of the wire are in this process).
+func TestWarmJobAllocatesItsReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twenty-four jobs over two transports")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const floorShm, floorTCP = 256 << 10, 1 << 20
+	specs := []GraphSpec{
+		{Family: GNM, N: 1 << 12, M: 1 << 15, Seed: 3},
+		{Family: RGG2D, N: 1 << 13, M: 1 << 15, Seed: 4},
+	}
+	for _, tcp := range []bool{false, true} {
+		var m *Machine
+		floor := floorShm
+		if tcp {
+			m, floor = tcpMachine(t, 4, 1), floorTCP
+		} else {
+			var err error
+			if m, err = NewMachine(MachineConfig{PEs: 4, Threads: 1}); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+		}
+		for _, alg := range []Algorithm{AlgBoruvka, AlgFilterBoruvka} {
+			for _, spec := range specs {
+				src := FromSpec(spec)
+				best, report := uint64(math.MaxUint64), uint64(0)
+				for job := 0; job < 5; job++ { // two warm-up jobs, then three
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					rep, err := m.Compute(context.Background(), src, WithAlgorithm(alg))
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if job >= 2 {
+						best = min(best, after.TotalAlloc-before.TotalAlloc)
+						report = uint64(cap(rep.MSTEdges)) * uint64(unsafe.Sizeof(InputEdge{}))
+					}
+				}
+				t.Logf("tcp=%v %v %s: %d B per warm job, %d B of them the Report's edges", tcp, alg, spec.Family, best, report)
+				if best > report+uint64(floor) {
+					t.Errorf("tcp=%v %v %s: a warm job allocated %d B, want ≤ %d (the Report's %d + %d)",
+						tcp, alg, spec.Family, best, report+uint64(floor), report, floor)
+				}
+			}
 		}
 	}
 }
