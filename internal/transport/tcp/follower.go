@@ -122,9 +122,10 @@ func (f *Follower) fault(h transport.Host, err error) transport.Slot {
 }
 
 // NextJob blocks until the leader starts the next job and returns its
-// opaque spec. No deadline applies — idling between jobs is normal. A
-// clean connection close returns io.EOF: the leader is done with this
-// worker.
+// opaque spec, a view of the link's read buffer valid until its next read
+// (the job's first superstep). No deadline applies — idling between jobs is
+// normal. A clean connection close returns io.EOF: the leader is done with
+// this worker.
 func (f *Follower) NextJob() ([]byte, error) {
 	if f.failed.Load() {
 		return nil, fmt.Errorf("tcp: world transport failed; awaiting teardown")
@@ -140,7 +141,7 @@ func (f *Follower) NextJob() ([]byte, error) {
 		f.failed.Store(true)
 		return nil, fmt.Errorf("%w: frame kind %d, want JOBSTART", ErrProtocol, kind)
 	}
-	return append([]byte(nil), payload...), nil
+	return payload, nil
 }
 
 // EndJob ships the worker's opaque end-of-job report to the leader.

@@ -168,6 +168,7 @@ type Leader struct {
 	// Superstep scratch, serialized by the barrier and kept across jobs.
 	leaderSeg []byte // leader-local slots, encoded once per superstep
 	frameBuf  []byte
+	reports   [][]byte // FinishJob's result, kept across jobs
 }
 
 // NewLeader splits the non-local ranks over the workers, dials each with
@@ -408,12 +409,17 @@ func (l *Leader) StartJob(spec []byte) error {
 // success, cooperative abort and cancel alike, the superstep streams stay
 // synchronized, so the next frame on each link is the report. Stale STEP
 // frames (a job torn down while a worker was mid-superstep) are skipped
-// defensively.
+// defensively. Each report is a view of its link's read buffer, valid until
+// the link's next read (the next job's first STEP), and the slice holding
+// them is the leader's, valid until the next FinishJob.
 func (l *Leader) FinishJob() ([][]byte, error) {
 	if l.failed.Load() {
 		return nil, fmt.Errorf("tcp: world transport failed; rebuild the world")
 	}
-	outs := make([][]byte, len(l.links))
+	if len(l.reports) != len(l.links) {
+		l.reports = make([][]byte, len(l.links))
+	}
+	outs := l.reports
 	for i, lk := range l.links {
 		for {
 			kind, payload, err := lk.readFrame(l.timeout())
@@ -428,7 +434,7 @@ func (l *Leader) FinishJob() ([][]byte, error) {
 				l.failed.Store(true)
 				return nil, fmt.Errorf("%w: frame kind %d from %s, want JOBEND", ErrProtocol, kind, lk.addr)
 			}
-			outs[i] = append([]byte(nil), payload...)
+			outs[i] = payload
 			break
 		}
 	}

@@ -173,8 +173,10 @@ type Machine struct {
 	// without MachineConfig.Metrics).
 	mm *machineMetrics
 
-	// report is the memory run puts each Report's forest in order with.
+	// report is the memory run puts each Report's forest in order with;
+	// remote, a distributed machine's job-control frames.
 	report reportScratch
+	remote remoteScratch
 }
 
 // NewMachine builds a machine and parks its PE goroutines, ready for jobs.
@@ -491,8 +493,9 @@ func (m *Machine) run(ctx context.Context, src Source, rs runSettings) (*Report,
 	}
 	rep.Phases = w.Phases()
 	rep.Stats = w.TotalStats()
-	// The local shares lie in the PEs' arenas until the next job, which
-	// cannot start while this caller holds the job slot.
+	// The local shares lie in the PEs' arenas, and the remote ones in
+	// m.remote, until the next job, which cannot start while this caller
+	// holds the job slot.
 	rep.MSTEdges = reportFromShares(j.shares, &m.report)
 	return rep, nil
 }
@@ -541,7 +544,8 @@ func (m *Machine) startRemote(kind string, src Source, rs runSettings) error {
 		return err
 	}
 	m.lt.SetIOTimeout(ioTimeoutFor(rs.stall))
-	if err := m.lt.StartJob(encodeWire(spec)); err != nil {
+	m.remote.spec = encodeWire(m.remote.spec[:0], &spec)
+	if err := m.lt.StartJob(m.remote.spec); err != nil {
 		m.dead.Store(true)
 		return fmt.Errorf("%w: dispatching %s job: %w", ErrWorldFailed, kind, err)
 	}
@@ -557,9 +561,12 @@ func (m *Machine) finishRemote(w *comm.World, shares [][]graph.Edge) error {
 	if err != nil {
 		return fmt.Errorf("collecting worker reports: %w", err)
 	}
-	for _, b := range reports {
-		end, err := decodeWire[wireJobEnd]("job report", b)
-		if err != nil {
+	if len(m.remote.ends) != len(reports) {
+		m.remote.ends = make([]wireJobEnd, len(reports))
+	}
+	for i, b := range reports {
+		end := &m.remote.ends[i]
+		if err := decodeWire("job report", b, end); err != nil {
 			return err
 		}
 		if !end.OK {

@@ -72,19 +72,29 @@ type wireJobEnd struct {
 }
 
 // encodeWire and decodeWire are the job-control frames' codec: the same enc
-// walker every deposit crosses the wire with.
-func encodeWire[T any](v T) []byte { return enc.CodecFor[T]().Append(nil, v) }
+// walker every deposit crosses the wire with. encodeWire appends *v to dst
+// and decodeWire decodes into *dst, so a side that keeps both across jobs
+// (remoteScratch, the worker's loop) regrows neither.
+func encodeWire[T any](dst []byte, v *T) []byte { return enc.CodecFor[T]().Append(dst, v) }
 
-func decodeWire[T any](what string, b []byte) (T, error) {
-	var zero T
-	v, rest, err := enc.CodecFor[T]().Decode(b)
+func decodeWire[T any](what string, b []byte, dst *T) error {
+	rest, err := enc.CodecFor[T]().DecodeInto(b, dst)
 	if err != nil {
-		return zero, fmt.Errorf("kamsta: %s: %w", what, err)
+		return fmt.Errorf("kamsta: %s: %w", what, err)
 	}
 	if len(rest) != 0 {
-		return zero, fmt.Errorf("kamsta: %d bytes after %s", len(rest), what)
+		return fmt.Errorf("kamsta: %d bytes after %s", len(rest), what)
 	}
-	return v.(T), nil
+	return nil
+}
+
+// remoteScratch is the leader's job-control memory, used under the job slot
+// and kept across jobs: the encoded spec, and one decoded report per
+// worker, whose shares the job's share table aliases until run has built
+// the Report.
+type remoteScratch struct {
+	spec []byte
+	ends []wireJobEnd
 }
 
 // wireSourceOf describes src for shipping; the bool is false for source

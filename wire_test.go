@@ -74,15 +74,15 @@ func wireRoundTrip[T any](t *testing.T) {
 	var v T
 	n := 0
 	fillNonZero(t, reflect.ValueOf(&v).Elem(), &n)
-	got, err := decodeWire[T]("frame", encodeWire(v))
-	if err != nil {
+	var got T
+	if err := decodeWire("frame", encodeWire(nil, &v), &got); err != nil {
 		t.Fatalf("%T: %v", v, err)
 	}
 	requireAllSet(t, fmt.Sprintf("%T", v), reflect.ValueOf(got))
 	if !reflect.DeepEqual(got, v) {
 		t.Fatalf("%T round trip:\n got %+v\nwant %+v", v, got, v)
 	}
-	if _, err := decodeWire[T]("frame", append(encodeWire(v), 0)); err == nil {
+	if err := decodeWire("frame", append(encodeWire(nil, &v), 0), new(T)); err == nil {
 		t.Fatalf("%T: trailing byte accepted", v)
 	}
 }
@@ -132,13 +132,13 @@ func TestJobKindTable(t *testing.T) {
 			if err != nil {
 				return
 			}
-			spec, err := decodeWire[wireJobSpec]("job spec", b)
-			if err != nil {
+			var spec wireJobSpec
+			if decodeWire("job spec", b, &spec) != nil {
 				return
 			}
 			end := runWorkerJob(w, f, hs, spec)
 			reports <- end
-			if f.EndJob(encodeWire(end)) != nil {
+			if f.EndJob(encodeWire(nil, &end)) != nil {
 				return
 			}
 		}

@@ -83,6 +83,8 @@ func serveWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions) {
 	w.Start()
 	defer w.Close()
 
+	var spec wireJobSpec
+	var endB []byte // the encoded report, kept across jobs
 	for {
 		specB, err := f.NextJob()
 		if err != nil {
@@ -93,13 +95,13 @@ func serveWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions) {
 			}
 			return
 		}
-		spec, err := decodeWire[wireJobSpec]("job spec", specB)
-		if err != nil {
+		if err := decodeWire("job spec", specB, &spec); err != nil {
 			logf("worker: %v", err)
 			return
 		}
 		end := runWorkerJob(w, f, hs, spec)
-		if err := f.EndJob(encodeWire(end)); err != nil {
+		endB = encodeWire(endB[:0], &end)
+		if err := f.EndJob(endB); err != nil {
 			logf("worker: %v", err)
 			return
 		}
