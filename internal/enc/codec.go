@@ -1,11 +1,11 @@
 package enc
 
 // Value codecs for the transport layer: how one collective's deposit — an
-// `any` holding a concrete Go value — crosses a process boundary. The SPMD
-// contract makes every rank of a superstep deposit the same concrete type,
-// so frames never carry type descriptors: the sender encodes with its slot's
-// codec and the receiver decodes with its own collective's codec for the
-// same superstep.
+// `any` holding a pointer to a concrete Go value — crosses a process
+// boundary. The SPMD contract makes every rank of a superstep deposit the
+// same concrete type, so frames never carry type descriptors: the sender
+// encodes with its slot's codec and the receiver decodes, into a target it
+// keeps, with its own collective's codec for the same superstep.
 //
 // One rule, applied at every depth of a value:
 //
