@@ -7,7 +7,7 @@
 //
 //	mstgen -family gnm -n 1024 -m 8192 -seed 7 -stats
 //	mstgen -family rgg2d -n 4096 -m 32768 > edges.txt
-//	mstgen -family rgg2d -n 65536 -m 1048576 -o rgg.kg          # binary, chunk-indexed
+//	mstgen -family rgg2d -n 65536 -m 1048576 -o rgg.kg          # binary
 //	mstgen -realworld US-road -rw-scale 16384 -format gr -o road.gr
 //
 // Formats: kamsta (binary, .kg), edgelist ("u v w" text), gr (9th-DIMACS),

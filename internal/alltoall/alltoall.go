@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"kamsta/internal/arena"
 	"kamsta/internal/comm"
@@ -256,17 +255,13 @@ type gridKeys struct {
 	result arena.Key // [][]T: the result headers
 }
 
-// gridKeysByType maps each element type, as a nil *T, to its gridKeys.
-var gridKeysByType sync.Map
+// gridKeysByType holds each element type's gridKeys.
+var gridKeysByType arena.Registry
 
 func gridKeysFor[T any]() *gridKeys {
-	id := any((*T)(nil))
-	ks, ok := gridKeysByType.Load(id)
-	if !ok {
-		ks, _ = gridKeysByType.LoadOrStore(id, &gridKeys{arena.NewKey(), arena.NewKey(),
-			arena.NewKey(), arena.NewKey(), arena.NewKey()})
-	}
-	return ks.(*gridKeys)
+	return arena.ForType[T](&gridKeysByType, func() *gridKeys {
+		return &gridKeys{arena.NewKey(), arena.NewKey(), arena.NewKey(), arena.NewKey(), arena.NewKey()}
+	})
 }
 
 // nextHop is a hop and the PE it goes to in this phase.

@@ -25,6 +25,7 @@ package arena
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 )
 
@@ -38,6 +39,24 @@ var nextKey atomic.Int32
 // NewKey reserves a fresh slot key, distinct from every other key in the
 // process.
 func NewKey() Key { return Key(nextKey.Add(1) - 1) }
+
+// Registry maps element types to what a generic call site keeps per type —
+// typically the keys of the slots one instantiation uses. The zero value is
+// ready; declare one per call site as a package variable.
+type Registry struct{ m sync.Map }
+
+// ForType returns r's value for element type T, made by mk on T's first
+// lookup. A nil *T boxed as an interface carries the type without
+// reflection and without allocating, so a warm lookup is one lock-free read
+// that allocates nothing.
+func ForType[T, V any](r *Registry, mk func() V) V {
+	id := any((*T)(nil))
+	v, ok := r.m.Load(id)
+	if !ok {
+		v, _ = r.m.LoadOrStore(id, mk())
+	}
+	return v.(V)
+}
 
 // Arena is a set of grow-only typed scratch slots, one per Key.
 type Arena struct {

@@ -102,3 +102,21 @@ func TestGrabSizesEmptySlotExactly(t *testing.T) {
 		t.Fatalf("Grab(0) returned %d elements", len(s))
 	}
 }
+
+// TestForType: one value per element type, made once, and a warm lookup
+// allocates nothing — the collectives call it on every superstep.
+func TestForType(t *testing.T) {
+	var r Registry
+	made := 0
+	mk := func() Key { made++; return NewKey() }
+	a, b := ForType[int](&r, mk), ForType[string](&r, mk)
+	if a == b || made != 2 {
+		t.Fatalf("two types share key %d, or %d values made", a, made)
+	}
+	if ForType[int](&r, mk) != a || made != 2 {
+		t.Fatal("a registered type got a new value")
+	}
+	if n := testing.AllocsPerRun(100, func() { ForType[int](&r, NewKey) }); n != 0 {
+		t.Fatalf("warm lookup allocates %v times", n)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"kamsta/internal/arena"
 	"kamsta/internal/sizeof"
@@ -74,10 +73,8 @@ type slots[T any] struct {
 	fptr  [2]*a2aFrame[T] // the frame deposited at each parity, itself the deposit's pointee
 }
 
-// slotKeys maps each value type, as a nil *T, to the arena key of its slots.
-// Interface identity carries the type without reflection, and boxing a nil
-// pointer does not allocate.
-var slotKeys sync.Map
+// slotKeys holds the arena key of each value type's slots.
+var slotKeys arena.Registry
 
 // slotsFor returns this rank's slots for T, creating them on first use; a
 // one-element arena slot never regrows, so they keep their contents from
@@ -85,12 +82,8 @@ var slotKeys sync.Map
 // what they deposit and what their combines publish, under the package's
 // ownership rule.
 func slotsFor[T any](c *Comm) *slots[T] {
-	id := any((*T)(nil))
-	k, ok := slotKeys.Load(id)
-	if !ok {
-		k, _ = slotKeys.LoadOrStore(id, arena.NewKey())
-	}
-	return &arena.Grab[slots[T]](c.Scratch(), k.(arena.Key), 1)[0]
+	k := arena.ForType[T](&slotKeys, arena.NewKey)
+	return &arena.Grab[slots[T]](c.Scratch(), k, 1)[0]
 }
 
 // put makes x this rank's deposit for the current superstep.

@@ -150,6 +150,12 @@ type World struct {
 	// ring is created on r's first traced job and recycled afterwards.
 	// Only rank r's PE goroutine touches rings[r].
 	rings []*obs.Ring
+
+	// books holds each rank's phase timers, world-owned for the same
+	// reason: rank r's book is cleared when r's Comm for a job is made and
+	// kept afterwards, so a warm job's phases allocate nothing. Only rank
+	// r's PE goroutine touches books[r].
+	books []phaseBook
 }
 
 // arrival is one rank's barrier-arrival counter, padded so watchdog reads
@@ -222,9 +228,11 @@ func NewWorld(p int, opts ...Option) *World {
 		arenas:  make([]*arena.Arena, p),
 		pools:   make([]*par.Pool, p),
 		rings:   make([]*obs.Ring, p),
+		books:   make([]phaseBook, p),
 	}
 	for i := range w.arenas {
 		w.arenas[i] = arena.New()
+		w.books[i].times = make(map[string]PhaseTime)
 	}
 	for _, o := range opts {
 		o(w)
@@ -250,12 +258,12 @@ func (w *World) P() int { return w.p }
 // job's observer, so every phase/round event fires exactly once.
 func (w *World) newComm(rank int, jb *worldJob) *Comm {
 	c := &Comm{
-		rank:   rank,
-		w:      w,
-		jb:     jb,
-		inj:    jb.inj,
-		wire:   w.wire,
-		phases: make(map[string]PhaseTime),
+		rank: rank,
+		w:    w,
+		jb:   jb,
+		inj:  jb.inj,
+		wire: w.wire,
+		ph:   w.books[rank].reset(),
 	}
 	c.host = commHost{c}
 	if rank == 0 {
@@ -325,7 +333,7 @@ func (w *World) TotalStats() Stats {
 func (w *World) ResetMetrics() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.phases = make(map[string]PhaseTime)
+	clear(w.phases)
 	w.stats = Stats{}
 	for i := range w.clocks {
 		w.clocks[i] = 0
@@ -364,11 +372,10 @@ type Comm struct {
 	jb    *worldJob // the job this handle belongs to
 	epoch uint64    // collective supersteps completed; selects the board buffer
 
-	clock  float64 // modeled seconds since Run start
-	stats  Stats
-	phases map[string]PhaseTime
+	clock float64 // modeled seconds since Run start
+	stats Stats
+	ph    *phaseBook // this rank's phase timers, world-owned (World.books)
 
-	phaseStack []phaseFrame
 	// round is the last distributed round this PE reported via EmitRound,
 	// kept for fault diagnostics (JobError.Round).
 	round int
@@ -404,6 +411,20 @@ type Comm struct {
 // result lives in that PE's slots and is published as a pointer.
 type combiner interface {
 	combine(board []deposit) any
+}
+
+// phaseBook is one rank's phase timers: the time of every phase closed so
+// far and the stack of open ones.
+type phaseBook struct {
+	times map[string]PhaseTime
+	stack []phaseFrame
+}
+
+// reset empties b for a new job, keeping its map and stack, and returns it.
+func (b *phaseBook) reset() *phaseBook {
+	clear(b.times)
+	b.stack = b.stack[:0]
+	return b
 }
 
 type phaseFrame struct {
@@ -450,12 +471,12 @@ func (c *Comm) ChargeCompute(ops int) {
 // both sides) to exclude setup work — e.g. graph generation — from a
 // measurement. Panics if called inside an open phase.
 func (c *Comm) ResetLocalMetrics() {
-	if len(c.phaseStack) != 0 {
+	if len(c.ph.stack) != 0 {
 		panic("comm: ResetLocalMetrics inside an open phase")
 	}
 	c.clock = 0
 	c.stats = Stats{}
-	c.phases = make(map[string]PhaseTime)
+	clear(c.ph.times)
 }
 
 // ChargeComm adds the modeled cost of msgs message startups plus bytes
@@ -475,7 +496,7 @@ func (c *Comm) ChargeComm(msgs int, bytes int) {
 // phases is attributed to the nested phase only.
 func (c *Comm) PhaseBegin(name string) {
 	c.note(EventPhaseBegin, name, 0, 0)
-	c.phaseStack = append(c.phaseStack, phaseFrame{
+	c.ph.stack = append(c.ph.stack, phaseFrame{
 		name:    name,
 		clockAt: c.clock,
 		wallAt:  time.Now(),
@@ -485,21 +506,21 @@ func (c *Comm) PhaseBegin(name string) {
 
 // PhaseEnd closes the innermost open phase.
 func (c *Comm) PhaseEnd() {
-	n := len(c.phaseStack)
+	n := len(c.ph.stack)
 	if n == 0 {
 		panic("comm: PhaseEnd without PhaseBegin")
 	}
-	fr := c.phaseStack[n-1]
-	c.phaseStack = c.phaseStack[:n-1]
+	fr := c.ph.stack[n-1]
+	c.ph.stack = c.ph.stack[:n-1]
 	modeled := c.clock - fr.clockAt - fr.childTime
 	wall := time.Since(fr.wallAt) - fr.childWall
-	pt := c.phases[fr.name]
+	pt := c.ph.times[fr.name]
 	pt.Modeled += modeled
 	pt.Wall += wall
 	pt.Stats.add(c.stats.minus(fr.statsAt).minus(fr.childStats))
-	c.phases[fr.name] = pt
+	c.ph.times[fr.name] = pt
 	if n >= 2 {
-		parent := &c.phaseStack[n-2]
+		parent := &c.ph.stack[n-2]
 		parent.childTime += c.clock - fr.clockAt
 		parent.childWall += time.Since(fr.wallAt)
 		parent.childStats.add(c.stats.minus(fr.statsAt))
@@ -517,7 +538,7 @@ func (c *Comm) Phase(name string, f func()) {
 // flush merges this PE's metrics into the world and refreshes this rank's
 // export gauges.
 func (c *Comm) flush() {
-	c.w.Merge(c.rank, []float64{c.clock}, c.phases, c.stats)
+	c.w.Merge(c.rank, []float64{c.clock}, c.ph.times, c.stats)
 	if c.m != nil {
 		c.w.wm.refreshGauges(c.w, c.rank, c.clock)
 	}
@@ -690,8 +711,8 @@ func (h commHost) TransportFault(err error) {
 		Round:      c.round,
 		PanicValue: err,
 	}
-	if n := len(c.phaseStack); n > 0 {
-		je.Phase = c.phaseStack[n-1].name
+	if n := len(c.ph.stack); n > 0 {
+		je.Phase = c.ph.stack[n-1].name
 	}
 	c.jb.recordFault(je)
 	c.jb.abortReq.Store(true)

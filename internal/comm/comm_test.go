@@ -537,6 +537,50 @@ func TestResetMetrics(t *testing.T) {
 	}
 }
 
+// TestWarmJobPhasesAllocateNothing: each rank's phase timers are the
+// world's, cleared per job, so once warm a job's nested phases allocate
+// nothing: a job at p = 4 that opens and closes them, resetting the rank's
+// and the world's timers as a Machine job does, allocates no more than the
+// same job without them.
+func TestWarmJobPhasesAllocateNothing(t *testing.T) {
+	w := NewWorld(4)
+	w.Start()
+	defer w.Close()
+	job := func(phased bool) func() {
+		return func() {
+			w.Run(func(c *Comm) {
+				c.ResetLocalMetrics()
+				if c.Rank() == 0 {
+					w.ResetMetrics()
+				}
+				if phased {
+					c.PhaseBegin("outer")
+					c.PhaseBegin("inner")
+				}
+				Barrier(c)
+				if phased {
+					c.PhaseEnd()
+					c.PhaseBegin("second")
+				}
+				Barrier(c)
+				if phased {
+					c.PhaseEnd()
+					c.PhaseEnd()
+				}
+			})
+		}
+	}
+	plain, phased := job(false), job(true)
+	phased()
+	if got := w.Phases(); len(got) != 3 {
+		t.Fatalf("phases %v, want outer, inner and second", got)
+	}
+	base := testing.AllocsPerRun(50, plain)
+	if n := testing.AllocsPerRun(50, phased); n > base {
+		t.Fatalf("a warm job with phases allocates %v times, without %v", n, base)
+	}
+}
+
 func TestRepeatedRuns(t *testing.T) {
 	w := NewWorld(3)
 	for i := 0; i < 3; i++ {

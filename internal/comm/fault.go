@@ -186,8 +186,8 @@ func (c *Comm) recordPanicFault(r any) {
 		PanicValue: r,
 		Stack:      string(debug.Stack()),
 	}
-	if n := len(c.phaseStack); n > 0 {
-		je.Phase = c.phaseStack[n-1].name
+	if n := len(c.ph.stack); n > 0 {
+		je.Phase = c.ph.stack[n-1].name
 	}
 	c.jb.recordFault(je)
 }

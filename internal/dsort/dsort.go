@@ -47,7 +47,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"kamsta/internal/alltoall"
@@ -122,21 +121,14 @@ type typeKeys struct {
 	rxTmp     arena.Key        // []radix.KV: radix ping-pong buffer
 }
 
-var (
-	keysMu     sync.Mutex
-	keysByType = map[any]*typeKeys{}
-)
+// keysByType holds each element type's typeKeys.
+var keysByType arena.Registry
 
 // keysFor returns the arena key set of element type T, allocating it on
-// first use. The map is keyed by a nil *T — interface identity carries the
-// type without reflection, and boxing a nil pointer does not allocate.
+// first use.
 func keysFor[T any]() *typeKeys {
-	id := any((*T)(nil))
-	keysMu.Lock()
-	defer keysMu.Unlock()
-	ks := keysByType[id]
-	if ks == nil {
-		ks = &typeKeys{
+	return arena.ForType[T](&keysByType, func() *typeKeys {
+		return &typeKeys{
 			local: arena.NewKey(), off: arena.NewKey(), samples: arena.NewKey(),
 			all: arena.NewKey(), split: arena.NewKey(), merge: arena.NewKey(),
 			mergeTree: arena.NewKey(), mergeKeys: arena.NewKey(), mergeRest: arena.NewKey(),
@@ -145,9 +137,7 @@ func keysFor[T any]() *typeKeys {
 			hcSamples: arena.NewKey(), hcMerged: arena.NewKey(), hcMembers: arena.NewKey(),
 			rxPairs: arena.NewKey(), rxTmp: arena.NewKey(),
 		}
-		keysByType[id] = ks
-	}
-	return ks
+	})
 }
 
 // Sort globally sorts the union of all PEs' local data under ord and

@@ -12,10 +12,10 @@
 //     instances ("c" comments, "p sp n m" problem line, "a u v w" arcs).
 //   - Metis: the METIS/Chaco adjacency format (header "n m [fmt]", line i
 //     lists vertex i's neighbors, every edge appears in both lists).
-//   - Kamsta: this repository's chunked binary format — a fixed-width
-//     little-endian edge record array behind a per-chunk index, so each PE
-//     of a loading world seeks and reads exactly its slice in parallel
-//     (see binary.go and DESIGN.md §6).
+//   - Kamsta: this repository's binary format — a fixed-width little-endian
+//     edge record array behind a fixed-size header, so each PE of a loading
+//     world seeks and reads exactly its slice in parallel (see binary.go and
+//     DESIGN.md §6).
 //
 // Loading is distributed: Load runs inside the world and every PE ingests a
 // disjoint byte range of the file concurrently; no rank scans the whole
@@ -34,7 +34,7 @@ type Format int
 const (
 	// FormatAuto selects the format from the file extension (DetectFormat).
 	FormatAuto Format = iota
-	// FormatKamsta is the chunked binary format (extension .kg).
+	// FormatKamsta is the binary format (extension .kg).
 	FormatKamsta
 	// FormatEdgeList is the plain "u v [w]" text format (.txt, .el).
 	FormatEdgeList

@@ -3,6 +3,8 @@ package graphio
 import (
 	"bytes"
 	"testing"
+
+	"kamsta/internal/graph"
 )
 
 // The text parsers face arbitrary user files; the contract is that
@@ -69,6 +71,37 @@ func FuzzParseMetis(f *testing.F) {
 		raws, err := parseMetisData(rest, hdr, firstVertex%(1<<33))
 		if err == nil {
 			fuzzBuild(t, raws)
+		}
+	})
+}
+
+// FuzzKamstaFile feeds arbitrary bytes through the binary format's header
+// check and record reader: an error, or edges none of which has label 0.
+func FuzzKamstaFile(f *testing.F) {
+	var valid bytes.Buffer
+	if err := writeKamsta(&valid, []graph.Edge{graph.NewEdge(1, 2, 5), graph.NewEdge(1, 3, 7),
+		graph.NewEdge(2, 1, 5), graph.NewEdge(3, 1, 7)}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(kgBytes(kgMagic, uint32(1), uint64(3), uint64(0), uint32(1<<14), uint32(0)))
+	f.Add([]byte("KMSG\x01\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		h, err := readKamstaHeader(r, int64(len(data)))
+		if err != nil {
+			return
+		}
+		for _, lo := range []uint64{0, h.Records / 2} {
+			edges, err := readKamstaRange(r, h, lo, h.Records, nil)
+			if err != nil {
+				return
+			}
+			for _, e := range edges {
+				if e.U == 0 || e.V == 0 {
+					t.Fatalf("edge %v with label 0 read without an error", e)
+				}
+			}
 		}
 	})
 }

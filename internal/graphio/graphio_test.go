@@ -1,6 +1,9 @@
 package graphio
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -248,12 +251,23 @@ func TestLoadErrors(t *testing.T) {
 		}
 		return p
 	}
+	// A one-record file as version 1 wrote it: the chunk size and count
+	// closed its 32-byte header, and one index entry preceded the record.
+	v1 := write("v1.kg", string(kgBytes(kgMagic, uint32(1), uint64(2), uint64(1), uint32(1<<14), uint32(1),
+		uint64(0), uint64(48), [3]uint32{1, 2, 5})))
 	cases := []struct {
 		name, path, want string
 	}{
 		{"missing file", filepath.Join(dir, "nope.kg"), "no such file"},
 		{"bad magic", write("bad.kg", "XXXXjunkjunkjunkjunkjunkjunkjunkjunk"), "bad magic"},
 		{"truncated binary", write("trunc.kg", "KMSG\x01\x00\x00\x00"), "kamsta header"},
+		{"binary version 1", v1, "unsupported kamsta format version 1 (want 2)"},
+		{"binary record short", write("short.kg", string(kgBytes(kgMagic, uint32(kamstaVersion), uint64(3), uint64(3),
+			[3]uint32{1, 2, 5}, [3]uint32{2, 3, 7}))), "truncated kamsta file"},
+		{"binary record overflow", write("huge.kg", string(kgBytes(kgMagic, uint32(kamstaVersion), uint64(3),
+			uint64(1)<<62))), "implausible record count"},
+		{"binary label 0", write("zero.kg", string(kgBytes(kgMagic, uint32(kamstaVersion), uint64(2), uint64(1),
+			[3]uint32{0, 2, 5}))), "vertex label 0"},
 		{"bad edge list", write("bad.el", "1 2 3\nfrogs toads 3\n"), "bad vertex label"},
 		{"edge list arity", write("arity.el", "1 2 3 4 5\n"), "want \"u v [w]\""},
 		{"gr junk line", write("bad.gr", "p sp 2 1\nq 1 2 5\n"), "unrecognized"},
@@ -272,6 +286,23 @@ func TestLoadErrors(t *testing.T) {
 			}
 		})
 	}
+	if _, err := loadShares(t, v1, 3, Options{}); !errors.As(err, new(versionError)) {
+		t.Fatalf("version-1 file refused with %v, want a versionError", err)
+	}
+}
+
+// kgMagic opens every kamsta file.
+var kgMagic = [4]byte([]byte(kamstaMagic))
+
+// kgBytes lays vals out little-endian, back to back: a kamsta file by hand.
+func kgBytes(vals ...any) []byte {
+	var b bytes.Buffer
+	for _, v := range vals {
+		if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+			panic(err)
+		}
+	}
+	return b.Bytes()
 }
 
 // TestMetisTrailingBlankLines pins the trailing-whitespace tolerance: a
