@@ -7,6 +7,7 @@ import (
 	"os"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,5 +62,21 @@ func TestDesignNamesExchangeEntries(t *testing.T) {
 	slices.Sort(doc)
 	if doc = slices.Compact(doc); !slices.Equal(code, doc) {
 		t.Errorf("DESIGN.md §2.5 names the entry points %v, the code exports %v", doc, code)
+	}
+}
+
+// TestDesignQuotesGridThreshold compares the bytes-per-message rule DESIGN.md
+// §4 quotes for Auto with DefaultGridThreshold.
+func TestDesignQuotesGridThreshold(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile("(\\d+)-bytes-per-message\\s+rule\\s+\\(`alltoall\\.DefaultGridThreshold`\\)").FindSubmatch(raw)
+	if m == nil {
+		t.Fatal("DESIGN.md no longer quotes alltoall.DefaultGridThreshold")
+	}
+	if got, _ := strconv.Atoi(string(m[1])); got != DefaultGridThreshold {
+		t.Errorf("DESIGN.md says Auto switches at %d bytes per message, the code %d", got, DefaultGridThreshold)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // Arena keys of the per-round dense tables and send frames. One set of
 // keys per process; every PE's arena has its own storage behind them. A key
 // is re-grabbed once per round, so a slot's previous round's contents are
-// dead by the time it is reused (see the lifetime table in DESIGN.md §8.2).
+// dead by the time it is reused (see the lifetime rules in DESIGN.md §8.2).
 var (
 	kRanges     = arena.NewKey() // []graph.VertexRange: per-source runs
 	kMins       = arena.NewKey() // []minEdge: minimum-edge selection
@@ -97,8 +97,8 @@ type labelPair struct {
 // v's position in verts, or -1. It is every per-vertex lookup of a round —
 // the contraction's parent table, the round's labeling, the ghost table
 // EXCHANGELABELS receives, Filter-Borůvka's rename and reply tables and the
-// base case's replicated remap. It replaces the former maps: iteration is in
-// index order, which makes every derived message sequence deterministic.
+// base case's replicated remap. Iteration is in index order, not a hash
+// order, so every derived message sequence is deterministic.
 //
 // When the IDs span a window denseWindow admits for the lookups the table
 // serves — the §II-B consecutive-ID guarantee makes this the common case —
@@ -199,10 +199,9 @@ func (d *denseLabels) get(v graph.VID) (graph.VID, bool) {
 // sorted rename table and parent/emit are index-aligned arrays. Vertices are
 // processed in index order every round, so the query traffic — which chains
 // resolve locally versus remotely, and hence the per-round all-to-all
-// volumes — is a pure function of the graph. The former map iteration here
-// was the source of the run-to-run modeled-clock variance at larger
-// instances: hash order decided how many pointer chases were short-cut
-// through already-advanced local entries, changing message bytes per round.
+// volumes — is a pure function of the graph. A hash order would decide how
+// many pointer chases short-cut through already-advanced local entries, and
+// with it the message bytes per round and the modeled clock.
 func contractComponents(c *comm.Comm, edges []graph.Edge, l *graph.Layout, mins []minEdge,
 	opt Options, mst *[]graph.Edge) denseLabels {
 

@@ -346,10 +346,10 @@ var hqsLoadProbe func(rank, level, n int)
 //
 // Keys equal to the pivot alternate sides, first tie high: under a total
 // order at most one element in the world compares equal to the pivot, so
-// the exchange is byte-for-byte what the former all-ties-high partition
-// produced — but under duplicate-heavy weak orders (all-equal keys are
-// legal) each PE now splits its tie class evenly instead of collapsing the
-// whole input onto the high subcube.
+// the exchange is byte-for-byte that of an all-ties-high partition, while
+// under duplicate-heavy weak orders (all-equal keys are legal) each PE
+// splits its tie class evenly instead of collapsing the whole input onto
+// the high subcube.
 func hypercubeQuicksort[T any](c *comm.Comm, ks *typeKeys, data []T, ord Order[T], opt Options) []T {
 	p, rank := c.P(), c.Rank()
 	a := c.Scratch()
@@ -467,8 +467,7 @@ func lowerBound[T any](s []T, x T, less func(a, b T) bool) int {
 
 // rebalanceBound returns floor(j·total/p) — the first global position owned
 // by PE j — via 128-bit intermediate arithmetic, so the boundaries stay
-// exact even when total·p would overflow int64 (the former (g*p)/total
-// formulation silently wrapped for total·p ≥ 2⁶³).
+// exact even where j·total overflows int64.
 func rebalanceBound(j, total, p int) int {
 	hi, lo := bits.Mul64(uint64(j), uint64(total))
 	q, _ := bits.Div64(hi, lo, uint64(p))

@@ -66,7 +66,7 @@ func writeKamsta(w io.Writer, edges []graph.Edge) error {
 type versionError uint32
 
 func (v versionError) Error() string {
-	return fmt.Sprintf("graphio: unsupported kamsta format version %d (want %d)", uint32(v), kamstaVersion)
+	return fmt.Sprintf("unsupported kamsta format version %d (want %d)", uint32(v), kamstaVersion)
 }
 
 // readKamstaHeader decodes and validates the header against the file size,
@@ -76,10 +76,10 @@ func readKamstaHeader(r io.ReaderAt, fileSize int64) (kamstaHeader, error) {
 	var h kamstaHeader
 	buf := make([]byte, kamstaHeaderSize)
 	if err := readAtFull(r, buf, 0); err != nil {
-		return h, fmt.Errorf("graphio: reading kamsta header: %w", err)
+		return h, fmt.Errorf("reading kamsta header: %w", err)
 	}
 	if string(buf[:4]) != kamstaMagic {
-		return h, fmt.Errorf("graphio: bad magic %q (not a kamsta graph file)", buf[:4])
+		return h, fmt.Errorf("bad magic %q (not a kamsta graph file)", buf[:4])
 	}
 	if v := binary.LittleEndian.Uint32(buf[4:]); v != kamstaVersion {
 		return h, versionError(v)
@@ -87,13 +87,13 @@ func readKamstaHeader(r io.ReaderAt, fileSize int64) (kamstaHeader, error) {
 	h.Vertices = binary.LittleEndian.Uint64(buf[8:])
 	h.Records = binary.LittleEndian.Uint64(buf[16:])
 	if h.Records > (math.MaxInt64-kamstaHeaderSize)/kamstaRecordSize {
-		return h, fmt.Errorf("graphio: corrupt kamsta header: implausible record count %d", h.Records)
+		return h, fmt.Errorf("corrupt kamsta header: implausible record count %d", h.Records)
 	}
 	if err := graph.CheckEdgeCount(h.Records); err != nil {
-		return h, fmt.Errorf("graphio: kamsta header: %w", err)
+		return h, fmt.Errorf("kamsta header: %w", err)
 	}
 	if want := kamstaHeaderSize + int64(h.Records)*kamstaRecordSize; want != fileSize {
-		return h, fmt.Errorf("graphio: truncated kamsta file: %d bytes, header implies %d", fileSize, want)
+		return h, fmt.Errorf("truncated kamsta file: %d bytes, header implies %d", fileSize, want)
 	}
 	return h, nil
 }
@@ -102,7 +102,7 @@ func readKamstaHeader(r io.ReaderAt, fileSize int64) (kamstaHeader, error) {
 // of every record to out. It reads exactly the record bytes of the range.
 func readKamstaRange(r io.ReaderAt, h kamstaHeader, lo, hi uint64, trace func(off, n int64)) ([]graph.Edge, error) {
 	if hi > h.Records || lo > hi {
-		return nil, fmt.Errorf("graphio: record range [%d,%d) out of bounds (%d records)", lo, hi, h.Records)
+		return nil, fmt.Errorf("record range [%d,%d) out of bounds (%d records)", lo, hi, h.Records)
 	}
 	if lo == hi {
 		return nil, nil
@@ -110,7 +110,7 @@ func readKamstaRange(r io.ReaderAt, h kamstaHeader, lo, hi uint64, trace func(of
 	base := kamstaHeaderSize + int64(lo)*kamstaRecordSize
 	buf := make([]byte, (hi-lo)*kamstaRecordSize)
 	if err := readAtFull(r, buf, base); err != nil {
-		return nil, fmt.Errorf("graphio: reading kamsta records: %w", err)
+		return nil, fmt.Errorf("reading kamsta records: %w", err)
 	}
 	if trace != nil {
 		trace(base, int64(len(buf)))
@@ -121,7 +121,7 @@ func readKamstaRange(r io.ReaderAt, h kamstaHeader, lo, hi uint64, trace func(of
 		v := uint64(binary.LittleEndian.Uint32(buf[i+4:]))
 		w := binary.LittleEndian.Uint32(buf[i+8:])
 		if u == 0 || v == 0 {
-			return nil, fmt.Errorf("graphio: record %d: vertex label 0 (labels are 1-based)", lo+uint64(i/kamstaRecordSize))
+			return nil, fmt.Errorf("record %d: vertex label 0 (labels are 1-based)", lo+uint64(i/kamstaRecordSize))
 		}
 		if u == v {
 			continue // self-loops are dropped on ingestion

@@ -23,7 +23,7 @@ func TestDesignQuotesKamstaLayout(t *testing.T) {
 		code          int
 	}{
 		{"version", `version u32 = (\d+)`, kamstaVersion},
-		{"records offset", `\| (\d+) \| records, `, kamstaHeaderSize},
+		{"records offset", `the records from byte (\d+) on`, kamstaHeaderSize},
 		{"header size", `exactly the (\d+)-byte header`, kamstaHeaderSize},
 		{"record size", `a record is (\d+) bytes`, kamstaRecordSize},
 		{"record stride", `starts at byte \d+ \+ (\d+)·i`, kamstaRecordSize},

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -272,6 +273,7 @@ func TestLoadErrors(t *testing.T) {
 		{"edge list arity", write("arity.el", "1 2 3 4 5\n"), "want \"u v [w]\""},
 		{"gr junk line", write("bad.gr", "p sp 2 1\nq 1 2 5\n"), "unrecognized"},
 		{"metis no header", write("empty.metis", "% only comments\n"), "header"},
+		{"metis bad header", write("badhdr.metis", "three 1\n2\n1\n"), "metis header: bad vertex label"},
 		{"metis count mismatch", write("short.metis", "3 1\n2\n1\n"), "header promises 3"},
 		{"huge label", write("huge.el", "1 5000000000 4\n"), "exceeds 2^32"},
 	}
@@ -284,10 +286,18 @@ func TestLoadErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
+			// Agreement adds the package prefix, exactly once.
+			if msg := err.Error(); !strings.HasPrefix(msg, "graphio: ") || strings.Count(msg, "graphio: ") != 1 {
+				t.Fatalf("error %q does not carry exactly one \"graphio: \" prefix", msg)
+			}
 		})
 	}
+	// The typed errors stay reachable through the agreement.
 	if _, err := loadShares(t, v1, 3, Options{}); !errors.As(err, new(versionError)) {
 		t.Fatalf("version-1 file refused with %v, want a versionError", err)
+	}
+	if _, err := loadShares(t, filepath.Join(dir, "nope.kg"), 3, Options{}); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file refused with %v, want fs.ErrNotExist", err)
 	}
 }
 

@@ -74,7 +74,8 @@ func Load(c *comm.Comm, path string, opt Options) ([]graph.Edge, *graph.Layout, 
 }
 
 // shareErr agrees on one error across the world: the lowest-ranked PE's
-// error wins and every PE returns the same message (or nil); a PE that had
+// error wins, and every PE returns it (or nil) under the one "graphio: "
+// prefix, which the errors agreed on do not carry themselves. A PE that had
 // that error itself returns it wrapped, so errors.Is still sees it. Every
 // PE must call it at the same point, with or without a local error.
 func shareErr(c *comm.Comm, err error) error {

@@ -303,10 +303,10 @@ func buildEdges(raws []rawEdge, shiftU, shiftV uint64, seed uint64) ([]graph.Edg
 	for _, r := range raws {
 		u, v := r.U+shiftU, r.V+shiftV
 		if u == 0 || v == 0 {
-			return nil, fmt.Errorf("graphio: vertex label 0 in a 1-based input")
+			return nil, fmt.Errorf("vertex label 0 in a 1-based input")
 		}
 		if u >= 1<<32 || v >= 1<<32 {
-			return nil, fmt.Errorf("graphio: vertex label %d exceeds 2^32", max(u, v))
+			return nil, fmt.Errorf("vertex label %d exceeds 2^32", max(u, v))
 		}
 		if u == v {
 			continue

@@ -306,7 +306,7 @@ func (st *state) contract(w []rec) int {
 		// them per round keeps the total work a geometric sum instead of
 		// m·rounds. A pair is retired or active as a whole, so the two
 		// parts reduce separately.
-		if n-from > 256 {
+		if n-from > reduceAbove {
 			retired := st.reducePairs(w[from:rt])
 			active := st.reducePairs(w[rt:n])
 			copy(w[from+retired:], w[rt:rt+active])
@@ -314,6 +314,9 @@ func (st *state) contract(w []rec) int {
 		}
 	}
 }
+
+// reduceAbove is the survivor count above which a round reduces pairs.
+const reduceAbove = 256
 
 // none marks an empty min-table slot.
 const none = ^uint32(0)

@@ -164,3 +164,27 @@ func TestDesignQuotesRetryBackoff(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignQuotesSchedulerConstants checks the shedder's window and the
+// stride scheduler's scale DESIGN.md §11.2–§11.3 quote against the code.
+func TestDesignQuotesSchedulerConstants(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := func(name, pattern string) int {
+		t.Helper()
+		m := regexp.MustCompile(pattern).FindSubmatch(raw)
+		if m == nil {
+			t.Fatalf("DESIGN.md no longer quotes %s (pattern %q)", name, pattern)
+		}
+		n, _ := strconv.Atoi(string(m[1]))
+		return n
+	}
+	if got := quoted("shedWindow", "last\\s+(\\d+)\\s+dispatch\\s+times\\s+per\\s+shape\\s+\\(`shedWindow`\\)"); got != shedWindow {
+		t.Errorf("DESIGN.md says the shedder keeps %d dispatch times, the code %d", got, shedWindow)
+	}
+	if got := quoted("strideScale", "`2\\^(\\d+)/weight`\\s+\\(`strideScale`\\)"); 1<<got != strideScale {
+		t.Errorf("DESIGN.md says the stride scale is 2^%d, the code %d", got, strideScale)
+	}
+}

@@ -7,10 +7,9 @@ import (
 
 // barrier is a reusable (cyclic) barrier for a fixed number of parties,
 // built as a fan-in tree of atomic arrival counters released by a single
-// epoch word. It replaces the previous central mutex+cond barrier, whose
-// per-superstep cost grew ~15× from p=8 to p=64 purely from lock contention
-// and futex sleep/wake traffic; here arrival contention is spread over tree
-// nodes, release is one atomic increment that all waiters observe by
+// epoch word. Arrival contention is spread over tree nodes (a central
+// mutex+cond barrier pays lock contention and futex sleep/wake traffic that
+// grow with p), release is one atomic increment that all waiters observe by
 // polling, and waiters yield to the scheduler (runtime.Gosched) after a
 // short bounded spin so worlds with far more PEs than cores make progress
 // cooperatively instead of thrashing.

@@ -11,8 +11,9 @@
 // Property 3 uses binary-lifting LCA with path-maximum edges, O(m log n)
 // overall — the classic King-style verification bound is near-linear, but
 // log-factor verification is plenty at simulator scales. The verifier backs
-// the test suites and cmd/mstverify, giving every algorithm in the
-// repository an oracle that shares no code with any of them.
+// the test suites, giving every algorithm in the repository an oracle that
+// shares no code with any of them (cmd/mstverify cross-checks against the
+// Kruskal job instead, through bench.Verify).
 package verify
 
 import (
