@@ -296,8 +296,10 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := loadShares(t, v1, 3, Options{}); !errors.As(err, new(versionError)) {
 		t.Fatalf("version-1 file refused with %v, want a versionError", err)
 	}
-	if _, err := loadShares(t, filepath.Join(dir, "nope.kg"), 3, Options{}); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("missing file refused with %v, want fs.ErrNotExist", err)
+	for _, name := range []string{"nope.kg", "nope.el", "nope.metis"} {
+		if _, err := loadShares(t, filepath.Join(dir, name), 3, Options{}); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("missing %s refused with %v, want fs.ErrNotExist", name, err)
+		}
 	}
 }
 

@@ -84,15 +84,20 @@ func shareErr(c *comm.Comm, err error) error {
 		msg = err.Error()
 	}
 	for r, m := range comm.Allgather(c, msg) {
-		switch m {
-		case "":
-		case msg: // this PE's own error: keep its type
-			return fmt.Errorf("graphio: %w (PE %d)", err, r)
-		default:
-			return fmt.Errorf("graphio: %s (PE %d)", m, r)
+		if m != "" {
+			return agreedErr(r, m, err)
 		}
 	}
 	return nil
+}
+
+// agreedErr is the error a PE returns when rank r's message m won: its own
+// error, wrapped so errors.Is still sees it, if m is that error's text.
+func agreedErr(r int, m string, own error) error {
+	if own != nil && m == own.Error() {
+		return fmt.Errorf("graphio: %w (PE %d)", own, r)
+	}
+	return fmt.Errorf("graphio: %s (PE %d)", m, r)
 }
 
 // byteRange splits 0..total-1 contiguously among the p PEs.
@@ -248,7 +253,7 @@ func loadMetis(c *comm.Comm, path string, seed uint64) ([]graph.Edge, error) {
 	all1 := comm.Allgather(c, s1)
 	for r, s := range all1 {
 		if s.Err != "" {
-			return nil, fmt.Errorf("graphio: %s (PE %d)", s.Err, r)
+			return nil, agreedErr(r, s.Err, err)
 		}
 	}
 	hdr, hdrEnd, size := all1[0].Hdr, all1[0].HdrEnd, all1[0].Size
@@ -271,7 +276,7 @@ func loadMetis(c *comm.Comm, path string, seed uint64) ([]graph.Edge, error) {
 	firstVertex, total := uint64(1), uint64(0)
 	for r, s := range all2 {
 		if s.Err != "" {
-			return nil, fmt.Errorf("graphio: %s (PE %d)", s.Err, r)
+			return nil, agreedErr(r, s.Err, err)
 		}
 		if r < c.Rank() {
 			firstVertex += uint64(s.Lines)

@@ -62,11 +62,8 @@ func (c *Client) Submit(ctx context.Context, req Request) (*RemoteJob, error) {
 	if req.Spec != nil {
 		wr.Spec = &wireSpec{Family: req.Spec.Family.Name(), N: req.Spec.N, M: req.Spec.M, Seed: req.Spec.Seed}
 	}
-	if req.Edges != nil {
-		wr.Edges = make([]wireEdge, len(req.Edges))
-		for i, e := range req.Edges {
-			wr.Edges[i] = wireEdge{e.U, e.V, uint64(e.W)}
-		}
+	if len(req.Edges) > 0 {
+		wr.Edges = &wireEdges{edges: req.Edges}
 	}
 	var wj wireJob
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs", wr, &wj); err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -28,8 +29,86 @@ import (
 // outcome table. Overload rejections (429/503) carry a Retry-After header
 // with the server's drain estimate, rounded up to whole seconds.
 
-// wireEdge is one edge on the wire: [u, v, w].
+// wireEdge is one edge as encoding/json codes it: [u, v, w].
 type wireEdge [3]uint64
+
+// wireEdges is a job's edge list, [[u,v,w],…]: edges when one scan decoded
+// it, else wide, decoded by encoding/json and converted by toRequest, so it
+// accepts and decodes exactly what a []wireEdge does.
+type wireEdges struct {
+	edges []kamsta.InputEdge
+	wide  []wireEdge
+}
+
+// MarshalJSON writes the bytes encoding/json writes for a []wireEdge.
+func (e *wireEdges) MarshalJSON() ([]byte, error) {
+	if e.wide != nil || e.edges == nil {
+		return json.Marshal(e.wide)
+	}
+	b := []byte{'['}
+	for _, x := range e.edges {
+		b = fmt.Appendf(b, "[%d,%d,%d],", x.U, x.V, x.W)
+	}
+	return append(b[:max(1, len(b)-1)], ']'), nil // the last comma, if any, closes
+}
+
+// UnmarshalJSON scans a first list in one pass. Anything else, a repeated
+// "edges" key too, goes to encoding/json over the list a []wireEdge would
+// hold by then (appended as encoding/json grows it; a null keeps an element).
+func (e *wireEdges) UnmarshalJSON(data []byte) error {
+	if e.edges == nil && e.wide == nil {
+		if edges, ok := scanEdges(data); ok {
+			e.edges = edges
+			return nil
+		}
+	}
+	if e.wide == nil {
+		for _, x := range e.edges {
+			e.wide = append(e.wide, wireEdge{x.U, x.V, uint64(x.W)})
+		}
+		e.edges = nil
+	}
+	return json.Unmarshal(data, &e.wide)
+}
+
+// scanEdges decodes [[u,v,w],…] of unsigned integers, u, v < 2^64 and
+// w < 2^32, zero-filling a short triple as encoding/json does, or reports
+// !ok. As b is valid JSON (UnmarshalJSON's contract), brackets and commas
+// give the shape, and any byte but digits and whitespace is another value.
+func scanEdges(b []byte) (edges []kamsta.InputEdge, ok bool) {
+	// Sized by its brackets, but to no more than one `[0,0,0],` per 8 bytes.
+	edges = make([]kamsta.InputEdge, 0, max(0, min(bytes.Count(b, []byte{'['})-1, len(b)/8)))
+	var t wireEdge
+	depth, k := 0, 0
+	for _, c := range b {
+		switch c {
+		case ' ', '\t', '\n', '\r':
+		case '[':
+			if depth++; depth > 2 {
+				return nil, false
+			}
+			t, k = wireEdge{}, 0
+		case ',': // between numbers (depth 2) or edges (depth 1, k unused)
+			if k += depth - 1; k > 2 {
+				return nil, false
+			}
+		case ']':
+			if depth--; depth == 1 {
+				if t[2] > 1<<32-1 {
+					return nil, false
+				}
+				edges = append(edges, kamsta.InputEdge{U: t[0], V: t[1], W: uint32(t[2])})
+			}
+		default:
+			d := uint64(c - '0')
+			if d > 9 || depth != 2 || t[k] > (1<<64-1-d)/10 {
+				return nil, false
+			}
+			t[k] = t[k]*10 + d
+		}
+	}
+	return edges, depth == 0
+}
 
 // wireSpec mirrors kamsta.GraphSpec with a string family name.
 type wireSpec struct {
@@ -48,7 +127,7 @@ type wireRequest struct {
 	PEs        int        `json:"pes,omitempty"`
 	NoBatch    bool       `json:"no_batch,omitempty"`
 	Spec       *wireSpec  `json:"spec,omitempty"`
-	Edges      []wireEdge `json:"edges,omitempty"`
+	Edges      *wireEdges `json:"edges,omitempty"`
 	File       string     `json:"file,omitempty"`
 	FileFormat string     `json:"file_format,omitempty"`
 }
@@ -220,13 +299,16 @@ func (wr wireRequest) toRequest() (Request, error) {
 		}
 		req.Spec = &kamsta.GraphSpec{Family: fam, N: wr.Spec.N, M: wr.Spec.M, Seed: wr.Spec.Seed}
 	}
-	if wr.Edges != nil {
-		req.Edges = make([]kamsta.InputEdge, len(wr.Edges))
-		for i, e := range wr.Edges {
-			if e[2] > 1<<32-1 {
-				return Request{}, fmt.Errorf("%w: edge weight %d overflows uint32", ErrBadRequest, e[2])
+	if e := wr.Edges; e != nil {
+		req.Edges = e.edges
+		if e.wide != nil {
+			req.Edges = make([]kamsta.InputEdge, len(e.wide))
+			for i, x := range e.wide {
+				if x[2] > 1<<32-1 {
+					return Request{}, fmt.Errorf("%w: edge weight %d overflows uint32", ErrBadRequest, x[2])
+				}
+				req.Edges[i] = kamsta.InputEdge{U: x[0], V: x[1], W: uint32(x[2])}
 			}
-			req.Edges[i] = kamsta.InputEdge{U: e[0], V: e[1], W: uint32(e[2])}
 		}
 	}
 	return req, nil

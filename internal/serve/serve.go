@@ -18,6 +18,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -505,10 +506,9 @@ func (s *Server) live(pes int) int {
 }
 
 // profileEdges validates labels the way kamsta.FromEdges will and returns
-// the max label and distinct vertex count (the batch planner's inputs): the
-// runs of the sorted endpoints.
+// the max label and distinct vertex count (the batch planner's inputs),
+// from a bitmap when it takes no more than a sort's 16 bytes per edge.
 func profileEdges(edges []kamsta.InputEdge) (maxV uint64, verts int, err error) {
-	ends := make([]uint64, 0, 2*len(edges))
 	for _, e := range edges {
 		if e.U == 0 || e.V == 0 || e.U >= 1<<32 || e.V >= 1<<32 {
 			return 0, 0, fmt.Errorf("vertex labels must be in [1, 2^32): edge (%d,%d)", e.U, e.V)
@@ -516,8 +516,22 @@ func profileEdges(edges []kamsta.InputEdge) (maxV uint64, verts int, err error) 
 		if e.U == e.V {
 			return 0, 0, fmt.Errorf("self-loop on vertex %d", e.U)
 		}
-		ends = append(ends, e.U, e.V)
 		maxV = max(maxV, e.U, e.V)
+	}
+	if maxV <= 128*uint64(len(edges)) && !forceSortedLabels {
+		seen := make([]uint64, maxV/64+1)
+		for _, e := range edges {
+			seen[e.U/64] |= 1 << (e.U % 64)
+			seen[e.V/64] |= 1 << (e.V % 64)
+		}
+		for _, w := range seen {
+			verts += bits.OnesCount64(w)
+		}
+		return maxV, verts, nil
+	}
+	ends := make([]uint64, 0, 2*len(edges))
+	for _, e := range edges {
+		ends = append(ends, e.U, e.V)
 	}
 	slices.Sort(ends)
 	for i, v := range ends {
@@ -527,6 +541,8 @@ func profileEdges(edges []kamsta.InputEdge) (maxV uint64, verts int, err error) 
 	}
 	return maxV, verts, nil
 }
+
+var forceSortedLabels bool // tests only: profileEdges sorts dense labels too
 
 // worker serves one pool machine until the scheduler tells it to exit or
 // the machine is quarantined. During brownout, batching is disabled: a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -422,20 +423,45 @@ func TestStats(t *testing.T) {
 }
 
 // TestProfileEdges: the distinct-label count and the max label match a
-// set's, and a bad edge is refused with its own message, the first bad edge
+// set's on both counting paths (a bitmap for dense labels, a sort for sparse
+// ones), and a bad edge is refused with its own message, the first bad edge
 // in input order.
 func TestProfileEdges(t *testing.T) {
 	edges := append(testEdges(7, 40, 90), kamsta.InputEdge{U: 1000, V: 3, W: 1})
-	seen := map[uint64]bool{}
-	for _, e := range edges {
-		seen[e.U], seen[e.V] = true, true
+	// Labels near 2^32−1 are sparse: only the sort counts them.
+	high := make([]kamsta.InputEdge, len(edges))
+	for i, e := range edges {
+		high[i] = kamsta.InputEdge{U: e.U + 1<<32 - 1001, V: e.V + 1<<32 - 1001, W: e.W}
 	}
-	maxV, verts, err := profileEdges(edges)
-	if err != nil || maxV != 1000 || verts != len(seen) {
-		t.Fatalf("profileEdges: max %d, %d labels, %v; want 1000, %d", maxV, verts, err, len(seen))
+	repeated := []kamsta.InputEdge{{U: 4, V: 9}, {U: 9, V: 4}, {U: 4, V: 9}, {U: 4, V: 2}}
+	for _, tc := range []struct {
+		name  string
+		edges []kamsta.InputEdge
+	}{{"dense", edges}, {"sparse", high}, {"repeated endpoints", repeated}, {"empty", nil}} {
+		seen := map[uint64]bool{}
+		var wantMax uint64
+		for _, e := range tc.edges {
+			seen[e.U], seen[e.V] = true, true
+			wantMax = max(wantMax, e.U, e.V)
+		}
+		maxV, verts, err := profileEdges(tc.edges)
+		forceSortedLabels = true
+		sMaxV, sVerts, sErr := profileEdges(tc.edges)
+		forceSortedLabels = false
+		if err != nil || maxV != wantMax || verts != len(seen) {
+			t.Fatalf("%s: max %d, %d labels, %v; want %d, %d", tc.name, maxV, verts, err, wantMax, len(seen))
+		}
+		if sMaxV != maxV || sVerts != verts || sErr != nil {
+			t.Fatalf("%s: sorted max %d, %d labels, %v; bitmap %d, %d", tc.name, sMaxV, sVerts, sErr, maxV, verts)
+		}
 	}
-	if _, verts, _ := profileEdges(nil); verts != 0 {
-		t.Fatalf("no edges: %d labels", verts)
+	// The sort, not a 512 MB bitmap, counts the labels near 2^32−1.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	profileEdges(high)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("sparse labels allocated %d bytes", grew)
 	}
 	bad := append(edges[:3:3], kamsta.InputEdge{U: 5, V: 5}, kamsta.InputEdge{U: 0, V: 2})
 	if _, _, err := profileEdges(bad); err == nil || err.Error() != "self-loop on vertex 5" {
