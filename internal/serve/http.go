@@ -40,11 +40,8 @@ type wireEdges struct {
 	wide  []wireEdge
 }
 
-// MarshalJSON writes the bytes encoding/json writes for a []wireEdge.
+// MarshalJSON writes the bytes encoding/json writes for a non-nil []wireEdge.
 func (e *wireEdges) MarshalJSON() ([]byte, error) {
-	if e.wide != nil || e.edges == nil {
-		return json.Marshal(e.wide)
-	}
 	b := []byte{'['}
 	for _, x := range e.edges {
 		b = fmt.Appendf(b, "[%d,%d,%d],", x.U, x.V, x.W)

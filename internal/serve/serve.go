@@ -518,7 +518,7 @@ func profileEdges(edges []kamsta.InputEdge) (maxV uint64, verts int, err error) 
 		}
 		maxV = max(maxV, e.U, e.V)
 	}
-	if maxV <= 128*uint64(len(edges)) && !forceSortedLabels {
+	if maxV <= 128*uint64(len(edges)) {
 		seen := make([]uint64, maxV/64+1)
 		for _, e := range edges {
 			seen[e.U/64] |= 1 << (e.U % 64)
@@ -541,8 +541,6 @@ func profileEdges(edges []kamsta.InputEdge) (maxV uint64, verts int, err error) 
 	}
 	return maxV, verts, nil
 }
-
-var forceSortedLabels bool // tests only: profileEdges sorts dense labels too
 
 // worker serves one pool machine until the scheduler tells it to exit or
 // the machine is quarantined. During brownout, batching is disabled: a
